@@ -7,8 +7,12 @@ Two solver entry points are provided:
   and picks the step size along each coordinate by a plain binary search
   (valid because k -> f(k e | y) - k * threshold is then concave).
 * :func:`maximize_lattice_cardinality` only assumes lattice submodularity
-  and replaces the step search with :func:`binary_search_lattice`, a
-  level-set search over geometrically spaced value levels.
+  and replaces the step search with a level-set search over geometrically
+  spaced value levels (:func:`binary_search_lattice`).
+
+Within one solve each lattice point is evaluated at most once: solvers
+read f through a per-call :class:`_PointMemo`, so ``f.calls`` grows by the
+number of distinct points probed.
 
 Both achieve a (1 - 1/e - O(eps)) fraction of the optimum for monotone
 objectives and make O((n/eps) log ||c||_inf log(r/eps)) oracle calls.
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -125,14 +129,43 @@ def threshold_schedule(top: float, floor: float, epsilon: float) -> Iterator[flo
         j += 1
 
 
+class _PointMemo:
+    """Values of f at the points one solve has probed, keyed by their bytes.
+
+    A miss goes through ``f.eval``, so validation and call counting are
+    those of the oracle; a hit costs no call.  Each solver call creates its
+    own memo and drops it on return.  Points must be int64 vectors, as all
+    solver iterates are.
+    """
+
+    __slots__ = ("_f", "_values")
+
+    def __init__(self, f: ValueOracle):
+        self._f = f
+        self._values: dict[bytes, float] = {}
+
+    def __call__(self, x: np.ndarray) -> float:
+        key = x.tobytes()
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = self._f.eval(x)
+        return value
+
+
 def _max_step_with_gain(
-    f: ValueOracle, y: np.ndarray, e: int, k_max: int, threshold: float
+    ev: Callable[[np.ndarray], float],
+    y: np.ndarray,
+    e: int,
+    k_max: int,
+    threshold: float,
 ) -> tuple[int, float]:
     """Binary search for the largest k <= k_max with f(k e | y) >= k * threshold.
 
-    Also returns the marginal value measured at the returned k (0.0 for
-    k = 0).  The base value f(y) is evaluated once, so the search costs
-    1 + ceil(log2(k_max + 1)) oracle calls.
+    ``ev`` evaluates f: ``f.eval`` or a solver's :class:`_PointMemo`.  Also
+    returns the marginal value measured at the returned k (0.0 for k = 0).
+    The search costs at most 1 + ceil(log2(k_max + 1)) oracle calls, one
+    for f(y) and one per probe, and fewer when ``ev`` already holds some of
+    those points.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -140,13 +173,13 @@ def _max_step_with_gain(
         raise ValueError("k_max must be non-negative")
     if k_max == 0:
         return 0, 0.0
-    base = f.eval(y)
-    step = unit(f.n, e)
+    base = ev(y)
+    step = unit(y.shape[0], e)
     lo, hi = 0, k_max
     gain_at_lo = 0.0
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        gain = f.eval(y + mid * step) - base
+        gain = ev(y + mid * step) - base
         if gain >= mid * threshold:
             lo, gain_at_lo = mid, gain
         else:
@@ -162,7 +195,7 @@ def max_step_dr(f: ValueOracle, y, e: int, k_max: int, theta: float) -> int:
     the binary search exact.  theta must be positive.
     """
     y = as_lattice_point(y, f.n)
-    return _max_step_with_gain(f, y, e, k_max, theta)[0]
+    return _max_step_with_gain(f.eval, y, e, k_max, theta)[0]
 
 
 def maximize_dr_cardinality(
@@ -187,8 +220,9 @@ def maximize_dr_cardinality(
     if r == 0 or not cap.any():
         return y, trace
 
+    memo = _PointMemo(f)
     d = max(
-        (f.eval(unit(f.n, e)) for e in range(f.n) if cap[e] >= 1),
+        (memo(unit(f.n, e)) for e in range(f.n) if cap[e] >= 1),
         default=0.0,
     )
     if d <= 0:
@@ -199,11 +233,76 @@ def maximize_dr_cardinality(
             k_cap = min(int(cap[e] - y[e]), r - total(y))
             if k_cap <= 0:
                 continue
-            k, gain = _max_step_with_gain(f, y, e, k_cap, threshold)
+            k, gain = _max_step_with_gain(memo, y, e, k_cap, threshold)
             if k >= 1:
                 y[e] += k
                 trace.add(threshold, e, k, gain)
     return y, trace
+
+
+def _level_candidates(
+    val: Callable[[int], float], k_max: int, eps: float
+) -> Iterator[tuple[int, float]]:
+    """Yield (k, val(k)) lazily, one pair per geometric value level.
+
+    ``val`` must be non-decreasing on 0..k_max with val(0) = 0, such as the
+    marginal k -> f(k e | y) of a monotone f.  Levels h sweep from
+    val(k_max) down by factors of (1 - eps) to (1 - eps) * val(k_min), where
+    k_min is the smallest k with positive value; for each level the
+    smallest k with val(k) >= h is yielded, so consecutive levels may yield
+    the same k.  Nothing is yielded when k_max <= 0 or val(k_max) <= 0.
+    Each k is evaluated at most once, and only as far as the caller
+    iterates.
+    """
+    values: dict[int, float] = {}
+
+    def at(k: int) -> float:
+        if k not in values:
+            values[k] = val(k)
+        return values[k]
+
+    if k_max <= 0 or at(k_max) <= 0:
+        return
+    # smallest k with positive value; valid since val is non-decreasing
+    lo, hi = 1, k_max
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if at(mid) > 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    k_min = lo
+
+    for level in threshold_schedule(at(k_max), (1.0 - eps) * at(k_min), eps):
+        lo, hi = k_min, k_max
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if at(mid) >= level:
+                hi = mid
+            else:
+                lo = mid + 1
+        yield lo, at(lo)
+
+
+def _marginal_along(
+    ev: Callable[[np.ndarray], float], y: np.ndarray, e: int
+) -> Callable[[int], float]:
+    """k -> f(y + k e) - f(y) through ``ev``; f(y) is evaluated now, once.
+
+    The subtraction is the same float arithmetic as ``f.shifted(y)``.
+    """
+    base = ev(y)
+    y = y.copy()
+    step = unit(y.shape[0], e)
+    return lambda k: ev(y + k * step) - base
+
+
+def _replay(seen: list, more: Iterator) -> Iterator:
+    """Yield the items in ``seen``, then draw from ``more``, appending each to ``seen``."""
+    yield from seen
+    for item in more:
+        seen.append(item)
+        yield item
 
 
 def binary_search_lattice(
@@ -212,11 +311,11 @@ def binary_search_lattice(
     """Level-set search for a step k with g(k e) >= (1 - eps) * k * theta.
 
     ``g`` must be monotone along coordinate e (typically a marginal view
-    f(. | y)); no concavity is assumed.  Scans value levels h from
-    g(k_max e) down by factors of (1 - eps) until below
-    (1 - eps) * g(k_min e), where k_min is the first k with positive value;
-    at each level the smallest k reaching it is tested against the
-    threshold.  Returns None (fail) when no step qualifies.
+    f(. | y)); no concavity is assumed.  Scans the value levels of
+    :func:`_level_candidates`, from g(k_max e) down by factors of
+    (1 - eps) until below (1 - eps) * g(k_min e), and returns the first
+    level's smallest k that clears the threshold, or None (fail) when none
+    does.  Each k is evaluated at most once.
 
     Any returned k satisfies g(k e) >= (1 - eps) * k * theta, and whenever
     some k* has g(k* e) >= k* * theta the search does not fail.
@@ -227,40 +326,10 @@ def binary_search_lattice(
         raise ValueError("epsilon must lie in (0, 1)")
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
-    if k_max == 0:
-        return None
-
     step = unit(g.n, e)
-    memo: dict[int, float] = {}
-
-    def val(k: int) -> float:
-        if k not in memo:
-            memo[k] = g.eval(k * step)
-        return memo[k]
-
-    if val(k_max) <= 0:
-        return None
-    # smallest k with positive value; valid since val is non-decreasing
-    lo, hi = 1, k_max
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if val(mid) > 0:
-            hi = mid
-        else:
-            lo = mid + 1
-    k_min = lo
-
-    g_min, g_max = val(k_min), val(k_max)
-    for level in threshold_schedule(g_max, (1.0 - epsilon) * g_min, epsilon):
-        lo, hi = k_min, k_max
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if val(mid) >= level:
-                hi = mid
-            else:
-                lo = mid + 1
-        if val(lo) >= (1.0 - epsilon) * lo * theta:
-            return lo
+    for k, value in _level_candidates(lambda k: g.eval(k * step), k_max, epsilon):
+        if value >= (1.0 - epsilon) * k * theta:
+            return k
     return None
 
 
@@ -269,9 +338,16 @@ def maximize_lattice_cardinality(
 ) -> tuple[np.ndarray, GreedyTrace]:
     """Threshold greedy for monotone lattice-submodular f (DR not required).
 
-    Identical sweep to :func:`maximize_dr_cardinality` except that the top
-    threshold is d = max_e f(c(e) e) and each step comes from
-    :func:`binary_search_lattice` on the marginal view f(. | y).
+    Same sweep as :func:`maximize_dr_cardinality` except for the top
+    threshold and the step search.  The top threshold is
+    d = max_e f(min(c_e, r) e), the value of the best feasible
+    single-element point, so d <= OPT as the (1 - 1/e - eps) analysis
+    requires.  Each step is the first level-set candidate k (see
+    :func:`binary_search_lattice`) whose marginal f(k e | y) clears
+    (1 - eps) * k * threshold.  Candidates do not depend on the threshold,
+    so each (y, e) pair runs its level-set scan once: later thresholds
+    replay the candidates found so far and resume the scan only past them.
+    An accepted step changes y and discards every scan.
     """
     cap = constraint.cap_vector()
     if cap.shape[0] != f.n:
@@ -285,22 +361,27 @@ def maximize_lattice_cardinality(
     if r == 0 or not cap.any():
         return y, trace
 
+    memo = _PointMemo(f)
     d = max(
-        (f.eval(unit(f.n, e, int(cap[e]))) for e in range(f.n) if cap[e] >= 1),
+        (memo(unit(f.n, e, min(int(cap[e]), r))) for e in range(f.n) if cap[e] >= 1),
         default=0.0,
     )
     if d <= 0:
         return y, trace
 
+    # element -> (candidates found at the current y, the suspended scan)
+    scans: dict[int, tuple[list, Iterator]] = {}
     for threshold in threshold_schedule(d, (eps / r) * d, eps):
         for e in range(f.n):
             k_cap = min(int(cap[e] - y[e]), r - total(y))
             if k_cap <= 0:
                 continue
-            view = f.shifted(y)
-            k = binary_search_lattice(view, e, threshold, k_cap, eps)
-            if k is not None and k >= 1:
-                gain = view.eval(unit(f.n, e, k))
-                y[e] += k
-                trace.add(threshold, e, k, gain)
+            if e not in scans:
+                scans[e] = ([], _level_candidates(_marginal_along(memo, y, e), k_cap, eps))
+            for k, gain in _replay(*scans[e]):
+                if gain >= (1.0 - eps) * k * threshold:
+                    y[e] += k
+                    trace.add(threshold, e, k, gain)
+                    scans.clear()
+                    break
     return y, trace

@@ -278,10 +278,19 @@ def _check_one(
     k: int | None,
     cache: dict | None = None,
 ) -> Witness | None:
-    """Evaluate one witness tuple; return a Witness if the inequality fails."""
-    ev = f.eval if cache is None else (
-        lambda p: cache.setdefault(tuple(p), f.eval(p))
-    )
+    """Evaluate one witness tuple; return a Witness if the inequality fails.
+
+    With ``cache``, a point already in it costs no oracle call.
+    """
+
+    def ev(p: np.ndarray) -> float:
+        if cache is None:
+            return f.eval(p)
+        key = p.tobytes()
+        if key not in cache:
+            cache[key] = f.eval(p)
+        return cache[key]
+
     if kind == "monotone":
         lhs, rhs = ev(y), ev(x)
         ok = lhs >= rhs - CHECK_TOLERANCE

@@ -18,7 +18,10 @@ import numpy as np
 from .cardinality import (
     GreedyTrace,
     SolverConfig,
+    _level_candidates,
+    _marginal_along,
     _max_step_with_gain,
+    _PointMemo,
     threshold_schedule,
 )
 from .core import ValueOracle, as_lattice_point, unit, zeros
@@ -129,8 +132,9 @@ def greedy_knapsack(
     if not cap.any():
         return x, trace
 
+    memo = _PointMemo(f)
     d = max(
-        (f.eval(unit(f.n, e)) / w[e] for e in range(f.n) if cap[e] >= 1),
+        (memo(unit(f.n, e)) / w[e] for e in range(f.n) if cap[e] >= 1),
         default=0.0,
     )
     if d <= 0:
@@ -143,7 +147,7 @@ def greedy_knapsack(
             k_cap = int(ceiling[e] - x[e])
             if k_cap <= 0:
                 continue
-            k, gain = _max_step_with_gain(f, x, e, k_cap, w[e] * threshold)
+            k, gain = _max_step_with_gain(memo, x, e, k_cap, w[e] * threshold)
             if k < 1:
                 continue
             if spent + k * w[e] <= 1.0 + BUDGET_TOL:
@@ -165,51 +169,29 @@ def increase_support(
 ) -> list[np.ndarray]:
     """Extend each given point along coordinate e at geometric value levels.
 
-    For each y, levels h sweep from f(k_cap e | y) down by (1 - eps)
-    factors to (1 - eps) * f(k_min e | y), where k_min is the smallest step
-    with positive marginal (points with no positive marginal contribute
-    nothing); the smallest k reaching each level is emitted.  Output is
-    deduplicated, box-feasible, and not filtered by the budget.
+    For each y, emits y + k e for every candidate k of the level-set scan
+    (see :func:`binary_search_lattice`): levels h sweep from
+    f(k_cap e | y) down by (1 - eps) factors to (1 - eps) * f(k_min e | y),
+    where k_min is the smallest step with positive marginal (points with no
+    positive marginal contribute nothing), and the smallest k reaching each
+    level is emitted.  Costs one call for f(y) plus one per distinct k
+    probed, for each y with room along e.  Output is deduplicated,
+    box-feasible, and not filtered by the budget.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     if not 0 <= e < inst.n:
         raise ValueError(f"element {e} out of range")
     cap = inst.cap_vector()
+    step = unit(inst.n, e)
     out: dict[tuple, np.ndarray] = {}
     for y in solutions:
         y = as_lattice_point(y, inst.n)
         k_cap = int(cap[e] - y[e])
         if k_cap <= 0:
             continue
-        view = f.shifted(y)
-        step = unit(f.n, e)
-        memo: dict[int, float] = {}
-
-        def val(k: int) -> float:
-            if k not in memo:
-                memo[k] = view.eval(k * step)
-            return memo[k]
-
-        if val(k_cap) <= 0:
-            continue
-        lo, hi = 1, k_cap
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if val(mid) > 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        k_min = lo
-        for level in threshold_schedule(val(k_cap), (1 - epsilon) * val(k_min), epsilon):
-            lo, hi = k_min, k_cap
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if val(mid) >= level:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            point = y + lo * step
+        for k, _ in _level_candidates(_marginal_along(f.eval, y, e), k_cap, epsilon):
+            point = y + k * step
             out.setdefault(tuple(point), point)
     return list(out.values())
 

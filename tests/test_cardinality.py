@@ -16,8 +16,15 @@ from latticemax.cardinality import (
     maximize_lattice_cardinality,
     threshold_schedule,
 )
-from latticemax.core import ValueOracle
-from latticemax.instances import NON_DR_TABLES, make_lattice_non_dr, make_separable_concave
+from latticemax.core import ValueOracle, total, unit, zeros
+from latticemax.instances import (
+    NON_DR_TABLES,
+    make_lattice_non_dr,
+    make_separable_concave,
+    random_budget_allocation,
+    random_separable_concave,
+)
+from latticemax.knapsack import KnapsackInstance, greedy_knapsack
 
 RATIO_DR = 1 - 1 / math.e - 0.1
 
@@ -265,3 +272,199 @@ def test_max_step_dr_prefix_property(cap, theta):
     got = max_step_dr(f, y, 0, cap, theta)
     want = scan_max_step(lambda v: math.sqrt(v[0]), y, 0, cap, theta)
     assert got == want
+
+
+def test_maximize_lattice_cardinality_top_threshold_is_feasible():
+    # cap far above the budget: probing f(c_e e) instead of f(min(c_e, r) e)
+    # put every threshold above any gain a step of <= r units can reach
+    coeffs, powers, cap, r = [1.0, 1.5, 0.8, 1.2], [1.0, 0.5, 0.7, 1.0], 1024, 8
+    f = make_separable_concave(coeffs, powers, [cap] * 4)
+    y, _ = maximize_lattice_cardinality(f, CardinalityConstraint((cap,) * 4, r), SolverConfig(0.1, 0))
+    # exact optimum: the r largest unit increments (each coordinate is concave)
+    increments = sorted(
+        (a * (k**p - (k - 1) ** p) for a, p in zip(coeffs, powers) for k in range(1, r + 1)),
+        reverse=True,
+    )
+    opt = sum(increments[:r])
+    assert total(y) <= r
+    assert f.eval(y) >= (1 - 1 / math.e - 0.1) * opt
+
+
+# -- every solve evaluates each lattice point at most once --------------------
+
+
+def recording(base: ValueOracle) -> tuple[ValueOracle, list]:
+    """An oracle equal to ``base`` that logs every point it evaluates."""
+    points: list[bytes] = []
+
+    def fn(x):
+        points.append(np.asarray(x, dtype=np.int64).tobytes())
+        return base.eval(x)
+
+    f = ValueOracle(fn, base.box)
+    points.clear()  # drop the constructor's f(0) check
+    return f, points
+
+
+POINT_ONCE_ORACLES = [
+    *(pytest.param(lambda s=s: random_separable_concave(s, 4, 40), id=f"separable_concave-{s}")
+      for s in range(3)),
+    *(pytest.param(lambda s=s: random_budget_allocation(s, 4, 5, 30), id=f"budget_allocation-{s}")
+      for s in range(3)),
+    *(pytest.param(lambda t=t: make_lattice_non_dr(NON_DR_TABLES[t]), id=t)
+      for t in sorted(NON_DR_TABLES)),
+]
+
+
+@pytest.mark.parametrize("make", POINT_ONCE_ORACLES)
+def test_solvers_evaluate_no_point_twice(make):
+    base = make()
+    caps = tuple(int(c) for c in base.box)
+    weights = [1.0 + e % 3 for e in range(base.n)]
+    solves = [
+        lambda f, r: maximize_dr_cardinality(f, CardinalityConstraint(caps, r), SolverConfig(0.1)),
+        lambda f, r: maximize_lattice_cardinality(f, CardinalityConstraint(caps, r), SolverConfig(0.1)),
+        lambda f, r: greedy_knapsack(
+            f, KnapsackInstance.from_raw(weights, 3.0 * r, caps), zeros(f.n), SolverConfig(0.1)
+        ),
+    ]
+    for solve in solves:
+        for r in (1, 3, sum(caps)):
+            f, points = recording(base)
+            solve(f, r)
+            assert points, "the solve made no oracle call"
+            assert len(points) == len(set(points)) == f.calls
+
+
+# -- same results as the sweeps before the per-solve memo -----------------------
+# Literal copies of the step searches and sweeps that evaluated f(y) afresh
+# for every step search and built f.shifted(y) for every lattice step.
+
+
+def reference_max_step_with_gain(f, y, e, k_max, threshold):
+    if k_max == 0:
+        return 0, 0.0
+    base = f.eval(y)
+    step = unit(f.n, e)
+    lo, hi = 0, k_max
+    gain_at_lo = 0.0
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        gain = f.eval(y + mid * step) - base
+        if gain >= mid * threshold:
+            lo, gain_at_lo = mid, gain
+        else:
+            hi = mid - 1
+    return lo, gain_at_lo
+
+
+def reference_binary_search_lattice(g, e, theta, k_max, epsilon):
+    if k_max == 0:
+        return None
+    step = unit(g.n, e)
+    memo = {}
+
+    def val(k):
+        if k not in memo:
+            memo[k] = g.eval(k * step)
+        return memo[k]
+
+    if val(k_max) <= 0:
+        return None
+    lo, hi = 1, k_max
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if val(mid) > 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    k_min = lo
+    g_min, g_max = val(k_min), val(k_max)
+    for level in threshold_schedule(g_max, (1.0 - epsilon) * g_min, epsilon):
+        lo, hi = k_min, k_max
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if val(mid) >= level:
+                hi = mid
+            else:
+                lo = mid + 1
+        if val(lo) >= (1.0 - epsilon) * lo * theta:
+            return lo
+    return None
+
+
+def reference_sweep(f, constraint, config, lattice):
+    cap = constraint.cap_vector()
+    eps = config.effective
+    r = constraint.budget
+    y = zeros(f.n)
+    steps = []
+    if r == 0 or not cap.any():
+        return y, steps
+    probe = (lambda e: min(int(cap[e]), r)) if lattice else (lambda e: 1)
+    d = max((f.eval(unit(f.n, e, probe(e))) for e in range(f.n) if cap[e] >= 1), default=0.0)
+    if d <= 0:
+        return y, steps
+    for threshold in threshold_schedule(d, (eps / r) * d, eps):
+        for e in range(f.n):
+            k_cap = min(int(cap[e] - y[e]), r - total(y))
+            if k_cap <= 0:
+                continue
+            if lattice:
+                view = f.shifted(y)
+                k = reference_binary_search_lattice(view, e, threshold, k_cap, eps)
+                if k is None:
+                    continue
+                gain = view.eval(unit(f.n, e, k))
+            else:
+                k, gain = reference_max_step_with_gain(f, y, e, k_cap, threshold)
+            if k >= 1:
+                y[e] += k
+                steps.append((threshold, e, k, gain, True))
+    return y, steps
+
+
+def equivalence_instances():
+    """(oracle factory, cap, budget) triples: 48 seeded DR draws plus the non-DR tables."""
+    cases = []
+    for seed in range(24):
+        for make in (
+            lambda s=seed: random_separable_concave(s, 2 + s % 4, 60),
+            lambda s=seed: random_budget_allocation(s, 2 + s % 4, 4, 60),
+        ):
+            caps = tuple(int(c) for c in make().box)
+            cases.append((make, caps, 1 + (seed * 7) % (2 * sum(caps))))
+    for name in sorted(NON_DR_TABLES):
+        make = lambda t=name: make_lattice_non_dr(NON_DR_TABLES[t])
+        caps = tuple(int(c) for c in make().box)
+        for r in (1, 2, sum(caps)):
+            cases.append((make, caps, r))
+    return cases
+
+
+def test_sweeps_match_reference():
+    cases = equivalence_instances()
+    assert len(cases) >= 50
+    for make, caps, r in cases:
+        cst = CardinalityConstraint(caps, r)
+        for lattice, solve in ((False, maximize_dr_cardinality), (True, maximize_lattice_cardinality)):
+            f = make()
+            y, trace = solve(f, cst, SolverConfig(0.1))
+            ref_y, ref_steps = reference_sweep(make(), cst, SolverConfig(0.1), lattice)
+            assert list(y) == list(ref_y)
+            got = [(s.threshold, s.element, s.step, s.gain, s.accepted) for s in trace.steps]
+            assert got == ref_steps
+
+
+def test_binary_search_lattice_matches_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        k_max = int(rng.integers(0, 65))
+        table = random_monotone_steps(rng, max(k_max, 1))
+        theta = float(rng.uniform(0.05, 1.2))
+        eps = float(rng.choice([0.5, 0.25, 0.1]))
+        g = single_coordinate(lambda k: table[k], max(k_max, 1))
+        ref_g = single_coordinate(lambda k: table[k], max(k_max, 1))
+        got = binary_search_lattice(g, 0, theta, k_max, eps)
+        assert got == reference_binary_search_lattice(ref_g, 0, theta, k_max, eps)
+        assert g.calls == ref_g.calls

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticemax.core import (
+    PROPERTY_KINDS,
     CapacityError,
     ValueOracle,
     as_lattice_point,
@@ -17,6 +18,7 @@ from latticemax.core import (
     unit,
     zeros,
 )
+from latticemax.instances import NON_DR_TABLES, make_lattice_non_dr
 
 
 def capped_modular(weights, caps):
@@ -151,6 +153,17 @@ def test_check_property_exhaustive_capacity_guard():
     f = ValueOracle(lambda x: float(sum(x)), np.array([200] * 6))
     with pytest.raises(CapacityError):
         check_property_exhaustive(f, "dr_submodular")
+
+
+def test_check_property_exhaustive_evaluates_each_point_once():
+    # 3 x 3 box: 9 lattice points
+    f = make_lattice_non_dr(NON_DR_TABLES["convex_ladder_2d"])
+    assert f.calls <= 27  # three certifying checks
+    for kind in sorted(PROPERTY_KINDS):
+        before = f.calls
+        report = check_property_exhaustive(f, kind)
+        assert report.trials > 9
+        assert f.calls - before <= 9, kind
 
 
 def test_check_property_sampled_matches_exhaustive_verdict():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from latticemax.bruteforce import brute_force_opt
-from latticemax.cardinality import SolverConfig
+from latticemax.cardinality import SolverConfig, threshold_schedule
 from latticemax.core import ValueOracle, unit, zeros
 from latticemax.instances import make_separable_concave
 from latticemax.knapsack import (
@@ -171,6 +171,67 @@ def test_increase_support_respects_box():
     inst = KnapsackInstance((0.2,), (4,))
     out = increase_support(f, inst, 0, [zeros(1)], 0.3)
     assert all(1 <= int(p[0]) <= 4 for p in out)
+
+
+def reference_increase_support(f, inst, e, solutions, epsilon):
+    """Literal copy of increase_support before it shared the level-set scan."""
+    cap = inst.cap_vector()
+    out = {}
+    for y in solutions:
+        y = np.asarray(y, dtype=np.int64)
+        k_cap = int(cap[e] - y[e])
+        if k_cap <= 0:
+            continue
+        view = f.shifted(y)
+        step = unit(f.n, e)
+        memo = {}
+
+        def val(k):
+            if k not in memo:
+                memo[k] = view.eval(k * step)
+            return memo[k]
+
+        if val(k_cap) <= 0:
+            continue
+        lo, hi = 1, k_cap
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if val(mid) > 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        k_min = lo
+        for level in threshold_schedule(val(k_cap), (1 - epsilon) * val(k_min), epsilon):
+            lo, hi = k_min, k_cap
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if val(mid) >= level:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            point = y + lo * step
+            out.setdefault(tuple(point), point)
+    return list(out.values())
+
+
+def test_increase_support_matches_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        shape = tuple(int(v) for v in rng.integers(2, 40, size=2))
+        inc = rng.uniform(0.0, 1.0, size=shape) * (rng.random(shape) < 0.6)
+        inc[0, 0] = 0.0
+        table = inc.cumsum(axis=0).cumsum(axis=1)  # monotone, f(0) = 0
+        box = np.array(shape) - 1
+        make = lambda: ValueOracle(lambda x: float(table[int(x[0]), int(x[1])]), box)
+        inst = KnapsackInstance((0.5, 0.5), tuple(int(b) for b in box))
+        starts = [zeros(2)] + [rng.integers(0, box + 1) for _ in range(3)]
+        e = int(rng.integers(2))
+        eps = float(rng.choice([0.5, 0.25, 0.1]))
+        f, ref_f = make(), make()
+        got = increase_support(f, inst, e, starts, eps)
+        want = reference_increase_support(ref_f, inst, e, starts, eps)
+        assert [p.tolist() for p in got] == [p.tolist() for p in want]
+        assert f.calls == ref_f.calls
 
 
 def test_partial_enumeration_single_coordinate():
