@@ -91,21 +91,6 @@ def iterate_box(box: np.ndarray) -> Iterator[np.ndarray]:
         yield np.array(idx, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """A ground set of n elements, addressed by index 0..n-1."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("ground set must contain at least one element")
-
-    @property
-    def elements(self) -> range:
-        return range(self.n)
-
-
 class CallCounter:
     """Thread-safe evaluation counter shared across oracle views."""
 

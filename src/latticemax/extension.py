@@ -68,17 +68,18 @@ def split_point(f: ValueOracle, x) -> tuple[np.ndarray, np.ndarray]:
     return base, frac
 
 
-def _subset_weights(frac_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All subsets of the fractional coordinates with their D(x) weights.
+def _cell_corners(
+    base: np.ndarray, frac: np.ndarray, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Corners of the unit cell above ``base`` spanned by coordinates ``idx``.
 
-    Returns (masks, weights): masks is a (2^m, m) 0/1 matrix, weights the
-    corresponding product probabilities.
+    Returns (points, weights): points is a (2^m, n) integer matrix holding
+    base + e_S for every subset S of idx (m = len(idx)), weights the D(x)
+    probabilities prod_{i in S} frac(i) * prod_{i in idx - S} (1 - frac(i)).
     """
-    m = frac_vals.shape[0]
     masks = np.zeros((1, 0), dtype=np.int64)
     weights = np.ones(1, dtype=np.float64)
-    for i in range(m):
-        p = frac_vals[i]
+    for p in frac[idx]:
         masks = np.vstack(
             [
                 np.hstack([masks, np.zeros((masks.shape[0], 1), dtype=np.int64)]),
@@ -86,7 +87,9 @@ def _subset_weights(frac_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             ]
         )
         weights = np.concatenate([weights * (1.0 - p), weights * p])
-    return masks, weights
+    points = np.repeat(base[None, :], masks.shape[0], axis=0)
+    points[:, idx] += masks
+    return points, weights
 
 
 def extension_exact(f: ValueOracle, x) -> float:
@@ -104,9 +107,7 @@ def extension_exact(f: ValueOracle, x) -> float:
             f"{idx.size} fractional coordinates exceed the exact-expansion cap "
             f"({MAX_EXACT_FRACTIONAL}); use extension_estimate"
         )
-    masks, weights = _subset_weights(frac[idx])
-    points = np.repeat(base[None, :], masks.shape[0], axis=0)
-    points[:, idx] += masks
+    points, weights = _cell_corners(base, frac, idx)
     values = f.eval_batch(points)
     return float(np.dot(values, weights))
 
@@ -137,21 +138,37 @@ def extension_estimate(f: ValueOracle, x, sample_count: int, seed: int) -> float
 def _marginal_estimate(
     f: ValueOracle, delta: np.ndarray, x, sample_count: int, rng: np.random.Generator
 ) -> float:
-    """Mean of f(delta | z) over z ~ D(x), with coupled samples.
+    """E[f(delta | z)] over z ~ D(x): exact when the cell is small, else sampled.
+
+    With m fractional coordinates in x, the exact sum over the 2^m corners
+    of x's unit cell, weighted by their D(x) probabilities, is taken when
+    2^m <= sample_count; it draws nothing from ``rng``.  Otherwise the mean
+    over ``sample_count`` coupled draws is returned.  Either way the cost is
+    2 * min(2^m, sample_count) oracle calls in two ``eval_batch`` calls.
 
     Coupling the two evaluations per draw matches the concentration
     argument: each sample f(z + delta) - f(z) lies in [0, f(delta)] for
-    monotone DR-submodular f.
+    monotone DR-submodular f.  The exact sum is its zero-variance case.
     """
-    points = sample_rounding(f, x, sample_count, rng)
+    base, frac = split_point(f, x)
+    idx = np.flatnonzero(frac > 0)
+    if 2**idx.size <= sample_count:
+        points, weights = _cell_corners(base, frac, idx)
+    else:
+        points, weights = sample_rounding(f, x, sample_count, rng), None
     vals = f.eval_batch(points + delta[None, :]) - f.eval_batch(points)
-    return float(vals.mean())
+    return float(vals.mean() if weights is None else np.dot(vals, weights))
 
 
 def extension_marginal_estimate(
     f: ValueOracle, delta, x, sample_count: int, seed: int
 ) -> float:
-    """Estimate F(delta | x) = E[f(delta | z)], z ~ D(x); seed-deterministic."""
+    """Estimate F(delta | x) = E[f(delta | z)], z ~ D(x); seed-deterministic.
+
+    Exact (and seed-independent) when x has m fractional coordinates with
+    2^m <= sample_count; a mean over sample_count coupled draws otherwise.
+    Costs 2 * min(2^m, sample_count) oracle calls.
+    """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     delta = np.asarray(delta, dtype=np.int64)
@@ -169,9 +186,7 @@ def _slope(f: ValueOracle, base: np.ndarray, frac: np.ndarray, e: int) -> float:
     idx = idx[idx != e]
     if idx.size > MAX_EXACT_FRACTIONAL:
         raise CapacityError("too many fractional coordinates for exact gradient")
-    masks, weights = _subset_weights(frac[idx])
-    points = np.repeat(base[None, :], masks.shape[0], axis=0)
-    points[:, idx] += masks
+    points, weights = _cell_corners(base, frac, idx)
     bumped = points.copy()
     bumped[:, e] += 1
     vals = f.eval_batch(bumped) - f.eval_batch(points)

@@ -10,13 +10,16 @@ unless timing collection is enabled.
 
 from __future__ import annotations
 
+import copy
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import yaml
 
-from .bruteforce import brute_force_opt
+from .bruteforce import ExactResult, brute_force_opt
 from .cardinality import (
     CardinalityConstraint,
     SolverConfig,
@@ -242,12 +245,46 @@ def _solve(oracle, constraint, algorithm: str, config: SolverConfig, repeats: in
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
+def _brute_force(entry: InstanceEntry) -> ExactResult:
+    return brute_force_opt(entry.build_oracle(), entry.build_constraint())
+
+
+class _OptimumCache:
+    """Brute-force optimum per instance id, enumerated at most once.
+
+    One cache serves all cells (and worker threads) of a ``run_harness``
+    call; the lock keeps two cells of one instance from enumerating it
+    twice.  A failed enumeration is kept and a copy is raised for every
+    cell, so each still reports its own error row and no two threads
+    raise the same exception object.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._outcomes: dict[str, ExactResult | Exception] = {}
+
+    def __call__(self, entry: InstanceEntry) -> ExactResult:
+        with self._lock:
+            outcome = self._outcomes.get(entry.instance_id)
+            if outcome is None:
+                try:
+                    outcome = _brute_force(entry)
+                except (ValueError, RuntimeError) as exc:
+                    outcome = exc
+                self._outcomes[entry.instance_id] = outcome
+        if isinstance(outcome, Exception):
+            raise copy.copy(outcome)
+        return outcome
+
+
 def run_cell(
     entry: InstanceEntry,
     cell: Cell,
     timings: bool = False,
     bruteforce: bool = True,
+    optimum: Callable[[InstanceEntry], ExactResult] = _brute_force,
 ) -> SolverReport:
+    """Solve one cell with a fresh oracle; ``optimum`` supplies the baseline."""
     solver_config = SolverConfig(cell.epsilon, cell.seed)
     report = SolverReport(
         instance_id=cell.instance_id,
@@ -272,7 +309,7 @@ def run_cell(
         if timings:
             report.wall_time_ms = elapsed_ms
         if bruteforce:
-            exact = brute_force_opt(entry.build_oracle(), entry.build_constraint())
+            exact = optimum(entry)
             report.opt_value = exact.opt_value
             if exact.opt_value > RATIO_TOL:
                 report.ratio = report.value / exact.opt_value
@@ -296,21 +333,17 @@ def run_harness(
 
     os.makedirs(out_dir, exist_ok=True)
     cells = config.cells
+    optimum = _OptimumCache()
+
+    def solve(cell: Cell) -> SolverReport:
+        entry = config.instances[cell.instance_id]
+        return run_cell(entry, cell, timings, bruteforce, optimum)
+
     if workers > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    lambda cell: run_cell(
-                        config.instances[cell.instance_id], cell, timings, bruteforce
-                    ),
-                    cells,
-                )
-            )
+            rows = list(pool.map(solve, cells))
     else:
-        rows = [
-            run_cell(config.instances[cell.instance_id], cell, timings, bruteforce)
-            for cell in cells
-        ]
+        rows = [solve(cell) for cell in cells]
 
     csv_path = os.path.join(out_dir, "report.csv")
     with open(csv_path, "w") as handle:

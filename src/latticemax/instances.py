@@ -379,7 +379,3 @@ class InstanceSpec:
             params=dict(data.get("params", {})),
             seed=int(data.get("seed", 0)),
         )
-
-
-def build_oracle(spec: InstanceSpec) -> ValueOracle:
-    return spec.build()

@@ -3,8 +3,10 @@
 The feasible region is P = {x >= 0 : x(S) <= rho(S) for all S} for a
 monotone submodular integer rank function rho with rho(empty) = 0.  The
 solver builds a fractional point by 1/eps rounds of a threshold direction
-search driven by sampled extension marginals, then rounds it to a lattice
-point without loss in expectation.
+search driven by extension marginals, then rounds it to a lattice point
+without loss in expectation.  Each marginal is exact (a sum over the 2^m
+corners of the current unit cell, m fractional coordinates) when 2^m is at
+most the Chernoff sample count, and a coupled-sample mean otherwise.
 
 Rounding works inside the unit cell C(x): the fractional parts of P
 intersected with C(x) form a matroid polytope whose rank function is the
@@ -198,11 +200,17 @@ def binary_search_polymatroid(
 ) -> int:
     """Largest step k whose estimated average extension gain clears theta.
 
-    Bisects k in [1, k_max], testing whether the sampled estimate of
-    F(k e | x) is at least k * theta with params.samples(k_max) draws per
-    probe; returns the last accepted position (0 when none).  A probe whose
-    ceiling f(k e) is zero short-circuits to estimate 0, since marginals of
-    a monotone DR-submodular function cannot exceed it.
+    Bisects k in [1, k_max], testing whether the estimate of F(k e | x) is
+    at least k * theta; returns the last accepted position (0 when none).
+    With m fractional coordinates in x and count = params.samples(k_max),
+    the estimate is the exact sum over the 2^m cell corners when
+    2^m <= count and a mean over count coupled draws otherwise; x is fixed,
+    so every probe of one call takes the same path.  A probe costs
+    1 + 2 * min(2^m, count) oracle calls (the ceiling f(k e), then the
+    estimate), and there are at most ceil(log2(k_max + 1)) probes.  A probe
+    whose ceiling is zero short-circuits to estimate 0 at the cost of that
+    one call, since marginals of a monotone DR-submodular function cannot
+    exceed it.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
@@ -239,7 +247,7 @@ def direction_polymatroid(
 
     Thresholds decay from d = max_e f(e) down to eps * d / num_updates.
     For each element the largest feasible step is found first (membership
-    binary search, clamped to the oracle box), then accepted if the sampled
+    binary search, clamped to the oracle box), then accepted if the
     marginal estimate at the current point x + y clears the threshold.
     """
     x = as_fractional_point(x, f.n)

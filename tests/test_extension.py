@@ -6,6 +6,7 @@ import pytest
 
 from latticemax.core import CapacityError, ValueOracle
 from latticemax.extension import (
+    MAX_EXACT_FRACTIONAL,
     EstimatorParams,
     extension_estimate,
     extension_exact,
@@ -161,6 +162,140 @@ def test_extension_marginal_estimate_coupled_sampling():
     est = extension_marginal_estimate(f, delta, x, 2000, seed=0)
     # modular f: marginal of +1 unit is exactly 1 for every draw
     assert est == pytest.approx(1.0)
+
+
+def random_monotone_table(rng, box):
+    """Table oracle on [0, box], monotone: cumulative sums of non-negative steps."""
+    steps = rng.uniform(0.0, 1.0, size=tuple(int(c) + 1 for c in box))
+    steps[(0,) * len(box)] = 0.0
+    table = steps
+    for axis in range(len(box)):
+        table = np.cumsum(table, axis=axis)
+    return ValueOracle(
+        lambda x: float(table[tuple(int(v) for v in x)]),
+        np.asarray(box, dtype=np.int64),
+        batch_fn=lambda X: table[tuple(X.T)],
+    )
+
+
+def random_cell_point(rng, room):
+    """A point in [0, room] whose coordinates are fractional or integral at random."""
+    x = rng.uniform(0.0, room)
+    integral = rng.random(room.shape[0]) < 0.3
+    x[integral] = rng.integers(0, room[integral] + 1)
+    return x
+
+
+def test_marginal_estimate_is_exact_when_the_cell_is_small():
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        box = rng.integers(1, 4, size=n)
+        f = random_monotone_table(rng, box)
+        delta = np.array([rng.integers(0, c + 1) for c in box], dtype=np.int64)
+        x = random_cell_point(rng, (box - delta).astype(np.float64))
+        m = int(np.count_nonzero(np.abs(x - np.round(x)) > 1e-9))
+        want = extension_exact(f, x + delta) - extension_exact(f, x)
+        before = f.calls
+        a = extension_marginal_estimate(f, delta, x, 2**m, seed=0)
+        assert f.calls - before == 2 * 2**m
+        b = extension_marginal_estimate(f, delta, x, 2**m + 50, seed=1)
+        assert a == b  # exact: independent of the seed and the sample count
+        assert a == pytest.approx(want, abs=1e-12)
+
+
+def test_marginal_estimate_samples_when_the_cell_is_large():
+    rng = np.random.default_rng(22)
+    f = random_monotone_table(rng, [3, 3, 3])
+    x = np.array([0.5, 1.25, 0.75])  # m = 3: 8 corners
+    delta = np.array([1, 0, 1], dtype=np.int64)
+    count = 5
+    estimates = []
+    for seed in range(6):
+        before = f.calls
+        estimates.append(extension_marginal_estimate(f, delta, x, count, seed=seed))
+        assert f.calls - before == 2 * count
+    assert extension_marginal_estimate(f, delta, x, count, seed=0) == estimates[0]
+    assert len(set(estimates)) > 1  # sampled: the seed matters
+
+
+def _old_subset_weights(frac_vals):
+    m = frac_vals.shape[0]
+    masks = np.zeros((1, 0), dtype=np.int64)
+    weights = np.ones(1, dtype=np.float64)
+    for i in range(m):
+        p = frac_vals[i]
+        masks = np.vstack(
+            [
+                np.hstack([masks, np.zeros((masks.shape[0], 1), dtype=np.int64)]),
+                np.hstack([masks, np.ones((masks.shape[0], 1), dtype=np.int64)]),
+            ]
+        )
+        weights = np.concatenate([weights * (1.0 - p), weights * p])
+    return masks, weights
+
+
+def _old_extension_exact(f, x):
+    base, frac = split_point(f, x)
+    idx = np.flatnonzero(frac > 0)
+    if idx.size == 0:
+        return f.eval(base)
+    if idx.size > MAX_EXACT_FRACTIONAL:
+        raise CapacityError("too many fractional coordinates")
+    masks, weights = _old_subset_weights(frac[idx])
+    points = np.repeat(base[None, :], masks.shape[0], axis=0)
+    points[:, idx] += masks
+    values = f.eval_batch(points)
+    return float(np.dot(values, weights))
+
+
+def _old_slope(f, base, frac, e):
+    idx = np.flatnonzero(frac > 0)
+    idx = idx[idx != e]
+    if idx.size > MAX_EXACT_FRACTIONAL:
+        raise CapacityError("too many fractional coordinates for exact gradient")
+    masks, weights = _old_subset_weights(frac[idx])
+    points = np.repeat(base[None, :], masks.shape[0], axis=0)
+    points[:, idx] += masks
+    bumped = points.copy()
+    bumped[:, e] += 1
+    vals = f.eval_batch(bumped) - f.eval_batch(points)
+    return float(np.dot(vals, weights))
+
+
+def _old_partial_plus(f, x, e):
+    base, frac = split_point(f, x)
+    if frac[e] > 0:
+        return _old_slope(f, base, frac, e)
+    if base[e] >= f.box[e]:
+        raise ValueError("at the cap")
+    return _old_slope(f, base, frac, e)
+
+
+def _old_partial_minus(f, x, e):
+    base, frac = split_point(f, x)
+    if frac[e] > 0:
+        return _old_slope(f, base, frac, e)
+    if base[e] < 1:
+        raise ValueError("at zero")
+    below = base.copy()
+    below[e] -= 1
+    return _old_slope(f, below, frac, e)
+
+
+def test_cell_expansion_matches_the_old_code_bit_for_bit():
+    rng = np.random.default_rng(23)
+    f = make_budget_allocation(
+        [(0, 0, 0.5), (1, 0, 0.3), (1, 1, 0.6), (2, 1, 0.4), (3, 0, 0.2)], [3, 3, 3, 3]
+    )
+    for _ in range(50):
+        x = random_cell_point(rng, f.box.astype(np.float64))
+        e = int(rng.integers(0, f.n))
+        assert extension_exact(f, x) == _old_extension_exact(f, x)
+        if x[e] < f.box[e]:
+            assert extension_partial_plus(f, x, e) == _old_partial_plus(f, x, e)
+        if x[e] > 0:
+            assert extension_partial_minus(f, x, e) == _old_partial_minus(f, x, e)
 
 
 def test_sample_rounding_matches_marginals():

@@ -1,14 +1,18 @@
+import sys
 import textwrap
 
 import pytest
 
+from latticemax import harness
 from latticemax.cli import main
+from latticemax.core import CapacityError
 from latticemax.harness import (
     Assertion,
     Cell,
     ConfigError,
     apply_overrides,
     load_config,
+    run_cell,
     run_harness,
 )
 from latticemax.report import CSV_COLUMNS
@@ -79,6 +83,89 @@ def test_reports_are_byte_identical(tmp_path):
     a = (tmp_path / "a" / "report.csv").read_bytes()
     assert a == (tmp_path / "b" / "report.csv").read_bytes()
     assert a == (tmp_path / "c" / "report.csv").read_bytes()
+
+
+TWO_INSTANCES = BASIC.replace(
+    "experiments:\n",
+    textwrap.dedent(
+        """\
+          - id: wide
+            oracle:
+              family: separable_concave
+              params: {coeffs: [1.0, 1.0, 1.0], powers: [0.5, 0.5, 0.5], cap: [2, 2, 2]}
+            constraint: {kind: cardinality, cap: [2, 2, 2], budget: 3}
+        experiments:
+          - instances: [wide]
+            algorithms: [cardinality_dr, cardinality_lattice]
+            epsilons: [0.1]
+            seeds: [0, 1]
+        """
+    ),
+)
+
+
+def record_brute_force(monkeypatch, fail_n=None):
+    """Record the ground-set size of every brute-force enumeration the harness runs.
+
+    Enumerations of an n = ``fail_n`` instance raise CapacityError.
+    """
+    real = harness.brute_force_opt
+    calls = []
+
+    def recording(f, constraint):
+        calls.append(f.n)
+        if f.n == fail_n:
+            raise CapacityError("too many points")
+        return real(f, constraint)
+
+    monkeypatch.setattr(harness, "brute_force_opt", recording)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_brute_force_runs_once_per_instance(tmp_path, monkeypatch, workers):
+    config = load_config(write(tmp_path, TWO_INSTANCES))
+    assert len(config.cells) == 6
+    baseline = tmp_path / "baseline"
+    run_harness(config, str(baseline))
+    calls = record_brute_force(monkeypatch)
+    run_harness(config, str(tmp_path / "out"), workers=workers)
+    assert sorted(calls) == [2, 3]
+    report = (tmp_path / "out" / "report.csv").read_bytes()
+    assert report == (baseline / "report.csv").read_bytes()
+    # a lone run_cell still enumerates on its own
+    run_cell(config.instances["wide"], config.cells[0])
+    run_cell(config.instances["wide"], config.cells[0])
+    assert sorted(calls) == [2, 3, 3, 3]
+
+
+def test_brute_force_cache_under_many_threads(tmp_path, monkeypatch):
+    text = TWO_INSTANCES.replace("seeds: [0, 1]", "seeds: [0, 1, 2, 3, 4, 5, 6, 7]")
+    config = load_config(write(tmp_path, text))
+    assert len(config.cells) == 24
+    calls = record_brute_force(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_harness(config, str(tmp_path / "out"), workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == [2, 3]
+    run_harness(config, str(tmp_path / "serial"))
+    report = (tmp_path / "out" / "report.csv").read_bytes()
+    assert report == (tmp_path / "serial" / "report.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_brute_force_capacity_error_is_reported_per_cell(tmp_path, monkeypatch, workers):
+    config = load_config(write(tmp_path, TWO_INSTANCES))
+    calls = record_brute_force(monkeypatch, fail_n=3)
+    run_harness(config, str(tmp_path / "out"), workers=workers)
+    assert sorted(calls) == [2, 3]
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "errors: 4\n" in summary
+    assert summary.count("ERROR wide ") == 4
+    assert summary.count(": capacity: too many points\n") == 4
 
 
 def test_empty_experiments_pass(tmp_path):

@@ -7,7 +7,6 @@ from latticemax.core import check_property_exhaustive, zeros
 from latticemax.instances import (
     NON_DR_TABLES,
     InstanceSpec,
-    build_oracle,
     make_budget_allocation,
     make_lattice_non_dr,
     make_polymatroid,
@@ -244,7 +243,7 @@ def test_instance_spec_roundtrip():
                         {"coeffs": [1.0, 2.0], "powers": [0.5, 1.0], "cap": [3, 2]})
     back = InstanceSpec.from_dict(spec.to_dict())
     assert back == spec
-    f = build_oracle(back)
+    f = back.build()
     assert f.eval(np.array([1, 1])) == pytest.approx(3.0)
 
 

@@ -135,6 +135,24 @@ def test_binary_search_polymatroid_accuracy_predicates():
     assert failures <= 2  # delta = 0.05 per call; generous slack
 
 
+def test_binary_search_polymatroid_costs_at_most_the_cell_per_probe():
+    # x fractional in 2 of 3 coordinates: 4 cell corners, far below the
+    # Chernoff count, so each probe costs 1 + 2 * 4 calls
+    P = uniform_polymatroid(3, 4, 7)
+    params = DirectionConfig.from_epsilon(3, 0.25).estimator_params()
+    x = np.array([0.25, 1.5, 2.0])
+    m = 2
+    for e in range(3):
+        f = make_separable_concave([1.0, 0.8, 1.2], [0.5, 0.7, 1.0], [6, 6, 6])
+        k_max = k_max_in_polymatroid(P, x, e, int(f.box[e] - np.ceil(x[e])))
+        assert k_max >= 1 and params.samples(k_max) > 2**m
+        probes = math.ceil(math.log2(k_max + 1))
+        for theta in (0.05, 0.4, 2.0):
+            before = f.calls
+            binary_search_polymatroid(f, x, e, theta, params, k_max, seed=0)
+            assert f.calls - before <= probes * (1 + 2 * 2**m)
+
+
 def test_direction_polymatroid_zero_polytope():
     f = make_separable_concave([1.0, 1.0], [0.5, 0.5], [3, 3])
     P = uniform_polymatroid(2, 1, 0)
