@@ -102,11 +102,6 @@ def main(argv=None) -> int:
     for solver in args.solvers:
         trials = args.trials if solver != "polymatroid" else min(args.trials, 10)
         for eps in args.epsilons:
-            if solver == "polymatroid" and eps < 0.25:
-                # sample counts grow like 1/eps^3 through the direction
-                # search budget; keep the sweep at desk scale
-                print(f"{solver:15s} eps={eps:<5} skipped (use eps >= 0.25)")
-                continue
             ratios = SWEEPS[solver](eps, trials)
             guarantee = 1 - 1 / math.e - (5 * eps if solver != "cardinality_dr" else eps)
             rows.append(

@@ -1,138 +1,27 @@
 """Monotone DR-submodular and lattice-submodular maximization over integer lattices."""
 
-from .bruteforce import ExactResult, brute_force_opt, certify_ratio
 from .cardinality import (
     CardinalityConstraint,
-    GreedyTrace,
     SolverConfig,
-    TraceStep,
-    binary_search_lattice,
     effective_epsilon,
-    max_step_dr,
     maximize_dr_cardinality,
     maximize_lattice_cardinality,
-    threshold_schedule,
 )
-from .core import (
-    CallCounter,
-    CapacityError,
-    PropertyReport,
-    ValueOracle,
-    Witness,
-    as_lattice_point,
-    check_property,
-    check_property_exhaustive,
-    join_meet,
-    marginal,
-    multiset_diff,
-)
-from .extension import (
-    EstimatorParams,
-    extension_estimate,
-    extension_exact,
-    extension_marginal_estimate,
-    extension_partial_minus,
-    extension_partial_plus,
-    sample_rounding,
-)
-from .instances import (
-    NON_DR_TABLES,
-    InstanceSpec,
-    make_budget_allocation,
-    make_lattice_non_dr,
-    make_polymatroid,
-    make_separable_concave,
-    partition_polymatroid,
-    random_budget_allocation,
-    random_separable_concave,
-    search_non_dr_table,
-    table_polymatroid,
-    uniform_polymatroid,
-)
-from .knapsack import (
-    InitialSolutionSet,
-    KnapsackInstance,
-    greedy_knapsack,
-    increase_support,
-    maximize_knapsack,
-    partial_enumeration,
-)
-from .polymatroid import (
-    DirectionConfig,
-    PolymatroidOracle,
-    binary_search_polymatroid,
-    continuous_greedy,
-    direction_polymatroid,
-    k_max_in_polymatroid,
-    maximize_polymatroid,
-    round_polymatroid,
-    translated_rank,
-    update_budget_fixpoint,
-)
-from .report import CSV_COLUMNS, SolverReport
+from .core import ValueOracle
+from .instances import make_budget_allocation
+from .knapsack import maximize_knapsack
+from .polymatroid import maximize_polymatroid
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CSV_COLUMNS",
-    "CallCounter",
-    "CapacityError",
     "CardinalityConstraint",
-    "DirectionConfig",
-    "EstimatorParams",
-    "ExactResult",
-    "GreedyTrace",
-    "InitialSolutionSet",
-    "InstanceSpec",
-    "KnapsackInstance",
-    "NON_DR_TABLES",
-    "PolymatroidOracle",
-    "PropertyReport",
     "SolverConfig",
-    "SolverReport",
-    "TraceStep",
     "ValueOracle",
-    "Witness",
-    "as_lattice_point",
-    "binary_search_lattice",
-    "binary_search_polymatroid",
-    "brute_force_opt",
-    "certify_ratio",
-    "check_property",
-    "check_property_exhaustive",
-    "continuous_greedy",
-    "direction_polymatroid",
     "effective_epsilon",
-    "extension_estimate",
-    "extension_exact",
-    "extension_marginal_estimate",
-    "extension_partial_minus",
-    "extension_partial_plus",
-    "greedy_knapsack",
-    "increase_support",
-    "join_meet",
-    "k_max_in_polymatroid",
     "make_budget_allocation",
-    "make_lattice_non_dr",
-    "make_polymatroid",
-    "make_separable_concave",
-    "marginal",
-    "max_step_dr",
     "maximize_dr_cardinality",
     "maximize_knapsack",
     "maximize_lattice_cardinality",
     "maximize_polymatroid",
-    "multiset_diff",
-    "partial_enumeration",
-    "partition_polymatroid",
-    "random_budget_allocation",
-    "random_separable_concave",
-    "round_polymatroid",
-    "sample_rounding",
-    "search_non_dr_table",
-    "table_polymatroid",
-    "threshold_schedule",
-    "translated_rank",
-    "uniform_polymatroid",
-    "update_budget_fixpoint",
 ]

@@ -7,13 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cardinality import CardinalityConstraint
-from .core import CapacityError, ValueOracle, zeros
+from .core import CapacityError, ValueOracle, lattice_points
 from .knapsack import BUDGET_TOL, KnapsackInstance
 from .polymatroid import PolymatroidOracle
 
 MAX_POINTS = 10_000_000
-
-RATIO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -39,25 +37,35 @@ def _cardinality_count(cap: np.ndarray, budget: int) -> int:
 def brute_force_opt(f: ValueOracle, constraint, max_points: int = MAX_POINTS) -> ExactResult:
     """Enumerate every feasible lattice point and return the maximizer.
 
-    Supports cardinality, knapsack, and polymatroid constraints; the
-    depth-first enumeration prunes on partial budget, partial weight, or
-    prefix membership respectively (all valid by downward closure).  Ties
-    keep the lexicographically smallest maximizer.  Raises CapacityError
-    when the estimated feasible-region size exceeds ``max_points``.
+    Supports cardinality, knapsack, and polymatroid constraints.  One
+    lexicographic enumeration (``lattice_points``) stops raising a
+    coordinate as soon as the prefix exceeds the budget, weighs more than
+    the normalized budget 1 (weights summed left to right), or leaves the
+    polymatroid (one membership call per prefix tried); all valid by
+    downward closure.  Each feasible point costs one scalar ``f.eval``.
+    Ties keep the lexicographically smallest maximizer.  Raises
+    CapacityError, before any call, when the estimated feasible-region
+    size exceeds ``max_points``.
     """
-    n = f.n
     if isinstance(constraint, CardinalityConstraint):
         cap = np.minimum(constraint.cap_vector(), f.box)
         estimate = _cardinality_count(cap, constraint.budget)
-        mode = "cardinality"
+        admits = lambda x, e: sum(x.tolist()) <= constraint.budget
     elif isinstance(constraint, KnapsackInstance):
         cap = np.minimum(constraint.cap_vector(), f.box)
         estimate = int(np.prod(cap + 1.0))
-        mode = "knapsack"
+        w = constraint.weight_vector().tolist()
+
+        def admits(x, e):
+            spent = 0.0
+            for k, w_e in zip(x[: e + 1].tolist(), w):
+                spent += k * w_e
+            return spent <= 1.0 + BUDGET_TOL
+
     elif isinstance(constraint, PolymatroidOracle):
         cap = np.minimum(f.box, constraint.rank_total)
         estimate = int(np.prod(cap + 1.0))
-        mode = "polymatroid"
+        admits = lambda x, e: constraint.member(x.astype(np.float64))
     else:
         raise TypeError(f"unsupported constraint type {type(constraint).__name__}")
     if estimate > max_points:
@@ -68,71 +76,11 @@ def brute_force_opt(f: ValueOracle, constraint, max_points: int = MAX_POINTS) ->
     best_value = -np.inf
     best_point: np.ndarray | None = None
     enumerated = 0
-    point = zeros(n)
-
-    if mode == "cardinality":
-        budget = constraint.budget
-
-        def recurse(e: int, remaining: int):
-            nonlocal best_value, best_point, enumerated
-            if e == n:
-                enumerated += 1
-                value = f.eval(point)
-                if value > best_value:
-                    best_value, best_point = value, point.copy()
-                return
-            for k in range(min(int(cap[e]), remaining) + 1):
-                point[e] = k
-                recurse(e + 1, remaining - k)
-            point[e] = 0
-
-        recurse(0, budget)
-    elif mode == "knapsack":
-        w = constraint.weight_vector()
-
-        def recurse(e: int, spent: float):
-            nonlocal best_value, best_point, enumerated
-            if e == n:
-                enumerated += 1
-                value = f.eval(point)
-                if value > best_value:
-                    best_value, best_point = value, point.copy()
-                return
-            for k in range(int(cap[e]) + 1):
-                cost = spent + k * w[e]
-                if cost > 1.0 + BUDGET_TOL:
-                    break
-                point[e] = k
-                recurse(e + 1, cost)
-            point[e] = 0
-
-        recurse(0, 0.0)
-    else:
-
-        def recurse(e: int):
-            nonlocal best_value, best_point, enumerated
-            if e == n:
-                enumerated += 1
-                value = f.eval(point)
-                if value > best_value:
-                    best_value, best_point = value, point.copy()
-                return
-            for k in range(int(cap[e]) + 1):
-                point[e] = k
-                if not constraint.member(point.astype(np.float64)):
-                    break  # prefix infeasible, larger k only worse
-                recurse(e + 1)
-            point[e] = 0
-
-        recurse(0)
-
+    for point in lattice_points(cap, admits):
+        enumerated += 1
+        value = f.eval(point)
+        if value > best_value:
+            best_value, best_point = value, point
     if best_point is None:
         raise RuntimeError("no feasible point enumerated")
     return ExactResult(float(best_value), tuple(int(v) for v in best_point), enumerated)
-
-
-def certify_ratio(approx_value: float, exact: ExactResult, bound: float) -> bool:
-    """approx >= bound * opt, up to 1e-9 slack; trivially true when opt = 0."""
-    if exact.opt_value <= 0:
-        return True
-    return approx_value >= bound * exact.opt_value - RATIO_TOL

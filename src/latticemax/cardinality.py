@@ -161,8 +161,11 @@ def _max_step_with_gain(
 ) -> tuple[int, float]:
     """Binary search for the largest k <= k_max with f(k e | y) >= k * threshold.
 
-    ``ev`` evaluates f: ``f.eval`` or a solver's :class:`_PointMemo`.  Also
-    returns the marginal value measured at the returned k (0.0 for k = 0).
+    The acceptable k form a prefix interval whenever f is DR-submodular
+    (g(k) = f(k e | y) - k * threshold is concave with g(0) = 0), which
+    makes the search exact.  ``ev`` evaluates f: ``f.eval`` or a solver's
+    :class:`_PointMemo`.  Also returns the marginal value measured at the
+    returned k (0.0 for k = 0).
     The search costs at most 1 + ceil(log2(k_max + 1)) oracle calls, one
     for f(y) and one per probe, and fewer when ``ev`` already holds some of
     those points.
@@ -185,17 +188,6 @@ def _max_step_with_gain(
         else:
             hi = mid - 1
     return lo, gain_at_lo
-
-
-def max_step_dr(f: ValueOracle, y, e: int, k_max: int, theta: float) -> int:
-    """Largest k in [0, k_max] with f(k e | y) >= k * theta.
-
-    The acceptable k form a prefix interval whenever f is DR-submodular
-    (g(k) = f(k e | y) - k * theta is concave with g(0) = 0), which makes
-    the binary search exact.  theta must be positive.
-    """
-    y = as_lattice_point(y, f.n)
-    return _max_step_with_gain(f.eval, y, e, k_max, theta)[0]
 
 
 def maximize_dr_cardinality(

@@ -15,7 +15,6 @@ point).  DR-submodularity implies the other three for monotone f.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Literal, Mapping
@@ -84,11 +83,35 @@ def total(x: np.ndarray) -> int:
     return int(np.asarray(x).sum())
 
 
-def iterate_box(box: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield every lattice point 0 <= x <= box in lexicographic order."""
-    box = as_lattice_point(box)
-    for idx in itertools.product(*(range(int(b) + 1) for b in box)):
-        yield np.array(idx, dtype=np.int64)
+def lattice_points(cap, admits=None) -> Iterator[np.ndarray]:
+    """Yield every lattice point 0 <= x <= cap in lexicographic order.
+
+    With ``admits``, the enumerator asks ``admits(x, e)`` right after
+    setting ``x[e]`` (coordinates after e are 0 at that moment, and x[e] = 0
+    is asked too).  On the first False it stops raising coordinate e under
+    the current prefix.  This prunes exactly the inadmissible points when
+    the admitted set is downward closed.  Each yielded point is a fresh
+    int64 array.
+    """
+    cap = as_lattice_point(cap).tolist()
+    n = len(cap)
+    x = zeros(n)
+    e = 0
+    while True:
+        if e < n and (admits is None or admits(x, e)):
+            e += 1
+            continue
+        if e == n:
+            yield x.copy()
+        else:
+            x[e] = 0
+        e -= 1
+        while e >= 0 and x[e] == cap[e]:
+            x[e] = 0
+            e -= 1
+        if e < 0:
+            return
+        x[e] += 1
 
 
 class CallCounter:
@@ -198,33 +221,6 @@ class ValueOracle:
         return ValueOracle(fn, self.box - y, batch_fn=batch, counter=self._counter)
 
 
-def marginal(f: ValueOracle, delta, y) -> float:
-    """f(delta | y) = f(y + delta) - f(y).
-
-    Costs two oracle calls, or none when delta = 0 (returns 0.0 directly).
-    """
-    delta = as_lattice_point(delta, f.n)
-    y = as_lattice_point(y, f.n)
-    if not delta.any():
-        f._validate(y)
-        return 0.0
-    return f.eval(y + delta) - f.eval(y)
-
-
-def join_meet(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate-wise maximum and minimum (x v y, x ^ y)."""
-    x = as_lattice_point(x)
-    y = as_lattice_point(y, x.shape[0])
-    return np.maximum(x, y), np.minimum(x, y)
-
-
-def multiset_diff(x, y) -> np.ndarray:
-    """{x} \\ {y} = (x - y) v 0, the multiset difference."""
-    x = as_lattice_point(x)
-    y = as_lattice_point(y, x.shape[0])
-    return np.maximum(x - y, 0)
-
-
 @dataclass(frozen=True)
 class Witness:
     """A counterexample tuple recorded by a property check.
@@ -254,56 +250,43 @@ class PropertyReport:
         return not self.violations
 
 
-def _check_one(
-    f: ValueOracle,
-    kind: str,
-    x: np.ndarray,
-    y: np.ndarray,
-    e: int | None,
-    k: int | None,
-    cache: dict | None = None,
-) -> Witness | None:
-    """Evaluate one witness tuple; return a Witness if the inequality fails.
+def _violations(kind: str, value, x, y, e, k) -> list[Witness]:
+    """The witness rows (x[i], y[i], e[i], k[i]) that violate ``kind``.
 
-    With ``cache``, a point already in it costs no oracle call.
+    ``x`` and ``y`` are (m, n) point matrices; ``e`` and ``k`` are the
+    element and step arrays that only the two diminishing-returns kinds
+    read.  ``value`` maps an (m, n) point matrix to its m values.  Each
+    inequality reads lhs >= rhs, up to CHECK_TOLERANCE.
     """
-
-    def ev(p: np.ndarray) -> float:
-        if cache is None:
-            return f.eval(p)
-        key = p.tobytes()
-        if key not in cache:
-            cache[key] = f.eval(p)
-        return cache[key]
-
+    stepped = kind in ("dr_submodular", "weak_dr")
     if kind == "monotone":
-        lhs, rhs = ev(y), ev(x)
-        ok = lhs >= rhs - CHECK_TOLERANCE
-        if ok:
-            return None
-        return Witness(tuple(x), tuple(y), None, None, lhs, rhs)
-    if kind == "lattice_submodular":
-        jn, mt = np.maximum(x, y), np.minimum(x, y)
-        lhs = ev(x) + ev(y)
-        rhs = ev(jn) + ev(mt)
-        if lhs >= rhs - CHECK_TOLERANCE:
-            return None
-        return Witness(tuple(x), tuple(y), None, None, lhs, rhs)
-    if kind == "dr_submodular":
-        step = unit(f.n, e)
-        lhs = ev(x + step) - ev(x)
-        rhs = ev(y + step) - ev(y)
-        if lhs >= rhs - CHECK_TOLERANCE:
-            return None
-        return Witness(tuple(x), tuple(y), e, 1, lhs, rhs)
-    if kind == "weak_dr":
-        bump = unit(f.n, e, k)
-        lhs = ev(np.maximum(x, bump)) - ev(x)
-        rhs = ev(np.maximum(y, bump)) - ev(y)
-        if lhs >= rhs - CHECK_TOLERANCE:
-            return None
-        return Witness(tuple(x), tuple(y), e, k, lhs, rhs)
-    raise ValueError(f"unknown property kind {kind!r}")
+        lhs, rhs = value(y), value(x)
+    elif kind == "lattice_submodular":
+        lhs = value(x) + value(y)
+        rhs = value(np.maximum(x, y)) + value(np.minimum(x, y))
+    else:
+        rows = np.arange(x.shape[0])
+
+        def bump(p):
+            # dr_submodular: p + k e_e;  weak_dr: p v k e_e
+            out = p.copy()
+            at = p[rows, e]
+            out[rows, e] = at + k if kind == "dr_submodular" else np.maximum(at, k)
+            return out
+
+        lhs = value(bump(x)) - value(x)
+        rhs = value(bump(y)) - value(y)
+    return [
+        Witness(
+            tuple(x[i]),
+            tuple(y[i]),
+            int(e[i]) if stepped else None,
+            int(k[i]) if stepped else None,
+            float(lhs[i]),
+            float(rhs[i]),
+        )
+        for i in np.flatnonzero(~(lhs >= rhs - CHECK_TOLERANCE))
+    ]
 
 
 def check_property(f: ValueOracle, kind: str, trials: int, seed: int) -> PropertyReport:
@@ -313,7 +296,9 @@ def check_property(f: ValueOracle, kind: str, trials: int, seed: int) -> Propert
     from [0, y], which covers the x <= y precondition of the monotone and
     diminishing-returns definitions; the lattice check samples x and y
     independently from the box since comparable pairs satisfy it trivially.
-    Deterministic for a fixed seed.
+    A dr_submodular draw whose y has no room to step is skipped but still
+    counts as a trial.  Each witness point costs one ``f.eval`` (2 per
+    tuple for monotone, 4 otherwise).  Deterministic for a fixed seed.
     """
     if kind not in PROPERTY_KINDS:
         raise ValueError(f"unknown property kind {kind!r}")
@@ -321,30 +306,36 @@ def check_property(f: ValueOracle, kind: str, trials: int, seed: int) -> Propert
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     box = f.box
-    report = PropertyReport(kind, trials)
+    xs, ys, es, ks = [], [], [], []
     for _ in range(trials):
         if kind == "lattice_submodular":
             x = rng.integers(0, box + 1, dtype=np.int64)
             y = rng.integers(0, box + 1, dtype=np.int64)
-            w = _check_one(f, kind, x, y, None, None)
         else:
             y = rng.integers(0, box + 1, dtype=np.int64)
             x = rng.integers(0, y + 1, dtype=np.int64)
-            if kind == "monotone":
-                w = _check_one(f, kind, x, y, None, None)
-            elif kind == "dr_submodular":
+            if kind == "dr_submodular":
                 room = np.flatnonzero(y < box)
                 if room.size == 0:
                     continue
-                e = int(room[rng.integers(room.size)])
-                w = _check_one(f, kind, x, y, e, 1)
-            else:  # weak_dr
+                es.append(int(room[rng.integers(room.size)]))
+                ks.append(1)
+            elif kind == "weak_dr":
                 e = int(rng.integers(f.n))
-                k = int(rng.integers(0, box[e] + 1))
-                w = _check_one(f, kind, x, y, e, k)
-        if w is not None:
-            report.violations.append(w)
-    return report
+                es.append(e)
+                ks.append(int(rng.integers(0, box[e] + 1)))
+        xs.append(x)
+        ys.append(y)
+    shape = (len(xs), f.n)
+    violations = _violations(
+        kind,
+        lambda points: np.array([f.eval(p) for p in points], dtype=np.float64),
+        np.array(xs, dtype=np.int64).reshape(shape),
+        np.array(ys, dtype=np.int64).reshape(shape),
+        np.array(es, dtype=np.int64),
+        np.array(ks, dtype=np.int64),
+    )
+    return PropertyReport(kind, trials, violations)
 
 
 def _count_dominated_pairs(box: np.ndarray) -> int:
@@ -361,56 +352,58 @@ def check_property_exhaustive(
 ) -> PropertyReport:
     """Check every witness tuple on the full box.
 
-    Point evaluations are cached, so each lattice point costs one oracle
-    call.  Raises CapacityError when the tuple count exceeds
-    ``max_witnesses``.
+    Witnesses come in the order of nested loops: x then y over the box for
+    the lattice check; otherwise y over the box, x over [0, y], then e, then
+    k (k = 1 for dr_submodular, which skips any e with y_e at the cap).
+    Raises CapacityError, before any oracle call, when the tuple count
+    exceeds ``max_witnesses``.  Otherwise f is read once, as a table over
+    the box with one ``eval_batch`` (one call per lattice point), and the
+    witnesses of each y are checked as one batch of rows.  A dr_submodular
+    check of an all-zero box has no witness and makes no call.
     """
     if kind not in PROPERTY_KINDS:
         raise ValueError(f"unknown property kind {kind!r}")
     box = f.box
     n = f.n
-    cache: dict = {}
-    report = PropertyReport(kind, 0)
-
+    n_points = int(np.prod(box + 1))
     if kind == "lattice_submodular":
-        n_points = int(np.prod(box + 1))
         if n_points * n_points > max_witnesses:
             raise CapacityError("box too large for exhaustive lattice check")
-        points = list(iterate_box(box))
+    else:
+        pairs = _count_dominated_pairs(box)
+        scale = {"monotone": 1, "dr_submodular": n, "weak_dr": n * (int(box.max()) + 1)}[kind]
+        if pairs * scale > max_witnesses:
+            raise CapacityError("box too large for exhaustive check")
+    if kind == "dr_submodular" and not box.any():
+        return PropertyReport(kind, 0)  # no coordinate has room for a step
+
+    points = np.array(list(lattice_points(box)), dtype=np.int64).reshape(n_points, n)
+    table = f.eval_batch(points)
+    # row-major strides: a point's row in ``points`` is its dot with these
+    strides = np.array([np.prod(box[i + 1 :] + 1) for i in range(n)], dtype=np.int64)
+    value = lambda p: table[p @ strides]
+    report = PropertyReport(kind, 0)
+
+    def record(x, y, e=None, k=None):
+        report.trials += x.shape[0]
+        report.violations += _violations(kind, value, x, y, e, k)
+
+    if kind == "lattice_submodular":
         for x in points:
-            for y in points:
-                report.trials += 1
-                w = _check_one(f, kind, x, y, None, None, cache)
-                if w is not None:
-                    report.violations.append(w)
+            record(x[None].repeat(n_points, 0), points)
         return report
-
-    pairs = _count_dominated_pairs(box)
-    scale = {"monotone": 1, "dr_submodular": n, "weak_dr": n * (int(box.max()) + 1)}[kind]
-    if pairs * scale > max_witnesses:
-        raise CapacityError("box too large for exhaustive check")
-
-    for y in iterate_box(box):
-        for x_idx in itertools.product(*(range(int(v) + 1) for v in y)):
-            x = np.array(x_idx, dtype=np.int64)
-            if kind == "monotone":
-                report.trials += 1
-                w = _check_one(f, kind, x, y, None, None, cache)
-                if w is not None:
-                    report.violations.append(w)
-            elif kind == "dr_submodular":
-                for e in range(n):
-                    if y[e] >= box[e]:
-                        continue
-                    report.trials += 1
-                    w = _check_one(f, kind, x, y, e, 1, cache)
-                    if w is not None:
-                        report.violations.append(w)
-            else:  # weak_dr
-                for e in range(n):
-                    for k in range(int(box[e]) + 1):
-                        report.trials += 1
-                        w = _check_one(f, kind, x, y, e, k, cache)
-                        if w is not None:
-                            report.violations.append(w)
+    if kind == "weak_dr":
+        steps = [(e, k) for e in range(n) for k in range(int(box[e]) + 1)]
+    for y in points:
+        below = points[(points <= y).all(axis=1)]
+        if kind == "monotone":
+            record(below, y[None].repeat(len(below), 0))
+            continue
+        if kind == "dr_submodular":
+            steps = [(e, 1) for e in range(n) if y[e] < box[e]]
+        # one row per (x, step), x-major
+        step_rows = np.array(steps, dtype=np.int64).reshape(len(steps), 2)
+        x = below.repeat(len(steps), 0)
+        e, k = step_rows[None].repeat(len(below), 0).reshape(-1, 2).T
+        record(x, y[None].repeat(len(x), 0), e, k)
     return report

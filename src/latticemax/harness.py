@@ -55,9 +55,6 @@ class InstanceEntry:
     constraint_kind: str
     constraint_params: dict
 
-    def build_oracle(self):
-        return self.oracle_spec.build()
-
     def build_constraint(self):
         p = self.constraint_params
         if self.constraint_kind == "cardinality":
@@ -246,7 +243,7 @@ def _solve(oracle, constraint, algorithm: str, config: SolverConfig, repeats: in
 
 
 def _brute_force(entry: InstanceEntry) -> ExactResult:
-    return brute_force_opt(entry.build_oracle(), entry.build_constraint())
+    return brute_force_opt(entry.oracle_spec.build(), entry.build_constraint())
 
 
 class _OptimumCache:
@@ -296,7 +293,7 @@ def run_cell(
         oracle_calls=0,
     )
     try:
-        oracle = entry.build_oracle()
+        oracle = entry.oracle_spec.build()
         constraint = entry.build_constraint()
         start = time.perf_counter()
         x = _solve(oracle, constraint, cell.algorithm, solver_config, cell.repeats)

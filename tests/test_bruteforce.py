@@ -3,15 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from latticemax.bruteforce import ExactResult, brute_force_opt, certify_ratio
+from latticemax.bruteforce import MAX_POINTS, ExactResult, _cardinality_count, brute_force_opt
 from latticemax.cardinality import CardinalityConstraint
-from latticemax.core import CapacityError, ValueOracle
+from latticemax.core import CapacityError, ValueOracle, zeros
 from latticemax.instances import (
     make_separable_concave,
     partition_polymatroid,
+    random_budget_allocation,
+    random_separable_concave,
     uniform_polymatroid,
 )
-from latticemax.knapsack import KnapsackInstance
+from latticemax.knapsack import BUDGET_TOL, KnapsackInstance
+from latticemax.polymatroid import PolymatroidOracle
 
 
 def modular(weights):
@@ -132,9 +135,164 @@ def test_unsupported_constraint_type():
         brute_force_opt(f, object())
 
 
-def test_certify_ratio():
-    exact = ExactResult(10.0, (1,), 5)
-    assert certify_ratio(6.4, exact, 0.63)
-    assert not certify_ratio(6.2, exact, 0.63)
-    assert certify_ratio(6.3, exact, 0.63)  # equality passes via slack
-    assert certify_ratio(0.0, ExactResult(0.0, (0,), 1), 0.99)
+
+# Literal copy of brute_force_opt before the single enumerator: three
+# depth-first closures, one per constraint type.  The reference test below
+# holds the library to it bit for bit.
+def reference_brute_force_opt(f, constraint, max_points=MAX_POINTS):
+    n = f.n
+    if isinstance(constraint, CardinalityConstraint):
+        cap = np.minimum(constraint.cap_vector(), f.box)
+        estimate = _cardinality_count(cap, constraint.budget)
+        mode = "cardinality"
+    elif isinstance(constraint, KnapsackInstance):
+        cap = np.minimum(constraint.cap_vector(), f.box)
+        estimate = int(np.prod(cap + 1.0))
+        mode = "knapsack"
+    elif isinstance(constraint, PolymatroidOracle):
+        cap = np.minimum(f.box, constraint.rank_total)
+        estimate = int(np.prod(cap + 1.0))
+        mode = "polymatroid"
+    else:
+        raise TypeError(f"unsupported constraint type {type(constraint).__name__}")
+    if estimate > max_points:
+        raise CapacityError(
+            f"estimated feasible region of {estimate} points exceeds cap {max_points}"
+        )
+
+    best_value = -np.inf
+    best_point = None
+    enumerated = 0
+    point = zeros(n)
+
+    if mode == "cardinality":
+        budget = constraint.budget
+
+        def recurse(e, remaining):
+            nonlocal best_value, best_point, enumerated
+            if e == n:
+                enumerated += 1
+                value = f.eval(point)
+                if value > best_value:
+                    best_value, best_point = value, point.copy()
+                return
+            for k in range(min(int(cap[e]), remaining) + 1):
+                point[e] = k
+                recurse(e + 1, remaining - k)
+            point[e] = 0
+
+        recurse(0, budget)
+    elif mode == "knapsack":
+        w = constraint.weight_vector()
+
+        def recurse(e, spent):
+            nonlocal best_value, best_point, enumerated
+            if e == n:
+                enumerated += 1
+                value = f.eval(point)
+                if value > best_value:
+                    best_value, best_point = value, point.copy()
+                return
+            for k in range(int(cap[e]) + 1):
+                cost = spent + k * w[e]
+                if cost > 1.0 + BUDGET_TOL:
+                    break
+                point[e] = k
+                recurse(e + 1, cost)
+            point[e] = 0
+
+        recurse(0, 0.0)
+    else:
+
+        def recurse(e):
+            nonlocal best_value, best_point, enumerated
+            if e == n:
+                enumerated += 1
+                value = f.eval(point)
+                if value > best_value:
+                    best_value, best_point = value, point.copy()
+                return
+            for k in range(int(cap[e]) + 1):
+                point[e] = k
+                if not constraint.member(point.astype(np.float64)):
+                    break  # prefix infeasible, larger k only worse
+                recurse(e + 1)
+            point[e] = 0
+
+        recurse(0)
+
+    if best_point is None:
+        raise RuntimeError("no feasible point enumerated")
+    return ExactResult(float(best_value), tuple(int(v) for v in best_point), enumerated)
+
+
+def random_oracle(rng):
+    """A fresh-oracle factory: random separable concave, coverage or monotone table."""
+    n = int(rng.integers(1, 5))
+    seed = int(rng.integers(1 << 30))
+    kind, targets = int(rng.integers(3)), int(rng.integers(1, 4))
+    if kind == 0:
+        return lambda: random_separable_concave(seed, n, 4)
+    if kind == 1:
+        return lambda: random_budget_allocation(seed, n, targets, 4)
+    box = rng.integers(0, 4, size=n)
+    steps = rng.uniform(0.0, 1.0, size=tuple(int(c) + 1 for c in box))
+    steps[steps < 0.3] = 0.0  # flat stretches make ties
+    steps[(0,) * n] = 0.0
+    table = steps
+    for axis in range(n):
+        table = np.cumsum(table, axis=axis)
+    return lambda: ValueOracle(lambda x: float(table[tuple(int(v) for v in x)]), box)
+
+
+def random_constraint(rng, kind, box):
+    """A fresh-constraint factory of ``kind`` over the oracle's box."""
+    n = box.shape[0]
+    if kind == "cardinality":
+        cap = tuple(int(c) for c in rng.integers(0, box + 1))
+        budget = int(rng.integers(0, sum(cap) + 2))
+        return lambda: CardinalityConstraint(cap, budget)
+    if kind == "knapsack":
+        # grid weights put left-to-right sums right at the budget
+        grid = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.45, 0.7]
+        weights = tuple(
+            float(rng.choice(grid)) if rng.random() < 0.6 else float(rng.uniform(0.05, 0.8))
+            for _ in range(n)
+        )
+        cap = tuple(int(c) for c in box)
+        return lambda: KnapsackInstance(weights, cap)
+    per, total_rank = int(rng.integers(0, 4)), int(rng.integers(0, 7))
+    if rng.random() < 0.5:
+        return lambda: uniform_polymatroid(n, per, total_rank)
+    labels = rng.integers(0, 2, size=n)
+    parts = [[e for e in range(n) if labels[e] == p] for p in (0, 1)]
+    caps = [c for p, c in zip(parts, rng.integers(0, 4, size=2)) if p]
+    parts = [p for p in parts if p]
+    return lambda: partition_polymatroid(parts, caps, n)
+
+
+@pytest.mark.parametrize("kind", ["cardinality", "knapsack", "polymatroid"])
+def test_brute_force_matches_reference(kind):
+    rng = np.random.default_rng({"cardinality": 41, "knapsack": 42, "polymatroid": 43}[kind])
+    cases = [(random_oracle(rng), None) for _ in range(60)]
+    if kind == "knapsack":
+        # 3 * 0.1 + 3 * 0.2 + 0.1 sums to 1.0000000000000002 left to right:
+        # inside the tolerance, so the point (3, 3, 1) is feasible
+        cases.append(
+            (
+                lambda: ValueOracle(lambda x: float(x.sum()), np.array([3, 3, 1])),
+                lambda: KnapsackInstance((0.1, 0.2, 0.1), (3, 3, 1)),
+            )
+        )
+    for make_f, make_c in cases:
+        make_c = make_c or random_constraint(rng, kind, make_f().box)
+        f, c = make_f(), make_c()
+        g, d = make_f(), make_c()
+        got = brute_force_opt(f, c)
+        want = reference_brute_force_opt(g, d)
+        assert got.opt_value.hex() == want.opt_value.hex()
+        assert got.argmax == want.argmax
+        assert got.points_enumerated == want.points_enumerated
+        assert f.calls == g.calls
+        if kind == "polymatroid":
+            assert c.member_calls == d.member_calls

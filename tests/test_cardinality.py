@@ -9,9 +9,9 @@ from latticemax.bruteforce import brute_force_opt
 from latticemax.cardinality import (
     CardinalityConstraint,
     SolverConfig,
+    _max_step_with_gain,
     binary_search_lattice,
     effective_epsilon,
-    max_step_dr,
     maximize_dr_cardinality,
     maximize_lattice_cardinality,
     threshold_schedule,
@@ -36,7 +36,7 @@ def capped_modular(weights, caps):
 
 
 def scan_max_step(fn, y, e, k_max, theta):
-    """Reference for max_step_dr: literal linear scan of the definition."""
+    """Reference for the DR step search: literal linear scan of the definition."""
     best = 0
     base = fn(y)
     for k in range(1, k_max + 1):
@@ -79,11 +79,11 @@ def test_max_step_dr_examples():
     fn = capped_modular([2.0], [1])
     f = ValueOracle(fn, np.array([5]))
     y = np.zeros(1, dtype=np.int64)
-    assert max_step_dr(f, y, 0, 0, 2.0) == 0
-    assert max_step_dr(f, y, 0, 5, 2.0) == 1
-    assert max_step_dr(f, y, 0, 5, 2.5) == 0
+    assert _max_step_with_gain(f.eval, y, 0, 0, 2.0)[0] == 0
+    assert _max_step_with_gain(f.eval, y, 0, 5, 2.0)[0] == 1
+    assert _max_step_with_gain(f.eval, y, 0, 5, 2.5)[0] == 0
     with pytest.raises(ValueError):
-        max_step_dr(f, y, 0, -1, 2.0)
+        _max_step_with_gain(f.eval, y, 0, -1, 2.0)
 
 
 def test_max_step_dr_matches_linear_scan():
@@ -100,7 +100,7 @@ def test_max_step_dr_matches_linear_scan():
         e = int(rng.integers(0, n))
         k_max = int(caps[e] - y[e])
         theta = float(rng.uniform(0.1, 2.5))
-        got = max_step_dr(f, np.array(y, dtype=np.int64), e, k_max, theta)
+        got = _max_step_with_gain(f.eval, np.array(y, dtype=np.int64), e, k_max, theta)[0]
         want = scan_max_step(fn, np.array(y, dtype=np.int64), e, k_max, theta)
         assert got == want
 
@@ -269,7 +269,7 @@ def test_max_step_dr_prefix_property(cap, theta):
     fn = lambda x: float(math.sqrt(x[0]))
     f = ValueOracle(fn, np.array([max(cap, 1)]))
     y = np.zeros(1, dtype=np.int64)
-    got = max_step_dr(f, y, 0, cap, theta)
+    got = _max_step_with_gain(f.eval, y, 0, cap, theta)[0]
     want = scan_max_step(lambda v: math.sqrt(v[0]), y, 0, cap, theta)
     assert got == want
 

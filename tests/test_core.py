@@ -1,19 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from latticemax.core import (
+    CHECK_TOLERANCE,
     PROPERTY_KINDS,
     CapacityError,
+    PropertyReport,
     ValueOracle,
+    Witness,
     as_lattice_point,
     check_property,
     check_property_exhaustive,
-    iterate_box,
-    join_meet,
-    marginal,
-    multiset_diff,
+    lattice_points,
     total,
     unit,
     zeros,
@@ -53,7 +53,7 @@ def test_helpers():
     assert list(zeros(3)) == [0, 0, 0]
     assert list(unit(3, 1, 4)) == [0, 4, 0]
     assert total(np.array([1, 2, 3])) == 6
-    pts = list(iterate_box(np.array([1, 2])))
+    pts = list(lattice_points(np.array([1, 2])))
     assert len(pts) == 6
     assert list(pts[0]) == [0, 0]
     assert list(pts[-1]) == [1, 2]
@@ -101,26 +101,6 @@ def test_shifted_view_values():
     # f(1,1) = 3, f(2,3) = 2+3 = 5, so g(1,2) = 2
     assert g.eval(np.array([1, 2])) == pytest.approx(2.0)
     assert g.eval_batch(np.array([[0, 0], [0, 1], [1, 0]])) == pytest.approx([0.0, 1.0, 0.0])
-
-
-def test_marginal_values():
-    f = ValueOracle(capped_modular([2.0, 1.0], [1, 3]), np.array([2, 3]))
-    assert marginal(f, unit(2, 0), zeros(2)) == pytest.approx(2.0)
-    assert marginal(f, unit(2, 0), unit(2, 0)) == pytest.approx(0.0)
-    assert marginal(f, unit(2, 1, 2), np.array([1, 1])) == pytest.approx(2.0)
-    calls_before = f.calls
-    assert marginal(f, zeros(2), np.array([1, 1])) == 0.0
-    assert f.calls == calls_before  # zero step costs zero evaluations
-
-
-def test_join_meet_and_diff():
-    x = np.array([2, 0, 1])
-    y = np.array([1, 3, 1])
-    join, meet = join_meet(x, y)
-    assert list(join) == [2, 3, 1]
-    assert list(meet) == [1, 0, 1]
-    assert list(multiset_diff(x, y)) == [1, 0, 0]
-    assert list(multiset_diff(y, x)) == [0, 3, 0]
 
 
 def test_check_property_exhaustive_dr_pass():
@@ -179,43 +159,190 @@ def test_check_property_rejects_unknown_kind():
         check_property(f, "convex", trials=10, seed=0)
 
 
-box_points = st.integers(min_value=0, max_value=5)
+# Literal copies of the property checkers before the shared inequality
+# evaluator: one witness tuple at a time through _check_one, with a
+# byte-keyed point cache in the exhaustive check.
+def reference_iterate_box(box):
+    box = as_lattice_point(box)
+    for idx in itertools.product(*(range(int(b) + 1) for b in box)):
+        yield np.array(idx, dtype=np.int64)
 
 
-@st.composite
-def point_pairs(draw, n=3):
-    x = draw(st.lists(box_points, min_size=n, max_size=n))
-    y = draw(st.lists(box_points, min_size=n, max_size=n))
-    return np.array(x, dtype=np.int64), np.array(y, dtype=np.int64)
+def reference_check_one(f, kind, x, y, e, k, cache=None):
+    def ev(p):
+        if cache is None:
+            return f.eval(p)
+        key = p.tobytes()
+        if key not in cache:
+            cache[key] = f.eval(p)
+        return cache[key]
+
+    if kind == "monotone":
+        lhs, rhs = ev(y), ev(x)
+        ok = lhs >= rhs - CHECK_TOLERANCE
+        if ok:
+            return None
+        return Witness(tuple(x), tuple(y), None, None, lhs, rhs)
+    if kind == "lattice_submodular":
+        jn, mt = np.maximum(x, y), np.minimum(x, y)
+        lhs = ev(x) + ev(y)
+        rhs = ev(jn) + ev(mt)
+        if lhs >= rhs - CHECK_TOLERANCE:
+            return None
+        return Witness(tuple(x), tuple(y), None, None, lhs, rhs)
+    if kind == "dr_submodular":
+        step = unit(f.n, e)
+        lhs = ev(x + step) - ev(x)
+        rhs = ev(y + step) - ev(y)
+        if lhs >= rhs - CHECK_TOLERANCE:
+            return None
+        return Witness(tuple(x), tuple(y), e, 1, lhs, rhs)
+    if kind == "weak_dr":
+        bump = unit(f.n, e, k)
+        lhs = ev(np.maximum(x, bump)) - ev(x)
+        rhs = ev(np.maximum(y, bump)) - ev(y)
+        if lhs >= rhs - CHECK_TOLERANCE:
+            return None
+        return Witness(tuple(x), tuple(y), e, k, lhs, rhs)
+    raise ValueError(f"unknown property kind {kind!r}")
 
 
-@given(point_pairs())
-@settings(max_examples=200, deadline=None)
-def test_join_meet_identity(pair):
-    x, y = pair
-    join, meet = join_meet(x, y)
-    assert np.all(join >= x) and np.all(join >= y)
-    assert np.all(meet <= x) and np.all(meet <= y)
-    # x + y = join + meet coordinate-wise
-    assert np.array_equal(x + y, join + meet)
+def reference_check_property(f, kind, trials, seed):
+    rng = np.random.default_rng(seed)
+    box = f.box
+    report = PropertyReport(kind, trials)
+    for _ in range(trials):
+        if kind == "lattice_submodular":
+            x = rng.integers(0, box + 1, dtype=np.int64)
+            y = rng.integers(0, box + 1, dtype=np.int64)
+            w = reference_check_one(f, kind, x, y, None, None)
+        else:
+            y = rng.integers(0, box + 1, dtype=np.int64)
+            x = rng.integers(0, y + 1, dtype=np.int64)
+            if kind == "monotone":
+                w = reference_check_one(f, kind, x, y, None, None)
+            elif kind == "dr_submodular":
+                room = np.flatnonzero(y < box)
+                if room.size == 0:
+                    continue
+                e = int(room[rng.integers(room.size)])
+                w = reference_check_one(f, kind, x, y, e, 1)
+            else:  # weak_dr
+                e = int(rng.integers(f.n))
+                k = int(rng.integers(0, box[e] + 1))
+                w = reference_check_one(f, kind, x, y, e, k)
+        if w is not None:
+            report.violations.append(w)
+    return report
 
 
-@given(point_pairs())
-@settings(max_examples=200, deadline=None)
-def test_multiset_diff_identity(pair):
-    x, y = pair
-    d = multiset_diff(x, y)
-    assert np.all(d >= 0)
-    join, _ = join_meet(x, y)
-    assert np.array_equal(y + d, join)
+def reference_check_property_exhaustive(f, kind):
+    box = f.box
+    n = f.n
+    cache = {}
+    report = PropertyReport(kind, 0)
+
+    if kind == "lattice_submodular":
+        points = list(reference_iterate_box(box))
+        for x in points:
+            for y in points:
+                report.trials += 1
+                w = reference_check_one(f, kind, x, y, None, None, cache)
+                if w is not None:
+                    report.violations.append(w)
+        return report
+
+    for y in reference_iterate_box(box):
+        for x_idx in itertools.product(*(range(int(v) + 1) for v in y)):
+            x = np.array(x_idx, dtype=np.int64)
+            if kind == "monotone":
+                report.trials += 1
+                w = reference_check_one(f, kind, x, y, None, None, cache)
+                if w is not None:
+                    report.violations.append(w)
+            elif kind == "dr_submodular":
+                for e in range(n):
+                    if y[e] >= box[e]:
+                        continue
+                    report.trials += 1
+                    w = reference_check_one(f, kind, x, y, e, 1, cache)
+                    if w is not None:
+                        report.violations.append(w)
+            else:  # weak_dr
+                for e in range(n):
+                    for k in range(int(box[e]) + 1):
+                        report.trials += 1
+                        w = reference_check_one(f, kind, x, y, e, k, cache)
+                        if w is not None:
+                            report.violations.append(w)
+    return report
 
 
-@given(point_pairs(), st.lists(box_points, min_size=3, max_size=3))
-@settings(max_examples=150, deadline=None)
-def test_marginal_additivity_on_integer_table(pair, delta):
-    # f modular with integer weights: marginals are exact, f(x+d|x) = f(x+d) - f(x)
-    w = np.array([3.0, 1.0, 2.0])
-    f = ValueOracle(lambda x: float(np.dot(w, x)), np.array([20, 20, 20]))
-    x, y = pair
-    d = np.array(delta, dtype=np.int64)
-    assert marginal(f, d, x) == pytest.approx(float(np.dot(w, d)))
+def table_oracle(table):
+    table = np.asarray(table, dtype=np.float64)
+    return lambda: ValueOracle(
+        lambda x: float(table[tuple(int(v) for v in x)]),
+        np.array(table.shape, dtype=np.int64) - 1,
+        batch_fn=lambda X: table[tuple(X.T)],
+    )
+
+
+def random_table(rng, monotone=True):
+    n = int(rng.integers(1, 4))
+    shape = tuple(int(s) for s in rng.integers(1, 5, size=n))
+    steps = rng.uniform(0.0, 1.0, size=shape)
+    steps[steps < 0.25] = 0.0  # ties: inequalities that hold with equality
+    steps[(0,) * n] = 0.0
+    if not monotone:
+        steps -= 0.6 * (steps > 0)
+    table = steps
+    for axis in range(n):
+        table = np.cumsum(table, axis=axis)
+    return table
+
+
+def same_report(got, want):
+    assert got.property_name == want.property_name
+    assert got.trials == want.trials
+    assert len(got.violations) == len(want.violations)
+    for a, b in zip(got.violations, want.violations):
+        assert a.x == b.x and a.y == b.y
+        assert (a.element, a.step) == (b.element, b.step)
+        assert a.lhs.hex() == b.lhs.hex() and a.rhs.hex() == b.rhs.hex()
+
+
+def exhaustive_cases():
+    cases = [table_oracle(t) for t in NON_DR_TABLES.values()]
+    rng = np.random.default_rng(71)
+    cases += [table_oracle(random_table(rng, monotone=i % 3 != 2)) for i in range(30)]
+    cases.append(lambda: ValueOracle(lambda x: float(x[0] * x[1]), np.array([3, 2])))
+    cases.append(table_oracle(np.zeros((1, 1))))  # a box with no room to step
+    return cases
+
+
+@pytest.mark.parametrize("kind", sorted(PROPERTY_KINDS))
+def test_check_property_exhaustive_matches_reference(kind):
+    violated = 0
+    for make in exhaustive_cases():
+        f, g = make(), make()
+        got = check_property_exhaustive(f, kind)
+        want = reference_check_property_exhaustive(g, kind)
+        same_report(got, want)
+        assert f.calls == g.calls
+        violated += not want.passed
+    assert violated > 0  # the comparison covers violation lists
+
+
+@pytest.mark.parametrize("kind", sorted(PROPERTY_KINDS))
+def test_check_property_matches_reference(kind):
+    rng = np.random.default_rng(72)
+    violated = 0
+    for i, make in enumerate(exhaustive_cases()):
+        for seed in (0, 1, 2):
+            f, g = make(), make()
+            got = check_property(f, kind, trials=int(rng.integers(1, 60)), seed=seed + 10 * i)
+            want = reference_check_property(g, kind, got.trials, seed + 10 * i)
+            same_report(got, want)
+            assert f.calls == g.calls
+            violated += not want.passed
+    assert violated > 0

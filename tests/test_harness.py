@@ -1,5 +1,6 @@
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +84,20 @@ def test_reports_are_byte_identical(tmp_path):
     a = (tmp_path / "a" / "report.csv").read_bytes()
     assert a == (tmp_path / "b" / "report.csv").read_bytes()
     assert a == (tmp_path / "c" / "report.csv").read_bytes()
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_table_reports_match_the_checked_in_bytes(tmp_path, workers):
+    # every oracle is a lattice table, so values, optima, ratios and call
+    # counts (table certification included) are exact on any platform
+    config = load_config(str(GOLDEN / "lattice_tables.yaml"))
+    assert run_harness(config, str(tmp_path), workers=workers) == 0
+    for name in ("report.csv", "summary.txt"):
+        want = (GOLDEN / "lattice_tables" / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == want, name
 
 
 TWO_INSTANCES = BASIC.replace(
