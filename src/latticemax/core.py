@@ -40,15 +40,15 @@ def as_lattice_point(x, n: int | None = None) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ValueError(f"lattice point must be 1-dimensional, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.floor(arr)):
+    if arr.dtype.kind not in "iu":
+        if arr.dtype.kind == "f" and (arr == np.floor(arr)).all():
             arr = arr.astype(np.int64)
         else:
             raise ValueError("lattice point must have integer entries")
     arr = arr.astype(np.int64, copy=True)
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"expected dimension {n}, got {arr.shape[0]}")
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("lattice point entries must be non-negative")
     return arr
 
@@ -144,9 +144,16 @@ class ValueOracle:
         counter: shared call counter; views pass their parent's counter so
             the total evaluation count is preserved.
 
-    Every ``eval`` / ``eval_batch`` increments the counter by the number of
-    points evaluated, under a lock, so concurrent use is safe as long as
-    ``fn`` itself is pure.
+    Every ``eval`` / ``eval_batch`` checks each point before it is counted
+    or evaluated: the argument must have shape (n,) (``eval``) or (m, n)
+    (``eval_batch``), an integer dtype (signed or unsigned; bool, float and
+    object arrays are rejected), and every entry must lie in [0, box].  A
+    failed check raises ValueError and costs no call.  Each accepted call
+    increments the counter by the number of points evaluated, under a
+    lock, so concurrent use is safe as long as ``fn`` itself is pure.
+
+    ``box`` is a read-only int64 array owned by the oracle; views made by
+    :meth:`shifted` own read-only boxes of their own.
     """
 
     def __init__(
@@ -160,6 +167,9 @@ class ValueOracle:
         self._fn = fn
         self._batch_fn = batch_fn
         self.box = as_lattice_point(box)
+        self.box.flags.writeable = False
+        # the box as Python ints: _validate compares each point in one pass
+        self._cap = self.box.tolist()
         self.meta = dict(meta) if meta else {}
         self._counter = counter if counter is not None else CallCounter()
         z = float(fn(zeros(self.n)))
@@ -177,10 +187,11 @@ class ValueOracle:
     def _validate(self, x: np.ndarray) -> None:
         if x.shape != self.box.shape:
             raise ValueError(f"expected shape {self.box.shape}, got {x.shape}")
-        if not np.issubdtype(x.dtype, np.integer):
+        if x.dtype.kind not in "iu":
             raise ValueError("oracle arguments must be integer vectors")
-        if np.any(x < 0) or np.any(x > self.box):
-            raise ValueError(f"point {x.tolist()} outside box {self.box.tolist()}")
+        for v, c in zip(x.tolist(), self._cap):
+            if v < 0 or v > c:
+                raise ValueError(f"point {x.tolist()} outside box {self._cap}")
 
     def eval(self, x) -> float:
         x = np.asarray(x)
@@ -193,7 +204,7 @@ class ValueOracle:
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(f"expected an (m, {self.n}) matrix, got shape {X.shape}")
-        if not np.issubdtype(X.dtype, np.integer):
+        if X.dtype.kind not in "iu":
             raise ValueError("oracle arguments must be integer matrices")
         if np.any(X < 0) or np.any(X > self.box[None, :]):
             raise ValueError("batch contains points outside the box")

@@ -36,8 +36,8 @@ def make_separable_concave(coeffs, powers, cap) -> ValueOracle:
 
     def fn(x):
         return sum(
-            ai * min(int(xi), ci) ** pi
-            for ai, pi, ci, xi in zip(coeff, power, capl, x)
+            ai * min(xi, ci) ** pi
+            for ai, pi, ci, xi in zip(coeff, power, capl, x.tolist())
         )
 
     def batch(X):
@@ -80,17 +80,20 @@ def make_budget_allocation(edges, cap) -> ValueOracle:
         if not 0 < q < 1:
             raise ValueError(f"edge probability must lie in (0, 1), got {q}")
         by_target.setdefault(t, []).append((s, 1.0 - q))
+    # per target, its (source, 1 - q) pairs as Python ints and floats
+    pairs = [lst for _, lst in sorted(by_target.items())]
     groups = [
         (np.array([s for s, _ in lst]), np.array([om for _, om in lst]))
-        for _, lst in sorted(by_target.items())
+        for lst in pairs
     ]
 
     def fn(x):
+        x = x.tolist()
         tot = 0.0
-        for srcs, omq in groups:
+        for lst in pairs:
             prod = 1.0
-            for s, om in zip(srcs, omq):
-                prod *= om ** int(x[s])
+            for s, om in lst:
+                prod *= om ** x[s]
             tot += 1.0 - prod
         return tot
 

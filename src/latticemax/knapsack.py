@@ -10,6 +10,7 @@ each, and keeps the best outcome; the combination is a
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -47,13 +48,15 @@ class KnapsackInstance:
         if len(self.weights) != len(self.cap):
             raise ValueError("weights and cap must have the same dimension")
         for e, w in enumerate(self.weights):
-            if w <= 0:
+            if not w > 0:  # negated so that a NaN weight fails it
                 raise ValueError(f"weight for element {e} must be positive, got {w}")
             if w > 1 + BUDGET_TOL:
                 raise ValueError(f"weight for element {e} exceeds the budget: {w}")
 
     @classmethod
     def from_raw(cls, raw_weights, budget: float, cap) -> "KnapsackInstance":
+        if not math.isfinite(budget):
+            raise ValueError(f"budget must be finite, got {budget}")
         if budget <= 0:
             raise ValueError("budget must be positive")
         return cls(tuple(float(w) / budget for w in raw_weights), tuple(cap))

@@ -103,6 +103,116 @@ def test_shifted_view_values():
     assert g.eval_batch(np.array([[0, 0], [0, 1], [1, 0]])) == pytest.approx([0.0, 1.0, 0.0])
 
 
+def test_oracle_box_is_read_only():
+    box = np.array([2, 3, 1])
+    f = ValueOracle(capped_modular([1.0, 1.0, 1.0], [2, 3, 1]), box)
+    box[0] = 0  # the oracle owns a copy
+    assert f.box.tolist() == [2, 3, 1]
+    with pytest.raises(ValueError):
+        f.box[0] = 5
+    assert f.eval(np.array([2, 3, 1])) == 6.0
+    g = f.shifted(np.array([1, 2, 0]))
+    assert g.box.tolist() == [1, 1, 1]
+    assert g.box.dtype == np.int64
+    with pytest.raises(ValueError):
+        g.box[1] = 3
+    with pytest.raises(ValueError, match=r"outside box \[1, 1, 1\]"):
+        g.eval(np.array([0, 2, 0]))
+
+
+# ValueOracle._validate and as_lattice_point as they were written before
+# they tested dtype kinds and compared in plain Python; the reference for
+# the tests below.
+def _old_validate(box, x):
+    if x.shape != box.shape:
+        raise ValueError(f"expected shape {box.shape}, got {x.shape}")
+    if not np.issubdtype(x.dtype, np.integer):
+        raise ValueError("oracle arguments must be integer vectors")
+    if np.any(x < 0) or np.any(x > box):
+        raise ValueError(f"point {x.tolist()} outside box {box.tolist()}")
+
+
+def _old_as_lattice_point(x, n=None):
+    arr = np.asarray(x)
+    if arr.ndim != 1:
+        raise ValueError(f"lattice point must be 1-dimensional, got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        if np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.floor(arr)):
+            arr = arr.astype(np.int64)
+        else:
+            raise ValueError("lattice point must have integer entries")
+    arr = arr.astype(np.int64, copy=True)
+    if n is not None and arr.shape[0] != n:
+        raise ValueError(f"expected dimension {n}, got {arr.shape[0]}")
+    if np.any(arr < 0):
+        raise ValueError("lattice point entries must be non-negative")
+    return arr
+
+
+def _outcome(call, *args):
+    """The ValueError message ``call`` raises, or its result."""
+    try:
+        return call(*args)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+BAD_POINTS = [
+    np.array([1.0, 0.0, 1.0]),
+    np.array([1.5, 0.0, 1.0]),
+    np.array([True, False, True]),
+    np.array([1, 2, 1], dtype=object),
+    np.array(1),
+    np.array([[1, 2, 1]]),
+    np.array([1, 2]),
+    np.array([1, 2, 1, 0]),
+    np.array([-1, 0, 0]),
+    np.array([0, 4, 0]),
+    np.array([0, 0, 2], dtype=np.int8),
+    np.array([3, 0, 0], dtype=np.uint64),
+    np.array([2, 3, 1], dtype=np.uint64),
+    np.array([2, 3, 1], dtype=np.int32),
+    np.array([-1.0, 0.0, 0.0]),
+    np.array([np.nan, 0.0, 0.0]),
+    np.array([], dtype=np.int64),
+]
+
+
+def test_oracle_validation_matches_the_old_code():
+    box = np.array([2, 3, 1])
+    f = ValueOracle(lambda x: 0.0, box)
+    rng = np.random.default_rng(7)
+    random_points = list(rng.integers(-1, 5, size=(2000, 3)))
+    for x in BAD_POINTS + random_points:
+        before = f.calls
+        got = _outcome(f.eval, x)
+        want = _outcome(_old_validate, box, x)
+        if want is None:
+            assert got == 0.0 and f.calls == before + 1
+        else:
+            assert got == want and f.calls == before
+    # rejected now, passed to fn before: timedelta64 is an integer subtype
+    # to numpy, but not a lattice point
+    assert _outcome(_old_validate, box, np.array([1, 0, 0], dtype="m8[s]")) is None
+    with pytest.raises(ValueError, match="must be integer vectors"):
+        f.eval(np.array([1, 0, 0], dtype="m8[s]"))
+
+
+def test_as_lattice_point_matches_the_old_code():
+    rng = np.random.default_rng(8)
+    random_points = [rng.integers(-2, 6, size=int(rng.integers(0, 5))) for _ in range(500)]
+    random_points += [p.astype(np.float64) / 2 for p in random_points[:200]]
+    for x in BAD_POINTS + random_points:
+        for n in (None, 3):
+            got = _outcome(as_lattice_point, x, n)
+            want = _outcome(_old_as_lattice_point, x, n)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.dtype == np.int64 and got.tolist() == want.tolist()
+                assert got is not x
+
+
 def test_check_property_exhaustive_dr_pass():
     f = ValueOracle(capped_modular([1.0, 2.0], [2, 1]), np.array([3, 3]))
     for kind in ("monotone", "dr_submodular", "lattice_submodular", "weak_dr"):

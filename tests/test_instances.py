@@ -257,3 +257,77 @@ def test_instance_spec_named_table():
 def test_instance_spec_unknown_family():
     with pytest.raises(ValueError):
         InstanceSpec("fourier_basis", {}).build()
+
+
+# The scalar evaluations of the two families as they were written before
+# they read their argument through x.tolist(); the reference for the test
+# below.
+def _old_separable_concave_fn(coeffs, powers, cap):
+    coeff = np.asarray(coeffs, dtype=np.float64).tolist()
+    power = np.asarray(powers, dtype=np.float64).tolist()
+    capl = np.asarray(cap, dtype=np.int64).tolist()
+
+    def fn(x):
+        return sum(
+            ai * min(int(xi), ci) ** pi
+            for ai, pi, ci, xi in zip(coeff, power, capl, x)
+        )
+
+    return fn
+
+
+def _old_budget_allocation_fn(edges):
+    by_target = {}
+    for s, t, q in edges:
+        s, t, q = int(s), int(t), float(q)
+        by_target.setdefault(t, []).append((s, 1.0 - q))
+    groups = [
+        (np.array([s for s, _ in lst]), np.array([om for _, om in lst]))
+        for _, lst in sorted(by_target.items())
+    ]
+
+    def fn(x):
+        tot = 0.0
+        for srcs, omq in groups:
+            prod = 1.0
+            for s, om in zip(srcs, omq):
+                prod *= om ** int(x[s])
+            tot += 1.0 - prod
+        return tot
+
+    return fn
+
+
+def test_scalar_evaluation_matches_the_old_code_bit_for_bit():
+    rng = np.random.default_rng(61)
+    points = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 17))
+        cap = rng.integers(1, 1025, size=n)
+        coeffs = rng.uniform(0.1, 3.0, size=n)
+        powers = np.where(rng.random(n) < 0.5, rng.choice([0.3, 0.5, 1.0], size=n),
+                          rng.uniform(0.05, 1.0, size=n))
+        targets = int(rng.integers(1, 17))
+        edges = [
+            (s, t, float(rng.uniform(0.01, 0.99)))
+            for s in range(n) for t in range(targets) if rng.random() < 0.6
+        ] or [(0, 0, 0.5)]
+        for f, old in (
+            (make_separable_concave(coeffs, powers, cap),
+             _old_separable_concave_fn(coeffs, powers, cap)),
+            (make_budget_allocation(edges, cap), _old_budget_allocation_fn(edges)),
+        ):
+            # half over the whole box, half near 0, where (1 - q)^x(s) has
+            # not yet underflowed and every factor counts
+            X = rng.integers(0, cap + 1, size=(250, n))
+            X[125:] = rng.integers(0, np.minimum(cap, 6) + 1, size=(125, n))
+            for x in X:
+                assert f.eval(x).hex() == float(old(x)).hex()
+            points += len(X)
+            # a shifted view fed unsigned points hands fn float64 sums
+            y = rng.integers(0, cap + 1) // 2
+            g = f.shifted(y)
+            for x in rng.integers(0, cap - y + 1, size=(20, n)):
+                want = float(old(x + y)) - float(old(y))
+                assert g.eval(x.astype(np.uint64)).hex() == want.hex()
+    assert points >= 20_000

@@ -36,6 +36,21 @@ def test_instance_validation():
         KnapsackInstance.from_raw([1.0], 0.0, (2,))
 
 
+def test_instance_rejects_nan_weight():
+    with pytest.raises(ValueError, match="element 1 must be positive, got nan"):
+        KnapsackInstance((0.5, math.nan), (2, 2))
+    with pytest.raises(ValueError, match="element 0 must be positive, got nan"):
+        KnapsackInstance.from_raw([math.nan, 1.0], 4.0, (2, 2))
+    with pytest.raises(ValueError, match="element 0 exceeds the budget: inf"):
+        KnapsackInstance((math.inf,), (2,))
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+def test_from_raw_rejects_a_budget_that_is_not_finite(budget):
+    with pytest.raises(ValueError, match=f"budget must be finite, got {budget}"):
+        KnapsackInstance.from_raw([1.0, 2.0], budget, (2, 2))
+
+
 def test_instance_feasibility():
     inst = KnapsackInstance((0.5, 0.25), (2, 3))
     assert inst.is_feasible(np.array([1, 2]))
