@@ -62,10 +62,10 @@ def sweep_knapsack(eps: float, trials: int) -> list[float]:
         rng = np.random.default_rng(30_000 + i)
         weights = tuple(float(rng.choice(GRID)) for _ in range(f.n))
         inst = KnapsackInstance(weights, tuple(int(c) for c in f.box))
-        _, report = maximize_knapsack(f, inst, SolverConfig(eps, i))
+        x, _ = maximize_knapsack(f, inst, SolverConfig(eps, i))
         exact = brute_force_opt(make(), inst)
         if exact.opt_value > 1e-9:
-            ratios.append(report.value / exact.opt_value)
+            ratios.append(f.eval(x) / exact.opt_value)
     return ratios
 
 

@@ -40,11 +40,18 @@ def as_lattice_point(x, n: int | None = None) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ValueError(f"lattice point must be 1-dimensional, got shape {arr.shape}")
-    if arr.dtype.kind not in "iu":
-        if arr.dtype.kind == "f" and (arr == np.floor(arr)).all():
-            arr = arr.astype(np.int64)
-        else:
-            raise ValueError("lattice point must have integer entries")
+    # range checks come before the cast, which would wrap an entry that
+    # int64 cannot hold (and warn on a float one)
+    if arr.dtype.kind == "f" and (arr == np.floor(arr)).all():
+        if not np.isfinite(arr).all():
+            raise ValueError("lattice point entries must be finite")
+        if ((arr >= 2.0**63) | (arr < -(2.0**63))).any():
+            raise ValueError("lattice point entries must fit in int64")
+    elif arr.dtype.kind == "u":
+        if (arr >= 2**63).any():
+            raise ValueError("lattice point entries must fit in int64")
+    elif arr.dtype.kind != "i":
+        raise ValueError("lattice point must have integer entries")
     arr = arr.astype(np.int64, copy=True)
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"expected dimension {n}, got {arr.shape[0]}")

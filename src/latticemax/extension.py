@@ -160,22 +160,6 @@ def _marginal_estimate(
     return float(vals.mean() if weights is None else np.dot(vals, weights))
 
 
-def extension_marginal_estimate(
-    f: ValueOracle, delta, x, sample_count: int, seed: int
-) -> float:
-    """Estimate F(delta | x) = E[f(delta | z)], z ~ D(x); seed-deterministic.
-
-    Exact (and seed-independent) when x has m fractional coordinates with
-    2^m <= sample_count; a mean over sample_count coupled draws otherwise.
-    Costs 2 * min(2^m, sample_count) oracle calls.
-    """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    delta = np.asarray(delta, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    return _marginal_estimate(f, delta, x, sample_count, rng)
-
-
 def _slope(f: ValueOracle, base: np.ndarray, frac: np.ndarray, e: int) -> float:
     """E[f(e | z)] with z ~ D of the other coordinates and z(e) = base(e).
 

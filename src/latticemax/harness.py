@@ -3,7 +3,9 @@
 A YAML config names oracles, constraints, and an experiment grid
 (algorithm x epsilon x seed).  Each cell is solved with a fresh oracle so
 query counts are attributable; the returned point is re-evaluated after the
-call-count snapshot, so verification does not inflate the count.  Outputs
+call-count snapshot, so verification does not inflate the count.  Every
+solver returns a pair whose first item is the solution; the harness keeps
+that point and builds the cell's ``SolverReport`` record itself.  Outputs
 (report.csv, summary.txt) are byte-identical across runs of the same config
 unless timing collection is enabled.
 """
@@ -30,22 +32,72 @@ from .core import CapacityError
 from .instances import InstanceSpec, make_polymatroid
 from .knapsack import KnapsackInstance, maximize_knapsack
 from .polymatroid import maximize_polymatroid
-from .report import CSV_COLUMNS, SolverReport
 
 RATIO_TOL = 1e-9
 
-ALGORITHMS = ("cardinality_dr", "cardinality_lattice", "knapsack", "polymatroid")
-
-_COMPATIBLE = {
+# algorithm name -> the constraint kind it solves
+ALGORITHMS = {
     "cardinality_dr": "cardinality",
     "cardinality_lattice": "cardinality",
     "knapsack": "knapsack",
     "polymatroid": "polymatroid",
 }
 
+CSV_COLUMNS = [
+    "instance_id",
+    "algorithm",
+    "epsilon",
+    "seed",
+    "value",
+    "opt_value",
+    "ratio",
+    "oracle_calls",
+    "wall_time_ms",
+    "solution",
+]
+
 
 class ConfigError(Exception):
     """Raised for malformed configuration files."""
+
+
+@dataclass
+class SolverReport:
+    """One solver run on one instance: a row of report.csv.
+
+    ``ratio`` is only present when a brute-force optimum is available and
+    positive.  ``wall_time_ms`` is measured but reported as 0 by default in
+    harness output to keep reports byte-identical across runs.
+    """
+
+    instance_id: str
+    algorithm: str
+    epsilon: float
+    seed: int
+    solution: tuple[int, ...]
+    value: float
+    oracle_calls: int
+    wall_time_ms: int = 0
+    opt_value: float | None = None
+    ratio: float | None = None
+    error: str = ""
+
+    def csv_row(self, include_timing: bool = False) -> list[str]:
+        def fmt(v) -> str:
+            return "" if v is None else repr(float(v))
+
+        return [
+            self.instance_id,
+            self.algorithm,
+            repr(float(self.epsilon)),
+            str(self.seed),
+            fmt(self.value),
+            fmt(self.opt_value),
+            fmt(self.ratio),
+            str(self.oracle_calls),
+            str(self.wall_time_ms if include_timing else 0),
+            ";".join(str(v) for v in self.solution),
+        ]
 
 
 @dataclass
@@ -185,7 +237,7 @@ def load_config(path: str) -> HarnessConfig:
             for algorithm in algorithms:
                 if algorithm not in ALGORITHMS:
                     raise ConfigError(f"unknown algorithm {algorithm!r}")
-                expected = _COMPATIBLE[algorithm]
+                expected = ALGORITHMS[algorithm]
                 actual = instances[instance_id].constraint_kind
                 if actual != expected:
                     raise ConfigError(
@@ -220,14 +272,15 @@ def load_config(path: str) -> HarnessConfig:
 
 
 def _solve(oracle, constraint, algorithm: str, config: SolverConfig, repeats: int = 1):
-    if algorithm == "cardinality_dr":
-        y, _ = maximize_dr_cardinality(oracle, constraint, config)
-        return y
-    if algorithm == "cardinality_lattice":
-        y, _ = maximize_lattice_cardinality(oracle, constraint, config)
-        return y
-    if algorithm == "knapsack":
-        x, _ = maximize_knapsack(oracle, constraint, config)
+    # looked up per call, not at import, so that a solver swapped in the
+    # module namespace (a tracing wrapper) is the one that runs
+    deterministic = {
+        "cardinality_dr": maximize_dr_cardinality,
+        "cardinality_lattice": maximize_lattice_cardinality,
+        "knapsack": maximize_knapsack,
+    }
+    if algorithm in deterministic:
+        x, _ = deterministic[algorithm](oracle, constraint, config)
         return x
     if algorithm == "polymatroid":
         # the only randomized solver: optional repeat-and-take-best

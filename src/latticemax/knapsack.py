@@ -5,14 +5,14 @@ and x <= c.  The solver enumerates a small set of initial solutions whose
 support has at most three elements, runs a density-threshold greedy from
 each, and keeps the best outcome; the combination is a
 (1 - 1/e - O(eps))-approximation for monotone DR-submodular objectives.
+Like the cardinality solvers, :func:`maximize_knapsack` returns (x, trace).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .cardinality import (
     threshold_schedule,
 )
 from .core import ValueOracle, as_lattice_point, unit, zeros
-from .report import SolverReport
 
 BUDGET_TOL = 1e-9
 
@@ -77,33 +76,6 @@ class KnapsackInstance:
     def is_feasible(self, x) -> bool:
         x = as_lattice_point(x, self.n)
         return bool(np.all(x <= self.cap_vector())) and self.fits(x)
-
-
-@dataclass
-class InitialSolutionSet:
-    """Deduplicated feasible starting points with support size <= 3."""
-
-    solutions: list[np.ndarray] = field(default_factory=list)
-
-    def __post_init__(self):
-        seen = set()
-        unique = []
-        for s in self.solutions:
-            s = as_lattice_point(s)
-            key = tuple(s)
-            if key in seen:
-                continue
-            if int(np.count_nonzero(s)) > 3:
-                raise ValueError("initial solution support exceeds three elements")
-            seen.add(key)
-            unique.append(s)
-        self.solutions = unique
-
-    def __len__(self) -> int:
-        return len(self.solutions)
-
-    def __iter__(self):
-        return iter(self.solutions)
 
 
 def greedy_knapsack(
@@ -201,13 +173,13 @@ def increase_support(
 
 def partial_enumeration(
     f: ValueOracle, inst: KnapsackInstance, epsilon: float
-) -> InitialSolutionSet:
+) -> list[np.ndarray]:
     """Candidate starting points from all ordered element tuples of length <= 3.
 
     Each tuple grows {0} by chained :func:`increase_support` calls along its
-    elements (repeats extend the same coordinate again); budget-feasible
-    results are collected and deduplicated.  The zero vector is always
-    included via the empty tuple.
+    elements (repeats extend the same coordinate again), so supports have at
+    most three elements; budget-feasible results are collected and
+    deduplicated.  The zero vector is always included via the empty tuple.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -222,38 +194,22 @@ def partial_enumeration(
             for point in batch:
                 if inst.fits(point):
                     collected.setdefault(tuple(point), point)
-    return InitialSolutionSet(list(collected.values()))
+    return list(collected.values())
 
 
 def maximize_knapsack(
     f: ValueOracle, inst: KnapsackInstance, config: SolverConfig
-) -> tuple[np.ndarray, SolverReport]:
+) -> tuple[np.ndarray, GreedyTrace]:
     """Best greedy completion over all enumerated starting points.
 
-    Ties between equally valued runs keep the earliest starting point in
-    enumeration order.
+    Returns the best point and the trace of the :func:`greedy_knapsack` run
+    that produced it.  Ties between equally valued runs keep the earliest
+    starting point in enumeration order.
     """
-    start_calls = f.calls
-    t0 = time.perf_counter()
-    eps = config.effective
-    starts = partial_enumeration(f, inst, eps)
-    best_x: np.ndarray | None = None
-    best_value = -1.0
-    for x0 in starts:
-        x, _ = greedy_knapsack(f, inst, x0, config)
+    best, best_value = None, 0.0
+    for x0 in partial_enumeration(f, inst, config.effective):
+        x, trace = greedy_knapsack(f, inst, x0, config)
         value = f.eval(x)
-        if value > best_value:
-            best_x, best_value = x, value
-    if best_x is None:  # n >= 1 guarantees the zero start exists
-        best_x, best_value = zeros(f.n), 0.0
-    report = SolverReport(
-        instance_id="",
-        algorithm="knapsack",
-        epsilon=eps,
-        seed=config.seed,
-        solution=tuple(int(v) for v in best_x),
-        value=float(best_value),
-        oracle_calls=f.calls - start_calls,
-        wall_time_ms=int((time.perf_counter() - t0) * 1000),
-    )
-    return best_x, report
+        if best is None or value > best_value:
+            best, best_value = (x, trace), value
+    return best

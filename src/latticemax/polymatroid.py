@@ -6,7 +6,8 @@ solver builds a fractional point by 1/eps rounds of a threshold direction
 search driven by extension marginals, then rounds it to a lattice point
 without loss in expectation.  Each marginal is exact (a sum over the 2^m
 corners of the current unit cell, m fractional coordinates) when 2^m is at
-most the Chernoff sample count, and a coupled-sample mean otherwise.
+most the Chernoff sample count, and a coupled-sample mean otherwise; a
+probe of the step search costs 2 * min(2^m, count) oracle calls.
 
 Rounding works inside the unit cell C(x): the fractional parts of P
 intersected with C(x) form a matroid polytope whose rank function is the
@@ -27,7 +28,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .cardinality import SolverConfig, effective_epsilon, threshold_schedule
-from .core import CapacityError, ValueOracle, as_fractional_point, unit, zeros
+from .core import CallCounter, CapacityError, ValueOracle, as_fractional_point, unit, zeros
 from .extension import (
     EstimatorParams,
     SNAP_TOLERANCE,
@@ -65,7 +66,7 @@ class PolymatroidOracle:
         self._member_fn = member_fn
         self._rank_fn = rank_fn
         self.name = name
-        self._member_calls = 0
+        self._member_counter = CallCounter()
         if rank_total is None:
             if rank_fn is None:
                 raise ValueError("rank_total is required when no rank oracle is given")
@@ -80,13 +81,13 @@ class PolymatroidOracle:
 
     @property
     def member_calls(self) -> int:
-        return self._member_calls
+        return self._member_counter.count
 
     def member(self, x) -> bool:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"expected shape ({self.n},), got {x.shape}")
-        self._member_calls += 1
+        self._member_counter.add(1)
         if np.any(x < -MEMBERSHIP_TOL):
             return False
         return bool(self._member_fn(np.maximum(x, 0.0)))
@@ -206,11 +207,8 @@ def binary_search_polymatroid(
     the estimate is the exact sum over the 2^m cell corners when
     2^m <= count and a mean over count coupled draws otherwise; x is fixed,
     so every probe of one call takes the same path.  A probe costs
-    1 + 2 * min(2^m, count) oracle calls (the ceiling f(k e), then the
-    estimate), and there are at most ceil(log2(k_max + 1)) probes.  A probe
-    whose ceiling is zero short-circuits to estimate 0 at the cost of that
-    one call, since marginals of a monotone DR-submodular function cannot
-    exceed it.
+    2 * min(2^m, count) oracle calls, and there are at most
+    ceil(log2(k_max + 1)) probes.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
@@ -224,12 +222,7 @@ def binary_search_polymatroid(
     lo, hi = 1, k_max + 1
     while lo < hi:
         mid = (lo + hi) // 2
-        ceiling = f.eval(mid * step)
-        if ceiling <= 0:
-            estimate = 0.0
-        else:
-            estimate = _marginal_estimate(f, mid * step, x, count, rng)
-        if estimate >= mid * theta:
+        if _marginal_estimate(f, mid * step, x, count, rng) >= mid * theta:
             lo = mid + 1
         else:
             hi = mid
@@ -249,6 +242,8 @@ def direction_polymatroid(
     For each element the largest feasible step is found first (membership
     binary search, clamped to the oracle box), then accepted if the
     marginal estimate at the current point x + y clears the threshold.
+    Elements with f(e) <= 0 are skipped: for monotone DR-submodular f no
+    step along them can clear a positive threshold.
     """
     x = as_fractional_point(x, f.n)
     if P.n != f.n:
@@ -257,10 +252,9 @@ def direction_polymatroid(
         raise ValueError("x is not in the polymatroid")
     y = zeros(f.n)
     box = f.box
-    d = max(
-        (f.eval(unit(f.n, e)) for e in range(f.n) if box[e] >= 1),
-        default=0.0,
-    )
+    # f(e), or 0 where the box leaves no room along e
+    unit_values = [f.eval(unit(f.n, e)) if box[e] >= 1 else 0.0 for e in range(f.n)]
+    d = max(unit_values, default=0.0)
     if d <= 0:
         return y
     params = cfg.estimator_params()
@@ -268,6 +262,8 @@ def direction_polymatroid(
     eps = cfg.epsilon
     for threshold in threshold_schedule(d, eps * d / cfg.num_updates, eps):
         for e in range(f.n):
+            if unit_values[e] <= 0:
+                continue
             current = x + y
             hard_cap = int(math.floor(box[e] - current[e] + SNAP_TOLERANCE))
             if hard_cap <= 0:
@@ -314,9 +310,10 @@ def translated_rank(P: PolymatroidOracle, base, X: Iterable[int]) -> int:
     {z in [0,1]^E : z(Y) <= rho(Y) - base(Y) for all Y}.  The minimization
     must range over all of E, not only subsets of X, because rho - base is
     not monotone (a superset of X can impose the binding constraint).
-    Enumerates 2^n subsets; without a rank oracle the ground set must have
-    at most MAX_ENUMERATION_N elements (ranks are then derived from
-    membership, which is exact for integral polymatroids).
+    ``base`` must lie in P.  Reads the table rounding uses (2^n rank calls);
+    without a rank oracle the ground set must have at most
+    MAX_ENUMERATION_N elements (ranks are then derived from membership,
+    which is exact for integral polymatroids).
     """
     base = np.asarray(base, dtype=np.int64)
     elems = set(int(e) for e in X)
@@ -324,28 +321,9 @@ def translated_rank(P: PolymatroidOracle, base, X: Iterable[int]) -> int:
         raise ValueError("subset contains out-of-range elements")
     if not P.has_rank and P.n > MAX_ENUMERATION_N:
         raise CapacityError("no rank oracle and ground set too large to derive one")
-    n = P.n
-    best = len(elems)  # Y = empty set
-    for mask in range(1, 1 << n):
-        sub = [i for i in range(n) if mask >> i & 1]
-        outside = sum(1 for e in elems if not mask >> e & 1)
-        value = P.rank(sub) - int(base[sub].sum()) + outside
-        if value < best:
-            best = value
-    return best
-
-
-@dataclass
-class RoundingState:
-    """Floor/fraction split of a point plus its translated rank table.
-
-    ``rho`` maps subset bitmasks to rho' values for the matroid of
-    fractional parts above ``base``.
-    """
-
-    base: np.ndarray
-    frac: np.ndarray
-    rho: dict[int, int]
+    if not P.member(base):
+        raise ValueError("base is not in the polymatroid")
+    return _translated_rank_table(P, base)[sum(1 << e for e in elems)]
 
 
 def _translated_rank_table(P: PolymatroidOracle, base: np.ndarray) -> dict[int, int]:
@@ -378,12 +356,13 @@ def _translated_rank_table(P: PolymatroidOracle, base: np.ndarray) -> dict[int, 
     return table
 
 
-def rounding_state(x, P: PolymatroidOracle) -> RoundingState:
+def rounding_state(x, P: PolymatroidOracle) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(base, frac) split of x and the rho' table (by subset bitmask) above base."""
     x = as_fractional_point(x, P.n)
     snapped = np.where(np.abs(x - np.round(x)) <= SNAP_TOLERANCE, np.round(x), x)
     base = np.floor(snapped).astype(np.int64)
     frac = snapped - base
-    return RoundingState(base, frac, _translated_rank_table(P, base))
+    return base, frac, _translated_rank_table(P, base)
 
 
 def _mask_sums(z: np.ndarray) -> np.ndarray:
@@ -428,9 +407,7 @@ def round_polymatroid(x, P: PolymatroidOracle, seed: int) -> np.ndarray:
     x = as_fractional_point(x, P.n)
     if not P.member(x):
         raise ValueError("x is not in the polymatroid")
-    state = rounding_state(x, P)
-    z = state.frac.copy()
-    rho = state.rho
+    base, z, rho = rounding_state(x, P)
     n = P.n
     rng = np.random.default_rng(seed)
 
@@ -439,7 +416,7 @@ def round_polymatroid(x, P: PolymatroidOracle, seed: int) -> np.ndarray:
         np.clip(z, 0.0, 1.0, out=z)
         frac_idx = [i for i in range(n) if 0.0 < z[i] < 1.0]
         if not frac_idx:
-            return state.base + np.round(z).astype(np.int64)
+            return base + np.round(z).astype(np.int64)
         if len(frac_idx) == 1:
             i = frac_idx[0]
             z[i] = 1.0 if rng.random() < z[i] else 0.0

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,31 @@ def test_as_lattice_point_matches_the_old_code():
             else:
                 assert got.dtype == np.int64 and got.tolist() == want.tolist()
                 assert got is not x
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (np.array([np.inf, 1.0]), "must be finite"),
+        (np.array([-np.inf, 1.0]), "must be finite"),
+        (np.array([1e19, 1.0]), "must fit in int64"),
+        (np.array([2.0**63, 1.0]), "must fit in int64"),
+        (np.array([-1e19, 1.0]), "must fit in int64"),
+        (np.array([2**63, 1], dtype=np.uint64), "must fit in int64"),
+    ],
+)
+def test_as_lattice_point_rejects_entries_that_int64_cannot_hold(x, message):
+    # the int64 cast used to wrap these (with a RuntimeWarning for floats)
+    # and then report them as negative
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            as_lattice_point(x)
+        with pytest.raises(ValueError, match=message):
+            ValueOracle(lambda z: 0.0, x)
+    # the largest entries that fit still pass
+    assert as_lattice_point(np.array([2**63 - 1], dtype=np.uint64)).tolist() == [2**63 - 1]
+    assert as_lattice_point(np.array([2.0**62])).tolist() == [2**62]
 
 
 def test_check_property_exhaustive_dr_pass():

@@ -8,9 +8,9 @@ from latticemax.core import CapacityError, ValueOracle
 from latticemax.extension import (
     MAX_EXACT_FRACTIONAL,
     EstimatorParams,
+    _marginal_estimate,
     extension_estimate,
     extension_exact,
-    extension_marginal_estimate,
     extension_partial_minus,
     extension_partial_plus,
     sample_rounding,
@@ -159,7 +159,7 @@ def test_extension_marginal_estimate_coupled_sampling():
     f = make_separable_concave([1.0, 1.0], [1.0, 1.0], [4, 4])
     x = np.array([1.5, 0.25])
     delta = np.array([1, 0], dtype=np.int64)
-    est = extension_marginal_estimate(f, delta, x, 2000, seed=0)
+    est = _marginal_estimate(f, delta, x, 2000, np.random.default_rng(0))
     # modular f: marginal of +1 unit is exactly 1 for every draw
     assert est == pytest.approx(1.0)
 
@@ -197,9 +197,9 @@ def test_marginal_estimate_is_exact_when_the_cell_is_small():
         m = int(np.count_nonzero(np.abs(x - np.round(x)) > 1e-9))
         want = extension_exact(f, x + delta) - extension_exact(f, x)
         before = f.calls
-        a = extension_marginal_estimate(f, delta, x, 2**m, seed=0)
+        a = _marginal_estimate(f, delta, x, 2**m, np.random.default_rng(0))
         assert f.calls - before == 2 * 2**m
-        b = extension_marginal_estimate(f, delta, x, 2**m + 50, seed=1)
+        b = _marginal_estimate(f, delta, x, 2**m + 50, np.random.default_rng(1))
         assert a == b  # exact: independent of the seed and the sample count
         assert a == pytest.approx(want, abs=1e-12)
 
@@ -213,9 +213,9 @@ def test_marginal_estimate_samples_when_the_cell_is_large():
     estimates = []
     for seed in range(6):
         before = f.calls
-        estimates.append(extension_marginal_estimate(f, delta, x, count, seed=seed))
+        estimates.append(_marginal_estimate(f, delta, x, count, np.random.default_rng(seed)))
         assert f.calls - before == 2 * count
-    assert extension_marginal_estimate(f, delta, x, count, seed=0) == estimates[0]
+    assert _marginal_estimate(f, delta, x, count, np.random.default_rng(0)) == estimates[0]
     assert len(set(estimates)) > 1  # sampled: the seed matters
 
 

@@ -8,6 +8,7 @@ from latticemax import harness
 from latticemax.cli import main
 from latticemax.core import CapacityError
 from latticemax.harness import (
+    CSV_COLUMNS,
     Assertion,
     Cell,
     ConfigError,
@@ -16,7 +17,6 @@ from latticemax.harness import (
     run_cell,
     run_harness,
 )
-from latticemax.report import CSV_COLUMNS
 
 BASIC = textwrap.dedent(
     """
@@ -231,6 +231,13 @@ def test_unknown_algorithm_rejected(tmp_path):
     text = BASIC.replace("cardinality_dr", "simulated_annealing")
     with pytest.raises(ConfigError, match="unknown algorithm"):
         load_config(write(tmp_path, text))
+
+
+def test_run_cell_rejects_an_unknown_algorithm(tmp_path):
+    config = load_config(write(tmp_path, BASIC))
+    cell = Cell("pack", "simulated_annealing", 0.1, 0)
+    with pytest.raises(ConfigError, match="unknown algorithm 'simulated_annealing'"):
+        run_cell(config.instances["pack"], cell)
 
 
 def test_algorithm_constraint_mismatch_rejected(tmp_path):

@@ -7,9 +7,8 @@ import pytest
 from latticemax.bruteforce import brute_force_opt
 from latticemax.cardinality import SolverConfig, threshold_schedule
 from latticemax.core import ValueOracle, unit, zeros
-from latticemax.instances import make_separable_concave
+from latticemax.instances import make_separable_concave, random_budget_allocation
 from latticemax.knapsack import (
-    InitialSolutionSet,
     KnapsackInstance,
     greedy_knapsack,
     increase_support,
@@ -57,13 +56,6 @@ def test_instance_feasibility():
     assert not inst.is_feasible(np.array([2, 2]))  # weight 1.5
     assert not inst.is_feasible(np.array([0, 4]))  # above cap
     assert inst.fits(np.array([2, 0]))
-
-
-def test_initial_solution_set_dedup_and_support():
-    s = InitialSolutionSet([zeros(4), zeros(4), unit(4, 1, 2)])
-    assert len(s) == 2
-    with pytest.raises(ValueError):
-        InitialSolutionSet([np.array([1, 1, 1, 1])])
 
 
 def test_greedy_knapsack_frozen_example():
@@ -271,14 +263,35 @@ def test_partial_enumeration_invariants():
         assert np.all(p <= inst.cap_vector())
 
 
+# (oracle, weights, eps, best point, the oracle_calls the solver's former
+# report gave)
+KNAPSACK_CASES = [
+    (lambda: ValueOracle(modular([3.0, 1.0]), np.array([2, 2])), (0.5, 0.5), 0.1, [2, 0], 72),
+    (
+        lambda: make_separable_concave([1.0, 1.4, 0.7], [0.5, 1.0, 0.3], [3, 3, 4]),
+        (0.35, 0.3, 0.15), 0.1, [0, 3, 0], 1524,
+    ),
+    (lambda: random_budget_allocation(3, 4, 3, 3), (0.3, 0.25, 0.4, 0.2), 0.2, [0, 1, 1, 1], 817),
+]
+
+
 def test_maximize_knapsack_returns_best_and_counts_calls():
-    f = ValueOracle(modular([3.0, 1.0]), np.array([2, 2]))
-    inst = KnapsackInstance((0.5, 0.5), (2, 2))
-    x, report = maximize_knapsack(f, inst, SolverConfig(0.1, 0))
-    assert list(x) == [2, 0]
-    assert report.value == pytest.approx(6.0)
-    assert report.oracle_calls == f.calls
-    assert report.epsilon == pytest.approx(0.1)
+    for make, weights, eps, want_x, want_calls in KNAPSACK_CASES:
+        f = make()
+        inst = KnapsackInstance(weights, tuple(int(c) for c in f.box))
+        config = SolverConfig(eps, 0)
+        before = f.calls
+        x, trace = maximize_knapsack(f, inst, config)
+        assert f.calls - before == want_calls
+        assert list(x) == want_x
+        # the trace is the greedy run from the first start whose completion
+        # has the top value
+        g = make()
+        runs = [greedy_knapsack(g, inst, x0, config) for x0 in partial_enumeration(g, inst, eps)]
+        values = [g.eval(y) for y, _ in runs]
+        win_x, win_trace = runs[values.index(max(values))]
+        assert list(win_x) == want_x and trace == win_trace
+        assert g.eval(win_x) == pytest.approx(f.eval(x))
 
 
 def test_maximize_knapsack_tie_keeps_enumeration_order():
@@ -286,8 +299,8 @@ def test_maximize_knapsack_tie_keeps_enumeration_order():
     # earliest greedy completion wins
     f = ValueOracle(lambda x: float(min(x[0] + x[1], 1)), np.array([1, 1]))
     inst = KnapsackInstance((0.5, 0.5), (1, 1))
-    x, report = maximize_knapsack(f, inst, SolverConfig(0.25, 0))
-    assert report.value == pytest.approx(1.0)
+    x, _ = maximize_knapsack(f, inst, SolverConfig(0.25, 0))
+    assert f.eval(x) == pytest.approx(1.0)
     assert list(x) == [1, 0]
 
 
@@ -296,8 +309,8 @@ def test_maximize_knapsack_beats_every_start():
     inst = KnapsackInstance((0.35, 0.3), (3, 3))
     starts = partial_enumeration(make(), inst, 0.1)
     best_start = max(make().eval(p) for p in starts)
-    x, report = maximize_knapsack(make(), inst, SolverConfig(0.1, 0))
-    assert report.value >= best_start - 1e-9
+    x, _ = maximize_knapsack(make(), inst, SolverConfig(0.1, 0))
+    assert make().eval(x) >= best_start - 1e-9
 
 
 def test_maximize_knapsack_ratio_random_instances():
@@ -312,7 +325,7 @@ def test_maximize_knapsack_ratio_random_instances():
         weights = tuple(float(rng.choice(grid)) for _ in range(n))
         make = lambda: make_separable_concave(coeffs, powers, caps)
         inst = KnapsackInstance(weights, caps)
-        x, report = maximize_knapsack(make(), inst, SolverConfig(0.1, trial))
+        x, _ = maximize_knapsack(make(), inst, SolverConfig(0.1, trial))
         assert inst.is_feasible(x)
         exact = brute_force_opt(make(), inst)
-        assert report.value >= bound * exact.opt_value - 1e-9
+        assert make().eval(x) >= bound * exact.opt_value - 1e-9

@@ -1,12 +1,14 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from latticemax.bruteforce import brute_force_opt
 from latticemax.cardinality import SolverConfig
-from latticemax.core import ValueOracle
+from latticemax.core import CapacityError, ValueOracle
 from latticemax.extension import EstimatorParams, extension_exact
 from latticemax.instances import (
     make_separable_concave,
@@ -15,6 +17,7 @@ from latticemax.instances import (
     uniform_polymatroid,
 )
 from latticemax.polymatroid import (
+    MAX_ENUMERATION_N,
     DirectionConfig,
     binary_search_polymatroid,
     continuous_greedy,
@@ -105,8 +108,9 @@ def test_binary_search_polymatroid_zero_ceiling_short_circuit():
     params = EstimatorParams(alpha=0.2, beta=0.1, delta=0.2)
     calls_before = f.calls
     assert binary_search_polymatroid(f, np.zeros(1), 0, 0.5, params, 5, seed=0) == 0
-    # only the ceiling probes f; no sampling happens for a zero function
-    assert f.calls - calls_before <= 8
+    # x is integral: each of the ceil(log2(6)) = 3 probes is one exact
+    # corner marginal, two calls
+    assert f.calls - calls_before <= 3 * 2
 
 
 def test_binary_search_polymatroid_accuracy_predicates():
@@ -137,7 +141,7 @@ def test_binary_search_polymatroid_accuracy_predicates():
 
 def test_binary_search_polymatroid_costs_at_most_the_cell_per_probe():
     # x fractional in 2 of 3 coordinates: 4 cell corners, far below the
-    # Chernoff count, so each probe costs 1 + 2 * 4 calls
+    # Chernoff count, so each probe costs 2 * 4 calls
     P = uniform_polymatroid(3, 4, 7)
     params = DirectionConfig.from_epsilon(3, 0.25).estimator_params()
     x = np.array([0.25, 1.5, 2.0])
@@ -150,7 +154,7 @@ def test_binary_search_polymatroid_costs_at_most_the_cell_per_probe():
         for theta in (0.05, 0.4, 2.0):
             before = f.calls
             binary_search_polymatroid(f, x, e, theta, params, k_max, seed=0)
-            assert f.calls - before <= probes * (1 + 2 * 2**m)
+            assert f.calls - before <= probes * 2 * 2**m
 
 
 def test_direction_polymatroid_zero_polytope():
@@ -187,6 +191,94 @@ def test_continuous_greedy_feasible_and_useful():
     x = continuous_greedy(f, P, SolverConfig(0.25, 0))
     assert P.member(x)
     assert extension_exact(make_separable_concave([1.0, 1.5, 0.8], [0.5, 0.5, 1.0], [3, 3, 3]), x) > 0
+
+
+def test_direction_polymatroid_skips_an_element_with_zero_value():
+    # element 1 adds nothing: f(e_1) = 0, so no step along it can clear a
+    # threshold, and the membership search must not look along it
+    f = make_separable_concave([1.0, 0.0, 1.2], [0.5, 1.0, 0.7], [3, 3, 3])
+    base = uniform_polymatroid(3, 2, 4)
+    queried = []
+
+    def member(x):
+        queried.append(x.copy())
+        return base.member(x)
+
+    P = type(base)(3, member, None, rank_total=4, name="logged")
+    cfg = DirectionConfig.from_epsilon(3, 0.25)
+    x = np.array([0.5, 0.0, 0.25])
+    y = direction_polymatroid(f, x, cfg, P, seed=0)
+    assert y[1] == 0 and y.sum() > 0
+    assert queried and all(q[1] == 0.0 for q in queried)
+
+
+# translated_rank as it was written before it read the rounding table: the
+# minimization over all 2^n subsets, kept as the reference
+def _old_translated_rank(P, base, X):
+    base = np.asarray(base, dtype=np.int64)
+    elems = set(int(e) for e in X)
+    if any(e < 0 or e >= P.n for e in elems):
+        raise ValueError("subset contains out-of-range elements")
+    if not P.has_rank and P.n > MAX_ENUMERATION_N:
+        raise CapacityError("no rank oracle and ground set too large to derive one")
+    n = P.n
+    best = len(elems)  # Y = empty set
+    for mask in range(1, 1 << n):
+        sub = [i for i in range(n) if mask >> i & 1]
+        outside = sum(1 for e in elems if not mask >> e & 1)
+        value = P.rank(sub) - int(base[sub].sum()) + outside
+        if value < best:
+            best = value
+    return best
+
+
+def _random_polymatroids(rng):
+    for n in range(1, 5):
+        yield uniform_polymatroid(n, int(rng.integers(1, 3)), int(rng.integers(1, 2 * n + 1)))
+        k = int(rng.integers(1, n + 1))
+        labels = rng.integers(0, k, size=n)
+        parts = [np.flatnonzero(labels == j).tolist() for j in range(k)]
+        parts = [p for p in parts if p]
+        yield partition_polymatroid(parts, rng.integers(1, 3, size=len(parts)), n)
+        # truncated weighted coverage: a monotone submodular integer rank
+        covers = rng.random((n, 4)) < 0.5
+        weights = rng.integers(1, 3, size=4)
+        top = int(rng.integers(1, 2 * n + 1))
+        table = [
+            min(top, int(weights[covers[[e for e in range(n) if m >> e & 1]].any(axis=0)].sum()))
+            for m in range(1 << n)
+        ]
+        yield table_polymatroid(n, table)
+
+
+def test_translated_rank_matches_the_old_minimization():
+    rng = np.random.default_rng(31)
+    checked = 0
+    for _ in range(2):
+        for P in _random_polymatroids(rng):
+            n = P.n
+            singles = [P.rank([e]) for e in range(n)]
+            for b in itertools.product(*(range(c + 1) for c in singles)):
+                base = np.array(b, dtype=np.int64)
+                if not P.member(base):
+                    continue
+                for mask in range(1 << n):
+                    X = [e for e in range(n) if mask >> e & 1]
+                    assert translated_rank(P, base, X) == _old_translated_rank(P, base, X)
+                    checked += 1
+    assert checked > 5000
+
+
+def test_translated_rank_rejects_a_base_outside_the_polymatroid():
+    P = uniform_polymatroid(3, 1, 3)
+    base = np.array([2, 0, 0], dtype=np.int64)
+    # the old minimization gives rho'(empty) = rho({0}) - 2 = -1 here, which
+    # is no matroid rank
+    assert _old_translated_rank(P, base, []) == -1
+    with pytest.raises(ValueError, match="base is not in the polymatroid"):
+        translated_rank(P, base, [])
+    with pytest.raises(ValueError, match="out-of-range"):
+        translated_rank(P, np.zeros(3, dtype=np.int64), [3])
 
 
 def test_translated_rank_examples():
@@ -301,6 +393,29 @@ def test_polymatroid_oracle_guards():
     before = P.member_calls
     P.member(np.array([1.0, 1.0]))
     assert P.member_calls == before + 1
+
+
+def test_member_calls_are_exact_across_threads():
+    P = uniform_polymatroid(3, 2, 4)
+    point = np.array([1.0, 0.5, 0.0])
+    per_thread = 3000
+
+    def work():
+        for _ in range(per_thread):
+            P.member(point)
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch often, so a lost update would show
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert P.member_calls == 8 * per_thread
 
 
 def test_rank_from_membership_matches_closed_form():
