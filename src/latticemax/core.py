@@ -1,13 +1,13 @@
-"""Ground-set vectors, evaluation oracles, and submodularity checkers.
+"""Ground-set vectors, evaluation oracles, and an exhaustive property checker.
 
 Solutions are non-negative integer vectors over a ground set of n elements
 (indices 0..n-1), represented as numpy int64 arrays.  Objectives are black
 boxes wrapped in :class:`ValueOracle`: an evaluation function on the box
 [0, c], normalized so f(0) = 0, with a thread-safe call counter.
 
-The checkers in this module test, either on random witnesses or
-exhaustively, whether an oracle is monotone, submodular on the lattice
-(f(x) + f(y) >= f(x v y) + f(x ^ y)), weakly diminishing-returns
+The checker tests every witness tuple on the box, so it is for small
+boxes only.  It decides whether an oracle is monotone, submodular on the
+lattice (f(x) + f(y) >= f(x v y) + f(x ^ y)), weakly diminishing-returns
 (f(x v k e_i) - f(x) >= f(y v k e_i) - f(y) for x <= y), or
 diminishing-returns submodular (unit marginals non-increasing in the base
 point).  DR-submodularity implies the other three for monotone f.
@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Literal, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 # Absolute tolerance shared by all inequality checkers.
 CHECK_TOLERANCE = 1e-9
-
-PropertyKind = Literal["dr_submodular", "lattice_submodular", "monotone", "weak_dr"]
 
 PROPERTY_KINDS: frozenset[str] = frozenset(
     {"dr_submodular", "lattice_submodular", "monotone", "weak_dr"}
@@ -305,55 +303,6 @@ def _violations(kind: str, value, x, y, e, k) -> list[Witness]:
         )
         for i in np.flatnonzero(~(lhs >= rhs - CHECK_TOLERANCE))
     ]
-
-
-def check_property(f: ValueOracle, kind: str, trials: int, seed: int) -> PropertyReport:
-    """Randomized property check on ``trials`` sampled witness tuples.
-
-    Witnesses are drawn by sampling y uniformly from the box and x uniformly
-    from [0, y], which covers the x <= y precondition of the monotone and
-    diminishing-returns definitions; the lattice check samples x and y
-    independently from the box since comparable pairs satisfy it trivially.
-    A dr_submodular draw whose y has no room to step is skipped but still
-    counts as a trial.  Each witness point costs one ``f.eval`` (2 per
-    tuple for monotone, 4 otherwise).  Deterministic for a fixed seed.
-    """
-    if kind not in PROPERTY_KINDS:
-        raise ValueError(f"unknown property kind {kind!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    box = f.box
-    xs, ys, es, ks = [], [], [], []
-    for _ in range(trials):
-        if kind == "lattice_submodular":
-            x = rng.integers(0, box + 1, dtype=np.int64)
-            y = rng.integers(0, box + 1, dtype=np.int64)
-        else:
-            y = rng.integers(0, box + 1, dtype=np.int64)
-            x = rng.integers(0, y + 1, dtype=np.int64)
-            if kind == "dr_submodular":
-                room = np.flatnonzero(y < box)
-                if room.size == 0:
-                    continue
-                es.append(int(room[rng.integers(room.size)]))
-                ks.append(1)
-            elif kind == "weak_dr":
-                e = int(rng.integers(f.n))
-                es.append(e)
-                ks.append(int(rng.integers(0, box[e] + 1)))
-        xs.append(x)
-        ys.append(y)
-    shape = (len(xs), f.n)
-    violations = _violations(
-        kind,
-        lambda points: np.array([f.eval(p) for p in points], dtype=np.float64),
-        np.array(xs, dtype=np.int64).reshape(shape),
-        np.array(ys, dtype=np.int64).reshape(shape),
-        np.array(es, dtype=np.int64),
-        np.array(ks, dtype=np.int64),
-    )
-    return PropertyReport(kind, trials, violations)
 
 
 def _count_dominated_pairs(box: np.ndarray) -> int:

@@ -56,10 +56,15 @@ class EstimatorParams:
         return int(math.ceil(3.0 * math.log(arg) / (self.alpha * self.beta)))
 
 
+def _snap(x: np.ndarray) -> np.ndarray:
+    """x with every coordinate within SNAP_TOLERANCE of an integer rounded to it."""
+    return np.where(np.abs(x - np.round(x)) <= SNAP_TOLERANCE, np.round(x), x)
+
+
 def split_point(f: ValueOracle, x) -> tuple[np.ndarray, np.ndarray]:
     """Split x into (floor, fractional) parts, snapping near-integers."""
     x = as_fractional_point(x, f.n)
-    snapped = np.where(np.abs(x - np.round(x)) <= SNAP_TOLERANCE, np.round(x), x)
+    snapped = _snap(x)
     if np.any(snapped < 0) or np.any(snapped > f.box + SNAP_TOLERANCE):
         raise ValueError(f"point {x.tolist()} outside box {f.box.tolist()}")
     snapped = np.minimum(snapped, f.box.astype(np.float64))
@@ -158,49 +163,3 @@ def _marginal_estimate(
         points, weights = sample_rounding(f, x, sample_count, rng), None
     vals = f.eval_batch(points + delta[None, :]) - f.eval_batch(points)
     return float(vals.mean() if weights is None else np.dot(vals, weights))
-
-
-def _slope(f: ValueOracle, base: np.ndarray, frac: np.ndarray, e: int) -> float:
-    """E[f(e | z)] with z ~ D of the other coordinates and z(e) = base(e).
-
-    This is the (exact) partial derivative of F along coordinate e inside
-    the cell whose floor at e is base(e).
-    """
-    idx = np.flatnonzero(frac > 0)
-    idx = idx[idx != e]
-    if idx.size > MAX_EXACT_FRACTIONAL:
-        raise CapacityError("too many fractional coordinates for exact gradient")
-    points, weights = _cell_corners(base, frac, idx)
-    bumped = points.copy()
-    bumped[:, e] += 1
-    vals = f.eval_batch(bumped) - f.eval_batch(points)
-    return float(np.dot(vals, weights))
-
-
-def extension_partial_plus(f: ValueOracle, x, e: int) -> float:
-    """Right partial derivative of F along coordinate e at x.
-
-    Undefined (ValueError) when x(e) is at the cap c(e).
-    """
-    base, frac = split_point(f, x)
-    if frac[e] > 0:
-        return _slope(f, base, frac, e)
-    if base[e] >= f.box[e]:
-        raise ValueError(f"no right derivative at the cap for coordinate {e}")
-    return _slope(f, base, frac, e)
-
-
-def extension_partial_minus(f: ValueOracle, x, e: int) -> float:
-    """Left partial derivative of F along coordinate e at x.
-
-    Equal to the right derivative when x(e) is fractional; at integral
-    x(e) >= 1 it is the slope of the cell below.  Undefined at x(e) = 0.
-    """
-    base, frac = split_point(f, x)
-    if frac[e] > 0:
-        return _slope(f, base, frac, e)
-    if base[e] < 1:
-        raise ValueError(f"no left derivative at 0 for coordinate {e}")
-    below = base.copy()
-    below[e] -= 1
-    return _slope(f, below, frac, e)

@@ -1,11 +1,12 @@
 """Experiment harness: config-driven sweeps with optional exact baselines.
 
 A YAML config names oracles, constraints, and an experiment grid
-(algorithm x epsilon x seed).  Each cell is solved with a fresh oracle so
-query counts are attributable; the returned point is re-evaluated after the
-call-count snapshot, so verification does not inflate the count.  Every
-solver returns a pair whose first item is the solution; the harness keeps
-that point and builds the cell's ``SolverReport`` record itself.  Outputs
+(algorithm x epsilon x seed).  Each cell is solved with a fresh oracle, and
+its ``oracle_calls`` is the count of calls the solver made: the calls that
+building the oracle makes (a lattice table certifies itself) and the
+re-evaluation of the returned point fall outside the count.  Every solver
+returns a pair whose first item is the solution; the harness keeps that
+point and builds the cell's ``SolverReport`` record itself.  Outputs
 (report.csv, summary.txt) are byte-identical across runs of the same config
 unless timing collection is enabled.
 """
@@ -42,6 +43,8 @@ ALGORITHMS = {
     "knapsack": "knapsack",
     "polymatroid": "polymatroid",
 }
+
+EXPERIMENT_KEYS = frozenset({"instances", "algorithms", "epsilons", "seeds"})
 
 CSV_COLUMNS = [
     "instance_id",
@@ -124,7 +127,6 @@ class Cell:
     algorithm: str
     epsilon: float
     seed: int
-    repeats: int = 1
 
 
 @dataclass
@@ -223,14 +225,14 @@ def load_config(path: str) -> HarnessConfig:
     cells: list[Cell] = []
     for raw in data.get("experiments", []):
         ids = _require(raw, "instances", "experiment entry")
+        unknown = sorted(str(key) for key in raw if key not in EXPERIMENT_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in experiment entry")
         if ids == "all":
             ids = list(instances)
         algorithms = _require(raw, "algorithms", "experiment entry")
         epsilons = _require(raw, "epsilons", "experiment entry")
         seeds = raw.get("seeds", [0])
-        repeats = int(raw.get("repeats", 1))
-        if repeats < 1:
-            raise ConfigError("repeats must be >= 1")
         for instance_id in ids:
             if instance_id not in instances:
                 raise ConfigError(f"experiment references unknown instance {instance_id!r}")
@@ -249,9 +251,7 @@ def load_config(path: str) -> HarnessConfig:
                     if not 0 < epsilon < 1:
                         raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
                     for seed in seeds:
-                        cells.append(
-                            Cell(instance_id, algorithm, epsilon, int(seed), repeats)
-                        )
+                        cells.append(Cell(instance_id, algorithm, epsilon, int(seed)))
 
     assertions = []
     for raw in data.get("assertions", []):
@@ -271,28 +271,19 @@ def load_config(path: str) -> HarnessConfig:
     return HarnessConfig(instances=instances, cells=cells, assertions=assertions)
 
 
-def _solve(oracle, constraint, algorithm: str, config: SolverConfig, repeats: int = 1):
+def _solve(oracle, constraint, algorithm: str, config: SolverConfig):
     # looked up per call, not at import, so that a solver swapped in the
     # module namespace (a tracing wrapper) is the one that runs
-    deterministic = {
+    solvers = {
         "cardinality_dr": maximize_dr_cardinality,
         "cardinality_lattice": maximize_lattice_cardinality,
         "knapsack": maximize_knapsack,
+        "polymatroid": maximize_polymatroid,
     }
-    if algorithm in deterministic:
-        x, _ = deterministic[algorithm](oracle, constraint, config)
-        return x
-    if algorithm == "polymatroid":
-        # the only randomized solver: optional repeat-and-take-best
-        best_x, best_value = None, -1.0
-        for rep in range(max(1, repeats)):
-            rep_config = SolverConfig(config.epsilon, config.seed + rep)
-            x, _ = maximize_polymatroid(oracle, constraint, rep_config)
-            value = oracle.eval(x)
-            if best_x is None or value > best_value:
-                best_x, best_value = x, value
-        return best_x
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+    if algorithm not in solvers:
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    x, _ = solvers[algorithm](oracle, constraint, config)
+    return x
 
 
 def _brute_force(entry: InstanceEntry) -> ExactResult:
@@ -348,10 +339,11 @@ def run_cell(
     try:
         oracle = entry.oracle_spec.build()
         constraint = entry.build_constraint()
+        before = oracle.calls  # building the oracle may have called it
         start = time.perf_counter()
-        x = _solve(oracle, constraint, cell.algorithm, solver_config, cell.repeats)
+        x = _solve(oracle, constraint, cell.algorithm, solver_config)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        calls = oracle.calls
+        calls = oracle.calls - before
         value = oracle.eval(x)  # verification; after the snapshot on purpose
         report.solution = tuple(int(v) for v in x)
         report.value = float(value)
@@ -436,9 +428,7 @@ def apply_overrides(
         seen = set()
         overridden = []
         for cell in cells:
-            replaced = Cell(
-                cell.instance_id, cell.algorithm, cell.epsilon, seed, cell.repeats
-            )
+            replaced = Cell(cell.instance_id, cell.algorithm, cell.epsilon, seed)
             if replaced not in seen:
                 seen.add(replaced)
                 overridden.append(replaced)

@@ -165,51 +165,6 @@ NON_DR_TABLES: dict[str, np.ndarray] = {
 }
 
 
-def search_non_dr_table(shape: tuple[int, int], seed: int, attempts: int = 100) -> np.ndarray:
-    """Randomized search for a certified non-DR lattice-submodular 2-d table.
-
-    Tables are generated from non-negative margin increments and
-    non-positive mixed second differences (which forces lattice
-    submodularity), then certified; the first strictly non-DR table found
-    is returned.
-    """
-    if len(shape) != 2:
-        raise ValueError("search supports 2-d tables")
-    rng = np.random.default_rng(seed)
-    rows, cols = shape
-    for _ in range(attempts):
-        row_inc = rng.uniform(0.0, 2.0, size=rows - 1)
-        col_inc = rng.uniform(0.0, 2.0, size=cols - 1)
-        mixed = -rng.uniform(0.0, 0.5, size=(rows - 1, cols - 1))
-        # keep increments non-negative after adding mixed terms
-        for i in range(rows - 1):
-            slack = row_inc[i]
-            for j in range(cols - 1):
-                mixed[i, j] = max(mixed[i, j], -slack)
-                slack += mixed[i, j]
-        for j in range(cols - 1):
-            slack = col_inc[j]
-            for i in range(rows - 1):
-                mixed[i, j] = max(mixed[i, j], -slack)
-                slack += mixed[i, j]
-        table = np.zeros(shape)
-        table[1:, 0] = np.cumsum(row_inc)
-        table[0, 1:] = np.cumsum(col_inc)
-        for i in range(1, rows):
-            for j in range(1, cols):
-                table[i, j] = (
-                    table[i - 1, j] + table[i, j - 1] - table[i - 1, j - 1]
-                    + mixed[i - 1, j - 1]
-                )
-        try:
-            oracle = make_lattice_non_dr(table)
-        except ValueError:
-            continue
-        if oracle.meta["strictly_non_dr"]:
-            return table
-    raise RuntimeError(f"no non-DR table found in {attempts} attempts")
-
-
 def uniform_polymatroid(n: int, per_element: int, total: int) -> PolymatroidOracle:
     """rho(S) = min(per_element * |S|, total)."""
     if per_element < 0 or total < 0:

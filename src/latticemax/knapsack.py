@@ -177,7 +177,7 @@ def partial_enumeration(
     """Candidate starting points from all ordered element tuples of length <= 3.
 
     Each tuple grows {0} by chained :func:`increase_support` calls along its
-    elements (repeats extend the same coordinate again), so supports have at
+    elements (a repeated element extends its coordinate again), so supports have at
     most three elements; budget-feasible results are collected and
     deduplicated.  The zero vector is always included via the empty tuple.
     """

@@ -29,11 +29,7 @@ import numpy as np
 
 from .cardinality import SolverConfig, effective_epsilon, threshold_schedule
 from .core import CallCounter, CapacityError, ValueOracle, as_fractional_point, unit, zeros
-from .extension import (
-    EstimatorParams,
-    SNAP_TOLERANCE,
-    _marginal_estimate,
-)
+from .extension import EstimatorParams, SNAP_TOLERANCE, _marginal_estimate, _snap
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -74,10 +70,6 @@ class PolymatroidOracle:
         if rank_total < 0:
             raise ValueError("rank_total must be non-negative")
         self.rank_total = rank_total
-
-    @property
-    def has_rank(self) -> bool:
-        return self._rank_fn is not None
 
     @property
     def member_calls(self) -> int:
@@ -302,30 +294,6 @@ def continuous_greedy(
     return x
 
 
-def translated_rank(P: PolymatroidOracle, base, X: Iterable[int]) -> int:
-    """rho'(X) = min over Y subset of E of rho(Y) - base(Y) + |X \\ Y|.
-
-    This is the rank function of the matroid formed by the fractional parts
-    of P inside the unit cell above ``base``: the max of z(X) over
-    {z in [0,1]^E : z(Y) <= rho(Y) - base(Y) for all Y}.  The minimization
-    must range over all of E, not only subsets of X, because rho - base is
-    not monotone (a superset of X can impose the binding constraint).
-    ``base`` must lie in P.  Reads the table rounding uses (2^n rank calls);
-    without a rank oracle the ground set must have at most
-    MAX_ENUMERATION_N elements (ranks are then derived from membership,
-    which is exact for integral polymatroids).
-    """
-    base = np.asarray(base, dtype=np.int64)
-    elems = set(int(e) for e in X)
-    if any(e < 0 or e >= P.n for e in elems):
-        raise ValueError("subset contains out-of-range elements")
-    if not P.has_rank and P.n > MAX_ENUMERATION_N:
-        raise CapacityError("no rank oracle and ground set too large to derive one")
-    if not P.member(base):
-        raise ValueError("base is not in the polymatroid")
-    return _translated_rank_table(P, base)[sum(1 << e for e in elems)]
-
-
 def _translated_rank_table(P: PolymatroidOracle, base: np.ndarray) -> dict[int, int]:
     # Two-stage DP.  First the monotone closure of g = rho - base,
     # ghat(Y) = min_{W >= Y} g(W), walking subsets in decreasing size; the
@@ -359,7 +327,7 @@ def _translated_rank_table(P: PolymatroidOracle, base: np.ndarray) -> dict[int, 
 def rounding_state(x, P: PolymatroidOracle) -> tuple[np.ndarray, np.ndarray, dict]:
     """(base, frac) split of x and the rho' table (by subset bitmask) above base."""
     x = as_fractional_point(x, P.n)
-    snapped = np.where(np.abs(x - np.round(x)) <= SNAP_TOLERANCE, np.round(x), x)
+    snapped = _snap(x)
     base = np.floor(snapped).astype(np.int64)
     frac = snapped - base
     return base, frac, _translated_rank_table(P, base)
@@ -412,7 +380,7 @@ def round_polymatroid(x, P: PolymatroidOracle, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
 
     for _ in range(16 * n * n + 64):
-        z = np.where(np.abs(z - np.round(z)) <= SNAP_TOLERANCE, np.round(z), z)
+        z = _snap(z)
         np.clip(z, 0.0, 1.0, out=z)
         frac_idx = [i for i in range(n) if 0.0 < z[i] < 1.0]
         if not frac_idx:

@@ -12,7 +12,6 @@ from latticemax.core import (
     ValueOracle,
     Witness,
     as_lattice_point,
-    check_property,
     check_property_exhaustive,
     lattice_points,
     total,
@@ -282,32 +281,23 @@ def test_check_property_exhaustive_evaluates_each_point_once():
         assert f.calls - before <= 9, kind
 
 
-def test_check_property_sampled_matches_exhaustive_verdict():
-    good = ValueOracle(capped_modular([1.0, 1.0], [2, 2]), np.array([4, 4]))
-    assert check_property(good, "dr_submodular", trials=300, seed=0).passed
-    bad = ValueOracle(lambda x: float(x[0] * x[1]), np.array([4, 4]))
-    assert not check_property(bad, "dr_submodular", trials=300, seed=0).passed
-
-
 def test_check_property_rejects_unknown_kind():
     f = ValueOracle(lambda x: float(sum(x)), np.array([2]))
     with pytest.raises(ValueError):
-        check_property(f, "convex", trials=10, seed=0)
+        check_property_exhaustive(f, "convex")
 
 
-# Literal copies of the property checkers before the shared inequality
-# evaluator: one witness tuple at a time through _check_one, with a
-# byte-keyed point cache in the exhaustive check.
+# A literal copy of the exhaustive property checker before the shared
+# inequality evaluator: one witness tuple at a time through _check_one,
+# with a byte-keyed point cache.
 def reference_iterate_box(box):
     box = as_lattice_point(box)
     for idx in itertools.product(*(range(int(b) + 1) for b in box)):
         yield np.array(idx, dtype=np.int64)
 
 
-def reference_check_one(f, kind, x, y, e, k, cache=None):
+def reference_check_one(f, kind, x, y, e, k, cache):
     def ev(p):
-        if cache is None:
-            return f.eval(p)
         key = p.tobytes()
         if key not in cache:
             cache[key] = f.eval(p)
@@ -341,35 +331,6 @@ def reference_check_one(f, kind, x, y, e, k, cache=None):
             return None
         return Witness(tuple(x), tuple(y), e, k, lhs, rhs)
     raise ValueError(f"unknown property kind {kind!r}")
-
-
-def reference_check_property(f, kind, trials, seed):
-    rng = np.random.default_rng(seed)
-    box = f.box
-    report = PropertyReport(kind, trials)
-    for _ in range(trials):
-        if kind == "lattice_submodular":
-            x = rng.integers(0, box + 1, dtype=np.int64)
-            y = rng.integers(0, box + 1, dtype=np.int64)
-            w = reference_check_one(f, kind, x, y, None, None)
-        else:
-            y = rng.integers(0, box + 1, dtype=np.int64)
-            x = rng.integers(0, y + 1, dtype=np.int64)
-            if kind == "monotone":
-                w = reference_check_one(f, kind, x, y, None, None)
-            elif kind == "dr_submodular":
-                room = np.flatnonzero(y < box)
-                if room.size == 0:
-                    continue
-                e = int(room[rng.integers(room.size)])
-                w = reference_check_one(f, kind, x, y, e, 1)
-            else:  # weak_dr
-                e = int(rng.integers(f.n))
-                k = int(rng.integers(0, box[e] + 1))
-                w = reference_check_one(f, kind, x, y, e, k)
-        if w is not None:
-            report.violations.append(w)
-    return report
 
 
 def reference_check_property_exhaustive(f, kind):
@@ -467,18 +428,3 @@ def test_check_property_exhaustive_matches_reference(kind):
         assert f.calls == g.calls
         violated += not want.passed
     assert violated > 0  # the comparison covers violation lists
-
-
-@pytest.mark.parametrize("kind", sorted(PROPERTY_KINDS))
-def test_check_property_matches_reference(kind):
-    rng = np.random.default_rng(72)
-    violated = 0
-    for i, make in enumerate(exhaustive_cases()):
-        for seed in (0, 1, 2):
-            f, g = make(), make()
-            got = check_property(f, kind, trials=int(rng.integers(1, 60)), seed=seed + 10 * i)
-            want = reference_check_property(g, kind, got.trials, seed + 10 * i)
-            same_report(got, want)
-            assert f.calls == g.calls
-            violated += not want.passed
-    assert violated > 0

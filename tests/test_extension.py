@@ -11,8 +11,6 @@ from latticemax.extension import (
     _marginal_estimate,
     extension_estimate,
     extension_exact,
-    extension_partial_minus,
-    extension_partial_plus,
     sample_rounding,
     split_point,
 )
@@ -249,40 +247,6 @@ def _old_extension_exact(f, x):
     return float(np.dot(values, weights))
 
 
-def _old_slope(f, base, frac, e):
-    idx = np.flatnonzero(frac > 0)
-    idx = idx[idx != e]
-    if idx.size > MAX_EXACT_FRACTIONAL:
-        raise CapacityError("too many fractional coordinates for exact gradient")
-    masks, weights = _old_subset_weights(frac[idx])
-    points = np.repeat(base[None, :], masks.shape[0], axis=0)
-    points[:, idx] += masks
-    bumped = points.copy()
-    bumped[:, e] += 1
-    vals = f.eval_batch(bumped) - f.eval_batch(points)
-    return float(np.dot(vals, weights))
-
-
-def _old_partial_plus(f, x, e):
-    base, frac = split_point(f, x)
-    if frac[e] > 0:
-        return _old_slope(f, base, frac, e)
-    if base[e] >= f.box[e]:
-        raise ValueError("at the cap")
-    return _old_slope(f, base, frac, e)
-
-
-def _old_partial_minus(f, x, e):
-    base, frac = split_point(f, x)
-    if frac[e] > 0:
-        return _old_slope(f, base, frac, e)
-    if base[e] < 1:
-        raise ValueError("at zero")
-    below = base.copy()
-    below[e] -= 1
-    return _old_slope(f, below, frac, e)
-
-
 def test_cell_expansion_matches_the_old_code_bit_for_bit():
     rng = np.random.default_rng(23)
     f = make_budget_allocation(
@@ -290,12 +254,7 @@ def test_cell_expansion_matches_the_old_code_bit_for_bit():
     )
     for _ in range(50):
         x = random_cell_point(rng, f.box.astype(np.float64))
-        e = int(rng.integers(0, f.n))
         assert extension_exact(f, x) == _old_extension_exact(f, x)
-        if x[e] < f.box[e]:
-            assert extension_partial_plus(f, x, e) == _old_partial_plus(f, x, e)
-        if x[e] > 0:
-            assert extension_partial_minus(f, x, e) == _old_partial_minus(f, x, e)
 
 
 def test_sample_rounding_matches_marginals():
@@ -317,6 +276,18 @@ def grad_plus_reference(fn, x, e):
     return (reference_extension(fn, x1) - reference_extension(fn, x0)) / h
 
 
+def face_slope(f, x, e, face):
+    """F(x with x_e = face + 1) - F(x with x_e = face).
+
+    F is linear in x_e inside a unit cell, so this is its slope along e in
+    the cell [face, face + 1]: the right partial at x for face = floor(x_e),
+    the left one for face = ceil(x_e) - 1.
+    """
+    lo, hi = np.array(x, dtype=np.float64), np.array(x, dtype=np.float64)
+    lo[e], hi[e] = face, face + 1
+    return extension_exact(f, hi) - extension_exact(f, lo)
+
+
 def test_extension_partials_match_reference():
     f = make_budget_allocation([(0, 0, 0.5), (1, 0, 0.4), (1, 1, 0.25)], [3, 3])
     fn = lambda z: f.eval_batch(z.reshape(1, -1))[0]
@@ -324,12 +295,9 @@ def test_extension_partials_match_reference():
     for _ in range(20):
         x = rng.uniform(0.1, 2.9, size=2)
         e = int(rng.integers(0, 2))
-        got = extension_partial_plus(f, x, e)
+        got = face_slope(f, x, e, math.floor(x[e]))
         want = grad_plus_reference(fn, x, e)
         assert got == pytest.approx(want, rel=1e-6)
-        if abs(x[e] - round(x[e])) > 1e-6:
-            # off the lattice plane, both one-sided slopes agree
-            assert extension_partial_minus(f, x, e) == pytest.approx(got, rel=1e-9)
 
 
 def test_extension_partial_gradient_ordering_at_lattice_planes():
@@ -339,17 +307,9 @@ def test_extension_partial_gradient_ordering_at_lattice_planes():
         x = rng.uniform(0, 3, size=2)
         e = int(rng.integers(0, 2))
         x[e] = float(rng.integers(1, 3))  # integral coordinate in [1, c-1]
-        minus = extension_partial_minus(f, x, e)
-        plus = extension_partial_plus(f, x, e)
+        minus = face_slope(f, x, e, x[e] - 1)
+        plus = face_slope(f, x, e, x[e])
         assert minus >= plus - 1e-9
-
-
-def test_extension_partial_bounds():
-    f = make_separable_concave([1.0], [0.5], [2])
-    with pytest.raises(ValueError):
-        extension_partial_plus(f, np.array([2.0]), 0)  # at the cap
-    with pytest.raises(ValueError):
-        extension_partial_minus(f, np.array([0.0]), 0)  # at zero
 
 
 def test_central_difference_matches_partial_off_plane():
@@ -366,4 +326,4 @@ def test_central_difference_matches_partial_off_plane():
                 reference_extension(fn, x + h * np.eye(2)[e])
                 - reference_extension(fn, x - h * np.eye(2)[e])
             ) / (2 * h)
-            assert extension_partial_plus(f, x, e) == pytest.approx(central, rel=1e-6)
+            assert face_slope(f, x, e, math.floor(x[e])) == pytest.approx(central, rel=1e-6)

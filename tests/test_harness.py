@@ -5,6 +5,11 @@ from pathlib import Path
 import pytest
 
 from latticemax import harness
+from latticemax.cardinality import (
+    SolverConfig,
+    maximize_dr_cardinality,
+    maximize_lattice_cardinality,
+)
 from latticemax.cli import main
 from latticemax.core import CapacityError
 from latticemax.harness import (
@@ -17,6 +22,8 @@ from latticemax.harness import (
     run_cell,
     run_harness,
 )
+from latticemax.knapsack import maximize_knapsack
+from latticemax.polymatroid import maximize_polymatroid
 
 BASIC = textwrap.dedent(
     """
@@ -92,7 +99,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 @pytest.mark.parametrize("workers", [1, 3])
 def test_table_reports_match_the_checked_in_bytes(tmp_path, workers):
     # every oracle is a lattice table, so values, optima, ratios and call
-    # counts (table certification included) are exact on any platform
+    # counts (table certification excluded) are exact on any platform
     config = load_config(str(GOLDEN / "lattice_tables.yaml"))
     assert run_harness(config, str(tmp_path), workers=workers) == 0
     for name in ("report.csv", "summary.txt"):
@@ -302,14 +309,14 @@ def test_apply_overrides_filters_and_reseeds():
     cells = [
         Cell("a", "cardinality_dr", 0.1, 0),
         Cell("a", "cardinality_dr", 0.1, 1),
-        Cell("b", "knapsack", 0.1, 2, repeats=3),
+        Cell("b", "knapsack", 0.1, 2),
     ]
     from latticemax.harness import HarnessConfig
 
     config = HarnessConfig(instances={}, cells=cells, assertions=[])
     only = apply_overrides(config, algo="knapsack", seed=None)
     assert [c.algorithm for c in only.cells] == ["knapsack"]
-    assert only.cells[0].repeats == 3
+    assert only.cells == [cells[2]]
     reseeded = apply_overrides(config, algo=None, seed=7)
     # both cardinality cells collapse to one after the seed override
     assert len(reseeded.cells) == 2
@@ -324,33 +331,40 @@ def test_apply_overrides_unknown_algo():
         apply_overrides(config, algo="gradient_descent", seed=None)
 
 
-def test_polymatroid_repeats_take_best(tmp_path):
-    text = textwrap.dedent(
-        """
-        instances:
-          - id: poly
-            oracle:
-              family: separable_concave
-              params: {coeffs: [1.0, 1.5], powers: [0.5, 0.5], cap: [2, 2]}
-            constraint:
-              kind: polymatroid
-              family: uniform
-              params: {n: 2, per_element: 2, total: 3}
-        experiments:
-          - instances: [poly]
-            algorithms: [polymatroid]
-            epsilons: [0.25]
-            seeds: [0]
-            repeats: 2
-        """
-    )
-    config = load_config(write(tmp_path, text))
-    assert config.cells[0].repeats == 2
-    code = run_harness(config, str(tmp_path / "out"))
-    assert code == 0
-    lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
-    row = dict(zip(lines[0].split(","), lines[1].split(",")))
-    assert float(row["value"]) > 0
+DEMO = Path(__file__).resolve().parents[1] / "scripts" / "demo_config.yaml"
+
+SOLVERS = {
+    "cardinality_dr": maximize_dr_cardinality,
+    "cardinality_lattice": maximize_lattice_cardinality,
+    "knapsack": maximize_knapsack,
+    "polymatroid": maximize_polymatroid,
+}
+
+
+@pytest.mark.parametrize(
+    "instance_id", ["coverage_card", "ladder_card", "weighted_pack", "uniform_poly"]
+)
+def test_row_counts_only_the_solver_calls(instance_id):
+    # the demo's ladder_card is a lattice table, whose build certifies it
+    # with oracle calls; uniform_poly is the polymatroid row
+    config = load_config(str(DEMO))
+    entry = config.instances[instance_id]
+    cell = next(c for c in config.cells if c.instance_id == instance_id)
+    row = run_cell(entry, cell, bruteforce=False)
+    assert not row.error
+    f = entry.oracle_spec.build()
+    built = f.calls
+    assert (built > 0) == (instance_id == "ladder_card")
+    SOLVERS[cell.algorithm](f, entry.build_constraint(), SolverConfig(cell.epsilon, cell.seed))
+    assert row.oracle_calls == f.calls - built
+
+
+@pytest.mark.parametrize("key", ["repeats: 2", "trials: 5"])
+def test_unknown_experiment_key_rejected(tmp_path, key):
+    text = BASIC.replace("seeds: [0, 1]", "seeds: [0, 1]\n    " + key)
+    name = key.split(":")[0]
+    with pytest.raises(ConfigError, match=f"unknown key '{name}'"):
+        load_config(write(tmp_path, text))
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -14,7 +14,6 @@ from latticemax.instances import (
     partition_polymatroid,
     random_budget_allocation,
     random_separable_concave,
-    search_non_dr_table,
     table_polymatroid,
     uniform_polymatroid,
 )
@@ -112,13 +111,6 @@ def test_make_lattice_non_dr_rejects_bad_tables():
         make_lattice_non_dr(np.array([[0.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         make_lattice_non_dr(np.array([[0.0, -1.0], [1.0, 2.0]]))
-
-
-def test_search_non_dr_table_output_is_certified():
-    table = search_non_dr_table((4, 4), seed=11)
-    f = make_lattice_non_dr(table)
-    assert f.meta["strictly_non_dr"] is True
-    assert check_property_exhaustive(f, "lattice_submodular").passed
 
 
 def test_oracles_are_pure():

@@ -8,7 +8,7 @@ import pytest
 
 from latticemax.bruteforce import brute_force_opt
 from latticemax.cardinality import SolverConfig
-from latticemax.core import CapacityError, ValueOracle
+from latticemax.core import ValueOracle
 from latticemax.extension import EstimatorParams, extension_exact
 from latticemax.instances import (
     make_separable_concave,
@@ -17,7 +17,6 @@ from latticemax.instances import (
     uniform_polymatroid,
 )
 from latticemax.polymatroid import (
-    MAX_ENUMERATION_N,
     DirectionConfig,
     binary_search_polymatroid,
     continuous_greedy,
@@ -25,7 +24,7 @@ from latticemax.polymatroid import (
     k_max_in_polymatroid,
     maximize_polymatroid,
     round_polymatroid,
-    translated_rank,
+    rounding_state,
     update_budget_fixpoint,
 )
 
@@ -212,15 +211,11 @@ def test_direction_polymatroid_skips_an_element_with_zero_value():
     assert queried and all(q[1] == 0.0 for q in queried)
 
 
-# translated_rank as it was written before it read the rounding table: the
-# minimization over all 2^n subsets, kept as the reference
+# rho'(X) as the library once computed it: the minimization over all 2^n
+# subsets, kept as the reference for the table that rounding reads
 def _old_translated_rank(P, base, X):
     base = np.asarray(base, dtype=np.int64)
     elems = set(int(e) for e in X)
-    if any(e < 0 or e >= P.n for e in elems):
-        raise ValueError("subset contains out-of-range elements")
-    if not P.has_rank and P.n > MAX_ENUMERATION_N:
-        raise CapacityError("no rank oracle and ground set too large to derive one")
     n = P.n
     best = len(elems)  # Y = empty set
     for mask in range(1, 1 << n):
@@ -262,37 +257,25 @@ def test_translated_rank_matches_the_old_minimization():
                 base = np.array(b, dtype=np.int64)
                 if not P.member(base):
                     continue
+                rho = rounding_state(base, P)[2]
                 for mask in range(1 << n):
                     X = [e for e in range(n) if mask >> e & 1]
-                    assert translated_rank(P, base, X) == _old_translated_rank(P, base, X)
+                    assert rho[mask] == _old_translated_rank(P, base, X)
                     checked += 1
     assert checked > 5000
 
 
-def test_translated_rank_rejects_a_base_outside_the_polymatroid():
-    P = uniform_polymatroid(3, 1, 3)
-    base = np.array([2, 0, 0], dtype=np.int64)
-    # the old minimization gives rho'(empty) = rho({0}) - 2 = -1 here, which
-    # is no matroid rank
-    assert _old_translated_rank(P, base, []) == -1
-    with pytest.raises(ValueError, match="base is not in the polymatroid"):
-        translated_rank(P, base, [])
-    with pytest.raises(ValueError, match="out-of-range"):
-        translated_rank(P, np.zeros(3, dtype=np.int64), [3])
-
-
 def test_translated_rank_examples():
     P = uniform_polymatroid(3, 1, 3)  # rho(X) = min(|X|, 3)
-    assert translated_rank(P, np.zeros(3, dtype=np.int64), []) == 0
+    assert rounding_state(np.zeros(3), P)[2][0] == 0
     # closed form at base (1,1,0), X = all: min over Y of rho(Y)-base(Y)+|X\Y|
-    base = np.array([1, 1, 0], dtype=np.int64)
-    assert translated_rank(P, base, [0, 1, 2]) == 1
+    assert rounding_state(np.array([1.0, 1.0, 0.0]), P)[2][0b111] == 1
     # base 0: plain truncation min(rho(X), |X|)
     Q = uniform_polymatroid(3, 2, 3)
+    rho = rounding_state(np.zeros(3), Q)[2]
     for size in range(4):
-        X = list(range(size))
-        want = min(Q.rank(X), size)
-        assert translated_rank(Q, np.zeros(3, dtype=np.int64), X) == want
+        want = min(Q.rank(range(size)), size)
+        assert rho[(1 << size) - 1] == want
 
 
 def test_translated_rank_is_matroid_rank():
@@ -300,10 +283,7 @@ def test_translated_rank_is_matroid_rank():
     P = uniform_polymatroid(4, 2, 5)
     base = np.array([1, 0, 2, 0], dtype=np.int64)
     n = 4
-    rho = {}
-    for mask in range(1 << n):
-        X = [e for e in range(n) if mask >> e & 1]
-        rho[mask] = translated_rank(P, base, X)
+    rho = rounding_state(base, P)[2]
     assert rho[0] == 0
     for mask in range(1 << n):
         for e in range(n):
@@ -388,7 +368,6 @@ def test_maximize_polymatroid_end_to_end():
 def test_polymatroid_oracle_guards():
     P = uniform_polymatroid(2, 2, 3)
     assert P.rank([0, 1]) == 3
-    assert P.has_rank
     # membership counter increments
     before = P.member_calls
     P.member(np.array([1.0, 1.0]))
