@@ -133,16 +133,18 @@ class _PointMemo:
     """Values of f at the points one solve has probed, keyed by their bytes.
 
     A miss goes through ``f.eval``, so validation and call counting are
-    those of the oracle; a hit costs no call.  Each solver call creates its
-    own memo and drops it on return.  Points must be int64 vectors, as all
-    solver iterates are.
+    those of the oracle; a hit costs no call.  Each solve creates its own
+    memo and drops it on return; ``n``, ``box`` and ``eval`` let a memo
+    stand in for f, so one knapsack solve shares it across its phases.
+    Points must be int64 vectors, as all solver iterates are.
     """
 
-    __slots__ = ("_f", "_values")
+    __slots__ = ("_f", "_values", "n", "box")
 
     def __init__(self, f: ValueOracle):
         self._f = f
         self._values: dict[bytes, float] = {}
+        self.n, self.box = f.n, f.box
 
     def __call__(self, x: np.ndarray) -> float:
         key = x.tobytes()
@@ -150,6 +152,8 @@ class _PointMemo:
         if value is None:
             value = self._values[key] = self._f.eval(x)
         return value
+
+    eval = __call__
 
 
 def _max_step_with_gain(

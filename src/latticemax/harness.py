@@ -44,7 +44,9 @@ ALGORITHMS = {
     "polymatroid": "polymatroid",
 }
 
+CONFIG_KEYS = frozenset({"instances", "experiments", "assertions"})
 EXPERIMENT_KEYS = frozenset({"instances", "algorithms", "epsilons", "seeds"})
+SCOPE_KEYS = frozenset({"instance", "algorithm"})
 
 CSV_COLUMNS = [
     "instance_id",
@@ -193,6 +195,12 @@ def _require(mapping, key, context):
     return mapping[key]
 
 
+def _reject_unknown(mapping, allowed, context):
+    unknown = sorted(str(key) for key in mapping if key not in allowed)
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {context}")
+
+
 def load_config(path: str) -> HarnessConfig:
     try:
         with open(path) as handle:
@@ -205,6 +213,7 @@ def load_config(path: str) -> HarnessConfig:
         raise ConfigError(f"invalid YAML{where}: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
+    _reject_unknown(data, CONFIG_KEYS, "config")
 
     instances: dict[str, InstanceEntry] = {}
     for raw in _require(data, "instances", "config"):
@@ -225,9 +234,7 @@ def load_config(path: str) -> HarnessConfig:
     cells: list[Cell] = []
     for raw in data.get("experiments", []):
         ids = _require(raw, "instances", "experiment entry")
-        unknown = sorted(str(key) for key in raw if key not in EXPERIMENT_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown key {unknown[0]!r} in experiment entry")
+        _reject_unknown(raw, EXPERIMENT_KEYS, "experiment entry")
         if ids == "all":
             ids = list(instances)
         algorithms = _require(raw, "algorithms", "experiment entry")
@@ -258,6 +265,9 @@ def load_config(path: str) -> HarnessConfig:
         kind = str(_require(raw, "kind", "assertion entry"))
         value = float(_require(raw, "value", "assertion entry"))
         applies = raw.get("applies_to", {}) or {}
+        if not isinstance(applies, dict):
+            raise ConfigError("applies_to must be a mapping")
+        _reject_unknown(applies, SCOPE_KEYS, "applies_to")
         assertions.append(
             Assertion(
                 kind=kind,

@@ -6,6 +6,8 @@ support has at most three elements, runs a density-threshold greedy from
 each, and keeps the best outcome; the combination is a
 (1 - 1/e - O(eps))-approximation for monotone DR-submodular objectives.
 Like the cardinality solvers, :func:`maximize_knapsack` returns (x, trace).
+One point memo serves the whole solve, so it makes at most prod_e (c_e + 1)
+oracle calls: each lattice point in the box is evaluated at most once.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ def greedy_knapsack(
     found by binary search against the per-element ceiling u(e); a step
     that would overrun the budget is rejected and lowers the ceiling to
     x(e) + k - 1 instead.  Rejected trials are recorded in the trace with
-    ``accepted=False``.
+    ``accepted=False``.  Points are read through a fresh per-call memo,
+    unless ``f`` already is one (as in :func:`maximize_knapsack`).
     """
     cap = inst.cap_vector()
     w = inst.weight_vector()
@@ -107,7 +110,7 @@ def greedy_knapsack(
     if not cap.any():
         return x, trace
 
-    memo = _PointMemo(f)
+    memo = f if isinstance(f, _PointMemo) else _PointMemo(f)
     d = max(
         (memo(unit(f.n, e)) / w[e] for e in range(f.n) if cap[e] >= 1),
         default=0.0,
@@ -177,20 +180,25 @@ def partial_enumeration(
     """Candidate starting points from all ordered element tuples of length <= 3.
 
     Each tuple grows {0} by chained :func:`increase_support` calls along its
-    elements (a repeated element extends its coordinate again), so supports have at
-    most three elements; budget-feasible results are collected and
-    deduplicated.  The zero vector is always included via the empty tuple.
+    elements (a repeated element extends its coordinate again), so supports
+    have at most three elements.  Each prefix is extended once: the batch of
+    (a, b, c) is the batch of (a, b) extended along c, and only batches of
+    tuples shorter than the longest are kept.  Budget-feasible results are
+    collected in tuple order (by length, then lexicographic) and deduplicated;
+    the zero vector is always included via the empty tuple.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     n = inst.n
     collected: dict[tuple, np.ndarray] = {}
     max_len = min(3, n)
+    batches: dict[tuple, list[np.ndarray]] = {}
     for length in range(max_len + 1):
         for combo in itertools.product(range(n), repeat=length):
-            batch = [zeros(n)]
-            for e in combo:
-                batch = increase_support(f, inst, e, batch, epsilon)
+            batch = (increase_support(f, inst, combo[-1], batches[combo[:-1]], epsilon)
+                     if combo else [zeros(n)])
+            if length < max_len:
+                batches[combo] = batch
             for point in batch:
                 if inst.fits(point):
                     collected.setdefault(tuple(point), point)
@@ -204,12 +212,15 @@ def maximize_knapsack(
 
     Returns the best point and the trace of the :func:`greedy_knapsack` run
     that produced it.  Ties between equally valued runs keep the earliest
-    starting point in enumeration order.
+    starting point in enumeration order.  The enumeration, every greedy
+    completion and the comparison of completions share one
+    :class:`_PointMemo`, dropped on return: at most prod_e (c_e + 1) calls.
     """
+    memo = _PointMemo(f)
     best, best_value = None, 0.0
-    for x0 in partial_enumeration(f, inst, config.effective):
-        x, trace = greedy_knapsack(f, inst, x0, config)
-        value = f.eval(x)
+    for x0 in partial_enumeration(memo, inst, config.effective):
+        x, trace = greedy_knapsack(memo, inst, x0, config)
+        value = memo(x)
         if best is None or value > best_value:
             best, best_value = (x, trace), value
     return best

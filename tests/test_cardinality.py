@@ -24,7 +24,7 @@ from latticemax.instances import (
     random_budget_allocation,
     random_separable_concave,
 )
-from latticemax.knapsack import KnapsackInstance, greedy_knapsack
+from latticemax.knapsack import KnapsackInstance, greedy_knapsack, maximize_knapsack
 
 RATIO_DR = 1 - 1 / math.e - 0.1
 
@@ -306,28 +306,35 @@ def recording(base: ValueOracle) -> tuple[ValueOracle, list]:
     return f, points
 
 
+# (make, whether to run the whole knapsack solve): a knapsack solve on the
+# n = 4, cap 30-40 oracles takes seconds, so it runs on the small ones only
 POINT_ONCE_ORACLES = [
-    *(pytest.param(lambda s=s: random_separable_concave(s, 4, 40), id=f"separable_concave-{s}")
-      for s in range(3)),
-    *(pytest.param(lambda s=s: random_budget_allocation(s, 4, 5, 30), id=f"budget_allocation-{s}")
-      for s in range(3)),
-    *(pytest.param(lambda t=t: make_lattice_non_dr(NON_DR_TABLES[t]), id=t)
+    *(pytest.param(lambda s=s: random_separable_concave(s, 4, 40), False,
+                   id=f"separable_concave-{s}") for s in range(3)),
+    *(pytest.param(lambda s=s: random_budget_allocation(s, 4, 5, 30), False,
+                   id=f"budget_allocation-{s}") for s in range(3)),
+    *(pytest.param(lambda s=s: random_separable_concave(s, 3, 4), True,
+                   id=f"small_separable_concave-{s}") for s in range(3)),
+    *(pytest.param(lambda s=s: random_budget_allocation(s, 3, 3, 4), True,
+                   id=f"small_budget_allocation-{s}") for s in range(3)),
+    *(pytest.param(lambda t=t: make_lattice_non_dr(NON_DR_TABLES[t]), True, id=t)
       for t in sorted(NON_DR_TABLES)),
 ]
 
 
-@pytest.mark.parametrize("make", POINT_ONCE_ORACLES)
-def test_solvers_evaluate_no_point_twice(make):
+@pytest.mark.parametrize("make, whole_knapsack", POINT_ONCE_ORACLES)
+def test_solvers_evaluate_no_point_twice(make, whole_knapsack):
     base = make()
     caps = tuple(int(c) for c in base.box)
     weights = [1.0 + e % 3 for e in range(base.n)]
+    knapsack = lambda r: KnapsackInstance.from_raw(weights, 3.0 * r, caps)
     solves = [
         lambda f, r: maximize_dr_cardinality(f, CardinalityConstraint(caps, r), SolverConfig(0.1)),
         lambda f, r: maximize_lattice_cardinality(f, CardinalityConstraint(caps, r), SolverConfig(0.1)),
-        lambda f, r: greedy_knapsack(
-            f, KnapsackInstance.from_raw(weights, 3.0 * r, caps), zeros(f.n), SolverConfig(0.1)
-        ),
+        lambda f, r: greedy_knapsack(f, knapsack(r), zeros(f.n), SolverConfig(0.1)),
     ]
+    if whole_knapsack:
+        solves.append(lambda f, r: maximize_knapsack(f, knapsack(r), SolverConfig(0.1)))
     for solve in solves:
         for r in (1, 3, sum(caps)):
             f, points = recording(base)

@@ -367,6 +367,31 @@ def test_unknown_experiment_key_rejected(tmp_path, key):
         load_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("key", ["experiment", "assertion"])
+def test_unknown_top_level_key_rejected(tmp_path, key):
+    # a misspelled section used to load silently as an empty one
+    text = BASIC.replace(key + "s:", key + ":")
+    with pytest.raises(ConfigError, match=f"unknown key '{key}' in config"):
+        load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "scope, name", [("{algo: cardinality_dr}", "algo"), ("{instance: pack, seed: 0}", "seed")]
+)
+def test_unknown_scope_key_rejected(tmp_path, scope, name):
+    # a misspelled scope key used to be dropped, widening the assertion
+    text = BASIC + f"    applies_to: {scope}\n"
+    with pytest.raises(ConfigError, match=f"unknown key '{name}' in applies_to"):
+        load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("scope", ["[cardinality_dr]", "cardinality_dr"])
+def test_scope_that_is_not_a_mapping_rejected(tmp_path, scope):
+    text = BASIC + f"    applies_to: {scope}\n"
+    with pytest.raises(ConfigError, match="applies_to must be a mapping"):
+        load_config(write(tmp_path, text))
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     config_path = write(tmp_path, BASIC)
     with pytest.raises(SystemExit) as exc:

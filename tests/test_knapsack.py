@@ -7,7 +7,12 @@ import pytest
 from latticemax.bruteforce import brute_force_opt
 from latticemax.cardinality import SolverConfig, threshold_schedule
 from latticemax.core import ValueOracle, unit, zeros
-from latticemax.instances import make_separable_concave, random_budget_allocation
+from latticemax.instances import (
+    NON_DR_TABLES,
+    make_lattice_non_dr,
+    make_separable_concave,
+    random_budget_allocation,
+)
 from latticemax.knapsack import (
     KnapsackInstance,
     greedy_knapsack,
@@ -263,20 +268,51 @@ def test_partial_enumeration_invariants():
         assert np.all(p <= inst.cap_vector())
 
 
-# (oracle, weights, eps, best point, the oracle_calls the solver's former
-# report gave)
+def reference_partial_enumeration(f, inst, epsilon):
+    """Literal copy of partial_enumeration before it extended each prefix once."""
+    n = inst.n
+    collected = {}
+    max_len = min(3, n)
+    for length in range(max_len + 1):
+        for combo in itertools.product(range(n), repeat=length):
+            batch = [zeros(n)]
+            for e in combo:
+                batch = increase_support(f, inst, e, batch, epsilon)
+            for point in batch:
+                if inst.fits(point):
+                    collected.setdefault(tuple(point), point)
+    return list(collected.values())
+
+
+def reference_maximize_knapsack(f, inst, config):
+    """Literal copy of maximize_knapsack before the solve shared one memo."""
+    best, best_value = None, 0.0
+    for x0 in reference_partial_enumeration(f, inst, config.effective):
+        x, trace = greedy_knapsack(f, inst, x0, config)
+        value = f.eval(x)
+        if best is None or value > best_value:
+            best, best_value = (x, trace), value
+    return best
+
+
+# (oracle, weights, eps, best point, oracle calls of one solve, oracle calls
+# of the reference solve, which runs greedy_knapsack and increase_support
+# standalone and so pins their own counts)
 KNAPSACK_CASES = [
-    (lambda: ValueOracle(modular([3.0, 1.0]), np.array([2, 2])), (0.5, 0.5), 0.1, [2, 0], 72),
+    (lambda: ValueOracle(modular([3.0, 1.0]), np.array([2, 2])), (0.5, 0.5), 0.1, [2, 0], 9, 72),
     (
         lambda: make_separable_concave([1.0, 1.4, 0.7], [0.5, 1.0, 0.3], [3, 3, 4]),
-        (0.35, 0.3, 0.15), 0.1, [0, 3, 0], 1524,
+        (0.35, 0.3, 0.15), 0.1, [0, 3, 0], 80, 1524,
     ),
-    (lambda: random_budget_allocation(3, 4, 3, 3), (0.3, 0.25, 0.4, 0.2), 0.2, [0, 1, 1, 1], 817),
+    (
+        lambda: random_budget_allocation(3, 4, 3, 3),
+        (0.3, 0.25, 0.4, 0.2), 0.2, [0, 1, 1, 1], 31, 817,
+    ),
 ]
 
 
 def test_maximize_knapsack_returns_best_and_counts_calls():
-    for make, weights, eps, want_x, want_calls in KNAPSACK_CASES:
+    for make, weights, eps, want_x, want_calls, reference_calls in KNAPSACK_CASES:
         f = make()
         inst = KnapsackInstance(weights, tuple(int(c) for c in f.box))
         config = SolverConfig(eps, 0)
@@ -284,6 +320,10 @@ def test_maximize_knapsack_returns_best_and_counts_calls():
         x, trace = maximize_knapsack(f, inst, config)
         assert f.calls - before == want_calls
         assert list(x) == want_x
+        ref = make()
+        ref_x, ref_trace = reference_maximize_knapsack(ref, inst, config)
+        assert ref.calls == reference_calls
+        assert list(ref_x) == want_x and ref_trace == trace
         # the trace is the greedy run from the first start whose completion
         # has the top value
         g = make()
@@ -292,6 +332,76 @@ def test_maximize_knapsack_returns_best_and_counts_calls():
         win_x, win_trace = runs[values.index(max(values))]
         assert list(win_x) == want_x and trace == win_trace
         assert g.eval(win_x) == pytest.approx(f.eval(x))
+
+
+def random_knapsack_cases(count, seed):
+    """(make, inst, eps) triples: n <= 3, caps <= 4, DR and non-DR oracles.
+
+    Every fourth case is a certified non-DR table, and every fourth a
+    monotone table with integer values, whose many equal values make
+    completions tie.
+    """
+    rng = np.random.default_rng(seed)
+    grid = np.arange(0.1, 1.0 + 1e-9, 0.1)
+    tables = [NON_DR_TABLES[name] for name in sorted(NON_DR_TABLES)]
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            table = tables[(i // 4) % len(tables)]
+            make = lambda table=table: make_lattice_non_dr(table)
+        elif kind == 1:
+            n = int(rng.integers(1, 4))
+            cap = rng.integers(1, 5, size=n)
+            coeffs, powers = rng.uniform(0.3, 2.0, size=n), rng.choice([0.3, 0.5, 1.0], size=n)
+            make = lambda c=coeffs, p=powers, cap=cap: make_separable_concave(c, p, cap)
+        elif kind == 2:
+            make = lambda s=int(rng.integers(1000)): random_budget_allocation(s, 3, 3, 4)
+        else:
+            shape = tuple(int(v) for v in rng.integers(2, 6, size=int(rng.integers(1, 4))))
+            steps = rng.integers(0, 2, size=shape)
+            steps.flat[0] = 0
+            table = steps.astype(np.float64)
+            for axis in range(table.ndim):
+                table = table.cumsum(axis=axis)
+            make = lambda t=table: ValueOracle(lambda x: float(t[tuple(x.tolist())]), np.array(t.shape) - 1)
+        box = make().box
+        weights = tuple(float(w) for w in rng.choice(grid, size=box.shape[0]))
+        eps = float(rng.choice([0.5, 0.25, 0.1]))
+        yield make, KnapsackInstance(weights, tuple(int(c) for c in box)), eps
+
+
+def test_maximize_knapsack_matches_reference():
+    # the shared memo and prefix reuse change only the call count: starts
+    # (order and values), the returned point and its trace are the old ones
+    cases = list(random_knapsack_cases(64, 41))
+    tie = lambda: ValueOracle(lambda x: float(min(x[0] + x[1], 1)), np.array([1, 1]))
+    cases.append((tie, KnapsackInstance((0.5, 0.5), (1, 1)), 0.25))
+    for make, inst, eps in cases:
+        config = SolverConfig(eps, 0)
+        f, ref = make(), make()
+        starts = partial_enumeration(f, inst, eps)
+        want_starts = reference_partial_enumeration(ref, inst, eps)
+        assert [p.tolist() for p in starts] == [p.tolist() for p in want_starts]
+        assert f.calls <= ref.calls
+        f, ref = make(), make()
+        x, trace = maximize_knapsack(f, inst, config)
+        want_x, want_trace = reference_maximize_knapsack(ref, inst, config)
+        assert x.tolist() == want_x.tolist()
+        assert trace == want_trace
+        assert f.calls <= ref.calls
+
+
+def test_maximize_knapsack_calls_at_most_the_box_size():
+    cases = list(random_knapsack_cases(16, 43))
+    for s in range(3):
+        make = lambda s=s: random_budget_allocation(s, 4, 3, 3)
+        inst = KnapsackInstance((0.3, 0.25, 0.4, 0.2), tuple(int(c) for c in make().box))
+        cases.append((make, inst, 0.1))
+    for make, inst, eps in cases:
+        f = make()
+        before = f.calls
+        maximize_knapsack(f, inst, SolverConfig(eps, 0))
+        assert 0 < f.calls - before <= math.prod(c + 1 for c in inst.cap)
 
 
 def test_maximize_knapsack_tie_keeps_enumeration_order():
