@@ -1,10 +1,11 @@
 """Experiment harness: config-driven sweeps with optional exact baselines.
 
 A YAML config names oracles, constraints, and an experiment grid
-(algorithm x epsilon x seed).  Each cell is solved with a fresh oracle, and
-its ``oracle_calls`` is the count of calls the solver made: the calls that
-building the oracle makes (a lattice table certifies itself) and the
-re-evaluation of the returned point fall outside the count.  Every solver
+(algorithm x epsilon x seed).  Each cell is solved on an oracle with a
+fresh call counter, and its ``oracle_calls`` is the count of calls the
+solver made: the calls that building the oracle makes (a lattice table
+certifies itself, once per run) and the re-evaluation of the returned point
+fall outside the count.  Every solver
 returns a pair whose first item is the solution; the harness keeps that
 point and builds the cell's ``SolverReport`` record itself.  Outputs
 (report.csv, summary.txt) are byte-identical across runs of the same config
@@ -29,7 +30,7 @@ from .cardinality import (
     maximize_dr_cardinality,
     maximize_lattice_cardinality,
 )
-from .core import CapacityError
+from .core import CapacityError, ValueOracle
 from .instances import InstanceSpec, make_polymatroid
 from .knapsack import KnapsackInstance, maximize_knapsack
 from .polymatroid import maximize_polymatroid
@@ -201,10 +202,34 @@ def _reject_unknown(mapping, allowed, context):
         raise ConfigError(f"unknown key {unknown[0]!r} in {context}")
 
 
+def _list(mapping, key, context, default=None):
+    """The list under ``key``; any other value there is a ConfigError."""
+    value = _require(mapping, key, context) if default is None else mapping.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key!r} in {context} must be a list, got {value!r}")
+    return value
+
+
+def _number(value, convert, name):
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 def load_config(path: str) -> HarnessConfig:
+    """Parse and validate a harness config into its instances, cells and assertions.
+
+    Parses with PyYAML's libyaml-backed ``CSafeLoader`` when PyYAML was
+    built with it, and with the pure-Python ``SafeLoader`` otherwise; both
+    give the same config.  Every malformed field raises ConfigError naming
+    it: a missing or unknown key, a scalar where a list belongs, a
+    non-numeric epsilon, seed or assertion value, invalid YAML (with its
+    line and column) or a missing file.  Oracles are not built here.
+    """
     try:
         with open(path) as handle:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:
@@ -216,11 +241,13 @@ def load_config(path: str) -> HarnessConfig:
     _reject_unknown(data, CONFIG_KEYS, "config")
 
     instances: dict[str, InstanceEntry] = {}
-    for raw in _require(data, "instances", "config"):
+    for raw in _list(data, "instances", "config"):
         instance_id = str(_require(raw, "id", "instance entry"))
         if instance_id in instances:
             raise ConfigError(f"duplicate instance id {instance_id!r}")
         oracle_raw = _require(raw, "oracle", f"instance {instance_id!r}")
+        _require(oracle_raw, "family", f"instance {instance_id!r} oracle")
+        _number(oracle_raw.get("seed", 0), int, f"instance {instance_id!r} oracle seed")
         constraint_raw = _require(raw, "constraint", f"instance {instance_id!r}")
         kind = _require(constraint_raw, "kind", f"instance {instance_id!r} constraint")
         params = {k: v for k, v in constraint_raw.items() if k != "kind"}
@@ -232,14 +259,17 @@ def load_config(path: str) -> HarnessConfig:
         )
 
     cells: list[Cell] = []
-    for raw in data.get("experiments", []):
-        ids = _require(raw, "instances", "experiment entry")
+    for raw in _list(data, "experiments", "config", []):
+        _require(raw, "instances", "experiment entry")
         _reject_unknown(raw, EXPERIMENT_KEYS, "experiment entry")
-        if ids == "all":
+        if raw["instances"] == "all":
             ids = list(instances)
-        algorithms = _require(raw, "algorithms", "experiment entry")
-        epsilons = _require(raw, "epsilons", "experiment entry")
-        seeds = raw.get("seeds", [0])
+        else:
+            ids = _list(raw, "instances", "experiment entry")
+        algorithms = _list(raw, "algorithms", "experiment entry")
+        epsilons = _list(raw, "epsilons", "experiment entry")
+        epsilons = [_number(e, float, "epsilon") for e in epsilons]
+        seeds = [_number(s, int, "seed") for s in _list(raw, "seeds", "experiment entry", [0])]
         for instance_id in ids:
             if instance_id not in instances:
                 raise ConfigError(f"experiment references unknown instance {instance_id!r}")
@@ -254,16 +284,15 @@ def load_config(path: str) -> HarnessConfig:
                         f" but instance {instance_id!r} declares {actual!r}"
                     )
                 for epsilon in epsilons:
-                    epsilon = float(epsilon)
                     if not 0 < epsilon < 1:
                         raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
                     for seed in seeds:
-                        cells.append(Cell(instance_id, algorithm, epsilon, int(seed)))
+                        cells.append(Cell(instance_id, algorithm, epsilon, seed))
 
     assertions = []
-    for raw in data.get("assertions", []):
+    for raw in _list(data, "assertions", "config", []):
         kind = str(_require(raw, "kind", "assertion entry"))
-        value = float(_require(raw, "value", "assertion entry"))
+        value = _number(_require(raw, "value", "assertion entry"), float, "assertion value")
         applies = raw.get("applies_to", {}) or {}
         if not isinstance(applies, dict):
             raise ConfigError("applies_to must be a mapping")
@@ -296,36 +325,49 @@ def _solve(oracle, constraint, algorithm: str, config: SolverConfig):
     return x
 
 
-def _brute_force(entry: InstanceEntry) -> ExactResult:
-    return brute_force_opt(entry.oracle_spec.build(), entry.build_constraint())
-
-
-class _OptimumCache:
-    """Brute-force optimum per instance id, enumerated at most once.
+class _RunCache:
+    """Built oracle and brute-force optimum per instance id, each made once.
 
     One cache serves all cells (and worker threads) of a ``run_harness``
-    call; the lock keeps two cells of one instance from enumerating it
-    twice.  A failed enumeration is kept and a copy is raised for every
-    cell, so each still reports its own error row and no two threads
-    raise the same exception object.
+    call, so a ``lattice_table`` is certified once per run, not once per
+    cell and again for brute force.  Each cell gets its own view of the
+    built oracle: the same function and box behind a call counter of its
+    own.  The lock keeps two cells of one instance from building or
+    enumerating it twice.  A failed build or enumeration is kept and a
+    copy is raised for every cell, so each still reports its own error row
+    and no two threads raise the same exception object.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._outcomes: dict[str, ExactResult | Exception] = {}
+        self._outcomes: dict[tuple[str, str], object] = {}
 
-    def __call__(self, entry: InstanceEntry) -> ExactResult:
+    def _once(self, key: tuple[str, str], make: Callable[[], object]):
         with self._lock:
-            outcome = self._outcomes.get(entry.instance_id)
+            outcome = self._outcomes.get(key)
             if outcome is None:
                 try:
-                    outcome = _brute_force(entry)
+                    outcome = make()
                 except (ValueError, RuntimeError) as exc:
                     outcome = exc
-                self._outcomes[entry.instance_id] = outcome
+                self._outcomes[key] = outcome
         if isinstance(outcome, Exception):
             raise copy.copy(outcome)
         return outcome
+
+    def _built(self, entry: InstanceEntry) -> ValueOracle:
+        return self._once(("oracle", entry.instance_id), entry.oracle_spec.build)
+
+    def oracle(self, entry: InstanceEntry) -> ValueOracle:
+        built = self._built(entry)
+        return ValueOracle(built._fn, built.box, built._batch_fn, built.meta)
+
+    def optimum(self, entry: InstanceEntry) -> ExactResult:
+        built = self._built(entry)
+        return self._once(
+            ("optimum", entry.instance_id),
+            lambda: brute_force_opt(built, entry.build_constraint()),
+        )
 
 
 def run_cell(
@@ -333,9 +375,14 @@ def run_cell(
     cell: Cell,
     timings: bool = False,
     bruteforce: bool = True,
-    optimum: Callable[[InstanceEntry], ExactResult] = _brute_force,
+    cache: _RunCache | None = None,
 ) -> SolverReport:
-    """Solve one cell with a fresh oracle; ``optimum`` supplies the baseline."""
+    """Solve one cell on an oracle with a fresh call counter.
+
+    ``cache`` supplies the built oracle and the brute-force baseline; a
+    lone call builds and enumerates the instance on its own.
+    """
+    cache = cache or _RunCache()
     solver_config = SolverConfig(cell.epsilon, cell.seed)
     report = SolverReport(
         instance_id=cell.instance_id,
@@ -347,13 +394,12 @@ def run_cell(
         oracle_calls=0,
     )
     try:
-        oracle = entry.oracle_spec.build()
+        oracle = cache.oracle(entry)
         constraint = entry.build_constraint()
-        before = oracle.calls  # building the oracle may have called it
         start = time.perf_counter()
         x = _solve(oracle, constraint, cell.algorithm, solver_config)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        calls = oracle.calls - before
+        calls = oracle.calls
         value = oracle.eval(x)  # verification; after the snapshot on purpose
         report.solution = tuple(int(v) for v in x)
         report.value = float(value)
@@ -361,7 +407,7 @@ def run_cell(
         if timings:
             report.wall_time_ms = elapsed_ms
         if bruteforce:
-            exact = optimum(entry)
+            exact = cache.optimum(entry)
             report.opt_value = exact.opt_value
             if exact.opt_value > RATIO_TOL:
                 report.ratio = report.value / exact.opt_value
@@ -381,15 +427,23 @@ def run_harness(
     bruteforce: bool = True,
     workers: int = 1,
 ) -> int:
+    """Solve every cell, write report.csv and summary.txt, check the assertions.
+
+    Returns 0 iff every assertion passed, else 1.  One per-run cache,
+    shared by all cells and worker threads and dropped on return, builds
+    each instance once (certifying a ``lattice_table`` once) and runs its
+    brute force at most once; each cell still solves on a view with its
+    own call counter, so rows do not depend on ``workers``.
+    """
     import os
 
     os.makedirs(out_dir, exist_ok=True)
     cells = config.cells
-    optimum = _OptimumCache()
+    cache = _RunCache()
 
     def solve(cell: Cell) -> SolverReport:
         entry = config.instances[cell.instance_id]
-        return run_cell(entry, cell, timings, bruteforce, optimum)
+        return run_cell(entry, cell, timings, bruteforce, cache)
 
     if workers > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

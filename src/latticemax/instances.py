@@ -114,7 +114,9 @@ def make_lattice_non_dr(table) -> ValueOracle:
     Construction fails with a witness if monotonicity or lattice
     submodularity is violated.  Whether the table also fails the
     diminishing-returns check is recorded in ``meta['strictly_non_dr']``;
-    DR tables are accepted but flagged.
+    DR tables are accepted but flagged.  Every call certifies the table
+    anew with three exhaustive checks (one ``eval_batch`` over the box
+    each); the harness builds each instance once per run and shares it.
     """
     arr = np.asarray(table, dtype=np.float64)
     if arr.ndim < 1:

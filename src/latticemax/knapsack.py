@@ -183,9 +183,11 @@ def partial_enumeration(
     elements (a repeated element extends its coordinate again), so supports
     have at most three elements.  Each prefix is extended once: the batch of
     (a, b, c) is the batch of (a, b) extended along c, and only batches of
-    tuples shorter than the longest are kept.  Budget-feasible results are
-    collected in tuple order (by length, then lexicographic) and deduplicated;
-    the zero vector is always included via the empty tuple.
+    tuples shorter than the longest are kept.  Only the points of a batch
+    that fit the budget are kept for extension: an extension adds weight,
+    so an over-budget point can never lead to a start.  Budget-feasible
+    results are collected in tuple order (by length, then lexicographic) and
+    deduplicated; the zero vector is always included via the empty tuple.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -197,11 +199,11 @@ def partial_enumeration(
         for combo in itertools.product(range(n), repeat=length):
             batch = (increase_support(f, inst, combo[-1], batches[combo[:-1]], epsilon)
                      if combo else [zeros(n)])
+            batch = [point for point in batch if inst.fits(point)]
             if length < max_len:
                 batches[combo] = batch
             for point in batch:
-                if inst.fits(point):
-                    collected.setdefault(tuple(point), point)
+                collected.setdefault(tuple(point), point)
     return list(collected.values())
 
 

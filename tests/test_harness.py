@@ -3,8 +3,9 @@ import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
 
-from latticemax import harness
+from latticemax import harness, instances
 from latticemax.cardinality import (
     SolverConfig,
     maximize_dr_cardinality,
@@ -94,6 +95,7 @@ def test_reports_are_byte_identical(tmp_path):
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DEMO = Path(__file__).resolve().parents[1] / "scripts" / "demo_config.yaml"
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -166,6 +168,11 @@ def test_brute_force_cache_under_many_threads(tmp_path, monkeypatch):
     config = load_config(write(tmp_path, text))
     assert len(config.cells) == 24
     calls = record_brute_force(monkeypatch)
+    real_build = instances.InstanceSpec.build
+    built = []
+    monkeypatch.setattr(
+        instances.InstanceSpec, "build", lambda spec: built.append(spec) or real_build(spec)
+    )
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -173,6 +180,7 @@ def test_brute_force_cache_under_many_threads(tmp_path, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert sorted(calls) == [2, 3]
+    assert len(built) == 2  # one build per instance, shared by its 12 cells
     run_harness(config, str(tmp_path / "serial"))
     report = (tmp_path / "out" / "report.csv").read_bytes()
     assert report == (tmp_path / "serial" / "report.csv").read_bytes()
@@ -227,6 +235,73 @@ def test_invalid_yaml_reports_location(tmp_path):
     bad = "instances:\n  - id: [unclosed\n"
     with pytest.raises(ConfigError, match="line"):
         load_config(write(tmp_path, bad))
+
+
+def record_loader(monkeypatch, libyaml):
+    """Make load_config see PyYAML with or without libyaml; record its Loaders."""
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    real = yaml.load
+    used = []
+
+    def load(stream, Loader):
+        used.append(Loader.__name__)
+        return real(stream, Loader)
+
+    monkeypatch.setattr(harness.yaml, "load", load)
+    return used
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_invalid_yaml_reports_location_with_either_loader(tmp_path, monkeypatch, libyaml):
+    used = record_loader(monkeypatch, libyaml)
+    with pytest.raises(ConfigError, match=r"invalid YAML at line \d+, column \d+"):
+        load_config(write(tmp_path, "instances: ["))
+    assert used == ["CSafeLoader" if libyaml else "SafeLoader"]
+
+
+@pytest.mark.parametrize("path", [DEMO, GOLDEN / "lattice_tables.yaml"], ids=["demo", "golden"])
+def test_either_loader_gives_the_same_config(monkeypatch, path):
+    used = record_loader(monkeypatch, libyaml=True)
+    fast = load_config(str(path))
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    assert load_config(str(path)) == fast
+    assert used == ["CSafeLoader", "SafeLoader"]
+    assert len(fast.cells) > 0 and len(fast.assertions) > 0
+
+
+# (text replaced in BASIC, its replacement, the ConfigError message); each
+# used to crash load_config with a raw ValueError or TypeError
+BAD_FIELDS = [
+    ("epsilons: [0.1]", "epsilons: [abc]", "epsilon must be a number, got 'abc'"),
+    ("epsilons: [0.1]", "epsilons: [null]", "epsilon must be a number, got None"),
+    ("epsilons: [0.1]", "epsilons: 0.1", "'epsilons' in experiment entry must be a list"),
+    ("seeds: [0, 1]", "seeds: [0, x]", "seed must be a number, got 'x'"),
+    ("seeds: [0, 1]", "seeds: 0", "'seeds' in experiment entry must be a list"),
+    ("value: 0.53", "value: abc", "assertion value must be a number, got 'abc'"),
+    ("value: 0.53", "value: [0.53]", r"assertion value must be a number, got \[0.53\]"),
+    ("family: separable_concave", "family: separable_concave\n      seed: abc",
+     "instance 'pack' oracle seed must be a number, got 'abc'"),
+    ("oracle:\n      family: separable_concave", "oracle: separable_concave\n    params_:",
+     "missing key 'family' in instance 'pack' oracle"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", BAD_FIELDS)
+def test_malformed_field_is_config_error(tmp_path, old, new, message):
+    text = BASIC.replace(old, new)
+    assert text != BASIC
+    with pytest.raises(ConfigError, match=message):
+        load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("section", ["instances", "experiments", "assertions"])
+def test_scalar_section_is_config_error(tmp_path, section):
+    text = BASIC.split(section + ":")[0] + f"{section}: 5\n"
+    with pytest.raises(ConfigError, match=f"'{section}' in config must be a list, got 5"):
+        load_config(write(tmp_path, text))
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -331,8 +406,6 @@ def test_apply_overrides_unknown_algo():
         apply_overrides(config, algo="gradient_descent", seed=None)
 
 
-DEMO = Path(__file__).resolve().parents[1] / "scripts" / "demo_config.yaml"
-
 SOLVERS = {
     "cardinality_dr": maximize_dr_cardinality,
     "cardinality_lattice": maximize_lattice_cardinality,
@@ -357,6 +430,40 @@ def test_row_counts_only_the_solver_calls(instance_id):
     assert (built > 0) == (instance_id == "ladder_card")
     SOLVERS[cell.algorithm](f, entry.build_constraint(), SolverConfig(cell.epsilon, cell.seed))
     assert row.oracle_calls == f.calls - built
+
+
+def count_certifications(monkeypatch):
+    """Record the kind of every property check a table build makes."""
+    real = instances.check_property_exhaustive
+    kinds = []
+
+    def counting(f, kind, *args, **kwargs):
+        kinds.append(kind)
+        return real(f, kind, *args, **kwargs)
+
+    monkeypatch.setattr(instances, "check_property_exhaustive", counting)
+    return kinds
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("path", [DEMO, GOLDEN / "lattice_tables.yaml"], ids=["demo", "golden"])
+def test_each_table_is_certified_once_per_run(tmp_path, monkeypatch, path, workers):
+    config = load_config(str(path))
+    tables = [e for e in config.instances.values() if e.oracle_spec.family == "lattice_table"]
+    assert tables
+    kinds = count_certifications(monkeypatch)
+    for run in (1, 2):
+        assert run_harness(config, str(tmp_path / f"run{run}"), workers=workers) == 0
+        assert len(kinds) == 3 * len(tables) * run
+    assert sorted(set(kinds)) == ["dr_submodular", "lattice_submodular", "monotone"]
+    # each row still counts only its own solve
+    rows = (tmp_path / "run2" / "report.csv").read_text().splitlines()[1:]
+    for line, cell in zip(rows, config.cells, strict=True):
+        entry = config.instances[cell.instance_id]
+        f = entry.oracle_spec.build()
+        built = f.calls
+        SOLVERS[cell.algorithm](f, entry.build_constraint(), SolverConfig(cell.epsilon, cell.seed))
+        assert dict(zip(CSV_COLUMNS, line.split(",")))["oracle_calls"] == str(f.calls - built)
 
 
 @pytest.mark.parametrize("key", ["repeats: 2", "trials: 5"])
@@ -403,6 +510,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         main(["--config", bad_path, "--out", str(tmp_path / "out2")])
     assert exc.value.code == 2
     assert "config error" in capsys.readouterr().err
+
+    # a non-numeric epsilon used to escape as a ValueError traceback, exit 1
+    bad_path = write(tmp_path, BASIC.replace("epsilons: [0.1]", "epsilons: [abc]"))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", bad_path, "--out", str(tmp_path / "out3")])
+    assert exc.value.code == 2
+    assert "config error: epsilon must be a number, got 'abc'" in capsys.readouterr().err
 
 
 def test_cli_no_bruteforce_leaves_ratio_empty(tmp_path):

@@ -7,8 +7,10 @@ import pytest
 from latticemax.bruteforce import brute_force_opt
 from latticemax.cardinality import SolverConfig, threshold_schedule
 from latticemax.core import ValueOracle, unit, zeros
+from latticemax import knapsack
 from latticemax.instances import (
     NON_DR_TABLES,
+    make_budget_allocation,
     make_lattice_non_dr,
     make_separable_concave,
     random_budget_allocation,
@@ -302,7 +304,7 @@ KNAPSACK_CASES = [
     (lambda: ValueOracle(modular([3.0, 1.0]), np.array([2, 2])), (0.5, 0.5), 0.1, [2, 0], 9, 72),
     (
         lambda: make_separable_concave([1.0, 1.4, 0.7], [0.5, 1.0, 0.3], [3, 3, 4]),
-        (0.35, 0.3, 0.15), 0.1, [0, 3, 0], 80, 1524,
+        (0.35, 0.3, 0.15), 0.1, [0, 3, 0], 70, 1524,
     ),
     (
         lambda: random_budget_allocation(3, 4, 3, 3),
@@ -389,6 +391,41 @@ def test_maximize_knapsack_matches_reference():
         assert x.tolist() == want_x.tolist()
         assert trace == want_trace
         assert f.calls <= ref.calls
+
+
+def test_partial_enumeration_extends_only_fitting_points(monkeypatch):
+    # an extension only adds weight, so an over-budget point can never lead
+    # to a start; the starts stay those of the reference enumeration
+    real = knapsack.increase_support
+    extended = []
+
+    def recording(f, inst, e, solutions, epsilon):
+        extended.extend((inst, tuple(y)) for y in solutions)
+        return real(f, inst, e, solutions, epsilon)
+
+    monkeypatch.setattr(knapsack, "increase_support", recording)
+    for make, inst, eps in random_knapsack_cases(32, 47):
+        starts = partial_enumeration(make(), inst, eps)
+        want = reference_partial_enumeration(make(), inst, eps)
+        assert [p.tolist() for p in starts] == [p.tolist() for p in want]
+    assert extended
+    assert all(inst.fits(np.array(y)) for inst, y in extended)
+
+
+def test_maximize_knapsack_skips_over_budget_prefixes():
+    # a budget-allocation knapsack whose enumeration used to extend 174
+    # over-budget points: 64 calls then, 38 now, with the same best point
+    edges = [(0, 1, 0.1084), (0, 2, 0.182), (1, 2, 0.3736), (1, 1, 0.6472),
+             (2, 1, 0.6021), (2, 0, 0.1576)]
+    inst = KnapsackInstance.from_raw((1.6406, 2.4458, 1.1282), 3.4944, (3, 3, 3))
+    for eps in (0.2, 0.1):
+        f = make_budget_allocation(edges, [3, 3, 3])
+        x, trace = maximize_knapsack(f, inst, SolverConfig(eps, 0))
+        assert f.calls == 38
+        ref = make_budget_allocation(edges, [3, 3, 3])
+        want_x, want_trace = reference_maximize_knapsack(ref, inst, SolverConfig(eps, 0))
+        assert x.tolist() == want_x.tolist() == [0, 0, 3]
+        assert trace == want_trace
 
 
 def test_maximize_knapsack_calls_at_most_the_box_size():
