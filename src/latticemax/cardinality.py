@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -157,36 +157,28 @@ class _PointMemo:
 
 
 def _max_step_with_gain(
-    ev: Callable[[np.ndarray], float],
-    y: np.ndarray,
-    e: int,
-    k_max: int,
-    threshold: float,
+    gain_at: Mapping[int, float], k_max: int, threshold: float
 ) -> tuple[int, float]:
-    """Binary search for the largest k <= k_max with f(k e | y) >= k * threshold.
+    """Binary search for the largest k <= k_max with gain_at[k] >= k * threshold.
 
-    The acceptable k form a prefix interval whenever f is DR-submodular
+    ``gain_at`` is a ray k -> f(k e | y) from :func:`_marginal_along`.  The
+    acceptable k form a prefix interval whenever f is DR-submodular
     (g(k) = f(k e | y) - k * threshold is concave with g(0) = 0), which
-    makes the search exact.  ``ev`` evaluates f: ``f.eval`` or a solver's
-    :class:`_PointMemo`.  Also returns the marginal value measured at the
-    returned k (0.0 for k = 0).
-    The search costs at most 1 + ceil(log2(k_max + 1)) oracle calls, one
-    for f(y) and one per probe, and fewer when ``ev`` already holds some of
-    those points.
+    makes the search exact.  Also returns the marginal value measured at
+    the returned k (0.0 for k = 0).
+    A search on a fresh ray costs at most 1 + ceil(log2(k_max + 1)) oracle
+    calls, one for f(y) (made when the ray is) and one per probe; a probe
+    the ray (or the memo under it) already holds costs none.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
-    if k_max == 0:
-        return 0, 0.0
-    base = ev(y)
-    step = unit(y.shape[0], e)
     lo, hi = 0, k_max
     gain_at_lo = 0.0
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        gain = ev(y + mid * step) - base
+        gain = gain_at[mid]
         if gain >= mid * threshold:
             lo, gain_at_lo = mid, gain
         else:
@@ -202,7 +194,8 @@ def maximize_dr_cardinality(
     Guarantees f(y) >= (1 - 1/e - eps) * OPT.  The threshold sweeps from
     d = max_e f(e) down to (eps / r) * d by factors of (1 - eps); at each
     level every element is topped up with the largest step whose average
-    gain still clears the threshold.
+    gain still clears the threshold.  Each (y, e) pair keeps one ray of
+    marginals until a step changes y.
     """
     cap = constraint.cap_vector()
     if cap.shape[0] != f.n:
@@ -224,81 +217,98 @@ def maximize_dr_cardinality(
     if d <= 0:
         return y, trace
 
+    # room[e] = cap[e] - y[e] and left = r - y(E), kept as Python ints;
+    # rays[e] caches f(k e | y) until a step changes y
+    room, left = cap.tolist(), r
+    rays: dict[int, Mapping[int, float]] = {}
     for threshold in threshold_schedule(d, (eps / r) * d, eps):
         for e in range(f.n):
-            k_cap = min(int(cap[e] - y[e]), r - total(y))
+            k_cap = min(room[e], left)
             if k_cap <= 0:
                 continue
-            k, gain = _max_step_with_gain(memo, y, e, k_cap, threshold)
+            ray = rays.get(e)
+            if ray is None:
+                ray = rays[e] = _marginal_along(memo, y, e)
+            k, gain = _max_step_with_gain(ray, k_cap, threshold)
             if k >= 1:
                 y[e] += k
+                room[e] -= k
+                left -= k
                 trace.add(threshold, e, k, gain)
+                rays.clear()
     return y, trace
 
 
 def _level_candidates(
-    val: Callable[[int], float], k_max: int, eps: float
+    val: Mapping[int, float], k_max: int, eps: float
 ) -> Iterator[tuple[int, float]]:
-    """Yield (k, val(k)) lazily, one pair per geometric value level.
+    """Yield (k, val[k]) lazily, one pair per geometric value level.
 
-    ``val`` must be non-decreasing on 0..k_max with val(0) = 0, such as the
-    marginal k -> f(k e | y) of a monotone f.  Levels h sweep from
-    val(k_max) down by factors of (1 - eps) to (1 - eps) * val(k_min), where
-    k_min is the smallest k with positive value; for each level the
-    smallest k with val(k) >= h is yielded, so consecutive levels may yield
-    the same k.  Nothing is yielded when k_max <= 0 or val(k_max) <= 0.
-    Each k is evaluated at most once, and only as far as the caller
-    iterates.
+    ``val`` maps k to a value non-decreasing on 0..k_max with val[0] = 0,
+    such as a ray of :func:`_marginal_along`; it must cache, since the scan
+    reads some k more than once.  Levels h sweep from val[k_max] down by
+    factors of (1 - eps) to (1 - eps) * val[k_min], where k_min is the
+    smallest k with positive value; for each level the smallest k with
+    val[k] >= h is yielded, unless the level before found the same k.
+    Nothing is yielded when k_max <= 0 or val[k_max] <= 0.  Only the k the
+    caller's iteration reaches are read.
     """
-    values: dict[int, float] = {}
-
-    def at(k: int) -> float:
-        if k not in values:
-            values[k] = val(k)
-        return values[k]
-
-    if k_max <= 0 or at(k_max) <= 0:
+    if k_max <= 0 or val[k_max] <= 0:
         return
     # smallest k with positive value; valid since val is non-decreasing
     lo, hi = 1, k_max
     while lo < hi:
         mid = (lo + hi) // 2
-        if at(mid) > 0:
+        if val[mid] > 0:
             hi = mid
         else:
             lo = mid + 1
     k_min = lo
 
-    for level in threshold_schedule(at(k_max), (1.0 - eps) * at(k_min), eps):
+    found = None
+    for level in threshold_schedule(val[k_max], (1.0 - eps) * val[k_min], eps):
         lo, hi = k_min, k_max
         while lo < hi:
             mid = (lo + hi) // 2
-            if at(mid) >= level:
+            if val[mid] >= level:
                 hi = mid
             else:
                 lo = mid + 1
-        yield lo, at(lo)
+        if lo != found:
+            found = lo
+            yield lo, val[lo]
+
+
+class _Ray(dict):
+    """k -> f(y + k e) - base, read through ``ev`` on the first lookup of k only.
+
+    A repeated lookup is a dict hit: it builds no point and makes no call.
+    """
+
+    __slots__ = ("_ev", "_y", "_e", "_y_e", "_base")
+
+    def __init__(self, ev: Callable[[np.ndarray], float], y: np.ndarray, e: int, base: float):
+        super().__init__()
+        self._ev, self._y, self._e, self._y_e, self._base = ev, y, e, int(y[e]), base
+
+    def __missing__(self, k: int) -> float:
+        point = self._y.copy()
+        point[self._e] = self._y_e + k
+        value = self[k] = self._ev(point) - self._base
+        return value
 
 
 def _marginal_along(
     ev: Callable[[np.ndarray], float], y: np.ndarray, e: int
-) -> Callable[[int], float]:
-    """k -> f(y + k e) - f(y) through ``ev``; f(y) is evaluated now, once.
+) -> Mapping[int, float]:
+    """The ray k -> f(y + k e) - f(y) through ``ev``, cached by k.
 
-    The subtraction is the same float arithmetic as ``f.shifted(y)``.
+    f(y) is read once, now.  ``ray[k]`` reads f(y + k e) through ``ev`` on
+    its first lookup only, so a repeated probe costs a dict lookup and
+    builds no point.  The ray keeps a copy of y.  The subtraction is the
+    same float arithmetic as ``f.shifted(y)``.
     """
-    base = ev(y)
-    y = y.copy()
-    step = unit(y.shape[0], e)
-    return lambda k: ev(y + k * step) - base
-
-
-def _replay(seen: list, more: Iterator) -> Iterator:
-    """Yield the items in ``seen``, then draw from ``more``, appending each to ``seen``."""
-    yield from seen
-    for item in more:
-        seen.append(item)
-        yield item
+    return _Ray(ev, y.copy(), e, ev(y))
 
 
 def binary_search_lattice(
@@ -322,8 +332,8 @@ def binary_search_lattice(
         raise ValueError("epsilon must lie in (0, 1)")
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
-    step = unit(g.n, e)
-    for k, value in _level_candidates(lambda k: g.eval(k * step), k_max, epsilon):
+    along = _Ray(g.eval, unit(g.n, e, 0), e, 0.0)  # g(k e) - 0.0 is g(k e), bit for bit
+    for k, value in _level_candidates(along, k_max, epsilon):
         if value >= (1.0 - epsilon) * k * theta:
             return k
     return None
@@ -341,9 +351,10 @@ def maximize_lattice_cardinality(
     requires.  Each step is the first level-set candidate k (see
     :func:`binary_search_lattice`) whose marginal f(k e | y) clears
     (1 - eps) * k * threshold.  Candidates do not depend on the threshold,
-    so each (y, e) pair runs its level-set scan once: later thresholds
-    replay the candidates found so far and resume the scan only past them.
-    An accepted step changes y and discards every scan.
+    so each (y, e) pair runs its level-set scan once, on one ray, and stops
+    at the first candidate that clears.  A scan that finds none has run to
+    its end, and later thresholds check the candidates it kept.  An
+    accepted step changes y and discards every scan.
     """
     cap = constraint.cap_vector()
     if cap.shape[0] != f.n:
@@ -365,19 +376,29 @@ def maximize_lattice_cardinality(
     if d <= 0:
         return y, trace
 
-    # element -> (candidates found at the current y, the suspended scan)
-    scans: dict[int, tuple[list, Iterator]] = {}
+    # room and left as in maximize_dr_cardinality; a visit that takes no
+    # step has run the scan of (y, e) to its end, and scans[e] keeps its
+    # candidates
+    room, left = cap.tolist(), r
+    scans: dict[int, list[tuple[int, float]]] = {}
     for threshold in threshold_schedule(d, (eps / r) * d, eps):
         for e in range(f.n):
-            k_cap = min(int(cap[e] - y[e]), r - total(y))
+            k_cap = min(room[e], left)
             if k_cap <= 0:
                 continue
-            if e not in scans:
-                scans[e] = ([], _level_candidates(_marginal_along(memo, y, e), k_cap, eps))
-            for k, gain in _replay(*scans[e]):
+            scan = scans.get(e)
+            if scan is None:
+                scan = _level_candidates(_marginal_along(memo, y, e), k_cap, eps)
+            seen = []
+            for k, gain in scan:
                 if gain >= (1.0 - eps) * k * threshold:
                     y[e] += k
+                    room[e] -= k
+                    left -= k
                     trace.add(threshold, e, k, gain)
                     scans.clear()
                     break
+                seen.append((k, gain))
+            else:
+                scans[e] = seen
     return y, trace

@@ -45,6 +45,13 @@ ALGORITHMS = {
     "polymatroid": "polymatroid",
 }
 
+# constraint kind -> the keys its entry needs besides ``kind``
+CONSTRAINT_KEYS = {
+    "cardinality": ("cap", "budget"),
+    "knapsack": ("weights", "budget", "cap"),
+    "polymatroid": ("family",),
+}
+
 CONFIG_KEYS = frozenset({"instances", "experiments", "assertions"})
 EXPERIMENT_KEYS = frozenset({"instances", "algorithms", "epsilons", "seeds"})
 SCOPE_KEYS = frozenset({"instance", "algorithm"})
@@ -210,6 +217,13 @@ def _list(mapping, key, context, default=None):
     return value
 
 
+def _mapping(mapping, key, context):
+    """Check that ``key``, when present, holds a mapping."""
+    value = mapping.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} in {context} must be a mapping, got {value!r}")
+
+
 def _number(value, convert, name):
     try:
         return convert(value)
@@ -223,9 +237,11 @@ def load_config(path: str) -> HarnessConfig:
     Parses with PyYAML's libyaml-backed ``CSafeLoader`` when PyYAML was
     built with it, and with the pure-Python ``SafeLoader`` otherwise; both
     give the same config.  Every malformed field raises ConfigError naming
-    it: a missing or unknown key, a scalar where a list belongs, a
-    non-numeric epsilon, seed or assertion value, invalid YAML (with its
-    line and column) or a missing file.  Oracles are not built here.
+    it: a missing or unknown key (each constraint kind needs the keys in
+    ``CONSTRAINT_KEYS``), a scalar where a list or a ``params`` mapping
+    belongs, a non-numeric epsilon, seed or assertion value, invalid YAML
+    (with its line and column) or a missing file.  Oracles are not built
+    here.
     """
     try:
         with open(path) as handle:
@@ -247,14 +263,20 @@ def load_config(path: str) -> HarnessConfig:
             raise ConfigError(f"duplicate instance id {instance_id!r}")
         oracle_raw = _require(raw, "oracle", f"instance {instance_id!r}")
         _require(oracle_raw, "family", f"instance {instance_id!r} oracle")
+        _mapping(oracle_raw, "params", f"instance {instance_id!r} oracle")
         _number(oracle_raw.get("seed", 0), int, f"instance {instance_id!r} oracle seed")
         constraint_raw = _require(raw, "constraint", f"instance {instance_id!r}")
-        kind = _require(constraint_raw, "kind", f"instance {instance_id!r} constraint")
+        context = f"instance {instance_id!r} constraint"
+        kind = str(_require(constraint_raw, "kind", context))
+        for key in CONSTRAINT_KEYS.get(kind, ()):
+            _require(constraint_raw, key, context)
+        if kind == "polymatroid":
+            _mapping(constraint_raw, "params", context)
         params = {k: v for k, v in constraint_raw.items() if k != "kind"}
         instances[instance_id] = InstanceEntry(
             instance_id=instance_id,
             oracle_spec=InstanceSpec.from_dict(oracle_raw),
-            constraint_kind=str(kind),
+            constraint_kind=kind,
             constraint_params=params,
         )
 

@@ -68,7 +68,9 @@ def make_budget_allocation(edges, cap) -> ValueOracle:
         f(x) = sum_t (1 - prod_{s} (1 - q_st)^{x(s)}).
 
     Monotone and DR-submodular.  Marginals are accumulated per target, so
-    one evaluation costs O(#edges).
+    one evaluation costs O(#edges).  The scalar evaluation skips each
+    source with x(s) = 0: its factor (1 - q)^0 is 1.0, so skipping it
+    leaves every value the same bit for bit.
     """
     c = np.asarray(cap, dtype=np.int64)
     n = c.shape[0]
@@ -93,7 +95,9 @@ def make_budget_allocation(edges, cap) -> ValueOracle:
         for lst in pairs:
             prod = 1.0
             for s, om in lst:
-                prod *= om ** x[s]
+                k = x[s]
+                if k:  # a zero would multiply prod by om ** 0 == 1.0
+                    prod *= om ** k
             tot += 1.0 - prod
         return tot
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -94,7 +95,10 @@ def greedy_knapsack(
     that would overrun the budget is rejected and lowers the ceiling to
     x(e) + k - 1 instead.  Rejected trials are recorded in the trace with
     ``accepted=False``.  Points are read through a fresh per-call memo,
-    unless ``f`` already is one (as in :func:`maximize_knapsack`).
+    unless ``f`` already is one (as in :func:`maximize_knapsack`).  Each
+    element keeps one ray of marginals f(k e | x) (see
+    :func:`_marginal_along`) until a step changes x; a rejection lowers
+    only the ceiling, so the rays stay.
     """
     cap = inst.cap_vector()
     w = inst.weight_vector()
@@ -118,22 +122,31 @@ def greedy_knapsack(
     if d <= 0:
         return x, trace
 
-    ceiling = cap.copy()
+    # room[e] = u(e) - x(e) as Python ints; rays[e] caches f(k e | x) until
+    # a step changes x (a rejection lowers only the ceiling)
+    room = (cap - x).tolist()
+    weight = w.tolist()
     spent = float(w @ x)
+    rays: dict[int, Mapping[int, float]] = {}
     for threshold in threshold_schedule(d, eps * d * float(w.min()), eps):
         for e in range(f.n):
-            k_cap = int(ceiling[e] - x[e])
+            k_cap = room[e]
             if k_cap <= 0:
                 continue
-            k, gain = _max_step_with_gain(memo, x, e, k_cap, w[e] * threshold)
+            ray = rays.get(e)
+            if ray is None:
+                ray = rays[e] = _marginal_along(memo, x, e)
+            k, gain = _max_step_with_gain(ray, k_cap, weight[e] * threshold)
             if k < 1:
                 continue
-            if spent + k * w[e] <= 1.0 + BUDGET_TOL:
+            if spent + k * weight[e] <= 1.0 + BUDGET_TOL:
                 x[e] += k
-                spent += k * w[e]
+                room[e] -= k
+                spent += k * weight[e]
                 trace.add(threshold, e, k, gain)
+                rays.clear()
             else:
-                ceiling[e] = x[e] + k - 1
+                room[e] = k - 1
                 trace.add(threshold, e, k, gain, accepted=False)
     return x, trace
 

@@ -9,6 +9,7 @@ from latticemax.bruteforce import brute_force_opt
 from latticemax.cardinality import (
     CardinalityConstraint,
     SolverConfig,
+    _marginal_along,
     _max_step_with_gain,
     binary_search_lattice,
     effective_epsilon,
@@ -16,15 +17,16 @@ from latticemax.cardinality import (
     maximize_lattice_cardinality,
     threshold_schedule,
 )
-from latticemax.core import ValueOracle, total, unit, zeros
+from latticemax.core import ValueOracle, as_lattice_point, total, unit, zeros
 from latticemax.instances import (
     NON_DR_TABLES,
+    make_budget_allocation,
     make_lattice_non_dr,
     make_separable_concave,
     random_budget_allocation,
     random_separable_concave,
 )
-from latticemax.knapsack import KnapsackInstance, greedy_knapsack, maximize_knapsack
+from latticemax.knapsack import BUDGET_TOL, KnapsackInstance, greedy_knapsack, maximize_knapsack
 
 RATIO_DR = 1 - 1 / math.e - 0.1
 
@@ -79,11 +81,11 @@ def test_max_step_dr_examples():
     fn = capped_modular([2.0], [1])
     f = ValueOracle(fn, np.array([5]))
     y = np.zeros(1, dtype=np.int64)
-    assert _max_step_with_gain(f.eval, y, 0, 0, 2.0)[0] == 0
-    assert _max_step_with_gain(f.eval, y, 0, 5, 2.0)[0] == 1
-    assert _max_step_with_gain(f.eval, y, 0, 5, 2.5)[0] == 0
+    assert _max_step_with_gain(_marginal_along(f.eval, y, 0), 0, 2.0)[0] == 0
+    assert _max_step_with_gain(_marginal_along(f.eval, y, 0), 5, 2.0)[0] == 1
+    assert _max_step_with_gain(_marginal_along(f.eval, y, 0), 5, 2.5)[0] == 0
     with pytest.raises(ValueError):
-        _max_step_with_gain(f.eval, y, 0, -1, 2.0)
+        _max_step_with_gain(_marginal_along(f.eval, y, 0), -1, 2.0)
 
 
 def test_max_step_dr_matches_linear_scan():
@@ -100,7 +102,8 @@ def test_max_step_dr_matches_linear_scan():
         e = int(rng.integers(0, n))
         k_max = int(caps[e] - y[e])
         theta = float(rng.uniform(0.1, 2.5))
-        got = _max_step_with_gain(f.eval, np.array(y, dtype=np.int64), e, k_max, theta)[0]
+        ray = _marginal_along(f.eval, np.array(y, dtype=np.int64), e)
+        got = _max_step_with_gain(ray, k_max, theta)[0]
         want = scan_max_step(fn, np.array(y, dtype=np.int64), e, k_max, theta)
         assert got == want
 
@@ -269,7 +272,7 @@ def test_max_step_dr_prefix_property(cap, theta):
     fn = lambda x: float(math.sqrt(x[0]))
     f = ValueOracle(fn, np.array([max(cap, 1)]))
     y = np.zeros(1, dtype=np.int64)
-    got = _max_step_with_gain(f.eval, y, 0, cap, theta)[0]
+    got = _max_step_with_gain(_marginal_along(f.eval, y, 0), cap, theta)[0]
     want = scan_max_step(lambda v: math.sqrt(v[0]), y, 0, cap, theta)
     assert got == want
 
@@ -449,18 +452,109 @@ def equivalence_instances():
     return cases
 
 
+def query_scale_instances():
+    """(oracle factory, cap, budget) at query-scaling scale: n = 16, cap 1024, budget 32."""
+    cases = []
+    for seed in range(2):
+        rng = np.random.default_rng([seed, 16])
+        coeffs = rng.uniform(0.5, 2.0, size=16)
+        powers = rng.choice([0.3, 0.5, 0.7, 1.0], size=16)
+        edges = [(s, int(t), float(rng.uniform(0.05, 0.3)))
+                 for s in range(16) for t in rng.choice(4, size=2, replace=False)]
+        cases.append((lambda c=coeffs, p=powers: make_separable_concave(c, p, [1024] * 16),
+                      (1024,) * 16, 32))
+        cases.append((lambda e=edges: make_budget_allocation(e, [1024] * 16), (1024,) * 16, 32))
+    return cases
+
+
+def first_occurrences(points):
+    return list(dict.fromkeys(points))
+
+
 def test_sweeps_match_reference():
+    # the solvers return the reference's points and traces; reading f
+    # through a memo and cached rays, they evaluate the reference sweep's
+    # points in the order of its first evaluation of each
     cases = equivalence_instances()
     assert len(cases) >= 50
-    for make, caps, r in cases:
+    for make, caps, r in cases + query_scale_instances():
         cst = CardinalityConstraint(caps, r)
         for lattice, solve in ((False, maximize_dr_cardinality), (True, maximize_lattice_cardinality)):
-            f = make()
+            f, points = recording(make())
             y, trace = solve(f, cst, SolverConfig(0.1))
-            ref_y, ref_steps = reference_sweep(make(), cst, SolverConfig(0.1), lattice)
+            ref, ref_points = recording(make())
+            ref_y, ref_steps = reference_sweep(ref, cst, SolverConfig(0.1), lattice)
             assert list(y) == list(ref_y)
             got = [(s.threshold, s.element, s.step, s.gain, s.accepted) for s in trace.steps]
             assert got == ref_steps
+            assert points == first_occurrences(ref_points)
+
+
+def reference_greedy_knapsack(f, inst, x0, config):
+    """Literal copy of greedy_knapsack before its rays, searching on f itself."""
+    cap = inst.cap_vector()
+    w = inst.weight_vector()
+    x = as_lattice_point(x0, f.n)
+    eps = config.effective
+    steps = []
+    if not cap.any():
+        return x, steps
+    d = max((f.eval(unit(f.n, e)) / w[e] for e in range(f.n) if cap[e] >= 1), default=0.0)
+    if d <= 0:
+        return x, steps
+    ceiling = cap.copy()
+    spent = float(w @ x)
+    for threshold in threshold_schedule(d, eps * d * float(w.min()), eps):
+        for e in range(f.n):
+            k_cap = int(ceiling[e] - x[e])
+            if k_cap <= 0:
+                continue
+            k, gain = reference_max_step_with_gain(f, x, e, k_cap, w[e] * threshold)
+            if k < 1:
+                continue
+            if spent + k * w[e] <= 1.0 + BUDGET_TOL:
+                x[e] += k
+                spent += k * w[e]
+                steps.append((threshold, e, k, gain, True))
+            else:
+                ceiling[e] = x[e] + k - 1
+                steps.append((threshold, e, k, gain, False))
+    return x, steps
+
+
+def test_greedy_knapsack_probes_the_reference_points_in_order():
+    cases = equivalence_instances() + query_scale_instances()
+    rejected = 0
+    for make, caps, r in cases:
+        weights = [1.0 + e % 3 for e in range(len(caps))]
+        inst = KnapsackInstance.from_raw(weights, 3.0 * r, caps)
+        f, points = recording(make())
+        x, trace = greedy_knapsack(f, inst, zeros(len(caps)), SolverConfig(0.1))
+        ref, ref_points = recording(make())
+        ref_x, ref_steps = reference_greedy_knapsack(ref, inst, zeros(len(caps)), SolverConfig(0.1))
+        assert points == first_occurrences(ref_points)
+        assert list(x) == list(ref_x)
+        assert [(s.threshold, s.element, s.step, s.gain, s.accepted) for s in trace.steps] == ref_steps
+        rejected += sum(not step[4] for step in ref_steps)
+    assert rejected > 0  # the cases reach the rejection branch, which keeps the rays
+
+
+def test_ray_reads_f_of_y_once_and_each_step_at_most_once():
+    base = make_separable_concave([1.0, 2.0, 0.5], [0.5, 1.0, 0.7], [8, 8, 8])
+    f, points = recording(base)
+    y = np.array([2, 1, 0], dtype=np.int64)
+    ray = _marginal_along(f.eval, y, 1)
+    assert points == [y.tobytes()] and f.calls == 1
+    y[0] = 7  # the ray keeps its own copy of y
+    for k in (3, 1, 3, 5, 1, 7, 5, 0):
+        point = np.array([2, 1 + k, 0], dtype=np.int64)
+        assert ray[k] == base.eval(point) - base.eval(np.array([2, 1, 0]))
+    want = [np.array([2, 1 + k, 0], dtype=np.int64).tobytes() for k in (3, 1, 5, 7, 0)]
+    assert points[1:] == want and f.calls == 6
+    # a search on a ray that holds its probes makes no call
+    first = _max_step_with_gain(ray, 7, 0.5)
+    calls = f.calls
+    assert _max_step_with_gain(ray, 7, 0.5) == first and f.calls == calls
 
 
 def test_binary_search_lattice_matches_reference():

@@ -109,6 +109,18 @@ def test_table_reports_match_the_checked_in_bytes(tmp_path, workers):
         assert (tmp_path / name).read_bytes() == want, name
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_demo_reports_match_the_checked_in_bytes(tmp_path, workers):
+    # the demo is the one checked-in run with DR, budget allocation,
+    # knapsack and polymatroid rows; its values are float sums, products
+    # and powers, so the bytes pin every solver's point, value and call count
+    config = load_config(str(DEMO))
+    assert run_harness(config, str(tmp_path), workers=workers) == 0
+    for name in ("report.csv", "summary.txt"):
+        want = (GOLDEN / "demo" / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == want, name
+
+
 TWO_INSTANCES = BASIC.replace(
     "experiments:\n",
     textwrap.dedent(
@@ -291,6 +303,30 @@ BAD_FIELDS = [
 
 @pytest.mark.parametrize("old, new, message", BAD_FIELDS)
 def test_malformed_field_is_config_error(tmp_path, old, new, message):
+    text = BASIC.replace(old, new)
+    assert text != BASIC
+    with pytest.raises(ConfigError, match=message):
+        load_config(write(tmp_path, text))
+
+
+CARDINALITY = "kind: cardinality\n      cap: [2, 2]\n      budget: 2"
+ORACLE_PARAMS = "params:\n        coeffs: [2.0, 1.0]\n        powers: [1.0, 0.5]\n        cap: [2, 2]"
+
+# (text replaced in BASIC, its replacement, the ConfigError message); each
+# used to load and then end the run with a raw KeyError or TypeError
+BAD_INSTANCES = [
+    (CARDINALITY, "kind: cardinality\n      budget: 2", "missing key 'cap' in instance 'pack' constraint"),
+    (CARDINALITY, "kind: knapsack\n      cap: [2, 2]\n      budget: 2",
+     "missing key 'weights' in instance 'pack' constraint"),
+    (ORACLE_PARAMS, "params: 5", "'params' in instance 'pack' oracle must be a mapping, got 5"),
+    (CARDINALITY, "kind: polymatroid\n      family: uniform\n      params: 5",
+     "'params' in instance 'pack' constraint must be a mapping, got 5"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", BAD_INSTANCES,
+                         ids=["no_cap", "no_weights", "oracle_params", "polymatroid_params"])
+def test_malformed_instance_is_config_error(tmp_path, old, new, message):
     text = BASIC.replace(old, new)
     assert text != BASIC
     with pytest.raises(ConfigError, match=message):
@@ -517,6 +553,15 @@ def test_cli_exit_codes(tmp_path, capsys):
         main(["--config", bad_path, "--out", str(tmp_path / "out3")])
     assert exc.value.code == 2
     assert "config error: epsilon must be a number, got 'abc'" in capsys.readouterr().err
+
+    # a cardinality constraint without its cap used to end the run with a
+    # KeyError traceback after the config had loaded
+    bad_path = write(tmp_path, BASIC.replace(CARDINALITY, "kind: cardinality\n      budget: 2"))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", bad_path, "--out", str(tmp_path / "out4")])
+    assert exc.value.code == 2
+    assert "config error: missing key 'cap' in instance 'pack' constraint" in capsys.readouterr().err
+    assert not (tmp_path / "out4").exists()
 
 
 def test_cli_no_bruteforce_leaves_ratio_empty(tmp_path):

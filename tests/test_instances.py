@@ -292,6 +292,7 @@ def _old_budget_allocation_fn(edges):
 
 def test_scalar_evaluation_matches_the_old_code_bit_for_bit():
     rng = np.random.default_rng(61)
+    sparse_rng = np.random.default_rng(62)  # apart, so rng draws what it always drew
     points = 0
     for _ in range(40):
         n = int(rng.integers(1, 17))
@@ -313,9 +314,14 @@ def test_scalar_evaluation_matches_the_old_code_bit_for_bit():
             # not yet underflowed and every factor counts
             X = rng.integers(0, cap + 1, size=(250, n))
             X[125:] = rng.integers(0, np.minimum(cap, 6) + 1, size=(125, n))
-            for x in X:
+            # sparse rows, as greedy iterates are: about 1 coordinate in 5
+            # non-zero, and the single-unit points of a sweep's first probes
+            S = sparse_rng.integers(0, np.minimum(cap, 6) + 1, size=(100, n))
+            S[sparse_rng.random(S.shape) < 0.8] = 0
+            S[:n] = np.diag(np.minimum(cap, sparse_rng.integers(1, 4, size=n)))
+            for x in np.concatenate([X, S]):
                 assert f.eval(x).hex() == float(old(x)).hex()
-            points += len(X)
+            points += len(X) + len(S)
             # a shifted view fed unsigned points hands fn float64 sums
             y = rng.integers(0, cap + 1) // 2
             g = f.shifted(y)
