@@ -7,10 +7,9 @@ boxes wrapped in :class:`ValueOracle`: an evaluation function on the box
 
 The checker tests every witness tuple on the box, so it is for small
 boxes only.  It decides whether an oracle is monotone, submodular on the
-lattice (f(x) + f(y) >= f(x v y) + f(x ^ y)), weakly diminishing-returns
-(f(x v k e_i) - f(x) >= f(y v k e_i) - f(y) for x <= y), or
-diminishing-returns submodular (unit marginals non-increasing in the base
-point).  DR-submodularity implies the other three for monotone f.
+lattice (f(x) + f(y) >= f(x v y) + f(x ^ y)), or diminishing-returns
+submodular (unit marginals non-increasing in the base point).
+DR-submodularity implies lattice submodularity.
 """
 
 from __future__ import annotations
@@ -24,9 +23,12 @@ import numpy as np
 # Absolute tolerance shared by all inequality checkers.
 CHECK_TOLERANCE = 1e-9
 
-PROPERTY_KINDS: frozenset[str] = frozenset(
-    {"dr_submodular", "lattice_submodular", "monotone", "weak_dr"}
-)
+PROPERTY_KINDS: frozenset[str] = frozenset({"dr_submodular", "lattice_submodular", "monotone"})
+
+# Largest m for which an exact routine enumerates 2^m subsets: the
+# fractional coordinates of an extension point, or a polymatroid's ground
+# set for rank tables and pipage rounding.
+MAX_ENUMERATION_N = 20
 
 
 class CapacityError(RuntimeError):
@@ -144,7 +146,8 @@ class ValueOracle:
         fn: evaluation function taking an int64 vector and returning a float.
         box: per-coordinate cap c (non-negative integers).
         batch_fn: optional vectorized evaluation taking an (m, n) matrix and
-            returning m values; used by sampling-based routines.
+            returning m values; ``eval_batch`` uses it (property-check tables,
+            extension cell sums).
         meta: free-form metadata attached by instance constructors.
         counter: shared call counter; views pass their parent's counter so
             the total evaluation count is preserved.
@@ -266,15 +269,15 @@ class PropertyReport:
         return not self.violations
 
 
-def _violations(kind: str, value, x, y, e, k) -> list[Witness]:
-    """The witness rows (x[i], y[i], e[i], k[i]) that violate ``kind``.
+def _violations(kind: str, value, x, y, e) -> list[Witness]:
+    """The witness rows (x[i], y[i], e[i]) that violate ``kind``.
 
-    ``x`` and ``y`` are (m, n) point matrices; ``e`` and ``k`` are the
-    element and step arrays that only the two diminishing-returns kinds
-    read.  ``value`` maps an (m, n) point matrix to its m values.  Each
-    inequality reads lhs >= rhs, up to CHECK_TOLERANCE.
+    ``x`` and ``y`` are (m, n) point matrices; ``e`` is the element array
+    that only the dr_submodular kind reads (its step is always one unit).
+    ``value`` maps an (m, n) point matrix to its m values.  Each inequality
+    reads lhs >= rhs, up to CHECK_TOLERANCE.
     """
-    stepped = kind in ("dr_submodular", "weak_dr")
+    stepped = kind == "dr_submodular"
     if kind == "monotone":
         lhs, rhs = value(y), value(x)
     elif kind == "lattice_submodular":
@@ -283,11 +286,9 @@ def _violations(kind: str, value, x, y, e, k) -> list[Witness]:
     else:
         rows = np.arange(x.shape[0])
 
-        def bump(p):
-            # dr_submodular: p + k e_e;  weak_dr: p v k e_e
+        def bump(p):  # p + e_e
             out = p.copy()
-            at = p[rows, e]
-            out[rows, e] = at + k if kind == "dr_submodular" else np.maximum(at, k)
+            out[rows, e] += 1
             return out
 
         lhs = value(bump(x)) - value(x)
@@ -297,7 +298,7 @@ def _violations(kind: str, value, x, y, e, k) -> list[Witness]:
             tuple(x[i]),
             tuple(y[i]),
             int(e[i]) if stepped else None,
-            int(k[i]) if stepped else None,
+            1 if stepped else None,
             float(lhs[i]),
             float(rhs[i]),
         )
@@ -320,8 +321,8 @@ def check_property_exhaustive(
     """Check every witness tuple on the full box.
 
     Witnesses come in the order of nested loops: x then y over the box for
-    the lattice check; otherwise y over the box, x over [0, y], then e, then
-    k (k = 1 for dr_submodular, which skips any e with y_e at the cap).
+    the lattice check; otherwise y over the box, x over [0, y], then (for
+    dr_submodular) each e with y_e below the cap.
     Raises CapacityError, before any oracle call, when the tuple count
     exceeds ``max_witnesses``.  Otherwise f is read once, as a table over
     the box with one ``eval_batch`` (one call per lattice point), and the
@@ -338,7 +339,7 @@ def check_property_exhaustive(
             raise CapacityError("box too large for exhaustive lattice check")
     else:
         pairs = _count_dominated_pairs(box)
-        scale = {"monotone": 1, "dr_submodular": n, "weak_dr": n * (int(box.max()) + 1)}[kind]
+        scale = n if kind == "dr_submodular" else 1
         if pairs * scale > max_witnesses:
             raise CapacityError("box too large for exhaustive check")
     if kind == "dr_submodular" and not box.any():
@@ -351,26 +352,21 @@ def check_property_exhaustive(
     value = lambda p: table[p @ strides]
     report = PropertyReport(kind, 0)
 
-    def record(x, y, e=None, k=None):
+    def record(x, y, e=None):
         report.trials += x.shape[0]
-        report.violations += _violations(kind, value, x, y, e, k)
+        report.violations += _violations(kind, value, x, y, e)
 
     if kind == "lattice_submodular":
         for x in points:
             record(x[None].repeat(n_points, 0), points)
         return report
-    if kind == "weak_dr":
-        steps = [(e, k) for e in range(n) for k in range(int(box[e]) + 1)]
     for y in points:
         below = points[(points <= y).all(axis=1)]
         if kind == "monotone":
             record(below, y[None].repeat(len(below), 0))
             continue
-        if kind == "dr_submodular":
-            steps = [(e, 1) for e in range(n) if y[e] < box[e]]
-        # one row per (x, step), x-major
-        step_rows = np.array(steps, dtype=np.int64).reshape(len(steps), 2)
-        x = below.repeat(len(steps), 0)
-        e, k = step_rows[None].repeat(len(below), 0).reshape(-1, 2).T
-        record(x, y[None].repeat(len(x), 0), e, k)
+        room = np.flatnonzero(y < box)
+        # one row per (x, e), x-major
+        x = below.repeat(len(room), 0)
+        record(x, y[None].repeat(len(x), 0), np.tile(room, len(below)))
     return report

@@ -31,7 +31,7 @@ from .cardinality import (
     maximize_lattice_cardinality,
 )
 from .core import CapacityError, ValueOracle
-from .instances import InstanceSpec, make_polymatroid
+from .instances import ORACLE_KEYS, POLYMATROID_KEYS, InstanceSpec, make_polymatroid
 from .knapsack import KnapsackInstance, maximize_knapsack
 from .polymatroid import maximize_polymatroid
 
@@ -238,10 +238,11 @@ def load_config(path: str) -> HarnessConfig:
     built with it, and with the pure-Python ``SafeLoader`` otherwise; both
     give the same config.  Every malformed field raises ConfigError naming
     it: a missing or unknown key (each constraint kind needs the keys in
-    ``CONSTRAINT_KEYS``), a scalar where a list or a ``params`` mapping
-    belongs, a non-numeric epsilon, seed or assertion value, invalid YAML
-    (with its line and column) or a missing file.  Oracles are not built
-    here.
+    ``CONSTRAINT_KEYS``, each oracle and polymatroid family the ``params``
+    keys in ``ORACLE_KEYS`` and ``POLYMATROID_KEYS``), a scalar where a list
+    or a ``params`` mapping belongs, a non-numeric epsilon, seed or
+    assertion value, invalid YAML (with its line and column) or a missing
+    file.  Oracles are not built here.
     """
     try:
         with open(path) as handle:
@@ -262,8 +263,10 @@ def load_config(path: str) -> HarnessConfig:
         if instance_id in instances:
             raise ConfigError(f"duplicate instance id {instance_id!r}")
         oracle_raw = _require(raw, "oracle", f"instance {instance_id!r}")
-        _require(oracle_raw, "family", f"instance {instance_id!r} oracle")
+        family = _require(oracle_raw, "family", f"instance {instance_id!r} oracle")
         _mapping(oracle_raw, "params", f"instance {instance_id!r} oracle")
+        for key in ORACLE_KEYS.get(str(family), ()):
+            _require(oracle_raw.get("params", {}), key, f"instance {instance_id!r} oracle params")
         _number(oracle_raw.get("seed", 0), int, f"instance {instance_id!r} oracle seed")
         constraint_raw = _require(raw, "constraint", f"instance {instance_id!r}")
         context = f"instance {instance_id!r} constraint"
@@ -272,6 +275,8 @@ def load_config(path: str) -> HarnessConfig:
             _require(constraint_raw, key, context)
         if kind == "polymatroid":
             _mapping(constraint_raw, "params", context)
+            for key in POLYMATROID_KEYS.get(str(constraint_raw["family"]), ()):
+                _require(constraint_raw.get("params", {}), key, f"{context} params")
         params = {k: v for k, v in constraint_raw.items() if k != "kind"}
         instances[instance_id] = InstanceEntry(
             instance_id=instance_id,

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ValueOracle, check_property_exhaustive
-from .polymatroid import MAX_ENUMERATION_N, PolymatroidOracle
+from .core import MAX_ENUMERATION_N, ValueOracle, check_property_exhaustive
+from .polymatroid import PolymatroidOracle
 
 
 def make_separable_concave(coeffs, powers, cap) -> ValueOracle:
@@ -273,6 +273,14 @@ def table_polymatroid(n: int, rank_table) -> PolymatroidOracle:
     return PolymatroidOracle(n, member, rank, name="rank_table")
 
 
+# polymatroid family -> the keys ``make_polymatroid`` reads from its params
+POLYMATROID_KEYS = {
+    "uniform": ("n", "per_element", "total"),
+    "partition": ("parts", "caps"),
+    "rank_table": ("n", "table"),
+}
+
+
 def make_polymatroid(family: str, **params) -> PolymatroidOracle:
     """Dispatch constructor used by configuration files."""
     if family == "uniform":
@@ -303,6 +311,16 @@ def random_budget_allocation(seed: int, n_sources: int, n_targets: int, cap_high
         edges.append((0, 0, float(rng.uniform(0.1, 0.9))))
     cap = rng.integers(1, cap_high + 1, size=n_sources)
     return make_budget_allocation(edges, cap)
+
+
+# oracle family -> the keys ``InstanceSpec.build`` reads from its params
+ORACLE_KEYS = {
+    "separable_concave": ("coeffs", "powers", "cap"),
+    "budget_allocation": ("edges", "cap"),
+    "lattice_table": ("table",),
+    "random_separable_concave": ("n", "cap_high"),
+    "random_budget_allocation": ("sources", "targets", "cap_high"),
+}
 
 
 @dataclass

@@ -4,10 +4,10 @@ The feasible region is P = {x >= 0 : x(S) <= rho(S) for all S} for a
 monotone submodular integer rank function rho with rho(empty) = 0.  The
 solver builds a fractional point by 1/eps rounds of a threshold direction
 search driven by extension marginals, then rounds it to a lattice point
-without loss in expectation.  Each marginal is exact (a sum over the 2^m
-corners of the current unit cell, m fractional coordinates) when 2^m is at
-most the Chernoff sample count, and a coupled-sample mean otherwise; a
-probe of the step search costs 2 * min(2^m, count) oracle calls.
+without loss in expectation.  Each marginal is exact, a sum over the 2^m
+corners of the current unit cell (m fractional coordinates), so a probe of
+the step search costs 2 * 2^m oracle calls.  The ground set is capped at
+``MAX_ENUMERATION_N`` elements.
 
 Rounding works inside the unit cell C(x): the fractional parts of P
 intersected with C(x) form a matroid polytope whose rank function is the
@@ -22,19 +22,23 @@ value for DR-submodular objectives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .cardinality import SolverConfig, effective_epsilon, threshold_schedule
-from .core import CallCounter, CapacityError, ValueOracle, as_fractional_point, unit, zeros
-from .extension import EstimatorParams, SNAP_TOLERANCE, _marginal_estimate, _snap
+from .core import (
+    MAX_ENUMERATION_N,
+    CallCounter,
+    CapacityError,
+    ValueOracle,
+    as_fractional_point,
+    unit,
+    zeros,
+)
+from .extension import SNAP_TOLERANCE, _marginal_estimate, _snap
 
 MEMBERSHIP_TOL = 1e-9
-
-# Subset enumeration cap for rank-table validation and pipage rounding.
-MAX_ENUMERATION_N = 20
 
 
 class PolymatroidOracle:
@@ -150,57 +154,14 @@ def update_budget_fixpoint(n: int, epsilon: float, max_iters: int = 50) -> int:
     raise RuntimeError("update-budget iteration did not reach a fixpoint")
 
 
-@dataclass(frozen=True)
-class DirectionConfig:
-    """Parameters of one direction search.
+def binary_search_polymatroid(f: ValueOracle, x, e: int, theta: float, k_max: int) -> int:
+    """Largest step k whose average extension gain clears theta.
 
-    num_updates bounds the number of coordinate updates (elements times
-    threshold levels); alpha, beta, delta are the estimator accuracy knobs
-    derived from epsilon so that the whole search succeeds with probability
-    at least 1 - epsilon / 3.
-    """
-
-    epsilon: float
-    num_updates: int
-    alpha: float
-    beta: float
-    delta: float
-
-    @classmethod
-    def from_epsilon(cls, n: int, epsilon: float) -> "DirectionConfig":
-        eps, _ = effective_epsilon(epsilon)
-        N = update_budget_fixpoint(n, eps)
-        return cls(
-            epsilon=eps,
-            num_updates=N,
-            alpha=eps,
-            beta=eps / (2.0 * N * (n + 1)),
-            delta=eps / (3.0 * N),
-        )
-
-    def estimator_params(self) -> EstimatorParams:
-        return EstimatorParams(self.alpha, self.beta, self.delta)
-
-
-def binary_search_polymatroid(
-    f: ValueOracle,
-    x,
-    e: int,
-    theta: float,
-    params: EstimatorParams,
-    k_max: int,
-    seed: int,
-) -> int:
-    """Largest step k whose estimated average extension gain clears theta.
-
-    Bisects k in [1, k_max], testing whether the estimate of F(k e | x) is
-    at least k * theta; returns the last accepted position (0 when none).
-    With m fractional coordinates in x and count = params.samples(k_max),
-    the estimate is the exact sum over the 2^m cell corners when
-    2^m <= count and a mean over count coupled draws otherwise; x is fixed,
-    so every probe of one call takes the same path.  A probe costs
-    2 * min(2^m, count) oracle calls, and there are at most
-    ceil(log2(k_max + 1)) probes.
+    Bisects k in [1, k_max], testing whether F(k e | x) >= k * theta, and
+    returns the last accepted position (0 when none).  Each F(k e | x) is
+    the exact sum over the 2^m corners of x's unit cell (m fractional
+    coordinates in x), so a probe costs 2 * 2^m oracle calls, and there
+    are at most ceil(log2(k_max + 1)) probes.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
@@ -208,13 +169,11 @@ def binary_search_polymatroid(
         raise ValueError("k_max must be non-negative")
     if k_max == 0:
         return 0
-    rng = np.random.default_rng(seed)
-    count = params.samples(k_max)
     step = unit(f.n, e)
     lo, hi = 1, k_max + 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _marginal_estimate(f, mid * step, x, count, rng) >= mid * theta:
+        if _marginal_estimate(f, mid * step, x) >= mid * theta:
             lo = mid + 1
         else:
             hi = mid
@@ -222,20 +181,18 @@ def binary_search_polymatroid(
 
 
 def direction_polymatroid(
-    f: ValueOracle,
-    x,
-    cfg: DirectionConfig,
-    P: PolymatroidOracle,
-    seed: int,
+    f: ValueOracle, x, P: PolymatroidOracle, epsilon: float, num_updates: int
 ) -> np.ndarray:
     """One threshold sweep producing an integral direction y with x + y in P.
 
-    Thresholds decay from d = max_e f(e) down to eps * d / num_updates.
-    For each element the largest feasible step is found first (membership
-    binary search, clamped to the oracle box), then accepted if the
-    marginal estimate at the current point x + y clears the threshold.
-    Elements with f(e) <= 0 are skipped: for monotone DR-submodular f no
-    step along them can clear a positive threshold.
+    Thresholds decay by factors of 1 - epsilon from d = max_e f(e) down to
+    epsilon * d / num_updates, where num_updates bounds the coordinate
+    updates (elements times threshold levels).  For each element the
+    largest feasible step is found first (membership binary search,
+    clamped to the oracle box), then accepted if the exact extension
+    marginal at the current point x + y clears the threshold.  Elements
+    with f(e) <= 0 are skipped: for monotone DR-submodular f no step along
+    them can clear a positive threshold.
     """
     x = as_fractional_point(x, f.n)
     if P.n != f.n:
@@ -249,10 +206,7 @@ def direction_polymatroid(
     d = max(unit_values, default=0.0)
     if d <= 0:
         return y
-    params = cfg.estimator_params()
-    rng = np.random.default_rng(seed)
-    eps = cfg.epsilon
-    for threshold in threshold_schedule(d, eps * d / cfg.num_updates, eps):
+    for threshold in threshold_schedule(d, epsilon * d / num_updates, epsilon):
         for e in range(f.n):
             if unit_values[e] <= 0:
                 continue
@@ -263,10 +217,7 @@ def direction_polymatroid(
             k_max = k_max_in_polymatroid(P, current, e, hard_cap)
             if k_max == 0:
                 continue
-            k = binary_search_polymatroid(
-                f, current, e, threshold, params, k_max,
-                seed=int(rng.integers(0, 2**63)),
-            )
+            k = binary_search_polymatroid(f, current, e, threshold, k_max)
             if k >= 1:
                 y[e] += k
     return y
@@ -282,12 +233,10 @@ def continuous_greedy(
     Returns the final fractional point (round separately).
     """
     eps = config.effective
-    steps = config.inv_epsilon
-    cfg = DirectionConfig.from_epsilon(f.n, eps)
-    seeds = np.random.default_rng(config.seed).integers(0, 2**63, size=steps)
+    num_updates = update_budget_fixpoint(f.n, eps)
     x = np.zeros(f.n, dtype=np.float64)
-    for t in range(steps):
-        y = direction_polymatroid(f, x, cfg, P, seed=int(seeds[t]))
+    for _ in range(config.inv_epsilon):
+        y = direction_polymatroid(f, x, P, eps, num_updates)
         x = x + eps * y.astype(np.float64)
         if not P.member(x):
             raise RuntimeError("continuous greedy iterate left the polymatroid")
@@ -421,7 +370,15 @@ def round_polymatroid(x, P: PolymatroidOracle, seed: int) -> np.ndarray:
 def maximize_polymatroid(
     f: ValueOracle, P: PolymatroidOracle, config: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous greedy followed by rounding; returns (integral, fractional)."""
+    """Continuous greedy followed by rounding; returns (integral, fractional).
+
+    Raises CapacityError, before any oracle or membership call, when the
+    ground set exceeds ``MAX_ENUMERATION_N`` elements.
+    """
+    if P.n > MAX_ENUMERATION_N:
+        raise CapacityError(
+            f"ground set of {P.n} elements exceeds the polymatroid cap ({MAX_ENUMERATION_N})"
+        )
     x = continuous_greedy(f, P, config)
     round_seed = int(np.random.default_rng([config.seed, 1]).integers(0, 2**63))
     return round_polymatroid(x, P, round_seed), x

@@ -20,11 +20,7 @@ from latticemax.cardinality import (
     maximize_lattice_cardinality,
 )
 from latticemax.core import ValueOracle, check_property_exhaustive
-from latticemax.extension import (
-    EstimatorParams,
-    extension_estimate,
-    extension_exact,
-)
+from latticemax.extension import extension_exact
 from latticemax.harness import load_config, run_harness
 from latticemax.instances import (
     NON_DR_TABLES,
@@ -284,31 +280,6 @@ def test_extension_concavity_and_gradients():
         "extension midpoint-concave along d>=0 and grad- >= grad+ at planes",
         bad_mid == 0 and bad_grad == 0,
         f"1000 midpoints ({bad_mid} bad), 1000 plane points ({bad_grad} bad)",
-    )
-
-
-def test_estimator_concentration():
-    params = EstimatorParams(alpha=0.2, beta=0.05, delta=0.1)
-    samples = params.samples(2)
-    f = make_budget_allocation(
-        [(0, 0, 0.5), (1, 0, 0.3), (2, 1, 0.6), (1, 1, 0.45)], [3, 3, 3]
-    )
-    rng = np.random.default_rng(99)
-    trials = 1000
-    deviations = 0
-    for i in range(trials):
-        x = rng.uniform(0.0, 1.0, 3) * f.box
-        exact = extension_exact(f, x)
-        scale = f.eval(np.ceil(x).astype(np.int64))
-        est = extension_estimate(f, x, samples, seed=i)
-        if abs(est - exact) > params.alpha * exact + params.beta * scale:
-            deviations += 1
-    allowed = 2 * params.delta * trials
-    verdict(
-        "estimator within alpha*F + beta*scale outside < 2·delta of trials",
-        deviations < allowed,
-        f"{deviations}/{trials} deviations with {samples} samples"
-        f" (allowed < {int(allowed)})",
     )
 
 

@@ -240,7 +240,7 @@ def test_as_lattice_point_rejects_entries_that_int64_cannot_hold(x, message):
 
 def test_check_property_exhaustive_dr_pass():
     f = ValueOracle(capped_modular([1.0, 2.0], [2, 1]), np.array([3, 3]))
-    for kind in ("monotone", "dr_submodular", "lattice_submodular", "weak_dr"):
+    for kind in ("monotone", "dr_submodular", "lattice_submodular"):
         report = check_property_exhaustive(f, kind)
         assert report.passed, f"{kind}: {report.violations[:2]}"
         assert report.trials > 0
@@ -323,13 +323,6 @@ def reference_check_one(f, kind, x, y, e, k, cache):
         if lhs >= rhs - CHECK_TOLERANCE:
             return None
         return Witness(tuple(x), tuple(y), e, 1, lhs, rhs)
-    if kind == "weak_dr":
-        bump = unit(f.n, e, k)
-        lhs = ev(np.maximum(x, bump)) - ev(x)
-        rhs = ev(np.maximum(y, bump)) - ev(y)
-        if lhs >= rhs - CHECK_TOLERANCE:
-            return None
-        return Witness(tuple(x), tuple(y), e, k, lhs, rhs)
     raise ValueError(f"unknown property kind {kind!r}")
 
 
@@ -357,7 +350,7 @@ def reference_check_property_exhaustive(f, kind):
                 w = reference_check_one(f, kind, x, y, None, None, cache)
                 if w is not None:
                     report.violations.append(w)
-            elif kind == "dr_submodular":
+            else:  # dr_submodular
                 for e in range(n):
                     if y[e] >= box[e]:
                         continue
@@ -365,13 +358,6 @@ def reference_check_property_exhaustive(f, kind):
                     w = reference_check_one(f, kind, x, y, e, 1, cache)
                     if w is not None:
                         report.violations.append(w)
-            else:  # weak_dr
-                for e in range(n):
-                    for k in range(int(box[e]) + 1):
-                        report.trials += 1
-                        w = reference_check_one(f, kind, x, y, e, k, cache)
-                        if w is not None:
-                            report.violations.append(w)
     return report
 
 

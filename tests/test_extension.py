@@ -4,12 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from latticemax.core import CapacityError, ValueOracle
+from latticemax.core import MAX_ENUMERATION_N, CapacityError, ValueOracle
 from latticemax.extension import (
-    MAX_EXACT_FRACTIONAL,
-    EstimatorParams,
     _marginal_estimate,
-    extension_estimate,
     extension_exact,
     sample_rounding,
     split_point,
@@ -108,6 +105,10 @@ def test_extension_exact_capacity_guard():
     f = ValueOracle(lambda x: float(sum(x)), np.ones(n, dtype=np.int64))
     with pytest.raises(CapacityError):
         extension_exact(f, np.full(n, 0.5))
+    # the marginal sums over the same cell and stops at the same cap
+    with pytest.raises(CapacityError):
+        _marginal_estimate(f, np.zeros(n, dtype=np.int64), np.full(n, 0.5))
+    assert f.calls == 0
 
 
 def test_extension_monotone_and_midpoint_concave():
@@ -126,39 +127,12 @@ def test_extension_monotone_and_midpoint_concave():
         assert 2 * f1 >= f0 + f2 - 1e-9  # concave along d >= 0
 
 
-def test_estimator_params():
-    p = EstimatorParams(alpha=0.2, beta=0.05, delta=0.1)
-    assert p.samples(2) == math.ceil(3 * math.log(2 * 2 / 0.1) / (0.2 * 0.05))
-    assert p.samples(1) == p.samples(2)  # k_max floored at 2
-    assert p.samples(64) >= p.samples(2)
-    with pytest.raises(ValueError):
-        EstimatorParams(alpha=0.0, beta=0.05, delta=0.1)
-
-
-def test_extension_estimate_integral_and_determinism():
-    f = make_separable_concave([1.0, 2.0], [0.5, 1.0], [3, 2])
-    x = np.array([2.0, 1.0])
-    assert extension_estimate(f, x, 10, seed=0) == pytest.approx(f.eval(np.array([2, 1])))
-    x = np.array([1.5, 0.5])
-    a = extension_estimate(f, x, 500, seed=42)
-    b = extension_estimate(f, x, 500, seed=42)
-    c = extension_estimate(f, x, 500, seed=43)
-    assert a == b
-    assert a != c  # different seeds, fractional point
-
-
-def test_extension_estimate_concentrates():
-    f = ValueOracle(lambda x: float(min(x[0], 2)), np.array([4]))
-    est = extension_estimate(f, np.array([1.5]), 10_000, seed=7)
-    assert abs(est - 1.5) < 0.05
-
-
 def test_extension_marginal_estimate_coupled_sampling():
     f = make_separable_concave([1.0, 1.0], [1.0, 1.0], [4, 4])
     x = np.array([1.5, 0.25])
     delta = np.array([1, 0], dtype=np.int64)
-    est = _marginal_estimate(f, delta, x, 2000, np.random.default_rng(0))
-    # modular f: marginal of +1 unit is exactly 1 for every draw
+    est = _marginal_estimate(f, delta, x)
+    # modular f: marginal of +1 unit is exactly 1 at every cell corner
     assert est == pytest.approx(1.0)
 
 
@@ -195,26 +169,11 @@ def test_marginal_estimate_is_exact_when_the_cell_is_small():
         m = int(np.count_nonzero(np.abs(x - np.round(x)) > 1e-9))
         want = extension_exact(f, x + delta) - extension_exact(f, x)
         before = f.calls
-        a = _marginal_estimate(f, delta, x, 2**m, np.random.default_rng(0))
+        a = _marginal_estimate(f, delta, x)
         assert f.calls - before == 2 * 2**m
-        b = _marginal_estimate(f, delta, x, 2**m + 50, np.random.default_rng(1))
-        assert a == b  # exact: independent of the seed and the sample count
+        b = _marginal_estimate(f, delta, x)
+        assert a == b  # exact: the same sum on every call
         assert a == pytest.approx(want, abs=1e-12)
-
-
-def test_marginal_estimate_samples_when_the_cell_is_large():
-    rng = np.random.default_rng(22)
-    f = random_monotone_table(rng, [3, 3, 3])
-    x = np.array([0.5, 1.25, 0.75])  # m = 3: 8 corners
-    delta = np.array([1, 0, 1], dtype=np.int64)
-    count = 5
-    estimates = []
-    for seed in range(6):
-        before = f.calls
-        estimates.append(_marginal_estimate(f, delta, x, count, np.random.default_rng(seed)))
-        assert f.calls - before == 2 * count
-    assert _marginal_estimate(f, delta, x, count, np.random.default_rng(0)) == estimates[0]
-    assert len(set(estimates)) > 1  # sampled: the seed matters
 
 
 def _old_subset_weights(frac_vals):
@@ -238,7 +197,7 @@ def _old_extension_exact(f, x):
     idx = np.flatnonzero(frac > 0)
     if idx.size == 0:
         return f.eval(base)
-    if idx.size > MAX_EXACT_FRACTIONAL:
+    if idx.size > MAX_ENUMERATION_N:
         raise CapacityError("too many fractional coordinates")
     masks, weights = _old_subset_weights(frac[idx])
     points = np.repeat(base[None, :], masks.shape[0], axis=0)

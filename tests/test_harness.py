@@ -311,6 +311,7 @@ def test_malformed_field_is_config_error(tmp_path, old, new, message):
 
 CARDINALITY = "kind: cardinality\n      cap: [2, 2]\n      budget: 2"
 ORACLE_PARAMS = "params:\n        coeffs: [2.0, 1.0]\n        powers: [1.0, 0.5]\n        cap: [2, 2]"
+NO_TOTAL = "kind: polymatroid\n      family: uniform\n      params: {n: 2, per_element: 1}"
 
 # (text replaced in BASIC, its replacement, the ConfigError message); each
 # used to load and then end the run with a raw KeyError or TypeError
@@ -321,11 +322,15 @@ BAD_INSTANCES = [
     (ORACLE_PARAMS, "params: 5", "'params' in instance 'pack' oracle must be a mapping, got 5"),
     (CARDINALITY, "kind: polymatroid\n      family: uniform\n      params: 5",
      "'params' in instance 'pack' constraint must be a mapping, got 5"),
+    (ORACLE_PARAMS, ORACLE_PARAMS.replace("coeffs: [2.0, 1.0]\n        ", ""),
+     "missing key 'coeffs' in instance 'pack' oracle params"),
+    (CARDINALITY, NO_TOTAL, "missing key 'total' in instance 'pack' constraint params"),
 ]
 
 
 @pytest.mark.parametrize("old, new, message", BAD_INSTANCES,
-                         ids=["no_cap", "no_weights", "oracle_params", "polymatroid_params"])
+                         ids=["no_cap", "no_weights", "oracle_params", "polymatroid_params",
+                              "no_coeffs", "no_total"])
 def test_malformed_instance_is_config_error(tmp_path, old, new, message):
     text = BASIC.replace(old, new)
     assert text != BASIC
@@ -562,6 +567,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
     assert "config error: missing key 'cap' in instance 'pack' constraint" in capsys.readouterr().err
     assert not (tmp_path / "out4").exists()
+
+
+# an oracle or polymatroid family without a params key it needs used to
+# load, then end the run with a raw KeyError traceback and no report
+MISSING_FAMILY_PARAMS = [
+    (BASIC.replace(ORACLE_PARAMS, ORACLE_PARAMS.replace("coeffs: [2.0, 1.0]\n        ", "")),
+     "missing key 'coeffs' in instance 'pack' oracle params"),
+    (BASIC.replace(CARDINALITY, NO_TOTAL).replace("cardinality_dr", "polymatroid"),
+     "missing key 'total' in instance 'pack' constraint params"),
+]
+
+
+@pytest.mark.parametrize("text, message", MISSING_FAMILY_PARAMS, ids=["no_coeffs", "no_total"])
+def test_cli_exits_2_on_missing_family_params(tmp_path, capsys, text, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", write(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_no_bruteforce_leaves_ratio_empty(tmp_path):

@@ -8,16 +8,17 @@ import pytest
 
 from latticemax.bruteforce import brute_force_opt
 from latticemax.cardinality import SolverConfig
-from latticemax.core import ValueOracle
-from latticemax.extension import EstimatorParams, extension_exact
+from latticemax.core import CapacityError, ValueOracle
+from latticemax.extension import extension_exact
 from latticemax.instances import (
+    InstanceSpec,
+    make_polymatroid,
     make_separable_concave,
     partition_polymatroid,
     table_polymatroid,
     uniform_polymatroid,
 )
 from latticemax.polymatroid import (
-    DirectionConfig,
     binary_search_polymatroid,
     continuous_greedy,
     direction_polymatroid,
@@ -55,42 +56,28 @@ def test_update_budget_fixpoint():
     assert n >= 2
 
 
-def test_direction_config_from_epsilon():
-    cfg = DirectionConfig.from_epsilon(3, 0.25)
-    assert cfg.num_updates == 57
-    assert cfg.alpha == 0.25
-    assert cfg.beta == pytest.approx(0.25 / (2 * 57 * 4))
-    assert cfg.delta == pytest.approx(0.25 / (3 * 57))
-    params = cfg.estimator_params()
-    assert isinstance(params, EstimatorParams)
-    assert params.samples(2) >= 1
-
-
 def modular_oracle(weights, box):
     w = np.asarray(weights, dtype=np.float64)
     return ValueOracle(lambda x: float(np.dot(w, x)), np.asarray(box, dtype=np.int64))
 
 
 def test_binary_search_polymatroid_modular_returns_k_max():
-    # unit-weight modular f: the sample mean is exactly m, so theta = 0.9
-    # keeps the predicate true at every m and k_max must come back
+    # unit-weight modular f: the marginal of m units is exactly m, so
+    # theta = 0.9 keeps the predicate true at every m and k_max must come back
     f = modular_oracle([1.0, 2.0], [8, 8])
-    params = EstimatorParams(alpha=0.2, beta=0.1, delta=0.2)
-    k = binary_search_polymatroid(f, np.zeros(2), 0, 0.9, params, 6, seed=0)
+    k = binary_search_polymatroid(f, np.zeros(2), 0, 0.9, 6)
     assert k == 6
-    assert binary_search_polymatroid(f, np.zeros(2), 0, 0.9, params, 0, seed=0) == 0
+    assert binary_search_polymatroid(f, np.zeros(2), 0, 0.9, 0) == 0
 
 
 def test_binary_search_polymatroid_high_threshold_returns_zero():
     f = modular_oracle([1.0, 2.0], [8, 8])
-    params = EstimatorParams(alpha=0.01, beta=0.01, delta=0.1)
-    assert binary_search_polymatroid(f, np.zeros(2), 0, 1.5, params, 6, seed=3) == 0
+    assert binary_search_polymatroid(f, np.zeros(2), 0, 1.5, 6) == 0
 
 
 def test_binary_search_polymatroid_concave_prefix_noise_free():
-    # integral anchor makes every draw identical: search is exact
+    # integral anchor: each marginal is one corner difference
     f = ValueOracle(lambda x: math.sqrt(x[0]), np.array([12]))
-    params = EstimatorParams(alpha=0.2, beta=0.1, delta=0.2)
     for theta in (0.34, 0.5, 0.75, 0.2):
         want = 0
         for m in range(1, 10):
@@ -98,83 +85,71 @@ def test_binary_search_polymatroid_concave_prefix_noise_free():
                 want = m
             else:
                 break
-        got = binary_search_polymatroid(f, np.zeros(1), 0, theta, params, 9, seed=1)
+        got = binary_search_polymatroid(f, np.zeros(1), 0, theta, 9)
         assert got == want, theta
 
 
 def test_binary_search_polymatroid_zero_ceiling_short_circuit():
     f = ValueOracle(lambda x: 0.0, np.array([5]))
-    params = EstimatorParams(alpha=0.2, beta=0.1, delta=0.2)
     calls_before = f.calls
-    assert binary_search_polymatroid(f, np.zeros(1), 0, 0.5, params, 5, seed=0) == 0
+    assert binary_search_polymatroid(f, np.zeros(1), 0, 0.5, 5) == 0
     # x is integral: each of the ceil(log2(6)) = 3 probes is one exact
     # corner marginal, two calls
     assert f.calls - calls_before <= 3 * 2
 
 
 def test_binary_search_polymatroid_accuracy_predicates():
-    # property (1): F(k chi_e | x) >= (1-alpha) k theta - beta f(k chi_e)
-    # property (2): F((k+1) chi_e | x) < (k+1) theta / (1-alpha) + 2 beta f((k+1) chi_e)
+    # the marginals are exact, so the search meets both predicates with no
+    # slack: (1) F(k chi_e | x) >= k theta and (2) F((k+1) chi_e | x) < (k+1) theta
     make = lambda: make_separable_concave([1.0, 0.8], [0.5, 1.0], [6, 6])
-    params = EstimatorParams(alpha=0.1, beta=0.05, delta=0.05)
-    theta = 0.35
-    failures = 0
-    trials = 40
-    for seed in range(trials):
-        f = make()
-        x = np.array([0.5, 1.25])
-        k = binary_search_polymatroid(f, x, 0, theta, params, 4, seed=seed)
-        g = make()
-        F = lambda z: extension_exact(g, z)
-        ok = True
+    F = lambda z: extension_exact(make(), z)
+    x = np.array([0.5, 1.25])
+    found = set()
+    for theta in (0.35, 0.45, 0.5, 0.6, 0.8):
+        k = binary_search_polymatroid(make(), x, 0, theta, 4)
+        found.add(k)
         if k >= 1:
-            gain = F(x + k * np.eye(2)[0]) - F(x)
-            ok &= gain >= (1 - 0.1) * k * theta - 0.05 * g.eval(np.array([k, 0])) - 1e-9
+            assert F(x + k * np.eye(2)[0]) - F(x) >= k * theta - 1e-9
         if k < 4:
-            gain = F(x + (k + 1) * np.eye(2)[0]) - F(x)
-            bound = (k + 1) * theta / (1 - 0.1) + 2 * 0.05 * g.eval(np.array([k + 1, 0]))
-            ok &= gain < bound + 1e-9
-        failures += not ok
-    assert failures <= 2  # delta = 0.05 per call; generous slack
+            assert F(x + (k + 1) * np.eye(2)[0]) - F(x) < (k + 1) * theta + 1e-9
+    assert found == {0, 1, 2, 3, 4}
 
 
 def test_binary_search_polymatroid_costs_at_most_the_cell_per_probe():
-    # x fractional in 2 of 3 coordinates: 4 cell corners, far below the
-    # Chernoff count, so each probe costs 2 * 4 calls
+    # x fractional in 2 of 3 coordinates: 4 cell corners, so each probe
+    # costs 2 * 4 calls
     P = uniform_polymatroid(3, 4, 7)
-    params = DirectionConfig.from_epsilon(3, 0.25).estimator_params()
     x = np.array([0.25, 1.5, 2.0])
     m = 2
     for e in range(3):
         f = make_separable_concave([1.0, 0.8, 1.2], [0.5, 0.7, 1.0], [6, 6, 6])
         k_max = k_max_in_polymatroid(P, x, e, int(f.box[e] - np.ceil(x[e])))
-        assert k_max >= 1 and params.samples(k_max) > 2**m
+        assert k_max >= 1
         probes = math.ceil(math.log2(k_max + 1))
         for theta in (0.05, 0.4, 2.0):
             before = f.calls
-            binary_search_polymatroid(f, x, e, theta, params, k_max, seed=0)
+            binary_search_polymatroid(f, x, e, theta, k_max)
             assert f.calls - before <= probes * 2 * 2**m
 
 
 def test_direction_polymatroid_zero_polytope():
     f = make_separable_concave([1.0, 1.0], [0.5, 0.5], [3, 3])
     P = uniform_polymatroid(2, 1, 0)
-    cfg = DirectionConfig.from_epsilon(2, 0.25)
-    y = direction_polymatroid(f, np.zeros(2), cfg, P, seed=0)
+    y = direction_polymatroid(f, np.zeros(2), P, 0.25, update_budget_fixpoint(2, 0.25))
     assert list(y) == [0, 0]
 
 
 def test_direction_polymatroid_feasibility_and_precondition():
     f = make_separable_concave([1.0, 1.5, 0.7], [0.5, 1.0, 0.5], [3, 3, 3])
     P = partition_polymatroid([[0, 1], [2]], [2, 1])
-    cfg = DirectionConfig.from_epsilon(3, 0.25)
+    N = update_budget_fixpoint(3, 0.25)
     x = np.array([0.5, 0.25, 0.25])
     assert P.member(x)
-    y = direction_polymatroid(f, x, cfg, P, seed=1)
+    y = direction_polymatroid(f, x, P, 0.25, N)
     assert np.all(y >= 0)
     assert P.member(x + y)
     with pytest.raises(ValueError):
-        direction_polymatroid(f, np.array([5.0, 0.0, 0.0]), cfg, P, seed=0)
+        direction_polymatroid(f, np.array([5.0, 0.0, 0.0]), P, 0.25, N)
 
 
 def test_continuous_greedy_zero_oracle():
@@ -204,9 +179,8 @@ def test_direction_polymatroid_skips_an_element_with_zero_value():
         return base.member(x)
 
     P = type(base)(3, member, None, rank_total=4, name="logged")
-    cfg = DirectionConfig.from_epsilon(3, 0.25)
     x = np.array([0.5, 0.0, 0.25])
-    y = direction_polymatroid(f, x, cfg, P, seed=0)
+    y = direction_polymatroid(f, x, P, 0.25, update_budget_fixpoint(3, 0.25))
     assert y[1] == 0 and y.sum() > 0
     assert queried and all(q[1] == 0.0 for q in queried)
 
@@ -404,3 +378,155 @@ def test_rank_from_membership_matches_closed_form():
     for size in range(4):
         X = list(range(size))
         assert stripped.rank(X) == base.rank(X)
+
+
+def test_maximize_polymatroid_checks_the_cap_before_any_call():
+    f = make_separable_concave([1.0] * 21, [0.5] * 21, [2] * 21)
+    P = uniform_polymatroid(21, 1, 3)
+    with pytest.raises(CapacityError):
+        maximize_polymatroid(f, P, SolverConfig(1 / 3, 0))
+    assert f.calls == 0
+    assert P.member_calls == 0
+
+
+# maximize_polymatroid results recorded before the sampled marginal path
+# was deleted: (oracle family, params), (polymatroid family, params),
+# epsilon, seed, then the integral point, the fractional point, f.calls and
+# P.member_calls.  Every family/objective shape of the `continuous`
+# benchmark workload, plus the demo config's uniform_poly.
+POLYMATROID_PINS = [
+    (
+        ('separable_concave', {'coeffs': [1.173, 1.146], 'powers': [0.3, 0.5], 'cap': [3, 2]}),
+        ('uniform', {'n': 2, 'per_element': 1, 'total': 2}),
+        1 / 3, 419,
+        [0, 0], [0.3333333333333333, 0.3333333333333333], 12, 142,
+    ),
+    (
+        ('budget_allocation', {'edges': [[0, 1, 0.239], [0, 2, 0.511], [1, 0, 0.125], [1, 2, 0.146]], 'cap': [3, 3]}),
+        ('uniform', {'n': 2, 'per_element': 2, 'total': 2}),
+        1 / 3, 325,
+        [1, 0], [1.3333333333333333, 0.0], 40, 180,
+    ),
+    (
+        ('separable_concave', {'coeffs': [1.492, 0.809], 'powers': [0.5, 0.3], 'cap': [3, 3]}),
+        ('partition', {'parts': [[0], [1]], 'caps': [1, 2]}),
+        1 / 3, 232,
+        [1, 1], [0.3333333333333333, 1.3333333333333333], 96, 159,
+    ),
+    (
+        ('budget_allocation', {'edges': [[0, 2, 0.594], [0, 1, 0.544], [1, 2, 0.266], [1, 1, 0.192]], 'cap': [3, 3]}),
+        ('partition', {'parts': [[0], [1]], 'caps': [1, 2]}),
+        1 / 3, 520,
+        [0, 1], [0.3333333333333333, 1.3333333333333333], 90, 156,
+    ),
+    (
+        ('separable_concave', {'coeffs': [0.749, 1.134], 'powers': [0.5, 0.3], 'cap': [2, 2]}),
+        ('rank_table', {'n': 2, 'table': [0, 2, 1, 2]}),
+        1 / 3, 908,
+        [1, 0], [1.0, 0.3333333333333333], 72, 113,
+    ),
+    (
+        ('budget_allocation', {'edges': [[0, 1, 0.182], [0, 0, 0.347], [1, 0, 0.427], [1, 2, 0.36]], 'cap': [3, 2]}),
+        ('rank_table', {'n': 2, 'table': [0, 4, 3, 5]}),
+        1 / 3, 914,
+        [2, 1], [1.9999999999999998, 1.3333333333333333], 112, 65,
+    ),
+    (
+        ('separable_concave', {'coeffs': [1.812, 1.539, 0.905], 'powers': [0.5, 0.7, 0.3], 'cap': [3, 3, 3]}),
+        ('uniform', {'n': 3, 'per_element': 2, 'total': 4}),
+        1 / 3, 987,
+        [1, 1, 1], [1.0, 1.3333333333333333, 0.3333333333333333], 207, 246,
+    ),
+    (
+        ('budget_allocation', {'edges': [[0, 0, 0.526], [0, 1, 0.221], [1, 2, 0.334], [1, 1, 0.538], [2, 2, 0.422], [2, 0, 0.186]], 'cap': [3, 2, 2]}),
+        ('uniform', {'n': 3, 'per_element': 2, 'total': 2}),
+        1 / 3, 501,
+        [1, 0, 0], [0.6666666666666666, 0.6666666666666666, 0.0], 93, 213,
+    ),
+    (
+        ('separable_concave', {'coeffs': [0.966, 1.03, 0.774], 'powers': [0.5, 0.7, 0.3], 'cap': [3, 2, 3]}),
+        ('partition', {'parts': [[0, 1], [2]], 'caps': [2, 2]}),
+        1 / 3, 9,
+        [1, 1, 2], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 215, 195,
+    ),
+    (
+        ('budget_allocation', {'edges': [[0, 1, 0.492], [0, 2, 0.212], [1, 2, 0.117], [1, 0, 0.167], [2, 1, 0.268], [2, 0, 0.517]], 'cap': [2, 2, 2]}),
+        ('partition', {'parts': [[0, 1], [2]], 'caps': [1, 1]}),
+        1 / 3, 730,
+        [1, 0, 0], [0.3333333333333333, 0.3333333333333333, 0.3333333333333333], 25, 231,
+    ),
+    (
+        ('separable_concave', {'coeffs': [0.739, 1.412, 0.539], 'powers': [0.7, 0.3, 0.5], 'cap': [3, 3, 2]}),
+        ('rank_table', {'n': 3, 'table': [0, 1, 3, 4, 3, 3, 4, 4]}),
+        1 / 3, 839,
+        [0, 2, 1], [0.3333333333333333, 1.3333333333333333, 1.0], 345, 213,
+    ),
+    (
+        ('budget_allocation', {'edges': [[0, 2, 0.432], [0, 0, 0.286], [1, 1, 0.396], [1, 2, 0.175], [2, 1, 0.345], [2, 2, 0.463]], 'cap': [3, 3, 2]}),
+        ('rank_table', {'n': 3, 'table': [0, 1, 1, 1, 2, 2, 2, 2]}),
+        1 / 3, 726,
+        [0, 0, 1], [0.3333333333333333, 0.0, 1.0], 57, 223,
+    ),
+    (
+        ('separable_concave', {'coeffs': [1.618, 1.48], 'powers': [0.3, 0.5], 'cap': [3, 3]}),
+        ('partition', {'parts': [[0, 1]], 'caps': [1]}),
+        1 / 3, 229,
+        [0, 0], [0.3333333333333333, 0.3333333333333333], 12, 142,
+    ),
+    (
+        ('budget_allocation', {'edges': [[0, 1, 0.552], [0, 0, 0.482], [1, 1, 0.121], [1, 0, 0.432]], 'cap': [2, 3]}),
+        ('partition', {'parts': [[0, 1]], 'caps': [2]}),
+        1 / 3, 513,
+        [1, 2], [1.3333333333333333, 1.3333333333333333], 138, 116,
+    ),
+    (
+        ('separable_concave', {'coeffs': [1.442, 1.058, 1.836], 'powers': [0.3, 0.5, 0.7], 'cap': [2, 2, 2]}),
+        ('partition', {'parts': [[0], [1, 2]], 'caps': [2, 2]}),
+        1 / 3, 930,
+        [1, 1, 2], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 237, 89,
+    ),
+    (
+        ('budget_allocation', {'edges': [[0, 0, 0.348], [0, 1, 0.573], [1, 2, 0.188], [1, 0, 0.486], [2, 1, 0.126], [2, 2, 0.413]], 'cap': [2, 2, 2]}),
+        ('partition', {'parts': [[0], [1, 2]], 'caps': [1, 2]}),
+        1 / 3, 453,
+        [0, 2, 1], [0.3333333333333333, 1.3333333333333333, 1.3333333333333333], 187, 135,
+    ),
+    (
+        ('separable_concave', {'coeffs': [1.372, 1.164, 1.096], 'powers': [0.7, 0.5, 0.3], 'cap': [3, 2, 3]}),
+        ('partition', {'parts': [[0], [1], [2]], 'caps': [2, 2, 2]}),
+        1 / 3, 859,
+        [2, 1, 1], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 215, 199,
+    ),
+    (
+        ('budget_allocation', {'edges': [[0, 0, 0.414], [0, 2, 0.504], [1, 0, 0.381], [1, 2, 0.489], [2, 1, 0.4], [2, 0, 0.227]], 'cap': [3, 2, 2]}),
+        ('partition', {'parts': [[0], [1], [2]], 'caps': [1, 2, 2]}),
+        1 / 3, 709,
+        [1, 1, 1], [0.3333333333333333, 1.3333333333333333, 1.3333333333333333], 185, 134,
+    ),
+    (
+        ('separable_concave', {'coeffs': [1.0, 1.5, 0.8], 'powers': [0.5, 0.5, 1.0], 'cap': [3, 3, 3]}),
+        ('uniform', {'n': 3, 'per_element': 2, 'total': 4}),
+        0.25, 0,
+        [1, 1, 0], [0.75, 1.0, 0.75], 530, 507,
+    ),
+    (
+        ('separable_concave', {'coeffs': [1.0, 1.5, 0.8], 'powers': [0.5, 0.5, 1.0], 'cap': [3, 3, 3]}),
+        ('uniform', {'n': 3, 'per_element': 2, 'total': 4}),
+        0.25, 1,
+        [1, 1, 1], [0.75, 1.0, 0.75], 530, 507,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "pin", POLYMATROID_PINS, ids=lambda pin: f"{pin[0][0]}-{pin[1][0]}-seed{pin[3]}"
+)
+def test_maximize_polymatroid_matches_recorded_results(pin):
+    (family, params), (poly_family, poly_params), eps, seed, x_int, x_frac, calls, members = pin
+    f = InstanceSpec(family, params).build()
+    P = make_polymatroid(poly_family, **poly_params)
+    got_int, got_frac = maximize_polymatroid(f, P, SolverConfig(eps, seed))
+    assert got_int.tolist() == x_int
+    assert got_frac.tolist() == x_frac
+    assert f.calls == calls
+    assert P.member_calls == members
