@@ -10,6 +10,7 @@ exact optimum comes from full enumeration.
 import argparse
 import csv
 import math
+from functools import partial
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from latticemax.cardinality import (
     CardinalityConstraint,
     SolverConfig,
     maximize_dr_cardinality,
+    maximize_lattice_cardinality,
 )
 from latticemax.instances import (
     random_budget_allocation,
@@ -39,7 +41,7 @@ def dr_instance(i: int):
     return lambda: random_budget_allocation(i, n, targets, 4)
 
 
-def sweep_cardinality(eps: float, trials: int) -> list[float]:
+def sweep_cardinality(eps: float, trials: int, solve=maximize_dr_cardinality) -> list[float]:
     ratios = []
     for i in range(trials):
         make = dr_instance(i)
@@ -47,7 +49,7 @@ def sweep_cardinality(eps: float, trials: int) -> list[float]:
         rng = np.random.default_rng(20_000 + i)
         budget = int(rng.integers(1, min(8, int(f.box.sum())) + 1))
         cons = CardinalityConstraint(tuple(int(b) for b in f.box), budget)
-        y, _ = maximize_dr_cardinality(f, cons, SolverConfig(eps, i))
+        y, _ = solve(f, cons, SolverConfig(eps, i))
         exact = brute_force_opt(make(), cons)
         if exact.opt_value > 1e-9:
             ratios.append(make().eval(y) / exact.opt_value)
@@ -85,7 +87,12 @@ SWEEPS = {
     "cardinality_dr": sweep_cardinality,
     "knapsack": sweep_knapsack,
     "polymatroid": sweep_polymatroid,
+    "cardinality_lattice": partial(sweep_cardinality, solve=maximize_lattice_cardinality),
 }
+
+# guarantee = 1 - 1/e - SLACK[solver] * eps: the lattice sweep loses one
+# more eps to its (1 - eps) acceptance test
+SLACK = {"cardinality_dr": 1, "cardinality_lattice": 2, "knapsack": 5, "polymatroid": 5}
 
 
 def main(argv=None) -> int:
@@ -103,7 +110,7 @@ def main(argv=None) -> int:
         trials = args.trials if solver != "polymatroid" else min(args.trials, 10)
         for eps in args.epsilons:
             ratios = SWEEPS[solver](eps, trials)
-            guarantee = 1 - 1 / math.e - (5 * eps if solver != "cardinality_dr" else eps)
+            guarantee = 1 - 1 / math.e - SLACK[solver] * eps
             rows.append(
                 {
                     "solver": solver,

@@ -1,21 +1,21 @@
 """Decreasing-threshold greedy maximization under a cardinality constraint.
 
 Feasible solutions are lattice points y with 0 <= y <= c and y(E) <= r.
-Two solver entry points are provided:
+Both solvers run one sweep, :func:`_sweep`: the threshold falls by factors
+of (1 - eps) from a top value d to (eps / r) * d, and at each level every
+element takes the step its step rule picks on the ray k -> f(k e | y).
 
-* :func:`maximize_dr_cardinality` assumes diminishing-returns submodularity
-  and picks the step size along each coordinate by a plain binary search
-  (valid because k -> f(k e | y) - k * threshold is then concave).
-* :func:`maximize_lattice_cardinality` only assumes lattice submodularity
-  and replaces the step search with a level-set search over geometrically
-  spaced value levels (:func:`binary_search_lattice`).
+* :func:`maximize_dr_cardinality` (DR-submodular f): d = max_e f(e); the
+  rule bisects for the largest step whose average gain clears the
+  threshold, exact because k -> f(k e | y) - k * threshold is then concave.
+* :func:`maximize_lattice_cardinality` (lattice-submodular f):
+  d = max_e f(min(c_e, r) e); the rule takes the first candidate of a
+  level-set scan whose gain clears (1 - eps) times the threshold
+  (:func:`binary_search_lattice`).
 
-Within one solve each lattice point is evaluated at most once: solvers
-read f through a per-call :class:`_PointMemo`, so ``f.calls`` grows by the
-number of distinct points probed.
-
-Both achieve a (1 - 1/e - O(eps)) fraction of the optimum for monotone
-objectives and make O((n/eps) log ||c||_inf log(r/eps)) oracle calls.
+Each solve reads f through its own :class:`_PointMemo`, so ``f.calls``
+grows by the number of distinct points probed.  Both achieve a
+(1 - 1/e - O(eps)) fraction of the optimum for monotone objectives.
 """
 
 from __future__ import annotations
@@ -186,59 +186,6 @@ def _max_step_with_gain(
     return lo, gain_at_lo
 
 
-def maximize_dr_cardinality(
-    f: ValueOracle, constraint: CardinalityConstraint, config: SolverConfig
-) -> tuple[np.ndarray, GreedyTrace]:
-    """Decreasing-threshold greedy for monotone DR-submodular f.
-
-    Guarantees f(y) >= (1 - 1/e - eps) * OPT.  The threshold sweeps from
-    d = max_e f(e) down to (eps / r) * d by factors of (1 - eps); at each
-    level every element is topped up with the largest step whose average
-    gain still clears the threshold.  Each (y, e) pair keeps one ray of
-    marginals until a step changes y.
-    """
-    cap = constraint.cap_vector()
-    if cap.shape[0] != f.n:
-        raise ValueError("constraint dimension does not match oracle")
-    if np.any(cap > f.box):
-        raise ValueError("constraint cap exceeds the oracle box")
-    eps = config.effective
-    r = constraint.budget
-    y = zeros(f.n)
-    trace = GreedyTrace()
-    if r == 0 or not cap.any():
-        return y, trace
-
-    memo = _PointMemo(f)
-    d = max(
-        (memo(unit(f.n, e)) for e in range(f.n) if cap[e] >= 1),
-        default=0.0,
-    )
-    if d <= 0:
-        return y, trace
-
-    # room[e] = cap[e] - y[e] and left = r - y(E), kept as Python ints;
-    # rays[e] caches f(k e | y) until a step changes y
-    room, left = cap.tolist(), r
-    rays: dict[int, Mapping[int, float]] = {}
-    for threshold in threshold_schedule(d, (eps / r) * d, eps):
-        for e in range(f.n):
-            k_cap = min(room[e], left)
-            if k_cap <= 0:
-                continue
-            ray = rays.get(e)
-            if ray is None:
-                ray = rays[e] = _marginal_along(memo, y, e)
-            k, gain = _max_step_with_gain(ray, k_cap, threshold)
-            if k >= 1:
-                y[e] += k
-                room[e] -= k
-                left -= k
-                trace.add(threshold, e, k, gain)
-                rays.clear()
-    return y, trace
-
-
 def _level_candidates(
     val: Mapping[int, float], k_max: int, eps: float
 ) -> Iterator[tuple[int, float]]:
@@ -301,14 +248,46 @@ class _Ray(dict):
 def _marginal_along(
     ev: Callable[[np.ndarray], float], y: np.ndarray, e: int
 ) -> Mapping[int, float]:
-    """The ray k -> f(y + k e) - f(y) through ``ev``, cached by k.
+    """The ray k -> f(y + k e) - f(y) through ``ev``: a :class:`_Ray` on a copy of y.
 
-    f(y) is read once, now.  ``ray[k]`` reads f(y + k e) through ``ev`` on
-    its first lookup only, so a repeated probe costs a dict lookup and
-    builds no point.  The ray keeps a copy of y.  The subtraction is the
-    same float arithmetic as ``f.shifted(y)``.
+    f(y) is read once, now.  The subtraction is the same float arithmetic
+    as ``f.shifted(y)``.
     """
     return _Ray(ev, y.copy(), e, ev(y))
+
+
+# maps a threshold to the step (k, f(k e | y)) one (y, e) pair takes; k = 0 for none
+_Step = Callable[[float], tuple[int, float]]
+
+
+def _bisection_rule(ray: Mapping[int, float], k_max: int, eps: float) -> _Step:
+    """The DR sweep's rule: :func:`_max_step_with_gain` on ``ray``."""
+    return lambda threshold: _max_step_with_gain(ray, k_max, threshold)
+
+
+def _level_rule(ray: Mapping[int, float], k_max: int, eps: float) -> _Step:
+    """The lattice sweep's rule: the first level-set candidate that clears.
+
+    The rule returns the first candidate (k, gain) of
+    :func:`_level_candidates` on ``ray`` with gain >= (1 - eps) * k *
+    threshold, or (0, 0.0) when none does.  Candidates do not depend on the
+    threshold, so the scan runs once: the rule keeps the candidates it has
+    read and resumes the scan only past them.
+    """
+    scan = _level_candidates(ray, k_max, eps)
+    seen: list[tuple[int, float]] = []
+
+    def step(threshold: float) -> tuple[int, float]:
+        for k, gain in seen:
+            if gain >= (1.0 - eps) * k * threshold:
+                return k, gain
+        for k, gain in scan:
+            seen.append((k, gain))
+            if gain >= (1.0 - eps) * k * threshold:
+                return k, gain
+        return 0, 0.0
+
+    return step
 
 
 def binary_search_lattice(
@@ -317,11 +296,10 @@ def binary_search_lattice(
     """Level-set search for a step k with g(k e) >= (1 - eps) * k * theta.
 
     ``g`` must be monotone along coordinate e (typically a marginal view
-    f(. | y)); no concavity is assumed.  Scans the value levels of
-    :func:`_level_candidates`, from g(k_max e) down by factors of
-    (1 - eps) until below (1 - eps) * g(k_min e), and returns the first
-    level's smallest k that clears the threshold, or None (fail) when none
-    does.  Each k is evaluated at most once.
+    f(. | y)); no concavity is assumed.  This is the lattice sweep's rule
+    (:func:`_level_rule`) on the ray k -> g(k e), with None (fail) for no
+    step.  Each k is evaluated at most once, so a search costs at most
+    k_max calls.
 
     Any returned k satisfies g(k e) >= (1 - eps) * k * theta, and whenever
     some k* has g(k* e) >= k* * theta the search does not fail.
@@ -333,28 +311,22 @@ def binary_search_lattice(
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     along = _Ray(g.eval, unit(g.n, e, 0), e, 0.0)  # g(k e) - 0.0 is g(k e), bit for bit
-    for k, value in _level_candidates(along, k_max, epsilon):
-        if value >= (1.0 - epsilon) * k * theta:
-            return k
-    return None
+    return _level_rule(along, k_max, epsilon)(theta)[0] or None
 
 
-def maximize_lattice_cardinality(
-    f: ValueOracle, constraint: CardinalityConstraint, config: SolverConfig
+def _sweep(
+    f: ValueOracle,
+    constraint: CardinalityConstraint,
+    config: SolverConfig,
+    top: Callable[[int, int], int],
+    rule: Callable[[Mapping[int, float], int, float], _Step],
 ) -> tuple[np.ndarray, GreedyTrace]:
-    """Threshold greedy for monotone lattice-submodular f (DR not required).
+    """The threshold sweep of both solvers.
 
-    Same sweep as :func:`maximize_dr_cardinality` except for the top
-    threshold and the step search.  The top threshold is
-    d = max_e f(min(c_e, r) e), the value of the best feasible
-    single-element point, so d <= OPT as the (1 - 1/e - eps) analysis
-    requires.  Each step is the first level-set candidate k (see
-    :func:`binary_search_lattice`) whose marginal f(k e | y) clears
-    (1 - eps) * k * threshold.  Candidates do not depend on the threshold,
-    so each (y, e) pair runs its level-set scan once, on one ray, and stops
-    at the first candidate that clears.  A scan that finds none has run to
-    its end, and later thresholds check the candidates it kept.  An
-    accepted step changes y and discards every scan.
+    The top threshold is d = max_e f(top(c_e, r) e) over e with c_e >= 1.
+    At each level every e with k_cap = min(c_e - y_e, r - y(E)) >= 1 takes
+    the step of ``rule(ray, k_cap, eps)``, made on the ray of (y, e) at the
+    first visit and kept until a step changes y.
     """
     cap = constraint.cap_vector()
     if cap.shape[0] != f.n:
@@ -370,35 +342,59 @@ def maximize_lattice_cardinality(
 
     memo = _PointMemo(f)
     d = max(
-        (memo(unit(f.n, e, min(int(cap[e]), r))) for e in range(f.n) if cap[e] >= 1),
+        (memo(unit(f.n, e, top(int(cap[e]), r))) for e in range(f.n) if cap[e] >= 1),
         default=0.0,
     )
     if d <= 0:
         return y, trace
 
-    # room and left as in maximize_dr_cardinality; a visit that takes no
-    # step has run the scan of (y, e) to its end, and scans[e] keeps its
-    # candidates
+    # room[e] = cap[e] - y[e] and left = r - y(E), kept as Python ints
     room, left = cap.tolist(), r
-    scans: dict[int, list[tuple[int, float]]] = {}
+    searches: dict[int, _Step] = {}
     for threshold in threshold_schedule(d, (eps / r) * d, eps):
         for e in range(f.n):
             k_cap = min(room[e], left)
             if k_cap <= 0:
                 continue
-            scan = scans.get(e)
-            if scan is None:
-                scan = _level_candidates(_marginal_along(memo, y, e), k_cap, eps)
-            seen = []
-            for k, gain in scan:
-                if gain >= (1.0 - eps) * k * threshold:
-                    y[e] += k
-                    room[e] -= k
-                    left -= k
-                    trace.add(threshold, e, k, gain)
-                    scans.clear()
-                    break
-                seen.append((k, gain))
-            else:
-                scans[e] = seen
+            search = searches.get(e)
+            if search is None:
+                search = searches[e] = rule(_marginal_along(memo, y, e), k_cap, eps)
+            k, gain = search(threshold)
+            if k >= 1:
+                y[e] += k
+                room[e] -= k
+                left -= k
+                trace.add(threshold, e, k, gain)
+                searches.clear()
     return y, trace
+
+
+def maximize_dr_cardinality(
+    f: ValueOracle, constraint: CardinalityConstraint, config: SolverConfig
+) -> tuple[np.ndarray, GreedyTrace]:
+    """Decreasing-threshold greedy for monotone DR-submodular f.
+
+    Guarantees f(y) >= (1 - 1/e - eps) * OPT.  The top threshold is
+    d = max_e f(e); each step is the largest whose average gain clears the
+    threshold.  With L <= 1 + ln(r / eps) / eps levels and
+    m = min(max_e c_e, r), a solve makes at most
+    1 + n + L * n * ceil(log2(m + 1)) oracle calls.
+    """
+    return _sweep(f, constraint, config, lambda c_e, r: 1, _bisection_rule)
+
+
+def maximize_lattice_cardinality(
+    f: ValueOracle, constraint: CardinalityConstraint, config: SolverConfig
+) -> tuple[np.ndarray, GreedyTrace]:
+    """Threshold greedy for monotone lattice-submodular f (DR not required).
+
+    The top threshold is d = max_e f(min(c_e, r) e), the value of the best
+    feasible single-element point, so d <= OPT as the (1 - 1/e - eps)
+    analysis requires.  Each step is the first level-set candidate k (see
+    :func:`binary_search_lattice`) whose gain f(k e | y) clears
+    (1 - eps) * k * threshold.  A (y, e) pair's scan runs once and reads
+    each k at most once, so with s <= r accepted steps and
+    m = min(max_e c_e, r) a solve makes at most 1 + n + (s + 1) * n * m
+    oracle calls.
+    """
+    return _sweep(f, constraint, config, min, _level_rule)

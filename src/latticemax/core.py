@@ -90,6 +90,11 @@ def total(x: np.ndarray) -> int:
     return int(np.asarray(x).sum())
 
 
+def subset_masks(m: int) -> np.ndarray:
+    """The (2^m, m) 0/1 int64 matrix whose row i holds the bits of i, lowest first."""
+    return (np.arange(1 << m, dtype=np.int64)[:, None] >> np.arange(m)) & 1
+
+
 def lattice_points(cap, admits=None) -> Iterator[np.ndarray]:
     """Yield every lattice point 0 <= x <= cap in lexicographic order.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MAX_ENUMERATION_N, CapacityError, ValueOracle, as_fractional_point
+from .core import MAX_ENUMERATION_N, CapacityError, ValueOracle, as_fractional_point, subset_masks
 
 # Coordinates within this distance of an integer are treated as integral,
 # guarding against drift from repeated fractional updates.
@@ -54,16 +54,9 @@ def _cell_corners(
     base + e_S for every subset S of idx (m = len(idx)), weights the D(x)
     probabilities prod_{i in S} frac(i) * prod_{i in idx - S} (1 - frac(i)).
     """
-    masks = np.zeros((1, 0), dtype=np.int64)
-    weights = np.ones(1, dtype=np.float64)
-    for p in frac[idx]:
-        masks = np.vstack(
-            [
-                np.hstack([masks, np.zeros((masks.shape[0], 1), dtype=np.int64)]),
-                np.hstack([masks, np.ones((masks.shape[0], 1), dtype=np.int64)]),
-            ]
-        )
-        weights = np.concatenate([weights * (1.0 - p), weights * p])
+    masks = subset_masks(idx.size)
+    p = frac[idx]
+    weights = np.prod(np.where(masks == 1, p, 1.0 - p), axis=1)
     points = np.repeat(base[None, :], masks.shape[0], axis=0)
     points[:, idx] += masks
     return points, weights

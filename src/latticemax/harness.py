@@ -52,6 +52,18 @@ CONSTRAINT_KEYS = {
     "polymatroid": ("family",),
 }
 
+# field -> (the types it may hold, their name): the constructors that read
+# these fields iterate a list, size with an integer or compare a number.
+# Fields of CONSTRAINT_KEYS, ORACLE_KEYS and POLYMATROID_KEYS not named here
+# ("family", "table") are checked where the instance is built.
+FIELD_TYPES = {
+    **dict.fromkeys(
+        ("cap", "weights", "coeffs", "powers", "edges", "parts", "caps"), (list, "a list")
+    ),
+    **dict.fromkeys(("n", "cap_high", "sources", "targets"), (int, "an integer")),
+    **dict.fromkeys(("budget", "per_element", "total"), ((int, float), "a number")),
+}
+
 CONFIG_KEYS = frozenset({"instances", "experiments", "assertions"})
 EXPERIMENT_KEYS = frozenset({"instances", "algorithms", "epsilons", "seeds"})
 SCOPE_KEYS = frozenset({"instance", "algorithm"})
@@ -209,6 +221,16 @@ def _reject_unknown(mapping, allowed, context):
         raise ConfigError(f"unknown key {unknown[0]!r} in {context}")
 
 
+def _field(mapping, key, context):
+    """The value under ``key``, of a type FIELD_TYPES allows for it (a bool never is)."""
+    value = _require(mapping, key, context)
+    if key in FIELD_TYPES:
+        types, name = FIELD_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"{key!r} in {context} must be {name}, got {value!r}")
+    return value
+
+
 def _list(mapping, key, context, default=None):
     """The list under ``key``; any other value there is a ConfigError."""
     value = _require(mapping, key, context) if default is None else mapping.get(key, default)
@@ -239,10 +261,11 @@ def load_config(path: str) -> HarnessConfig:
     give the same config.  Every malformed field raises ConfigError naming
     it: a missing or unknown key (each constraint kind needs the keys in
     ``CONSTRAINT_KEYS``, each oracle and polymatroid family the ``params``
-    keys in ``ORACLE_KEYS`` and ``POLYMATROID_KEYS``), a scalar where a list
-    or a ``params`` mapping belongs, a non-numeric epsilon, seed or
-    assertion value, invalid YAML (with its line and column) or a missing
-    file.  Oracles are not built here.
+    keys in ``ORACLE_KEYS`` and ``POLYMATROID_KEYS``), such a key holding a
+    type ``FIELD_TYPES`` does not allow for it, a scalar where a list or a
+    ``params`` mapping belongs, a non-numeric epsilon, seed or assertion
+    value, invalid YAML (with its line and column) or a missing file.
+    Oracles are not built here.
     """
     try:
         with open(path) as handle:
@@ -266,17 +289,17 @@ def load_config(path: str) -> HarnessConfig:
         family = _require(oracle_raw, "family", f"instance {instance_id!r} oracle")
         _mapping(oracle_raw, "params", f"instance {instance_id!r} oracle")
         for key in ORACLE_KEYS.get(str(family), ()):
-            _require(oracle_raw.get("params", {}), key, f"instance {instance_id!r} oracle params")
+            _field(oracle_raw.get("params", {}), key, f"instance {instance_id!r} oracle params")
         _number(oracle_raw.get("seed", 0), int, f"instance {instance_id!r} oracle seed")
         constraint_raw = _require(raw, "constraint", f"instance {instance_id!r}")
         context = f"instance {instance_id!r} constraint"
         kind = str(_require(constraint_raw, "kind", context))
         for key in CONSTRAINT_KEYS.get(kind, ()):
-            _require(constraint_raw, key, context)
+            _field(constraint_raw, key, context)
         if kind == "polymatroid":
             _mapping(constraint_raw, "params", context)
             for key in POLYMATROID_KEYS.get(str(constraint_raw["family"]), ()):
-                _require(constraint_raw.get("params", {}), key, f"{context} params")
+                _field(constraint_raw.get("params", {}), key, f"{context} params")
         params = {k: v for k, v in constraint_raw.items() if k != "kind"}
         instances[instance_id] = InstanceEntry(
             instance_id=instance_id,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_ENUMERATION_N, ValueOracle, check_property_exhaustive
+from .core import MAX_ENUMERATION_N, ValueOracle, check_property_exhaustive, subset_masks
 from .polymatroid import PolymatroidOracle
 
 
@@ -256,9 +256,7 @@ def table_polymatroid(n: int, rank_table) -> PolymatroidOracle:
                         f"rank not submodular at subset mask {mask}, elements {e},{g}"
                     )
 
-    masks = np.array(
-        [[mask >> e & 1 for e in range(n)] for mask in range(size)], dtype=np.float64
-    )
+    masks = subset_masks(n).astype(np.float64)
     rho_f = rho.astype(np.float64)
 
     def member(x):

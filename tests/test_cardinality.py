@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticemax import cardinality
 from latticemax.bruteforce import brute_force_opt
 from latticemax.cardinality import (
     CardinalityConstraint,
@@ -555,6 +556,26 @@ def test_ray_reads_f_of_y_once_and_each_step_at_most_once():
     first = _max_step_with_gain(ray, 7, 0.5)
     calls = f.calls
     assert _max_step_with_gain(ray, 7, 0.5) == first and f.calls == calls
+
+
+def test_lattice_sweep_scans_each_ray_once(monkeypatch):
+    # level-set candidates do not depend on the threshold, so a (y, e) pair
+    # runs its scan once however many levels visit it; no call count shows
+    # this, since the ray absorbs repeated probes
+    counts = {"rays": 0, "scans": 0}
+
+    def counted(name, wrapped):
+        def wrapper(*args):
+            counts[name] += 1
+            return wrapped(*args)
+        return wrapper
+
+    monkeypatch.setattr(cardinality, "_marginal_along", counted("rays", cardinality._marginal_along))
+    monkeypatch.setattr(cardinality, "_level_candidates", counted("scans", cardinality._level_candidates))
+    for make, caps, r in equivalence_instances():
+        counts.update(rays=0, scans=0)
+        maximize_lattice_cardinality(make(), CardinalityConstraint(caps, r), SolverConfig(0.1))
+        assert counts["scans"] == counts["rays"] > 0
 
 
 def test_binary_search_lattice_matches_reference():

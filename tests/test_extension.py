@@ -6,6 +6,7 @@ import pytest
 
 from latticemax.core import MAX_ENUMERATION_N, CapacityError, ValueOracle
 from latticemax.extension import (
+    _cell_corners,
     _marginal_estimate,
     extension_exact,
     sample_rounding,
@@ -214,6 +215,27 @@ def test_cell_expansion_matches_the_old_code_bit_for_bit():
     for _ in range(50):
         x = random_cell_point(rng, f.box.astype(np.float64))
         assert extension_exact(f, x) == _old_extension_exact(f, x)
+
+
+def test_cell_corners_match_the_doubling_loop_bit_for_bit():
+    # the bit-matrix corners and their product weights equal, bit for bit,
+    # those the doubling loop built, also at fractions such as 1/3 and the
+    # float just below it
+    rng = np.random.default_rng(29)
+    odd = np.array([1 / 3, 0.33333333333333326, 2 / 3, 0.1, 1e-9, 1 - 1e-9])
+    for _ in range(300):
+        n = int(rng.integers(1, 14))
+        idx = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+        frac = np.zeros(n)
+        frac[idx] = np.where(rng.random(idx.size) < 0.5, rng.random(idx.size),
+                             rng.choice(odd, idx.size))
+        base = rng.integers(0, 4, size=n)
+        points, weights = _cell_corners(base, frac, idx)
+        masks, old_weights = _old_subset_weights(frac[idx])
+        old_points = np.repeat(base[None, :], masks.shape[0], axis=0)
+        old_points[:, idx] += masks
+        assert points.dtype == old_points.dtype and np.array_equal(points, old_points)
+        assert weights.tobytes() == old_weights.tobytes()
 
 
 def test_sample_rounding_matches_marginals():

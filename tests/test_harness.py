@@ -327,10 +327,34 @@ BAD_INSTANCES = [
     (CARDINALITY, NO_TOTAL, "missing key 'total' in instance 'pack' constraint params"),
 ]
 
+CONCAVE_ORACLE = "family: separable_concave\n      " + ORACLE_PARAMS
+BUDGET_ORACLE = "family: budget_allocation\n      params:\n        edges: {}\n        cap: {}"
+EDGES = "[[0, 0, 0.5], [1, 0, 0.3]]"
 
-@pytest.mark.parametrize("old, new, message", BAD_INSTANCES,
+# (text replaced in BASIC, its replacement, the ConfigError message); each,
+# run by an algorithm of its constraint kind, used to load and then end the
+# run with a raw TypeError or IndexError
+BAD_FIELD_TYPES = [
+    (CARDINALITY, "kind: cardinality\n      cap: 5\n      budget: 2",
+     "'cap' in instance 'pack' constraint must be a list, got 5"),
+    (CARDINALITY, "kind: knapsack\n      weights: [0.5, 0.5]\n      budget: 1\n      cap: 5",
+     "'cap' in instance 'pack' constraint must be a list, got 5"),
+    (CARDINALITY, "kind: polymatroid\n      family: partition\n      params: {parts: 5, caps: [1]}",
+     "'parts' in instance 'pack' constraint params must be a list, got 5"),
+    (CARDINALITY, NO_TOTAL.replace("}", ", total: x}"),
+     "'total' in instance 'pack' constraint params must be a number, got 'x'"),
+    (CONCAVE_ORACLE, BUDGET_ORACLE.format(5, "[2, 2]"),
+     "'edges' in instance 'pack' oracle params must be a list, got 5"),
+    (CONCAVE_ORACLE, BUDGET_ORACLE.format(EDGES, 5),
+     "'cap' in instance 'pack' oracle params must be a list, got 5"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", BAD_INSTANCES + BAD_FIELD_TYPES,
                          ids=["no_cap", "no_weights", "oracle_params", "polymatroid_params",
-                              "no_coeffs", "no_total"])
+                              "no_coeffs", "no_total", "cardinality_cap_scalar",
+                              "knapsack_cap_scalar", "parts_scalar", "total_string",
+                              "edges_scalar", "oracle_cap_scalar"])
 def test_malformed_instance_is_config_error(tmp_path, old, new, message):
     text = BASIC.replace(old, new)
     assert text != BASIC
@@ -567,6 +591,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
     assert "config error: missing key 'cap' in instance 'pack' constraint" in capsys.readouterr().err
     assert not (tmp_path / "out4").exists()
+
+    # a scalar cap used to load, then end the run with a TypeError traceback
+    bad_path = write(tmp_path, BASIC.replace(CARDINALITY, BAD_FIELD_TYPES[0][1]))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", bad_path, "--out", str(tmp_path / "out5")])
+    assert exc.value.code == 2
+    assert f"config error: {BAD_FIELD_TYPES[0][2]}" in capsys.readouterr().err
+    assert not (tmp_path / "out5").exists()
 
 
 # an oracle or polymatroid family without a params key it needs used to
