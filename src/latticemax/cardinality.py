@@ -1,9 +1,11 @@
 """Decreasing-threshold greedy maximization under a cardinality constraint.
 
 Feasible solutions are lattice points y with 0 <= y <= c and y(E) <= r.
-Both solvers run one sweep, :func:`_sweep`: the threshold falls by factors
-of (1 - eps) from a top value d to (eps / r) * d, and at each level every
-element takes the step its step rule picks on the ray k -> f(k e | y).
+Both solvers, and :func:`knapsack.greedy_knapsack`, run one sweep,
+:func:`_sweep`: the threshold falls by factors of (1 - eps) from a top
+value d, and at each level every element takes the step its step rule
+picks on the ray k -> f(k e | y).  The cardinality levels end at
+(eps / r) * d, and a step is capped at the budget left.
 
 * :func:`maximize_dr_cardinality` (DR-submodular f): d = max_e f(e); the
   rule bisects for the largest step whose average gain clears the
@@ -13,16 +15,18 @@ element takes the step its step rule picks on the ray k -> f(k e | y).
   level-set scan whose gain clears (1 - eps) times the threshold
   (:func:`binary_search_lattice`).
 
-Each solve reads f through its own :class:`_PointMemo`, so ``f.calls``
-grows by the number of distinct points probed.  Both achieve a
-(1 - 1/e - O(eps)) fraction of the optimum for monotone objectives.
+The knapsack greedy bisects too, at thresholds scaled by the weights, and
+rejects a step that overruns the budget.  Each solve reads f through its
+own :class:`_PointMemo`, so ``f.calls`` grows by the number of distinct
+points probed.  Both cardinality solvers achieve a (1 - 1/e - O(eps))
+fraction of the optimum for monotone objectives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -258,10 +262,12 @@ def _marginal_along(
 
 # maps a threshold to the step (k, f(k e | y)) one (y, e) pair takes; k = 0 for none
 _Step = Callable[[float], tuple[int, float]]
+# makes a pair's _Step from its ray, the largest step allowed and eps
+_Rule = Callable[[Mapping[int, float], int, float], _Step]
 
 
 def _bisection_rule(ray: Mapping[int, float], k_max: int, eps: float) -> _Step:
-    """The DR sweep's rule: :func:`_max_step_with_gain` on ``ray``."""
+    """The DR and knapsack sweeps' rule: :func:`_max_step_with_gain` on ``ray``."""
     return lambda threshold: _max_step_with_gain(ray, k_max, threshold)
 
 
@@ -315,18 +321,63 @@ def binary_search_lattice(
 
 
 def _sweep(
+    memo: _PointMemo, y: np.ndarray, room: list[int], levels: Iterable[float], rule: _Rule,
+    eps: float, scale: Sequence[float], spent: float, limit: float, *, reject: bool,
+) -> tuple[np.ndarray, GreedyTrace]:
+    """The threshold sweep of all three greedies; it steps y in place.
+
+    At each level every e with k_cap >= 1 takes the step ``rule(ray, k_cap,
+    eps)`` picks at threshold scale_e * level; the ray of (y, e) is kept
+    until a step changes y, its search until k_cap changes.  A step of k
+    costs k * scale_e against ``limit``, ``spent`` being the budget used.
+    Without ``reject`` (cardinality, unit scale) k_cap = min(room_e,
+    limit - spent), so every step fits.  With it (knapsack) k_cap = room_e,
+    and a step that does not fit is rejected: room_e falls to k - 1 and e's
+    search is rebuilt on the same ray.  Under :func:`_bisection_rule` a
+    visit probes at most ceil(log2(k_cap + 1)) points, and the f(y) a ray
+    reads is the start point's or one an accepted step has probed.
+    """
+    trace = GreedyTrace()
+    rays: dict[int, Mapping[int, float]] = {}
+    searches: dict[int, _Step] = {}
+    for threshold in levels:
+        for e in range(len(room)):
+            k_cap = room[e] if reject else min(room[e], limit - spent)
+            if k_cap <= 0:
+                continue
+            search = searches.get(e)
+            if search is None:
+                if e not in rays:
+                    rays[e] = _marginal_along(memo, y, e)
+                search = searches[e] = rule(rays[e], k_cap, eps)
+            k, gain = search(scale[e] * threshold)
+            if k < 1:
+                continue
+            if spent + k * scale[e] <= limit:
+                y[e] += k
+                room[e] -= k
+                spent += k * scale[e]
+                trace.add(threshold, e, k, gain)
+                rays.clear()
+                searches.clear()
+            else:
+                room[e] = k - 1
+                del searches[e]
+                trace.add(threshold, e, k, gain, accepted=False)
+    return y, trace
+
+
+def _cardinality_greedy(
     f: ValueOracle,
     constraint: CardinalityConstraint,
     config: SolverConfig,
     top: Callable[[int, int], int],
-    rule: Callable[[Mapping[int, float], int, float], _Step],
+    rule: _Rule,
 ) -> tuple[np.ndarray, GreedyTrace]:
-    """The threshold sweep of both solvers.
+    """The set-up of both cardinality solvers, then their :func:`_sweep`.
 
-    The top threshold is d = max_e f(top(c_e, r) e) over e with c_e >= 1.
-    At each level every e with k_cap = min(c_e - y_e, r - y(E)) >= 1 takes
-    the step of ``rule(ray, k_cap, eps)``, made on the ray of (y, e) at the
-    first visit and kept until a step changes y.
+    d = max_e f(top(c_e, r) e) over e with c_e >= 1; the levels end at
+    (eps / r) * d, and steps are capped at r - y(E).
     """
     cap = constraint.cap_vector()
     if cap.shape[0] != f.n:
@@ -335,38 +386,14 @@ def _sweep(
         raise ValueError("constraint cap exceeds the oracle box")
     eps = config.effective
     r = constraint.budget
-    y = zeros(f.n)
-    trace = GreedyTrace()
-    if r == 0 or not cap.any():
-        return y, trace
-
+    if r == 0:
+        return zeros(f.n), GreedyTrace()
     memo = _PointMemo(f)
-    d = max(
-        (memo(unit(f.n, e, top(int(cap[e]), r))) for e in range(f.n) if cap[e] >= 1),
-        default=0.0,
-    )
-    if d <= 0:
-        return y, trace
-
-    # room[e] = cap[e] - y[e] and left = r - y(E), kept as Python ints
-    room, left = cap.tolist(), r
-    searches: dict[int, _Step] = {}
-    for threshold in threshold_schedule(d, (eps / r) * d, eps):
-        for e in range(f.n):
-            k_cap = min(room[e], left)
-            if k_cap <= 0:
-                continue
-            search = searches.get(e)
-            if search is None:
-                search = searches[e] = rule(_marginal_along(memo, y, e), k_cap, eps)
-            k, gain = search(threshold)
-            if k >= 1:
-                y[e] += k
-                room[e] -= k
-                left -= k
-                trace.add(threshold, e, k, gain)
-                searches.clear()
-    return y, trace
+    tops = (memo(unit(f.n, e, top(int(cap[e]), r))) for e in range(f.n) if cap[e] >= 1)
+    d = max(tops, default=0.0)
+    levels = threshold_schedule(d, (eps / r) * d, eps)
+    return _sweep(memo, zeros(f.n), cap.tolist(), levels, rule, eps, [1] * f.n, 0, r,
+                  reject=False)
 
 
 def maximize_dr_cardinality(
@@ -380,7 +407,7 @@ def maximize_dr_cardinality(
     m = min(max_e c_e, r), a solve makes at most
     1 + n + L * n * ceil(log2(m + 1)) oracle calls.
     """
-    return _sweep(f, constraint, config, lambda c_e, r: 1, _bisection_rule)
+    return _cardinality_greedy(f, constraint, config, lambda c_e, r: 1, _bisection_rule)
 
 
 def maximize_lattice_cardinality(
@@ -397,4 +424,4 @@ def maximize_lattice_cardinality(
     m = min(max_e c_e, r) a solve makes at most 1 + n + (s + 1) * n * m
     oracle calls.
     """
-    return _sweep(f, constraint, config, min, _level_rule)
+    return _cardinality_greedy(f, constraint, config, min, _level_rule)

@@ -222,12 +222,19 @@ def _reject_unknown(mapping, allowed, context):
 
 
 def _field(mapping, key, context):
-    """The value under ``key``, of a type FIELD_TYPES allows for it (a bool never is)."""
+    """The value under ``key``, of a type FIELD_TYPES allows for it (a bool never is).
+
+    Each item of ``edges`` and of ``parts`` must be a list too.
+    """
     value = _require(mapping, key, context)
     if key in FIELD_TYPES:
         types, name = FIELD_TYPES[key]
         if isinstance(value, bool) or not isinstance(value, types):
             raise ConfigError(f"{key!r} in {context} must be {name}, got {value!r}")
+    if key in ("edges", "parts"):
+        for item in value:
+            if not isinstance(item, list):
+                raise ConfigError(f"each item of {key!r} in {context} must be a list, got {item!r}")
     return value
 
 
@@ -263,8 +270,9 @@ def load_config(path: str) -> HarnessConfig:
     ``CONSTRAINT_KEYS``, each oracle and polymatroid family the ``params``
     keys in ``ORACLE_KEYS`` and ``POLYMATROID_KEYS``), such a key holding a
     type ``FIELD_TYPES`` does not allow for it, a scalar where a list or a
-    ``params`` mapping belongs, a non-numeric epsilon, seed or assertion
-    value, invalid YAML (with its line and column) or a missing file.
+    ``params`` mapping belongs (an edge or a part included), a non-numeric
+    epsilon, seed or assertion value, invalid YAML (with its line and
+    column) or a missing file.
     Oracles are not built here.
     """
     try:

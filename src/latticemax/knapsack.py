@@ -5,6 +5,9 @@ and x <= c.  The solver enumerates a small set of initial solutions whose
 support has at most three elements, runs a density-threshold greedy from
 each, and keeps the best outcome; the combination is a
 (1 - 1/e - O(eps))-approximation for monotone DR-submodular objectives.
+The greedy is the cardinality solvers' sweep (:func:`cardinality._sweep`)
+with thresholds scaled by the weights and a step that overruns the budget
+rejected rather than capped.
 Like the cardinality solvers, :func:`maximize_knapsack` returns (x, trace).
 One point memo serves the whole solve, so it makes at most prod_e (c_e + 1)
 oracle calls: each lattice point in the box is evaluated at most once.
@@ -15,17 +18,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .cardinality import (
     GreedyTrace,
     SolverConfig,
+    _bisection_rule,
     _level_candidates,
-    _marginal_along,
-    _max_step_with_gain,
     _PointMemo,
+    _Ray,
+    _sweep,
     threshold_schedule,
 )
 from .core import ValueOracle, as_lattice_point, unit, zeros
@@ -89,16 +92,15 @@ def greedy_knapsack(
 ) -> tuple[np.ndarray, GreedyTrace]:
     """Density-threshold greedy from the starting point x0.
 
-    Thresholds sweep from d = max_e f(e) / w(e) down to eps * d * w_min.
-    For each element the largest step k with f(k e | x) >= k w(e) theta is
-    found by binary search against the per-element ceiling u(e); a step
-    that would overrun the budget is rejected and lowers the ceiling to
-    x(e) + k - 1 instead.  Rejected trials are recorded in the trace with
-    ``accepted=False``.  Points are read through a fresh per-call memo,
-    unless ``f`` already is one (as in :func:`maximize_knapsack`).  Each
-    element keeps one ray of marginals f(k e | x) (see
-    :func:`_marginal_along`) until a step changes x; a rejection lowers
-    only the ceiling, so the rays stay.
+    The sweep of :func:`_sweep` at thresholds theta from d = max_e f(e) / w(e)
+    down to eps * d * w_min: e takes the largest k <= u(e) - x(e) with
+    f(k e | x) >= k w(e) theta, by binary search under its ceiling u(e) = c_e.
+    A step that overruns the budget is rejected, recorded in the trace with
+    ``accepted=False``, and lowers u(e) to x(e) + k - 1; e keeps its ray.
+    Points are read through a fresh memo unless ``f`` already is one (as in
+    :func:`maximize_knapsack`).  With L <= 1 + ln(1 / (eps * w_min)) / eps
+    levels and m = max_e c_e, a call makes at most
+    1 + n + L * n * ceil(log2(m + 1)) oracle calls.
     """
     cap = inst.cap_vector()
     w = inst.weight_vector()
@@ -110,45 +112,11 @@ def greedy_knapsack(
     if not inst.is_feasible(x):
         raise ValueError("x0 is not feasible for the knapsack")
     eps = config.effective
-    trace = GreedyTrace()
-    if not cap.any():
-        return x, trace
-
     memo = f if isinstance(f, _PointMemo) else _PointMemo(f)
-    d = max(
-        (memo(unit(f.n, e)) / w[e] for e in range(f.n) if cap[e] >= 1),
-        default=0.0,
-    )
-    if d <= 0:
-        return x, trace
-
-    # room[e] = u(e) - x(e) as Python ints; rays[e] caches f(k e | x) until
-    # a step changes x (a rejection lowers only the ceiling)
-    room = (cap - x).tolist()
-    weight = w.tolist()
-    spent = float(w @ x)
-    rays: dict[int, Mapping[int, float]] = {}
-    for threshold in threshold_schedule(d, eps * d * float(w.min()), eps):
-        for e in range(f.n):
-            k_cap = room[e]
-            if k_cap <= 0:
-                continue
-            ray = rays.get(e)
-            if ray is None:
-                ray = rays[e] = _marginal_along(memo, x, e)
-            k, gain = _max_step_with_gain(ray, k_cap, weight[e] * threshold)
-            if k < 1:
-                continue
-            if spent + k * weight[e] <= 1.0 + BUDGET_TOL:
-                x[e] += k
-                room[e] -= k
-                spent += k * weight[e]
-                trace.add(threshold, e, k, gain)
-                rays.clear()
-            else:
-                room[e] = k - 1
-                trace.add(threshold, e, k, gain, accepted=False)
-    return x, trace
+    d = max((memo(unit(f.n, e)) / w[e] for e in range(f.n) if cap[e] >= 1), default=0.0)
+    levels = threshold_schedule(d, eps * d * float(w.min()), eps)
+    return _sweep(memo, x, (cap - x).tolist(), levels, _bisection_rule, eps,
+                  w.tolist(), float(w @ x), 1.0 + BUDGET_TOL, reject=True)
 
 
 def increase_support(
@@ -181,7 +149,7 @@ def increase_support(
         k_cap = int(cap[e] - y[e])
         if k_cap <= 0:
             continue
-        for k, _ in _level_candidates(_marginal_along(f.eval, y, e), k_cap, epsilon):
+        for k, _ in _level_candidates(_Ray(f.eval, y, e, f.eval(y)), k_cap, epsilon):
             point = y + k * step
             out.setdefault(tuple(point), point)
     return list(out.values())

@@ -540,6 +540,25 @@ def test_greedy_knapsack_probes_the_reference_points_in_order():
     assert rejected > 0  # the cases reach the rejection branch, which keeps the rays
 
 
+def equivalence_knapsack(caps, r):
+    """The knapsack of the probe-order test: weights 1, 2, 3, ... over budget 3r."""
+    return KnapsackInstance.from_raw([1.0 + e % 3 for e in range(len(caps))], 3.0 * r, caps)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.25, 0.5])
+def test_greedy_knapsack_stays_within_its_call_bound(eps):
+    # greedy_knapsack's docstring: at most 1 + n + L n ceil(log2(m + 1))
+    # calls, L <= 1 + ln(1 / (eps w_min)) / eps levels, m = max_e c_e
+    for make, caps, r in equivalence_instances() + query_scale_instances():
+        inst = equivalence_knapsack(caps, r)
+        f, points = recording(make())
+        config = SolverConfig(eps)
+        greedy_knapsack(f, inst, zeros(len(caps)), config)
+        n, eff = len(caps), config.effective
+        levels = 1 + math.log(1 / (eff * min(inst.weights))) / eff
+        assert 0 < len(points) <= 1 + n + levels * n * math.ceil(math.log2(max(caps) + 1))
+
+
 def test_ray_reads_f_of_y_once_and_each_step_at_most_once():
     base = make_separable_concave([1.0, 2.0, 0.5], [0.5, 1.0, 0.7], [8, 8, 8])
     f, points = recording(base)
@@ -576,6 +595,34 @@ def test_lattice_sweep_scans_each_ray_once(monkeypatch):
         counts.update(rays=0, scans=0)
         maximize_lattice_cardinality(make(), CardinalityConstraint(caps, r), SolverConfig(0.1))
         assert counts["scans"] == counts["rays"] > 0
+
+
+def test_every_greedy_makes_one_ray_per_point_and_element(monkeypatch):
+    # the sweep keeps the ray of each (y, e) until a step changes y, and a
+    # knapsack rejection keeps e's ray too; no call count shows this, since
+    # the memo absorbs repeated probes
+    rays = []
+    marginal_along = cardinality._marginal_along
+
+    def counted(ev, y, e):
+        rays.append((y.tobytes(), e))
+        return marginal_along(ev, y, e)
+
+    monkeypatch.setattr(cardinality, "_marginal_along", counted)
+    rejected = 0
+    for make, caps, r in equivalence_instances():
+        cst = CardinalityConstraint(caps, r)
+        for solve in (
+            lambda f: maximize_dr_cardinality(f, cst, SolverConfig(0.1)),
+            lambda f: maximize_lattice_cardinality(f, cst, SolverConfig(0.1)),
+            lambda f: greedy_knapsack(f, equivalence_knapsack(caps, r), zeros(len(caps)),
+                                      SolverConfig(0.1)),
+        ):
+            rays.clear()
+            _, trace = solve(make())
+            assert len(rays) == len(set(rays)) > 0
+            rejected += sum(not s.accepted for s in trace.steps)
+    assert rejected > 0  # the knapsack solves reach the rejection branch
 
 
 def test_binary_search_lattice_matches_reference():

@@ -347,6 +347,10 @@ BAD_FIELD_TYPES = [
      "'edges' in instance 'pack' oracle params must be a list, got 5"),
     (CONCAVE_ORACLE, BUDGET_ORACLE.format(EDGES, 5),
      "'cap' in instance 'pack' oracle params must be a list, got 5"),
+    (CONCAVE_ORACLE, BUDGET_ORACLE.format("[5, 6]", "[2, 2]"),
+     "each item of 'edges' in instance 'pack' oracle params must be a list, got 5"),
+    (CARDINALITY, "kind: polymatroid\n      family: partition\n      params: {parts: [5], caps: [1]}",
+     "each item of 'parts' in instance 'pack' constraint params must be a list, got 5"),
 ]
 
 
@@ -354,7 +358,8 @@ BAD_FIELD_TYPES = [
                          ids=["no_cap", "no_weights", "oracle_params", "polymatroid_params",
                               "no_coeffs", "no_total", "cardinality_cap_scalar",
                               "knapsack_cap_scalar", "parts_scalar", "total_string",
-                              "edges_scalar", "oracle_cap_scalar"])
+                              "edges_scalar", "oracle_cap_scalar", "edge_scalar",
+                              "part_scalar"])
 def test_malformed_instance_is_config_error(tmp_path, old, new, message):
     text = BASIC.replace(old, new)
     assert text != BASIC
@@ -599,6 +604,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
     assert f"config error: {BAD_FIELD_TYPES[0][2]}" in capsys.readouterr().err
     assert not (tmp_path / "out5").exists()
+
+    # an edge that is not a list used to load, then end the run with a
+    # TypeError traceback and exit 1
+    old, new, message = BAD_FIELD_TYPES[6]
+    bad_path = write(tmp_path, BASIC.replace(old, new))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", bad_path, "--out", str(tmp_path / "out6")])
+    assert exc.value.code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out6").exists()
 
 
 # an oracle or polymatroid family without a params key it needs used to
