@@ -136,18 +136,23 @@ def threshold_schedule(top: float, floor: float, epsilon: float) -> Iterator[flo
 class _PointMemo:
     """Values of f at the points one solve has probed, keyed by their bytes.
 
-    A miss goes through ``f.eval``, so validation and call counting are
-    those of the oracle; a hit costs no call.  Each solve creates its own
-    memo and drops it on return; ``n``, ``box`` and ``eval`` let a memo
-    stand in for f, so one knapsack solve shares it across its phases.
-    Points must be int64 vectors, as all solver iterates are.
+    A miss goes through ``f.eval`` (or ``f.eval_batch``), so validation and
+    call counting are those of the oracle; a hit costs no call.  Each solve
+    creates its own memo and drops it on return; ``n``, ``box``, ``eval``
+    and ``eval_batch`` let a memo stand in for f, so one knapsack solve
+    shares it across its phases and one polymatroid solve across its
+    directions.  The two paths keep separate values, since ``fn`` and
+    ``batch_fn`` need not agree bit for bit: a point read by one is never
+    answered by the other.  Points must be int64 vectors, as all solver
+    iterates are.
     """
 
-    __slots__ = ("_f", "_values", "n", "box")
+    __slots__ = ("_f", "_values", "_batch_values", "n", "box")
 
     def __init__(self, f: ValueOracle):
         self._f = f
         self._values: dict[bytes, float] = {}
+        self._batch_values: dict[bytes, float] = {}
         self.n, self.box = f.n, f.box
 
     def __call__(self, x: np.ndarray) -> float:
@@ -158,6 +163,22 @@ class _PointMemo:
         return value
 
     eval = __call__
+
+    def eval_batch(self, X: np.ndarray) -> np.ndarray:
+        """f at the rows of X; one ``f.eval_batch`` call for the distinct new rows.
+
+        The new rows go in first-seen order, so a batch of k distinct new
+        rows costs k calls, and a batch of hits makes no call at all.
+        """
+        keys = [row.tobytes() for row in X]
+        values = self._batch_values
+        new: dict[bytes, int] = {}  # each new key -> the row it first appears in
+        for i, key in enumerate(keys):
+            if key not in values:
+                new.setdefault(key, i)
+        if new:
+            values.update(zip(new, self._f.eval_batch(X[list(new.values())]).tolist()))
+        return np.array([values[key] for key in keys], dtype=np.float64)
 
 
 def _max_step_with_gain(

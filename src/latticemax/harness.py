@@ -224,18 +224,31 @@ def _reject_unknown(mapping, allowed, context):
 def _field(mapping, key, context):
     """The value under ``key``, of a type FIELD_TYPES allows for it (a bool never is).
 
-    Each item of ``edges`` and of ``parts`` must be a list too.
+    Each item of ``edges`` and of ``parts`` must be a list too, and each
+    edge a [source, target, probability] triple of two integers and a number.
     """
     value = _require(mapping, key, context)
     if key in FIELD_TYPES:
         types, name = FIELD_TYPES[key]
-        if isinstance(value, bool) or not isinstance(value, types):
+        if not _of_type(value, types):
             raise ConfigError(f"{key!r} in {context} must be {name}, got {value!r}")
     if key in ("edges", "parts"):
         for item in value:
             if not isinstance(item, list):
                 raise ConfigError(f"each item of {key!r} in {context} must be a list, got {item!r}")
+            if key == "edges" and not (
+                len(item) == 3 and all(map(_of_type, item, (int, int, (int, float))))
+            ):
+                raise ConfigError(
+                    f"each item of 'edges' in {context} must be a [source, target, "
+                    f"probability] triple, got {item!r}"
+                )
     return value
+
+
+def _of_type(value, types) -> bool:
+    """isinstance(value, types), except that a bool is never a number."""
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _list(mapping, key, context, default=None):

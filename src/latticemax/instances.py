@@ -75,7 +75,13 @@ def make_budget_allocation(edges, cap) -> ValueOracle:
     c = np.asarray(cap, dtype=np.int64)
     n = c.shape[0]
     by_target: dict[int, list[tuple[int, float]]] = {}
-    for s, t, q in edges:
+    for edge in edges:
+        try:
+            s, t, q = edge
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"edge {edge!r} is not a (source, target, probability) triple"
+            ) from None
         s, t, q = int(s), int(t), float(q)
         if not 0 <= s < n:
             raise ValueError(f"edge source {s} out of range")
@@ -120,7 +126,8 @@ def make_lattice_non_dr(table) -> ValueOracle:
     diminishing-returns check is recorded in ``meta['strictly_non_dr']``;
     DR tables are accepted but flagged.  Every call certifies the table
     anew with three exhaustive checks (one ``eval_batch`` over the box
-    each); the harness builds each instance once per run and shares it.
+    each) on an oracle of its own, so the returned oracle starts at 0
+    calls; the harness builds each instance once per run and shares it.
     """
     arr = np.asarray(table, dtype=np.float64)
     if arr.ndim < 1:
@@ -135,18 +142,17 @@ def make_lattice_non_dr(table) -> ValueOracle:
     def batch(X):
         return arr[tuple(X.T)]
 
-    oracle = ValueOracle(fn, box, batch_fn=batch, meta={"family": "lattice_table"})
+    checked = ValueOracle(fn, box, batch_fn=batch)
     for kind in ("monotone", "lattice_submodular"):
-        report = check_property_exhaustive(oracle, kind)
+        report = check_property_exhaustive(checked, kind)
         if not report.passed:
             w = report.violations[0]
             raise ValueError(
                 f"table violates {kind}: x={w.x}, y={w.y}, lhs={w.lhs}, rhs={w.rhs}"
             )
-    dr = check_property_exhaustive(oracle, "dr_submodular").passed
-    oracle.meta["dr_submodular"] = dr
-    oracle.meta["strictly_non_dr"] = not dr
-    return oracle
+    dr = check_property_exhaustive(checked, "dr_submodular").passed
+    meta = {"family": "lattice_table", "dr_submodular": dr, "strictly_non_dr": not dr}
+    return ValueOracle(fn, box, batch_fn=batch, meta=meta)
 
 
 def _separable_convex_table(g, n: int) -> np.ndarray:

@@ -5,9 +5,11 @@ monotone submodular integer rank function rho with rho(empty) = 0.  The
 solver builds a fractional point by 1/eps rounds of a threshold direction
 search driven by extension marginals, then rounds it to a lattice point
 without loss in expectation.  Each marginal is exact, a sum over the 2^m
-corners of the current unit cell (m fractional coordinates), so a probe of
-the step search costs 2 * 2^m oracle calls.  The ground set is capped at
-``MAX_ENUMERATION_N`` elements.
+corners of the current unit cell (m fractional coordinates).  A solve reads
+f through one point memo, and a direction search keeps one cell and one
+ray per (x + y, e) until it accepts a step, so a probe of the step search
+costs at most 2 * 2^m new oracle calls and a repeat costs none.  The
+ground set is capped at ``MAX_ENUMERATION_N`` elements.
 
 Rounding works inside the unit cell C(x): the fractional parts of P
 intersected with C(x) form a matroid polytope whose rank function is the
@@ -21,12 +23,13 @@ value for DR-submodular objectives.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .cardinality import SolverConfig, effective_epsilon, threshold_schedule
+from .cardinality import SolverConfig, _PointMemo, effective_epsilon, threshold_schedule
 from .core import (
     MAX_ENUMERATION_N,
     CallCounter,
@@ -36,7 +39,7 @@ from .core import (
     unit,
     zeros,
 )
-from .extension import SNAP_TOLERANCE, _marginal_estimate, _snap
+from .extension import SNAP_TOLERANCE, _cell_corners, _fractional_coords, _snap, split_point
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -154,14 +157,57 @@ def update_budget_fixpoint(n: int, epsilon: float, max_iters: int = 50) -> int:
     raise RuntimeError("update-budget iteration did not reach a fixpoint")
 
 
+class _Cell:
+    """The unit cell of a point x: its corners z, their D(x) weights and f(z).
+
+    :meth:`ray` maps k -> F(k e | x) = dot(f(z + k e) - f(z), w), the float
+    operations of ``extension._marginal_estimate``; each k is read once.
+    f(z) is read once, on the first probe of any ray of the cell, after
+    that probe's shifted corners.
+    """
+
+    __slots__ = ("_f", "_points", "_weights", "_values")
+
+    def __init__(self, f, x):
+        base, frac = split_point(f, x)
+        self._f = f
+        self._points, self._weights = _cell_corners(base, frac, _fractional_coords(frac))
+        self._values = None
+
+    def _gain(self, e: int, k: int) -> float:
+        shifted = self._points.copy()
+        shifted[:, e] += k
+        moved = self._f.eval_batch(shifted)
+        if self._values is None:
+            self._values = self._f.eval_batch(self._points)
+        return float(np.dot(moved - self._values, self._weights))
+
+    def ray(self, e: int) -> Callable[[int], float]:
+        return functools.cache(functools.partial(self._gain, e))
+
+
+def _largest_clearing_step(gain: Callable[[int], float], theta: float, k_max: int) -> int:
+    """Bisect k in [1, k_max] for the last k with gain(k) >= k * theta; 0 for none."""
+    lo, hi = 1, k_max + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if gain(mid) >= mid * theta:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo - 1
+
+
 def binary_search_polymatroid(f: ValueOracle, x, e: int, theta: float, k_max: int) -> int:
     """Largest step k whose average extension gain clears theta.
 
     Bisects k in [1, k_max], testing whether F(k e | x) >= k * theta, and
     returns the last accepted position (0 when none).  Each F(k e | x) is
     the exact sum over the 2^m corners of x's unit cell (m fractional
-    coordinates in x), so a probe costs 2 * 2^m oracle calls, and there
-    are at most ceil(log2(k_max + 1)) probes.
+    coordinates in x), read on a fresh ray of that cell: there are at most
+    ceil(log2(k_max + 1)) probes, and the search costs at most 2 * 2^m new
+    oracle calls per probe (2^m for f(z), made once, and 2^m for the
+    shifted corners); through a memo, a repeated point costs none.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
@@ -169,19 +215,13 @@ def binary_search_polymatroid(f: ValueOracle, x, e: int, theta: float, k_max: in
         raise ValueError("k_max must be non-negative")
     if k_max == 0:
         return 0
-    step = unit(f.n, e)
-    lo, hi = 1, k_max + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _marginal_estimate(f, mid * step, x) >= mid * theta:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo - 1
+    if not 0 <= e < f.n:
+        raise ValueError(f"element {e} out of range for ground set of size {f.n}")
+    return _largest_clearing_step(_Cell(f, x).ray(e), theta, k_max)
 
 
 def direction_polymatroid(
-    f: ValueOracle, x, P: PolymatroidOracle, epsilon: float, num_updates: int
+    f: ValueOracle | _PointMemo, x, P: PolymatroidOracle, epsilon: float, num_updates: int
 ) -> np.ndarray:
     """One threshold sweep producing an integral direction y with x + y in P.
 
@@ -193,6 +233,15 @@ def direction_polymatroid(
     marginal at the current point x + y clears the threshold.  Elements
     with f(e) <= 0 are skipped: for monotone DR-submodular f no step along
     them can clear a positive threshold.
+
+    Until a step is accepted x + y stays put, so the sweep keeps its cell
+    (corners, weights, f read once) and, per element, the membership
+    search's k_max and a ray k -> F(k e | x + y); an accepted step drops
+    them.  A probe costs at most 2 * 2^m new oracle calls (m fractional
+    coordinates in x); a repeat costs none.  ``f`` may be the solve's
+    :class:`_PointMemo`, as :func:`continuous_greedy` passes it, so the
+    unit values f(e) and the points of earlier directions are read once
+    per solve.
     """
     x = as_fractional_point(x, f.n)
     if P.n != f.n:
@@ -206,20 +255,29 @@ def direction_polymatroid(
     d = max(unit_values, default=0.0)
     if d <= 0:
         return y
+    current = x + y
+    cell = None
+    searches: dict[int, tuple[int, Callable[[int], float] | None]] = {}  # e -> (k_max, ray)
     for threshold in threshold_schedule(d, epsilon * d / num_updates, epsilon):
         for e in range(f.n):
             if unit_values[e] <= 0:
                 continue
-            current = x + y
-            hard_cap = int(math.floor(box[e] - current[e] + SNAP_TOLERANCE))
-            if hard_cap <= 0:
-                continue
-            k_max = k_max_in_polymatroid(P, current, e, hard_cap)
+            search = searches.get(e)
+            if search is None:
+                hard_cap = int(math.floor(box[e] - current[e] + SNAP_TOLERANCE))
+                k_max = k_max_in_polymatroid(P, current, e, hard_cap) if hard_cap > 0 else 0
+                if k_max and cell is None:
+                    cell = _Cell(f, current)
+                search = searches[e] = (k_max, cell.ray(e) if k_max else None)
+            k_max, ray = search
             if k_max == 0:
                 continue
-            k = binary_search_polymatroid(f, current, e, threshold, k_max)
+            k = _largest_clearing_step(ray, threshold, k_max)
             if k >= 1:
                 y[e] += k
+                current = x + y
+                cell = None
+                searches.clear()
     return y
 
 
@@ -230,13 +288,17 @@ def continuous_greedy(
 
     Runs 1/eps direction searches and accumulates x <- x + eps * y; the
     iterate stays in P by convexity since both x and x + y are feasible.
-    Returns the final fractional point (round separately).
+    Every direction reads f through one :class:`_PointMemo` per solve, so
+    ``f.calls`` grows by the number of distinct points probed: at most
+    2 * 2^m new calls per probe, a repeat costing none.  Returns the final
+    fractional point (round separately).
     """
     eps = config.effective
     num_updates = update_budget_fixpoint(f.n, eps)
+    memo = _PointMemo(f)
     x = np.zeros(f.n, dtype=np.float64)
     for _ in range(config.inv_epsilon):
-        y = direction_polymatroid(f, x, P, eps, num_updates)
+        y = direction_polymatroid(memo, x, P, eps, num_updates)
         x = x + eps * y.astype(np.float64)
         if not P.member(x):
             raise RuntimeError("continuous greedy iterate left the polymatroid")

@@ -637,3 +637,66 @@ def test_binary_search_lattice_matches_reference():
         got = binary_search_lattice(g, 0, theta, k_max, eps)
         assert got == reference_binary_search_lattice(ref_g, 0, theta, k_max, eps)
         assert g.calls == ref_g.calls
+
+
+def test_point_memo_batch_sends_each_new_row_once():
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        n = int(rng.integers(1, 5))
+        cap = rng.integers(1, 4, size=n)
+        edges = [(s, int(rng.integers(0, 3)), float(rng.uniform(0.1, 0.9))) for s in range(n)]
+        f = make_budget_allocation(edges, cap)
+        ref = make_budget_allocation(edges, cap)
+        memo = cardinality._PointMemo(f)
+        seen = set()
+        for _ in range(4):
+            # few distinct rows, so batches repeat rows within and across calls
+            X = rng.integers(0, cap + 1, size=(int(rng.integers(1, 9)), n))
+            keys = [row.tobytes() for row in X]
+            new = len(set(keys) - seen)
+            before = f.calls
+            got = memo.eval_batch(X)
+            assert f.calls - before == new
+            assert got.tobytes() == ref.eval_batch(X).tobytes()
+            seen.update(keys)
+            before = f.calls
+            assert memo.eval_batch(X).tobytes() == got.tobytes()
+            assert f.calls == before  # every row a hit: no call at all
+
+
+def test_point_memo_batch_rejects_an_out_of_box_row_at_no_cost():
+    sent = []
+
+    def batch(X):
+        sent.append(X.tolist())
+        return X.sum(axis=1)
+
+    f = ValueOracle(lambda x: float(x.sum()), np.array([2, 2]), batch_fn=batch)
+    memo = cardinality._PointMemo(f)
+    memo.eval_batch(np.array([[1, 1]]))
+    with pytest.raises(ValueError):
+        memo.eval_batch(np.array([[1, 1], [0, 1], [3, 0]]))
+    assert f.calls == 1
+    # the valid new row of the rejected batch was not kept; new rows go in
+    # one call, once each, in first-seen order
+    got = memo.eval_batch(np.array([[2, 0], [1, 1], [0, 1], [2, 0], [0, 1]]))
+    assert got.tolist() == [2, 2, 1, 2, 1]
+    assert f.calls == 3
+    assert sent == [[[1, 1]], [[2, 0], [0, 1]]]
+
+
+def test_point_memo_keeps_scalar_and_batch_values_apart():
+    # fn and batch_fn disagree on purpose: neither path may answer the other
+    f = ValueOracle(lambda x: float(x.sum()), np.array([3, 3]),
+                    batch_fn=lambda X: X.sum(axis=1) + 0.5)
+    memo = cardinality._PointMemo(f)
+    x = np.array([1, 2])
+    assert memo.eval(x) == 3.0
+    assert memo.eval_batch(x[None, :]).tolist() == [3.5]
+    assert f.calls == 2
+    y = np.array([2, 2])
+    assert memo.eval_batch(y[None, :]).tolist() == [4.5]
+    assert memo.eval(y) == 4.0
+    assert f.calls == 4
+    assert memo.eval(x) == 3.0 and memo.eval_batch(np.stack([x, y])).tolist() == [3.5, 4.5]
+    assert f.calls == 4

@@ -1,3 +1,4 @@
+import re
 import sys
 import textwrap
 from pathlib import Path
@@ -351,6 +352,12 @@ BAD_FIELD_TYPES = [
      "each item of 'edges' in instance 'pack' oracle params must be a list, got 5"),
     (CARDINALITY, "kind: polymatroid\n      family: partition\n      params: {parts: [5], caps: [1]}",
      "each item of 'parts' in instance 'pack' constraint params must be a list, got 5"),
+    (CONCAVE_ORACLE, BUDGET_ORACLE.format("[[0, 0]]", "[2, 2]"),
+     "each item of 'edges' in instance 'pack' oracle params must be a [source, target, "
+     "probability] triple, got [0, 0]"),
+    (CONCAVE_ORACLE, BUDGET_ORACLE.format("[[0, 0, x]]", "[2, 2]"),
+     "each item of 'edges' in instance 'pack' oracle params must be a [source, target, "
+     "probability] triple, got [0, 0, 'x']"),
 ]
 
 
@@ -359,11 +366,11 @@ BAD_FIELD_TYPES = [
                               "no_coeffs", "no_total", "cardinality_cap_scalar",
                               "knapsack_cap_scalar", "parts_scalar", "total_string",
                               "edges_scalar", "oracle_cap_scalar", "edge_scalar",
-                              "part_scalar"])
+                              "part_scalar", "edge_pair", "edge_string"])
 def test_malformed_instance_is_config_error(tmp_path, old, new, message):
     text = BASIC.replace(old, new)
     assert text != BASIC
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(write(tmp_path, text))
 
 
@@ -488,18 +495,17 @@ SOLVERS = {
     "instance_id", ["coverage_card", "ladder_card", "weighted_pack", "uniform_poly"]
 )
 def test_row_counts_only_the_solver_calls(instance_id):
-    # the demo's ladder_card is a lattice table, whose build certifies it
-    # with oracle calls; uniform_poly is the polymatroid row
+    # the demo's ladder_card is a lattice table, whose build certifies it on
+    # an oracle of its own; uniform_poly is the polymatroid row
     config = load_config(str(DEMO))
     entry = config.instances[instance_id]
     cell = next(c for c in config.cells if c.instance_id == instance_id)
     row = run_cell(entry, cell, bruteforce=False)
     assert not row.error
     f = entry.oracle_spec.build()
-    built = f.calls
-    assert (built > 0) == (instance_id == "ladder_card")
+    assert f.calls == 0
     SOLVERS[cell.algorithm](f, entry.build_constraint(), SolverConfig(cell.epsilon, cell.seed))
-    assert row.oracle_calls == f.calls - built
+    assert row.oracle_calls == f.calls
 
 
 def count_certifications(monkeypatch):
@@ -614,6 +620,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out6").exists()
+
+    # an edge of two numbers used to load, then fail its rows with a raw
+    # unpacking error and exit 1 (0 where no assertion reads the rows)
+    old, new, message = BAD_FIELD_TYPES[8]
+    bad_path = write(tmp_path, BASIC.replace(old, new))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", bad_path, "--out", str(tmp_path / "out7")])
+    assert exc.value.code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out7").exists()
 
 
 # an oracle or polymatroid family without a params key it needs used to

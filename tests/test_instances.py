@@ -100,6 +100,22 @@ def test_non_dr_tables_are_certified():
         assert not check_property_exhaustive(f, "dr_submodular").passed, name
 
 
+def test_a_certified_table_starts_at_zero_calls():
+    # the certification reads the whole box three times, on an oracle of its
+    # own: f.calls after a solve counts the solve's calls alone
+    for name, table in NON_DR_TABLES.items():
+        f = make_lattice_non_dr(table)
+        assert f.calls == 0, name
+        f.eval_batch(np.zeros((2, f.n), dtype=np.int64))
+        assert f.calls == 2, name
+
+
+def test_make_budget_allocation_names_an_edge_that_is_not_a_triple():
+    for edge in ((0, 0), (0, 0, 0.5, 1), 5):
+        with pytest.raises(ValueError, match=r"edge .* is not a \(source, target, probability\) triple"):
+            make_budget_allocation([(1, 0, 0.5), edge], [2, 2])
+
+
 def test_make_lattice_non_dr_rejects_bad_tables():
     with pytest.raises(ValueError, match="monotone"):
         make_lattice_non_dr(np.array([[0.0, 2.0], [1.0, 0.5]]))

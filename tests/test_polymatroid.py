@@ -6,12 +6,14 @@ import threading
 import numpy as np
 import pytest
 
+from latticemax import cardinality, polymatroid
 from latticemax.bruteforce import brute_force_opt
-from latticemax.cardinality import SolverConfig
-from latticemax.core import CapacityError, ValueOracle
-from latticemax.extension import extension_exact
+from latticemax.cardinality import SolverConfig, threshold_schedule
+from latticemax.core import CapacityError, ValueOracle, unit, zeros
+from latticemax.extension import SNAP_TOLERANCE, _marginal_estimate, extension_exact
 from latticemax.instances import (
     InstanceSpec,
+    make_budget_allocation,
     make_polymatroid,
     make_separable_concave,
     partition_polymatroid,
@@ -392,128 +394,129 @@ def test_maximize_polymatroid_checks_the_cap_before_any_call():
 # maximize_polymatroid results recorded before the sampled marginal path
 # was deleted: (oracle family, params), (polymatroid family, params),
 # epsilon, seed, then the integral point, the fractional point, f.calls and
-# P.member_calls.  Every family/objective shape of the `continuous`
+# P.member_calls.  The two counts were recorded again, lower, once a solve
+# kept one point memo and one ray per (x + y, e); the points did not move.  Every family/objective shape of the `continuous`
 # benchmark workload, plus the demo config's uniform_poly.
 POLYMATROID_PINS = [
     (
         ('separable_concave', {'coeffs': [1.173, 1.146], 'powers': [0.3, 0.5], 'cap': [3, 2]}),
         ('uniform', {'n': 2, 'per_element': 1, 'total': 2}),
         1 / 3, 419,
-        [0, 0], [0.3333333333333333, 0.3333333333333333], 12, 142,
+        [0, 0], [0.3333333333333333, 0.3333333333333333], 5, 27,
     ),
     (
         ('budget_allocation', {'edges': [[0, 1, 0.239], [0, 2, 0.511], [1, 0, 0.125], [1, 2, 0.146]], 'cap': [3, 3]}),
         ('uniform', {'n': 2, 'per_element': 2, 'total': 2}),
         1 / 3, 325,
-        [1, 0], [1.3333333333333333, 0.0], 40, 180,
+        [1, 0], [1.3333333333333333, 0.0], 7, 43,
     ),
     (
         ('separable_concave', {'coeffs': [1.492, 0.809], 'powers': [0.5, 0.3], 'cap': [3, 3]}),
         ('partition', {'parts': [[0], [1]], 'caps': [1, 2]}),
         1 / 3, 232,
-        [1, 1], [0.3333333333333333, 1.3333333333333333], 96, 159,
+        [1, 1], [0.3333333333333333, 1.3333333333333333], 8, 42,
     ),
     (
         ('budget_allocation', {'edges': [[0, 2, 0.594], [0, 1, 0.544], [1, 2, 0.266], [1, 1, 0.192]], 'cap': [3, 3]}),
         ('partition', {'parts': [[0], [1]], 'caps': [1, 2]}),
         1 / 3, 520,
-        [0, 1], [0.3333333333333333, 1.3333333333333333], 90, 156,
+        [0, 1], [0.3333333333333333, 1.3333333333333333], 8, 37,
     ),
     (
         ('separable_concave', {'coeffs': [0.749, 1.134], 'powers': [0.5, 0.3], 'cap': [2, 2]}),
         ('rank_table', {'n': 2, 'table': [0, 2, 1, 2]}),
         1 / 3, 908,
-        [1, 0], [1.0, 0.3333333333333333], 72, 113,
+        [1, 0], [1.0, 0.3333333333333333], 8, 34,
     ),
     (
         ('budget_allocation', {'edges': [[0, 1, 0.182], [0, 0, 0.347], [1, 0, 0.427], [1, 2, 0.36]], 'cap': [3, 2]}),
         ('rank_table', {'n': 2, 'table': [0, 4, 3, 5]}),
         1 / 3, 914,
-        [2, 1], [1.9999999999999998, 1.3333333333333333], 112, 65,
+        [2, 1], [1.9999999999999998, 1.3333333333333333], 14, 39,
     ),
     (
         ('separable_concave', {'coeffs': [1.812, 1.539, 0.905], 'powers': [0.5, 0.7, 0.3], 'cap': [3, 3, 3]}),
         ('uniform', {'n': 3, 'per_element': 2, 'total': 4}),
         1 / 3, 987,
-        [1, 1, 1], [1.0, 1.3333333333333333, 0.3333333333333333], 207, 246,
+        [1, 1, 1], [1.0, 1.3333333333333333, 0.3333333333333333], 27, 74,
     ),
     (
         ('budget_allocation', {'edges': [[0, 0, 0.526], [0, 1, 0.221], [1, 2, 0.334], [1, 1, 0.538], [2, 2, 0.422], [2, 0, 0.186]], 'cap': [3, 2, 2]}),
         ('uniform', {'n': 3, 'per_element': 2, 'total': 2}),
         1 / 3, 501,
-        [1, 0, 0], [0.6666666666666666, 0.6666666666666666, 0.0], 93, 213,
+        [1, 0, 0], [0.6666666666666666, 0.6666666666666666, 0.0], 15, 51,
     ),
     (
         ('separable_concave', {'coeffs': [0.966, 1.03, 0.774], 'powers': [0.5, 0.7, 0.3], 'cap': [3, 2, 3]}),
         ('partition', {'parts': [[0, 1], [2]], 'caps': [2, 2]}),
         1 / 3, 9,
-        [1, 1, 2], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 215, 195,
+        [1, 1, 2], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 29, 90,
     ),
     (
         ('budget_allocation', {'edges': [[0, 1, 0.492], [0, 2, 0.212], [1, 2, 0.117], [1, 0, 0.167], [2, 1, 0.268], [2, 0, 0.517]], 'cap': [2, 2, 2]}),
         ('partition', {'parts': [[0, 1], [2]], 'caps': [1, 1]}),
         1 / 3, 730,
-        [1, 0, 0], [0.3333333333333333, 0.3333333333333333, 0.3333333333333333], 25, 231,
+        [1, 0, 0], [0.3333333333333333, 0.3333333333333333, 0.3333333333333333], 9, 44,
     ),
     (
         ('separable_concave', {'coeffs': [0.739, 1.412, 0.539], 'powers': [0.7, 0.3, 0.5], 'cap': [3, 3, 2]}),
         ('rank_table', {'n': 3, 'table': [0, 1, 3, 4, 3, 3, 4, 4]}),
         1 / 3, 839,
-        [0, 2, 1], [0.3333333333333333, 1.3333333333333333, 1.0], 345, 213,
+        [0, 2, 1], [0.3333333333333333, 1.3333333333333333, 1.0], 25, 71,
     ),
     (
         ('budget_allocation', {'edges': [[0, 2, 0.432], [0, 0, 0.286], [1, 1, 0.396], [1, 2, 0.175], [2, 1, 0.345], [2, 2, 0.463]], 'cap': [3, 3, 2]}),
         ('rank_table', {'n': 3, 'table': [0, 1, 1, 1, 2, 2, 2, 2]}),
         1 / 3, 726,
-        [0, 0, 1], [0.3333333333333333, 0.0, 1.0], 57, 223,
+        [0, 0, 1], [0.3333333333333333, 0.0, 1.0], 11, 55,
     ),
     (
         ('separable_concave', {'coeffs': [1.618, 1.48], 'powers': [0.3, 0.5], 'cap': [3, 3]}),
         ('partition', {'parts': [[0, 1]], 'caps': [1]}),
         1 / 3, 229,
-        [0, 0], [0.3333333333333333, 0.3333333333333333], 12, 142,
+        [0, 0], [0.3333333333333333, 0.3333333333333333], 5, 27,
     ),
     (
         ('budget_allocation', {'edges': [[0, 1, 0.552], [0, 0, 0.482], [1, 1, 0.121], [1, 0, 0.432]], 'cap': [2, 3]}),
         ('partition', {'parts': [[0, 1]], 'caps': [2]}),
         1 / 3, 513,
-        [1, 2], [1.3333333333333333, 1.3333333333333333], 138, 116,
+        [1, 2], [1.3333333333333333, 1.3333333333333333], 11, 43,
     ),
     (
         ('separable_concave', {'coeffs': [1.442, 1.058, 1.836], 'powers': [0.3, 0.5, 0.7], 'cap': [2, 2, 2]}),
         ('partition', {'parts': [[0], [1, 2]], 'caps': [2, 2]}),
         1 / 3, 930,
-        [1, 1, 2], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 237, 89,
+        [1, 1, 2], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 29, 58,
     ),
     (
         ('budget_allocation', {'edges': [[0, 0, 0.348], [0, 1, 0.573], [1, 2, 0.188], [1, 0, 0.486], [2, 1, 0.126], [2, 2, 0.413]], 'cap': [2, 2, 2]}),
         ('partition', {'parts': [[0], [1, 2]], 'caps': [1, 2]}),
         1 / 3, 453,
-        [0, 2, 1], [0.3333333333333333, 1.3333333333333333, 1.3333333333333333], 187, 135,
+        [0, 2, 1], [0.3333333333333333, 1.3333333333333333, 1.3333333333333333], 21, 53,
     ),
     (
         ('separable_concave', {'coeffs': [1.372, 1.164, 1.096], 'powers': [0.7, 0.5, 0.3], 'cap': [3, 2, 3]}),
         ('partition', {'parts': [[0], [1], [2]], 'caps': [2, 2, 2]}),
         1 / 3, 859,
-        [2, 1, 1], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 215, 199,
+        [2, 1, 1], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 29, 89,
     ),
     (
         ('budget_allocation', {'edges': [[0, 0, 0.414], [0, 2, 0.504], [1, 0, 0.381], [1, 2, 0.489], [2, 1, 0.4], [2, 0, 0.227]], 'cap': [3, 2, 2]}),
         ('partition', {'parts': [[0], [1], [2]], 'caps': [1, 2, 2]}),
         1 / 3, 709,
-        [1, 1, 1], [0.3333333333333333, 1.3333333333333333, 1.3333333333333333], 185, 134,
+        [1, 1, 1], [0.3333333333333333, 1.3333333333333333, 1.3333333333333333], 21, 55,
     ),
     (
         ('separable_concave', {'coeffs': [1.0, 1.5, 0.8], 'powers': [0.5, 0.5, 1.0], 'cap': [3, 3, 3]}),
         ('uniform', {'n': 3, 'per_element': 2, 'total': 4}),
         0.25, 0,
-        [1, 1, 0], [0.75, 1.0, 0.75], 530, 507,
+        [1, 1, 0], [0.75, 1.0, 0.75], 29, 103,
     ),
     (
         ('separable_concave', {'coeffs': [1.0, 1.5, 0.8], 'powers': [0.5, 0.5, 1.0], 'cap': [3, 3, 3]}),
         ('uniform', {'n': 3, 'per_element': 2, 'total': 4}),
         0.25, 1,
-        [1, 1, 1], [0.75, 1.0, 0.75], 530, 507,
+        [1, 1, 1], [0.75, 1.0, 0.75], 29, 103,
     ),
 ]
 
@@ -530,3 +533,162 @@ def test_maximize_polymatroid_matches_recorded_results(pin):
     assert got_frac.tolist() == x_frac
     assert f.calls == calls
     assert P.member_calls == members
+
+
+# the direction search as the library ran it before each solve read f
+# through one memo and each (x + y, e) kept its cell, membership search and
+# ray: every visit re-ran the membership search and re-summed the cell, so
+# it is the reference for the points and an upper bound for the counts
+def _old_binary_search_polymatroid(f, x, e, theta, k_max):
+    if k_max == 0:
+        return 0
+    step = unit(f.n, e)
+    lo, hi = 1, k_max + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _marginal_estimate(f, mid * step, x) >= mid * theta:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo - 1
+
+
+def _old_direction_polymatroid(f, x, P, epsilon, num_updates):
+    if not P.member(x):
+        raise ValueError("x is not in the polymatroid")
+    y = zeros(f.n)
+    box = f.box
+    unit_values = [f.eval(unit(f.n, e)) if box[e] >= 1 else 0.0 for e in range(f.n)]
+    d = max(unit_values, default=0.0)
+    if d <= 0:
+        return y
+    for threshold in threshold_schedule(d, epsilon * d / num_updates, epsilon):
+        for e in range(f.n):
+            if unit_values[e] <= 0:
+                continue
+            current = x + y
+            hard_cap = int(math.floor(box[e] - current[e] + SNAP_TOLERANCE))
+            if hard_cap <= 0:
+                continue
+            k_max = k_max_in_polymatroid(P, current, e, hard_cap)
+            if k_max == 0:
+                continue
+            k = _old_binary_search_polymatroid(f, current, e, threshold, k_max)
+            if k >= 1:
+                y[e] += k
+    return y
+
+
+def _old_maximize_polymatroid(f, P, config):
+    eps = config.effective
+    num_updates = update_budget_fixpoint(f.n, eps)
+    x = np.zeros(f.n, dtype=np.float64)
+    for _ in range(config.inv_epsilon):
+        y = _old_direction_polymatroid(f, x, P, eps, num_updates)
+        x = x + eps * y.astype(np.float64)
+        if not P.member(x):
+            raise RuntimeError("continuous greedy iterate left the polymatroid")
+    round_seed = int(np.random.default_rng([config.seed, 1]).integers(0, 2**63))
+    return round_polymatroid(x, P, round_seed), x
+
+
+def _random_polymatroid_solves(rng, count):
+    """(make f, make P, config) triples over both DR families and three polytopes."""
+    for _ in range(count):
+        n = int(rng.integers(1, 4))
+        cap = [int(v) for v in rng.integers(1, 4, size=n)]
+        if rng.random() < 0.5:
+            coeffs = rng.uniform(0.5, 2.0, size=n).tolist()
+            powers = rng.choice([0.3, 0.5, 0.7, 1.0], size=n).tolist()
+            make_f = lambda coeffs=coeffs, powers=powers, cap=cap: make_separable_concave(
+                coeffs, powers, cap)
+        else:
+            edges = [(s, int(rng.integers(0, 3)), float(rng.uniform(0.1, 0.6)))
+                     for s in range(n) for _ in range(2)]
+            make_f = lambda edges=edges, cap=cap: make_budget_allocation(edges, cap)
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            spec = ("uniform", {"n": n, "per_element": int(rng.integers(1, 3)),
+                                "total": int(rng.integers(1, 2 * n + 1))})
+        elif kind == 1:
+            labels = rng.integers(0, n, size=n)
+            parts = [p for p in (np.flatnonzero(labels == j).tolist() for j in range(n)) if p]
+            caps = [int(v) for v in rng.integers(1, 3, size=len(parts))]
+            spec = ("partition", {"parts": parts, "caps": caps})
+        else:
+            covers = rng.random((n, 3)) < 0.5
+            table = [int(covers[[e for e in range(n) if m >> e & 1]].any(axis=0).sum())
+                     + bin(m).count("1") for m in range(1 << n)]
+            spec = ("rank_table", {"n": n, "table": table})
+        make_P = lambda spec=spec: make_polymatroid(spec[0], **spec[1])
+        eps = float(rng.choice([1 / 3, 0.25, 0.5]))
+        yield make_f, make_P, SolverConfig(eps, int(rng.integers(1000)))
+
+
+def test_maximize_polymatroid_matches_the_old_direction_loop():
+    rng = np.random.default_rng(2024)
+    fewer = 0
+    for make_f, make_P, config in _random_polymatroid_solves(rng, 60):
+        f, P = make_f(), make_P()
+        ref_f, ref_P = make_f(), make_P()
+        got_int, got_frac = maximize_polymatroid(f, P, config)
+        want_int, want_frac = _old_maximize_polymatroid(ref_f, ref_P, config)
+        assert got_int.tolist() == want_int.tolist()
+        assert [v.hex() for v in got_frac.tolist()] == [v.hex() for v in want_frac.tolist()]
+        assert f.calls <= ref_f.calls
+        assert P.member_calls <= ref_P.member_calls
+        fewer += f.calls < ref_f.calls
+    assert fewer > 30
+
+
+def test_direction_search_keeps_one_cell_and_search_per_point_and_element(monkeypatch):
+    # between accepted steps x + y stays put: one cell, its corners read
+    # once, one membership search per element, and each shifted corner
+    # matrix read once; the memo under the solve would hide a repeat from
+    # every call count, so the events are logged where they happen
+    events = []
+    direction, k_max_search, cell_init = (
+        polymatroid.direction_polymatroid, polymatroid.k_max_in_polymatroid,
+        polymatroid._Cell.__init__)
+    memo_batch = cardinality._PointMemo.eval_batch
+
+    def logged_direction(*args):
+        events.append(("direction",))
+        return direction(*args)
+
+    def logged_k_max(P, anchor, e, hard_cap):
+        events.append(("k_max", np.asarray(anchor).tobytes(), e))
+        return k_max_search(P, anchor, e, hard_cap)
+
+    def logged_cell(self, f, x):
+        events.append(("cell", np.asarray(x).tobytes()))
+        cell_init(self, f, x)
+
+    def logged_batch(self, X):
+        events.append(("batch", X.tobytes()))
+        return memo_batch(self, X)
+
+    monkeypatch.setattr(polymatroid, "direction_polymatroid", logged_direction)
+    monkeypatch.setattr(polymatroid, "k_max_in_polymatroid", logged_k_max)
+    monkeypatch.setattr(polymatroid._Cell, "__init__", logged_cell)
+    monkeypatch.setattr(cardinality._PointMemo, "eval_batch", logged_batch)
+    rng = np.random.default_rng(7)
+    cells = 0
+    for make_f, make_P, config in _random_polymatroid_solves(rng, 40):
+        events.clear()
+        maximize_polymatroid(make_f(), make_P(), config)
+        for event in events:
+            if event[0] == "direction":
+                searched, made, read = set(), set(), set()
+            elif event[0] == "cell":
+                assert event not in made  # one cell per x + y in a direction
+                made.add(event)
+                read = set()
+                cells += 1
+            elif event[0] == "k_max":
+                assert event not in searched
+                searched.add(event)
+            else:
+                assert event not in read  # corners and each shifted matrix once
+                read.add(event)
+    assert cells > 40
