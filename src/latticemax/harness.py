@@ -1,7 +1,8 @@
 """Experiment harness: config-driven sweeps with optional exact baselines.
 
 A YAML config names oracles, constraints, and an experiment grid
-(algorithm x epsilon x seed).  Each cell is solved on an oracle with a
+(algorithm x epsilon x seed), each section checked against one table of
+the config schema.  Each cell is solved on an oracle with a
 fresh call counter, and its ``oracle_calls`` is the count of calls the
 solver made: the calls that building the oracle makes (a lattice table
 certifies itself, once per run) and the re-evaluation of the returned point
@@ -18,7 +19,7 @@ import copy
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import yaml
@@ -31,7 +32,16 @@ from .cardinality import (
     maximize_lattice_cardinality,
 )
 from .core import CapacityError, ValueOracle
-from .instances import ORACLE_KEYS, POLYMATROID_KEYS, InstanceSpec, make_polymatroid
+from .instances import (
+    INTEGER,
+    INTEGERS,
+    NUMBER,
+    NUMBERS,
+    ORACLE_PARAMS,
+    POLYMATROID_PARAMS,
+    InstanceSpec,
+    make_polymatroid,
+)
 from .knapsack import KnapsackInstance, maximize_knapsack
 from .polymatroid import maximize_polymatroid
 
@@ -45,28 +55,51 @@ ALGORITHMS = {
     "polymatroid": "polymatroid",
 }
 
-# constraint kind -> the keys its entry needs besides ``kind``
-CONSTRAINT_KEYS = {
-    "cardinality": ("cap", "budget"),
-    "knapsack": ("weights", "budget", "cap"),
-    "polymatroid": ("family",),
-}
+# assertion kind -> the report column it bounds
+ASSERTION_KINDS = {"min_ratio": "ratio", "min_value": "value", "max_oracle_calls": "oracle_calls"}
 
-# field -> (the types it may hold, their name): the constructors that read
-# these fields iterate a list, size with an integer or compare a number.
-# Fields of CONSTRAINT_KEYS, ORACLE_KEYS and POLYMATROID_KEYS not named here
-# ("family", "table") are checked where the instance is built.
-FIELD_TYPES = {
-    **dict.fromkeys(
-        ("cap", "weights", "coeffs", "powers", "edges", "parts", "caps"), (list, "a list")
+# kind -> (its name in messages, its test); a bool is never an integer or a number
+KINDS = {
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "mapping": ("a mapping", lambda v: isinstance(v, dict)),
+    "integer": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "number": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "edge": (
+        "a [source, target, probability] triple",
+        lambda v: isinstance(v, list)
+        and len(v) == 3
+        and all(map(_is, v, ("integer", "integer", "number"))),
     ),
-    **dict.fromkeys(("n", "cap_high", "sources", "targets"), (int, "an integer")),
-    **dict.fromkeys(("budget", "per_element", "total"), ((int, float), "a number")),
 }
 
-CONFIG_KEYS = frozenset({"instances", "experiments", "assertions"})
-EXPERIMENT_KEYS = frozenset({"instances", "algorithms", "epsilons", "seeds"})
-SCOPE_KEYS = frozenset({"instance", "algorithm"})
+# The config schema: one table per section, key -> (kind, item kind,
+# required).  A kind is a name in KINDS, a set of allowed values (a family
+# or kind table stands for its keys) or a tuple of kinds any of which will
+# do; None allows any value.  Each oracle and polymatroid family's params
+# table is in instances.py.
+MAPPING = ("mapping", None, True)
+PARAMS = ("mapping", None, False)
+CONFIG = {
+    "instances": ("list", "mapping", True),
+    "experiments": ("list", "mapping", False),
+    "assertions": ("list", "mapping", False),
+}
+INSTANCE = {"id": (None, None, True), "oracle": MAPPING, "constraint": MAPPING}
+ORACLE = {"family": (ORACLE_PARAMS, None, True), "params": PARAMS, "seed": ("integer", None, False)}
+# constraint kind -> its keys besides ``kind``
+CONSTRAINTS = {
+    "cardinality": {"cap": INTEGERS, "budget": INTEGER},
+    "knapsack": {"weights": NUMBERS, "budget": NUMBER, "cap": INTEGERS},
+    "polymatroid": {"family": (POLYMATROID_PARAMS, None, True), "params": PARAMS},
+}
+EXPERIMENT = {
+    "instances": (("list", {"all"}), None, True),
+    "algorithms": ("list", ALGORITHMS, True),
+    "epsilons": NUMBERS,
+    "seeds": ("list", "integer", False),
+}
+ASSERTION = {"kind": (ASSERTION_KINDS, None, True), "value": NUMBER, "applies_to": PARAMS}
+SCOPE = {"instance": (None, None, False), "algorithm": (ALGORITHMS, None, False)}
 
 CSV_COLUMNS = [
     "instance_id",
@@ -133,14 +166,13 @@ class InstanceEntry:
     constraint_params: dict
 
     def build_constraint(self):
+        """The entry's constraint; ``load_config`` has checked its kind and keys."""
         p = self.constraint_params
         if self.constraint_kind == "cardinality":
             return CardinalityConstraint(tuple(p["cap"]), int(p["budget"]))
         if self.constraint_kind == "knapsack":
             return KnapsackInstance.from_raw(p["weights"], p["budget"], tuple(p["cap"]))
-        if self.constraint_kind == "polymatroid":
-            return make_polymatroid(p["family"], **p.get("params", {}))
-        raise ConfigError(f"unknown constraint kind {self.constraint_kind!r}")
+        return make_polymatroid(p["family"], **p.get("params", {}))
 
 
 @dataclass(frozen=True)
@@ -176,30 +208,18 @@ class Assertion:
             return False, f"FAIL {label}: no matching rows"
         if any(r.error for r in scoped):
             return False, f"FAIL {label}: {sum(1 for r in scoped if r.error)} rows errored"
-        if self.kind == "min_ratio":
-            if any(r.ratio is None for r in scoped):
-                return False, f"FAIL {label}: missing exact baseline (ratio unavailable)"
-            worst = min(r.ratio for r in scoped)
-            ok = worst >= self.value - RATIO_TOL
-            return ok, (
-                f"{'PASS' if ok else 'FAIL'} {label} >= {self.value}"
-                f" (rows={len(scoped)}, min={worst:.6f})"
-            )
-        if self.kind == "min_value":
-            worst = min(r.value for r in scoped)
-            ok = worst >= self.value - RATIO_TOL
-            return ok, (
-                f"{'PASS' if ok else 'FAIL'} {label} >= {self.value}"
-                f" (rows={len(scoped)}, min={worst:.6f})"
-            )
+        values = [getattr(r, ASSERTION_KINDS[self.kind]) for r in scoped]
+        if None in values:
+            return False, f"FAIL {label}: missing exact baseline (ratio unavailable)"
         if self.kind == "max_oracle_calls":
-            worst = max(r.oracle_calls for r in scoped)
+            worst = max(values)
             ok = worst <= self.value + RATIO_TOL
-            return ok, (
-                f"{'PASS' if ok else 'FAIL'} {label} <= {int(self.value)}"
-                f" (rows={len(scoped)}, max={worst})"
-            )
-        raise ConfigError(f"unknown assertion kind {self.kind!r}")
+            bound, seen = f"<= {int(self.value)}", f"max={worst}"
+        else:
+            worst = min(values)
+            ok = worst >= self.value - RATIO_TOL
+            bound, seen = f">= {self.value}", f"min={worst:.6f}"
+        return ok, f"{'PASS' if ok else 'FAIL'} {label} {bound} (rows={len(scoped)}, {seen})"
 
 
 @dataclass
@@ -209,68 +229,45 @@ class HarnessConfig:
     assertions: list[Assertion] = field(default_factory=list)
 
 
-def _require(mapping, key, context):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ConfigError(f"missing key {key!r} in {context}")
-    return mapping[key]
+def _is(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return any(_is(value, k) for k in kind)
+    if isinstance(kind, str):
+        return KINDS[kind][1](value)
+    return isinstance(value, str) and value in kind
 
 
-def _reject_unknown(mapping, allowed, context):
-    unknown = sorted(str(key) for key in mapping if key not in allowed)
+def _name(kind) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(map(_name, kind))
+    if isinstance(kind, str):
+        return KINDS[kind][0]
+    return "one of " + ", ".join(map(repr, sorted(kind)))
+
+
+def _check(mapping: dict, table: dict, context: str) -> dict:
+    """Return ``mapping`` once it fits ``table``; else raise a ConfigError naming the key.
+
+    Each key of the table is checked in order for presence, then for its
+    kind and, in a list, its item kind; a key the table lacks is checked last.
+    """
+    for key, (kind, item_kind, required) in table.items():
+        if key not in mapping:
+            if required:
+                raise ConfigError(f"missing key {key!r} in {context}")
+            continue
+        value = mapping[key]
+        if kind is not None and not _is(value, kind):
+            raise ConfigError(f"{key!r} in {context} must be {_name(kind)}, got {value!r}")
+        for item in value if item_kind is not None and isinstance(value, list) else ():
+            if not _is(item, item_kind):
+                raise ConfigError(
+                    f"each item of {key!r} in {context} must be {_name(item_kind)}, got {item!r}"
+                )
+    unknown = sorted(str(key) for key in mapping if key not in table)
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {context}")
-
-
-def _field(mapping, key, context):
-    """The value under ``key``, of a type FIELD_TYPES allows for it (a bool never is).
-
-    Each item of ``edges`` and of ``parts`` must be a list too, and each
-    edge a [source, target, probability] triple of two integers and a number.
-    """
-    value = _require(mapping, key, context)
-    if key in FIELD_TYPES:
-        types, name = FIELD_TYPES[key]
-        if not _of_type(value, types):
-            raise ConfigError(f"{key!r} in {context} must be {name}, got {value!r}")
-    if key in ("edges", "parts"):
-        for item in value:
-            if not isinstance(item, list):
-                raise ConfigError(f"each item of {key!r} in {context} must be a list, got {item!r}")
-            if key == "edges" and not (
-                len(item) == 3 and all(map(_of_type, item, (int, int, (int, float))))
-            ):
-                raise ConfigError(
-                    f"each item of 'edges' in {context} must be a [source, target, "
-                    f"probability] triple, got {item!r}"
-                )
-    return value
-
-
-def _of_type(value, types) -> bool:
-    """isinstance(value, types), except that a bool is never a number."""
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
-def _list(mapping, key, context, default=None):
-    """The list under ``key``; any other value there is a ConfigError."""
-    value = _require(mapping, key, context) if default is None else mapping.get(key, default)
-    if not isinstance(value, list):
-        raise ConfigError(f"{key!r} in {context} must be a list, got {value!r}")
-    return value
-
-
-def _mapping(mapping, key, context):
-    """Check that ``key``, when present, holds a mapping."""
-    value = mapping.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key!r} in {context} must be a mapping, got {value!r}")
-
-
-def _number(value, convert, name):
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    return mapping
 
 
 def load_config(path: str) -> HarnessConfig:
@@ -278,15 +275,12 @@ def load_config(path: str) -> HarnessConfig:
 
     Parses with PyYAML's libyaml-backed ``CSafeLoader`` when PyYAML was
     built with it, and with the pure-Python ``SafeLoader`` otherwise; both
-    give the same config.  Every malformed field raises ConfigError naming
-    it: a missing or unknown key (each constraint kind needs the keys in
-    ``CONSTRAINT_KEYS``, each oracle and polymatroid family the ``params``
-    keys in ``ORACLE_KEYS`` and ``POLYMATROID_KEYS``), such a key holding a
-    type ``FIELD_TYPES`` does not allow for it, a scalar where a list or a
-    ``params`` mapping belongs (an edge or a part included), a non-numeric
-    epsilon, seed or assertion value, invalid YAML (with its line and
-    column) or a missing file.
-    Oracles are not built here.
+    give the same config.  ``_check`` walks each section against its schema
+    table; the checks a table cannot state follow: duplicate instance ids,
+    unknown instance references, an algorithm run on another constraint
+    kind, and an epsilon outside (0, 1).  Each failure, invalid YAML (with
+    its line and column) and a missing file raise ConfigError.  Oracles are
+    not built here.
     """
     try:
         with open(path) as handle:
@@ -299,54 +293,34 @@ def load_config(path: str) -> HarnessConfig:
         raise ConfigError(f"invalid YAML{where}: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    _reject_unknown(data, CONFIG_KEYS, "config")
+    _check(data, CONFIG, "config")
 
     instances: dict[str, InstanceEntry] = {}
-    for raw in _list(data, "instances", "config"):
-        instance_id = str(_require(raw, "id", "instance entry"))
+    for raw in data["instances"]:
+        where = f"instance {str(raw['id'])!r}" if "id" in raw else "instance entry"
+        _check(raw, INSTANCE, where)
+        instance_id = str(raw["id"])
         if instance_id in instances:
             raise ConfigError(f"duplicate instance id {instance_id!r}")
-        oracle_raw = _require(raw, "oracle", f"instance {instance_id!r}")
-        family = _require(oracle_raw, "family", f"instance {instance_id!r} oracle")
-        _mapping(oracle_raw, "params", f"instance {instance_id!r} oracle")
-        for key in ORACLE_KEYS.get(str(family), ()):
-            _field(oracle_raw.get("params", {}), key, f"instance {instance_id!r} oracle params")
-        _number(oracle_raw.get("seed", 0), int, f"instance {instance_id!r} oracle seed")
-        constraint_raw = _require(raw, "constraint", f"instance {instance_id!r}")
-        context = f"instance {instance_id!r} constraint"
-        kind = str(_require(constraint_raw, "kind", context))
-        for key in CONSTRAINT_KEYS.get(kind, ()):
-            _field(constraint_raw, key, context)
+        oracle = _check(raw["oracle"], ORACLE, f"{where} oracle")
+        _check(oracle.get("params", {}), ORACLE_PARAMS[oracle["family"]], f"{where} oracle params")
+        constraint, kind = raw["constraint"], raw["constraint"].get("kind")
+        table = {"kind": (CONSTRAINTS, None, True), **CONSTRAINTS.get(str(kind), {})}
+        _check(constraint, table, f"{where} constraint")
         if kind == "polymatroid":
-            _mapping(constraint_raw, "params", context)
-            for key in POLYMATROID_KEYS.get(str(constraint_raw["family"]), ()):
-                _field(constraint_raw.get("params", {}), key, f"{context} params")
-        params = {k: v for k, v in constraint_raw.items() if k != "kind"}
-        instances[instance_id] = InstanceEntry(
-            instance_id=instance_id,
-            oracle_spec=InstanceSpec.from_dict(oracle_raw),
-            constraint_kind=kind,
-            constraint_params=params,
-        )
+            table = POLYMATROID_PARAMS[constraint["family"]]
+            _check(constraint.get("params", {}), table, f"{where} constraint params")
+        params = {k: v for k, v in constraint.items() if k != "kind"}
+        spec = InstanceSpec.from_dict(oracle)
+        instances[instance_id] = InstanceEntry(instance_id, spec, kind, params)
 
     cells: list[Cell] = []
-    for raw in _list(data, "experiments", "config", []):
-        _require(raw, "instances", "experiment entry")
-        _reject_unknown(raw, EXPERIMENT_KEYS, "experiment entry")
-        if raw["instances"] == "all":
-            ids = list(instances)
-        else:
-            ids = _list(raw, "instances", "experiment entry")
-        algorithms = _list(raw, "algorithms", "experiment entry")
-        epsilons = _list(raw, "epsilons", "experiment entry")
-        epsilons = [_number(e, float, "epsilon") for e in epsilons]
-        seeds = [_number(s, int, "seed") for s in _list(raw, "seeds", "experiment entry", [0])]
-        for instance_id in ids:
-            if instance_id not in instances:
+    for raw in data.get("experiments", []):
+        _check(raw, EXPERIMENT, "experiment entry")
+        for instance_id in list(instances) if raw["instances"] == "all" else raw["instances"]:
+            if not isinstance(instance_id, str) or instance_id not in instances:
                 raise ConfigError(f"experiment references unknown instance {instance_id!r}")
-            for algorithm in algorithms:
-                if algorithm not in ALGORITHMS:
-                    raise ConfigError(f"unknown algorithm {algorithm!r}")
+            for algorithm in raw["algorithms"]:
                 expected = ALGORITHMS[algorithm]
                 actual = instances[instance_id].constraint_kind
                 if actual != expected:
@@ -354,30 +328,18 @@ def load_config(path: str) -> HarnessConfig:
                         f"algorithm {algorithm!r} requires a {expected} constraint,"
                         f" but instance {instance_id!r} declares {actual!r}"
                     )
-                for epsilon in epsilons:
+                for epsilon in map(float, raw["epsilons"]):
                     if not 0 < epsilon < 1:
                         raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
-                    for seed in seeds:
+                    for seed in raw.get("seeds", [0]):
                         cells.append(Cell(instance_id, algorithm, epsilon, seed))
 
     assertions = []
-    for raw in _list(data, "assertions", "config", []):
-        kind = str(_require(raw, "kind", "assertion entry"))
-        value = _number(_require(raw, "value", "assertion entry"), float, "assertion value")
-        applies = raw.get("applies_to", {}) or {}
-        if not isinstance(applies, dict):
-            raise ConfigError("applies_to must be a mapping")
-        _reject_unknown(applies, SCOPE_KEYS, "applies_to")
-        assertions.append(
-            Assertion(
-                kind=kind,
-                value=value,
-                instance=applies.get("instance"),
-                algorithm=applies.get("algorithm"),
-            )
-        )
-        if kind not in ("min_ratio", "min_value", "max_oracle_calls"):
-            raise ConfigError(f"unknown assertion kind {kind!r}")
+    for raw in data.get("assertions", []):
+        _check(raw, ASSERTION, "assertion entry")
+        scope = _check(raw.get("applies_to", {}), SCOPE, "applies_to")
+        kind, value = raw["kind"], float(raw["value"])
+        assertions.append(Assertion(kind, value, scope.get("instance"), scope.get("algorithm")))
     return HarnessConfig(instances=instances, cells=cells, assertions=assertions)
 
 
@@ -560,12 +522,6 @@ def apply_overrides(
             raise ConfigError(f"unknown algorithm {algo!r}")
         cells = [cell for cell in cells if cell.algorithm == algo]
     if seed is not None:
-        seen = set()
-        overridden = []
-        for cell in cells:
-            replaced = Cell(cell.instance_id, cell.algorithm, cell.epsilon, seed)
-            if replaced not in seen:
-                seen.add(replaced)
-                overridden.append(replaced)
-        cells = overridden
+        # two cells that differ only in their seed become one
+        cells = list(dict.fromkeys(replace(cell, seed=seed) for cell in cells))
     return HarnessConfig(instances=config.instances, cells=cells, assertions=config.assertions)

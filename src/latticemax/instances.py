@@ -277,11 +277,17 @@ def table_polymatroid(n: int, rank_table) -> PolymatroidOracle:
     return PolymatroidOracle(n, member, rank, name="rank_table")
 
 
-# polymatroid family -> the keys ``make_polymatroid`` reads from its params
-POLYMATROID_KEYS = {
-    "uniform": ("n", "per_element", "total"),
-    "partition": ("parts", "caps"),
-    "rank_table": ("n", "table"),
+# config schema entries (kind, item kind, required); see harness.load_config
+INTEGER = ("integer", None, True)
+NUMBER = ("number", None, True)
+INTEGERS = ("list", "integer", True)
+NUMBERS = ("list", "number", True)
+
+# polymatroid family -> the schema of the params ``make_polymatroid`` reads
+POLYMATROID_PARAMS = {
+    "uniform": {"n": INTEGER, "per_element": NUMBER, "total": NUMBER},
+    "partition": {"parts": ("list", "list", True), "caps": INTEGERS, "n": ("integer", None, False)},
+    "rank_table": {"n": INTEGER, "table": INTEGERS},
 }
 
 
@@ -317,13 +323,13 @@ def random_budget_allocation(seed: int, n_sources: int, n_targets: int, cap_high
     return make_budget_allocation(edges, cap)
 
 
-# oracle family -> the keys ``InstanceSpec.build`` reads from its params
-ORACLE_KEYS = {
-    "separable_concave": ("coeffs", "powers", "cap"),
-    "budget_allocation": ("edges", "cap"),
-    "lattice_table": ("table",),
-    "random_separable_concave": ("n", "cap_high"),
-    "random_budget_allocation": ("sources", "targets", "cap_high"),
+# oracle family -> the schema of the params ``InstanceSpec.build`` reads
+ORACLE_PARAMS = {
+    "separable_concave": {"coeffs": NUMBERS, "powers": NUMBERS, "cap": INTEGERS},
+    "budget_allocation": {"edges": ("list", "edge", True), "cap": INTEGERS},
+    "lattice_table": {"table": (("list", NON_DR_TABLES), None, True)},
+    "random_separable_concave": {"n": INTEGER, "cap_high": INTEGER},
+    "random_budget_allocation": {"sources": INTEGER, "targets": INTEGER, "cap_high": INTEGER},
 }
 
 
@@ -340,13 +346,10 @@ class InstanceSpec:
         if self.family == "separable_concave":
             return make_separable_concave(p["coeffs"], p["powers"], p["cap"])
         if self.family == "budget_allocation":
-            edges = [tuple(edge) for edge in p["edges"]]
-            return make_budget_allocation(edges, p["cap"])
+            return make_budget_allocation(p["edges"], p["cap"])
         if self.family == "lattice_table":
             table = p["table"]
-            if isinstance(table, str):
-                table = NON_DR_TABLES[table]
-            return make_lattice_non_dr(table)
+            return make_lattice_non_dr(NON_DR_TABLES[table] if isinstance(table, str) else table)
         if self.family == "random_separable_concave":
             return random_separable_concave(self.seed, p["n"], p["cap_high"])
         if self.family == "random_budget_allocation":

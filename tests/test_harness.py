@@ -288,17 +288,20 @@ def test_either_loader_gives_the_same_config(monkeypatch, path):
 # (text replaced in BASIC, its replacement, the ConfigError message); each
 # used to crash load_config with a raw ValueError or TypeError
 BAD_FIELDS = [
-    ("epsilons: [0.1]", "epsilons: [abc]", "epsilon must be a number, got 'abc'"),
-    ("epsilons: [0.1]", "epsilons: [null]", "epsilon must be a number, got None"),
-    ("epsilons: [0.1]", "epsilons: 0.1", "'epsilons' in experiment entry must be a list"),
-    ("seeds: [0, 1]", "seeds: [0, x]", "seed must be a number, got 'x'"),
-    ("seeds: [0, 1]", "seeds: 0", "'seeds' in experiment entry must be a list"),
-    ("value: 0.53", "value: abc", "assertion value must be a number, got 'abc'"),
-    ("value: 0.53", "value: [0.53]", r"assertion value must be a number, got \[0.53\]"),
+    ("epsilons: [0.1]", "epsilons: [abc]",
+     "each item of 'epsilons' in experiment entry must be a number, got 'abc'"),
+    ("epsilons: [0.1]", "epsilons: [null]",
+     "each item of 'epsilons' in experiment entry must be a number, got None"),
+    ("epsilons: [0.1]", "epsilons: 0.1", "'epsilons' in experiment entry must be a list, got 0.1"),
+    ("seeds: [0, 1]", "seeds: [0, x]",
+     "each item of 'seeds' in experiment entry must be an integer, got 'x'"),
+    ("seeds: [0, 1]", "seeds: 0", "'seeds' in experiment entry must be a list, got 0"),
+    ("value: 0.53", "value: abc", "'value' in assertion entry must be a number, got 'abc'"),
+    ("value: 0.53", "value: [0.53]", "'value' in assertion entry must be a number, got [0.53]"),
     ("family: separable_concave", "family: separable_concave\n      seed: abc",
-     "instance 'pack' oracle seed must be a number, got 'abc'"),
+     "'seed' in instance 'pack' oracle must be an integer, got 'abc'"),
     ("oracle:\n      family: separable_concave", "oracle: separable_concave\n    params_:",
-     "missing key 'family' in instance 'pack' oracle"),
+     "'oracle' in instance 'pack' must be a mapping, got 'separable_concave'"),
 ]
 
 
@@ -306,7 +309,7 @@ BAD_FIELDS = [
 def test_malformed_field_is_config_error(tmp_path, old, new, message):
     text = BASIC.replace(old, new)
     assert text != BASIC
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(write(tmp_path, text))
 
 
@@ -349,7 +352,8 @@ BAD_FIELD_TYPES = [
     (CONCAVE_ORACLE, BUDGET_ORACLE.format(EDGES, 5),
      "'cap' in instance 'pack' oracle params must be a list, got 5"),
     (CONCAVE_ORACLE, BUDGET_ORACLE.format("[5, 6]", "[2, 2]"),
-     "each item of 'edges' in instance 'pack' oracle params must be a list, got 5"),
+     "each item of 'edges' in instance 'pack' oracle params must be a [source, target, "
+     "probability] triple, got 5"),
     (CARDINALITY, "kind: polymatroid\n      family: partition\n      params: {parts: [5], caps: [1]}",
      "each item of 'parts' in instance 'pack' constraint params must be a list, got 5"),
     (CONCAVE_ORACLE, BUDGET_ORACLE.format("[[0, 0]]", "[2, 2]"),
@@ -388,7 +392,11 @@ def test_missing_file_is_config_error(tmp_path):
 
 def test_unknown_algorithm_rejected(tmp_path):
     text = BASIC.replace("cardinality_dr", "simulated_annealing")
-    with pytest.raises(ConfigError, match="unknown algorithm"):
+    message = (
+        "each item of 'algorithms' in experiment entry must be one of 'cardinality_dr', "
+        "'cardinality_lattice', 'knapsack', 'polymatroid', got 'simulated_annealing'"
+    )
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(write(tmp_path, text))
 
 
@@ -571,7 +579,8 @@ def test_unknown_scope_key_rejected(tmp_path, scope, name):
 @pytest.mark.parametrize("scope", ["[cardinality_dr]", "cardinality_dr"])
 def test_scope_that_is_not_a_mapping_rejected(tmp_path, scope):
     text = BASIC + f"    applies_to: {scope}\n"
-    with pytest.raises(ConfigError, match="applies_to must be a mapping"):
+    message = f"'applies_to' in assertion entry must be a mapping, got {yaml.safe_load(scope)!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(write(tmp_path, text))
 
 
@@ -592,7 +601,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--config", bad_path, "--out", str(tmp_path / "out3")])
     assert exc.value.code == 2
-    assert "config error: epsilon must be a number, got 'abc'" in capsys.readouterr().err
+    assert f"config error: {BAD_FIELDS[0][2]}" in capsys.readouterr().err
 
     # a cardinality constraint without its cap used to end the run with a
     # KeyError traceback after the config had loaded
@@ -649,6 +658,124 @@ def test_cli_exits_2_on_missing_family_params(tmp_path, capsys, text, message):
     assert exc.value.code == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+UNIFORM = "kind: polymatroid\n      family: uniform\n      params: {n: 2, per_element: 1, total: 2}"
+PARTITION = "kind: polymatroid\n      family: partition\n      params: {parts: [[0], [1]], caps: [1, 1]}"
+KNAPSACK = "kind: knapsack\n      weights: [0.5, 0.5]\n      budget: 1\n      cap: [2, 2]"
+SPARE = (
+    "  - id: spare\n    oracle: {family: separable_concave, params: {coeffs: [1.0], powers: [1.0],"
+    " cap: [1]}}\n    constraint: {kind: matroid, cap: [1]}\nexperiments:"
+)
+
+
+def edited(*edits):
+    """BASIC with each (old, new) replacement made, each of which must change it."""
+    text = BASIC
+    for old, new in edits:
+        assert old in text, old
+        text = text.replace(old, new)
+    return text
+
+
+# (edits to BASIC, the ConfigError message); each used to load: a misspelled
+# family then failed every row of its instance (exit 0 where no assertion
+# read them), an unknown constraint kind on an instance no experiment runs
+# went unseen, and a table name NON_DR_TABLES lacks ended the run with a raw
+# KeyError traceback
+MISSPELLED = [
+    ([("family: separable_concave", "family: separable_concav")],
+     "'family' in instance 'pack' oracle must be one of 'budget_allocation', 'lattice_table', "
+     "'random_budget_allocation', 'random_separable_concave', 'separable_concave', "
+     "got 'separable_concav'"),
+    ([(CARDINALITY, UNIFORM.replace("uniform", "unifrom")), ("cardinality_dr", "polymatroid")],
+     "'family' in instance 'pack' constraint must be one of 'partition', 'rank_table', "
+     "'uniform', got 'unifrom'"),
+    ([("experiments:", SPARE)],
+     "'kind' in instance 'spare' constraint must be one of 'cardinality', 'knapsack', "
+     "'polymatroid', got 'matroid'"),
+    ([(CONCAVE_ORACLE, "family: lattice_table\n      params: {table: coupled_kink}")],
+     "'table' in instance 'pack' oracle params must be a list or one of 'convex_ladder_2d', "
+     "'convex_ladder_3d', 'coupled_kink_2d', 'steep_tail_2d', got 'coupled_kink'"),
+]
+
+# each used to load: int() truncated a float (two seeds 1.2 and 1.7 became
+# two identical seed-1 rows; a budget of 2.7 became 2) and a bool passed
+# as the number 1
+NOT_INTEGERS_OR_NUMBERS = [
+    ([("seeds: [0, 1]", "seeds: [1.2, 1.7]")],
+     "each item of 'seeds' in experiment entry must be an integer, got 1.2"),
+    ([("seeds: [0, 1]", "seeds: [true]")],
+     "each item of 'seeds' in experiment entry must be an integer, got True"),
+    ([("family: separable_concave", "family: separable_concave\n      seed: 1.5")],
+     "'seed' in instance 'pack' oracle must be an integer, got 1.5"),
+    ([("budget: 2", "budget: 2.7")],
+     "'budget' in instance 'pack' constraint must be an integer, got 2.7"),
+    ([(CARDINALITY, CARDINALITY.replace("[2, 2]", "[2, 1.5]"))],
+     "each item of 'cap' in instance 'pack' constraint must be an integer, got 1.5"),
+    ([("cap: [2, 2]\n    constraint", "cap: [2, 1.5]\n    constraint")],
+     "each item of 'cap' in instance 'pack' oracle params must be an integer, got 1.5"),
+    ([(CARDINALITY, PARTITION.replace("caps: [1, 1]", "caps: [1.5, 1]")),
+      ("cardinality_dr", "polymatroid")],
+     "each item of 'caps' in instance 'pack' constraint params must be an integer, got 1.5"),
+    ([(CARDINALITY, UNIFORM.replace("n: 2", "n: 2.5")), ("cardinality_dr", "polymatroid")],
+     "'n' in instance 'pack' constraint params must be an integer, got 2.5"),
+    ([("epsilons: [0.1]", "epsilons: [true]")],
+     "each item of 'epsilons' in experiment entry must be a number, got True"),
+    ([("value: 0.53", "value: true")], "'value' in assertion entry must be a number, got True"),
+    ([("coeffs: [2.0, 1.0]", "coeffs: [true, 1.0]")],
+     "each item of 'coeffs' in instance 'pack' oracle params must be a number, got True"),
+    ([("powers: [1.0, 0.5]", "powers: [1.0, true]")],
+     "each item of 'powers' in instance 'pack' oracle params must be a number, got True"),
+    ([(CARDINALITY, KNAPSACK.replace("[0.5, 0.5]", "[true, 0.5]")), ("cardinality_dr", "knapsack")],
+     "each item of 'weights' in instance 'pack' constraint must be a number, got True"),
+]
+
+# each used to be dropped without a word, but for a list where an instance
+# id belongs, which ended load_config with a raw TypeError
+UNKNOWN_KEYS = [
+    ([("instances: [pack]", "instances: [[pack]]")],
+     "experiment references unknown instance ['pack']"),
+    ([("    constraint:\n", "    cpa: [2, 2]\n    constraint:\n")],
+     "unknown key 'cpa' in instance 'pack'"),
+    ([("family: separable_concave", "family: separable_concave\n      seeed: 3")],
+     "unknown key 'seeed' in instance 'pack' oracle"),
+    ([("cap: [2, 2]\n    constraint", "cap: [2, 2]\n        cpa: [2, 2]\n    constraint")],
+     "unknown key 'cpa' in instance 'pack' oracle params"),
+    ([(CARDINALITY, CARDINALITY + "\n      weights: [1.0, 1.0]")],
+     "unknown key 'weights' in instance 'pack' constraint"),
+    ([(CARDINALITY, UNIFORM.replace("}", ", cap: 3}")), ("cardinality_dr", "polymatroid")],
+     "unknown key 'cap' in instance 'pack' constraint params"),
+]
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    MISSPELLED + NOT_INTEGERS_OR_NUMBERS + UNKNOWN_KEYS,
+    ids=["oracle_family", "polymatroid_family", "unrun_kind", "table_name", "float_seeds",
+         "bool_seed", "float_oracle_seed", "float_budget", "float_cap", "float_oracle_cap",
+         "float_caps", "float_n", "bool_epsilon", "bool_value", "bool_coeff", "bool_power",
+         "bool_weight", "list_reference", "instance_key", "oracle_key", "oracle_params_key", "constraint_key",
+         "polymatroid_params_key"],
+)
+def test_cli_exits_2_on_a_config_the_schema_rejects(tmp_path, capsys, edits, message):
+    path = write(tmp_path, edited(*edits))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", path, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_schema_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config schema\n", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    config = load_config(write(tmp_path, block))
+    assert list(config.instances) == ["my_instance"]
+    assert config.cells == [Cell("my_instance", "cardinality_dr", 0.1, s) for s in (0, 1)]
+    assert config.assertions == [Assertion("min_ratio", 0.53, algorithm="cardinality_dr")]
 
 
 def test_cli_no_bruteforce_leaves_ratio_empty(tmp_path):
