@@ -136,8 +136,9 @@ def threshold_schedule(top: float, floor: float, epsilon: float) -> Iterator[flo
 class _PointMemo:
     """Values of f at the points one solve has probed, keyed by their bytes.
 
-    A miss goes through ``f.eval`` (or ``f.eval_batch``), so validation and
-    call counting are those of the oracle; a hit costs no call.  Each solve
+    A miss goes through ``f.eval`` (or ``f.eval_batch``, or, for a probe
+    of a :class:`_Ray`, ``f.eval_along``), so validation and call counting
+    are those of the oracle; a hit costs no call.  Each solve
     creates its own memo and drops it on return; ``n``, ``box``, ``eval``
     and ``eval_batch`` let a memo stand in for f, so one knapsack solve
     shares it across its phases and one polymatroid solve across its
@@ -252,33 +253,43 @@ def _level_candidates(
 
 
 class _Ray(dict):
-    """k -> f(y + k e) - base, read through ``ev`` on the first lookup of k only.
+    """k -> f(y + k e) - base, read through a solve's memo on the first lookup of k only.
 
-    A repeated lookup is a dict hit: it builds no point and makes no call.
+    y is checked once, when the ray is made, by the oracle's own check
+    (shape, integer dtype, every entry in [0, box]); it must not change
+    while the ray lives.  A first lookup of k builds y + k e and looks it
+    up in the memo's values; a miss goes through ``f.eval_along``, which
+    checks only y_e + k against [0, c_e], so the probe is counted as one
+    call, or rejected at no cost with ``eval``'s ValueError.  A repeated
+    lookup is a dict hit: it builds no point and makes no call.
     """
 
-    __slots__ = ("_ev", "_y", "_e", "_y_e", "_base")
+    __slots__ = ("_values", "_f", "_y", "_e", "_y_e", "_base")
 
-    def __init__(self, ev: Callable[[np.ndarray], float], y: np.ndarray, e: int, base: float):
+    def __init__(self, memo: _PointMemo, y: np.ndarray, e: int, base: float):
         super().__init__()
-        self._ev, self._y, self._e, self._y_e, self._base = ev, y, e, int(y[e]), base
+        memo._f._validate(y)
+        self._values, self._f = memo._values, memo._f
+        self._y, self._e, self._y_e, self._base = y, e, int(y[e]), base
 
     def __missing__(self, k: int) -> float:
         point = self._y.copy()
         point[self._e] = self._y_e + k
-        value = self[k] = self._ev(point) - self._base
+        key = point.tobytes()
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = self._f.eval_along(point, self._e)
+        value = self[k] = value - self._base
         return value
 
 
-def _marginal_along(
-    ev: Callable[[np.ndarray], float], y: np.ndarray, e: int
-) -> Mapping[int, float]:
-    """The ray k -> f(y + k e) - f(y) through ``ev``: a :class:`_Ray` on a copy of y.
+def _marginal_along(memo: _PointMemo, y: np.ndarray, e: int) -> Mapping[int, float]:
+    """The ray k -> f(y + k e) - f(y) through ``memo``: a :class:`_Ray` on a copy of y.
 
-    f(y) is read once, now.  The subtraction is the same float arithmetic
-    as ``f.shifted(y)``.
+    f(y) is read once, now, through the memo; each gain is the float
+    difference of two memo values.
     """
-    return _Ray(ev, y.copy(), e, ev(y))
+    return _Ray(memo, y.copy(), e, memo(y))
 
 
 # maps a threshold to the step (k, f(k e | y)) one (y, e) pair takes; k = 0 for none
@@ -337,7 +348,8 @@ def binary_search_lattice(
         raise ValueError("epsilon must lie in (0, 1)")
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
-    along = _Ray(g.eval, unit(g.n, e, 0), e, 0.0)  # g(k e) - 0.0 is g(k e), bit for bit
+    # g(k e) - 0.0 is g(k e), bit for bit, and g(0) is never read
+    along = _Ray(_PointMemo(g), unit(g.n, e, 0), e, 0.0)
     return _level_rule(along, k_max, epsilon)(theta)[0] or None
 
 

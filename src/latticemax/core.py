@@ -160,10 +160,12 @@ class ValueOracle:
     Every ``eval`` / ``eval_batch`` checks each point before it is counted
     or evaluated: the argument must have shape (n,) (``eval``) or (m, n)
     (``eval_batch``), an integer dtype (signed or unsigned; bool, float and
-    object arrays are rejected), and every entry must lie in [0, box].  A
-    failed check raises ValueError and costs no call.  Each accepted call
-    increments the counter by the number of points evaluated, under a
-    lock, so concurrent use is safe as long as ``fn`` itself is pure.
+    object arrays are rejected), and every entry must lie in [0, box].
+    ``eval_along`` is the entry for a point on a ray y + k e whose y has
+    passed that check: it checks only entry e.  A failed check raises
+    ValueError and costs no call.  Each accepted call increments the
+    counter by the number of points evaluated, under a lock, so concurrent
+    use is safe as long as ``fn`` itself is pure.
 
     ``box`` is a read-only int64 array owned by the oracle; views made by
     :meth:`shifted` own read-only boxes of their own.
@@ -209,6 +211,19 @@ class ValueOracle:
     def eval(self, x) -> float:
         x = np.asarray(x)
         self._validate(x)
+        self._counter.add(1)
+        return float(self._fn(x))
+
+    def eval_along(self, x: np.ndarray, e: int) -> float:
+        """f(x) for an x that differs only in entry e from a point that passed ``_validate``.
+
+        Only x[e] is checked against [0, box_e]; an out-of-box x raises
+        ``eval``'s ValueError and costs no call.  The caller vouches for
+        the rest of x, as :class:`cardinality._Ray` does for its probes.
+        """
+        v = int(x[e])
+        if v < 0 or v > self._cap[e]:
+            raise ValueError(f"point {x.tolist()} outside box {self._cap}")
         self._counter.add(1)
         return float(self._fn(x))
 

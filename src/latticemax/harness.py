@@ -70,6 +70,17 @@ KINDS = {
         and len(v) == 3
         and all(map(_is, v, ("integer", "integer", "number"))),
     ),
+    "integers": (
+        "a list of integers",
+        lambda v: isinstance(v, list) and all(_is(i, "integer") for i in v),
+    ),
+    # a non-empty list of numbers, or of such lists, at any depth
+    "table": (
+        "non-empty nested lists of numbers",
+        lambda v: isinstance(v, list)
+        and bool(v)
+        and (all(_is(i, "number") for i in v) or all(_is(i, "table") for i in v)),
+    ),
 }
 
 # The config schema: one table per section, key -> (kind, item kind,

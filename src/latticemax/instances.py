@@ -17,9 +17,12 @@ from .polymatroid import PolymatroidOracle
 
 
 def make_separable_concave(coeffs, powers, cap) -> ValueOracle:
-    """f(x) = sum_e a_e * min(x(e), c(e))^{p_e}, with a >= 0 and p in (0, 1].
+    """f(x) = sum_e a_e * min(x(e), c(e))^{p_e}, with finite a >= 0 and p in (0, 1].
 
-    Monotone and DR-submodular (separable with concave pieces).
+    Monotone and DR-submodular (separable with concave pieces).  The scalar
+    evaluation skips each e with x(e) = 0: its term a_e * 0^{p_e} is +0.0,
+    and a sum started at 0.0 is unchanged by adding +0.0, so skipping it
+    leaves every value the same bit for bit.
     """
     a = np.asarray(coeffs, dtype=np.float64)
     p = np.asarray(powers, dtype=np.float64)
@@ -28,17 +31,20 @@ def make_separable_concave(coeffs, powers, cap) -> ValueOracle:
         raise ValueError("coeffs, powers, and cap must be 1-d and equally sized")
     if np.any(a < 0):
         raise ValueError("coefficients must be non-negative")
-    if np.any(p <= 0) or np.any(p > 1):
+    if not np.isfinite(a).all():
+        raise ValueError("coefficients must be finite")
+    if not ((p > 0) & (p <= 1)).all():  # negated so that a NaN power fails it
         raise ValueError("powers must lie in (0, 1]")
     coeff = a.tolist()
     power = p.tolist()
     capl = c.tolist()
 
     def fn(x):
-        return sum(
-            ai * min(xi, ci) ** pi
-            for ai, pi, ci, xi in zip(coeff, power, capl, x.tolist())
-        )
+        tot = 0.0
+        for ai, pi, ci, xi in zip(coeff, power, capl, x.tolist()):
+            if xi:  # a zero would add a_e * 0 ** p_e == +0.0
+                tot += ai * min(xi, ci) ** pi
+        return tot
 
     def batch(X):
         Z = np.minimum(X, c[None, :]).astype(np.float64)
@@ -286,7 +292,9 @@ NUMBERS = ("list", "number", True)
 # polymatroid family -> the schema of the params ``make_polymatroid`` reads
 POLYMATROID_PARAMS = {
     "uniform": {"n": INTEGER, "per_element": NUMBER, "total": NUMBER},
-    "partition": {"parts": ("list", "list", True), "caps": INTEGERS, "n": ("integer", None, False)},
+    "partition": {
+        "parts": ("list", "integers", True), "caps": INTEGERS, "n": ("integer", None, False),
+    },
     "rank_table": {"n": INTEGER, "table": INTEGERS},
 }
 
@@ -327,7 +335,7 @@ def random_budget_allocation(seed: int, n_sources: int, n_targets: int, cap_high
 ORACLE_PARAMS = {
     "separable_concave": {"coeffs": NUMBERS, "powers": NUMBERS, "cap": INTEGERS},
     "budget_allocation": {"edges": ("list", "edge", True), "cap": INTEGERS},
-    "lattice_table": {"table": (("list", NON_DR_TABLES), None, True)},
+    "lattice_table": {"table": (("table", NON_DR_TABLES), None, True)},
     "random_separable_concave": {"n": INTEGER, "cap_high": INTEGER},
     "random_budget_allocation": {"sources": INTEGER, "targets": INTEGER, "cap_high": INTEGER},
 }

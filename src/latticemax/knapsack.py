@@ -26,8 +26,8 @@ from .cardinality import (
     SolverConfig,
     _bisection_rule,
     _level_candidates,
+    _marginal_along,
     _PointMemo,
-    _Ray,
     _sweep,
     threshold_schedule,
 )
@@ -134,8 +134,10 @@ def increase_support(
     where k_min is the smallest step with positive marginal (points with no
     positive marginal contribute nothing), and the smallest k reaching each
     level is emitted.  Costs one call for f(y) plus one per distinct k
-    probed, for each y with room along e.  Output is deduplicated,
-    box-feasible, and not filtered by the budget.
+    probed, for each y with room along e; through a memo (as
+    :func:`maximize_knapsack` passes it) a point the solve has read costs
+    none.  Output is deduplicated, box-feasible, and not filtered by the
+    budget.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -149,7 +151,8 @@ def increase_support(
         k_cap = int(cap[e] - y[e])
         if k_cap <= 0:
             continue
-        for k, _ in _level_candidates(_Ray(f.eval, y, e, f.eval(y)), k_cap, epsilon):
+        memo = f if isinstance(f, _PointMemo) else _PointMemo(f)
+        for k, _ in _level_candidates(_marginal_along(memo, y, e), k_cap, epsilon):
             point = y + k * step
             out.setdefault(tuple(point), point)
     return list(out.values())

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from latticemax.cardinality import (
     SolverConfig,
     _marginal_along,
     _max_step_with_gain,
+    _PointMemo,
     binary_search_lattice,
     effective_epsilon,
     maximize_dr_cardinality,
@@ -82,11 +84,11 @@ def test_max_step_dr_examples():
     fn = capped_modular([2.0], [1])
     f = ValueOracle(fn, np.array([5]))
     y = np.zeros(1, dtype=np.int64)
-    assert _max_step_with_gain(_marginal_along(f.eval, y, 0), 0, 2.0)[0] == 0
-    assert _max_step_with_gain(_marginal_along(f.eval, y, 0), 5, 2.0)[0] == 1
-    assert _max_step_with_gain(_marginal_along(f.eval, y, 0), 5, 2.5)[0] == 0
+    assert _max_step_with_gain(_marginal_along(_PointMemo(f), y, 0), 0, 2.0)[0] == 0
+    assert _max_step_with_gain(_marginal_along(_PointMemo(f), y, 0), 5, 2.0)[0] == 1
+    assert _max_step_with_gain(_marginal_along(_PointMemo(f), y, 0), 5, 2.5)[0] == 0
     with pytest.raises(ValueError):
-        _max_step_with_gain(_marginal_along(f.eval, y, 0), -1, 2.0)
+        _max_step_with_gain(_marginal_along(_PointMemo(f), y, 0), -1, 2.0)
 
 
 def test_max_step_dr_matches_linear_scan():
@@ -103,7 +105,7 @@ def test_max_step_dr_matches_linear_scan():
         e = int(rng.integers(0, n))
         k_max = int(caps[e] - y[e])
         theta = float(rng.uniform(0.1, 2.5))
-        ray = _marginal_along(f.eval, np.array(y, dtype=np.int64), e)
+        ray = _marginal_along(_PointMemo(f), np.array(y, dtype=np.int64), e)
         got = _max_step_with_gain(ray, k_max, theta)[0]
         want = scan_max_step(fn, np.array(y, dtype=np.int64), e, k_max, theta)
         assert got == want
@@ -273,7 +275,7 @@ def test_max_step_dr_prefix_property(cap, theta):
     fn = lambda x: float(math.sqrt(x[0]))
     f = ValueOracle(fn, np.array([max(cap, 1)]))
     y = np.zeros(1, dtype=np.int64)
-    got = _max_step_with_gain(_marginal_along(f.eval, y, 0), cap, theta)[0]
+    got = _max_step_with_gain(_marginal_along(_PointMemo(f), y, 0), cap, theta)[0]
     want = scan_max_step(lambda v: math.sqrt(v[0]), y, 0, cap, theta)
     assert got == want
 
@@ -563,18 +565,66 @@ def test_ray_reads_f_of_y_once_and_each_step_at_most_once():
     base = make_separable_concave([1.0, 2.0, 0.5], [0.5, 1.0, 0.7], [8, 8, 8])
     f, points = recording(base)
     y = np.array([2, 1, 0], dtype=np.int64)
-    ray = _marginal_along(f.eval, y, 1)
+    ray = _marginal_along(_PointMemo(f), y, 1)
     assert points == [y.tobytes()] and f.calls == 1
     y[0] = 7  # the ray keeps its own copy of y
     for k in (3, 1, 3, 5, 1, 7, 5, 0):
         point = np.array([2, 1 + k, 0], dtype=np.int64)
         assert ray[k] == base.eval(point) - base.eval(np.array([2, 1, 0]))
-    want = [np.array([2, 1 + k, 0], dtype=np.int64).tobytes() for k in (3, 1, 5, 7, 0)]
-    assert points[1:] == want and f.calls == 6
+    # k = 0 is y itself, which the memo already holds
+    want = [np.array([2, 1 + k, 0], dtype=np.int64).tobytes() for k in (3, 1, 5, 7)]
+    assert points[1:] == want and f.calls == 5
     # a search on a ray that holds its probes makes no call
     first = _max_step_with_gain(ray, 7, 0.5)
     calls = f.calls
     assert _max_step_with_gain(ray, 7, 0.5) == first and f.calls == calls
+
+
+def eval_error(f, x):
+    """The message of the ValueError that ``f.eval(x)`` raises."""
+    with pytest.raises(ValueError) as info:
+        f.eval(x)
+    return str(info.value)
+
+
+def test_ray_probe_outside_the_box_raises_evals_error_at_no_cost():
+    # fn itself accepts any point, so only the oracle's checks can reject one
+    f = ValueOracle(lambda x: float(x.sum()), np.array([3, 3]))
+    ray = _marginal_along(_PointMemo(f), np.array([1, 2]), 1)
+    assert ray[1] == 1.0 and f.calls == 2
+    for k, point in ((2, [1, 4]), (-3, [1, -1]), (50, [1, 52])):
+        message = eval_error(f, np.array(point))
+        with pytest.raises(ValueError) as info:
+            ray[k]
+        assert str(info.value) == message and k not in ray
+        assert f.calls == 2
+    # the entry the ray calls rejects the same points the same way
+    with pytest.raises(ValueError, match=re.escape(eval_error(f, np.array([1, 4])))):
+        f.eval_along(np.array([1, 4]), 1)
+    assert f.calls == 2
+    # a search whose largest step leaves the box stops at its first probe
+    g = ValueOracle(lambda x: float(x.sum()), np.array([4]))
+    with pytest.raises(ValueError, match="outside box"):
+        binary_search_lattice(g, 0, 0.5, 9, 0.1)
+    assert g.calls == 0
+
+
+@pytest.mark.parametrize(
+    "y",
+    [np.array([1.0, 0.0]), np.array([1, 0, 0]), np.array([0, 4]), np.array([-1, 0])],
+    ids=["float_dtype", "wrong_shape", "above_the_box", "negative"],
+)
+def test_ray_on_a_bad_y_raises_before_any_call(y):
+    # the probes of a ray on coordinate 1 check only that coordinate, so
+    # the ray must reject a y that is bad elsewhere when it is made
+    f, points = recording(ValueOracle(lambda x: float(x.sum()), np.array([3, 3])))
+    message = eval_error(f, y)
+    with pytest.raises(ValueError) as info:
+        cardinality._Ray(_PointMemo(f), y, 1, 0.0)
+    assert str(info.value) == message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _marginal_along(_PointMemo(f), y, 1)
+    assert f.calls == 0 and points == []
 
 
 def test_lattice_sweep_scans_each_ray_once(monkeypatch):
@@ -604,9 +654,9 @@ def test_every_greedy_makes_one_ray_per_point_and_element(monkeypatch):
     rays = []
     marginal_along = cardinality._marginal_along
 
-    def counted(ev, y, e):
+    def counted(memo, y, e):
         rays.append((y.tobytes(), e))
-        return marginal_along(ev, y, e)
+        return marginal_along(memo, y, e)
 
     monkeypatch.setattr(cardinality, "_marginal_along", counted)
     rejected = 0

@@ -355,7 +355,7 @@ BAD_FIELD_TYPES = [
      "each item of 'edges' in instance 'pack' oracle params must be a [source, target, "
      "probability] triple, got 5"),
     (CARDINALITY, "kind: polymatroid\n      family: partition\n      params: {parts: [5], caps: [1]}",
-     "each item of 'parts' in instance 'pack' constraint params must be a list, got 5"),
+     "each item of 'parts' in instance 'pack' constraint params must be a list of integers, got 5"),
     (CONCAVE_ORACLE, BUDGET_ORACLE.format("[[0, 0]]", "[2, 2]"),
      "each item of 'edges' in instance 'pack' oracle params must be a [source, target, "
      "probability] triple, got [0, 0]"),
@@ -695,7 +695,8 @@ MISSPELLED = [
      "'kind' in instance 'spare' constraint must be one of 'cardinality', 'knapsack', "
      "'polymatroid', got 'matroid'"),
     ([(CONCAVE_ORACLE, "family: lattice_table\n      params: {table: coupled_kink}")],
-     "'table' in instance 'pack' oracle params must be a list or one of 'convex_ladder_2d', "
+     "'table' in instance 'pack' oracle params must be non-empty nested lists of numbers or one of "
+     "'convex_ladder_2d', "
      "'convex_ladder_3d', 'coupled_kink_2d', 'steep_tail_2d', got 'coupled_kink'"),
 ]
 
@@ -731,6 +732,29 @@ NOT_INTEGERS_OR_NUMBERS = [
      "each item of 'weights' in instance 'pack' constraint must be a number, got True"),
 ]
 
+# each used to load: the schema checked one level of list items, so
+# partition_polymatroid truncated a part's 1.5 to element 1, and every row
+# of a table instance errored (could not convert 'x' to float) while the
+# run exited 0
+NESTED_ITEMS = [
+    ([(CARDINALITY, PARTITION.replace("[[0], [1]]", "[[0], [1.5]]")),
+      ("cardinality_dr", "polymatroid")],
+     "each item of 'parts' in instance 'pack' constraint params must be a list of integers,"
+     " got [1.5]"),
+    ([(CARDINALITY, PARTITION.replace("[[0], [1]]", "[[0], [true]]")),
+      ("cardinality_dr", "polymatroid")],
+     "each item of 'parts' in instance 'pack' constraint params must be a list of integers,"
+     " got [True]"),
+    *(([(CONCAVE_ORACLE, f"family: lattice_table\n      params: {{table: {table}}}")],
+       "'table' in instance 'pack' oracle params must be non-empty nested lists of numbers"
+       " or one of 'convex_ladder_2d', 'convex_ladder_3d', 'coupled_kink_2d', 'steep_tail_2d',"
+       f" got {got}")
+      for table, got in (("[[0.0, x], [1.0, 2.0]]", "[[0.0, 'x'], [1.0, 2.0]]"),
+                         ("[[0.0, 1.0], 2.0]", "[[0.0, 1.0], 2.0]"),
+                         ("[[0.0, 1.0], []]", "[[0.0, 1.0], []]"),
+                         ("[]", "[]"))),
+]
+
 # each used to be dropped without a word, but for a list where an instance
 # id belongs, which ended load_config with a raw TypeError
 UNKNOWN_KEYS = [
@@ -751,11 +775,12 @@ UNKNOWN_KEYS = [
 
 @pytest.mark.parametrize(
     "edits, message",
-    MISSPELLED + NOT_INTEGERS_OR_NUMBERS + UNKNOWN_KEYS,
+    MISSPELLED + NOT_INTEGERS_OR_NUMBERS + NESTED_ITEMS + UNKNOWN_KEYS,
     ids=["oracle_family", "polymatroid_family", "unrun_kind", "table_name", "float_seeds",
          "bool_seed", "float_oracle_seed", "float_budget", "float_cap", "float_oracle_cap",
          "float_caps", "float_n", "bool_epsilon", "bool_value", "bool_coeff", "bool_power",
-         "bool_weight", "list_reference", "instance_key", "oracle_key", "oracle_params_key", "constraint_key",
+         "bool_weight", "float_part", "bool_part", "string_table_entry", "mixed_depth_table",
+         "empty_table_row", "empty_table", "list_reference", "instance_key", "oracle_key", "oracle_params_key", "constraint_key",
          "polymatroid_params_key"],
 )
 def test_cli_exits_2_on_a_config_the_schema_rejects(tmp_path, capsys, edits, message):

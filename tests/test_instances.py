@@ -44,6 +44,11 @@ def test_separable_concave_validation():
         make_separable_concave([1.0], [0.0], [2])
     with pytest.raises(ValueError):
         make_separable_concave([1.0, 2.0], [0.5], [2, 2])
+    # f(0) used to read nan (inf * 0.0, or 0.0 ** nan) and pass its check
+    for coeffs, powers, message in (([np.inf], [0.5], "finite"), ([np.nan], [0.5], "finite"),
+                                    ([1.0], [np.nan], "powers")):
+        with pytest.raises(ValueError, match=message):
+            make_separable_concave(coeffs, powers, [2])
 
 
 def test_budget_allocation_single_edge():
@@ -345,3 +350,22 @@ def test_scalar_evaluation_matches_the_old_code_bit_for_bit():
                 want = float(old(x + y)) - float(old(y))
                 assert g.eval(x.astype(np.uint64)).hex() == want.hex()
     assert points >= 20_000
+    # the scalar separable-concave evaluation skips x(e) = 0 terms: the
+    # all-zero point, caps that include 0 and zero (or -0.0) coefficients
+    # still give the old float, and fn returns +0.0 where it skips every term
+    zero_rng = np.random.default_rng(63)
+    for _ in range(40):
+        n = int(zero_rng.integers(1, 17))
+        cap = zero_rng.integers(0, 5, size=n)
+        cap[zero_rng.integers(n)] = 0
+        coeffs = zero_rng.uniform(0.0, 3.0, size=n)
+        coeffs[zero_rng.random(n) < 0.2] = zero_rng.choice([0.0, -0.0])
+        powers = zero_rng.choice([0.05, 0.3, 0.5, 1.0], size=n)
+        f = make_separable_concave(coeffs, powers, cap)
+        old = _old_separable_concave_fn(coeffs, powers, cap)
+        X = zero_rng.integers(0, cap + 1, size=(50, n))
+        X[0] = 0
+        for x in X:
+            got = f.eval(x)
+            assert type(got) is float and got.hex() == old(x).hex()
+        assert f._fn(zeros(n)).hex() == "0x0.0p+0"
