@@ -34,7 +34,7 @@ def _cardinality_count(cap: np.ndarray, budget: int) -> int:
     return int(counts.sum())
 
 
-def brute_force_opt(f: ValueOracle, constraint, max_points: int = MAX_POINTS) -> ExactResult:
+def brute_force_opt(f: ValueOracle, constraint) -> ExactResult:
     """Enumerate every feasible lattice point and return the maximizer.
 
     Supports cardinality, knapsack, and polymatroid constraints.  One
@@ -45,7 +45,7 @@ def brute_force_opt(f: ValueOracle, constraint, max_points: int = MAX_POINTS) ->
     downward closure.  Each feasible point costs one scalar ``f.eval``.
     Ties keep the lexicographically smallest maximizer.  Raises
     CapacityError, before any call, when the estimated feasible-region
-    size exceeds ``max_points``.
+    size exceeds ``MAX_POINTS``.
     """
     if isinstance(constraint, CardinalityConstraint):
         cap = np.minimum(constraint.cap_vector(), f.box)
@@ -68,9 +68,9 @@ def brute_force_opt(f: ValueOracle, constraint, max_points: int = MAX_POINTS) ->
         admits = lambda x, e: constraint.member(x.astype(np.float64))
     else:
         raise TypeError(f"unsupported constraint type {type(constraint).__name__}")
-    if estimate > max_points:
+    if estimate > MAX_POINTS:
         raise CapacityError(
-            f"estimated feasible region of {estimate} points exceeds cap {max_points}"
+            f"estimated feasible region of {estimate} points exceeds cap {MAX_POINTS}"
         )
 
     best_value = -np.inf

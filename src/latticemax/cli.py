@@ -28,7 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="record wall-clock times (report is no longer byte-reproducible)",
     )
-    parser.add_argument("--workers", type=int, default=1, help="thread pool size for cells")
     return parser
 
 
@@ -39,11 +38,7 @@ def main(argv=None) -> None:
         config = load_config(args.config)
         config = apply_overrides(config, algo=args.algo, seed=args.seed)
         code = run_harness(
-            config,
-            args.out,
-            timings=args.timings,
-            bruteforce=not args.no_bruteforce,
-            workers=max(1, args.workers),
+            config, args.out, timings=args.timings, bruteforce=not args.no_bruteforce
         )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -23,6 +23,9 @@ import numpy as np
 # Absolute tolerance shared by all inequality checkers.
 CHECK_TOLERANCE = 1e-9
 
+# Most witness tuples ``check_property_exhaustive`` will check.
+MAX_WITNESSES = 2_000_000
+
 PROPERTY_KINDS: frozenset[str] = frozenset({"dr_submodular", "lattice_submodular", "monotone"})
 
 # Largest m for which an exact routine enumerates 2^m subsets: the
@@ -188,7 +191,7 @@ class ValueOracle:
         self.meta = dict(meta) if meta else {}
         self._counter = counter if counter is not None else CallCounter()
         z = float(fn(zeros(self.n)))
-        if abs(z) > CHECK_TOLERANCE:
+        if not abs(z) <= CHECK_TOLERANCE:  # NaN fails too
             raise ValueError(f"oracle must satisfy f(0) = 0, got f(0) = {z}")
 
     @property
@@ -335,16 +338,14 @@ def _count_dominated_pairs(box: np.ndarray) -> int:
     return count
 
 
-def check_property_exhaustive(
-    f: ValueOracle, kind: str, max_witnesses: int = 2_000_000
-) -> PropertyReport:
+def check_property_exhaustive(f: ValueOracle, kind: str) -> PropertyReport:
     """Check every witness tuple on the full box.
 
     Witnesses come in the order of nested loops: x then y over the box for
     the lattice check; otherwise y over the box, x over [0, y], then (for
     dr_submodular) each e with y_e below the cap.
     Raises CapacityError, before any oracle call, when the tuple count
-    exceeds ``max_witnesses``.  Otherwise f is read once, as a table over
+    exceeds ``MAX_WITNESSES``.  Otherwise f is read once, as a table over
     the box with one ``eval_batch`` (one call per lattice point), and the
     witnesses of each y are checked as one batch of rows.  A dr_submodular
     check of an all-zero box has no witness and makes no call.
@@ -355,12 +356,12 @@ def check_property_exhaustive(
     n = f.n
     n_points = int(np.prod(box + 1))
     if kind == "lattice_submodular":
-        if n_points * n_points > max_witnesses:
+        if n_points * n_points > MAX_WITNESSES:
             raise CapacityError("box too large for exhaustive lattice check")
     else:
         pairs = _count_dominated_pairs(box)
         scale = n if kind == "dr_submodular" else 1
-        if pairs * scale > max_witnesses:
+        if pairs * scale > MAX_WITNESSES:
             raise CapacityError("box too large for exhaustive check")
     if kind == "dr_submodular" and not box.any():
         return PropertyReport(kind, 0)  # no coordinate has room for a step

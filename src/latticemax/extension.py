@@ -105,7 +105,9 @@ def _marginal_estimate(f: ValueOracle, delta: np.ndarray, x) -> float:
     most 2 * 2^m oracle calls in two ``eval_batch`` calls; through a memo a
     repeated point costs none.  Each coupled term
     f(z + delta) - f(z) lies in [0, f(delta)] for monotone DR-submodular f.
-    m is capped as in ``extension_exact``.
+    m is capped as in ``extension_exact``.  No solver calls it; it stays as
+    the sum that the tests' reference direction search
+    (``_old_binary_search_polymatroid``) bisects on.
     """
     base, frac = split_point(f, x)
     points, weights = _cell_corners(base, frac, _fractional_coords(frac))

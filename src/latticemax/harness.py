@@ -15,10 +15,7 @@ unless timing collection is enabled.
 
 from __future__ import annotations
 
-import copy
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -74,12 +71,18 @@ KINDS = {
         "a list of integers",
         lambda v: isinstance(v, list) and all(_is(i, "integer") for i in v),
     ),
-    # a non-empty list of numbers, or of such lists, at any depth
+    # a non-empty list of numbers, or of lists of one length whose items,
+    # joined, are a table again: a rectangular array of any depth
     "table": (
-        "non-empty nested lists of numbers",
+        "rectangular non-empty nested lists of numbers",
         lambda v: isinstance(v, list)
         and bool(v)
-        and (all(_is(i, "number") for i in v) or all(_is(i, "table") for i in v)),
+        and (
+            all(_is(i, "number") for i in v)
+            or all(isinstance(i, list) for i in v)
+            and len(set(map(len, v))) == 1
+            and _is([j for i in v for j in i], "table")
+        ),
     ),
 }
 
@@ -135,8 +138,8 @@ class SolverReport:
     """One solver run on one instance: a row of report.csv.
 
     ``ratio`` is only present when a brute-force optimum is available and
-    positive.  ``wall_time_ms`` is measured but reported as 0 by default in
-    harness output to keep reports byte-identical across runs.
+    positive.  ``wall_time_ms`` stays 0 unless the harness runs with
+    timings, so reports are byte-identical across runs by default.
     """
 
     instance_id: str
@@ -151,7 +154,7 @@ class SolverReport:
     ratio: float | None = None
     error: str = ""
 
-    def csv_row(self, include_timing: bool = False) -> list[str]:
+    def csv_row(self) -> list[str]:
         def fmt(v) -> str:
             return "" if v is None else repr(float(v))
 
@@ -164,7 +167,7 @@ class SolverReport:
             fmt(self.opt_value),
             fmt(self.ratio),
             str(self.oracle_calls),
-            str(self.wall_time_ms if include_timing else 0),
+            str(self.wall_time_ms),
             ";".join(str(v) for v in self.solution),
         ]
 
@@ -372,31 +375,29 @@ def _solve(oracle, constraint, algorithm: str, config: SolverConfig):
 class _RunCache:
     """Built oracle and brute-force optimum per instance id, each made once.
 
-    One cache serves all cells (and worker threads) of a ``run_harness``
-    call, so a ``lattice_table`` is certified once per run, not once per
-    cell and again for brute force.  Each cell gets its own view of the
-    built oracle: the same function and box behind a call counter of its
-    own.  The lock keeps two cells of one instance from building or
-    enumerating it twice.  A failed build or enumeration is kept and a
-    copy is raised for every cell, so each still reports its own error row
-    and no two threads raise the same exception object.
+    One cache serves all cells of a ``run_harness`` call, so a
+    ``lattice_table`` is certified once per run, not once per cell and
+    again for brute force.  Each cell gets its own view of the built
+    oracle: the same function and box behind a call counter of its own.
+    A failed build or enumeration is kept and raised again for every
+    cell, so each still reports its own error row; the row keeps only the
+    message, and the traceback is dropped so that it does not grow once
+    per cell.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._outcomes: dict[tuple[str, str], object] = {}
 
     def _once(self, key: tuple[str, str], make: Callable[[], object]):
-        with self._lock:
-            outcome = self._outcomes.get(key)
-            if outcome is None:
-                try:
-                    outcome = make()
-                except (ValueError, RuntimeError) as exc:
-                    outcome = exc
-                self._outcomes[key] = outcome
+        outcome = self._outcomes.get(key)
+        if outcome is None:
+            try:
+                outcome = make()
+            except (ValueError, RuntimeError) as exc:
+                outcome = exc
+            self._outcomes[key] = outcome
         if isinstance(outcome, Exception):
-            raise copy.copy(outcome)
+            raise outcome.with_traceback(None)
         return outcome
 
     def _built(self, entry: InstanceEntry) -> ValueOracle:
@@ -469,37 +470,30 @@ def run_harness(
     out_dir: str,
     timings: bool = False,
     bruteforce: bool = True,
-    workers: int = 1,
 ) -> int:
     """Solve every cell, write report.csv and summary.txt, check the assertions.
 
-    Returns 0 iff every assertion passed, else 1.  One per-run cache,
-    shared by all cells and worker threads and dropped on return, builds
-    each instance once (certifying a ``lattice_table`` once) and runs its
-    brute force at most once; each cell still solves on a view with its
-    own call counter, so rows do not depend on ``workers``.
+    Returns 0 iff every assertion passed, else 1.  Cells run in config
+    order on the calling thread: the solvers are Python loops over the
+    oracle, so threads would only contend for the interpreter.  One
+    per-run cache, dropped on return, builds each instance once
+    (certifying a ``lattice_table`` once) and runs its brute force at
+    most once; each cell still solves on a view with its own call counter.
     """
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    cells = config.cells
     cache = _RunCache()
-
-    def solve(cell: Cell) -> SolverReport:
-        entry = config.instances[cell.instance_id]
-        return run_cell(entry, cell, timings, bruteforce, cache)
-
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(solve, cells))
-    else:
-        rows = [solve(cell) for cell in cells]
+    rows = [
+        run_cell(config.instances[cell.instance_id], cell, timings, bruteforce, cache)
+        for cell in config.cells
+    ]
 
     csv_path = os.path.join(out_dir, "report.csv")
     with open(csv_path, "w") as handle:
         handle.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
-            handle.write(",".join(row.csv_row(include_timing=timings)) + "\n")
+            handle.write(",".join(row.csv_row()) + "\n")
 
     results = [assertion.check(rows) for assertion in config.assertions]
     passed = sum(1 for ok, _ in results if ok)

@@ -144,12 +144,12 @@ def _ceil_with_tolerance(v: float) -> int:
     return int(math.ceil(v))
 
 
-def update_budget_fixpoint(n: int, epsilon: float, max_iters: int = 50) -> int:
-    """Smallest N = n * ceil(log_{1/(1-eps)}(N / eps)) reached by iteration."""
+def update_budget_fixpoint(n: int, epsilon: float) -> int:
+    """Smallest N = n * ceil(log_{1/(1-eps)}(N / eps)), reached within 50 iterations."""
     eps, _ = effective_epsilon(epsilon)
     decay = -math.log(1.0 - eps)
     N = n
-    for _ in range(max_iters):
+    for _ in range(50):
         nxt = n * _ceil_with_tolerance(math.log(N / eps) / decay)
         if nxt == N:
             return N
@@ -207,7 +207,10 @@ def binary_search_polymatroid(f: ValueOracle, x, e: int, theta: float, k_max: in
     coordinates in x), read on a fresh ray of that cell: there are at most
     ceil(log2(k_max + 1)) probes, and the search costs at most 2 * 2^m new
     oracle calls per probe (2^m for f(z), made once, and 2^m for the
-    shifted corners); through a memo, a repeated point costs none.
+    shifted corners); through a memo, a repeated point costs none.  The
+    solver bisects its own kept rays instead; this stays as the tracer's
+    ``polymatroid.binary_search_polymatroid`` span and the tests' entry to
+    ``_Cell``.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")

@@ -403,7 +403,7 @@ def test_harness_reports_are_reproducible(tmp_path):
     config_path = Path(__file__).resolve().parents[1] / "scripts" / "demo_config.yaml"
     config = load_config(str(config_path))
     code_a = run_harness(config, str(tmp_path / "a"))
-    code_b = run_harness(load_config(str(config_path)), str(tmp_path / "b"), workers=3)
+    code_b = run_harness(load_config(str(config_path)), str(tmp_path / "b"))
     bytes_a = (tmp_path / "a" / "report.csv").read_bytes()
     bytes_b = (tmp_path / "b" / "report.csv").read_bytes()
     verdict(

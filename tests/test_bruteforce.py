@@ -124,9 +124,9 @@ def test_tie_breaks_lexicographically():
 def test_capacity_guard():
     f = ValueOracle(lambda x: 0.0, np.full(12, 9))
     with pytest.raises(CapacityError):
-        brute_force_opt(f, KnapsackInstance((0.01,) * 12, (9,) * 12), max_points=1000)
+        brute_force_opt(f, KnapsackInstance((0.01,) * 12, (9,) * 12))
     with pytest.raises(CapacityError):
-        brute_force_opt(f, CardinalityConstraint((9,) * 12, 40), max_points=1000)
+        brute_force_opt(f, CardinalityConstraint((9,) * 12, 40))
 
 
 def test_unsupported_constraint_type():

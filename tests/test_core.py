@@ -62,6 +62,9 @@ def test_helpers():
 def test_oracle_validates_normalization():
     with pytest.raises(ValueError):
         ValueOracle(lambda x: 1.0, np.array([2, 2]))
+    # abs(nan) > tol is False, so f(0) = NaN used to pass the check
+    with pytest.raises(ValueError, match=r"f\(0\) = nan"):
+        ValueOracle(lambda x: float("nan") if not x.any() else 1.0, [2])
 
 
 def test_oracle_rejects_out_of_box():

@@ -1,6 +1,6 @@
 import re
-import sys
 import textwrap
+import traceback
 from pathlib import Path
 
 import pytest
@@ -89,34 +89,30 @@ def test_reports_are_byte_identical(tmp_path):
     config = load_config(write(tmp_path, BASIC))
     run_harness(config, str(tmp_path / "a"))
     run_harness(config, str(tmp_path / "b"))
-    run_harness(config, str(tmp_path / "c"), workers=4)
     a = (tmp_path / "a" / "report.csv").read_bytes()
     assert a == (tmp_path / "b" / "report.csv").read_bytes()
-    assert a == (tmp_path / "c" / "report.csv").read_bytes()
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMO = Path(__file__).resolve().parents[1] / "scripts" / "demo_config.yaml"
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_table_reports_match_the_checked_in_bytes(tmp_path, workers):
+def test_table_reports_match_the_checked_in_bytes(tmp_path):
     # every oracle is a lattice table, so values, optima, ratios and call
     # counts (table certification excluded) are exact on any platform
     config = load_config(str(GOLDEN / "lattice_tables.yaml"))
-    assert run_harness(config, str(tmp_path), workers=workers) == 0
+    assert run_harness(config, str(tmp_path)) == 0
     for name in ("report.csv", "summary.txt"):
         want = (GOLDEN / "lattice_tables" / name).read_bytes()
         assert (tmp_path / name).read_bytes() == want, name
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_demo_reports_match_the_checked_in_bytes(tmp_path, workers):
+def test_demo_reports_match_the_checked_in_bytes(tmp_path):
     # the demo is the one checked-in run with DR, budget allocation,
     # knapsack and polymatroid rows; its values are float sums, products
     # and powers, so the bytes pin every solver's point, value and call count
     config = load_config(str(DEMO))
-    assert run_harness(config, str(tmp_path), workers=workers) == 0
+    assert run_harness(config, str(tmp_path)) == 0
     for name in ("report.csv", "summary.txt"):
         want = (GOLDEN / "demo" / name).read_bytes()
         assert (tmp_path / name).read_bytes() == want, name
@@ -159,14 +155,13 @@ def record_brute_force(monkeypatch, fail_n=None):
     return calls
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_brute_force_runs_once_per_instance(tmp_path, monkeypatch, workers):
+def test_brute_force_runs_once_per_instance(tmp_path, monkeypatch):
     config = load_config(write(tmp_path, TWO_INSTANCES))
     assert len(config.cells) == 6
     baseline = tmp_path / "baseline"
     run_harness(config, str(baseline))
     calls = record_brute_force(monkeypatch)
-    run_harness(config, str(tmp_path / "out"), workers=workers)
+    run_harness(config, str(tmp_path / "out"))
     assert sorted(calls) == [2, 3]
     report = (tmp_path / "out" / "report.csv").read_bytes()
     assert report == (baseline / "report.csv").read_bytes()
@@ -176,7 +171,7 @@ def test_brute_force_runs_once_per_instance(tmp_path, monkeypatch, workers):
     assert sorted(calls) == [2, 3, 3, 3]
 
 
-def test_brute_force_cache_under_many_threads(tmp_path, monkeypatch):
+def test_each_instance_is_built_and_enumerated_once_per_run(tmp_path, monkeypatch):
     text = TWO_INSTANCES.replace("seeds: [0, 1]", "seeds: [0, 1, 2, 3, 4, 5, 6, 7]")
     config = load_config(write(tmp_path, text))
     assert len(config.cells) == 24
@@ -186,29 +181,38 @@ def test_brute_force_cache_under_many_threads(tmp_path, monkeypatch):
     monkeypatch.setattr(
         instances.InstanceSpec, "build", lambda spec: built.append(spec) or real_build(spec)
     )
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        run_harness(config, str(tmp_path / "out"), workers=8)
-    finally:
-        sys.setswitchinterval(interval)
+    run_harness(config, str(tmp_path / "out"))
     assert sorted(calls) == [2, 3]
     assert len(built) == 2  # one build per instance, shared by its 12 cells
-    run_harness(config, str(tmp_path / "serial"))
+    run_harness(config, str(tmp_path / "again"))
     report = (tmp_path / "out" / "report.csv").read_bytes()
-    assert report == (tmp_path / "serial" / "report.csv").read_bytes()
+    assert report == (tmp_path / "again" / "report.csv").read_bytes()
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_brute_force_capacity_error_is_reported_per_cell(tmp_path, monkeypatch, workers):
+def test_brute_force_capacity_error_is_reported_per_cell(tmp_path, monkeypatch):
     config = load_config(write(tmp_path, TWO_INSTANCES))
     calls = record_brute_force(monkeypatch, fail_n=3)
-    run_harness(config, str(tmp_path / "out"), workers=workers)
+    run_harness(config, str(tmp_path / "out"))
     assert sorted(calls) == [2, 3]
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "errors: 4\n" in summary
     assert summary.count("ERROR wide ") == 4
     assert summary.count(": capacity: too many points\n") == 4
+
+
+def test_a_cached_failure_is_raised_with_a_traceback_of_its_own():
+    cache = harness._RunCache()
+
+    def fail():
+        raise ValueError("no table")
+
+    depths = []
+    for _ in range(3):
+        with pytest.raises(ValueError, match="no table") as info:
+            cache._once(("oracle", "pack"), fail)
+        depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+    # the stored exception is raised again each time, its old frames dropped
+    assert depths == [2, 2, 2]
 
 
 def test_empty_experiments_pass(tmp_path):
@@ -529,15 +533,14 @@ def count_certifications(monkeypatch):
     return kinds
 
 
-@pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("path", [DEMO, GOLDEN / "lattice_tables.yaml"], ids=["demo", "golden"])
-def test_each_table_is_certified_once_per_run(tmp_path, monkeypatch, path, workers):
+def test_each_table_is_certified_once_per_run(tmp_path, monkeypatch, path):
     config = load_config(str(path))
     tables = [e for e in config.instances.values() if e.oracle_spec.family == "lattice_table"]
     assert tables
     kinds = count_certifications(monkeypatch)
     for run in (1, 2):
-        assert run_harness(config, str(tmp_path / f"run{run}"), workers=workers) == 0
+        assert run_harness(config, str(tmp_path / f"run{run}")) == 0
         assert len(kinds) == 3 * len(tables) * run
     assert sorted(set(kinds)) == ["dr_submodular", "lattice_submodular", "monotone"]
     # each row still counts only its own solve
@@ -695,8 +698,8 @@ MISSPELLED = [
      "'kind' in instance 'spare' constraint must be one of 'cardinality', 'knapsack', "
      "'polymatroid', got 'matroid'"),
     ([(CONCAVE_ORACLE, "family: lattice_table\n      params: {table: coupled_kink}")],
-     "'table' in instance 'pack' oracle params must be non-empty nested lists of numbers or one of "
-     "'convex_ladder_2d', "
+     "'table' in instance 'pack' oracle params must be rectangular non-empty nested lists of"
+     " numbers or one of 'convex_ladder_2d', "
      "'convex_ladder_3d', 'coupled_kink_2d', 'steep_tail_2d', got 'coupled_kink'"),
 ]
 
@@ -734,8 +737,8 @@ NOT_INTEGERS_OR_NUMBERS = [
 
 # each used to load: the schema checked one level of list items, so
 # partition_polymatroid truncated a part's 1.5 to element 1, and every row
-# of a table instance errored (could not convert 'x' to float) while the
-# run exited 0
+# of a table instance errored (could not convert 'x' to float, or an
+# inhomogeneous shape for a ragged table) while the run exited 0
 NESTED_ITEMS = [
     ([(CARDINALITY, PARTITION.replace("[[0], [1]]", "[[0], [1.5]]")),
       ("cardinality_dr", "polymatroid")],
@@ -746,13 +749,17 @@ NESTED_ITEMS = [
      "each item of 'parts' in instance 'pack' constraint params must be a list of integers,"
      " got [True]"),
     *(([(CONCAVE_ORACLE, f"family: lattice_table\n      params: {{table: {table}}}")],
-       "'table' in instance 'pack' oracle params must be non-empty nested lists of numbers"
+       "'table' in instance 'pack' oracle params must be rectangular non-empty nested lists"
+       " of numbers"
        " or one of 'convex_ladder_2d', 'convex_ladder_3d', 'coupled_kink_2d', 'steep_tail_2d',"
        f" got {got}")
       for table, got in (("[[0.0, x], [1.0, 2.0]]", "[[0.0, 'x'], [1.0, 2.0]]"),
                          ("[[0.0, 1.0], 2.0]", "[[0.0, 1.0], 2.0]"),
                          ("[[0.0, 1.0], []]", "[[0.0, 1.0], []]"),
-                         ("[]", "[]"))),
+                         ("[]", "[]"),
+                         ("[[0.0, 1.0], [1.0]]", "[[0.0, 1.0], [1.0]]"),
+                         ("[[[0.0], [1.0]], [[0.0, 1.0], [1.0, 2.0]]]",
+                          "[[[0.0], [1.0]], [[0.0, 1.0], [1.0, 2.0]]]"))),
 ]
 
 # each used to be dropped without a word, but for a list where an instance
@@ -780,7 +787,8 @@ UNKNOWN_KEYS = [
          "bool_seed", "float_oracle_seed", "float_budget", "float_cap", "float_oracle_cap",
          "float_caps", "float_n", "bool_epsilon", "bool_value", "bool_coeff", "bool_power",
          "bool_weight", "float_part", "bool_part", "string_table_entry", "mixed_depth_table",
-         "empty_table_row", "empty_table", "list_reference", "instance_key", "oracle_key", "oracle_params_key", "constraint_key",
+         "empty_table_row", "empty_table", "ragged_table", "ragged_3d_table", "list_reference",
+         "instance_key", "oracle_key", "oracle_params_key", "constraint_key",
          "polymatroid_params_key"],
 )
 def test_cli_exits_2_on_a_config_the_schema_rejects(tmp_path, capsys, edits, message):
