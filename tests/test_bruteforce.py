@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from latticemax import bruteforce
 from latticemax.bruteforce import MAX_POINTS, ExactResult, _cardinality_count, brute_force_opt
 from latticemax.cardinality import CardinalityConstraint
 from latticemax.core import CapacityError, ValueOracle, zeros
@@ -127,6 +128,19 @@ def test_capacity_guard():
         brute_force_opt(f, KnapsackInstance((0.01,) * 12, (9,) * 12))
     with pytest.raises(CapacityError):
         brute_force_opt(f, CardinalityConstraint((9,) * 12, 40))
+
+
+def test_capacity_guard_reads_max_points(monkeypatch):
+    # 4^3 = 64 feasible points: enumerated under the default cap, refused
+    # before any call under a cap of 63
+    f = ValueOracle(lambda x: float(x.sum()), np.full(3, 3))
+    constraint = CardinalityConstraint((3,) * 3, 9)
+    assert brute_force_opt(f, constraint).opt_value == 9.0
+    monkeypatch.setattr(bruteforce, "MAX_POINTS", 63)
+    calls = f.calls
+    with pytest.raises(CapacityError, match="64 points exceeds cap 63"):
+        brute_force_opt(f, constraint)
+    assert f.calls == calls
 
 
 def test_unsupported_constraint_type():

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from latticemax import core
 from latticemax.core import (
     CHECK_TOLERANCE,
     PROPERTY_KINDS,
@@ -271,6 +272,18 @@ def test_check_property_exhaustive_capacity_guard():
     f = ValueOracle(lambda x: float(sum(x)), np.array([200] * 6))
     with pytest.raises(CapacityError):
         check_property_exhaustive(f, "dr_submodular")
+
+
+def test_check_property_exhaustive_capacity_guard_reads_max_witnesses(monkeypatch):
+    # a 3 x 3 box has 9 points, so the lattice check has 81 witness pairs
+    f = ValueOracle(lambda x: float(sum(x)), np.array([2, 2]))
+    monkeypatch.setattr(core, "MAX_WITNESSES", 81)
+    assert check_property_exhaustive(f, "lattice_submodular").passed
+    monkeypatch.setattr(core, "MAX_WITNESSES", 80)
+    calls = f.calls
+    with pytest.raises(CapacityError):
+        check_property_exhaustive(f, "lattice_submodular")
+    assert f.calls == calls
 
 
 def test_check_property_exhaustive_evaluates_each_point_once():

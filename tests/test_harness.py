@@ -1,5 +1,6 @@
 import re
 import textwrap
+import threading
 import traceback
 from pathlib import Path
 
@@ -198,6 +199,31 @@ def test_brute_force_capacity_error_is_reported_per_cell(tmp_path, monkeypatch):
     assert "errors: 4\n" in summary
     assert summary.count("ERROR wide ") == 4
     assert summary.count(": capacity: too many points\n") == 4
+
+
+def test_cells_run_in_config_order_on_the_calling_thread(tmp_path, monkeypatch):
+    config = load_config(write(tmp_path, TWO_INSTANCES))
+    real = harness.run_cell
+    seen = []
+
+    def recording(entry, cell, *args):
+        seen.append((threading.get_ident(), cell))
+        return real(entry, cell, *args)
+
+    monkeypatch.setattr(harness, "run_cell", recording)
+    run_harness(config, str(tmp_path / "out"))
+    assert [cell for _, cell in seen] == config.cells
+    assert {ident for ident, _ in seen} == {threading.get_ident()}
+
+
+def test_timings_fill_the_wall_time_column(tmp_path):
+    config = load_config(write(tmp_path, BASIC))
+    run_harness(config, str(tmp_path / "out"), timings=True)
+    lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
+    column = lines[0].split(",").index("wall_time_ms")
+    times = [float(line.split(",")[column]) for line in lines[1:]]
+    assert len(times) == 2
+    assert all(t > 0 for t in times)
 
 
 def test_a_cached_failure_is_raised_with_a_traceback_of_its_own():
@@ -809,6 +835,16 @@ def test_readme_config_schema_example_loads(tmp_path):
     assert list(config.instances) == ["my_instance"]
     assert config.cells == [Cell("my_instance", "cardinality_dr", 0.1, s) for s in (0, 1)]
     assert config.assertions == [Assertion("min_ratio", 0.53, algorithm="cardinality_dr")]
+
+
+def test_cli_rejects_the_removed_workers_flag(tmp_path, capsys):
+    # cells run on one thread; the old thread-pool flag is an unknown option
+    config_path = write(tmp_path, BASIC)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", config_path, "--out", str(tmp_path / "out"), "--workers", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_no_bruteforce_leaves_ratio_empty(tmp_path):
