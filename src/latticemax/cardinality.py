@@ -20,6 +20,14 @@ rejects a step that overruns the budget.  Each solve reads f through its
 own :class:`_PointMemo`, so ``f.calls`` grows by the number of distinct
 points probed.  Both cardinality solvers achieve a (1 - 1/e - O(eps))
 fraction of the optimum for monotone objectives.
+
+The sweep is lazy (CELF-style, Minoux 1978): each element keeps an upper
+bound on its average marginal gain, read from probes already made, and a
+visit whose bound is below its threshold is skipped.  The bisection's
+bound needs DR, which the bisection assumes anyway; the level rule's needs
+only lattice submodularity.  A skipped visit is one where the rule would
+take no step, so solutions and traces are those of the eager sweep, and
+calls only fall: every call bound below still holds.
 """
 
 from __future__ import annotations
@@ -104,9 +112,14 @@ class TraceStep:
 
 @dataclass
 class GreedyTrace:
-    """Per-update log of a threshold greedy run; thresholds non-increasing."""
+    """Per-update log of a threshold greedy run; thresholds non-increasing.
+
+    ``skipped`` counts the (y, e) visits that :func:`_sweep` skipped because
+    a bound from earlier probes showed the step rule would take no step.
+    """
 
     steps: list[TraceStep] = field(default_factory=list)
+    skipped: int = 0
 
     def add(self, threshold: float, element: int, step: int, gain: float,
             accepted: bool = True) -> None:
@@ -328,6 +341,53 @@ def _level_rule(ray: Mapping[int, float], k_max: int, eps: float) -> _Step:
     return step
 
 
+# maps (ray of (y, e), the step e took from y or 0, eps) to a bound below
+# which no later visit of e can step, or None for no bound
+_Bound = Callable[[Mapping[int, float], int, float], float | None]
+
+
+def _bisection_bound(ray: Mapping[int, float], k: int, eps: float) -> float:
+    """g(k_1) for the smallest probed k_1 >= 1, or f(e | y + k e) if less and known.
+
+    Needs f monotone and DR-submodular: then f(e | y') <= f(e | y) <=
+    g(k_1) for every y' >= y, and by concavity the bisection at y' returns
+    0 once f(e | y') is below its threshold.  After a step of k, the probe
+    at k + 1 that stopped the bisection gives f(e | y + k e) itself.
+    """
+    bound = ray[min(ray)]
+    if k and k + 1 in ray:
+        bound = min(bound, ray[k + 1] - ray[k])
+    return bound
+
+
+def _level_bound(ray: Mapping[int, float], k: int, eps: float) -> float | None:
+    """B / (1 - eps), B = max_i g(k_i) / (k_{i-1} + 1) over the probed k_i; None after e steps.
+
+    With 0 = k_0 < k_1 < ... < k_m the probed steps (the level rule reads
+    k_cap first, so k_m is it), monotone f gives g(k) <= g(k_i) on
+    (k_{i-1}, k_i], so B >= max_k f(k e | y) / k.  Lattice submodularity
+    alone (no DR) gives f(k e | y') <= f(k e | y) for y' >= y with
+    y'_e = y_e, and k_cap only falls, so no candidate clears at y' while
+    B < (1 - eps) * threshold.  A step of e changes y_e, so it drops B.
+    """
+    if k:
+        return None
+    bound, prev = 0.0, 0
+    for k_i in sorted(ray):
+        bound = max(bound, ray[k_i] / (prev + 1))
+        prev = k_i
+    return bound / (1.0 - eps)
+
+
+# the bound each step rule's visits are skipped by (see _sweep)
+_BOUNDS: dict[Callable, _Bound] = {_bisection_rule: _bisection_bound, _level_rule: _level_bound}
+
+# a visit is skipped only if its bound is below the threshold by this share
+# of max(|f(y)|, threshold), far above float rounding in the gains; the
+# margin scales with f, so f scaled by a power of two skips the same visits
+SKIP_MARGIN = 1e-9
+
+
 def binary_search_lattice(
     g: ValueOracle, e: int, theta: float, k_max: int, epsilon: float
 ) -> int | None:
@@ -369,27 +429,51 @@ def _sweep(
     search is rebuilt on the same ray.  Under :func:`_bisection_rule` a
     visit probes at most ceil(log2(k_cap + 1)) points, and the f(y) a ray
     reads is the start point's or one an accepted step has probed.
+
+    Lazy bounds (CELF-style): just before an accepted step drops the rays,
+    each ray gives e a bound from the probes it holds, :func:`_bisection_bound`
+    (needs DR, as the bisection does) or :func:`_level_bound` (needs only
+    lattice submodularity), and e keeps the least bound it has been given.
+    A visit whose bound is below scale_e * level by the margin
+    :data:`SKIP_MARGIN` is skipped: the rule would take no step there, so
+    the skip changes no step and no trace entry, only ``trace.skipped``,
+    and probes and calls only fall.
     """
     trace = GreedyTrace()
     rays: dict[int, Mapping[int, float]] = {}
     searches: dict[int, _Step] = {}
+    bound_of = _BOUNDS[rule]
+    bounds: dict[int, float] = {}
+    f_y = 0.0  # f(y), read after each accepted step; bounds exist only after one
     for threshold in levels:
         for e in range(len(room)):
             k_cap = room[e] if reject else min(room[e], limit - spent)
             if k_cap <= 0:
+                continue
+            bar = scale[e] * threshold
+            bound = bounds.get(e)
+            if bound is not None and bound < bar - SKIP_MARGIN * max(abs(f_y), bar):
+                trace.skipped += 1
                 continue
             search = searches.get(e)
             if search is None:
                 if e not in rays:
                     rays[e] = _marginal_along(memo, y, e)
                 search = searches[e] = rule(rays[e], k_cap, eps)
-            k, gain = search(scale[e] * threshold)
+            k, gain = search(bar)
             if k < 1:
                 continue
             if spent + k * scale[e] <= limit:
+                for e_ray, ray in rays.items():
+                    bound = bound_of(ray, k if e_ray == e else 0, eps)
+                    if bound is None:
+                        bounds.pop(e_ray, None)
+                    else:
+                        bounds[e_ray] = min(bound, bounds.get(e_ray, bound))
                 y[e] += k
                 room[e] -= k
                 spent += k * scale[e]
+                f_y = memo(y)  # y was probed by the step, so no call
                 trace.add(threshold, e, k, gain)
                 rays.clear()
                 searches.clear()
@@ -438,7 +522,10 @@ def maximize_dr_cardinality(
     d = max_e f(e); each step is the largest whose average gain clears the
     threshold.  With L <= 1 + ln(r / eps) / eps levels and
     m = min(max_e c_e, r), a solve makes at most
-    1 + n + L * n * ceil(log2(m + 1)) oracle calls.
+    1 + n + L * n * ceil(log2(m + 1)) oracle calls.  An element is not
+    visited while an earlier probe's gain g(k_1) >= f(e | y) is below the
+    threshold (DR keeps it an upper bound as y grows), so the bound holds
+    with room to spare.
     """
     return _cardinality_greedy(f, constraint, config, lambda c_e, r: 1, _bisection_rule)
 
@@ -455,6 +542,9 @@ def maximize_lattice_cardinality(
     (1 - eps) * k * threshold.  A (y, e) pair's scan runs once and reads
     each k at most once, so with s <= r accepted steps and
     m = min(max_e c_e, r) a solve makes at most 1 + n + (s + 1) * n * m
-    oracle calls.
+    oracle calls.  A pair is not visited while the steps its ray probed at
+    an earlier y with the same y_e bound every f(k e | y) / k below
+    (1 - eps) * threshold; that needs only lattice submodularity, and
+    calls only fall.
     """
     return _cardinality_greedy(f, constraint, config, min, _level_rule)

@@ -100,7 +100,10 @@ def greedy_knapsack(
     Points are read through a fresh memo unless ``f`` already is one (as in
     :func:`maximize_knapsack`).  With L <= 1 + ln(1 / (eps * w_min)) / eps
     levels and m = max_e c_e, a call makes at most
-    1 + n + L * n * ceil(log2(m + 1)) oracle calls.
+    1 + n + L * n * ceil(log2(m + 1)) oracle calls.  Like the DR
+    cardinality sweep it skips e while an earlier probe's gain, an upper
+    bound on f(e | x) as x grows for DR f, is below w(e) theta; skips only
+    save calls, so that bound still holds.
     """
     cap = inst.cap_vector()
     w = inst.weight_vector()

@@ -354,7 +354,8 @@ def test_solvers_evaluate_no_point_twice(make, whole_knapsack):
 # for every step search and built f.shifted(y) for every lattice step.
 
 
-def reference_max_step_with_gain(f, y, e, k_max, threshold):
+def reference_max_step_with_gain(f, y, e, k_max, threshold, log=None):
+    """The bisection; ``log``, when given, collects each probe k -> f(k e | y)."""
     if k_max == 0:
         return 0, 0.0
     base = f.eval(y)
@@ -364,6 +365,8 @@ def reference_max_step_with_gain(f, y, e, k_max, threshold):
     while lo < hi:
         mid = (lo + hi + 1) // 2
         gain = f.eval(y + mid * step) - base
+        if log is not None:
+            log[mid] = gain
         if gain >= mid * threshold:
             lo, gain_at_lo = mid, gain
         else:
@@ -371,11 +374,12 @@ def reference_max_step_with_gain(f, y, e, k_max, threshold):
     return lo, gain_at_lo
 
 
-def reference_binary_search_lattice(g, e, theta, k_max, epsilon):
+def reference_binary_search_lattice(g, e, theta, k_max, epsilon, log=None):
+    """The level-set search; ``log``, when given, is its memo of the probes k -> g(k e)."""
     if k_max == 0:
         return None
     step = unit(g.n, e)
-    memo = {}
+    memo = {} if log is None else log
 
     def val(k):
         if k not in memo:
@@ -406,7 +410,39 @@ def reference_binary_search_lattice(g, e, theta, k_max, epsilon):
     return None
 
 
-def reference_sweep(f, constraint, config, lattice):
+def lazy_skip(bounds, e, bar, f_y):
+    """Whether the lazy sweep skips a visit of e at threshold ``bar``.
+
+    ``bounds`` holds e's least bound so far; skip when it is below ``bar``
+    by more than 1e-9 * max(|f(y)|, bar).
+    """
+    return e in bounds and bounds[e] < bar - 1e-9 * max(abs(f_y), bar)
+
+
+def lazy_bounds_before_step(bounds, probes, e, k, lattice, eps):
+    """Fold the probes made at y into ``bounds`` as a step of k along e leaves y.
+
+    ``probes[e']`` maps each k' probed along e' at y to f(k' e' | y).  DR:
+    the gain at the smallest probed k', and for e also f(e | y + k e) from
+    the probe at k + 1.  Lattice: max_i g(k_i) / (k_{i-1} + 1) over the
+    probed k_i, over 1 - eps; e's own bound is dropped.
+    """
+    for e2, gains in probes.items():
+        if lattice:
+            if e2 == e:
+                bounds.pop(e2, None)
+                continue
+            ks = sorted(gains)
+            new = max([0.0] + [gains[b] / (a + 1) for a, b in zip([0] + ks, ks)]) / (1.0 - eps)
+        else:
+            new = gains[min(gains)]
+            if e2 == e and k + 1 in gains:
+                new = min(new, gains[k + 1] - gains[k])
+        bounds[e2] = min(new, bounds.get(e2, new))
+
+
+def reference_sweep(f, constraint, config, lattice, skip=False):
+    """The cardinality sweep as it was before the memo; ``skip`` adds the lazy bounds."""
     cap = constraint.cap_vector()
     eps = config.effective
     r = constraint.budget
@@ -418,21 +454,28 @@ def reference_sweep(f, constraint, config, lattice):
     d = max((f.eval(unit(f.n, e, probe(e))) for e in range(f.n) if cap[e] >= 1), default=0.0)
     if d <= 0:
         return y, steps
+    bounds, probes, f_y = {}, {}, None
     for threshold in threshold_schedule(d, (eps / r) * d, eps):
         for e in range(f.n):
             k_cap = min(int(cap[e] - y[e]), r - total(y))
             if k_cap <= 0:
                 continue
+            if skip and lazy_skip(bounds, e, threshold, f_y):
+                continue
+            log = probes.setdefault(e, {})
             if lattice:
                 view = f.shifted(y)
-                k = reference_binary_search_lattice(view, e, threshold, k_cap, eps)
+                k = reference_binary_search_lattice(view, e, threshold, k_cap, eps, log)
                 if k is None:
                     continue
                 gain = view.eval(unit(f.n, e, k))
             else:
-                k, gain = reference_max_step_with_gain(f, y, e, k_cap, threshold)
+                k, gain = reference_max_step_with_gain(f, y, e, k_cap, threshold, log)
             if k >= 1:
+                lazy_bounds_before_step(bounds, probes, e, k, lattice, eps)
+                probes.clear()
                 y[e] += k
+                f_y = f.eval(y) if skip else None
                 steps.append((threshold, e, k, gain, True))
     return y, steps
 
@@ -475,26 +518,35 @@ def first_occurrences(points):
 
 
 def test_sweeps_match_reference():
-    # the solvers return the reference's points and traces; reading f
-    # through a memo and cached rays, they evaluate the reference sweep's
-    # points in the order of its first evaluation of each
+    # the solvers return the reference's points and traces, without the
+    # skip; reading f through a memo and cached rays, they evaluate the
+    # lazy reference sweep's points in the order of its first evaluation
+    # of each
     cases = equivalence_instances()
     assert len(cases) >= 50
+    skipped = 0
     for make, caps, r in cases + query_scale_instances():
         cst = CardinalityConstraint(caps, r)
         for lattice, solve in ((False, maximize_dr_cardinality), (True, maximize_lattice_cardinality)):
             f, points = recording(make())
             y, trace = solve(f, cst, SolverConfig(0.1))
-            ref, ref_points = recording(make())
-            ref_y, ref_steps = reference_sweep(ref, cst, SolverConfig(0.1), lattice)
+            ref_y, ref_steps = reference_sweep(make(), cst, SolverConfig(0.1), lattice)
             assert list(y) == list(ref_y)
             got = [(s.threshold, s.element, s.step, s.gain, s.accepted) for s in trace.steps]
             assert got == ref_steps
-            assert points == first_occurrences(ref_points)
+            lazy, lazy_points = recording(make())
+            lazy_y, lazy_steps = reference_sweep(lazy, cst, SolverConfig(0.1), lattice, skip=True)
+            assert list(lazy_y) == list(y) and lazy_steps == got
+            assert points == first_occurrences(lazy_points)
+            skipped += trace.skipped
+    assert skipped > 0
 
 
-def reference_greedy_knapsack(f, inst, x0, config):
-    """Literal copy of greedy_knapsack before its rays, searching on f itself."""
+def reference_greedy_knapsack(f, inst, x0, config, skip=False):
+    """Literal copy of greedy_knapsack before its rays, searching on f itself.
+
+    ``skip`` adds the lazy bounds of the DR sweep.
+    """
     cap = inst.cap_vector()
     w = inst.weight_vector()
     x = as_lattice_point(x0, f.n)
@@ -507,17 +559,24 @@ def reference_greedy_knapsack(f, inst, x0, config):
         return x, steps
     ceiling = cap.copy()
     spent = float(w @ x)
+    bounds, probes, f_y = {}, {}, None
     for threshold in threshold_schedule(d, eps * d * float(w.min()), eps):
         for e in range(f.n):
             k_cap = int(ceiling[e] - x[e])
             if k_cap <= 0:
                 continue
-            k, gain = reference_max_step_with_gain(f, x, e, k_cap, w[e] * threshold)
+            if skip and lazy_skip(bounds, e, w[e] * threshold, f_y):
+                continue
+            log = probes.setdefault(e, {})
+            k, gain = reference_max_step_with_gain(f, x, e, k_cap, w[e] * threshold, log)
             if k < 1:
                 continue
             if spent + k * w[e] <= 1.0 + BUDGET_TOL:
+                lazy_bounds_before_step(bounds, probes, e, k, False, eps)
+                probes.clear()
                 x[e] += k
                 spent += k * w[e]
+                f_y = f.eval(x) if skip else None
                 steps.append((threshold, e, k, gain, True))
             else:
                 ceiling[e] = x[e] + k - 1
@@ -527,24 +586,59 @@ def reference_greedy_knapsack(f, inst, x0, config):
 
 def test_greedy_knapsack_probes_the_reference_points_in_order():
     cases = equivalence_instances() + query_scale_instances()
-    rejected = 0
+    rejected = skipped = 0
     for make, caps, r in cases:
         weights = [1.0 + e % 3 for e in range(len(caps))]
         inst = KnapsackInstance.from_raw(weights, 3.0 * r, caps)
         f, points = recording(make())
         x, trace = greedy_knapsack(f, inst, zeros(len(caps)), SolverConfig(0.1))
-        ref, ref_points = recording(make())
-        ref_x, ref_steps = reference_greedy_knapsack(ref, inst, zeros(len(caps)), SolverConfig(0.1))
-        assert points == first_occurrences(ref_points)
+        ref_x, ref_steps = reference_greedy_knapsack(make(), inst, zeros(len(caps)), SolverConfig(0.1))
         assert list(x) == list(ref_x)
         assert [(s.threshold, s.element, s.step, s.gain, s.accepted) for s in trace.steps] == ref_steps
+        lazy, lazy_points = recording(make())
+        lazy_x, lazy_steps = reference_greedy_knapsack(lazy, inst, zeros(len(caps)), SolverConfig(0.1),
+                                                       skip=True)
+        assert list(lazy_x) == list(x) and lazy_steps == ref_steps
+        assert points == first_occurrences(lazy_points)
         rejected += sum(not step[4] for step in ref_steps)
+        skipped += trace.skipped
     assert rejected > 0  # the cases reach the rejection branch, which keeps the rays
+    assert skipped > 0
 
 
 def equivalence_knapsack(caps, r):
     """The knapsack of the probe-order test: weights 1, 2, 3, ... over budget 3r."""
     return KnapsackInstance.from_raw([1.0 + e % 3 for e in range(len(caps))], 3.0 * r, caps)
+
+
+def test_every_greedy_skips_visits_at_query_scale():
+    # trace.skipped counts the visits the lazy bounds skip; the report has
+    # no column for it
+    solvers = {
+        "dr": lambda f, caps, r: maximize_dr_cardinality(
+            f, CardinalityConstraint(caps, r), SolverConfig(0.1)),
+        "lattice": lambda f, caps, r: maximize_lattice_cardinality(
+            f, CardinalityConstraint(caps, r), SolverConfig(0.1)),
+        "knapsack": lambda f, caps, r: greedy_knapsack(
+            f, equivalence_knapsack(caps, r), zeros(len(caps)), SolverConfig(0.1)),
+    }
+    for name, solve in solvers.items():
+        skipped = [solve(make(), caps, r)[1].skipped for make, caps, r in query_scale_instances()]
+        assert sum(skipped) > 0, name
+
+
+def test_lazy_bounds_on_a_hand_ray():
+    ray = {1: 2.0, 2: 2.5, 4: 3.0, 5: 3.2}
+    # DR: the gain at the smallest probe; after a step of 2 along e, also
+    # f(e | y + 2e) = g(3) - g(2), here unprobed, and after a step of 4,
+    # g(5) - g(4)
+    assert cardinality._bisection_bound(ray, 0, 0.1) == 2.0
+    assert cardinality._bisection_bound(ray, 2, 0.1) == 2.0
+    assert cardinality._bisection_bound(ray, 4, 0.1) == 3.2 - 3.0
+    # lattice: max(2/1, 2.5/2, 3/3, 3.2/5) over 1 - eps, and no bound once
+    # e itself has stepped
+    assert cardinality._level_bound(ray, 0, 0.5) == 4.0
+    assert cardinality._level_bound(ray, 1, 0.5) is None
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.25, 0.5])

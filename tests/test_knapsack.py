@@ -304,11 +304,11 @@ KNAPSACK_CASES = [
     (lambda: ValueOracle(modular([3.0, 1.0]), np.array([2, 2])), (0.5, 0.5), 0.1, [2, 0], 9, 72),
     (
         lambda: make_separable_concave([1.0, 1.4, 0.7], [0.5, 1.0, 0.3], [3, 3, 4]),
-        (0.35, 0.3, 0.15), 0.1, [0, 3, 0], 70, 1524,
+        (0.35, 0.3, 0.15), 0.1, [0, 3, 0], 70, 1522,
     ),
     (
         lambda: random_budget_allocation(3, 4, 3, 3),
-        (0.3, 0.25, 0.4, 0.2), 0.2, [0, 1, 1, 1], 31, 817,
+        (0.3, 0.25, 0.4, 0.2), 0.2, [0, 1, 1, 1], 31, 799,
     ),
 ]
 
