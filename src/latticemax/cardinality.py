@@ -1,11 +1,11 @@
 """Decreasing-threshold greedy maximization under a cardinality constraint.
 
 Feasible solutions are lattice points y with 0 <= y <= c and y(E) <= r.
-Both solvers, and :func:`knapsack.greedy_knapsack`, run one sweep,
-:func:`_sweep`: the threshold falls by factors of (1 - eps) from a top
-value d, and at each level every element takes the step its step rule
-picks on the ray k -> f(k e | y).  The cardinality levels end at
-(eps / r) * d, and a step is capped at the budget left.
+Both solvers, :func:`knapsack.greedy_knapsack` and the polymatroid
+direction search run one sweep, :func:`_sweep`: the threshold falls by
+factors of (1 - eps) from a top value d, and at each level every element
+takes the step its step rule picks on its ray.  The cardinality levels end
+at (eps / r) * d, and a step is capped at the budget left.
 
 * :func:`maximize_dr_cardinality` (DR-submodular f): d = max_e f(e); the
   rule bisects for the largest step whose average gain clears the
@@ -133,8 +133,11 @@ def threshold_schedule(top: float, floor: float, epsilon: float) -> Iterator[flo
     """Yield top * (1 - eps)^j for j = 0, 1, ... while the value is >= floor.
 
     Each level is computed from the integer power to avoid cumulative
-    multiplication drift.
+    multiplication drift.  A NaN or infinite top raises ValueError: no level
+    would ever fall below the floor.
     """
+    if not math.isfinite(top):
+        raise ValueError(f"threshold schedule needs a finite top value, got {top}")
     if top <= 0:
         return
     j = 0
@@ -158,7 +161,7 @@ class _PointMemo:
     directions.  The two paths keep separate values, since ``fn`` and
     ``batch_fn`` need not agree bit for bit: a point read by one is never
     answered by the other.  Points must be int64 vectors, as all solver
-    iterates are.
+    iterates are.  :meth:`ray` makes the rays the greedies' sweeps read.
     """
 
     __slots__ = ("_f", "_values", "_batch_values", "n", "box")
@@ -177,6 +180,10 @@ class _PointMemo:
         return value
 
     eval = __call__
+
+    def ray(self, y: np.ndarray, e: int) -> _Ray:
+        """The ray k -> f(y + k e) - f(y): a :class:`_Ray` on a copy of y, f(y) read now."""
+        return _Ray(self, y.copy(), e, self(y))
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """f at the rows of X; one ``f.eval_batch`` call for the distinct new rows.
@@ -200,7 +207,7 @@ def _max_step_with_gain(
 ) -> tuple[int, float]:
     """Binary search for the largest k <= k_max with gain_at[k] >= k * threshold.
 
-    ``gain_at`` is a ray k -> f(k e | y) from :func:`_marginal_along`.  The
+    ``gain_at`` is a ray k -> f(k e | y) from :meth:`_PointMemo.ray`.  The
     acceptable k form a prefix interval whenever f is DR-submodular
     (g(k) = f(k e | y) - k * threshold is concave with g(0) = 0), which
     makes the search exact.  Also returns the marginal value measured at
@@ -231,7 +238,7 @@ def _level_candidates(
     """Yield (k, val[k]) lazily, one pair per geometric value level.
 
     ``val`` maps k to a value non-decreasing on 0..k_max with val[0] = 0,
-    such as a ray of :func:`_marginal_along`; it must cache, since the scan
+    such as a ray of :meth:`_PointMemo.ray`; it must cache, since the scan
     reads some k more than once.  Levels h sweep from val[k_max] down by
     factors of (1 - eps) to (1 - eps) * val[k_min], where k_min is the
     smallest k with positive value; for each level the smallest k with
@@ -274,7 +281,8 @@ class _Ray(dict):
     up in the memo's values; a miss goes through ``f.eval_along``, which
     checks only y_e + k against [0, c_e], so the probe is counted as one
     call, or rejected at no cost with ``eval``'s ValueError.  A repeated
-    lookup is a dict hit: it builds no point and makes no call.
+    lookup is a dict hit: it builds no point and makes no call.  Each gain
+    is the float difference of two memo values.
     """
 
     __slots__ = ("_values", "_f", "_y", "_e", "_y_e", "_base")
@@ -295,14 +303,11 @@ class _Ray(dict):
         value = self[k] = value - self._base
         return value
 
-
-def _marginal_along(memo: _PointMemo, y: np.ndarray, e: int) -> Mapping[int, float]:
-    """The ray k -> f(y + k e) - f(y) through ``memo``: a :class:`_Ray` on a copy of y.
-
-    f(y) is read once, now, through the memo; each gain is the float
-    difference of two memo values.
-    """
-    return _Ray(memo, y.copy(), e, memo(y))
+    def value(self, k: int) -> float:
+        """f(y + k e) for a k this ray has read: a memo hit, no call."""
+        point = self._y.copy()
+        point[self._e] = self._y_e + k
+        return self._values[point.tobytes()]
 
 
 # maps a threshold to the step (k, f(k e | y)) one (y, e) pair takes; k = 0 for none
@@ -352,7 +357,8 @@ def _bisection_bound(ray: Mapping[int, float], k: int, eps: float) -> float:
     Needs f monotone and DR-submodular: then f(e | y') <= f(e | y) <=
     g(k_1) for every y' >= y, and by concavity the bisection at y' returns
     0 once f(e | y') is below its threshold.  After a step of k, the probe
-    at k + 1 that stopped the bisection gives f(e | y + k e) itself.
+    at k + 1 that stopped the bisection gives f(e | y + k e) itself.  A
+    polymatroid ray's -inf (off P, so off P for every y' >= y) passes through.
     """
     bound = ray[min(ray)]
     if k and k + 1 in ray:
@@ -414,21 +420,23 @@ def binary_search_lattice(
 
 
 def _sweep(
-    memo: _PointMemo, y: np.ndarray, room: list[int], levels: Iterable[float], rule: _Rule,
-    eps: float, scale: Sequence[float], spent: float, limit: float, *, reject: bool,
+    ray_of: Callable[[np.ndarray, int], Mapping[int, float]], y: np.ndarray, room: list[int],
+    levels: Iterable[float], rule: _Rule, eps: float, scale: Sequence[float], spent: float,
+    limit: float, *, reject: bool,
 ) -> tuple[np.ndarray, GreedyTrace]:
-    """The threshold sweep of all three greedies; it steps y in place.
+    """The threshold sweep of all four solvers; it steps y in place.
 
     At each level every e with k_cap >= 1 takes the step ``rule(ray, k_cap,
-    eps)`` picks at threshold scale_e * level; the ray of (y, e) is kept
-    until a step changes y, its search until k_cap changes.  A step of k
-    costs k * scale_e against ``limit``, ``spent`` being the budget used.
-    Without ``reject`` (cardinality, unit scale) k_cap = min(room_e,
-    limit - spent), so every step fits.  With it (knapsack) k_cap = room_e,
-    and a step that does not fit is rejected: room_e falls to k - 1 and e's
-    search is rebuilt on the same ray.  Under :func:`_bisection_rule` a
-    visit probes at most ceil(log2(k_cap + 1)) points, and the f(y) a ray
-    reads is the start point's or one an accepted step has probed.
+    eps)`` picks at threshold scale_e * level on ``ray_of(y, e)``, kept until
+    a step changes y, its search until k_cap changes.  A step of k costs
+    k * scale_e against ``limit``, ``spent`` being the budget used.  Without
+    ``reject`` (cardinality and polymatroid, unit scale) k_cap =
+    min(room_e, limit - spent), so every step fits.  With it (knapsack)
+    k_cap = room_e, and a step that does not fit is rejected: room_e falls
+    to k - 1 and e's search is rebuilt on the same ray.  Under
+    :func:`_bisection_rule` a visit probes at most ceil(log2(k_cap + 1))
+    points, and the f(y) a greedy's ray reads is the start point's or one an
+    accepted step has probed.
 
     Lazy bounds (CELF-style): just before an accepted step drops the rays,
     each ray gives e a bound from the probes it holds, :func:`_bisection_bound`
@@ -437,7 +445,8 @@ def _sweep(
     A visit whose bound is below scale_e * level by the margin
     :data:`SKIP_MARGIN` is skipped: the rule would take no step there, so
     the skip changes no step and no trace entry, only ``trace.skipped``,
-    and probes and calls only fall.
+    and probes and calls only fall.  The margin's f(y) is the stepped ray's
+    ``value(k)``, a value its probe read.
     """
     trace = GreedyTrace()
     rays: dict[int, Mapping[int, float]] = {}
@@ -458,7 +467,7 @@ def _sweep(
             search = searches.get(e)
             if search is None:
                 if e not in rays:
-                    rays[e] = _marginal_along(memo, y, e)
+                    rays[e] = ray_of(y, e)
                 search = searches[e] = rule(rays[e], k_cap, eps)
             k, gain = search(bar)
             if k < 1:
@@ -470,10 +479,10 @@ def _sweep(
                         bounds.pop(e_ray, None)
                     else:
                         bounds[e_ray] = min(bound, bounds.get(e_ray, bound))
+                f_y = rays[e].value(k)  # y + k e was probed by the step, so no call
                 y[e] += k
                 room[e] -= k
                 spent += k * scale[e]
-                f_y = memo(y)  # y was probed by the step, so no call
                 trace.add(threshold, e, k, gain)
                 rays.clear()
                 searches.clear()
@@ -509,7 +518,7 @@ def _cardinality_greedy(
     tops = (memo(unit(f.n, e, top(int(cap[e]), r))) for e in range(f.n) if cap[e] >= 1)
     d = max(tops, default=0.0)
     levels = threshold_schedule(d, (eps / r) * d, eps)
-    return _sweep(memo, zeros(f.n), cap.tolist(), levels, rule, eps, [1] * f.n, 0, r,
+    return _sweep(memo.ray, zeros(f.n), cap.tolist(), levels, rule, eps, [1] * f.n, 0, r,
                   reject=False)
 
 

@@ -26,7 +26,6 @@ from .cardinality import (
     SolverConfig,
     _bisection_rule,
     _level_candidates,
-    _marginal_along,
     _PointMemo,
     _sweep,
     threshold_schedule,
@@ -118,7 +117,7 @@ def greedy_knapsack(
     memo = f if isinstance(f, _PointMemo) else _PointMemo(f)
     d = max((memo(unit(f.n, e)) / w[e] for e in range(f.n) if cap[e] >= 1), default=0.0)
     levels = threshold_schedule(d, eps * d * float(w.min()), eps)
-    return _sweep(memo, x, (cap - x).tolist(), levels, _bisection_rule, eps,
+    return _sweep(memo.ray, x, (cap - x).tolist(), levels, _bisection_rule, eps,
                   w.tolist(), float(w @ x), 1.0 + BUDGET_TOL, reject=True)
 
 
@@ -155,7 +154,7 @@ def increase_support(
         if k_cap <= 0:
             continue
         memo = f if isinstance(f, _PointMemo) else _PointMemo(f)
-        for k, _ in _level_candidates(_marginal_along(memo, y, e), k_cap, epsilon):
+        for k, _ in _level_candidates(memo.ray(y, e), k_cap, epsilon):
             point = y + k * step
             out.setdefault(tuple(point), point)
     return list(out.values())

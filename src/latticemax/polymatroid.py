@@ -4,12 +4,14 @@ The feasible region is P = {x >= 0 : x(S) <= rho(S) for all S} for a
 monotone submodular integer rank function rho with rho(empty) = 0.  The
 solver builds a fractional point by 1/eps rounds of a threshold direction
 search driven by extension marginals, then rounds it to a lattice point
-without loss in expectation.  Each marginal is exact, a sum over the 2^m
-corners of the current unit cell (m fractional coordinates).  A solve reads
-f through one point memo, and a direction search keeps one cell and one
-ray per (x + y, e) until it accepts a step, so a probe of the step search
-costs at most 2 * 2^m new oracle calls and a repeat costs none.  The
-ground set is capped at ``MAX_ENUMERATION_N`` elements.
+without loss in expectation.  The direction search is the greedies'
+sweep (:func:`cardinality._sweep`) on rays k -> F(k e | x + y) that read
+-inf where x + y + k e leaves P.  Each marginal is exact, a sum over the
+2^m corners of the current unit cell (m fractional coordinates).  A solve
+reads f through one point memo, and a direction search keeps one cell and
+one ray per (x + y, e) until it accepts a step, so a probe costs at most
+2 * 2^m new oracle calls and a repeat costs none.  The ground set is capped
+at ``MAX_ENUMERATION_N`` elements.
 
 Rounding works inside the unit cell C(x): the fractional parts of P
 intersected with C(x) form a matroid polytope whose rank function is the
@@ -29,7 +31,15 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .cardinality import SolverConfig, _PointMemo, effective_epsilon, threshold_schedule
+from .cardinality import (
+    SolverConfig,
+    _bisection_rule,
+    _max_step_with_gain,
+    _PointMemo,
+    _sweep,
+    effective_epsilon,
+    threshold_schedule,
+)
 from .core import (
     MAX_ENUMERATION_N,
     CallCounter,
@@ -158,69 +168,70 @@ def update_budget_fixpoint(n: int, epsilon: float) -> int:
 
 
 class _Cell:
-    """The unit cell of a point x: its corners z, their D(x) weights and f(z).
+    """The unit cell of a point b: its corners z, their D(b) weights and f(z), read once.
 
-    :meth:`ray` maps k -> F(k e | x) = dot(f(z + k e) - f(z), w), the float
-    operations of ``extension._marginal_estimate``; each k is read once.
-    f(z) is read once, on the first probe of any ray of the cell, after
-    that probe's shifted corners.
+    :meth:`gain` is F(k e | b) = dot(f(z + k e) - f(z), w), summed as
+    ``extension._marginal_estimate`` sums it; :meth:`value` is F(b + k e).
     """
 
-    __slots__ = ("_f", "_points", "_weights", "_values")
+    __slots__ = ("_f", "_points", "_weights", "_values", "_moved")
 
-    def __init__(self, f, x):
-        base, frac = split_point(f, x)
+    def __init__(self, f, b):
+        base, frac = split_point(f, b)
         self._f = f
         self._points, self._weights = _cell_corners(base, frac, _fractional_coords(frac))
-        self._values = None
+        self._values = f.eval_batch(self._points)
+        self._moved: dict[tuple[int, int], np.ndarray] = {}  # (e, k) -> f(z + k e)
 
-    def _gain(self, e: int, k: int) -> float:
+    def gain(self, e: int, k: int) -> float:
         shifted = self._points.copy()
         shifted[:, e] += k
-        moved = self._f.eval_batch(shifted)
-        if self._values is None:
-            self._values = self._f.eval_batch(self._points)
+        moved = self._moved[e, k] = self._f.eval_batch(shifted)
         return float(np.dot(moved - self._values, self._weights))
 
-    def ray(self, e: int) -> Callable[[int], float]:
-        return functools.cache(functools.partial(self._gain, e))
+    def value(self, e: int, k: int) -> float:
+        return float(np.dot(self._moved[e, k], self._weights))
 
 
-def _largest_clearing_step(gain: Callable[[int], float], theta: float, k_max: int) -> int:
-    """Bisect k in [1, k_max] for the last k with gain(k) >= k * theta; 0 for none."""
-    lo, hi = 1, k_max + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if gain(mid) >= mid * theta:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo - 1
+class _ExtensionRay(dict):
+    """k -> F(k e | b) on the cell of b, or -inf where b + k e leaves P (``P`` None: never).
+
+    A first lookup of k costs one membership call and, for a member, a gain
+    of the cell ``cell()`` makes on first call.  As P is downward closed and
+    clearing is a prefix in k for DR f, "fits and clears" is a prefix too.
+    """
+
+    __slots__ = ("_cell", "_P", "_b", "_e")
+
+    def __init__(self, cell: Callable[[], _Cell], P: PolymatroidOracle | None, b, e: int):
+        super().__init__()
+        self._cell, self._P, self._b, self._e = cell, P, b, e
+
+    def __missing__(self, k: int) -> float:
+        point = self._b.copy()
+        point[self._e] += k
+        fits = self._P is None or self._P.member(point)
+        value = self[k] = self._cell().gain(self._e, k) if fits else -math.inf
+        return value
+
+    def value(self, k: int) -> float:
+        """F(b + k e) for a k whose gain this ray has read: no call."""
+        return self._cell().value(self._e, k)
 
 
 def binary_search_polymatroid(f: ValueOracle, x, e: int, theta: float, k_max: int) -> int:
-    """Largest step k whose average extension gain clears theta.
+    """Largest k in [1, k_max] with F(k e | x) >= k * theta, or 0; exact for DR f.
 
-    Bisects k in [1, k_max], testing whether F(k e | x) >= k * theta, and
-    returns the last accepted position (0 when none).  Each F(k e | x) is
-    the exact sum over the 2^m corners of x's unit cell (m fractional
-    coordinates in x), read on a fresh ray of that cell: there are at most
-    ceil(log2(k_max + 1)) probes, and the search costs at most 2 * 2^m new
-    oracle calls per probe (2^m for f(z), made once, and 2^m for the
-    shifted corners); through a memo, a repeated point costs none.  The
-    solver bisects its own kept rays instead; this stays as the tracer's
-    ``polymatroid.binary_search_polymatroid`` span and the tests' entry to
-    ``_Cell``.
+    The direction search's bisection (``_max_step_with_gain``) on a fresh
+    ray of x's cell that asks no polytope: at most ceil(log2(k_max + 1))
+    probes, each costing at most 2 * 2^m new oracle calls (m fractional
+    coordinates in x; f(z) is read once).  It stays as the tracer's span
+    and the tests' entry to ``_Cell``, which it makes only if it probes.
     """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    if k_max < 0:
-        raise ValueError("k_max must be non-negative")
-    if k_max == 0:
-        return 0
     if not 0 <= e < f.n:
         raise ValueError(f"element {e} out of range for ground set of size {f.n}")
-    return _largest_clearing_step(_Cell(f, x).ray(e), theta, k_max)
+    ray = _ExtensionRay(functools.cache(functools.partial(_Cell, f, x)), None, x, e)
+    return _max_step_with_gain(ray, k_max, theta)[0]
 
 
 def direction_polymatroid(
@@ -228,60 +239,39 @@ def direction_polymatroid(
 ) -> np.ndarray:
     """One threshold sweep producing an integral direction y with x + y in P.
 
-    Thresholds decay by factors of 1 - epsilon from d = max_e f(e) down to
-    epsilon * d / num_updates, where num_updates bounds the coordinate
-    updates (elements times threshold levels).  For each element the
-    largest feasible step is found first (membership binary search,
-    clamped to the oracle box), then accepted if the exact extension
-    marginal at the current point x + y clears the threshold.  Elements
-    with f(e) <= 0 are skipped: for monotone DR-submodular f no step along
-    them can clear a positive threshold.
-
-    Until a step is accepted x + y stays put, so the sweep keeps its cell
-    (corners, weights, f read once) and, per element, the membership
-    search's k_max and a ray k -> F(k e | x + y); an accepted step drops
-    them.  A probe costs at most 2 * 2^m new oracle calls (m fractional
-    coordinates in x); a repeat costs none.  ``f`` may be the solve's
-    :class:`_PointMemo`, as :func:`continuous_greedy` passes it, so the
-    unit values f(e) and the points of earlier directions are read once
-    per solve.
+    :func:`cardinality._sweep` with the bisection rule and no budget, from
+    d = max_e f(e) down to epsilon * d / num_updates (num_updates bounds the
+    coordinate updates): at each level e takes the largest k within its box
+    room with x + y + k e in P and F(k e | x + y) >= k * threshold, on a ray
+    that reads -inf off P; f(e) <= 0 leaves e no room (DR f cannot clear
+    along it).  The rays of one x + y share its cell, made when a ray first
+    reads a gain; P is asked about each (x + y, e, k) once, and a probe costs
+    at most 2 * 2^m new oracle calls (m fractional coordinates in x).  The
+    lazy skip holds, as y is integral and D(x + y) = D(x) + y: for DR f,
+    F(e | x + y') <= F(e | x + y) for y' >= y.  ``f`` may be a solve's memo.
     """
     x = as_fractional_point(x, f.n)
     if P.n != f.n:
         raise ValueError("polymatroid dimension does not match oracle")
     if not P.member(x):
         raise ValueError("x is not in the polymatroid")
-    y = zeros(f.n)
-    box = f.box
     # f(e), or 0 where the box leaves no room along e
-    unit_values = [f.eval(unit(f.n, e)) if box[e] >= 1 else 0.0 for e in range(f.n)]
+    unit_values = [f.eval(unit(f.n, e)) if f.box[e] >= 1 else 0.0 for e in range(f.n)]
+    room = [int(math.floor(f.box[e] - x[e] + SNAP_TOLERANCE)) if unit_values[e] > 0 else 0
+            for e in range(f.n)]
+    cell, at = None, None  # the cell maker of x + y, shared by the rays made at y == at
+
+    def ray_of(y: np.ndarray, e: int) -> _ExtensionRay:
+        nonlocal cell, at
+        b = x + y
+        if y.tobytes() != at:  # a step moved x + y
+            cell, at = functools.cache(functools.partial(_Cell, f, b)), y.tobytes()
+        return _ExtensionRay(cell, P, b, e)
+
     d = max(unit_values, default=0.0)
-    if d <= 0:
-        return y
-    current = x + y
-    cell = None
-    searches: dict[int, tuple[int, Callable[[int], float] | None]] = {}  # e -> (k_max, ray)
-    for threshold in threshold_schedule(d, epsilon * d / num_updates, epsilon):
-        for e in range(f.n):
-            if unit_values[e] <= 0:
-                continue
-            search = searches.get(e)
-            if search is None:
-                hard_cap = int(math.floor(box[e] - current[e] + SNAP_TOLERANCE))
-                k_max = k_max_in_polymatroid(P, current, e, hard_cap) if hard_cap > 0 else 0
-                if k_max and cell is None:
-                    cell = _Cell(f, current)
-                search = searches[e] = (k_max, cell.ray(e) if k_max else None)
-            k_max, ray = search
-            if k_max == 0:
-                continue
-            k = _largest_clearing_step(ray, threshold, k_max)
-            if k >= 1:
-                y[e] += k
-                current = x + y
-                cell = None
-                searches.clear()
-    return y
+    levels = threshold_schedule(d, epsilon * d / num_updates, epsilon)
+    return _sweep(ray_of, zeros(f.n), room, levels, _bisection_rule, epsilon, [1] * f.n, 0,
+                  math.inf, reject=False)[0]
 
 
 def continuous_greedy(

@@ -11,7 +11,6 @@ from latticemax.bruteforce import brute_force_opt
 from latticemax.cardinality import (
     CardinalityConstraint,
     SolverConfig,
-    _marginal_along,
     _max_step_with_gain,
     _PointMemo,
     binary_search_lattice,
@@ -28,8 +27,10 @@ from latticemax.instances import (
     make_separable_concave,
     random_budget_allocation,
     random_separable_concave,
+    uniform_polymatroid,
 )
 from latticemax.knapsack import BUDGET_TOL, KnapsackInstance, greedy_knapsack, maximize_knapsack
+from latticemax.polymatroid import maximize_polymatroid
 
 RATIO_DR = 1 - 1 / math.e - 0.1
 
@@ -80,15 +81,32 @@ def test_threshold_schedule_empty_when_top_below_floor():
     assert list(threshold_schedule(0.1, 0.2, 0.5)) == []
 
 
+@pytest.mark.parametrize("top", [math.nan, math.inf])
+@pytest.mark.parametrize("solver", ["dr", "lattice", "knapsack", "polymatroid"])
+def test_a_non_finite_objective_raises_instead_of_hanging(solver, top):
+    # no level of a NaN or infinite top ever falls below the floor, so the
+    # schedule used to run forever; each solver's first schedule now raises
+    f = ValueOracle(lambda x: top if x[0] >= 1 else float(x.sum()), [2, 2])
+    config = SolverConfig(0.25)
+    solve = {
+        "dr": lambda: maximize_dr_cardinality(f, CardinalityConstraint((2, 2), 3), config),
+        "lattice": lambda: maximize_lattice_cardinality(f, CardinalityConstraint((2, 2), 3), config),
+        "knapsack": lambda: maximize_knapsack(f, KnapsackInstance((0.5, 0.5), (2, 2)), config),
+        "polymatroid": lambda: maximize_polymatroid(f, uniform_polymatroid(2, 2, 3), config),
+    }[solver]
+    with pytest.raises(ValueError, match="finite top value"):
+        solve()
+
+
 def test_max_step_dr_examples():
     fn = capped_modular([2.0], [1])
     f = ValueOracle(fn, np.array([5]))
     y = np.zeros(1, dtype=np.int64)
-    assert _max_step_with_gain(_marginal_along(_PointMemo(f), y, 0), 0, 2.0)[0] == 0
-    assert _max_step_with_gain(_marginal_along(_PointMemo(f), y, 0), 5, 2.0)[0] == 1
-    assert _max_step_with_gain(_marginal_along(_PointMemo(f), y, 0), 5, 2.5)[0] == 0
+    assert _max_step_with_gain(_PointMemo(f).ray(y, 0), 0, 2.0)[0] == 0
+    assert _max_step_with_gain(_PointMemo(f).ray(y, 0), 5, 2.0)[0] == 1
+    assert _max_step_with_gain(_PointMemo(f).ray(y, 0), 5, 2.5)[0] == 0
     with pytest.raises(ValueError):
-        _max_step_with_gain(_marginal_along(_PointMemo(f), y, 0), -1, 2.0)
+        _max_step_with_gain(_PointMemo(f).ray(y, 0), -1, 2.0)
 
 
 def test_max_step_dr_matches_linear_scan():
@@ -105,7 +123,7 @@ def test_max_step_dr_matches_linear_scan():
         e = int(rng.integers(0, n))
         k_max = int(caps[e] - y[e])
         theta = float(rng.uniform(0.1, 2.5))
-        ray = _marginal_along(_PointMemo(f), np.array(y, dtype=np.int64), e)
+        ray = _PointMemo(f).ray(np.array(y, dtype=np.int64), e)
         got = _max_step_with_gain(ray, k_max, theta)[0]
         want = scan_max_step(fn, np.array(y, dtype=np.int64), e, k_max, theta)
         assert got == want
@@ -275,7 +293,7 @@ def test_max_step_dr_prefix_property(cap, theta):
     fn = lambda x: float(math.sqrt(x[0]))
     f = ValueOracle(fn, np.array([max(cap, 1)]))
     y = np.zeros(1, dtype=np.int64)
-    got = _max_step_with_gain(_marginal_along(_PointMemo(f), y, 0), cap, theta)[0]
+    got = _max_step_with_gain(_PointMemo(f).ray(y, 0), cap, theta)[0]
     want = scan_max_step(lambda v: math.sqrt(v[0]), y, 0, cap, theta)
     assert got == want
 
@@ -659,7 +677,7 @@ def test_ray_reads_f_of_y_once_and_each_step_at_most_once():
     base = make_separable_concave([1.0, 2.0, 0.5], [0.5, 1.0, 0.7], [8, 8, 8])
     f, points = recording(base)
     y = np.array([2, 1, 0], dtype=np.int64)
-    ray = _marginal_along(_PointMemo(f), y, 1)
+    ray = _PointMemo(f).ray(y, 1)
     assert points == [y.tobytes()] and f.calls == 1
     y[0] = 7  # the ray keeps its own copy of y
     for k in (3, 1, 3, 5, 1, 7, 5, 0):
@@ -684,7 +702,7 @@ def eval_error(f, x):
 def test_ray_probe_outside_the_box_raises_evals_error_at_no_cost():
     # fn itself accepts any point, so only the oracle's checks can reject one
     f = ValueOracle(lambda x: float(x.sum()), np.array([3, 3]))
-    ray = _marginal_along(_PointMemo(f), np.array([1, 2]), 1)
+    ray = _PointMemo(f).ray(np.array([1, 2]), 1)
     assert ray[1] == 1.0 and f.calls == 2
     for k, point in ((2, [1, 4]), (-3, [1, -1]), (50, [1, 52])):
         message = eval_error(f, np.array(point))
@@ -717,7 +735,7 @@ def test_ray_on_a_bad_y_raises_before_any_call(y):
         cardinality._Ray(_PointMemo(f), y, 1, 0.0)
     assert str(info.value) == message
     with pytest.raises(ValueError, match=re.escape(message)):
-        _marginal_along(_PointMemo(f), y, 1)
+        _PointMemo(f).ray(y, 1)
     assert f.calls == 0 and points == []
 
 
@@ -733,7 +751,7 @@ def test_lattice_sweep_scans_each_ray_once(monkeypatch):
             return wrapped(*args)
         return wrapper
 
-    monkeypatch.setattr(cardinality, "_marginal_along", counted("rays", cardinality._marginal_along))
+    monkeypatch.setattr(cardinality._PointMemo, "ray", counted("rays", cardinality._PointMemo.ray))
     monkeypatch.setattr(cardinality, "_level_candidates", counted("scans", cardinality._level_candidates))
     for make, caps, r in equivalence_instances():
         counts.update(rays=0, scans=0)
@@ -746,13 +764,13 @@ def test_every_greedy_makes_one_ray_per_point_and_element(monkeypatch):
     # knapsack rejection keeps e's ray too; no call count shows this, since
     # the memo absorbs repeated probes
     rays = []
-    marginal_along = cardinality._marginal_along
+    ray = cardinality._PointMemo.ray
 
     def counted(memo, y, e):
         rays.append((y.tobytes(), e))
-        return marginal_along(memo, y, e)
+        return ray(memo, y, e)
 
-    monkeypatch.setattr(cardinality, "_marginal_along", counted)
+    monkeypatch.setattr(cardinality._PointMemo, "ray", counted)
     rejected = 0
     for make, caps, r in equivalence_instances():
         cst = CardinalityConstraint(caps, r)

@@ -395,128 +395,130 @@ def test_maximize_polymatroid_checks_the_cap_before_any_call():
 # was deleted: (oracle family, params), (polymatroid family, params),
 # epsilon, seed, then the integral point, the fractional point, f.calls and
 # P.member_calls.  The two counts were recorded again, lower, once a solve
-# kept one point memo and one ray per (x + y, e); the points did not move.  Every family/objective shape of the `continuous`
-# benchmark workload, plus the demo config's uniform_poly.
+# kept one point memo and one ray per (x + y, e), and again once the
+# direction search ran on the threshold sweep with membership read as a
+# probe of the ray; the points did not move.  Every family/objective shape
+# of the `continuous` benchmark workload, plus the demo config's uniform_poly.
 POLYMATROID_PINS = [
     (
         ('separable_concave', {'coeffs': [1.173, 1.146], 'powers': [0.3, 0.5], 'cap': [3, 2]}),
         ('uniform', {'n': 2, 'per_element': 1, 'total': 2}),
         1 / 3, 419,
-        [0, 0], [0.3333333333333333, 0.3333333333333333], 5, 27,
+        [0, 0], [0.3333333333333333, 0.3333333333333333], 5, 15,
     ),
     (
         ('budget_allocation', {'edges': [[0, 1, 0.239], [0, 2, 0.511], [1, 0, 0.125], [1, 2, 0.146]], 'cap': [3, 3]}),
         ('uniform', {'n': 2, 'per_element': 2, 'total': 2}),
         1 / 3, 325,
-        [1, 0], [1.3333333333333333, 0.0], 7, 43,
+        [1, 0], [1.3333333333333333, 0.0], 7, 27,
     ),
     (
         ('separable_concave', {'coeffs': [1.492, 0.809], 'powers': [0.5, 0.3], 'cap': [3, 3]}),
         ('partition', {'parts': [[0], [1]], 'caps': [1, 2]}),
         1 / 3, 232,
-        [1, 1], [0.3333333333333333, 1.3333333333333333], 8, 42,
+        [1, 1], [0.3333333333333333, 1.3333333333333333], 8, 19,
     ),
     (
         ('budget_allocation', {'edges': [[0, 2, 0.594], [0, 1, 0.544], [1, 2, 0.266], [1, 1, 0.192]], 'cap': [3, 3]}),
         ('partition', {'parts': [[0], [1]], 'caps': [1, 2]}),
         1 / 3, 520,
-        [0, 1], [0.3333333333333333, 1.3333333333333333], 8, 37,
+        [0, 1], [0.3333333333333333, 1.3333333333333333], 8, 18,
     ),
     (
         ('separable_concave', {'coeffs': [0.749, 1.134], 'powers': [0.5, 0.3], 'cap': [2, 2]}),
         ('rank_table', {'n': 2, 'table': [0, 2, 1, 2]}),
         1 / 3, 908,
-        [1, 0], [1.0, 0.3333333333333333], 8, 34,
+        [1, 0], [1.0, 0.3333333333333333], 8, 16,
     ),
     (
         ('budget_allocation', {'edges': [[0, 1, 0.182], [0, 0, 0.347], [1, 0, 0.427], [1, 2, 0.36]], 'cap': [3, 2]}),
         ('rank_table', {'n': 2, 'table': [0, 4, 3, 5]}),
         1 / 3, 914,
-        [2, 1], [1.9999999999999998, 1.3333333333333333], 14, 39,
+        [2, 1], [1.9999999999999998, 1.3333333333333333], 13, 24,
     ),
     (
         ('separable_concave', {'coeffs': [1.812, 1.539, 0.905], 'powers': [0.5, 0.7, 0.3], 'cap': [3, 3, 3]}),
         ('uniform', {'n': 3, 'per_element': 2, 'total': 4}),
         1 / 3, 987,
-        [1, 1, 1], [1.0, 1.3333333333333333, 0.3333333333333333], 27, 74,
+        [1, 1, 1], [1.0, 1.3333333333333333, 0.3333333333333333], 25, 31,
     ),
     (
         ('budget_allocation', {'edges': [[0, 0, 0.526], [0, 1, 0.221], [1, 2, 0.334], [1, 1, 0.538], [2, 2, 0.422], [2, 0, 0.186]], 'cap': [3, 2, 2]}),
         ('uniform', {'n': 3, 'per_element': 2, 'total': 2}),
         1 / 3, 501,
-        [1, 0, 0], [0.6666666666666666, 0.6666666666666666, 0.0], 15, 51,
+        [1, 0, 0], [0.6666666666666666, 0.6666666666666666, 0.0], 15, 27,
     ),
     (
         ('separable_concave', {'coeffs': [0.966, 1.03, 0.774], 'powers': [0.5, 0.7, 0.3], 'cap': [3, 2, 3]}),
         ('partition', {'parts': [[0, 1], [2]], 'caps': [2, 2]}),
         1 / 3, 9,
-        [1, 1, 2], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 29, 90,
+        [1, 1, 2], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 28, 36,
     ),
     (
         ('budget_allocation', {'edges': [[0, 1, 0.492], [0, 2, 0.212], [1, 2, 0.117], [1, 0, 0.167], [2, 1, 0.268], [2, 0, 0.517]], 'cap': [2, 2, 2]}),
         ('partition', {'parts': [[0, 1], [2]], 'caps': [1, 1]}),
         1 / 3, 730,
-        [1, 0, 0], [0.3333333333333333, 0.3333333333333333, 0.3333333333333333], 9, 44,
+        [1, 0, 0], [0.3333333333333333, 0.3333333333333333, 0.3333333333333333], 9, 21,
     ),
     (
         ('separable_concave', {'coeffs': [0.739, 1.412, 0.539], 'powers': [0.7, 0.3, 0.5], 'cap': [3, 3, 2]}),
         ('rank_table', {'n': 3, 'table': [0, 1, 3, 4, 3, 3, 4, 4]}),
         1 / 3, 839,
-        [0, 2, 1], [0.3333333333333333, 1.3333333333333333, 1.0], 25, 71,
+        [0, 2, 1], [0.3333333333333333, 1.3333333333333333, 1.0], 25, 31,
     ),
     (
         ('budget_allocation', {'edges': [[0, 2, 0.432], [0, 0, 0.286], [1, 1, 0.396], [1, 2, 0.175], [2, 1, 0.345], [2, 2, 0.463]], 'cap': [3, 3, 2]}),
         ('rank_table', {'n': 3, 'table': [0, 1, 1, 1, 2, 2, 2, 2]}),
         1 / 3, 726,
-        [0, 0, 1], [0.3333333333333333, 0.0, 1.0], 11, 55,
+        [0, 0, 1], [0.3333333333333333, 0.0, 1.0], 11, 28,
     ),
     (
         ('separable_concave', {'coeffs': [1.618, 1.48], 'powers': [0.3, 0.5], 'cap': [3, 3]}),
         ('partition', {'parts': [[0, 1]], 'caps': [1]}),
         1 / 3, 229,
-        [0, 0], [0.3333333333333333, 0.3333333333333333], 5, 27,
+        [0, 0], [0.3333333333333333, 0.3333333333333333], 5, 15,
     ),
     (
         ('budget_allocation', {'edges': [[0, 1, 0.552], [0, 0, 0.482], [1, 1, 0.121], [1, 0, 0.432]], 'cap': [2, 3]}),
         ('partition', {'parts': [[0, 1]], 'caps': [2]}),
         1 / 3, 513,
-        [1, 2], [1.3333333333333333, 1.3333333333333333], 11, 43,
+        [1, 2], [1.3333333333333333, 1.3333333333333333], 11, 24,
     ),
     (
         ('separable_concave', {'coeffs': [1.442, 1.058, 1.836], 'powers': [0.3, 0.5, 0.7], 'cap': [2, 2, 2]}),
         ('partition', {'parts': [[0], [1, 2]], 'caps': [2, 2]}),
         1 / 3, 930,
-        [1, 1, 2], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 29, 58,
+        [1, 1, 2], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 28, 28,
     ),
     (
         ('budget_allocation', {'edges': [[0, 0, 0.348], [0, 1, 0.573], [1, 2, 0.188], [1, 0, 0.486], [2, 1, 0.126], [2, 2, 0.413]], 'cap': [2, 2, 2]}),
         ('partition', {'parts': [[0], [1, 2]], 'caps': [1, 2]}),
         1 / 3, 453,
-        [0, 2, 1], [0.3333333333333333, 1.3333333333333333, 1.3333333333333333], 21, 53,
+        [0, 2, 1], [0.3333333333333333, 1.3333333333333333, 1.3333333333333333], 21, 23,
     ),
     (
         ('separable_concave', {'coeffs': [1.372, 1.164, 1.096], 'powers': [0.7, 0.5, 0.3], 'cap': [3, 2, 3]}),
         ('partition', {'parts': [[0], [1], [2]], 'caps': [2, 2, 2]}),
         1 / 3, 859,
-        [2, 1, 1], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 29, 89,
+        [2, 1, 1], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 28, 34,
     ),
     (
         ('budget_allocation', {'edges': [[0, 0, 0.414], [0, 2, 0.504], [1, 0, 0.381], [1, 2, 0.489], [2, 1, 0.4], [2, 0, 0.227]], 'cap': [3, 2, 2]}),
         ('partition', {'parts': [[0], [1], [2]], 'caps': [1, 2, 2]}),
         1 / 3, 709,
-        [1, 1, 1], [0.3333333333333333, 1.3333333333333333, 1.3333333333333333], 21, 55,
+        [1, 1, 1], [0.3333333333333333, 1.3333333333333333, 1.3333333333333333], 21, 24,
     ),
     (
         ('separable_concave', {'coeffs': [1.0, 1.5, 0.8], 'powers': [0.5, 0.5, 1.0], 'cap': [3, 3, 3]}),
         ('uniform', {'n': 3, 'per_element': 2, 'total': 4}),
         0.25, 0,
-        [1, 1, 0], [0.75, 1.0, 0.75], 29, 103,
+        [1, 1, 0], [0.75, 1.0, 0.75], 28, 42,
     ),
     (
         ('separable_concave', {'coeffs': [1.0, 1.5, 0.8], 'powers': [0.5, 0.5, 1.0], 'cap': [3, 3, 3]}),
         ('uniform', {'n': 3, 'per_element': 2, 'total': 4}),
         0.25, 1,
-        [1, 1, 1], [0.75, 1.0, 0.75], 29, 103,
+        [1, 1, 1], [0.75, 1.0, 0.75], 28, 42,
     ),
 ]
 
@@ -643,22 +645,32 @@ def test_maximize_polymatroid_matches_the_old_direction_loop():
 
 def test_direction_search_keeps_one_cell_and_search_per_point_and_element(monkeypatch):
     # between accepted steps x + y stays put: one cell, its corners read
-    # once, one membership search per element, and each shifted corner
-    # matrix read once; the memo under the solve would hide a repeat from
-    # every call count, so the events are logged where they happen
+    # once, each shifted corner matrix read once, and each (x + y, e, k)
+    # probed once, a membership query being asked only by such a probe; the
+    # direction makes no k_max_in_polymatroid search.  The memo under the
+    # solve would hide a repeat from every call count, so the events are
+    # logged where they happen
     events = []
-    direction, k_max_search, cell_init = (
-        polymatroid.direction_polymatroid, polymatroid.k_max_in_polymatroid,
-        polymatroid._Cell.__init__)
+    direction, cell_init = polymatroid.direction_polymatroid, polymatroid._Cell.__init__
+    probe, member = polymatroid._ExtensionRay.__missing__, polymatroid.PolymatroidOracle.member
     memo_batch = cardinality._PointMemo.eval_batch
 
     def logged_direction(*args):
         events.append(("direction",))
-        return direction(*args)
+        y = direction(*args)
+        events.append(("done",))
+        return y
 
-    def logged_k_max(P, anchor, e, hard_cap):
-        events.append(("k_max", np.asarray(anchor).tobytes(), e))
-        return k_max_search(P, anchor, e, hard_cap)
+    def logged_k_max(*args):
+        events.append(("k_max",))
+
+    def logged_probe(self, k):
+        events.append(("probe", self._b.tobytes(), self._e, k))
+        return probe(self, k)
+
+    def logged_member(self, x):
+        events.append(("member",))
+        return member(self, x)
 
     def logged_cell(self, f, x):
         events.append(("cell", np.asarray(x).tobytes()))
@@ -670,25 +682,36 @@ def test_direction_search_keeps_one_cell_and_search_per_point_and_element(monkey
 
     monkeypatch.setattr(polymatroid, "direction_polymatroid", logged_direction)
     monkeypatch.setattr(polymatroid, "k_max_in_polymatroid", logged_k_max)
+    monkeypatch.setattr(polymatroid._ExtensionRay, "__missing__", logged_probe)
+    monkeypatch.setattr(polymatroid.PolymatroidOracle, "member", logged_member)
     monkeypatch.setattr(polymatroid._Cell, "__init__", logged_cell)
     monkeypatch.setattr(cardinality._PointMemo, "eval_batch", logged_batch)
     rng = np.random.default_rng(7)
-    cells = 0
+    cells = probes = 0
     for make_f, make_P, config in _random_polymatroid_solves(rng, 40):
         events.clear()
         maximize_polymatroid(make_f(), make_P(), config)
-        for event in events:
-            if event[0] == "direction":
-                searched, made, read = set(), set(), set()
-            elif event[0] == "cell":
-                assert event not in made  # one cell per x + y in a direction
-                made.add(event)
-                read = set()
-                cells += 1
-            elif event[0] == "k_max":
-                assert event not in searched
-                searched.add(event)
-            else:
-                assert event not in read  # corners and each shifted matrix once
-                read.add(event)
-    assert cells > 40
+        assert ("k_max",) not in events
+        starts = [i for i, event in enumerate(events) if event == ("direction",)]
+        stops = [i for i, event in enumerate(events) if event == ("done",)]
+        assert len(starts) == len(stops) == config.inv_epsilon
+        for start, stop in zip(starts, stops):
+            span = events[start + 1:stop]
+            assert span[0] == ("member",)  # the check that x is in P
+            probed, made, read = set(), set(), set()
+            for before, event in zip(span, span[1:]):
+                if event[0] == "member":
+                    assert before[0] == "probe"
+                elif event[0] == "probe":
+                    assert event not in probed  # each (x + y, e, k) once
+                    probed.add(event)
+                    probes += 1
+                elif event[0] == "cell":
+                    assert event not in made  # one cell per x + y in a direction
+                    made.add(event)
+                    read = set()
+                    cells += 1
+                else:
+                    assert event not in read  # corners and each shifted matrix once
+                    read.add(event)
+    assert cells > 40 and probes > 40

@@ -1,4 +1,4 @@
-"""Derandomized properties of the three threshold greedies under the lazy skip.
+"""Derandomized properties of the four solvers' threshold sweep under the lazy skip.
 
 On generated DR instances (separable concave and budget allocation, n <= 6,
 caps <= 40) and, for the lattice rule, on the non-DR tables:
@@ -10,6 +10,11 @@ caps <= 40) and, for the lattice rule, on the non-DR tables:
   with every threshold and gain doubled: scaling by a power of two is exact
   in floats, so any drift in the threshold arithmetic or in the skip's
   margin would show.
+
+For the polymatroid solver (n <= 4, caps <= 3, uniform, partition or
+rank-table P) the solve equals the old direction loop's bit for bit, with no
+more oracle or membership calls, and f scaled by 2 gives the same points and
+the same counts of both.
 """
 
 import math
@@ -28,20 +33,23 @@ from latticemax.instances import (
     NON_DR_TABLES,
     make_budget_allocation,
     make_lattice_non_dr,
+    make_polymatroid,
     make_separable_concave,
 )
 from latticemax.knapsack import KnapsackInstance, greedy_knapsack
+from latticemax.polymatroid import maximize_polymatroid
 from test_cardinality import recording, reference_greedy_knapsack, reference_sweep
+from test_polymatroid import _old_maximize_polymatroid
 
 EPSILONS = [0.05, 0.1, 0.2, 0.3]
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 
 @st.composite
-def dr_oracles(draw):
-    """A factory of a separable-concave or budget-allocation oracle, n <= 6, caps <= 40."""
-    n = draw(st.integers(1, 6))
-    caps = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+def dr_oracles(draw, max_n=6, max_cap=40):
+    """A factory of a separable-concave or budget-allocation oracle, n <= max_n, caps <= max_cap."""
+    n = draw(st.integers(1, max_n))
+    caps = draw(st.lists(st.integers(1, max_cap), min_size=n, max_size=n))
     if draw(st.booleans()):
         coeffs = draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
         powers = draw(st.lists(st.sampled_from([0.3, 0.5, 0.7, 1.0]), min_size=n, max_size=n))
@@ -139,3 +147,57 @@ def test_greedy_knapsack_lazy_sweep_matches_reference(make, data, eps):
     assert f.calls <= 1 + n + levels * n * math.ceil(math.log2(max(caps) + 1))
     check_scaling(solve, make)
 
+
+@st.composite
+def polymatroids(draw, n):
+    """A factory of a uniform, partition or rank-table polymatroid on n elements."""
+    family = draw(st.sampled_from(["uniform", "partition", "rank_table"]))
+    if family == "uniform":
+        params = {"n": n, "per_element": draw(st.integers(1, 3)), "total": draw(st.integers(1, 2 * n))}
+    elif family == "partition":
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        parts = [p for p in ([e for e in range(n) if labels[e] == j] for j in range(n)) if p]
+        caps = draw(st.lists(st.integers(1, 3), min_size=len(parts), max_size=len(parts)))
+        params = {"parts": parts, "caps": caps, "n": n}
+    else:  # coverage of 3 items plus |S|: monotone, submodular, integral
+        covers = draw(st.lists(st.lists(st.booleans(), min_size=3, max_size=3),
+                               min_size=n, max_size=n))
+        table = [sum(any(covers[e][t] for e in range(n) if m >> e & 1) for t in range(3))
+                 + bin(m).count("1") for m in range(1 << n)]
+        params = {"n": n, "table": table}
+    return lambda: make_polymatroid(family, **params)
+
+
+@st.composite
+def polymatroid_solves(draw):
+    """(make f, make P, config): a DR oracle with n <= 4 and caps <= 3, P on its n elements."""
+    make_f = draw(dr_oracles(4, 3))
+    make_P = draw(polymatroids(make_f().n))
+    eps = draw(st.sampled_from([1 / 4, 1 / 3, 1 / 2]))
+    return make_f, make_P, SolverConfig(eps, draw(st.integers(0, 999)))
+
+
+def hexes(x):
+    return [v.hex() for v in x.tolist()]
+
+
+@given(polymatroid_solves())
+@PROPERTY
+def test_polymatroid_solve_matches_the_old_direction_loop(solve):
+    make_f, make_P, config = solve
+    f, P, ref_f, ref_P = make_f(), make_P(), make_f(), make_P()
+    x_int, x_frac = maximize_polymatroid(f, P, config)
+    ref_int, ref_frac = _old_maximize_polymatroid(ref_f, ref_P, config)
+    assert x_int.tolist() == ref_int.tolist() and hexes(x_frac) == hexes(ref_frac)
+    assert f.calls <= ref_f.calls and P.member_calls <= ref_P.member_calls
+
+
+@given(polymatroid_solves())
+@PROPERTY
+def test_polymatroid_solve_is_unchanged_by_doubling_f(solve):
+    make_f, make_P, config = solve
+    f, g, P, Q = make_f(), doubled(make_f)(), make_P(), make_P()
+    x_int, x_frac = maximize_polymatroid(f, P, config)
+    y_int, y_frac = maximize_polymatroid(g, Q, config)
+    assert y_int.tolist() == x_int.tolist() and hexes(y_frac) == hexes(x_frac)
+    assert g.calls == f.calls and Q.member_calls == P.member_calls
