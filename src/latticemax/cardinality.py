@@ -25,9 +25,12 @@ The sweep is lazy (CELF-style, Minoux 1978): each element keeps an upper
 bound on its average marginal gain, read from probes already made, and a
 visit whose bound is below its threshold is skipped.  The bisection's
 bound needs DR, which the bisection assumes anyway; the level rule's needs
-only lattice submodularity.  A skipped visit is one where the rule would
-take no step, so solutions and traces are those of the eager sweep, and
-calls only fall: every call bound below still holds.
+only lattice submodularity.  When ``f.meta["dr_submodular"]`` is true the
+lattice solver uses DR too: a new ray is bounded at once by f(e | y), read
+from g(k_cap) and g(1), the probes its scan starts with, and the bound is
+kept across steps.  A skipped visit is one where the rule would take no
+step, so solutions and traces are those of the eager sweep, and calls only
+fall: every call bound below still holds.
 """
 
 from __future__ import annotations
@@ -232,23 +235,19 @@ def _max_step_with_gain(
     return lo, gain_at_lo
 
 
-def _level_candidates(
-    val: Mapping[int, float], k_max: int, eps: float
-) -> Iterator[tuple[int, float]]:
-    """Yield (k, val[k]) lazily, one pair per geometric value level.
+def _first_positive(val: Mapping[int, float], k_max: int, dr: bool = False) -> int:
+    """The smallest k in 1..k_max with val[k] > 0, or 0 when val[k_max] <= 0 or k_max <= 0.
 
-    ``val`` maps k to a value non-decreasing on 0..k_max with val[0] = 0,
-    such as a ray of :meth:`_PointMemo.ray`; it must cache, since the scan
-    reads some k more than once.  Levels h sweep from val[k_max] down by
-    factors of (1 - eps) to (1 - eps) * val[k_min], where k_min is the
-    smallest k with positive value; for each level the smallest k with
-    val[k] >= h is yielded, unless the level before found the same k.
-    Nothing is yielded when k_max <= 0 or val[k_max] <= 0.  Only the k the
-    caller's iteration reaches are read.
+    ``val`` is non-decreasing on 0..k_max with val[0] = 0, as in
+    :func:`_level_candidates`.  val[k_max] is read first, then k is found by
+    bisection.  With ``dr`` (val has non-increasing increments, so
+    val[k_max] > 0 implies val[1] > 0) val[1] is read second and the
+    bisection runs only if it is not positive.
     """
     if k_max <= 0 or val[k_max] <= 0:
-        return
-    # smallest k with positive value; valid since val is non-decreasing
+        return 0
+    if dr and val[1] > 0:
+        return 1
     lo, hi = 1, k_max
     while lo < hi:
         mid = (lo + hi) // 2
@@ -256,8 +255,26 @@ def _level_candidates(
             hi = mid
         else:
             lo = mid + 1
-    k_min = lo
+    return lo
 
+
+def _level_candidates(
+    val: Mapping[int, float], k_max: int, eps: float, dr: bool = False
+) -> Iterator[tuple[int, float]]:
+    """Yield (k, val[k]) lazily, one pair per geometric value level.
+
+    ``val`` maps k to a value non-decreasing on 0..k_max with val[0] = 0,
+    such as a ray of :meth:`_PointMemo.ray`; it must cache, since the scan
+    reads some k more than once.  Levels h sweep from val[k_max] down by
+    factors of (1 - eps) to (1 - eps) * val[k_min], where k_min is the
+    smallest k with positive value (:func:`_first_positive`, given ``dr``);
+    for each level the smallest k with val[k] >= h is yielded, unless the
+    level before found the same k.  Nothing is yielded when k_max <= 0 or
+    val[k_max] <= 0.  Only the k the caller's iteration reaches are read.
+    """
+    k_min = _first_positive(val, k_max, dr)
+    if not k_min:
+        return
     found = None
     for level in threshold_schedule(val[k_max], (1.0 - eps) * val[k_min], eps):
         lo, hi = k_min, k_max
@@ -321,7 +338,7 @@ def _bisection_rule(ray: Mapping[int, float], k_max: int, eps: float) -> _Step:
     return lambda threshold: _max_step_with_gain(ray, k_max, threshold)
 
 
-def _level_rule(ray: Mapping[int, float], k_max: int, eps: float) -> _Step:
+def _level_rule(ray: Mapping[int, float], k_max: int, eps: float, dr: bool = False) -> _Step:
     """The lattice sweep's rule: the first level-set candidate that clears.
 
     The rule returns the first candidate (k, gain) of
@@ -330,7 +347,7 @@ def _level_rule(ray: Mapping[int, float], k_max: int, eps: float) -> _Step:
     threshold, so the scan runs once: the rule keeps the candidates it has
     read and resumes the scan only past them.
     """
-    scan = _level_candidates(ray, k_max, eps)
+    scan = _level_candidates(ray, k_max, eps, dr)
     seen: list[tuple[int, float]] = []
 
     def step(threshold: float) -> tuple[int, float]:
@@ -344,6 +361,16 @@ def _level_rule(ray: Mapping[int, float], k_max: int, eps: float) -> _Step:
         return 0, 0.0
 
     return step
+
+
+def _dr_level_rule(ray: Mapping[int, float], k_max: int, eps: float) -> _Step:
+    """The lattice sweep's rule for DR f: :func:`_level_rule` with k_min found as under DR.
+
+    Under DR, k_min is 1 whenever the ray is positive, so a positive g(1)
+    spares the scan its k_min bisection; candidates and steps are those of
+    :func:`_level_rule`.
+    """
+    return _level_rule(ray, k_max, eps, dr=True)
 
 
 # maps (ray of (y, e), the step e took from y or 0, eps) to a bound below
@@ -385,8 +412,39 @@ def _level_bound(ray: Mapping[int, float], k: int, eps: float) -> float | None:
     return bound / (1.0 - eps)
 
 
-# the bound each step rule's visits are skipped by (see _sweep)
-_BOUNDS: dict[Callable, _Bound] = {_bisection_rule: _bisection_bound, _level_rule: _level_bound}
+def _dr_level_bound(ray: Mapping[int, float], k: int, eps: float) -> float:
+    """:func:`_bisection_bound` / (1 - eps): the DR level rule's bound across steps.
+
+    Under DR every f(k' e | y') / k' with y' >= y is at most f(e | y), so at
+    most the bisection's bound, and the level rule steps only where
+    f(k' e | y') / k' >= (1 - eps) * threshold.  f(e | y + k e) bounds the
+    visits after e's own step, so the bound is kept then too.
+    """
+    return _bisection_bound(ray, k, eps) / (1.0 - eps)
+
+
+def _dr_ray_bound(ray: Mapping[int, float], k_max: int, eps: float) -> float:
+    """g(k_min) / (1 - eps) for a new ray, 0.0 when g(k_max) <= 0; the scan's own first reads.
+
+    g(k) = f(k e | y) has non-increasing increments under DR, so
+    g(k) / k <= g(k_min) for every k >= k_min and g(k) <= 0 below it, and
+    the level rule steps only where g(k) / k >= (1 - eps) * threshold.
+    k_min comes from ``_first_positive(dr=True)``: g(k_max), then g(1), and
+    only when g(1) <= 0 (which DR excludes) the scan's bisection, so the
+    rule that follows reads these probes from the ray at no cost.
+    """
+    k_min = _first_positive(ray, k_max, dr=True)
+    return ray[k_min] / (1.0 - eps) if k_min else 0.0
+
+
+# the bounds each step rule's visits are skipped by (see _sweep): one folded
+# in just before an accepted step drops the rays, and one read from a new
+# ray (ray, k_cap, eps), or None
+_BOUNDS: dict[Callable, tuple[_Bound, Callable | None]] = {
+    _bisection_rule: (_bisection_bound, None),
+    _level_rule: (_level_bound, None),
+    _dr_level_rule: (_dr_level_bound, _dr_ray_bound),
+}
 
 # a visit is skipped only if its bound is below the threshold by this share
 # of max(|f(y)|, threshold), far above float rounding in the gains; the
@@ -442,18 +500,23 @@ def _sweep(
     each ray gives e a bound from the probes it holds, :func:`_bisection_bound`
     (needs DR, as the bisection does) or :func:`_level_bound` (needs only
     lattice submodularity), and e keeps the least bound it has been given.
+    A rule may also bound a ray as soon as it is made (only
+    :func:`_dr_level_rule` does, by :func:`_dr_ray_bound`); the new ray's
+    visit is then tested at once, and a skipped ray is never scanned.  Under
+    DR its reads are the first ones its scan would make, so they add no call.
     A visit whose bound is below scale_e * level by the margin
     :data:`SKIP_MARGIN` is skipped: the rule would take no step there, so
     the skip changes no step and no trace entry, only ``trace.skipped``,
     and probes and calls only fall.  The margin's f(y) is the stepped ray's
-    ``value(k)``, a value its probe read.
+    ``value(k)``, a value its probe read; before the first step only a
+    new-ray bound can be tested, and that rule's sweep starts at f(0) = 0.
     """
     trace = GreedyTrace()
     rays: dict[int, Mapping[int, float]] = {}
     searches: dict[int, _Step] = {}
-    bound_of = _BOUNDS[rule]
+    bound_of, ray_bound = _BOUNDS[rule]
     bounds: dict[int, float] = {}
-    f_y = 0.0  # f(y), read after each accepted step; bounds exist only after one
+    f_y = 0.0  # f(y), read after each accepted step; 0.0 is f(0), where a new-ray bound starts
     for threshold in levels:
         for e in range(len(room)):
             k_cap = room[e] if reject else min(room[e], limit - spent)
@@ -466,9 +529,16 @@ def _sweep(
                 continue
             search = searches.get(e)
             if search is None:
-                if e not in rays:
-                    rays[e] = ray_of(y, e)
-                search = searches[e] = rule(rays[e], k_cap, eps)
+                ray = rays.get(e)
+                if ray is None:
+                    ray = rays[e] = ray_of(y, e)
+                    if ray_bound is not None:
+                        fresh = ray_bound(ray, k_cap, eps)
+                        bound = bounds[e] = fresh if bound is None else min(bound, fresh)
+                        if bound < bar - SKIP_MARGIN * max(abs(f_y), bar):
+                            trace.skipped += 1
+                            continue
+                search = searches[e] = rule(ray, k_cap, eps)
             k, gain = search(bar)
             if k < 1:
                 continue
@@ -555,5 +625,17 @@ def maximize_lattice_cardinality(
     an earlier y with the same y_e bound every f(k e | y) / k below
     (1 - eps) * threshold; that needs only lattice submodularity, and
     calls only fall.
+
+    When ``f.meta["dr_submodular"]`` is true (the built-in families, a
+    lattice table that passes its exhaustive DR check, and the harness's
+    views of either) the rule is :func:`_dr_level_rule`: the same scan,
+    which reads g(1) = f(e | y) right after g(k_cap) and then needs no
+    bisection for k_min.  Every new ray gets the bound g(k_min) / (1 - eps)
+    at once, before its scan runs, and keeps it across steps, since under
+    DR f(e | y) bounds f(k e | y') / k for every y' >= y.  The steps,
+    solution and trace are unchanged, and calls only fall: a solve reads
+    only points the scan without the bound reads, unless f's floats break
+    DR.  ``meta`` is trusted, not checked.
     """
-    return _cardinality_greedy(f, constraint, config, min, _level_rule)
+    rule = _dr_level_rule if f.meta.get("dr_submodular") else _level_rule
+    return _cardinality_greedy(f, constraint, config, min, rule)

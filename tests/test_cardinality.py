@@ -318,14 +318,14 @@ def test_maximize_lattice_cardinality_top_threshold_is_feasible():
 
 
 def recording(base: ValueOracle) -> tuple[ValueOracle, list]:
-    """An oracle equal to ``base`` that logs every point it evaluates."""
+    """An oracle equal to ``base``, with its ``meta``, that logs every point it evaluates."""
     points: list[bytes] = []
 
     def fn(x):
         points.append(np.asarray(x, dtype=np.int64).tobytes())
         return base.eval(x)
 
-    f = ValueOracle(fn, base.box)
+    f = ValueOracle(fn, base.box, meta=base.meta)
     points.clear()  # drop the constructor's f(0) check
     return f, points
 
@@ -392,10 +392,8 @@ def reference_max_step_with_gain(f, y, e, k_max, threshold, log=None):
     return lo, gain_at_lo
 
 
-def reference_binary_search_lattice(g, e, theta, k_max, epsilon, log=None):
-    """The level-set search; ``log``, when given, is its memo of the probes k -> g(k e)."""
-    if k_max == 0:
-        return None
+def memo_along(g, e, log=None):
+    """k -> g(k e), each k evaluated once; ``log``, when given, is the memo."""
     step = unit(g.n, e)
     memo = {} if log is None else log
 
@@ -404,8 +402,15 @@ def reference_binary_search_lattice(g, e, theta, k_max, epsilon, log=None):
             memo[k] = g.eval(k * step)
         return memo[k]
 
+    return val
+
+
+def reference_k_min(val, k_max, dr=False):
+    """The smallest k with val(k) > 0, None if val(k_max) <= 0; ``dr`` tries k = 1 first."""
     if val(k_max) <= 0:
         return None
+    if dr and val(1) > 0:
+        return 1
     lo, hi = 1, k_max
     while lo < hi:
         mid = (lo + hi) // 2
@@ -413,7 +418,21 @@ def reference_binary_search_lattice(g, e, theta, k_max, epsilon, log=None):
             hi = mid
         else:
             lo = mid + 1
-    k_min = lo
+    return lo
+
+
+def reference_binary_search_lattice(g, e, theta, k_max, epsilon, log=None, dr=False):
+    """The level-set search; ``log``, when given, is its memo of the probes k -> g(k e).
+
+    ``dr`` finds k_min as the DR lattice sweep does: g(1) first, the
+    bisection only if it is not positive.
+    """
+    if k_max == 0:
+        return None
+    val = memo_along(g, e, log)
+    k_min = reference_k_min(val, k_max, dr)
+    if k_min is None:
+        return None
     g_min, g_max = val(k_min), val(k_max)
     for level in threshold_schedule(g_max, (1.0 - epsilon) * g_min, epsilon):
         lo, hi = k_min, k_max
@@ -437,16 +456,17 @@ def lazy_skip(bounds, e, bar, f_y):
     return e in bounds and bounds[e] < bar - 1e-9 * max(abs(f_y), bar)
 
 
-def lazy_bounds_before_step(bounds, probes, e, k, lattice, eps):
+def lazy_bounds_before_step(bounds, probes, e, k, lattice, eps, dr=False):
     """Fold the probes made at y into ``bounds`` as a step of k along e leaves y.
 
     ``probes[e']`` maps each k' probed along e' at y to f(k' e' | y).  DR:
     the gain at the smallest probed k', and for e also f(e | y + k e) from
-    the probe at k + 1.  Lattice: max_i g(k_i) / (k_{i-1} + 1) over the
+    the probe at k + 1; the lattice sweep on DR f (``dr``) divides it by
+    1 - eps.  Lattice otherwise: max_i g(k_i) / (k_{i-1} + 1) over the
     probed k_i, over 1 - eps; e's own bound is dropped.
     """
     for e2, gains in probes.items():
-        if lattice:
+        if lattice and not dr:
             if e2 == e:
                 bounds.pop(e2, None)
                 continue
@@ -456,11 +476,18 @@ def lazy_bounds_before_step(bounds, probes, e, k, lattice, eps):
             new = gains[min(gains)]
             if e2 == e and k + 1 in gains:
                 new = min(new, gains[k + 1] - gains[k])
+            if lattice:
+                new /= 1.0 - eps
         bounds[e2] = min(new, bounds.get(e2, new))
 
 
 def reference_sweep(f, constraint, config, lattice, skip=False):
-    """The cardinality sweep as it was before the memo; ``skip`` adds the lazy bounds."""
+    """The cardinality sweep as it was before the memo; ``skip`` adds the lazy bounds.
+
+    With ``skip``, the lattice sweep on an f whose ``meta`` says DR gives e
+    a bound as soon as it first probes at y: g(k_min) / (1 - eps), k_min
+    found from g(k_cap) and g(1), and 0 when g(k_cap) <= 0.
+    """
     cap = constraint.cap_vector()
     eps = config.effective
     r = constraint.budget
@@ -472,7 +499,8 @@ def reference_sweep(f, constraint, config, lattice, skip=False):
     d = max((f.eval(unit(f.n, e, probe(e))) for e in range(f.n) if cap[e] >= 1), default=0.0)
     if d <= 0:
         return y, steps
-    bounds, probes, f_y = {}, {}, None
+    dr = skip and lattice and bool(f.meta.get("dr_submodular"))
+    bounds, probes, f_y = {}, {}, 0.0
     for threshold in threshold_schedule(d, (eps / r) * d, eps):
         for e in range(f.n):
             k_cap = min(int(cap[e] - y[e]), r - total(y))
@@ -480,17 +508,25 @@ def reference_sweep(f, constraint, config, lattice, skip=False):
                 continue
             if skip and lazy_skip(bounds, e, threshold, f_y):
                 continue
+            fresh = e not in probes
             log = probes.setdefault(e, {})
             if lattice:
                 view = f.shifted(y)
-                k = reference_binary_search_lattice(view, e, threshold, k_cap, eps, log)
+                if dr and fresh:
+                    val = memo_along(view, e, log)
+                    k_min = reference_k_min(val, k_cap, dr=True)
+                    new = 0.0 if k_min is None else val(k_min) / (1.0 - eps)
+                    bounds[e] = min(new, bounds.get(e, new))
+                    if lazy_skip(bounds, e, threshold, f_y):
+                        continue
+                k = reference_binary_search_lattice(view, e, threshold, k_cap, eps, log, dr)
                 if k is None:
                     continue
                 gain = view.eval(unit(f.n, e, k))
             else:
                 k, gain = reference_max_step_with_gain(f, y, e, k_cap, threshold, log)
             if k >= 1:
-                lazy_bounds_before_step(bounds, probes, e, k, lattice, eps)
+                lazy_bounds_before_step(bounds, probes, e, k, lattice, eps, dr)
                 probes.clear()
                 y[e] += k
                 f_y = f.eval(y) if skip else None
@@ -742,7 +778,8 @@ def test_ray_on_a_bad_y_raises_before_any_call(y):
 def test_lattice_sweep_scans_each_ray_once(monkeypatch):
     # level-set candidates do not depend on the threshold, so a (y, e) pair
     # runs its scan once however many levels visit it; no call count shows
-    # this, since the ray absorbs repeated probes
+    # this, since the ray absorbs repeated probes.  On DR f a ray whose
+    # first bound skips every visit is never scanned
     counts = {"rays": 0, "scans": 0}
 
     def counted(name, wrapped):
@@ -755,8 +792,34 @@ def test_lattice_sweep_scans_each_ray_once(monkeypatch):
     monkeypatch.setattr(cardinality, "_level_candidates", counted("scans", cardinality._level_candidates))
     for make, caps, r in equivalence_instances():
         counts.update(rays=0, scans=0)
-        maximize_lattice_cardinality(make(), CardinalityConstraint(caps, r), SolverConfig(0.1))
-        assert counts["scans"] == counts["rays"] > 0
+        f = make()
+        maximize_lattice_cardinality(f, CardinalityConstraint(caps, r), SolverConfig(0.1))
+        if f.meta["dr_submodular"]:
+            assert 0 < counts["scans"] <= counts["rays"]
+        else:
+            assert counts["scans"] == counts["rays"] > 0
+
+
+def test_lattice_sweep_on_dr_meta_only_saves_calls():
+    # the DR bound of each new ray changes no point and no step, and calls
+    # only fall; at query scale they fall in total
+    def solve(f, caps, r):
+        return maximize_lattice_cardinality(f, CardinalityConstraint(caps, r), SolverConfig(0.1))
+
+    saved = {}
+    for name, cases in (("equivalence", equivalence_instances()), ("query", query_scale_instances())):
+        saved[name] = 0
+        for make, caps, r in cases:
+            f, built = make(), make()
+            if not f.meta["dr_submodular"]:
+                continue
+            bare = ValueOracle(built._fn, built.box, built._batch_fn)  # no meta
+            y, trace = solve(f, caps, r)
+            bare_y, bare_trace = solve(bare, caps, r)
+            assert y.tolist() == bare_y.tolist() and trace.steps == bare_trace.steps
+            assert f.calls <= bare.calls
+            saved[name] += bare.calls - f.calls
+    assert saved["query"] > 0
 
 
 def test_every_greedy_makes_one_ray_per_point_and_element(monkeypatch):

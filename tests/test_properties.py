@@ -11,6 +11,9 @@ caps <= 40) and, for the lattice rule, on the non-DR tables:
   in floats, so any drift in the threshold arithmetic or in the skip's
   margin would show.
 
+Every oracle a property builds keeps the ``meta`` of the one it copies, so
+the lattice rule runs its DR form on the DR instances.
+
 For the polymatroid solver (n <= 4, caps <= 3, uniform, partition or
 rank-table P) the solve equals the old direction loop's bit for bit, with no
 more oracle or membership calls, and f scaled by 2 gives the same points and
@@ -66,10 +69,10 @@ def non_dr_oracles():
 
 
 def doubled(make):
-    """A factory of the oracle 2 f, f from ``make``."""
+    """A factory of the oracle 2 f, with f's ``meta``, f from ``make``."""
     def make_doubled():
         g = make()
-        return ValueOracle(lambda x: 2.0 * g.eval(x), g.box)
+        return ValueOracle(lambda x: 2.0 * g.eval(x), g.box, meta=g.meta)
     return make_doubled
 
 
