@@ -89,6 +89,8 @@ class CardinalityConstraint:
     def __post_init__(self):
         cap = as_lattice_point(np.array(self.cap, dtype=np.int64))
         object.__setattr__(self, "cap", tuple(int(v) for v in cap))
+        if isinstance(self.budget, bool) or not isinstance(self.budget, (int, np.integer)):
+            raise ValueError(f"budget must be an integer, got {self.budget!r}")
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
 
@@ -157,22 +159,20 @@ class _PointMemo:
 
     A miss goes through ``f.eval`` (or ``f.eval_batch``, or, for a probe
     of a :class:`_Ray`, ``f.eval_along``), so validation and call counting
-    are those of the oracle; a hit costs no call.  Each solve
-    creates its own memo and drops it on return; ``n``, ``box``, ``eval``
-    and ``eval_batch`` let a memo stand in for f, so one knapsack solve
-    shares it across its phases and one polymatroid solve across its
-    directions.  The two paths keep separate values, since ``fn`` and
-    ``batch_fn`` need not agree bit for bit: a point read by one is never
-    answered by the other.  Points must be int64 vectors, as all solver
-    iterates are.  :meth:`ray` makes the rays the greedies' sweeps read.
+    are those of the oracle; a hit costs no call.  All three paths read and
+    fill one table, so a point is read from f at most once per solve.  Each
+    solve creates its own memo and drops it on return; ``n``, ``box``,
+    ``eval`` and ``eval_batch`` let a memo stand in for f, so one knapsack
+    solve shares it across its phases and one polymatroid solve across its
+    directions.  Points must be int64 vectors, as all solver iterates are.
+    :meth:`ray` makes the rays the greedies' sweeps read.
     """
 
-    __slots__ = ("_f", "_values", "_batch_values", "n", "box")
+    __slots__ = ("_f", "_values", "n", "box")
 
     def __init__(self, f: ValueOracle):
         self._f = f
         self._values: dict[bytes, float] = {}
-        self._batch_values: dict[bytes, float] = {}
         self.n, self.box = f.n, f.box
 
     def __call__(self, x: np.ndarray) -> float:
@@ -195,7 +195,7 @@ class _PointMemo:
         rows costs k calls, and a batch of hits makes no call at all.
         """
         keys = [row.tobytes() for row in X]
-        values = self._batch_values
+        values = self._values
         new: dict[bytes, int] = {}  # each new key -> the row it first appears in
         for i, key in enumerate(keys):
             if key not in values:

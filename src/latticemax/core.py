@@ -70,6 +70,8 @@ def as_fractional_point(x, n: int | None = None) -> np.ndarray:
         raise ValueError(f"point must be 1-dimensional, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"expected dimension {n}, got {arr.shape[0]}")
+    if not np.isfinite(arr).all():
+        raise ValueError("point entries must be finite")
     if np.any(arr < 0):
         raise ValueError("point entries must be non-negative")
     return arr
@@ -151,11 +153,10 @@ class ValueOracle:
     """Black-box access to f: [0, c] -> R+ with f(0) = 0.
 
     Args:
-        fn: evaluation function taking an int64 vector and returning a float.
+        fn: evaluation function taking an int64 vector and returning a float;
+            ``eval``, ``eval_along`` and ``eval_batch`` (row by row) all call
+            it, so each point has one value.
         box: per-coordinate cap c (non-negative integers).
-        batch_fn: optional vectorized evaluation taking an (m, n) matrix and
-            returning m values; ``eval_batch`` uses it (property-check tables,
-            extension cell sums).
         meta: free-form metadata attached by instance constructors.
         counter: shared call counter; views pass their parent's counter so
             the total evaluation count is preserved.
@@ -178,12 +179,10 @@ class ValueOracle:
         self,
         fn: Callable[[np.ndarray], float],
         box,
-        batch_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         meta: Mapping | None = None,
         counter: CallCounter | None = None,
     ):
         self._fn = fn
-        self._batch_fn = batch_fn
         self.box = as_lattice_point(box)
         self.box.flags.writeable = False
         # the box as Python ints: _validate compares each point in one pass
@@ -231,7 +230,10 @@ class ValueOracle:
         return float(self._fn(x))
 
     def eval_batch(self, X) -> np.ndarray:
-        """Evaluate m points given as an (m, n) matrix; counts m calls."""
+        """Evaluate m points given as an (m, n) matrix; counts m calls.
+
+        Each row goes through ``fn``, so it gets the float ``eval`` returns.
+        """
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(f"expected an (m, {self.n}) matrix, got shape {X.shape}")
@@ -240,11 +242,6 @@ class ValueOracle:
         if np.any(X < 0) or np.any(X > self.box[None, :]):
             raise ValueError("batch contains points outside the box")
         self._counter.add(int(X.shape[0]))
-        if self._batch_fn is not None:
-            out = np.asarray(self._batch_fn(X), dtype=np.float64)
-            if out.shape != (X.shape[0],):
-                raise RuntimeError("batch evaluation returned wrong shape")
-            return out
         return np.array([float(self._fn(row)) for row in X], dtype=np.float64)
 
     def shifted(self, y) -> "ValueOracle":
@@ -257,10 +254,7 @@ class ValueOracle:
         self._validate(y)
         base = self.eval(y)
         fn = lambda x: float(self._fn(x + y)) - base
-        batch = None
-        if self._batch_fn is not None:
-            batch = lambda X: np.asarray(self._batch_fn(X + y[None, :])) - base
-        return ValueOracle(fn, self.box - y, batch_fn=batch, counter=self._counter)
+        return ValueOracle(fn, self.box - y, counter=self._counter)
 
 
 @dataclass(frozen=True)

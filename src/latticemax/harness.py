@@ -405,7 +405,7 @@ class _RunCache:
 
     def oracle(self, entry: InstanceEntry) -> ValueOracle:
         built = self._built(entry)
-        return ValueOracle(built._fn, built.box, built._batch_fn, built.meta)
+        return ValueOracle(built._fn, built.box, built.meta)
 
     def optimum(self, entry: InstanceEntry) -> ExactResult:
         built = self._built(entry)

@@ -19,7 +19,7 @@ from .polymatroid import PolymatroidOracle
 def make_separable_concave(coeffs, powers, cap) -> ValueOracle:
     """f(x) = sum_e a_e * min(x(e), c(e))^{p_e}, with finite a >= 0 and p in (0, 1].
 
-    Monotone and DR-submodular (separable with concave pieces).  The scalar
+    Monotone and DR-submodular (separable with concave pieces).  The
     evaluation skips each e with x(e) = 0: its term a_e * 0^{p_e} is +0.0,
     and a sum started at 0.0 is unchanged by adding +0.0, so skipping it
     leaves every value the same bit for bit.
@@ -46,22 +46,8 @@ def make_separable_concave(coeffs, powers, cap) -> ValueOracle:
                 tot += ai * min(xi, ci) ** pi
         return tot
 
-    def batch(X):
-        Z = np.minimum(X, c[None, :]).astype(np.float64)
-        out = np.zeros(X.shape[0])
-        for i in range(len(coeff)):
-            col = Z[:, i]
-            if power[i] == 1.0:
-                v = col
-            elif power[i] == 0.5:
-                v = np.sqrt(col)
-            else:
-                v = col ** power[i]
-            out += coeff[i] * v
-        return out
-
     meta = {"family": "separable_concave", "dr_submodular": True}
-    return ValueOracle(fn, c, batch_fn=batch, meta=meta)
+    return ValueOracle(fn, c, meta=meta)
 
 
 def make_budget_allocation(edges, cap) -> ValueOracle:
@@ -74,9 +60,9 @@ def make_budget_allocation(edges, cap) -> ValueOracle:
         f(x) = sum_t (1 - prod_{s} (1 - q_st)^{x(s)}).
 
     Monotone and DR-submodular.  Marginals are accumulated per target, so
-    one evaluation costs O(#edges).  The scalar evaluation skips each
-    source with x(s) = 0: its factor (1 - q)^0 is 1.0, so skipping it
-    leaves every value the same bit for bit.
+    one evaluation costs O(#edges).  The evaluation skips each source
+    with x(s) = 0: its factor (1 - q)^0 is 1.0, so skipping it leaves
+    every value the same bit for bit.
     """
     c = np.asarray(cap, dtype=np.int64)
     n = c.shape[0]
@@ -96,10 +82,6 @@ def make_budget_allocation(edges, cap) -> ValueOracle:
         by_target.setdefault(t, []).append((s, 1.0 - q))
     # per target, its (source, 1 - q) pairs as Python ints and floats
     pairs = [lst for _, lst in sorted(by_target.items())]
-    groups = [
-        (np.array([s for s, _ in lst]), np.array([om for _, om in lst]))
-        for lst in pairs
-    ]
 
     def fn(x):
         x = x.tolist()
@@ -113,14 +95,8 @@ def make_budget_allocation(edges, cap) -> ValueOracle:
             tot += 1.0 - prod
         return tot
 
-    def batch(X):
-        out = np.zeros(X.shape[0])
-        for srcs, omq in groups:
-            out += 1.0 - np.prod(omq[None, :] ** X[:, srcs], axis=1)
-        return out
-
-    meta = {"family": "budget_allocation", "dr_submodular": True, "targets": len(groups)}
-    return ValueOracle(fn, c, batch_fn=batch, meta=meta)
+    meta = {"family": "budget_allocation", "dr_submodular": True, "targets": len(pairs)}
+    return ValueOracle(fn, c, meta=meta)
 
 
 def make_lattice_non_dr(table) -> ValueOracle:
@@ -145,10 +121,7 @@ def make_lattice_non_dr(table) -> ValueOracle:
     def fn(x):
         return float(arr[tuple(int(v) for v in x)])
 
-    def batch(X):
-        return arr[tuple(X.T)]
-
-    checked = ValueOracle(fn, box, batch_fn=batch)
+    checked = ValueOracle(fn, box)
     for kind in ("monotone", "lattice_submodular"):
         report = check_property_exhaustive(checked, kind)
         if not report.passed:
@@ -158,7 +131,7 @@ def make_lattice_non_dr(table) -> ValueOracle:
             )
     dr = check_property_exhaustive(checked, "dr_submodular").passed
     meta = {"family": "lattice_table", "dr_submodular": dr, "strictly_non_dr": not dr}
-    return ValueOracle(fn, box, batch_fn=batch, meta=meta)
+    return ValueOracle(fn, box, meta=meta)
 
 
 def _separable_convex_table(g, n: int) -> np.ndarray:

@@ -228,6 +228,7 @@ def binary_search_polymatroid(f: ValueOracle, x, e: int, theta: float, k_max: in
     coordinates in x; f(z) is read once).  It stays as the tracer's span
     and the tests' entry to ``_Cell``, which it makes only if it probes.
     """
+    x = as_fractional_point(x, f.n)
     if not 0 <= e < f.n:
         raise ValueError(f"element {e} out of range for ground set of size {f.n}")
     ray = _ExtensionRay(functools.cache(functools.partial(_Cell, f, x)), None, x, e)

@@ -286,6 +286,20 @@ def test_constraint_validation():
     assert not cst.is_feasible(np.array([3, 0]))
 
 
+@pytest.mark.parametrize("budget", [2.5, 2.0, math.nan, math.inf, True])
+def test_constraint_rejects_a_non_integer_budget(budget):
+    # a budget of 2.5 made the bisection probe mid = 2.0 forever; a NaN or
+    # infinite one gave a level floor the threshold schedule never reaches
+    with pytest.raises(ValueError, match=re.escape(f"budget must be an integer, got {budget!r}")):
+        CardinalityConstraint((3, 3), budget)
+
+
+def test_constraint_accepts_numpy_integer_budgets():
+    for budget in (np.int64(3), np.int32(3), np.uint8(3)):
+        cst = CardinalityConstraint((3, 3), budget)
+        assert cst.is_feasible(np.array([2, 1])) and not cst.is_feasible(np.array([2, 2]))
+
+
 @given(st.integers(min_value=0, max_value=40), st.floats(min_value=0.05, max_value=0.9))
 @settings(max_examples=80, deadline=None)
 def test_max_step_dr_prefix_property(cap, theta):
@@ -359,6 +373,10 @@ def test_solvers_evaluate_no_point_twice(make, whole_knapsack):
     ]
     if whole_knapsack:
         solves.append(lambda f, r: maximize_knapsack(f, knapsack(r), SolverConfig(0.1)))
+    # the polymatroid solve reads f(e) by eval and again as a cell corner
+    # by eval_batch, through one memo value
+    solves.append(lambda f, r: maximize_polymatroid(f, uniform_polymatroid(f.n, 2, r),
+                                                    SolverConfig(1 / 3)))
     for solve in solves:
         for r in (1, 3, sum(caps)):
             f, points = recording(base)
@@ -813,7 +831,7 @@ def test_lattice_sweep_on_dr_meta_only_saves_calls():
             f, built = make(), make()
             if not f.meta["dr_submodular"]:
                 continue
-            bare = ValueOracle(built._fn, built.box, built._batch_fn)  # no meta
+            bare = ValueOracle(built._fn, built.box)  # no meta
             y, trace = solve(f, caps, r)
             bare_y, bare_trace = solve(bare, caps, r)
             assert y.tolist() == bare_y.tolist() and trace.steps == bare_trace.steps
@@ -890,13 +908,11 @@ def test_point_memo_batch_sends_each_new_row_once():
 
 
 def test_point_memo_batch_rejects_an_out_of_box_row_at_no_cost():
-    sent = []
-
-    def batch(X):
-        sent.append(X.tolist())
-        return X.sum(axis=1)
-
-    f = ValueOracle(lambda x: float(x.sum()), np.array([2, 2]), batch_fn=batch)
+    sent, batches = [], []
+    f = ValueOracle(lambda x: sent.append(x.tolist()) or float(x.sum()), np.array([2, 2]))
+    sent.clear()  # the f(0) check at construction
+    eval_batch = f.eval_batch
+    f.eval_batch = lambda X: batches.append(len(X)) or eval_batch(X)
     memo = cardinality._PointMemo(f)
     memo.eval_batch(np.array([[1, 1]]))
     with pytest.raises(ValueError):
@@ -907,21 +923,23 @@ def test_point_memo_batch_rejects_an_out_of_box_row_at_no_cost():
     got = memo.eval_batch(np.array([[2, 0], [1, 1], [0, 1], [2, 0], [0, 1]]))
     assert got.tolist() == [2, 2, 1, 2, 1]
     assert f.calls == 3
-    assert sent == [[[1, 1]], [[2, 0], [0, 1]]]
+    assert sent == [[1, 1], [2, 0], [0, 1]]
+    assert batches == [1, 2, 2]  # the rejected batch sent its 2 new rows, and raised
 
 
-def test_point_memo_keeps_scalar_and_batch_values_apart():
-    # fn and batch_fn disagree on purpose: neither path may answer the other
-    f = ValueOracle(lambda x: float(x.sum()), np.array([3, 3]),
-                    batch_fn=lambda X: X.sum(axis=1) + 0.5)
+def test_point_memo_answers_each_point_once_across_its_paths():
+    # scalar reads, batch rows and ray probes share one value per point
+    f = ValueOracle(lambda x: float(x.sum()), np.array([3, 3]))
     memo = cardinality._PointMemo(f)
-    x = np.array([1, 2])
+    x, y = np.array([1, 2]), np.array([2, 2])
     assert memo.eval(x) == 3.0
-    assert memo.eval_batch(x[None, :]).tolist() == [3.5]
-    assert f.calls == 2
-    y = np.array([2, 2])
-    assert memo.eval_batch(y[None, :]).tolist() == [4.5]
+    assert memo.eval_batch(np.stack([x, x])).tolist() == [3.0, 3.0]
+    assert f.calls == 1
+    assert memo.eval_batch(y[None, :]).tolist() == [4.0]
     assert memo.eval(y) == 4.0
-    assert f.calls == 4
-    assert memo.eval(x) == 3.0 and memo.eval_batch(np.stack([x, y])).tolist() == [3.5, 4.5]
-    assert f.calls == 4
+    assert f.calls == 2
+    ray = memo.ray(x, 0)  # f(x) is a hit
+    assert ray[1] == 1.0 and ray[2] == 2.0  # x + e_0 == y is a hit too
+    assert f.calls == 3
+    assert memo.eval_batch(np.array([[3, 2], [2, 2], [1, 2]])).tolist() == [5.0, 4.0, 3.0]
+    assert f.calls == 3

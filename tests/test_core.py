@@ -382,7 +382,6 @@ def table_oracle(table):
     return lambda: ValueOracle(
         lambda x: float(table[tuple(int(v) for v in x)]),
         np.array(table.shape, dtype=np.int64) - 1,
-        batch_fn=lambda X: table[tuple(X.T)],
     )
 
 

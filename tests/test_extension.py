@@ -44,6 +44,23 @@ def test_split_point_snaps_and_validates():
         split_point(f, np.array([-0.5, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fractional_entry_points_reject_non_finite_points(bad):
+    # a NaN entry used to be cast to an int64 floor with numpy's "invalid
+    # value" warning and then reported as a point outside the box
+    f = ValueOracle(lambda x: float(sum(x)), np.array([2, 2]))
+    x = [bad, 0.0]
+    for call in (
+        lambda: split_point(f, x),
+        lambda: extension_exact(f, x),
+        lambda: sample_rounding(f, x, 4, np.random.default_rng(0)),
+        lambda: _marginal_estimate(f, np.array([1, 0]), x),
+    ):
+        with pytest.raises(ValueError, match="point entries must be finite"):
+            call()
+    assert f.calls == 0
+
+
 def test_extension_exact_integral_equals_f():
     f = make_separable_concave([1.0, 2.0], [0.5, 1.0], [3, 2])
     for pt in itertools.product(range(4), range(3)):
@@ -147,7 +164,6 @@ def random_monotone_table(rng, box):
     return ValueOracle(
         lambda x: float(table[tuple(int(v) for v in x)]),
         np.asarray(box, dtype=np.int64),
-        batch_fn=lambda X: table[tuple(X.T)],
     )
 
 

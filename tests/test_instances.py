@@ -27,12 +27,19 @@ def test_separable_concave_values():
     assert f.meta["dr_submodular"] is True
 
 
-def test_separable_concave_batch_matches_scalar():
+def test_every_family_batch_matches_scalar_exactly():
+    # eval_batch reads each row through fn, so a row gets the float eval
+    # returns, to the last bit: a solve's memo holds one value per point
     f = make_separable_concave([1.5, 0.7, 0.2], [0.5, 0.3, 1.0], [3, 2, 4])
-    pts = np.array(list(itertools.product(range(4), range(3), range(5))))
-    batch = f.eval_batch(pts)
-    for row, v in zip(pts, batch):
-        assert v == pytest.approx(f.eval(row))
+    cases = [(f, np.array(list(itertools.product(range(4), range(3), range(5)))))]
+    cases += [(make_lattice_non_dr(t), np.argwhere(np.ones(t.shape))) for t in NON_DR_TABLES.values()]
+    rng = np.random.default_rng(76)
+    for seed in range(40):
+        n = int(rng.integers(1, 7))
+        for f in (random_separable_concave(seed, n, 8), random_budget_allocation(seed, n, 4, 8)):
+            cases.append((f, rng.integers(0, f.box + 1, size=(50, n))))
+    for f, pts in cases:
+        assert f.eval_batch(pts).tolist() == [f.eval(row) for row in pts]
 
 
 def test_separable_concave_validation():

@@ -391,134 +391,152 @@ def test_maximize_polymatroid_checks_the_cap_before_any_call():
     assert P.member_calls == 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_polymatroid_entry_points_reject_non_finite_points(bad):
+    f = make_separable_concave([1.0, 1.0], [0.5, 0.5], [2, 2])
+    P = uniform_polymatroid(2, 2, 3)
+    x = np.array([bad, 0.0])
+    for call in (
+        lambda: binary_search_polymatroid(f, x, 0, 0.1, 1),
+        lambda: direction_polymatroid(f, x, P, 1 / 3, 4),
+        lambda: rounding_state(x, P),
+        lambda: round_polymatroid(x, P, 0),
+    ):
+        with pytest.raises(ValueError, match="point entries must be finite"):
+            call()
+    assert f.calls == 0 and P.member_calls == 0
+
+
 # maximize_polymatroid results recorded before the sampled marginal path
 # was deleted: (oracle family, params), (polymatroid family, params),
 # epsilon, seed, then the integral point, the fractional point, f.calls and
 # P.member_calls.  The two counts were recorded again, lower, once a solve
-# kept one point memo and one ray per (x + y, e), and again once the
-# direction search ran on the threshold sweep with membership read as a
-# probe of the ray; the points did not move.  Every family/objective shape
-# of the `continuous` benchmark workload, plus the demo config's uniform_poly.
+# kept one point memo and one ray per (x + y, e), again once the direction
+# search ran on the threshold sweep with membership read as a probe of the
+# ray, and f.calls again once the memo kept one value per point for its
+# scalar and batch reads; the points did not move.  Every family/objective
+# shape of the `continuous` benchmark workload, plus the demo config's
+# uniform_poly.
 POLYMATROID_PINS = [
     (
         ('separable_concave', {'coeffs': [1.173, 1.146], 'powers': [0.3, 0.5], 'cap': [3, 2]}),
         ('uniform', {'n': 2, 'per_element': 1, 'total': 2}),
         1 / 3, 419,
-        [0, 0], [0.3333333333333333, 0.3333333333333333], 5, 15,
+        [0, 0], [0.3333333333333333, 0.3333333333333333], 4, 15,
     ),
     (
         ('budget_allocation', {'edges': [[0, 1, 0.239], [0, 2, 0.511], [1, 0, 0.125], [1, 2, 0.146]], 'cap': [3, 3]}),
         ('uniform', {'n': 2, 'per_element': 2, 'total': 2}),
         1 / 3, 325,
-        [1, 0], [1.3333333333333333, 0.0], 7, 27,
+        [1, 0], [1.3333333333333333, 0.0], 5, 27,
     ),
     (
         ('separable_concave', {'coeffs': [1.492, 0.809], 'powers': [0.5, 0.3], 'cap': [3, 3]}),
         ('partition', {'parts': [[0], [1]], 'caps': [1, 2]}),
         1 / 3, 232,
-        [1, 1], [0.3333333333333333, 1.3333333333333333], 8, 19,
+        [1, 1], [0.3333333333333333, 1.3333333333333333], 6, 19,
     ),
     (
         ('budget_allocation', {'edges': [[0, 2, 0.594], [0, 1, 0.544], [1, 2, 0.266], [1, 1, 0.192]], 'cap': [3, 3]}),
         ('partition', {'parts': [[0], [1]], 'caps': [1, 2]}),
         1 / 3, 520,
-        [0, 1], [0.3333333333333333, 1.3333333333333333], 8, 18,
+        [0, 1], [0.3333333333333333, 1.3333333333333333], 6, 18,
     ),
     (
         ('separable_concave', {'coeffs': [0.749, 1.134], 'powers': [0.5, 0.3], 'cap': [2, 2]}),
         ('rank_table', {'n': 2, 'table': [0, 2, 1, 2]}),
         1 / 3, 908,
-        [1, 0], [1.0, 0.3333333333333333], 8, 16,
+        [1, 0], [1.0, 0.3333333333333333], 6, 16,
     ),
     (
         ('budget_allocation', {'edges': [[0, 1, 0.182], [0, 0, 0.347], [1, 0, 0.427], [1, 2, 0.36]], 'cap': [3, 2]}),
         ('rank_table', {'n': 2, 'table': [0, 4, 3, 5]}),
         1 / 3, 914,
-        [2, 1], [1.9999999999999998, 1.3333333333333333], 13, 24,
+        [2, 1], [1.9999999999999998, 1.3333333333333333], 11, 24,
     ),
     (
         ('separable_concave', {'coeffs': [1.812, 1.539, 0.905], 'powers': [0.5, 0.7, 0.3], 'cap': [3, 3, 3]}),
         ('uniform', {'n': 3, 'per_element': 2, 'total': 4}),
         1 / 3, 987,
-        [1, 1, 1], [1.0, 1.3333333333333333, 0.3333333333333333], 25, 31,
+        [1, 1, 1], [1.0, 1.3333333333333333, 0.3333333333333333], 22, 31,
     ),
     (
         ('budget_allocation', {'edges': [[0, 0, 0.526], [0, 1, 0.221], [1, 2, 0.334], [1, 1, 0.538], [2, 2, 0.422], [2, 0, 0.186]], 'cap': [3, 2, 2]}),
         ('uniform', {'n': 3, 'per_element': 2, 'total': 2}),
         1 / 3, 501,
-        [1, 0, 0], [0.6666666666666666, 0.6666666666666666, 0.0], 15, 27,
+        [1, 0, 0], [0.6666666666666666, 0.6666666666666666, 0.0], 12, 27,
     ),
     (
         ('separable_concave', {'coeffs': [0.966, 1.03, 0.774], 'powers': [0.5, 0.7, 0.3], 'cap': [3, 2, 3]}),
         ('partition', {'parts': [[0, 1], [2]], 'caps': [2, 2]}),
         1 / 3, 9,
-        [1, 1, 2], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 28, 36,
+        [1, 1, 2], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 25, 36,
     ),
     (
         ('budget_allocation', {'edges': [[0, 1, 0.492], [0, 2, 0.212], [1, 2, 0.117], [1, 0, 0.167], [2, 1, 0.268], [2, 0, 0.517]], 'cap': [2, 2, 2]}),
         ('partition', {'parts': [[0, 1], [2]], 'caps': [1, 1]}),
         1 / 3, 730,
-        [1, 0, 0], [0.3333333333333333, 0.3333333333333333, 0.3333333333333333], 9, 21,
+        [1, 0, 0], [0.3333333333333333, 0.3333333333333333, 0.3333333333333333], 6, 21,
     ),
     (
         ('separable_concave', {'coeffs': [0.739, 1.412, 0.539], 'powers': [0.7, 0.3, 0.5], 'cap': [3, 3, 2]}),
         ('rank_table', {'n': 3, 'table': [0, 1, 3, 4, 3, 3, 4, 4]}),
         1 / 3, 839,
-        [0, 2, 1], [0.3333333333333333, 1.3333333333333333, 1.0], 25, 31,
+        [0, 2, 1], [0.3333333333333333, 1.3333333333333333, 1.0], 22, 31,
     ),
     (
         ('budget_allocation', {'edges': [[0, 2, 0.432], [0, 0, 0.286], [1, 1, 0.396], [1, 2, 0.175], [2, 1, 0.345], [2, 2, 0.463]], 'cap': [3, 3, 2]}),
         ('rank_table', {'n': 3, 'table': [0, 1, 1, 1, 2, 2, 2, 2]}),
         1 / 3, 726,
-        [0, 0, 1], [0.3333333333333333, 0.0, 1.0], 11, 28,
+        [0, 0, 1], [0.3333333333333333, 0.0, 1.0], 8, 28,
     ),
     (
         ('separable_concave', {'coeffs': [1.618, 1.48], 'powers': [0.3, 0.5], 'cap': [3, 3]}),
         ('partition', {'parts': [[0, 1]], 'caps': [1]}),
         1 / 3, 229,
-        [0, 0], [0.3333333333333333, 0.3333333333333333], 5, 15,
+        [0, 0], [0.3333333333333333, 0.3333333333333333], 4, 15,
     ),
     (
         ('budget_allocation', {'edges': [[0, 1, 0.552], [0, 0, 0.482], [1, 1, 0.121], [1, 0, 0.432]], 'cap': [2, 3]}),
         ('partition', {'parts': [[0, 1]], 'caps': [2]}),
         1 / 3, 513,
-        [1, 2], [1.3333333333333333, 1.3333333333333333], 11, 24,
+        [1, 2], [1.3333333333333333, 1.3333333333333333], 9, 24,
     ),
     (
         ('separable_concave', {'coeffs': [1.442, 1.058, 1.836], 'powers': [0.3, 0.5, 0.7], 'cap': [2, 2, 2]}),
         ('partition', {'parts': [[0], [1, 2]], 'caps': [2, 2]}),
         1 / 3, 930,
-        [1, 1, 2], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 28, 28,
+        [1, 1, 2], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 25, 28,
     ),
     (
         ('budget_allocation', {'edges': [[0, 0, 0.348], [0, 1, 0.573], [1, 2, 0.188], [1, 0, 0.486], [2, 1, 0.126], [2, 2, 0.413]], 'cap': [2, 2, 2]}),
         ('partition', {'parts': [[0], [1, 2]], 'caps': [1, 2]}),
         1 / 3, 453,
-        [0, 2, 1], [0.3333333333333333, 1.3333333333333333, 1.3333333333333333], 21, 23,
+        [0, 2, 1], [0.3333333333333333, 1.3333333333333333, 1.3333333333333333], 18, 23,
     ),
     (
         ('separable_concave', {'coeffs': [1.372, 1.164, 1.096], 'powers': [0.7, 0.5, 0.3], 'cap': [3, 2, 3]}),
         ('partition', {'parts': [[0], [1], [2]], 'caps': [2, 2, 2]}),
         1 / 3, 859,
-        [2, 1, 1], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 28, 34,
+        [2, 1, 1], [1.3333333333333333, 1.3333333333333333, 1.3333333333333333], 25, 34,
     ),
     (
         ('budget_allocation', {'edges': [[0, 0, 0.414], [0, 2, 0.504], [1, 0, 0.381], [1, 2, 0.489], [2, 1, 0.4], [2, 0, 0.227]], 'cap': [3, 2, 2]}),
         ('partition', {'parts': [[0], [1], [2]], 'caps': [1, 2, 2]}),
         1 / 3, 709,
-        [1, 1, 1], [0.3333333333333333, 1.3333333333333333, 1.3333333333333333], 21, 24,
+        [1, 1, 1], [0.3333333333333333, 1.3333333333333333, 1.3333333333333333], 18, 24,
     ),
     (
         ('separable_concave', {'coeffs': [1.0, 1.5, 0.8], 'powers': [0.5, 0.5, 1.0], 'cap': [3, 3, 3]}),
         ('uniform', {'n': 3, 'per_element': 2, 'total': 4}),
         0.25, 0,
-        [1, 1, 0], [0.75, 1.0, 0.75], 28, 42,
+        [1, 1, 0], [0.75, 1.0, 0.75], 25, 42,
     ),
     (
         ('separable_concave', {'coeffs': [1.0, 1.5, 0.8], 'powers': [0.5, 0.5, 1.0], 'cap': [3, 3, 3]}),
         ('uniform', {'n': 3, 'per_element': 2, 'total': 4}),
         0.25, 1,
-        [1, 1, 1], [0.75, 1.0, 0.75], 28, 42,
+        [1, 1, 1], [0.75, 1.0, 0.75], 25, 42,
     ),
 ]
 
