@@ -201,6 +201,28 @@ def test_brute_force_capacity_error_is_reported_per_cell(tmp_path, monkeypatch):
     assert summary.count(": capacity: too many points\n") == 4
 
 
+@pytest.mark.parametrize("constraint, message", [
+    ("weights: [0.5, 0.5]\n      budget: 1\n      cap: [4, 4]",
+     "instance cap exceeds the oracle box"),
+    ("weights: [0.5, 0.5, 0.5]\n      budget: 1\n      cap: [3, 3, 3]",
+     "instance dimension does not match oracle"),
+], ids=["cap_above_box", "wrong_dimension"])
+def test_mismatched_knapsack_is_reported_per_cell(tmp_path, constraint, message):
+    text = (BASIC.replace("coeffs: [2.0, 1.0]", "coeffs: [1.0, 2.0]")
+            .replace("powers: [1.0, 0.5]", "powers: [0.5, 0.5]")
+            .replace("cap: [2, 2]\n    constraint", "cap: [3, 3]\n    constraint")
+            .replace("kind: cardinality\n      cap: [2, 2]\n      budget: 2",
+                     "kind: knapsack\n      " + constraint)
+            .replace("algorithms: [cardinality_dr]", "algorithms: [knapsack]")
+            .replace("epsilons: [0.1]", "epsilons: [0.2]")
+            .replace("seeds: [0, 1]", "seeds: [0]"))
+    config = load_config(write(tmp_path, text))
+    run_harness(config, str(tmp_path / "out"))
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "errors: 1\n" in summary
+    assert f"ERROR pack knapsack eps=0.2 seed=0: {message}\n" in summary
+
+
 def test_cells_run_in_config_order_on_the_calling_thread(tmp_path, monkeypatch):
     config = load_config(write(tmp_path, TWO_INSTANCES))
     real = harness.run_cell

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from latticemax.bruteforce import brute_force_opt
-from latticemax.cardinality import SolverConfig, threshold_schedule
+from latticemax.cardinality import (
+    CardinalityConstraint,
+    SolverConfig,
+    maximize_dr_cardinality,
+    maximize_lattice_cardinality,
+    threshold_schedule,
+)
 from latticemax.core import ValueOracle, unit, zeros
 from latticemax import knapsack
 from latticemax.instances import (
@@ -63,6 +69,63 @@ def test_instance_feasibility():
     assert not inst.is_feasible(np.array([2, 2]))  # weight 1.5
     assert not inst.is_feasible(np.array([0, 4]))  # above cap
     assert inst.fits(np.array([2, 0]))
+
+
+def test_instance_arrays_are_built_once_and_read_only():
+    inst = KnapsackInstance((0.5, 0.25), (2, 3))
+    assert inst.weight_vector() is inst.weight_vector()
+    assert inst.cap_vector() is inst.cap_vector()
+    assert inst.weight_vector().tolist() == [0.5, 0.25] and inst.cap_vector().tolist() == [2, 3]
+    with pytest.raises(ValueError, match="read-only"):
+        inst.cap_vector()[0] = 9
+    with pytest.raises(ValueError, match="read-only"):
+        inst.weight_vector()[0] = 0.0
+    # the arrays take no part in equality, hashing or repr
+    twin = KnapsackInstance((0.5, 0.25), (2, 3))
+    assert twin == inst and hash(twin) == hash(inst)
+    assert repr(inst) == "KnapsackInstance(weights=(0.5, 0.25), cap=(2, 3))"
+
+
+# each knapsack entry point, called on (oracle, instance)
+ENTRY_POINTS = {
+    "greedy_knapsack": lambda f, inst: greedy_knapsack(f, inst, zeros(inst.n), SolverConfig(0.2)),
+    "increase_support": lambda f, inst: increase_support(f, inst, 0, [zeros(inst.n)], 0.2),
+    "partial_enumeration": lambda f, inst: partial_enumeration(f, inst, 0.2),
+    "maximize_knapsack": lambda f, inst: maximize_knapsack(f, inst, SolverConfig(0.2)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("inst, message", [
+    pytest.param(KnapsackInstance((0.5, 0.5), (4, 4)), "instance cap exceeds the oracle box",
+                 id="cap_above_box"),
+    pytest.param(KnapsackInstance((0.5, 0.5, 0.5), (3, 3, 3)),
+                 "instance dimension does not match oracle", id="wrong_dimension"),
+])
+def test_entry_points_reject_a_mismatched_instance_before_any_call(entry, inst, message):
+    f = make_separable_concave([1.0, 2.0], [0.5, 0.5], [3, 3])
+    with pytest.raises(ValueError, match=message):
+        ENTRY_POINTS[entry](f, inst)
+    assert f.calls == 0
+
+
+def test_traces_hold_python_floats():
+    # every threshold and gain is a float, not a numpy scalar, in every greedy
+    f = make_separable_concave([1.0, 1.4, 0.7], [0.5, 1.0, 0.3], [3, 3, 4])
+    inst = KnapsackInstance((0.35, 0.3, 0.15), (3, 3, 4))
+    config = SolverConfig(0.1)
+    cst = CardinalityConstraint((3, 3, 4), 5)
+    traces = [
+        maximize_dr_cardinality(f, cst, config)[1],
+        maximize_lattice_cardinality(f, cst, config)[1],
+        greedy_knapsack(f, inst, zeros(3), config)[1],
+        greedy_knapsack(f, inst, np.array([1, 0, 0]), config)[1],
+        maximize_knapsack(f, inst, config)[1],
+    ]
+    for trace in traces:
+        assert trace.steps
+        for s in trace.steps:
+            assert type(s.threshold) is float and type(s.gain) is float
 
 
 def test_greedy_knapsack_frozen_example():
@@ -393,23 +456,49 @@ def test_maximize_knapsack_matches_reference():
         assert f.calls <= ref.calls
 
 
+def recording_extensions(monkeypatch):
+    """Wrap ``knapsack._extend`` and log each extended (y, e) pair it is asked for."""
+    real = knapsack._extend
+    extended = []
+
+    def recording(memo, inst, y, e, epsilon):
+        extended.append((tuple(y.tolist()), e))
+        return real(memo, inst, y, e, epsilon)
+
+    monkeypatch.setattr(knapsack, "_extend", recording)
+    return extended
+
+
 def test_partial_enumeration_extends_only_fitting_points(monkeypatch):
     # an extension only adds weight, so an over-budget point can never lead
     # to a start; the starts stay those of the reference enumeration
-    real = knapsack.increase_support
-    extended = []
-
-    def recording(f, inst, e, solutions, epsilon):
-        extended.extend((inst, tuple(y)) for y in solutions)
-        return real(f, inst, e, solutions, epsilon)
-
-    monkeypatch.setattr(knapsack, "increase_support", recording)
+    extended = recording_extensions(monkeypatch)
+    seen = []
     for make, inst, eps in random_knapsack_cases(32, 47):
-        starts = partial_enumeration(make(), inst, eps)
         want = reference_partial_enumeration(make(), inst, eps)
+        extended.clear()  # the reference extends through increase_support
+        starts = partial_enumeration(make(), inst, eps)
+        seen.extend((inst, y) for y, _ in extended)
         assert [p.tolist() for p in starts] == [p.tolist() for p in want]
-    assert extended
-    assert all(inst.fits(np.array(y)) for inst, y in extended)
+    assert seen
+    assert all(inst.fits(np.array(y)) for inst, y in seen)
+
+
+def test_partial_enumeration_extends_each_point_along_each_element_once(monkeypatch):
+    # the batches of (a, b) and (b, a) overlap, and each batch is extended
+    # along every c: the enumeration keeps each pair's extensions instead
+    extended = recording_extensions(monkeypatch)
+    total = 0
+    for make, inst, eps in random_knapsack_cases(64, 41):
+        partial_enumeration(make(), inst, eps)
+        assert len(set(extended)) == len(extended)
+        total += len(extended)
+        extended.clear()
+        # maximize_knapsack enumerates through the same helper
+        maximize_knapsack(make(), inst, SolverConfig(eps, 0))
+        assert extended and len(set(extended)) == len(extended)
+        extended.clear()
+    assert total
 
 
 def test_maximize_knapsack_skips_over_budget_prefixes():

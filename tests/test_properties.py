@@ -14,6 +14,11 @@ caps <= 40) and, for the lattice rule, on the non-DR tables:
 Every oracle a property builds keeps the ``meta`` of the one it copies, so
 the lattice rule runs its DR form on the DR instances.
 
+For the knapsack solve (n <= 3, caps <= 4, DR instances and the non-DR
+tables) the solution, trace and skipped visits equal the reference solve's,
+whose enumeration and completions share no memo; calls are at most
+the reference's and at most the box size, and f scaled by 2 scales as above.
+
 For the polymatroid solver (n <= 4, caps <= 3, uniform, partition or
 rank-table P) the solve equals the old direction loop's bit for bit, with no
 more oracle or membership calls, and f scaled by 2 gives the same points and
@@ -39,9 +44,10 @@ from latticemax.instances import (
     make_polymatroid,
     make_separable_concave,
 )
-from latticemax.knapsack import KnapsackInstance, greedy_knapsack
+from latticemax.knapsack import KnapsackInstance, greedy_knapsack, maximize_knapsack
 from latticemax.polymatroid import maximize_polymatroid
 from test_cardinality import recording, reference_greedy_knapsack, reference_sweep
+from test_knapsack import reference_maximize_knapsack
 from test_polymatroid import _old_maximize_polymatroid
 
 EPSILONS = [0.05, 0.1, 0.2, 0.3]
@@ -149,6 +155,30 @@ def test_greedy_knapsack_lazy_sweep_matches_reference(make, data, eps):
     levels = 1 + math.log(1 / (eff * min(inst.weights))) / eff
     assert f.calls <= 1 + n + levels * n * math.ceil(math.log2(max(caps) + 1))
     check_scaling(solve, make)
+
+
+@st.composite
+def knapsack_solves(draw):
+    """(make f, instance, eps): a DR oracle with n <= 3 and caps <= 4, or a non-DR table."""
+    make = draw(st.one_of(dr_oracles(3, 4), non_dr_oracles()))
+    caps = tuple(int(c) for c in make().box)
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(caps), max_size=len(caps)))
+    return make, KnapsackInstance(tuple(weights), caps), draw(st.sampled_from(EPSILONS))
+
+
+@given(knapsack_solves())
+@PROPERTY
+def test_maximize_knapsack_matches_the_reference_solve(solve):
+    make, inst, eps = solve
+    config = SolverConfig(eps)
+    run = lambda f: maximize_knapsack(f, inst, config)
+    f, ref = make(), make()
+    x, trace = run(f)
+    ref_x, ref_trace = reference_maximize_knapsack(ref, inst, config)
+    assert x.tolist() == ref_x.tolist() and steps(trace) == steps(ref_trace)
+    assert trace.skipped == ref_trace.skipped
+    assert f.calls <= ref.calls and f.calls <= math.prod(c + 1 for c in inst.cap)
+    check_scaling(run, make)
 
 
 @st.composite
