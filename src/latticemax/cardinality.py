@@ -491,7 +491,9 @@ def _sweep(
     ``reject`` (cardinality and polymatroid, unit scale) k_cap =
     min(room_e, limit - spent), so every step fits.  With it (knapsack)
     k_cap = room_e, and a step that does not fit is rejected: room_e falls
-    to k - 1 and e's search is rebuilt on the same ray.  Under
+    to k - 1 and e's search is rebuilt on the same ray; without it the
+    sweep ends at the step that spends the budget, drawing no further
+    level, since every later visit would have k_cap <= 0.  Under
     :func:`_bisection_rule` a visit probes at most ceil(log2(k_cap + 1))
     points, and the f(y) a greedy's ray reads is the start point's or one an
     accepted step has probed.
@@ -554,6 +556,8 @@ def _sweep(
                 room[e] -= k
                 spent += k * scale[e]
                 trace.add(threshold, e, k, gain)
+                if not reject and spent >= limit:
+                    return y, trace  # every later visit would have k_cap <= 0
                 rays.clear()
                 searches.clear()
             else:

@@ -2,11 +2,11 @@
 
 A YAML config names oracles, constraints, and an experiment grid
 (algorithm x epsilon x seed), each section checked against one table of
-the config schema.  Each cell is solved on an oracle with a
-fresh call counter, and its ``oracle_calls`` is the count of calls the
-solver made: the calls that building the oracle makes (a lattice table
-certifies itself, once per run) and the re-evaluation of the returned point
-fall outside the count.  Every solver
+the config schema.  Each distinct solve runs once per run on an oracle
+with a fresh call counter, and a cell's ``oracle_calls`` is the count of
+calls its solve made: the calls that building the oracle makes (a lattice
+table certifies itself, once per run) and the re-evaluation of the
+returned point fall outside the count.  Every solver
 returns a pair whose first item is the solution; the harness keeps that
 point and builds the cell's ``SolverReport`` record itself.  Outputs
 (report.csv, summary.txt) are byte-identical across runs of the same config
@@ -51,6 +51,10 @@ ALGORITHMS = {
     "knapsack": "knapsack",
     "polymatroid": "polymatroid",
 }
+
+# the algorithms whose solver reads SolverConfig.seed; every other solve is
+# fixed by its instance and effective epsilon, whatever the cell's seed
+_SEEDED = frozenset({"polymatroid"})
 
 # assertion kind -> the report column it bounds
 ASSERTION_KINDS = {"min_ratio": "ratio", "min_value": "value", "max_oracle_calls": "oracle_calls"}
@@ -373,22 +377,25 @@ def _solve(oracle, constraint, algorithm: str, config: SolverConfig):
 
 
 class _RunCache:
-    """Built oracle and brute-force optimum per instance id, each made once.
+    """Built oracle, brute-force optimum and solves of one run, each made once.
 
     One cache serves all cells of a ``run_harness`` call, so a
     ``lattice_table`` is certified once per run, not once per cell and
-    again for brute force.  Each cell gets its own view of the built
+    again for brute force.  Each solve gets its own view of the built
     oracle: the same function and box behind a call counter of its own.
-    A failed build or enumeration is kept and raised again for every
-    cell, so each still reports its own error row; the row keeps only the
-    message, and the traceback is dropped so that it does not grow once
-    per cell.
+    A solve is kept under (instance id, algorithm, effective epsilon,
+    seed), the seed only for an algorithm in ``_SEEDED``: the solvers are
+    deterministic, so a cell whose key was solved before reuses that
+    solve's point, call count and wall time.  A failed build, enumeration
+    or solve is kept and raised again for every cell, so each still
+    reports its own error row; the row keeps only the message, and the
+    traceback is dropped so that it does not grow once per cell.
     """
 
     def __init__(self):
-        self._outcomes: dict[tuple[str, str], object] = {}
+        self._outcomes: dict[tuple, object] = {}
 
-    def _once(self, key: tuple[str, str], make: Callable[[], object]):
+    def _once(self, key: tuple, make: Callable[[], object]):
         outcome = self._outcomes.get(key)
         if outcome is None:
             try:
@@ -414,6 +421,19 @@ class _RunCache:
             lambda: brute_force_opt(built, entry.build_constraint()),
         )
 
+    def solve(self, entry: InstanceEntry, algorithm: str, config: SolverConfig):
+        """(x, the solver's oracle calls, its wall time in ms) of one solve."""
+
+        def make():
+            oracle = self.oracle(entry)
+            constraint = entry.build_constraint()
+            start = time.perf_counter()
+            x = _solve(oracle, constraint, algorithm, config)
+            return x, oracle.calls, (time.perf_counter() - start) * 1000.0
+
+        seed = config.seed if algorithm in _SEEDED else None
+        return self._once(("solve", entry.instance_id, algorithm, config.effective, seed), make)
+
 
 def run_cell(
     entry: InstanceEntry,
@@ -422,10 +442,12 @@ def run_cell(
     bruteforce: bool = True,
     cache: _RunCache | None = None,
 ) -> SolverReport:
-    """Solve one cell on an oracle with a fresh call counter.
+    """Report one cell: its solve's point, call count and value.
 
-    ``cache`` supplies the built oracle and the brute-force baseline; a
-    lone call builds and enumerates the instance on its own.
+    ``cache`` supplies the built oracle, the brute-force baseline and the
+    solve, which a cell of the same key may have run already; a lone call
+    builds, solves and enumerates on its own.  The value is read again on
+    a fresh view, outside the count.
     """
     cache = cache or _RunCache()
     solver_config = SolverConfig(cell.epsilon, cell.seed)
@@ -439,13 +461,8 @@ def run_cell(
         oracle_calls=0,
     )
     try:
-        oracle = cache.oracle(entry)
-        constraint = entry.build_constraint()
-        start = time.perf_counter()
-        x = _solve(oracle, constraint, cell.algorithm, solver_config)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        calls = oracle.calls
-        value = oracle.eval(x)  # verification; after the snapshot on purpose
+        x, calls, elapsed_ms = cache.solve(entry, cell.algorithm, solver_config)
+        value = cache.oracle(entry).eval(x)  # verification
         report.solution = tuple(int(v) for v in x)
         report.value = float(value)
         report.oracle_calls = calls
@@ -477,8 +494,10 @@ def run_harness(
     order on the calling thread: the solvers are Python loops over the
     oracle, so threads would only contend for the interpreter.  One
     per-run cache, dropped on return, builds each instance once
-    (certifying a ``lattice_table`` once) and runs its brute force at
-    most once; each cell still solves on a view with its own call counter.
+    (certifying a ``lattice_table`` once), runs its brute force at most
+    once, and runs each distinct solve once (see ``_RunCache``): a cell
+    whose solve repeats an earlier cell's reports that solve's point, call
+    count and, with ``timings``, wall time.
     """
     import os
 

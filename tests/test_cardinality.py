@@ -678,6 +678,34 @@ def test_greedy_knapsack_probes_the_reference_points_in_order():
     assert skipped > 0
 
 
+def test_cardinality_sweep_draws_no_level_after_the_budget_is_spent(monkeypatch):
+    # once a step spends the budget every later visit has no room, so the
+    # sweep ends there; a solve that never fills it draws every level
+    schedules = []  # the levels drawn from each schedule, the sweep's first
+
+    def recording_schedule(*args):
+        drawn = []
+        schedules.append(drawn)
+        for level in threshold_schedule(*args):
+            drawn.append(level)
+            yield level
+
+    monkeypatch.setattr(cardinality, "threshold_schedule", recording_schedule)
+    filled = 0
+    for make, caps, r in equivalence_instances() + query_scale_instances():
+        cst = CardinalityConstraint(caps, r)
+        for solve in (maximize_dr_cardinality, maximize_lattice_cardinality):
+            schedules.clear()
+            y, trace = solve(make(), cst, SolverConfig(0.1))
+            drawn = schedules[0]
+            if total(y) == r:
+                filled += 1
+                assert drawn[-1] == trace.steps[-1].threshold
+            else:
+                assert drawn == list(threshold_schedule(drawn[0], 0.1 / r * drawn[0], 0.1))
+    assert filled > 0
+
+
 def equivalence_knapsack(caps, r):
     """The knapsack of the probe-order test: weights 1, 2, 3, ... over budget 3r."""
     return KnapsackInstance.from_raw([1.0 + e % 3 for e in range(len(caps))], 3.0 * r, caps)

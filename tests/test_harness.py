@@ -1,7 +1,9 @@
+import itertools
 import re
 import textwrap
 import threading
 import traceback
+import types
 from pathlib import Path
 
 import pytest
@@ -96,6 +98,7 @@ def test_reports_are_byte_identical(tmp_path):
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMO = Path(__file__).resolve().parents[1] / "scripts" / "demo_config.yaml"
+SEED_SWEEP = GOLDEN / "seed_sweep.yaml"
 
 
 def test_table_reports_match_the_checked_in_bytes(tmp_path):
@@ -105,6 +108,16 @@ def test_table_reports_match_the_checked_in_bytes(tmp_path):
     assert run_harness(config, str(tmp_path)) == 0
     for name in ("report.csv", "summary.txt"):
         want = (GOLDEN / "lattice_tables" / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == want, name
+
+
+def test_seed_sweep_reports_match_the_checked_in_bytes(tmp_path):
+    # most of the sweep's cells repeat an earlier cell's solve; the bytes
+    # were written by a harness that solved every cell afresh
+    config = load_config(str(SEED_SWEEP))
+    assert run_harness(config, str(tmp_path)) == 0
+    for name in ("report.csv", "summary.txt"):
+        want = (GOLDEN / "seed_sweep" / name).read_bytes()
         assert (tmp_path / name).read_bytes() == want, name
 
 
@@ -599,6 +612,131 @@ def test_each_table_is_certified_once_per_run(tmp_path, monkeypatch, path):
         built = f.calls
         SOLVERS[cell.algorithm](f, entry.build_constraint(), SolverConfig(cell.epsilon, cell.seed))
         assert dict(zip(CSV_COLUMNS, line.split(",")))["oracle_calls"] == str(f.calls - built)
+
+
+def solve_key(cell):
+    """The key the harness solves a cell under: the seed only for a seeded solver."""
+    seed = cell.seed if cell.algorithm == "polymatroid" else None
+    return cell.instance_id, cell.algorithm, SolverConfig(cell.epsilon).effective, seed
+
+
+def record_solves(monkeypatch, config, fail=None):
+    """Record the key of every solve the harness runs; with ``fail``, each solve raises it."""
+    real = harness._solve
+    ids = {}
+    for iid, entry in config.instances.items():
+        ids[tuple(entry.oracle_spec.build().box.tolist())] = iid
+    assert len(ids) == len(config.instances)  # a box names its instance
+    keys = []
+
+    def recording(oracle, constraint, algorithm, solver_config):
+        iid = ids[tuple(oracle.box.tolist())]
+        keys.append(solve_key(Cell(iid, algorithm, solver_config.epsilon, solver_config.seed)))
+        if fail is not None:
+            raise fail
+        return real(oracle, constraint, algorithm, solver_config)
+
+    monkeypatch.setattr(harness, "_solve", recording)
+    return keys
+
+
+def test_each_distinct_solve_runs_once_per_run(tmp_path, monkeypatch):
+    config = load_config(str(SEED_SWEEP))
+    assert {c.algorithm for c in config.cells} == set(harness.ALGORITHMS)
+    assert {c.seed for c in config.cells} == {0, 1, 2}
+    keys = record_solves(monkeypatch, config)
+    for run in (1, 2):
+        assert run_harness(config, str(tmp_path / f"run{run}")) == 0
+        # the config-order first cell of each key solves; the rest reuse it
+        assert keys == list(dict.fromkeys(map(solve_key, config.cells))) * run
+    assert len(keys) == 32 and len(config.cells) == 54
+    polymatroid = [key for key in keys[:16] if key[1] == "polymatroid"]
+    assert sorted(key[2:] for key in polymatroid) == [
+        (eps, seed) for eps in (0.25, 0.5) for seed in (0, 1, 2)
+    ]
+    # a lone cell solves on its own
+    cell = config.cells[0]
+    run_cell(config.instances[cell.instance_id], cell)
+    run_cell(config.instances[cell.instance_id], cell)
+    assert keys[32:] == [solve_key(cell)] * 2
+
+
+def test_every_row_equals_a_direct_solve_on_a_fresh_oracle(tmp_path):
+    config = load_config(str(SEED_SWEEP))
+    run_harness(config, str(tmp_path))
+    rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
+    for line, cell in zip(rows, config.cells, strict=True):
+        row = dict(zip(CSV_COLUMNS, line.split(",")))
+        entry = config.instances[cell.instance_id]
+        f = entry.oracle_spec.build()
+        built = f.calls
+        x, _ = SOLVERS[cell.algorithm](
+            f, entry.build_constraint(), SolverConfig(cell.epsilon, cell.seed))
+        assert int(row["oracle_calls"]) == f.calls - built
+        assert row["solution"] == ";".join(str(int(v)) for v in x)
+        assert row["value"] == repr(float(entry.oracle_spec.build().eval(x)))
+
+
+@pytest.mark.parametrize("error, message", [
+    (ValueError("no step fits"), "no step fits"),
+    (CapacityError("too many points"), "capacity: too many points"),
+], ids=["value_error", "capacity_error"])
+def test_a_failed_solve_is_reported_once_per_cell(tmp_path, monkeypatch, error, message):
+    config = load_config(str(SEED_SWEEP))
+    keys = record_solves(monkeypatch, config, fail=error)
+    run_harness(config, str(tmp_path))
+    assert len(keys) == 16
+    summary = (tmp_path / "summary.txt").read_text()
+    assert f"errors: {len(config.cells)}\n" in summary
+    for cell in config.cells:
+        eps = SolverConfig(cell.epsilon).effective
+        line = f"ERROR {cell.instance_id} {cell.algorithm} eps={eps} seed={cell.seed}: {message}\n"
+        assert line in summary
+    assert summary.count(f": {message}\n") == len(config.cells)
+
+
+def test_timings_give_a_reused_row_the_wall_time_of_its_solve(tmp_path, monkeypatch):
+    config = load_config(str(SEED_SWEEP))
+    keys = record_solves(monkeypatch, config)
+    ticks = itertools.count()
+    # the clock reads t^2 seconds at its t-th reading, so solve j takes 4j + 1 s
+    clock = types.SimpleNamespace(perf_counter=lambda: next(ticks) ** 2)
+    monkeypatch.setattr(harness, "time", clock)
+    run_harness(config, str(tmp_path), timings=True)
+    rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
+    for line, cell in zip(rows, config.cells, strict=True):
+        wall = float(dict(zip(CSV_COLUMNS, line.split(",")))["wall_time_ms"])
+        assert wall == 1000.0 * (4 * keys.index(solve_key(cell)) + 1)
+
+
+@pytest.mark.parametrize("instance_id", ["coverage_card", "ladder_card", "weighted_pack"])
+def test_unseeded_solvers_do_not_read_the_seed(instance_id):
+    # the seed rule: a solve that ignores the seed may be shared across seeds
+    config = load_config(str(DEMO))
+    entry = config.instances[instance_id]
+    kind = entry.constraint_kind
+    unseeded = [a for a, k in harness.ALGORITHMS.items() if k == kind and a != "polymatroid"]
+    assert unseeded
+    for algorithm in unseeded:
+        runs = []
+        for seed in (0, 7):
+            f = entry.oracle_spec.build()
+            built = f.calls
+            x, trace = SOLVERS[algorithm](f, entry.build_constraint(), SolverConfig(0.1, seed))
+            runs.append((x.tolist(), trace, f.calls - built))
+        assert runs[0] == runs[1], algorithm
+    assert harness._SEEDED == {"polymatroid"}
+
+
+def test_the_polymatroid_solver_reads_the_seed():
+    config = load_config(str(SEED_SWEEP))
+    entry = config.instances["uniform_poly"]
+    points = set()
+    for seed in (0, 1):
+        x, _ = maximize_polymatroid(
+            entry.oracle_spec.build(), entry.build_constraint(), SolverConfig(0.5, seed))
+        points.add(tuple(x.tolist()))
+    assert len(points) == 2
 
 
 @pytest.mark.parametrize("key", ["repeats: 2", "trials: 5"])

@@ -23,13 +23,20 @@ For the polymatroid solver (n <= 4, caps <= 3, uniform, partition or
 rank-table P) the solve equals the old direction loop's bit for bit, with no
 more oracle or membership calls, and f scaled by 2 gives the same points and
 the same counts of both.
+
+The ratios are checked against brute force: f(x) >= (1 - 1/e - eps) OPT
+for the DR cardinality and knapsack solvers (DR instances, n <= 4, caps
+<= 3, and the density greedy's trap), and f(x) >= (1 - 1/e - 2 eps) OPT,
+``ratio_sweep.py``'s slack, for the lattice solver on the non-DR tables,
+at eps in {0.1, 0.2, 0.25}.  The polymatroid solver's ratio is not checked.
 """
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latticemax.bruteforce import brute_force_opt
 from latticemax.cardinality import (
     CardinalityConstraint,
     SolverConfig,
@@ -234,3 +241,55 @@ def test_polymatroid_solve_is_unchanged_by_doubling_f(solve):
     y_int, y_frac = maximize_polymatroid(g, Q, config)
     assert y_int.tolist() == x_int.tolist() and hexes(y_frac) == hexes(x_frac)
     assert g.calls == f.calls and Q.member_calls == P.member_calls
+
+
+# the paper's ratios, checked against brute force at small scale
+RATIO_EPSILONS = [0.1, 0.2, 0.25]
+RATIO_TOL = 1e-9
+
+
+def check_ratio(solve, make, constraint, eps, slack):
+    """f(x) >= (1 - 1/e - slack * eps) * OPT for the point ``solve`` returns."""
+    x, _ = solve(make(), constraint, SolverConfig(eps))
+    opt = brute_force_opt(make(), constraint).opt_value
+    assert make().eval(x) >= (1 - 1 / math.e - slack * eps) * opt - RATIO_TOL
+
+
+@given(dr_oracles(4, 3), st.data(), st.sampled_from(RATIO_EPSILONS))
+@PROPERTY
+def test_dr_cardinality_meets_its_ratio(make, data, eps):
+    caps = tuple(int(c) for c in make().box)
+    budget = data.draw(st.integers(1, sum(caps)))
+    check_ratio(maximize_dr_cardinality, make, CardinalityConstraint(caps, budget), eps, 1)
+
+
+@st.composite
+def dr_knapsacks(draw):
+    """(make f, instance): a DR oracle with n <= 4 and caps <= 3, weights in [0.05, 1]."""
+    make = draw(dr_oracles(4, 3))
+    caps = tuple(int(c) for c in make().box)
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(caps), max_size=len(caps)))
+    return make, KnapsackInstance(tuple(weights), caps)
+
+
+# the density greedy's trap: from 0 it takes the light element first, and
+# then the heavy one, worth ten times more, no longer fits
+GREEDY_TRAP = (lambda: make_separable_concave([1.0, 0.1], [1.0, 1.0], [1, 1]),
+               KnapsackInstance((1.0, 0.05), (1, 1)))
+
+
+@given(dr_knapsacks(), st.sampled_from(RATIO_EPSILONS))
+@example(GREEDY_TRAP, 0.1)
+@PROPERTY
+def test_knapsack_meets_its_ratio(knapsack, eps):
+    make, inst = knapsack
+    check_ratio(maximize_knapsack, make, inst, eps, 1)
+
+
+@given(non_dr_oracles(), st.integers(1, 8), st.sampled_from(RATIO_EPSILONS))
+@PROPERTY
+def test_lattice_cardinality_meets_its_ratio_on_non_dr_tables(make, budget, eps):
+    # ratio_sweep.py's slack: the (1 - eps) acceptance test loses one more eps
+    caps = tuple(int(c) for c in make().box)
+    cst = CardinalityConstraint(caps, min(budget, sum(caps)))
+    check_ratio(maximize_lattice_cardinality, make, cst, eps, 2)
