@@ -157,15 +157,15 @@ def threshold_schedule(top: float, floor: float, epsilon: float) -> Iterator[flo
 class _PointMemo:
     """Values of f at the points one solve has probed, keyed by their bytes.
 
-    A miss goes through ``f.eval`` (or ``f.eval_batch``, or, for a probe
-    of a :class:`_Ray`, ``f.eval_along``), so validation and call counting
-    are those of the oracle; a hit costs no call.  All three paths read and
-    fill one table, so a point is read from f at most once per solve.  Each
-    solve creates its own memo and drops it on return; ``n``, ``box``,
-    ``eval`` and ``eval_batch`` let a memo stand in for f, so one knapsack
-    solve shares it across its phases and one polymatroid solve across its
-    directions.  Points must be int64 vectors, as all solver iterates are.
-    :meth:`ray` makes the rays the greedies' sweeps read.
+    A miss goes through ``f.eval`` (or, for a probe of a :class:`_Ray`,
+    ``f.eval_along``), so validation and call counting are those of the
+    oracle; a hit costs no call.  Both paths read and fill one table, so a
+    point is read from f at most once per solve.  Each solve creates its
+    own memo and drops it on return; ``n``, ``box`` and ``eval`` let a memo
+    stand in for f, so one knapsack solve shares it across its phases and
+    one polymatroid solve across its directions.  Points must be int64
+    vectors, as all solver iterates are.  :meth:`ray` makes the rays the
+    greedies' sweeps and the polymatroid's extension rays read.
     """
 
     __slots__ = ("_f", "_values", "n", "box")
@@ -188,21 +188,10 @@ class _PointMemo:
         """The ray k -> f(y + k e) - f(y): a :class:`_Ray` on a copy of y, f(y) read now."""
         return _Ray(self, y.copy(), e, self(y))
 
-    def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        """f at the rows of X; one ``f.eval_batch`` call for the distinct new rows.
 
-        The new rows go in first-seen order, so a batch of k distinct new
-        rows costs k calls, and a batch of hits makes no call at all.
-        """
-        keys = [row.tobytes() for row in X]
-        values = self._values
-        new: dict[bytes, int] = {}  # each new key -> the row it first appears in
-        for i, key in enumerate(keys):
-            if key not in values:
-                new.setdefault(key, i)
-        if new:
-            values.update(zip(new, self._f.eval_batch(X[list(new.values())]).tolist()))
-        return np.array([values[key] for key in keys], dtype=np.float64)
+def _memo_of(f: ValueOracle | _PointMemo) -> _PointMemo:
+    """f itself if it is a memo (as in a knapsack or polymatroid solve), else a fresh one."""
+    return f if isinstance(f, _PointMemo) else _PointMemo(f)
 
 
 def _max_step_with_gain(

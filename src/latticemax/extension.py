@@ -76,10 +76,10 @@ def _fractional_coords(frac: np.ndarray) -> np.ndarray:
 def extension_exact(f: ValueOracle, x) -> float:
     """F(x) by exact expansion over the fractional coordinates.
 
-    Costs at most 2^m oracle calls for m fractional coordinates, in one
-    ``eval_batch`` call; through a memo (``cardinality._PointMemo``) a
-    repeated corner costs none.  m is capped at ``MAX_ENUMERATION_N``
-    (CapacityError beyond, before any call).
+    Costs 2^m oracle calls for m fractional coordinates, in one
+    ``eval_batch`` call.  The solvers read F through their point memo
+    instead (``polymatroid._ExtensionRay``).  m is capped at
+    ``MAX_ENUMERATION_N`` (CapacityError beyond, before any call).
     """
     base, frac = split_point(f, x)
     idx = _fractional_coords(frac)
@@ -102,8 +102,7 @@ def _marginal_estimate(f: ValueOracle, delta: np.ndarray, x) -> float:
 
     With m fractional coordinates in x, the sum runs over the 2^m corners
     of x's unit cell, weighted by their D(x) probabilities, and costs at
-    most 2 * 2^m oracle calls in two ``eval_batch`` calls; through a memo a
-    repeated point costs none.  Each coupled term
+    most 2 * 2^m oracle calls in two ``eval_batch`` calls.  Each coupled term
     f(z + delta) - f(z) lies in [0, f(delta)] for monotone DR-submodular f.
     m is capped as in ``extension_exact``.  No solver calls it; it stays as
     the sum that the tests' reference direction search

@@ -157,7 +157,9 @@ NON_DR_TABLES: dict[str, np.ndarray] = {
 
 
 def uniform_polymatroid(n: int, per_element: int, total: int) -> PolymatroidOracle:
-    """rho(S) = min(per_element * |S|, total)."""
+    """rho(S) = min(per_element * |S|, total); both must be non-negative integers."""
+    if not all(float(v).is_integer() for v in (per_element, total)):
+        raise ValueError("uniform polymatroid parameters must be integers")
     if per_element < 0 or total < 0:
         raise ValueError("uniform polymatroid parameters must be non-negative")
 
@@ -264,7 +266,7 @@ NUMBERS = ("list", "number", True)
 
 # polymatroid family -> the schema of the params ``make_polymatroid`` reads
 POLYMATROID_PARAMS = {
-    "uniform": {"n": INTEGER, "per_element": NUMBER, "total": NUMBER},
+    "uniform": {"n": INTEGER, "per_element": INTEGER, "total": INTEGER},
     "partition": {
         "parts": ("list", "integers", True), "caps": INTEGERS, "n": ("integer", None, False),
     },

@@ -27,6 +27,7 @@ from .cardinality import (
     SolverConfig,
     _bisection_rule,
     _level_candidates,
+    _memo_of,
     _PointMemo,
     _sweep,
     threshold_schedule,
@@ -101,11 +102,6 @@ def _check(f: ValueOracle, inst: KnapsackInstance) -> None:
         raise ValueError("instance dimension does not match oracle")
     if np.any(inst.cap_vector() > f.box):
         raise ValueError("instance cap exceeds the oracle box")
-
-
-def _memo_of(f: ValueOracle) -> _PointMemo:
-    """f itself if it is a memo (as in :func:`maximize_knapsack`), else a fresh one."""
-    return f if isinstance(f, _PointMemo) else _PointMemo(f)
 
 
 def _greedy(

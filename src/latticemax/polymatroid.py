@@ -6,12 +6,13 @@ solver builds a fractional point by 1/eps rounds of a threshold direction
 search driven by extension marginals, then rounds it to a lattice point
 without loss in expectation.  The direction search is the greedies'
 sweep (:func:`cardinality._sweep`) on rays k -> F(k e | x + y) that read
--inf where x + y + k e leaves P.  Each marginal is exact, a sum over the
-2^m corners of the current unit cell (m fractional coordinates).  A solve
-reads f through one point memo, and a direction search keeps one cell and
-one ray per (x + y, e) until it accepts a step, so a probe costs at most
-2 * 2^m new oracle calls and a repeat costs none.  The ground set is capped
-at ``MAX_ENUMERATION_N`` elements.
+-inf where x + y + k e leaves P.  Each marginal is exact: F(b + k e) is
+the D(b)-weighted sum of f(z + k e) over the 2^m corners z of b's unit
+cell (m fractional coordinates), so a ray of b mixes the greedies' rays
+k -> f(z + k e) - f(z) at those corners.  A solve reads f through one
+point memo, so a probe costs at most 2 * 2^m new oracle calls and a
+repeat costs none.  The ground set is capped at ``MAX_ENUMERATION_N``
+elements.
 
 Rounding works inside the unit cell C(x): the fractional parts of P
 intersected with C(x) form a matroid polytope whose rank function is the
@@ -25,7 +26,6 @@ value for DR-submodular objectives.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Iterable
 
@@ -35,7 +35,9 @@ from .cardinality import (
     SolverConfig,
     _bisection_rule,
     _max_step_with_gain,
+    _memo_of,
     _PointMemo,
+    _Ray,
     _sweep,
     effective_epsilon,
     threshold_schedule,
@@ -167,72 +169,61 @@ def update_budget_fixpoint(n: int, epsilon: float) -> int:
     raise RuntimeError("update-budget iteration did not reach a fixpoint")
 
 
-class _Cell:
-    """The unit cell of a point b: its corners z, their D(b) weights and f(z), read once.
-
-    :meth:`gain` is F(k e | b) = dot(f(z + k e) - f(z), w), summed as
-    ``extension._marginal_estimate`` sums it; :meth:`value` is F(b + k e).
-    """
-
-    __slots__ = ("_f", "_points", "_weights", "_values", "_moved")
-
-    def __init__(self, f, b):
-        base, frac = split_point(f, b)
-        self._f = f
-        self._points, self._weights = _cell_corners(base, frac, _fractional_coords(frac))
-        self._values = f.eval_batch(self._points)
-        self._moved: dict[tuple[int, int], np.ndarray] = {}  # (e, k) -> f(z + k e)
-
-    def gain(self, e: int, k: int) -> float:
-        shifted = self._points.copy()
-        shifted[:, e] += k
-        moved = self._moved[e, k] = self._f.eval_batch(shifted)
-        return float(np.dot(moved - self._values, self._weights))
-
-    def value(self, e: int, k: int) -> float:
-        return float(np.dot(self._moved[e, k], self._weights))
-
-
 class _ExtensionRay(dict):
-    """k -> F(k e | b) on the cell of b, or -inf where b + k e leaves P (``P`` None: never).
+    """k -> F(k e | b), or -inf where b + k e leaves P (``P`` None: never).
 
-    A first lookup of k costs one membership call and, for a member, a gain
-    of the cell ``cell()`` makes on first call.  As P is downward closed and
-    clearing is a prefix in k for DR f, "fits and clears" is a prefix too.
+    Under D(b), F(b + k e) = sum_S w_S * f(z_S + k e) over the corners z_S
+    of b's unit cell, so the ray is the D(b)-weighted mix of the greedies'
+    rays ``memo.ray(z_S, e)``, made on the first probe that fits P.  A first
+    lookup of k costs one membership call and, for a member, at most 2^m
+    new oracle calls (2 * 2^m on the first, which reads f(z_S)); an
+    out-of-box probe raises ``eval``'s ValueError at no cost.  As P is
+    downward closed and clearing is a prefix in k for DR f, "fits and
+    clears" is a prefix too.
     """
 
-    __slots__ = ("_cell", "_P", "_b", "_e")
+    __slots__ = ("_memo", "_P", "_b", "_e", "_rays", "_weights")
 
-    def __init__(self, cell: Callable[[], _Cell], P: PolymatroidOracle | None, b, e: int):
+    def __init__(self, memo: _PointMemo, P: PolymatroidOracle | None, b, e: int):
         super().__init__()
-        self._cell, self._P, self._b, self._e = cell, P, b, e
+        self._memo, self._P, self._b, self._e = memo, P, b, e
+        self._rays: list[_Ray] = []
 
     def __missing__(self, k: int) -> float:
         point = self._b.copy()
         point[self._e] += k
-        fits = self._P is None or self._P.member(point)
-        value = self[k] = self._cell().gain(self._e, k) if fits else -math.inf
+        if self._P is not None and not self._P.member(point):
+            value = self[k] = -math.inf
+            return value
+        if not self._rays:
+            base, frac = split_point(self._memo, self._b)
+            corners, self._weights = _cell_corners(base, frac, _fractional_coords(frac))
+            self._rays = [self._memo.ray(z, self._e) for z in corners]
+        self._rays[-1][k]  # the top corner first: an out-of-box k raises before any call
+        value = self[k] = self._mix([ray[k] for ray in self._rays])
         return value
 
     def value(self, k: int) -> float:
         """F(b + k e) for a k whose gain this ray has read: no call."""
-        return self._cell().value(self._e, k)
+        return self._mix([ray.value(k) for ray in self._rays])
+
+    def _mix(self, values: list[float]) -> float:
+        return float(np.dot(np.array(values), self._weights))
 
 
 def binary_search_polymatroid(f: ValueOracle, x, e: int, theta: float, k_max: int) -> int:
     """Largest k in [1, k_max] with F(k e | x) >= k * theta, or 0; exact for DR f.
 
     The direction search's bisection (``_max_step_with_gain``) on a fresh
-    ray of x's cell that asks no polytope: at most ceil(log2(k_max + 1))
-    probes, each costing at most 2 * 2^m new oracle calls (m fractional
-    coordinates in x; f(z) is read once).  It stays as the tracer's span
-    and the tests' entry to ``_Cell``, which it makes only if it probes.
+    ray of x that asks no polytope, through a fresh memo unless ``f`` is
+    one: at most ceil(log2(k_max + 1)) probes, each costing at most
+    2 * 2^m new oracle calls (m fractional coordinates in x; f at a corner
+    or shifted corner is read once).  It stays as the tracer's span.
     """
     x = as_fractional_point(x, f.n)
     if not 0 <= e < f.n:
         raise ValueError(f"element {e} out of range for ground set of size {f.n}")
-    ray = _ExtensionRay(functools.cache(functools.partial(_Cell, f, x)), None, x, e)
-    return _max_step_with_gain(ray, k_max, theta)[0]
+    return _max_step_with_gain(_ExtensionRay(_memo_of(f), None, x, e), k_max, theta)[0]
 
 
 def direction_polymatroid(
@@ -245,34 +236,28 @@ def direction_polymatroid(
     coordinate updates): at each level e takes the largest k within its box
     room with x + y + k e in P and F(k e | x + y) >= k * threshold, on a ray
     that reads -inf off P; f(e) <= 0 leaves e no room (DR f cannot clear
-    along it).  The rays of one x + y share its cell, made when a ray first
-    reads a gain; P is asked about each (x + y, e, k) once, and a probe costs
-    at most 2 * 2^m new oracle calls (m fractional coordinates in x).  The
-    lazy skip holds, as y is integral and D(x + y) = D(x) + y: for DR f,
-    F(e | x + y') <= F(e | x + y) for y' >= y.  ``f`` may be a solve's memo.
+    along it).  Each ray mixes the greedies' rays at the corners of x + y
+    (:class:`_ExtensionRay`), all read through one memo (``f`` if it is a
+    solve's memo, else a fresh one), so f at each point is read once.  P is
+    asked about each (x + y, e, k) once, and a probe costs at most 2 * 2^m
+    new oracle calls (m fractional coordinates in x).  The lazy skip holds,
+    as y is integral and D(x + y) = D(x) + y: for DR f,
+    F(e | x + y') <= F(e | x + y) for y' >= y.
     """
+    memo = _memo_of(f)
     x = as_fractional_point(x, f.n)
     if P.n != f.n:
         raise ValueError("polymatroid dimension does not match oracle")
     if not P.member(x):
         raise ValueError("x is not in the polymatroid")
     # f(e), or 0 where the box leaves no room along e
-    unit_values = [f.eval(unit(f.n, e)) if f.box[e] >= 1 else 0.0 for e in range(f.n)]
+    unit_values = [memo.eval(unit(f.n, e)) if f.box[e] >= 1 else 0.0 for e in range(f.n)]
     room = [int(math.floor(f.box[e] - x[e] + SNAP_TOLERANCE)) if unit_values[e] > 0 else 0
             for e in range(f.n)]
-    cell, at = None, None  # the cell maker of x + y, shared by the rays made at y == at
-
-    def ray_of(y: np.ndarray, e: int) -> _ExtensionRay:
-        nonlocal cell, at
-        b = x + y
-        if y.tobytes() != at:  # a step moved x + y
-            cell, at = functools.cache(functools.partial(_Cell, f, b)), y.tobytes()
-        return _ExtensionRay(cell, P, b, e)
-
     d = max(unit_values, default=0.0)
     levels = threshold_schedule(d, epsilon * d / num_updates, epsilon)
-    return _sweep(ray_of, zeros(f.n), room, levels, _bisection_rule, epsilon, [1] * f.n, 0,
-                  math.inf, reject=False)[0]
+    return _sweep(lambda y, e: _ExtensionRay(memo, P, x + y, e), zeros(f.n), room, levels,
+                  _bisection_rule, epsilon, [1] * f.n, 0, math.inf, reject=False)[0]
 
 
 def continuous_greedy(
@@ -282,10 +267,11 @@ def continuous_greedy(
 
     Runs 1/eps direction searches and accumulates x <- x + eps * y; the
     iterate stays in P by convexity since both x and x + y are feasible.
-    Every direction reads f through one :class:`_PointMemo` per solve, so
-    ``f.calls`` grows by the number of distinct points probed: at most
-    2 * 2^m new calls per probe, a repeat costing none.  Returns the final
-    fractional point (round separately).
+    Every direction reads f through one :class:`_PointMemo` per solve,
+    scalar reads and the corner rays alike, so ``f.calls`` grows by the
+    number of distinct points probed: at most 2 * 2^m new calls per probe,
+    a repeat costing none.  Returns the final fractional point (round
+    separately).
     """
     eps = config.effective
     num_updates = update_budget_fixpoint(f.n, eps)

@@ -373,8 +373,8 @@ def test_solvers_evaluate_no_point_twice(make, whole_knapsack):
     ]
     if whole_knapsack:
         solves.append(lambda f, r: maximize_knapsack(f, knapsack(r), SolverConfig(0.1)))
-    # the polymatroid solve reads f(e) by eval and again as a cell corner
-    # by eval_batch, through one memo value
+    # the polymatroid solve reads f(e) by eval and again as a corner of a
+    # cell, through one memo value
     solves.append(lambda f, r: maximize_polymatroid(f, uniform_polymatroid(f.n, 2, r),
                                                     SolverConfig(1 / 3)))
     for solve in solves:
@@ -910,64 +910,18 @@ def test_binary_search_lattice_matches_reference():
         assert g.calls == ref_g.calls
 
 
-def test_point_memo_batch_sends_each_new_row_once():
-    rng = np.random.default_rng(17)
-    for trial in range(40):
-        n = int(rng.integers(1, 5))
-        cap = rng.integers(1, 4, size=n)
-        edges = [(s, int(rng.integers(0, 3)), float(rng.uniform(0.1, 0.9))) for s in range(n)]
-        f = make_budget_allocation(edges, cap)
-        ref = make_budget_allocation(edges, cap)
-        memo = cardinality._PointMemo(f)
-        seen = set()
-        for _ in range(4):
-            # few distinct rows, so batches repeat rows within and across calls
-            X = rng.integers(0, cap + 1, size=(int(rng.integers(1, 9)), n))
-            keys = [row.tobytes() for row in X]
-            new = len(set(keys) - seen)
-            before = f.calls
-            got = memo.eval_batch(X)
-            assert f.calls - before == new
-            assert got.tobytes() == ref.eval_batch(X).tobytes()
-            seen.update(keys)
-            before = f.calls
-            assert memo.eval_batch(X).tobytes() == got.tobytes()
-            assert f.calls == before  # every row a hit: no call at all
-
-
-def test_point_memo_batch_rejects_an_out_of_box_row_at_no_cost():
-    sent, batches = [], []
-    f = ValueOracle(lambda x: sent.append(x.tolist()) or float(x.sum()), np.array([2, 2]))
-    sent.clear()  # the f(0) check at construction
-    eval_batch = f.eval_batch
-    f.eval_batch = lambda X: batches.append(len(X)) or eval_batch(X)
-    memo = cardinality._PointMemo(f)
-    memo.eval_batch(np.array([[1, 1]]))
-    with pytest.raises(ValueError):
-        memo.eval_batch(np.array([[1, 1], [0, 1], [3, 0]]))
-    assert f.calls == 1
-    # the valid new row of the rejected batch was not kept; new rows go in
-    # one call, once each, in first-seen order
-    got = memo.eval_batch(np.array([[2, 0], [1, 1], [0, 1], [2, 0], [0, 1]]))
-    assert got.tolist() == [2, 2, 1, 2, 1]
-    assert f.calls == 3
-    assert sent == [[1, 1], [2, 0], [0, 1]]
-    assert batches == [1, 2, 2]  # the rejected batch sent its 2 new rows, and raised
-
-
 def test_point_memo_answers_each_point_once_across_its_paths():
-    # scalar reads, batch rows and ray probes share one value per point
+    # scalar reads and ray probes share one value per point
     f = ValueOracle(lambda x: float(x.sum()), np.array([3, 3]))
     memo = cardinality._PointMemo(f)
     x, y = np.array([1, 2]), np.array([2, 2])
     assert memo.eval(x) == 3.0
-    assert memo.eval_batch(np.stack([x, x])).tolist() == [3.0, 3.0]
+    assert memo.eval(x) == 3.0
     assert f.calls == 1
-    assert memo.eval_batch(y[None, :]).tolist() == [4.0]
     assert memo.eval(y) == 4.0
     assert f.calls == 2
     ray = memo.ray(x, 0)  # f(x) is a hit
     assert ray[1] == 1.0 and ray[2] == 2.0  # x + e_0 == y is a hit too
     assert f.calls == 3
-    assert memo.eval_batch(np.array([[3, 2], [2, 2], [1, 2]])).tolist() == [5.0, 4.0, 3.0]
+    assert memo.eval(np.array([3, 2])) == 5.0  # x + 2 e_0, read by the ray
     assert f.calls == 3

@@ -411,7 +411,7 @@ BAD_FIELD_TYPES = [
     (CARDINALITY, "kind: polymatroid\n      family: partition\n      params: {parts: 5, caps: [1]}",
      "'parts' in instance 'pack' constraint params must be a list, got 5"),
     (CARDINALITY, NO_TOTAL.replace("}", ", total: x}"),
-     "'total' in instance 'pack' constraint params must be a number, got 'x'"),
+     "'total' in instance 'pack' constraint params must be an integer, got 'x'"),
     (CONCAVE_ORACLE, BUDGET_ORACLE.format(5, "[2, 2]"),
      "'edges' in instance 'pack' oracle params must be a list, got 5"),
     (CONCAVE_ORACLE, BUDGET_ORACLE.format(EDGES, 5),
@@ -890,8 +890,9 @@ MISSPELLED = [
 ]
 
 # each used to load: int() truncated a float (two seeds 1.2 and 1.7 became
-# two identical seed-1 rows; a budget of 2.7 became 2) and a bool passed
-# as the number 1
+# two identical seed-1 rows; a budget of 2.7 became 2; a uniform
+# polymatroid's rank truncated its total of 2.5, so rounding stalled or
+# left P) and a bool passed as the number 1
 NOT_INTEGERS_OR_NUMBERS = [
     ([("seeds: [0, 1]", "seeds: [1.2, 1.7]")],
      "each item of 'seeds' in experiment entry must be an integer, got 1.2"),
@@ -910,6 +911,11 @@ NOT_INTEGERS_OR_NUMBERS = [
      "each item of 'caps' in instance 'pack' constraint params must be an integer, got 1.5"),
     ([(CARDINALITY, UNIFORM.replace("n: 2", "n: 2.5")), ("cardinality_dr", "polymatroid")],
      "'n' in instance 'pack' constraint params must be an integer, got 2.5"),
+    ([(CARDINALITY, UNIFORM.replace("per_element: 1", "per_element: 1.5")),
+      ("cardinality_dr", "polymatroid")],
+     "'per_element' in instance 'pack' constraint params must be an integer, got 1.5"),
+    ([(CARDINALITY, UNIFORM.replace("total: 2", "total: 2.5")), ("cardinality_dr", "polymatroid")],
+     "'total' in instance 'pack' constraint params must be an integer, got 2.5"),
     ([("epsilons: [0.1]", "epsilons: [true]")],
      "each item of 'epsilons' in experiment entry must be a number, got True"),
     ([("value: 0.53", "value: true")], "'value' in assertion entry must be a number, got True"),
@@ -971,7 +977,8 @@ UNKNOWN_KEYS = [
     MISSPELLED + NOT_INTEGERS_OR_NUMBERS + NESTED_ITEMS + UNKNOWN_KEYS,
     ids=["oracle_family", "polymatroid_family", "unrun_kind", "table_name", "float_seeds",
          "bool_seed", "float_oracle_seed", "float_budget", "float_cap", "float_oracle_cap",
-         "float_caps", "float_n", "bool_epsilon", "bool_value", "bool_coeff", "bool_power",
+         "float_caps", "float_n", "float_per_element", "float_total", "bool_epsilon",
+         "bool_value", "bool_coeff", "bool_power",
          "bool_weight", "float_part", "bool_part", "string_table_entry", "mixed_depth_table",
          "empty_table_row", "empty_table", "ragged_table", "ragged_3d_table", "list_reference",
          "instance_key", "oracle_key", "oracle_params_key", "constraint_key",

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -173,6 +174,14 @@ def test_uniform_polymatroid_degenerate():
     P = uniform_polymatroid(2, 1, 0)
     assert P.member(np.array([0, 0]))
     assert not P.member(np.array([1, 0]))
+
+
+@pytest.mark.parametrize("per_element, total", [(1, 2.5), (1.5, 3), (1, math.nan)])
+def test_uniform_polymatroid_rejects_non_integral_parameters(per_element, total):
+    # its membership admitted x_e <= 1.5 while its rank truncated to an
+    # integer, so pipage rounding stalled or returned a point outside P
+    with pytest.raises(ValueError, match="must be integers"):
+        uniform_polymatroid(3, per_element, total)
 
 
 def test_partition_polymatroid_membership():

@@ -10,7 +10,14 @@ from latticemax import cardinality, polymatroid
 from latticemax.bruteforce import brute_force_opt
 from latticemax.cardinality import SolverConfig, threshold_schedule
 from latticemax.core import CapacityError, ValueOracle, unit, zeros
-from latticemax.extension import SNAP_TOLERANCE, _marginal_estimate, extension_exact
+from latticemax.extension import (
+    SNAP_TOLERANCE,
+    _cell_corners,
+    _fractional_coords,
+    _marginal_estimate,
+    extension_exact,
+    split_point,
+)
 from latticemax.instances import (
     InstanceSpec,
     make_budget_allocation,
@@ -132,6 +139,61 @@ def test_binary_search_polymatroid_costs_at_most_the_cell_per_probe():
             before = f.calls
             binary_search_polymatroid(f, x, e, theta, k_max)
             assert f.calls - before <= probes * 2 * 2**m
+
+
+def _cell_sum(f, b, e, k):
+    # (F(k e | b), F(b + k e)) as one cell sum, a batch read per matrix of
+    # corners and one np.dot each: the reference for the ray's bits
+    base, frac = split_point(f, b)
+    corners, weights = _cell_corners(base, frac, _fractional_coords(frac))
+    shifted = corners.copy()
+    shifted[:, e] += k
+    moved = f.eval_batch(shifted)
+    return (float(np.dot(moved - f.eval_batch(corners), weights)),
+            float(np.dot(moved, weights)))
+
+
+def test_extension_ray_matches_the_cell_sum_bit_for_bit():
+    rng = np.random.default_rng(31)
+    n, checked = 6, 0
+    for m in range(n + 1):
+        for _ in range(3):
+            cap = rng.integers(1, 4, size=n)
+            if rng.random() < 0.5:
+                args = (rng.uniform(0.5, 2.0, size=n).tolist(),
+                        rng.choice([0.3, 0.5, 0.7, 1.0], size=n).tolist(), cap)
+                make = make_separable_concave
+            else:
+                args = ([(s, int(rng.integers(0, 4)), float(rng.uniform(0.1, 0.6)))
+                         for s in range(n) for _ in range(2)], cap)
+                make = make_budget_allocation
+            f, ref = make(*args), make(*args)
+            b = np.floor(rng.uniform(0, cap + 1)).clip(0, cap).astype(np.float64)
+            idx = rng.choice(n, size=m, replace=False)
+            b[idx] = rng.integers(0, cap[idx]) + rng.uniform(0.05, 0.95, size=m)
+            memo = cardinality._PointMemo(f)
+            for e in range(n):
+                ray = polymatroid._ExtensionRay(memo, None, b, e)
+                for k in range(1, int(cap[e] - np.ceil(b[e])) + 1):
+                    gain, value = _cell_sum(ref, b, e, k)
+                    assert ray[k].hex() == gain.hex()
+                    assert ray.value(k).hex() == value.hex()
+                    step = b + k * unit(n, e)
+                    exact = extension_exact(ref, step) - extension_exact(ref, b)
+                    assert abs(ray[k] - exact) <= 1e-12 * max(1.0, extension_exact(ref, step))
+                    checked += 1
+    assert checked > 50
+
+
+def test_extension_ray_rejects_an_out_of_box_probe_at_no_cost():
+    # at k = 2 the lower corners' shifted points are in the box and unread,
+    # the upper corners' are outside it; the probe raises before reading any
+    f = make_separable_concave([1.0, 1.0], [0.5, 0.5], [2, 1])
+    ray = polymatroid._ExtensionRay(cardinality._PointMemo(f), None, np.array([0.5, 0.5]), 0)
+    with pytest.raises(ValueError, match="outside box"):
+        ray[2]
+    assert f.calls == 4  # the four corners, read when the ray first probes
+    assert ray[1] > 0 and f.calls == 6
 
 
 def test_direction_polymatroid_zero_polytope():
@@ -661,17 +723,16 @@ def test_maximize_polymatroid_matches_the_old_direction_loop():
     assert fewer > 30
 
 
-def test_direction_search_keeps_one_cell_and_search_per_point_and_element(monkeypatch):
-    # between accepted steps x + y stays put: one cell, its corners read
-    # once, each shifted corner matrix read once, and each (x + y, e, k)
-    # probed once, a membership query being asked only by such a probe; the
-    # direction makes no k_max_in_polymatroid search.  The memo under the
-    # solve would hide a repeat from every call count, so the events are
-    # logged where they happen
+def test_direction_search_reads_each_point_once_and_probes_each_step_once(monkeypatch):
+    # no point reaches fn twice in one solve; between accepted steps x + y
+    # stays put, and each (x + y, e, k) is probed once, a membership query
+    # being asked only by such a probe; the direction makes no
+    # k_max_in_polymatroid search.  The memo under the solve would hide a
+    # repeat from every call count, so the events are logged where they
+    # happen
     events = []
-    direction, cell_init = polymatroid.direction_polymatroid, polymatroid._Cell.__init__
+    direction = polymatroid.direction_polymatroid
     probe, member = polymatroid._ExtensionRay.__missing__, polymatroid.PolymatroidOracle.member
-    memo_batch = cardinality._PointMemo.eval_batch
 
     def logged_direction(*args):
         events.append(("direction",))
@@ -690,33 +751,29 @@ def test_direction_search_keeps_one_cell_and_search_per_point_and_element(monkey
         events.append(("member",))
         return member(self, x)
 
-    def logged_cell(self, f, x):
-        events.append(("cell", np.asarray(x).tobytes()))
-        cell_init(self, f, x)
-
-    def logged_batch(self, X):
-        events.append(("batch", X.tobytes()))
-        return memo_batch(self, X)
-
     monkeypatch.setattr(polymatroid, "direction_polymatroid", logged_direction)
     monkeypatch.setattr(polymatroid, "k_max_in_polymatroid", logged_k_max)
     monkeypatch.setattr(polymatroid._ExtensionRay, "__missing__", logged_probe)
     monkeypatch.setattr(polymatroid.PolymatroidOracle, "member", logged_member)
-    monkeypatch.setattr(polymatroid._Cell, "__init__", logged_cell)
-    monkeypatch.setattr(cardinality._PointMemo, "eval_batch", logged_batch)
     rng = np.random.default_rng(7)
-    cells = probes = 0
+    reads = probes = 0
     for make_f, make_P, config in _random_polymatroid_solves(rng, 40):
         events.clear()
-        maximize_polymatroid(make_f(), make_P(), config)
+        f = make_f()
+        fn = f._fn
+        f._fn = lambda x: events.append(("fn", x.tobytes())) or fn(x)
+        maximize_polymatroid(f, make_P(), config)
         assert ("k_max",) not in events
+        read = [event for event in events if event[0] == "fn"]
+        assert len(read) == len(set(read)) == f.calls  # each point once per solve
+        reads += len(read)
         starts = [i for i, event in enumerate(events) if event == ("direction",)]
         stops = [i for i, event in enumerate(events) if event == ("done",)]
         assert len(starts) == len(stops) == config.inv_epsilon
         for start, stop in zip(starts, stops):
             span = events[start + 1:stop]
             assert span[0] == ("member",)  # the check that x is in P
-            probed, made, read = set(), set(), set()
+            probed = set()
             for before, event in zip(span, span[1:]):
                 if event[0] == "member":
                     assert before[0] == "probe"
@@ -724,12 +781,4 @@ def test_direction_search_keeps_one_cell_and_search_per_point_and_element(monkey
                     assert event not in probed  # each (x + y, e, k) once
                     probed.add(event)
                     probes += 1
-                elif event[0] == "cell":
-                    assert event not in made  # one cell per x + y in a direction
-                    made.add(event)
-                    read = set()
-                    cells += 1
-                else:
-                    assert event not in read  # corners and each shifted matrix once
-                    read.add(event)
-    assert cells > 40 and probes > 40
+    assert reads > 40 and probes > 40
