@@ -8,29 +8,30 @@ takes the step its step rule picks on its ray.  The cardinality levels end
 at (eps / r) * d, and a step is capped at the budget left.
 
 * :func:`maximize_dr_cardinality` (DR-submodular f): d = max_e f(e); the
-  rule bisects for the largest step whose average gain clears the
-  threshold, exact because k -> f(k e | y) - k * threshold is then concave.
+  rule searches from k = 1 up, by doubling and then bisection, for the
+  largest step whose average gain clears the threshold, exact because
+  k -> f(k e | y) - k * threshold is then concave.
 * :func:`maximize_lattice_cardinality` (lattice-submodular f):
   d = max_e f(min(c_e, r) e); the rule takes the first candidate of a
   level-set scan whose gain clears (1 - eps) times the threshold
   (:func:`binary_search_lattice`).
 
-The knapsack greedy bisects too, at thresholds scaled by the weights, and
-rejects a step that overruns the budget.  Each solve reads f through its
-own :class:`_PointMemo`, so ``f.calls`` grows by the number of distinct
-points probed.  Both cardinality solvers achieve a (1 - 1/e - O(eps))
-fraction of the optimum for monotone objectives.
+The knapsack greedy searches the same way, at thresholds scaled by the
+weights, and rejects a step that overruns the budget.  Each solve reads f
+through its own :class:`_PointMemo`, so ``f.calls`` grows by the number of
+distinct points probed other than 0.  Both cardinality solvers achieve a
+(1 - 1/e - O(eps)) fraction of the optimum for monotone objectives.
 
 The sweep is lazy (CELF-style, Minoux 1978): each element keeps an upper
 bound on its average marginal gain, read from probes already made, and a
-visit whose bound is below its threshold is skipped.  The bisection's
-bound needs DR, which the bisection assumes anyway; the level rule's needs
-only lattice submodularity.  When ``f.meta["dr_submodular"]`` is true the
-lattice solver uses DR too: a new ray is bounded at once by f(e | y), read
-from g(k_cap) and g(1), the probes its scan starts with, and the bound is
-kept across steps.  A skipped visit is one where the rule would take no
-step, so solutions and traces are those of the eager sweep, and calls only
-fall: every call bound below still holds.
+visit whose bound is below its threshold is skipped.  The DR search's
+bound, f(e | y) = g(1), needs DR, which the search assumes anyway; the
+level rule's needs only lattice submodularity.  When
+``f.meta["dr_submodular"]`` is true the lattice solver uses DR too: a new
+ray is bounded at once by f(e | y), read from g(1), the probe its scan
+starts with, and the bound is kept across steps.  A skipped visit is one
+where the rule would take no step, so solutions and traces are those of
+the eager sweep, and calls only fall: every call bound below still holds.
 """
 
 from __future__ import annotations
@@ -165,14 +166,16 @@ class _PointMemo:
     stand in for f, so one knapsack solve shares it across its phases and
     one polymatroid solve across its directions.  Points must be int64
     vectors, as all solver iterates are.  :meth:`ray` makes the rays the
-    greedies' sweeps and the polymatroid's extension rays read.
+    greedies' sweeps and the polymatroid's extension rays read.  A memo
+    starts out holding f(0), the oracle's ``_f0``, which its constructor
+    read uncounted, so a solve never pays a call for f(0).
     """
 
     __slots__ = ("_f", "_values", "n", "box")
 
     def __init__(self, f: ValueOracle):
         self._f = f
-        self._values: dict[bytes, float] = {}
+        self._values: dict[bytes, float] = {zeros(f.n).tobytes(): f._f0}
         self.n, self.box = f.n, f.box
 
     def __call__(self, x: np.ndarray) -> float:
@@ -197,16 +200,20 @@ def _memo_of(f: ValueOracle | _PointMemo) -> _PointMemo:
 def _max_step_with_gain(
     gain_at: Mapping[int, float], k_max: int, threshold: float
 ) -> tuple[int, float]:
-    """Binary search for the largest k <= k_max with gain_at[k] >= k * threshold.
+    """Exponential search for the largest k <= k_max with gain_at[k] >= k * threshold.
 
     ``gain_at`` is a ray k -> f(k e | y) from :meth:`_PointMemo.ray`.  The
-    acceptable k form a prefix interval whenever f is DR-submodular
-    (g(k) = f(k e | y) - k * threshold is concave with g(0) = 0), which
-    makes the search exact.  Also returns the marginal value measured at
-    the returned k (0.0 for k = 0).
-    A search on a fresh ray costs at most 1 + ceil(log2(k_max + 1)) oracle
-    calls, one for f(y) (made when the ray is) and one per probe; a probe
-    the ray (or the memo under it) already holds costs none.
+    search probes k = 1, 2, 4, ... while the gain clears, up to k_max, then
+    bisects between the last probe that cleared and the first that failed
+    (or k_max).  The acceptable k form a prefix interval whenever f is
+    DR-submodular (g(k) = f(k e | y) - k * threshold is concave with
+    g(0) = 0), which makes the search exact.  Also returns the marginal
+    value measured at the returned k (0.0 for k = 0).
+    A search reads g(1) first, so a visit that takes no step makes one
+    probe; with k_max >= 1 no search makes more than
+    2 * floor(log2(k_max)) + 1.  Each probe the ray (or the memo under it)
+    does not already hold costs one oracle call; f(y) costs one more when
+    the ray is made, unless the memo holds it.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -214,6 +221,15 @@ def _max_step_with_gain(
         raise ValueError("k_max must be non-negative")
     lo, hi = 0, k_max
     gain_at_lo = 0.0
+    k = 1
+    while k <= k_max:
+        gain = gain_at[k]
+        if gain >= k * threshold:
+            lo, gain_at_lo = k, gain
+            k *= 2
+        else:
+            hi = k - 1
+            break
     while lo < hi:
         mid = (lo + hi + 1) // 2
         gain = gain_at[mid]
@@ -229,14 +245,17 @@ def _first_positive(val: Mapping[int, float], k_max: int, dr: bool = False) -> i
 
     ``val`` is non-decreasing on 0..k_max with val[0] = 0, as in
     :func:`_level_candidates`.  val[k_max] is read first, then k is found by
-    bisection.  With ``dr`` (val has non-increasing increments, so
-    val[k_max] > 0 implies val[1] > 0) val[1] is read second and the
-    bisection runs only if it is not positive.
+    bisection.  With ``dr`` (val has non-increasing increments) val[1] is
+    read first: if it is positive, k = 1 with no other read (monotone val
+    gives val[k_max] >= val[1]); otherwise the search goes on as without
+    ``dr``, so no result rests on DR.
     """
-    if k_max <= 0 or val[k_max] <= 0:
+    if k_max <= 0:
         return 0
     if dr and val[1] > 0:
         return 1
+    if val[k_max] <= 0:
+        return 0
     lo, hi = 1, k_max
     while lo < hi:
         mid = (lo + hi) // 2
@@ -368,15 +387,16 @@ _Bound = Callable[[Mapping[int, float], int, float], float | None]
 
 
 def _bisection_bound(ray: Mapping[int, float], k: int, eps: float) -> float:
-    """g(k_1) for the smallest probed k_1 >= 1, or f(e | y + k e) if less and known.
+    """g(1) = f(e | y), or f(e | y + k e) if less and known.
 
-    Needs f monotone and DR-submodular: then f(e | y') <= f(e | y) <=
-    g(k_1) for every y' >= y, and by concavity the bisection at y' returns
-    0 once f(e | y') is below its threshold.  After a step of k, the probe
-    at k + 1 that stopped the bisection gives f(e | y + k e) itself.  A
-    polymatroid ray's -inf (off P, so off P for every y' >= y) passes through.
+    Needs f monotone and DR-submodular: then f(e | y') <= f(e | y) for
+    every y' >= y, and by concavity the search at y' returns 0 once
+    f(e | y') is below its threshold.  Every searched ray holds k = 1, the
+    search's first probe.  After a step of k < k_max, the failed probe at
+    k + 1 that ended the search gives f(e | y + k e) itself.  A polymatroid
+    ray's -inf (off P, so off P for every y' >= y) passes through.
     """
-    bound = ray[min(ray)]
+    bound = ray[1]
     if k and k + 1 in ray:
         bound = min(bound, ray[k + 1] - ray[k])
     return bound
@@ -418,9 +438,10 @@ def _dr_ray_bound(ray: Mapping[int, float], k_max: int, eps: float) -> float:
     g(k) = f(k e | y) has non-increasing increments under DR, so
     g(k) / k <= g(k_min) for every k >= k_min and g(k) <= 0 below it, and
     the level rule steps only where g(k) / k >= (1 - eps) * threshold.
-    k_min comes from ``_first_positive(dr=True)``: g(k_max), then g(1), and
-    only when g(1) <= 0 (which DR excludes) the scan's bisection, so the
-    rule that follows reads these probes from the ray at no cost.
+    k_min comes from ``_first_positive(dr=True)``: g(1), which settles
+    k_min = 1 when positive, so a skipped ray costs one call; otherwise
+    g(k_max) and the scan's bisection.  The rule that follows reads these
+    probes from the ray at no cost.
     """
     k_min = _first_positive(ray, k_max, dr=True)
     return ray[k_min] / (1.0 - eps) if k_min else 0.0
@@ -483,13 +504,14 @@ def _sweep(
     to k - 1 and e's search is rebuilt on the same ray; without it the
     sweep ends at the step that spends the budget, drawing no further
     level, since every later visit would have k_cap <= 0.  Under
-    :func:`_bisection_rule` a visit probes at most ceil(log2(k_cap + 1))
-    points, and the f(y) a greedy's ray reads is the start point's or one an
+    :func:`_bisection_rule` a visit that takes no step probes one point,
+    g(1), and one that steps at most 2 * floor(log2(k_cap)) + 1; the f(y) a
+    greedy's ray reads is the start point's (f(0) costs no call) or one an
     accepted step has probed.
 
     Lazy bounds (CELF-style): just before an accepted step drops the rays,
     each ray gives e a bound from the probes it holds, :func:`_bisection_bound`
-    (needs DR, as the bisection does) or :func:`_level_bound` (needs only
+    (needs DR, as the search does) or :func:`_level_bound` (needs only
     lattice submodularity), and e keeps the least bound it has been given.
     A rule may also bound a ray as soon as it is made (only
     :func:`_dr_level_rule` does, by :func:`_dr_ray_bound`); the new ray's
@@ -592,12 +614,14 @@ def maximize_dr_cardinality(
 
     Guarantees f(y) >= (1 - 1/e - eps) * OPT.  The top threshold is
     d = max_e f(e); each step is the largest whose average gain clears the
-    threshold.  With L <= 1 + ln(r / eps) / eps levels and
-    m = min(max_e c_e, r), a solve makes at most
-    1 + n + L * n * ceil(log2(m + 1)) oracle calls.  An element is not
-    visited while an earlier probe's gain g(k_1) >= f(e | y) is below the
-    threshold (DR keeps it an upper bound as y grows), so the bound holds
-    with room to spare.
+    threshold.  Each search reads g(1) = f(e | y) first, so a visit that
+    takes no step costs at most one call, and one that steps at most
+    2 * floor(log2(m)) + 1, m = min(max_e c_e, r).  With
+    L <= 1 + ln(r / eps) / eps levels and s <= min(r, L * n) steps taken,
+    a solve makes at most n + L * n + 2 * s * floor(log2(m)) oracle calls;
+    f(0) costs none.  An element is not visited while f(e | y), read at an
+    earlier y, is below the threshold (DR keeps it an upper bound as y
+    grows), so the bound holds with room to spare.
     """
     return _cardinality_greedy(f, constraint, config, lambda c_e, r: 1, _bisection_rule)
 
@@ -613,22 +637,24 @@ def maximize_lattice_cardinality(
     :func:`binary_search_lattice`) whose gain f(k e | y) clears
     (1 - eps) * k * threshold.  A (y, e) pair's scan runs once and reads
     each k at most once, so with s <= r accepted steps and
-    m = min(max_e c_e, r) a solve makes at most 1 + n + (s + 1) * n * m
-    oracle calls.  A pair is not visited while the steps its ray probed at
-    an earlier y with the same y_e bound every f(k e | y) / k below
-    (1 - eps) * threshold; that needs only lattice submodularity, and
-    calls only fall.
+    m = min(max_e c_e, r) a solve makes at most n + (s + 1) * n * m
+    oracle calls (f(0) costs none).  A pair is not visited while the steps
+    its ray probed at an earlier y with the same y_e bound every
+    f(k e | y) / k below (1 - eps) * threshold; that needs only lattice
+    submodularity, and calls only fall.
 
     When ``f.meta["dr_submodular"]`` is true (the built-in families, a
     lattice table that passes its exhaustive DR check, and the harness's
     views of either) the rule is :func:`_dr_level_rule`: the same scan,
-    which reads g(1) = f(e | y) right after g(k_cap) and then needs no
-    bisection for k_min.  Every new ray gets the bound g(k_min) / (1 - eps)
-    at once, before its scan runs, and keeps it across steps, since under
-    DR f(e | y) bounds f(k e | y') / k for every y' >= y.  The steps,
-    solution and trace are unchanged, and calls only fall: a solve reads
-    only points the scan without the bound reads, unless f's floats break
-    DR.  ``meta`` is trusted, not checked.
+    which reads g(1) = f(e | y) first and, when it is positive, needs
+    neither g(k_cap) nor a bisection for k_min.  Every new ray gets the
+    bound g(k_min) / (1 - eps) at once, before its scan runs, and keeps it
+    across steps, since under DR f(e | y) bounds f(k e | y') / k for every
+    y' >= y; a ray the bound skips costs one call.  The steps, solution and
+    trace are unchanged.  A ray with g(1) <= 0 reads g(1) on top of the
+    scan's own reads, so a solve can make a few calls more than without the
+    bound, but calls fall in total at query scale.  ``meta`` is trusted,
+    not checked.
     """
     rule = _dr_level_rule if f.meta.get("dr_submodular") else _level_rule
     return _cardinality_greedy(f, constraint, config, min, rule)

@@ -172,7 +172,9 @@ class ValueOracle:
     use is safe as long as ``fn`` itself is pure.
 
     ``box`` is a read-only int64 array owned by the oracle; views made by
-    :meth:`shifted` own read-only boxes of their own.
+    :meth:`shifted` own read-only boxes of their own.  The constructor
+    evaluates fn(0) once to check f(0) = 0 and keeps the float (``_f0``);
+    that evaluation is not counted.
     """
 
     def __init__(
@@ -192,6 +194,9 @@ class ValueOracle:
         z = float(fn(zeros(self.n)))
         if not abs(z) <= CHECK_TOLERANCE:  # NaN fails too
             raise ValueError(f"oracle must satisfy f(0) = 0, got f(0) = {z}")
+        # the float ``eval`` returns at 0, read by the check above; a solve's
+        # point memo starts out holding it
+        self._f0 = z
 
     @property
     def n(self) -> int:

@@ -138,18 +138,23 @@ def greedy_knapsack(
 
     The sweep of :func:`_sweep` at thresholds theta from d = max_e f(e) / w(e)
     down to eps * d * w_min: e takes the largest k <= u(e) - x(e) with
-    f(k e | x) >= k w(e) theta, by binary search under its ceiling u(e) = c_e.
+    f(k e | x) >= k w(e) theta, by exponential search from k = 1 under its
+    ceiling u(e) = c_e.
     A step that overruns the budget is rejected, recorded in the trace with
     ``accepted=False``, and lowers u(e) to x(e) + k - 1; e keeps its ray.
     The single-start entry: it checks the instance against f and x0 against
     the instance before any call, then runs the set-up and sweep that
     :func:`maximize_knapsack` runs once per solve and once per start.
-    Points are read through a fresh memo unless ``f`` already is one.  With
-    L <= 1 + ln(1 / (eps * w_min)) / eps levels and m = max_e c_e, a call
-    makes at most 1 + n + L * n * ceil(log2(m + 1)) oracle calls.  Like the
-    DR cardinality sweep it skips e while an earlier probe's gain, an upper
-    bound on f(e | x) as x grows for DR f, is below w(e) theta; skips only
-    save calls, so that bound still holds.
+    Points are read through a fresh memo unless ``f`` already is one.  A
+    visit reads f(e | x) first, so one that takes no step costs at most one
+    call, and one that takes or rejects a step at most
+    2 * floor(log2(m)) + 1, m = max_e c_e.  With
+    L <= 1 + ln(1 / (eps * w_min)) / eps levels and s <= L * n such steps,
+    a call makes at most 1 + n + L * n + 2 * s * floor(log2(m)) oracle
+    calls, the 1 for f(x0) (none when x0 = 0).  Like the DR cardinality
+    sweep it skips e while f(e | x), read at an earlier x and an upper
+    bound on it as x grows for DR f, is below w(e) theta; skips only save
+    calls, so that bound still holds.
     """
     _check(f, inst)
     x = as_lattice_point(x0, f.n)

@@ -9,7 +9,9 @@ sweep (:func:`cardinality._sweep`) on rays k -> F(k e | x + y) that read
 -inf where x + y + k e leaves P.  Each marginal is exact: F(b + k e) is
 the D(b)-weighted sum of f(z + k e) over the 2^m corners z of b's unit
 cell (m fractional coordinates), so a ray of b mixes the greedies' rays
-k -> f(z + k e) - f(z) at those corners.  A solve reads f through one
+k -> f(z + k e) - f(z) at those corners.  Each search of the sweep reads
+k = 1 first, so a visit that takes no step makes one probe, and one that
+steps at most 2 * floor(log2(k_max)) + 1.  A solve reads f through one
 point memo, so a probe costs at most 2 * 2^m new oracle calls and a
 repeat costs none.  The ground set is capped at ``MAX_ENUMERATION_N``
 elements.
@@ -214,11 +216,13 @@ class _ExtensionRay(dict):
 def binary_search_polymatroid(f: ValueOracle, x, e: int, theta: float, k_max: int) -> int:
     """Largest k in [1, k_max] with F(k e | x) >= k * theta, or 0; exact for DR f.
 
-    The direction search's bisection (``_max_step_with_gain``) on a fresh
-    ray of x that asks no polytope, through a fresh memo unless ``f`` is
-    one: at most ceil(log2(k_max + 1)) probes, each costing at most
-    2 * 2^m new oracle calls (m fractional coordinates in x; f at a corner
-    or shifted corner is read once).  It stays as the tracer's span.
+    The direction search's step search (``_max_step_with_gain``) on a
+    fresh ray of x that asks no polytope, through a fresh memo unless ``f``
+    is one: it probes k = 1 first, so a search that returns 0 makes one
+    probe and none makes more than 2 * floor(log2(k_max)) + 1, each costing
+    at most 2 * 2^m new oracle calls (m fractional coordinates in x; f at a
+    corner or shifted corner is read once, and f(0) costs none).  It stays
+    as the tracer's span.
     """
     x = as_fractional_point(x, f.n)
     if not 0 <= e < f.n:
@@ -231,7 +235,7 @@ def direction_polymatroid(
 ) -> np.ndarray:
     """One threshold sweep producing an integral direction y with x + y in P.
 
-    :func:`cardinality._sweep` with the bisection rule and no budget, from
+    :func:`cardinality._sweep` with the DR step rule and no budget, from
     d = max_e f(e) down to epsilon * d / num_updates (num_updates bounds the
     coordinate updates): at each level e takes the largest k within its box
     room with x + y + k e in P and F(k e | x + y) >= k * threshold, on a ray

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -312,6 +313,102 @@ def test_max_step_dr_prefix_property(cap, theta):
     assert got == want
 
 
+class CountingRay(dict):
+    """k -> gains[k] for a list of gains, kept on the first read of k: len() counts the probes."""
+
+    def __init__(self, gains):
+        super().__init__()
+        self.gains = gains
+
+    def __missing__(self, k):
+        value = self[k] = self.gains[k]
+        return value
+
+
+def concave_integer_gains(rng, k_max):
+    """g(0..k_max) with g(0) = 0 and non-negative, non-increasing integer increments."""
+    increments = sorted(rng.integers(0, 12, size=k_max).tolist(), reverse=True)
+    return [0] + np.cumsum(increments, dtype=np.int64).tolist()
+
+
+def every_threshold(gains):
+    """Each positive average gain g(k) / k exactly, the midpoints between them, one past each end."""
+    averages = sorted({Fraction(g, k) for k, g in enumerate(gains) if k and g > 0})
+    if not averages:
+        return [Fraction(1)]
+    mids = [(a + b) / 2 for a, b in zip(averages, averages[1:])]
+    return [averages[0] / 2, *averages, *mids, averages[-1] + 1]
+
+
+def worst_probes(k_max):
+    """The most probes the exponential search may make: 2 floor(log2 k_max) + 1."""
+    return 2 * (k_max.bit_length() - 1) + 1
+
+
+def test_max_step_returns_the_bisections_step_on_exact_concave_gains():
+    # integer gains and rational thresholds compare exactly, so the steps
+    # that clear form a prefix and both searches must return its end; a
+    # visit with g(1) < threshold makes one probe, and none makes more
+    # than 2 floor(log2 k_max) + 1
+    rng = np.random.default_rng(28)
+    searches = 0
+    for k_max in range(65):
+        for _ in range(4):
+            gains = concave_integer_gains(rng, k_max)
+            for threshold in every_threshold(gains):
+                ray = CountingRay(gains)
+                got = _max_step_with_gain(ray, k_max, threshold)
+                assert got == bisection_max_step(gains.__getitem__, k_max, threshold)
+                if k_max == 0:
+                    assert len(ray) == 0
+                elif gains[1] < threshold:
+                    assert got == (0, 0.0) and len(ray) == 1
+                else:
+                    assert 1 <= len(ray) <= worst_probes(k_max)
+                searches += 1
+    assert searches > 10_000
+
+
+def test_max_step_probes_at_most_twice_the_log_of_k_max_plus_one():
+    # the probes depend only on where the steps that clear end, so every
+    # end k* of a prefix covers every search; the bound is reached
+    reached = set()
+    for k_max in range(1, 129):
+        most = 0
+        for k_star in range(k_max + 1):
+            ray = CountingRay([min(k, k_star) for k in range(k_max + 1)])
+            assert _max_step_with_gain(ray, k_max, 1.0) == (k_star, k_star)
+            most = max(most, len(ray))
+        assert 1 <= most <= worst_probes(k_max)
+        if most == worst_probes(k_max):
+            reached.add(k_max)
+    assert {1, 3, 7, 127} <= reached
+
+
+def test_a_search_that_takes_no_step_costs_one_call():
+    f = make_separable_concave([1.0, 2.0], [0.5, 1.0], [64, 64])
+    memo = _PointMemo(f)
+    ray = memo.ray(np.array([3, 5], dtype=np.int64), 1)
+    calls = f.calls
+    assert _max_step_with_gain(ray, 59, 2.5) == (0, 0.0)
+    assert f.calls == calls + 1 and list(ray) == [1]
+
+
+def test_first_positive_under_dr_reads_only_g1_when_it_is_positive():
+    for k_max in (1, 2, 9, 64):
+        ray = CountingRay([0.0] + [float(k) for k in range(1, k_max + 1)])
+        assert cardinality._first_positive(ray, k_max, dr=True) == 1
+        assert list(ray) == [1]
+    # g(1) <= 0: the search goes on as without DR, from g(k_max)
+    gains = [0.0, 0.0, 0.0, 0.0, 1.0, 1.5, 1.5, 2.0, 2.0]
+    for dr in (False, True):
+        ray = CountingRay(gains)
+        assert cardinality._first_positive(ray, 8, dr=dr) == 4
+        assert list(ray)[:2] == ([1, 8] if dr else [8, 4])
+    ray = CountingRay([0.0] * 9)
+    assert cardinality._first_positive(ray, 8, dr=True) == 0 and list(ray) == [1, 8]
+
+
 def test_maximize_lattice_cardinality_top_threshold_is_feasible():
     # cap far above the budget: probing f(c_e e) instead of f(min(c_e, r) e)
     # put every threshold above any gain a step of <= r units can reach
@@ -390,24 +487,70 @@ def test_solvers_evaluate_no_point_twice(make, whole_knapsack):
 # for every step search and built f.shifted(y) for every lattice step.
 
 
-def reference_max_step_with_gain(f, y, e, k_max, threshold, log=None):
-    """The bisection; ``log``, when given, collects each probe k -> f(k e | y)."""
-    if k_max == 0:
-        return 0, 0.0
+def reference_gains(f, y, e, log=None):
+    """k -> f(k e | y) on f itself, f(y) read now; ``log``, when given, collects each probe."""
     base = f.eval(y)
-    step = unit(f.n, e)
-    lo, hi = 0, k_max
-    gain_at_lo = 0.0
+
+    def gain(k):
+        value = f.eval(y + unit(f.n, e, k)) - base
+        if log is not None:
+            log[k] = value
+        return value
+
+    return gain
+
+
+def exponential_max_step(gain, k_max, threshold):
+    """The largest k <= k_max with gain(k) >= k * threshold by the exponential search.
+
+    It probes k = 1, 2, 4, ... while the gain clears, then bisects between
+    the last probe that cleared and the first that failed.
+    """
+    lo, hi, gain_at_lo = 0, k_max, 0.0
+    k = 1
+    while k <= k_max:
+        value = gain(k)
+        if value >= k * threshold:
+            lo, gain_at_lo = k, value
+            k *= 2
+        else:
+            hi = k - 1
+            break
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        gain = f.eval(y + mid * step) - base
-        if log is not None:
-            log[mid] = gain
-        if gain >= mid * threshold:
-            lo, gain_at_lo = mid, gain
+        value = gain(mid)
+        if value >= mid * threshold:
+            lo, gain_at_lo = mid, value
         else:
             hi = mid - 1
     return lo, gain_at_lo
+
+
+def bisection_max_step(gain, k_max, threshold):
+    """The same k by the search the exponential one replaced: bisection of [0, k_max] from the middle."""
+    lo, hi, gain_at_lo = 0, k_max, 0.0
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        value = gain(mid)
+        if value >= mid * threshold:
+            lo, gain_at_lo = mid, value
+        else:
+            hi = mid - 1
+    return lo, gain_at_lo
+
+
+def reference_max_step_with_gain(f, y, e, k_max, threshold, log=None):
+    """The exponential search on f itself; ``log``, when given, collects each probe k -> f(k e | y)."""
+    if k_max == 0:
+        return 0, 0.0
+    return exponential_max_step(reference_gains(f, y, e, log), k_max, threshold)
+
+
+def reference_bisection(f, y, e, k_max, threshold, log=None):
+    """:func:`reference_max_step_with_gain` with the bisection from the middle."""
+    if k_max == 0:
+        return 0, 0.0
+    return bisection_max_step(reference_gains(f, y, e, log), k_max, threshold)
 
 
 def memo_along(g, e, log=None):
@@ -424,11 +567,14 @@ def memo_along(g, e, log=None):
 
 
 def reference_k_min(val, k_max, dr=False):
-    """The smallest k with val(k) > 0, None if val(k_max) <= 0; ``dr`` tries k = 1 first."""
-    if val(k_max) <= 0:
-        return None
+    """The smallest k with val(k) > 0, None if val(k_max) <= 0; ``dr`` reads val(1) first.
+
+    With ``dr`` a positive val(1) gives k = 1 with no other read.
+    """
     if dr and val(1) > 0:
         return 1
+    if val(k_max) <= 0:
+        return None
     lo, hi = 1, k_max
     while lo < hi:
         mid = (lo + hi) // 2
@@ -478,7 +624,8 @@ def lazy_bounds_before_step(bounds, probes, e, k, lattice, eps, dr=False):
     """Fold the probes made at y into ``bounds`` as a step of k along e leaves y.
 
     ``probes[e']`` maps each k' probed along e' at y to f(k' e' | y).  DR:
-    the gain at the smallest probed k', and for e also f(e | y + k e) from
+    the gain at the smallest probed k' (k' = 1 under the exponential
+    search, 1 or more under the bisection), and for e also f(e | y + k e) from
     the probe at k + 1; the lattice sweep on DR f (``dr``) divides it by
     1 - eps.  Lattice otherwise: max_i g(k_i) / (k_{i-1} + 1) over the
     probed k_i, over 1 - eps; e's own bound is dropped.
@@ -499,12 +646,14 @@ def lazy_bounds_before_step(bounds, probes, e, k, lattice, eps, dr=False):
         bounds[e2] = min(new, bounds.get(e2, new))
 
 
-def reference_sweep(f, constraint, config, lattice, skip=False):
+def reference_sweep(f, constraint, config, lattice, skip=False,
+                    search=reference_max_step_with_gain):
     """The cardinality sweep as it was before the memo; ``skip`` adds the lazy bounds.
 
     With ``skip``, the lattice sweep on an f whose ``meta`` says DR gives e
     a bound as soon as it first probes at y: g(k_min) / (1 - eps), k_min
-    found from g(k_cap) and g(1), and 0 when g(k_cap) <= 0.
+    found from g(1), then g(k_cap) if g(1) <= 0, and 0 when g(k_cap) <= 0.
+    ``search`` is the DR sweep's step search.
     """
     cap = constraint.cap_vector()
     eps = config.effective
@@ -542,7 +691,7 @@ def reference_sweep(f, constraint, config, lattice, skip=False):
                     continue
                 gain = view.eval(unit(f.n, e, k))
             else:
-                k, gain = reference_max_step_with_gain(f, y, e, k_cap, threshold, log)
+                k, gain = search(f, y, e, k_cap, threshold, log)
             if k >= 1:
                 lazy_bounds_before_step(bounds, probes, e, k, lattice, eps, dr)
                 probes.clear()
@@ -585,18 +734,24 @@ def query_scale_instances():
     return cases
 
 
-def first_occurrences(points):
-    return list(dict.fromkeys(points))
+def memo_reads(points):
+    """The points a solve reading f through a memo sends to f, given a reference's evaluations.
+
+    Each distinct point once, in the order of its first evaluation, except
+    0: a memo starts out holding f(0), which the oracle read uncounted.
+    """
+    return [p for p in dict.fromkeys(points) if any(p)]
 
 
 def test_sweeps_match_reference():
     # the solvers return the reference's points and traces, without the
     # skip; reading f through a memo and cached rays, they evaluate the
     # lazy reference sweep's points in the order of its first evaluation
-    # of each
+    # of each.  The DR solves call f less often than the lazy sweep with
+    # the bisection from the middle that the exponential search replaced
     cases = equivalence_instances()
     assert len(cases) >= 50
-    skipped = 0
+    skipped = calls = bisection_calls = 0
     for make, caps, r in cases + query_scale_instances():
         cst = CardinalityConstraint(caps, r)
         for lattice, solve in ((False, maximize_dr_cardinality), (True, maximize_lattice_cardinality)):
@@ -609,15 +764,25 @@ def test_sweeps_match_reference():
             lazy, lazy_points = recording(make())
             lazy_y, lazy_steps = reference_sweep(lazy, cst, SolverConfig(0.1), lattice, skip=True)
             assert list(lazy_y) == list(y) and lazy_steps == got
-            assert points == first_occurrences(lazy_points)
+            assert points == memo_reads(lazy_points)
             skipped += trace.skipped
+            if not lattice:
+                old, old_points = recording(make())
+                old_y, old_steps = reference_sweep(old, cst, SolverConfig(0.1), lattice, skip=True,
+                                                   search=reference_bisection)
+                if old.meta["dr_submodular"]:  # on a non-DR table the two searches may differ
+                    assert list(old_y) == list(y) and old_steps == got
+                calls += f.calls
+                bisection_calls += len(memo_reads(old_points))
     assert skipped > 0
+    assert calls < bisection_calls
 
 
-def reference_greedy_knapsack(f, inst, x0, config, skip=False):
+def reference_greedy_knapsack(f, inst, x0, config, skip=False,
+                              search=reference_max_step_with_gain):
     """Literal copy of greedy_knapsack before its rays, searching on f itself.
 
-    ``skip`` adds the lazy bounds of the DR sweep.
+    ``skip`` adds the lazy bounds of the DR sweep; ``search`` is the step search.
     """
     cap = inst.cap_vector()
     w = inst.weight_vector()
@@ -640,7 +805,7 @@ def reference_greedy_knapsack(f, inst, x0, config, skip=False):
             if skip and lazy_skip(bounds, e, w[e] * threshold, f_y):
                 continue
             log = probes.setdefault(e, {})
-            k, gain = reference_max_step_with_gain(f, x, e, k_cap, w[e] * threshold, log)
+            k, gain = search(f, x, e, k_cap, w[e] * threshold, log)
             if k < 1:
                 continue
             if spent + k * w[e] <= 1.0 + BUDGET_TOL:
@@ -657,8 +822,10 @@ def reference_greedy_knapsack(f, inst, x0, config, skip=False):
 
 
 def test_greedy_knapsack_probes_the_reference_points_in_order():
+    # and calls f less often than the lazy solve with the bisection from
+    # the middle that the exponential search replaced
     cases = equivalence_instances() + query_scale_instances()
-    rejected = skipped = 0
+    rejected = skipped = calls = bisection_calls = 0
     for make, caps, r in cases:
         weights = [1.0 + e % 3 for e in range(len(caps))]
         inst = KnapsackInstance.from_raw(weights, 3.0 * r, caps)
@@ -671,11 +838,19 @@ def test_greedy_knapsack_probes_the_reference_points_in_order():
         lazy_x, lazy_steps = reference_greedy_knapsack(lazy, inst, zeros(len(caps)), SolverConfig(0.1),
                                                        skip=True)
         assert list(lazy_x) == list(x) and lazy_steps == ref_steps
-        assert points == first_occurrences(lazy_points)
+        assert points == memo_reads(lazy_points)
         rejected += sum(not step[4] for step in ref_steps)
         skipped += trace.skipped
+        old, old_points = recording(make())
+        old_x, old_steps = reference_greedy_knapsack(old, inst, zeros(len(caps)), SolverConfig(0.1),
+                                                     skip=True, search=reference_bisection)
+        if old.meta["dr_submodular"]:  # on a non-DR table the two searches may differ
+            assert list(old_x) == list(x) and old_steps == ref_steps
+        calls += f.calls
+        bisection_calls += len(memo_reads(old_points))
     assert rejected > 0  # the cases reach the rejection branch, which keeps the rays
     assert skipped > 0
+    assert calls < bisection_calls
 
 
 def test_cardinality_sweep_draws_no_level_after_the_budget_is_spent(monkeypatch):
@@ -743,16 +918,33 @@ def test_lazy_bounds_on_a_hand_ray():
 
 @pytest.mark.parametrize("eps", [0.1, 0.25, 0.5])
 def test_greedy_knapsack_stays_within_its_call_bound(eps):
-    # greedy_knapsack's docstring: at most 1 + n + L n ceil(log2(m + 1))
-    # calls, L <= 1 + ln(1 / (eps w_min)) / eps levels, m = max_e c_e
+    # greedy_knapsack's docstring: at most 1 + n + L n + 2 s floor(log2 m)
+    # calls, s the steps taken or rejected, L <= 1 + ln(1 / (eps w_min)) / eps
+    # levels, m = max_e c_e; and within the bisection's former bound
+    # 1 + n + L n ceil(log2(m + 1))
     for make, caps, r in equivalence_instances() + query_scale_instances():
         inst = equivalence_knapsack(caps, r)
         f, points = recording(make())
         config = SolverConfig(eps)
-        greedy_knapsack(f, inst, zeros(len(caps)), config)
-        n, eff = len(caps), config.effective
+        _, trace = greedy_knapsack(f, inst, zeros(len(caps)), config)
+        n, eff, m = len(caps), config.effective, max(caps)
         levels = 1 + math.log(1 / (eff * min(inst.weights))) / eff
-        assert 0 < len(points) <= 1 + n + levels * n * math.ceil(math.log2(max(caps) + 1))
+        assert 0 < len(points) <= 1 + n + levels * n * math.ceil(math.log2(m + 1))
+        assert len(points) <= 1 + n + levels * n + 2 * len(trace.steps) * math.floor(math.log2(m))
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.25, 0.5])
+def test_dr_cardinality_stays_within_its_call_bound(eps):
+    # maximize_dr_cardinality's docstring: at most n + L n + 2 s floor(log2 m)
+    # calls, s the steps taken, L <= 1 + ln(r / eps) / eps levels,
+    # m = min(max_e c_e, r)
+    for make, caps, r in equivalence_instances() + query_scale_instances():
+        f = make()
+        config = SolverConfig(eps)
+        _, trace = maximize_dr_cardinality(f, CardinalityConstraint(caps, r), config)
+        n, eff, m = len(caps), config.effective, min(max(caps), r)
+        levels = 1 + math.log(r / eff) / eff
+        assert f.calls <= n + levels * n + 2 * len(trace.steps) * math.floor(math.log2(m))
 
 
 def test_ray_reads_f_of_y_once_and_each_step_at_most_once():
