@@ -27,11 +27,12 @@ bound on its average marginal gain, read from probes already made, and a
 visit whose bound is below its threshold is skipped.  The DR search's
 bound, f(e | y) = g(1), needs DR, which the search assumes anyway; the
 level rule's needs only lattice submodularity.  When
-``f.meta["dr_submodular"]`` is true the lattice solver uses DR too: a new
-ray is bounded at once by f(e | y), read from g(1), the probe its scan
-starts with, and the bound is kept across steps.  A skipped visit is one
-where the rule would take no step, so solutions and traces are those of
-the eager sweep, and calls only fall: every call bound below still holds.
+``f.meta["dr_submodular"]`` is true the lattice solver uses DR too: its
+rule finds the scan's step by the DR search's exponential search
+(:func:`_dr_level_rule`), so a visit that takes no step reads g(1) alone,
+and it keeps the DR bound across steps.  A skipped visit is one where the
+rule would take no step, so solutions and traces are those of the eager
+sweep, and calls only fall: every call bound below still holds.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def threshold_schedule(top: float, floor: float, epsilon: float) -> Iterator[flo
         return
     j = 0
     while True:
-        level = top * (1.0 - epsilon) ** j
+        level = top * (1 - epsilon) ** j
         if level < floor:
             return
         yield level
@@ -240,21 +241,14 @@ def _max_step_with_gain(
     return lo, gain_at_lo
 
 
-def _first_positive(val: Mapping[int, float], k_max: int, dr: bool = False) -> int:
+def _first_positive(val: Mapping[int, float], k_max: int) -> int:
     """The smallest k in 1..k_max with val[k] > 0, or 0 when val[k_max] <= 0 or k_max <= 0.
 
     ``val`` is non-decreasing on 0..k_max with val[0] = 0, as in
     :func:`_level_candidates`.  val[k_max] is read first, then k is found by
-    bisection.  With ``dr`` (val has non-increasing increments) val[1] is
-    read first: if it is positive, k = 1 with no other read (monotone val
-    gives val[k_max] >= val[1]); otherwise the search goes on as without
-    ``dr``, so no result rests on DR.
+    bisection.
     """
-    if k_max <= 0:
-        return 0
-    if dr and val[1] > 0:
-        return 1
-    if val[k_max] <= 0:
+    if k_max <= 0 or val[k_max] <= 0:
         return 0
     lo, hi = 1, k_max
     while lo < hi:
@@ -266,35 +260,38 @@ def _first_positive(val: Mapping[int, float], k_max: int, dr: bool = False) -> i
     return lo
 
 
-def _level_candidates(
-    val: Mapping[int, float], k_max: int, eps: float, dr: bool = False
-) -> Iterator[tuple[int, float]]:
+def _least_reaching(val: Mapping[int, float], lo: int, hi: int, level: float) -> int:
+    """The smallest k in lo..hi with val[k] >= level, by bisection, given val[hi] >= level."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if val[mid] >= level:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _level_candidates(val: Mapping[int, float], k_max: int, eps: float) -> Iterator[tuple[int, float]]:
     """Yield (k, val[k]) lazily, one pair per geometric value level.
 
     ``val`` maps k to a value non-decreasing on 0..k_max with val[0] = 0,
     such as a ray of :meth:`_PointMemo.ray`; it must cache, since the scan
     reads some k more than once.  Levels h sweep from val[k_max] down by
     factors of (1 - eps) to (1 - eps) * val[k_min], where k_min is the
-    smallest k with positive value (:func:`_first_positive`, given ``dr``);
-    for each level the smallest k with val[k] >= h is yielded, unless the
-    level before found the same k.  Nothing is yielded when k_max <= 0 or
+    smallest k with positive value (:func:`_first_positive`); for each
+    level the smallest k with val[k] >= h is yielded, unless the level
+    before found the same k.  Nothing is yielded when k_max <= 0 or
     val[k_max] <= 0.  Only the k the caller's iteration reaches are read.
     """
-    k_min = _first_positive(val, k_max, dr)
+    k_min = _first_positive(val, k_max)
     if not k_min:
         return
     found = None
-    for level in threshold_schedule(val[k_max], (1.0 - eps) * val[k_min], eps):
-        lo, hi = k_min, k_max
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if val[mid] >= level:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo != found:
-            found = lo
-            yield lo, val[lo]
+    for level in threshold_schedule(val[k_max], (1 - eps) * val[k_min], eps):
+        k = _least_reaching(val, k_min, k_max, level)
+        if k != found:
+            found = k
+            yield k, val[k]
 
 
 class _Ray(dict):
@@ -346,7 +343,7 @@ def _bisection_rule(ray: Mapping[int, float], k_max: int, eps: float) -> _Step:
     return lambda threshold: _max_step_with_gain(ray, k_max, threshold)
 
 
-def _level_rule(ray: Mapping[int, float], k_max: int, eps: float, dr: bool = False) -> _Step:
+def _level_rule(ray: Mapping[int, float], k_max: int, eps: float) -> _Step:
     """The lattice sweep's rule: the first level-set candidate that clears.
 
     The rule returns the first candidate (k, gain) of
@@ -355,16 +352,16 @@ def _level_rule(ray: Mapping[int, float], k_max: int, eps: float, dr: bool = Fal
     threshold, so the scan runs once: the rule keeps the candidates it has
     read and resumes the scan only past them.
     """
-    scan = _level_candidates(ray, k_max, eps, dr)
+    scan = _level_candidates(ray, k_max, eps)
     seen: list[tuple[int, float]] = []
 
     def step(threshold: float) -> tuple[int, float]:
         for k, gain in seen:
-            if gain >= (1.0 - eps) * k * threshold:
+            if gain >= (1 - eps) * k * threshold:
                 return k, gain
         for k, gain in scan:
             seen.append((k, gain))
-            if gain >= (1.0 - eps) * k * threshold:
+            if gain >= (1 - eps) * k * threshold:
                 return k, gain
         return 0, 0.0
 
@@ -372,13 +369,35 @@ def _level_rule(ray: Mapping[int, float], k_max: int, eps: float, dr: bool = Fal
 
 
 def _dr_level_rule(ray: Mapping[int, float], k_max: int, eps: float) -> _Step:
-    """The lattice sweep's rule for DR f: :func:`_level_rule` with k_min found as under DR.
+    """The lattice sweep's rule for DR f: :func:`_level_rule`'s step, found without its scan.
 
-    Under DR, k_min is 1 whenever the ray is positive, so a positive g(1)
-    spares the scan its k_min bisection; candidates and steps are those of
-    :func:`_level_rule`.
+    Under DR, g(k) = f(k e | y) is concave with g(0) = 0, so the k that
+    clear (1 - eps) * k * threshold form a prefix [1, K], and the scan's
+    candidates k_j = min{k : g(k) >= h_j} fall as its levels h_j fall: its
+    step is k_j at the first level h_j <= g(K).  The rule finds K by
+    :func:`_max_step_with_gain` at the bar (1 - eps) * threshold (K = 0:
+    no step), reads g(k_max) only then, walks the scan's own levels (kept
+    across thresholds) to that h_j, and bisects [1, K] for k_j.  A visit
+    that takes no step probes g(1) alone, and one that steps at most
+    2 * floor(log2(k_max)) + ceil(log2(k_max)) + 2 points.  Where rounding
+    breaks DR and k_j fails the scan's own test, the step is k = 1, which
+    passes it whenever K >= 1 (at k = 1 the two bars are the same float).
     """
-    return _level_rule(ray, k_max, eps, dr=True)
+    levels: list[float] = []
+
+    def step(threshold: float) -> tuple[int, float]:
+        k_clear = _max_step_with_gain(ray, k_max, (1 - eps) * threshold)[0]
+        if not k_clear:
+            return 0, 0.0
+        if not levels:
+            levels.extend(threshold_schedule(ray[k_max], (1 - eps) * ray[1], eps))
+        top = ray[k_clear]
+        k = _least_reaching(ray, 1, k_clear, next((h for h in levels if h <= top), top))
+        if ray[k] < (1 - eps) * k * threshold:
+            k = 1
+        return k, ray[k]
+
+    return step
 
 
 # maps (ray of (y, e), the step e took from y or 0, eps) to a bound below
@@ -432,28 +451,12 @@ def _dr_level_bound(ray: Mapping[int, float], k: int, eps: float) -> float:
     return _bisection_bound(ray, k, eps) / (1.0 - eps)
 
 
-def _dr_ray_bound(ray: Mapping[int, float], k_max: int, eps: float) -> float:
-    """g(k_min) / (1 - eps) for a new ray, 0.0 when g(k_max) <= 0; the scan's own first reads.
-
-    g(k) = f(k e | y) has non-increasing increments under DR, so
-    g(k) / k <= g(k_min) for every k >= k_min and g(k) <= 0 below it, and
-    the level rule steps only where g(k) / k >= (1 - eps) * threshold.
-    k_min comes from ``_first_positive(dr=True)``: g(1), which settles
-    k_min = 1 when positive, so a skipped ray costs one call; otherwise
-    g(k_max) and the scan's bisection.  The rule that follows reads these
-    probes from the ray at no cost.
-    """
-    k_min = _first_positive(ray, k_max, dr=True)
-    return ray[k_min] / (1.0 - eps) if k_min else 0.0
-
-
-# the bounds each step rule's visits are skipped by (see _sweep): one folded
-# in just before an accepted step drops the rays, and one read from a new
-# ray (ray, k_cap, eps), or None
-_BOUNDS: dict[Callable, tuple[_Bound, Callable | None]] = {
-    _bisection_rule: (_bisection_bound, None),
-    _level_rule: (_level_bound, None),
-    _dr_level_rule: (_dr_level_bound, _dr_ray_bound),
+# the bound each step rule's visits are skipped by (see _sweep), folded in
+# just before an accepted step drops the rays
+_BOUNDS: dict[Callable, _Bound] = {
+    _bisection_rule: _bisection_bound,
+    _level_rule: _level_bound,
+    _dr_level_rule: _dr_level_bound,
 }
 
 # a visit is skipped only if its bound is below the threshold by this share
@@ -511,25 +514,22 @@ def _sweep(
 
     Lazy bounds (CELF-style): just before an accepted step drops the rays,
     each ray gives e a bound from the probes it holds, :func:`_bisection_bound`
-    (needs DR, as the search does) or :func:`_level_bound` (needs only
-    lattice submodularity), and e keeps the least bound it has been given.
-    A rule may also bound a ray as soon as it is made (only
-    :func:`_dr_level_rule` does, by :func:`_dr_ray_bound`); the new ray's
-    visit is then tested at once, and a skipped ray is never scanned.  Under
-    DR its reads are the first ones its scan would make, so they add no call.
+    (needs DR, as the search does), :func:`_level_bound` (needs only
+    lattice submodularity) or, for :func:`_dr_level_rule`,
+    :func:`_dr_level_bound`, and e keeps the least bound it has been given.
     A visit whose bound is below scale_e * level by the margin
     :data:`SKIP_MARGIN` is skipped: the rule would take no step there, so
     the skip changes no step and no trace entry, only ``trace.skipped``,
     and probes and calls only fall.  The margin's f(y) is the stepped ray's
-    ``value(k)``, a value its probe read; before the first step only a
-    new-ray bound can be tested, and that rule's sweep starts at f(0) = 0.
+    ``value(k)``, a value its probe read; no bound exists before the first
+    step.
     """
     trace = GreedyTrace()
     rays: dict[int, Mapping[int, float]] = {}
     searches: dict[int, _Step] = {}
-    bound_of, ray_bound = _BOUNDS[rule]
+    bound_of = _BOUNDS[rule]
     bounds: dict[int, float] = {}
-    f_y = 0.0  # f(y), read after each accepted step; 0.0 is f(0), where a new-ray bound starts
+    f_y = 0.0  # f(y), read at each accepted step; bounds exist only after one
     for threshold in levels:
         for e in range(len(room)):
             k_cap = room[e] if reject else min(room[e], limit - spent)
@@ -545,12 +545,6 @@ def _sweep(
                 ray = rays.get(e)
                 if ray is None:
                     ray = rays[e] = ray_of(y, e)
-                    if ray_bound is not None:
-                        fresh = ray_bound(ray, k_cap, eps)
-                        bound = bounds[e] = fresh if bound is None else min(bound, fresh)
-                        if bound < bar - SKIP_MARGIN * max(abs(f_y), bar):
-                            trace.skipped += 1
-                            continue
                 search = searches[e] = rule(ray, k_cap, eps)
             k, gain = search(bar)
             if k < 1:
@@ -645,16 +639,15 @@ def maximize_lattice_cardinality(
 
     When ``f.meta["dr_submodular"]`` is true (the built-in families, a
     lattice table that passes its exhaustive DR check, and the harness's
-    views of either) the rule is :func:`_dr_level_rule`: the same scan,
-    which reads g(1) = f(e | y) first and, when it is positive, needs
-    neither g(k_cap) nor a bisection for k_min.  Every new ray gets the
-    bound g(k_min) / (1 - eps) at once, before its scan runs, and keeps it
-    across steps, since under DR f(e | y) bounds f(k e | y') / k for every
-    y' >= y; a ray the bound skips costs one call.  The steps, solution and
-    trace are unchanged.  A ray with g(1) <= 0 reads g(1) on top of the
-    scan's own reads, so a solve can make a few calls more than without the
-    bound, but calls fall in total at query scale.  ``meta`` is trusted,
-    not checked.
+    views of either) the rule is :func:`_dr_level_rule`: it finds the
+    scan's step by the exponential search for the largest step that clears
+    (1 - eps) * k * threshold, then bisects below it to the scan's level,
+    and runs no scan.  A visit then probes g(1) alone when it takes no
+    step, and at most min(m, 2 * floor(log2(m)) + ceil(log2(m)) + 2)
+    points when it steps, so the bound above still holds.  The bound
+    f(e | y) / (1 - eps) is kept across steps, since under DR f(e | y)
+    bounds f(k e | y') / k for every y' >= y.  The steps, solution and
+    trace are the scan's.  ``meta`` is trusted, not checked.
     """
     rule = _dr_level_rule if f.meta.get("dr_submodular") else _level_rule
     return _cardinality_greedy(f, constraint, config, min, rule)

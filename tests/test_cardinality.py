@@ -394,19 +394,47 @@ def test_a_search_that_takes_no_step_costs_one_call():
     assert f.calls == calls + 1 and list(ray) == [1]
 
 
-def test_first_positive_under_dr_reads_only_g1_when_it_is_positive():
-    for k_max in (1, 2, 9, 64):
-        ray = CountingRay([0.0] + [float(k) for k in range(1, k_max + 1)])
-        assert cardinality._first_positive(ray, k_max, dr=True) == 1
-        assert list(ray) == [1]
-    # g(1) <= 0: the search goes on as without DR, from g(k_max)
-    gains = [0.0, 0.0, 0.0, 0.0, 1.0, 1.5, 1.5, 2.0, 2.0]
-    for dr in (False, True):
-        ray = CountingRay(gains)
-        assert cardinality._first_positive(ray, 8, dr=dr) == 4
-        assert list(ray)[:2] == ([1, 8] if dr else [8, 4])
-    ray = CountingRay([0.0] * 9)
-    assert cardinality._first_positive(ray, 8, dr=True) == 0 and list(ray) == [1, 8]
+def dr_level_probes(k_max):
+    """The most probes a stepping visit of the DR level rule makes: 2 floor(log2 k) + ceil(log2 k) + 2."""
+    return min(k_max, worst_probes(k_max) + (k_max - 1).bit_length() + 1)
+
+
+def test_dr_level_rule_returns_the_scans_step_on_exact_concave_gains():
+    # integer gains with rational eps and thresholds compare exactly, so DR
+    # holds exactly and the rule must return the scan's (k, gain) at every
+    # threshold where the scan's step changes, (g(k) / k) / (1 - eps), and
+    # between them; a visit that takes no step probes g(1) alone.  One rule
+    # asked at falling thresholds, as the sweep asks it, answers the same
+    rng = np.random.default_rng(29)
+    searches, reached = 0, set()
+    for k_max in range(65):
+        for eps in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)):
+            gains = concave_integer_gains(rng, k_max)
+            kept = cardinality._dr_level_rule(CountingRay(gains), k_max, eps)
+            thresholds = sorted((t / (1 - eps) for t in every_threshold(gains)), reverse=True)
+            for threshold in thresholds:
+                ray = CountingRay(gains)
+                got = cardinality._dr_level_rule(ray, k_max, eps)(threshold)
+                assert got == cardinality._level_rule(CountingRay(gains), k_max, eps)(threshold)
+                assert kept(threshold) == got
+                if got[0] == 0:
+                    assert len(ray) == min(k_max, 1)
+                else:
+                    assert 1 <= len(ray) <= dr_level_probes(k_max)
+                    if len(ray) == dr_level_probes(k_max):
+                        reached.add(k_max)
+                searches += 1
+    assert searches > 10_000
+    assert {7, 15, 31, 63} <= reached
+
+
+def test_dr_level_rule_steps_only_where_the_scans_test_passes_off_dr():
+    # increments 10, 10, 5, 15 break DR: the search finds K = 4 at the bar
+    # 10, the first level at or below g(4) = 40 is 22.5, and its k = 3 does
+    # not clear 0.5 * 3 * 20, so the rule steps k = 1, which does
+    gains = [0.0, 10.0, 20.0, 25.0, 40.0, 41.0, 42.0, 43.0, 45.0]
+    assert cardinality._dr_level_rule(CountingRay(gains), 8, 0.5)(20.0) == (1, 10.0)
+    assert cardinality._level_rule(CountingRay(gains), 8, 0.5)(20.0) == (2, 20.0)
 
 
 def test_maximize_lattice_cardinality_top_threshold_is_feasible():
@@ -566,13 +594,8 @@ def memo_along(g, e, log=None):
     return val
 
 
-def reference_k_min(val, k_max, dr=False):
-    """The smallest k with val(k) > 0, None if val(k_max) <= 0; ``dr`` reads val(1) first.
-
-    With ``dr`` a positive val(1) gives k = 1 with no other read.
-    """
-    if dr and val(1) > 0:
-        return 1
+def reference_k_min(val, k_max):
+    """The smallest k with val(k) > 0, None if val(k_max) <= 0."""
     if val(k_max) <= 0:
         return None
     lo, hi = 1, k_max
@@ -585,30 +608,51 @@ def reference_k_min(val, k_max, dr=False):
     return lo
 
 
-def reference_binary_search_lattice(g, e, theta, k_max, epsilon, log=None, dr=False):
-    """The level-set search; ``log``, when given, is its memo of the probes k -> g(k e).
+def first_reaching(val, lo, hi, level):
+    """The smallest k in lo..hi with val(k) >= level, by bisection."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if val(mid) >= level:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
-    ``dr`` finds k_min as the DR lattice sweep does: g(1) first, the
-    bisection only if it is not positive.
+
+def reference_binary_search_lattice(g, e, theta, k_max, epsilon, log=None):
+    """The level-set search; ``log``, when given, is its memo of the probes k -> g(k e)."""
+    if k_max == 0:
+        return None
+    val = memo_along(g, e, log)
+    k_min = reference_k_min(val, k_max)
+    if k_min is None:
+        return None
+    g_min, g_max = val(k_min), val(k_max)
+    for level in threshold_schedule(g_max, (1 - epsilon) * g_min, epsilon):
+        k = first_reaching(val, k_min, k_max, level)
+        if val(k) >= (1 - epsilon) * k * theta:
+            return k
+    return None
+
+
+def reference_dr_level_search(g, e, theta, k_max, epsilon, log=None):
+    """The level-set search's step under DR, found in the DR lattice sweep's probe order.
+
+    The exponential search for the largest K with g(K e) >= K (1 - eps)
+    theta, then g(k_max e), then the bisection of [1, K] for the smallest k
+    reaching the first level of the scan's schedule at or below g(K e).
     """
     if k_max == 0:
         return None
     val = memo_along(g, e, log)
-    k_min = reference_k_min(val, k_max, dr)
-    if k_min is None:
+    k_clear, _ = exponential_max_step(val, k_max, (1 - epsilon) * theta)
+    if k_clear == 0:
         return None
-    g_min, g_max = val(k_min), val(k_max)
-    for level in threshold_schedule(g_max, (1.0 - epsilon) * g_min, epsilon):
-        lo, hi = k_min, k_max
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if val(mid) >= level:
-                hi = mid
-            else:
-                lo = mid + 1
-        if val(lo) >= (1.0 - epsilon) * lo * theta:
-            return lo
-    return None
+    levels = threshold_schedule(val(k_max), (1 - epsilon) * val(1), epsilon)
+    top = val(k_clear)
+    k = first_reaching(val, 1, k_clear, next((h for h in levels if h <= top), top))
+    assert val(k) >= (1 - epsilon) * k * theta
+    return k
 
 
 def lazy_skip(bounds, e, bar, f_y):
@@ -650,10 +694,9 @@ def reference_sweep(f, constraint, config, lattice, skip=False,
                     search=reference_max_step_with_gain):
     """The cardinality sweep as it was before the memo; ``skip`` adds the lazy bounds.
 
-    With ``skip``, the lattice sweep on an f whose ``meta`` says DR gives e
-    a bound as soon as it first probes at y: g(k_min) / (1 - eps), k_min
-    found from g(1), then g(k_cap) if g(1) <= 0, and 0 when g(k_cap) <= 0.
-    ``search`` is the DR sweep's step search.
+    With ``skip``, the lattice sweep on an f whose ``meta`` says DR finds
+    each step by :func:`reference_dr_level_search`.  ``search`` is the DR
+    sweep's step search.
     """
     cap = constraint.cap_vector()
     eps = config.effective
@@ -675,18 +718,11 @@ def reference_sweep(f, constraint, config, lattice, skip=False,
                 continue
             if skip and lazy_skip(bounds, e, threshold, f_y):
                 continue
-            fresh = e not in probes
             log = probes.setdefault(e, {})
             if lattice:
                 view = f.shifted(y)
-                if dr and fresh:
-                    val = memo_along(view, e, log)
-                    k_min = reference_k_min(val, k_cap, dr=True)
-                    new = 0.0 if k_min is None else val(k_min) / (1.0 - eps)
-                    bounds[e] = min(new, bounds.get(e, new))
-                    if lazy_skip(bounds, e, threshold, f_y):
-                        continue
-                k = reference_binary_search_lattice(view, e, threshold, k_cap, eps, log, dr)
+                level_search = reference_dr_level_search if dr else reference_binary_search_lattice
+                k = level_search(view, e, threshold, k_cap, eps, log)
                 if k is None:
                     continue
                 gain = view.eval(unit(f.n, e, k))
@@ -1016,8 +1052,8 @@ def test_ray_on_a_bad_y_raises_before_any_call(y):
 def test_lattice_sweep_scans_each_ray_once(monkeypatch):
     # level-set candidates do not depend on the threshold, so a (y, e) pair
     # runs its scan once however many levels visit it; no call count shows
-    # this, since the ray absorbs repeated probes.  On DR f a ray whose
-    # first bound skips every visit is never scanned
+    # this, since the ray absorbs repeated probes.  On DR f no ray is
+    # scanned: the exponential search finds the scan's step
     counts = {"rays": 0, "scans": 0}
 
     def counted(name, wrapped):
@@ -1033,14 +1069,14 @@ def test_lattice_sweep_scans_each_ray_once(monkeypatch):
         f = make()
         maximize_lattice_cardinality(f, CardinalityConstraint(caps, r), SolverConfig(0.1))
         if f.meta["dr_submodular"]:
-            assert 0 < counts["scans"] <= counts["rays"]
+            assert counts["scans"] == 0 < counts["rays"]
         else:
             assert counts["scans"] == counts["rays"] > 0
 
 
 def test_lattice_sweep_on_dr_meta_only_saves_calls():
-    # the DR bound of each new ray changes no point and no step, and calls
-    # only fall; at query scale they fall in total
+    # the DR level rule and its bound change no point and no step, and
+    # calls only fall; at query scale they fall in total
     def solve(f, caps, r):
         return maximize_lattice_cardinality(f, CardinalityConstraint(caps, r), SolverConfig(0.1))
 

@@ -27,8 +27,9 @@ the same counts of both.
 The ratios are checked against brute force: f(x) >= (1 - 1/e - eps) OPT
 for the DR cardinality and knapsack solvers (DR instances, n <= 4, caps
 <= 3, and the density greedy's trap), and f(x) >= (1 - 1/e - 2 eps) OPT,
-``ratio_sweep.py``'s slack, for the lattice solver on the non-DR tables,
-at eps in {0.1, 0.2, 0.25}.  The polymatroid solver's ratio is not checked.
+``ratio_sweep.py``'s slack, for the lattice solver on the same DR
+instances and on the non-DR tables, at eps in {0.1, 0.2, 0.25}.  The
+polymatroid solver's ratio is not checked.
 """
 
 import math
@@ -284,6 +285,15 @@ GREEDY_TRAP = (lambda: make_separable_concave([1.0, 0.1], [1.0, 1.0], [1, 1]),
 def test_knapsack_meets_its_ratio(knapsack, eps):
     make, inst = knapsack
     check_ratio(maximize_knapsack, make, inst, eps, 1)
+
+
+@given(dr_oracles(4, 3), st.data(), st.sampled_from(RATIO_EPSILONS))
+@PROPERTY
+def test_lattice_cardinality_meets_its_ratio(make, data, eps):
+    # DR instances, so the rule is the DR level rule; ratio_sweep.py's slack
+    caps = tuple(int(c) for c in make().box)
+    budget = data.draw(st.integers(1, sum(caps)))
+    check_ratio(maximize_lattice_cardinality, make, CardinalityConstraint(caps, budget), eps, 2)
 
 
 @given(non_dr_oracles(), st.integers(1, 8), st.sampled_from(RATIO_EPSILONS))
