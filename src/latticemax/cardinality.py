@@ -17,9 +17,10 @@ at (eps / r) * d, and a step is capped at the budget left.
   (:func:`binary_search_lattice`).
 
 The knapsack greedy searches the same way, at thresholds scaled by the
-weights, and rejects a step that overruns the budget.  Each solve reads f
-through its own :class:`_PointMemo`, so ``f.calls`` grows by the number of
-distinct points probed other than 0.  Both cardinality solvers achieve a
+weights, and caps each step at the budget left, as the cardinality sweep
+caps it at r - y(E).  Each solve reads f through its own
+:class:`_PointMemo`, so ``f.calls`` grows by the number of distinct
+points probed other than 0.  Both cardinality solvers achieve a
 (1 - 1/e - O(eps)) fraction of the optimum for monotone objectives.
 
 The sweep is lazy (CELF-style, Minoux 1978): each element keeps an upper
@@ -110,6 +111,12 @@ class CardinalityConstraint:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One step of a threshold sweep.
+
+    Every step fits its budget and is taken, so ``accepted`` is always
+    True; it stays because ``perfbench/tracing.py`` reads it.
+    """
+
     threshold: float
     element: int
     step: int
@@ -128,9 +135,8 @@ class GreedyTrace:
     steps: list[TraceStep] = field(default_factory=list)
     skipped: int = 0
 
-    def add(self, threshold: float, element: int, step: int, gain: float,
-            accepted: bool = True) -> None:
-        self.steps.append(TraceStep(threshold, element, step, gain, accepted))
+    def add(self, threshold: float, element: int, step: int, gain: float) -> None:
+        self.steps.append(TraceStep(threshold, element, step, gain))
 
     def thresholds(self) -> list[float]:
         return [s.threshold for s in self.steps]
@@ -452,7 +458,7 @@ def _dr_level_bound(ray: Mapping[int, float], k: int, eps: float) -> float:
 
 
 # the bound each step rule's visits are skipped by (see _sweep), folded in
-# just before an accepted step drops the rays
+# just before a step drops the rays
 _BOUNDS: dict[Callable, _Bound] = {
     _bisection_rule: _bisection_bound,
     _level_rule: _level_bound,
@@ -493,27 +499,25 @@ def binary_search_lattice(
 def _sweep(
     ray_of: Callable[[np.ndarray, int], Mapping[int, float]], y: np.ndarray, room: list[int],
     levels: Iterable[float], rule: _Rule, eps: float, scale: Sequence[float], spent: float,
-    limit: float, *, reject: bool,
+    limit: float,
 ) -> tuple[np.ndarray, GreedyTrace]:
     """The threshold sweep of all four solvers; it steps y in place.
 
     At each level every e with k_cap >= 1 takes the step ``rule(ray, k_cap,
-    eps)`` picks at threshold scale_e * level on ``ray_of(y, e)``, kept until
-    a step changes y, its search until k_cap changes.  A step of k costs
-    k * scale_e against ``limit``, ``spent`` being the budget used.  Without
-    ``reject`` (cardinality and polymatroid, unit scale) k_cap =
-    min(room_e, limit - spent), so every step fits.  With it (knapsack)
-    k_cap = room_e, and a step that does not fit is rejected: room_e falls
-    to k - 1 and e's search is rebuilt on the same ray; without it the
-    sweep ends at the step that spends the budget, drawing no further
-    level, since every later visit would have k_cap <= 0.  Under
-    :func:`_bisection_rule` a visit that takes no step probes one point,
-    g(1), and one that steps at most 2 * floor(log2(k_cap)) + 1; the f(y) a
-    greedy's ray reads is the start point's (f(0) costs no call) or one an
-    accepted step has probed.
+    eps)`` picks at threshold scale_e * level on ``ray_of(y, e)``.  A step
+    of k costs k * scale_e against ``limit``, ``spent`` being the budget
+    used, and k_cap = min(room_e, floor((limit - spent) / scale_e)) caps it
+    at the budget left, so every step fits and is taken.  k_cap changes only
+    at a step, which changes y, so a (y, e) pair's ray and its search are
+    made together and live until the next step.  The sweep ends at the step
+    that spends the budget, drawing no further level, since every later
+    visit would have k_cap <= 0.  Under :func:`_bisection_rule` a visit that
+    takes no step probes one point, g(1), and one that steps at most
+    2 * floor(log2(k_cap)) + 1; the f(y) a greedy's ray reads is the start
+    point's (f(0) costs no call) or one a step has probed.
 
-    Lazy bounds (CELF-style): just before an accepted step drops the rays,
-    each ray gives e a bound from the probes it holds, :func:`_bisection_bound`
+    Lazy bounds (CELF-style): just before a step drops the rays, each ray
+    gives e a bound from the probes it holds, :func:`_bisection_bound`
     (needs DR, as the search does), :func:`_level_bound` (needs only
     lattice submodularity) or, for :func:`_dr_level_rule`,
     :func:`_dr_level_bound`, and e keeps the least bound it has been given.
@@ -525,14 +529,13 @@ def _sweep(
     step.
     """
     trace = GreedyTrace()
-    rays: dict[int, Mapping[int, float]] = {}
-    searches: dict[int, _Step] = {}
+    rays: dict[int, tuple[Mapping[int, float], _Step]] = {}  # e -> (ray, its search)
     bound_of = _BOUNDS[rule]
     bounds: dict[int, float] = {}
-    f_y = 0.0  # f(y), read at each accepted step; bounds exist only after one
+    f_y = 0.0  # f(y), read at each step; bounds exist only after one
     for threshold in levels:
         for e in range(len(room)):
-            k_cap = room[e] if reject else min(room[e], limit - spent)
+            k_cap = min(room[e], int((limit - spent) // scale[e]))
             if k_cap <= 0:
                 continue
             bar = scale[e] * threshold
@@ -540,35 +543,27 @@ def _sweep(
             if bound is not None and bound < bar - SKIP_MARGIN * max(abs(f_y), bar):
                 trace.skipped += 1
                 continue
-            search = searches.get(e)
-            if search is None:
-                ray = rays.get(e)
-                if ray is None:
-                    ray = rays[e] = ray_of(y, e)
-                search = searches[e] = rule(ray, k_cap, eps)
+            if e not in rays:
+                ray = ray_of(y, e)
+                rays[e] = ray, rule(ray, k_cap, eps)
+            ray, search = rays[e]
             k, gain = search(bar)
             if k < 1:
                 continue
-            if spent + k * scale[e] <= limit:
-                for e_ray, ray in rays.items():
-                    bound = bound_of(ray, k if e_ray == e else 0, eps)
-                    if bound is None:
-                        bounds.pop(e_ray, None)
-                    else:
-                        bounds[e_ray] = min(bound, bounds.get(e_ray, bound))
-                f_y = rays[e].value(k)  # y + k e was probed by the step, so no call
-                y[e] += k
-                room[e] -= k
-                spent += k * scale[e]
-                trace.add(threshold, e, k, gain)
-                if not reject and spent >= limit:
-                    return y, trace  # every later visit would have k_cap <= 0
-                rays.clear()
-                searches.clear()
-            else:
-                room[e] = k - 1
-                del searches[e]
-                trace.add(threshold, e, k, gain, accepted=False)
+            for e_ray, (probed, _) in rays.items():
+                bound = bound_of(probed, k if e_ray == e else 0, eps)
+                if bound is None:
+                    bounds.pop(e_ray, None)
+                else:
+                    bounds[e_ray] = min(bound, bounds.get(e_ray, bound))
+            f_y = ray.value(k)  # y + k e was probed by the step, so no call
+            y[e] += k
+            room[e] -= k
+            spent += k * scale[e]
+            trace.add(threshold, e, k, gain)
+            if spent >= limit:
+                return y, trace  # every later visit would have k_cap <= 0
+            rays.clear()
     return y, trace
 
 
@@ -597,8 +592,7 @@ def _cardinality_greedy(
     tops = (memo(unit(f.n, e, top(int(cap[e]), r))) for e in range(f.n) if cap[e] >= 1)
     d = max(tops, default=0.0)
     levels = threshold_schedule(d, (eps / r) * d, eps)
-    return _sweep(memo.ray, zeros(f.n), cap.tolist(), levels, rule, eps, [1] * f.n, 0, r,
-                  reject=False)
+    return _sweep(memo.ray, zeros(f.n), cap.tolist(), levels, rule, eps, [1] * f.n, 0, r)
 
 
 def maximize_dr_cardinality(
@@ -630,7 +624,7 @@ def maximize_lattice_cardinality(
     analysis requires.  Each step is the first level-set candidate k (see
     :func:`binary_search_lattice`) whose gain f(k e | y) clears
     (1 - eps) * k * threshold.  A (y, e) pair's scan runs once and reads
-    each k at most once, so with s <= r accepted steps and
+    each k at most once, so with s <= r steps taken and
     m = min(max_e c_e, r) a solve makes at most n + (s + 1) * n * m
     oracle calls (f(0) costs none).  A pair is not visited while the steps
     its ray probed at an earlier y with the same y_e bound every

@@ -6,8 +6,8 @@ support has at most three elements, runs a density-threshold greedy from
 each, and keeps the best outcome; the combination is a
 (1 - 1/e - O(eps))-approximation for monotone DR-submodular objectives.
 The greedy is the cardinality solvers' sweep (:func:`cardinality._sweep`)
-with thresholds scaled by the weights and a step that overruns the budget
-rejected rather than capped.
+with thresholds scaled by the weights and each step capped at the budget
+left, so every step fits.
 Like the cardinality solvers, :func:`maximize_knapsack` returns (x, trace).
 One point memo serves the whole solve, so it makes at most prod_e (c_e + 1)
 oracle calls: each lattice point in the box is evaluated at most once.
@@ -123,7 +123,7 @@ def _greedy(
     def complete(x: np.ndarray) -> tuple[np.ndarray, GreedyTrace]:
         room = [c - v for c, v in zip(inst.cap, x.tolist())]
         return _sweep(memo.ray, x, room, levels, _bisection_rule, eps, w, float(w_vec @ x),
-                      1.0 + BUDGET_TOL, reject=True)
+                      1.0 + BUDGET_TOL)
 
     return complete
 
@@ -137,24 +137,23 @@ def greedy_knapsack(
     """Density-threshold greedy from the starting point x0.
 
     The sweep of :func:`_sweep` at thresholds theta from d = max_e f(e) / w(e)
-    down to eps * d * w_min: e takes the largest k <= u(e) - x(e) with
-    f(k e | x) >= k w(e) theta, by exponential search from k = 1 under its
-    ceiling u(e) = c_e.
-    A step that overruns the budget is rejected, recorded in the trace with
-    ``accepted=False``, and lowers u(e) to x(e) + k - 1; e keeps its ray.
+    down to eps * d * w_min: e takes the largest k <= k_cap with
+    f(k e | x) >= k w(e) theta, by exponential search from k = 1, where
+    k_cap = min(c_e - x(e), floor((1 + BUDGET_TOL - w . x) / w(e))) is the
+    room that both the box and the budget leave, so every step fits.
     The single-start entry: it checks the instance against f and x0 against
     the instance before any call, then runs the set-up and sweep that
     :func:`maximize_knapsack` runs once per solve and once per start.
     Points are read through a fresh memo unless ``f`` already is one.  A
     visit reads f(e | x) first, so one that takes no step costs at most one
-    call, and one that takes or rejects a step at most
-    2 * floor(log2(m)) + 1, m = max_e c_e.  With
-    L <= 1 + ln(1 / (eps * w_min)) / eps levels and s <= L * n such steps,
-    a call makes at most 1 + n + L * n + 2 * s * floor(log2(m)) oracle
-    calls, the 1 for f(x0) (none when x0 = 0).  Like the DR cardinality
-    sweep it skips e while f(e | x), read at an earlier x and an upper
-    bound on it as x grows for DR f, is below w(e) theta; skips only save
-    calls, so that bound still holds.
+    call, and one that takes a step at most 2 * floor(log2(m)) + 1,
+    m = max_e c_e.  With L <= 1 + ln(1 / (eps * w_min)) / eps levels and
+    s <= L * n steps taken, a call makes at most
+    1 + n + L * n + 2 * s * floor(log2(m)) oracle calls, the 1 for f(x0)
+    (none when x0 = 0).  Like the DR cardinality sweep it skips e while
+    f(e | x), read at an earlier x and an upper bound on it as x grows for
+    DR f, is below w(e) theta; skips only save calls, so that bound still
+    holds.
     """
     _check(f, inst)
     x = as_lattice_point(x0, f.n)
@@ -273,13 +272,13 @@ def maximize_knapsack(
     """Best greedy completion over all enumerated starting points.
 
     Returns the best point and the trace of the greedy run (as
-    :func:`greedy_knapsack` makes it) that produced it.  Ties between
-    equally valued runs keep the earliest starting point in enumeration
-    order.  The instance is checked against f before any call.  The
-    greedy's set-up (d and its levels) runs once per solve, and each start
-    is swept directly; the enumeration, every greedy completion and the
-    comparison of completions share one :class:`_PointMemo`, dropped on
-    return: at most prod_e (c_e + 1) calls.
+    :func:`greedy_knapsack` makes it, each step capped at the budget left)
+    that produced it.  Ties between equally valued runs keep the earliest
+    starting point in enumeration order.  The instance is checked against
+    f before any call.  The greedy's set-up (d and its levels) runs once
+    per solve, and each start is swept directly; the enumeration, every
+    greedy completion and the comparison of completions share one
+    :class:`_PointMemo`, dropped on return: at most prod_e (c_e + 1) calls.
     """
     _check(f, inst)
     memo = _PointMemo(f)

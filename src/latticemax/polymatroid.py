@@ -235,12 +235,13 @@ def direction_polymatroid(
 ) -> np.ndarray:
     """One threshold sweep producing an integral direction y with x + y in P.
 
-    :func:`cardinality._sweep` with the DR step rule and no budget, from
-    d = max_e f(e) down to epsilon * d / num_updates (num_updates bounds the
-    coordinate updates): at each level e takes the largest k within its box
-    room with x + y + k e in P and F(k e | x + y) >= k * threshold, on a ray
-    that reads -inf off P; f(e) <= 0 leaves e no room (DR f cannot clear
-    along it).  Each ray mixes the greedies' rays at the corners of x + y
+    :func:`cardinality._sweep` with the DR step rule and a limit that never
+    binds (the total room), from d = max_e f(e) down to
+    epsilon * d / num_updates (num_updates bounds the coordinate updates):
+    at each level e takes the largest k within its box room with
+    x + y + k e in P and F(k e | x + y) >= k * threshold, on a ray that
+    reads -inf off P; f(e) <= 0 leaves e no room (DR f cannot clear along
+    it).  Each ray mixes the greedies' rays at the corners of x + y
     (:class:`_ExtensionRay`), all read through one memo (``f`` if it is a
     solve's memo, else a fresh one), so f at each point is read once.  P is
     asked about each (x + y, e, k) once, and a probe costs at most 2 * 2^m
@@ -261,7 +262,7 @@ def direction_polymatroid(
     d = max(unit_values, default=0.0)
     levels = threshold_schedule(d, epsilon * d / num_updates, epsilon)
     return _sweep(lambda y, e: _ExtensionRay(memo, P, x + y, e), zeros(f.n), room, levels,
-                  _bisection_rule, epsilon, [1] * f.n, 0, math.inf, reject=False)[0]
+                  _bisection_rule, epsilon, [1] * f.n, 0, sum(room))[0]
 
 
 def continuous_greedy(

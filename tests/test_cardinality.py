@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticemax import cardinality
+from latticemax import cardinality, knapsack
 from latticemax.bruteforce import brute_force_opt
 from latticemax.cardinality import (
     CardinalityConstraint,
@@ -816,9 +816,10 @@ def test_sweeps_match_reference():
 
 def reference_greedy_knapsack(f, inst, x0, config, skip=False,
                               search=reference_max_step_with_gain):
-    """Literal copy of greedy_knapsack before its rays, searching on f itself.
+    """greedy_knapsack as it was before its rays, searching on f itself.
 
-    ``skip`` adds the lazy bounds of the DR sweep; ``search`` is the step search.
+    Each step is capped at the budget left, so every step fits.  ``skip``
+    adds the lazy bounds of the DR sweep; ``search`` is the step search.
     """
     cap = inst.cap_vector()
     w = inst.weight_vector()
@@ -830,12 +831,11 @@ def reference_greedy_knapsack(f, inst, x0, config, skip=False,
     d = max((f.eval(unit(f.n, e)) / w[e] for e in range(f.n) if cap[e] >= 1), default=0.0)
     if d <= 0:
         return x, steps
-    ceiling = cap.copy()
     spent = float(w @ x)
     bounds, probes, f_y = {}, {}, None
     for threshold in threshold_schedule(d, eps * d * float(w.min()), eps):
         for e in range(f.n):
-            k_cap = int(ceiling[e] - x[e])
+            k_cap = min(int(cap[e] - x[e]), int((1.0 + BUDGET_TOL - spent) // w[e]))
             if k_cap <= 0:
                 continue
             if skip and lazy_skip(bounds, e, w[e] * threshold, f_y):
@@ -844,24 +844,36 @@ def reference_greedy_knapsack(f, inst, x0, config, skip=False,
             k, gain = search(f, x, e, k_cap, w[e] * threshold, log)
             if k < 1:
                 continue
-            if spent + k * w[e] <= 1.0 + BUDGET_TOL:
-                lazy_bounds_before_step(bounds, probes, e, k, False, eps)
-                probes.clear()
-                x[e] += k
-                spent += k * w[e]
-                f_y = f.eval(x) if skip else None
-                steps.append((threshold, e, k, gain, True))
-            else:
-                ceiling[e] = x[e] + k - 1
-                steps.append((threshold, e, k, gain, False))
+            lazy_bounds_before_step(bounds, probes, e, k, False, eps)
+            probes.clear()
+            x[e] += k
+            spent += k * w[e]
+            f_y = f.eval(x) if skip else None
+            steps.append((threshold, e, k, gain, True))
     return x, steps
+
+
+def budget_bound_steps(inst, x0, trace):
+    """The steps of ``trace`` from x0 whose k is the budget left, below e's room.
+
+    Each is a visit where the budget term of k_cap binds and the search
+    takes the whole cap.
+    """
+    w, cap, x = inst.weights, inst.cap, x0.tolist()
+    spent, count = float(inst.weight_vector() @ x0), 0
+    for s in trace.steps:
+        e = s.element
+        count += s.step == int((1.0 + BUDGET_TOL - spent) // w[e]) < cap[e] - x[e]
+        x[e] += s.step
+        spent += s.step * w[e]
+    return count
 
 
 def test_greedy_knapsack_probes_the_reference_points_in_order():
     # and calls f less often than the lazy solve with the bisection from
     # the middle that the exponential search replaced
     cases = equivalence_instances() + query_scale_instances()
-    rejected = skipped = calls = bisection_calls = 0
+    capped = skipped = calls = bisection_calls = 0
     for make, caps, r in cases:
         weights = [1.0 + e % 3 for e in range(len(caps))]
         inst = KnapsackInstance.from_raw(weights, 3.0 * r, caps)
@@ -875,7 +887,7 @@ def test_greedy_knapsack_probes_the_reference_points_in_order():
                                                        skip=True)
         assert list(lazy_x) == list(x) and lazy_steps == ref_steps
         assert points == memo_reads(lazy_points)
-        rejected += sum(not step[4] for step in ref_steps)
+        capped += budget_bound_steps(inst, zeros(len(caps)), trace)
         skipped += trace.skipped
         old, old_points = recording(make())
         old_x, old_steps = reference_greedy_knapsack(old, inst, zeros(len(caps)), SolverConfig(0.1),
@@ -884,7 +896,7 @@ def test_greedy_knapsack_probes_the_reference_points_in_order():
             assert list(old_x) == list(x) and old_steps == ref_steps
         calls += f.calls
         bisection_calls += len(memo_reads(old_points))
-    assert rejected > 0  # the cases reach the rejection branch, which keeps the rays
+    assert capped > 0  # the budget left caps some steps
     assert skipped > 0
     assert calls < bisection_calls
 
@@ -955,7 +967,7 @@ def test_lazy_bounds_on_a_hand_ray():
 @pytest.mark.parametrize("eps", [0.1, 0.25, 0.5])
 def test_greedy_knapsack_stays_within_its_call_bound(eps):
     # greedy_knapsack's docstring: at most 1 + n + L n + 2 s floor(log2 m)
-    # calls, s the steps taken or rejected, L <= 1 + ln(1 / (eps w_min)) / eps
+    # calls, s the steps taken, L <= 1 + ln(1 / (eps w_min)) / eps
     # levels, m = max_e c_e; and within the bisection's former bound
     # 1 + n + L n ceil(log2(m + 1))
     for make, caps, r in equivalence_instances() + query_scale_instances():
@@ -1097,31 +1109,44 @@ def test_lattice_sweep_on_dr_meta_only_saves_calls():
 
 
 def test_every_greedy_makes_one_ray_per_point_and_element(monkeypatch):
-    # the sweep keeps the ray of each (y, e) until a step changes y, and a
-    # knapsack rejection keeps e's ray too; no call count shows this, since
-    # the memo absorbs repeated probes
-    rays = []
+    # the sweep keeps the ray of each (y, e) until a step changes y, and
+    # makes that pair's search once, with its ray; no call count shows
+    # this, since the memo absorbs repeated probes
+    rays, searches = [], []
     ray = cardinality._PointMemo.ray
+    sweep = cardinality._sweep
 
     def counted(memo, y, e):
         rays.append((y.tobytes(), e))
         return ray(memo, y, e)
 
+    def counted_sweep(ray_of, y, room, levels, rule, *args):
+        def counted_rule(on, k_cap, eps):
+            searches.append(on)
+            return rule(on, k_cap, eps)
+
+        monkeypatch.setitem(cardinality._BOUNDS, counted_rule, cardinality._BOUNDS[rule])
+        return sweep(ray_of, y, room, levels, counted_rule, *args)
+
     monkeypatch.setattr(cardinality._PointMemo, "ray", counted)
-    rejected = 0
+    monkeypatch.setattr(cardinality, "_sweep", counted_sweep)
+    monkeypatch.setattr(knapsack, "_sweep", counted_sweep)
+    capped = 0
     for make, caps, r in equivalence_instances():
         cst = CardinalityConstraint(caps, r)
+        inst = equivalence_knapsack(caps, r)
         for solve in (
             lambda f: maximize_dr_cardinality(f, cst, SolverConfig(0.1)),
             lambda f: maximize_lattice_cardinality(f, cst, SolverConfig(0.1)),
-            lambda f: greedy_knapsack(f, equivalence_knapsack(caps, r), zeros(len(caps)),
-                                      SolverConfig(0.1)),
+            lambda f: greedy_knapsack(f, inst, zeros(len(caps)), SolverConfig(0.1)),
         ):
             rays.clear()
+            searches.clear()
             _, trace = solve(make())
             assert len(rays) == len(set(rays)) > 0
-            rejected += sum(not s.accepted for s in trace.steps)
-    assert rejected > 0  # the knapsack solves reach the rejection branch
+            assert len(searches) == len(rays)
+        capped += budget_bound_steps(inst, zeros(len(caps)), trace)  # the knapsack solve's
+    assert capped > 0  # the budget left caps some knapsack steps
 
 
 def test_binary_search_lattice_matches_reference():

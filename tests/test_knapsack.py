@@ -139,8 +139,32 @@ def test_greedy_knapsack_frozen_example():
     assert trace.steps[0].threshold == pytest.approx(6.0)
     exact = brute_force_opt(ValueOracle(modular([3.0, 1.0]), np.array([2, 2])), inst)
     assert exact.opt_value == pytest.approx(6.0)
-    # later trials on element 1 fail the budget and are recorded
-    assert any(not s.accepted for s in trace.steps)
+    # every step fits the budget
+    x = zeros(2)
+    for s in trace.steps:
+        x[s.element] += s.step
+        assert inst.fits(x)
+
+
+def test_greedy_knapsack_caps_a_step_at_the_budget_left():
+    # f(x) = x with c = 37 clears the top threshold up to the cap, which
+    # overruns the budget; the step is capped at the 2 units that fit
+    f = make_separable_concave([1.0], [1.0], [37])
+    x, trace = greedy_knapsack(f, KnapsackInstance((0.5,), (37,)), zeros(1), SolverConfig(0.25))
+    assert f.calls == 2  # f(e), then the step's probe at k = 2
+    assert x.tolist() == [2] and f.eval(x) == 2.0
+    assert [(s.element, s.step) for s in trace.steps] == [(0, 2)]
+
+
+def test_greedy_knapsack_takes_the_unit_that_fits_at_the_top_threshold():
+    # a linear coordinate whose second unit overruns the budget: its one
+    # unit is taken at the top level, ahead of the concave coordinate
+    f = make_separable_concave([1.9699498358148753, 0.588464706151052], [1.0, 0.5], [25, 15])
+    inst = KnapsackInstance((0.6236402133748428, 0.4893654096191063), (25, 15))
+    x, trace = greedy_knapsack(f, inst, zeros(2), SolverConfig(0.1))
+    assert x.tolist() == [1, 0]
+    assert f.eval(x) == pytest.approx(1.970, abs=1e-3)
+    assert [(s.element, s.step) for s in trace.steps] == [(0, 1)]
 
 
 def test_greedy_knapsack_rejects_infeasible_start():
@@ -158,18 +182,16 @@ def test_greedy_knapsack_zero_oracle():
 
 
 def replay_echo(f_make, inst, trace, x0, eps):
-    """Check the average-gain property for steps before the first failure.
+    """Check the average-gain property for every step.
 
-    Every accepted step up to the first budget-failed trial must have
-    density within (1 - eps) of the best feasible single-unit density.
+    Every step must have density within (1 - eps) of the best feasible
+    single-unit density.
     """
     f = f_make()
     w = inst.weight_vector()
     cap = inst.cap_vector()
     x = x0.copy()
     for s in trace.steps:
-        if not s.accepted:
-            break
         base = f.eval(x)
         spent = float(w @ x)
         best_density = 0.0
@@ -197,31 +219,6 @@ def test_greedy_knapsack_average_gain_property():
         x, trace = greedy_knapsack(f, inst, zeros(n), SolverConfig(0.1, 0))
         assert inst.is_feasible(x)
         replay_echo(make, inst, trace, zeros(n), 0.1)
-
-
-def test_greedy_knapsack_ceiling_monotone_via_trace():
-    # after a failed trial of k units at element e, x(e) can grow by at
-    # most k - 1 more units in the rest of the run
-    f = make_separable_concave([2.0, 1.0, 0.5], [1.0, 0.5, 1.0], [3, 3, 3])
-    inst = KnapsackInstance((0.4, 0.3, 0.25), (3, 3, 3))
-    x, trace = greedy_knapsack(f, inst, zeros(3), SolverConfig(0.1, 0))
-    gained_after_fail: dict[int, int] = {}
-    allowance: dict[int, int] = {}
-    level: dict[int, int] = {}
-    for s in trace.steps:
-        level.setdefault(s.element, 0)
-        if s.accepted:
-            level[s.element] += s.step
-            if s.element in allowance:
-                gained_after_fail[s.element] = (
-                    gained_after_fail.get(s.element, 0) + s.step
-                )
-                assert gained_after_fail[s.element] <= allowance[s.element]
-        else:
-            allowance[s.element] = min(
-                allowance.get(s.element, s.step - 1), s.step - 1
-            )
-            gained_after_fail[s.element] = 0
 
 
 def test_increase_support_frozen_levels():
@@ -365,14 +362,14 @@ def reference_maximize_knapsack(f, inst, config):
 # of the reference solve, which runs greedy_knapsack and increase_support
 # standalone and so pins their own counts)
 KNAPSACK_CASES = [
-    (lambda: ValueOracle(modular([3.0, 1.0]), np.array([2, 2])), (0.5, 0.5), 0.1, [2, 0], 8, 65),
+    (lambda: ValueOracle(modular([3.0, 1.0]), np.array([2, 2])), (0.5, 0.5), 0.1, [2, 0], 8, 49),
     (
         lambda: make_separable_concave([1.0, 1.4, 0.7], [0.5, 1.0, 0.3], [3, 3, 4]),
-        (0.35, 0.3, 0.15), 0.1, [0, 3, 0], 69, 1469,
+        (0.35, 0.3, 0.15), 0.1, [0, 3, 0], 69, 1322,
     ),
     (
         lambda: random_budget_allocation(3, 4, 3, 3),
-        (0.3, 0.25, 0.4, 0.2), 0.2, [0, 1, 1, 1], 29, 701,
+        (0.3, 0.25, 0.4, 0.2), 0.2, [0, 1, 1, 1], 28, 661,
     ),
 ]
 

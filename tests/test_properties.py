@@ -14,6 +14,11 @@ caps <= 40) and, for the lattice rule, on the non-DR tables:
 Every oracle a property builds keeps the ``meta`` of the one it copies, so
 the lattice rule runs its DR form on the DR instances.
 
+The knapsack greedy from 0 (DR instances, float weights) takes only steps
+that fit the budget, and on return leaves no element with room and a unit
+that fits whose gain clears w_e times the last level (up to the skip's
+margin).
+
 For the knapsack solve (n <= 3, caps <= 4, DR instances and the non-DR
 tables) the solution, trace and skipped visits equal the reference solve's,
 whose enumeration and completions share no memo; calls are at most
@@ -39,12 +44,14 @@ from hypothesis import strategies as st
 
 from latticemax.bruteforce import brute_force_opt
 from latticemax.cardinality import (
+    SKIP_MARGIN,
     CardinalityConstraint,
     SolverConfig,
     maximize_dr_cardinality,
     maximize_lattice_cardinality,
+    threshold_schedule,
 )
-from latticemax.core import ValueOracle, zeros
+from latticemax.core import ValueOracle, unit, zeros
 from latticemax.instances import (
     NON_DR_TABLES,
     make_budget_allocation,
@@ -52,7 +59,7 @@ from latticemax.instances import (
     make_polymatroid,
     make_separable_concave,
 )
-from latticemax.knapsack import KnapsackInstance, greedy_knapsack, maximize_knapsack
+from latticemax.knapsack import BUDGET_TOL, KnapsackInstance, greedy_knapsack, maximize_knapsack
 from latticemax.polymatroid import maximize_polymatroid
 from test_cardinality import recording, reference_greedy_knapsack, reference_sweep
 from test_knapsack import reference_maximize_knapsack
@@ -118,8 +125,7 @@ def check_cardinality(make, budget, eps, lattice):
     n, eff, r = len(caps), config.effective, cst.budget
     m = min(max(caps), r)
     if lattice:  # maximize_lattice_cardinality: 1 + n + (s + 1) n m
-        accepted = sum(s.accepted for s in trace.steps)
-        assert f.calls <= 1 + n + (accepted + 1) * n * m
+        assert f.calls <= 1 + n + (len(trace.steps) + 1) * n * m
     else:  # maximize_dr_cardinality: 1 + n + L n ceil(log2(m + 1))
         levels = 1 + math.log(r / eff) / eff
         assert f.calls <= 1 + n + levels * n * math.ceil(math.log2(m + 1))
@@ -163,6 +169,35 @@ def test_greedy_knapsack_lazy_sweep_matches_reference(make, data, eps):
     levels = 1 + math.log(1 / (eff * min(inst.weights))) / eff
     assert f.calls <= 1 + n + levels * n * math.ceil(math.log2(max(caps) + 1))
     check_scaling(solve, make)
+
+
+@given(dr_oracles(), st.data(), st.sampled_from(EPSILONS))
+@PROPERTY
+def test_greedy_knapsack_steps_fit_and_leave_no_unit_that_clears(make, data, eps):
+    # every step fits the budget, and on return no element with room and a
+    # unit that fits gains w_e times the last level or more
+    caps = tuple(int(c) for c in make().box)
+    n = len(caps)
+    weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    inst = KnapsackInstance(tuple(weights), caps)
+    config = SolverConfig(eps)
+    f = make()
+    x, trace = greedy_knapsack(f, inst, zeros(n), config)
+    w = inst.weight_vector()
+    y, spent = zeros(n), 0.0
+    for s in trace.steps:
+        y[s.element] += s.step
+        spent += s.step * w[s.element]
+        assert inst.fits(y)
+    assert y.tolist() == x.tolist()
+    eff = config.effective
+    d = max(f.eval(unit(n, e)) / w[e] for e in range(n))
+    last = list(threshold_schedule(d, eff * d * min(weights), eff))[-1]
+    f_x = f.eval(x)
+    for e in range(n):
+        if x[e] < caps[e] and int((1.0 + BUDGET_TOL - spent) // w[e]) >= 1:
+            bar = w[e] * last
+            assert f.eval(x + unit(n, e)) - f_x < bar + SKIP_MARGIN * max(abs(f_x), bar)
 
 
 @st.composite
