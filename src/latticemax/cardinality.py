@@ -4,8 +4,8 @@ Feasible solutions are lattice points y with 0 <= y <= c and y(E) <= r.
 Both solvers, :func:`knapsack.greedy_knapsack` and the polymatroid
 direction search run one sweep, :func:`_sweep`: the threshold falls by
 factors of (1 - eps) from a top value d, and at each level every element
-takes the step its step rule picks on its ray.  The cardinality levels end
-at (eps / r) * d, and a step is capped at the budget left.
+takes the step its step rule picks on its ray, until no element can step.
+The cardinality levels end at (eps / r) * d; a step is capped at r - y(E).
 
 * :func:`maximize_dr_cardinality` (DR-submodular f): d = max_e f(e); the
   rule searches from k = 1 up, by doubling and then bisection, for the
@@ -17,17 +17,16 @@ at (eps / r) * d, and a step is capped at the budget left.
   (:func:`binary_search_lattice`).
 
 The knapsack greedy searches the same way, at thresholds scaled by the
-weights, and caps each step at the budget left, as the cardinality sweep
-caps it at r - y(E).  Each solve reads f through its own
-:class:`_PointMemo`, so ``f.calls`` grows by the number of distinct
-points probed other than 0.  Both cardinality solvers achieve a
-(1 - 1/e - O(eps)) fraction of the optimum for monotone objectives.
+weights, and caps each step at the budget left.  Each solve reads f
+through its own :class:`_PointMemo`, so ``f.calls`` grows by the number
+of distinct points probed other than 0.  Both cardinality solvers achieve
+a (1 - 1/e - O(eps)) fraction of the optimum for monotone objectives.
 
-The sweep is lazy (CELF-style, Minoux 1978): each element keeps an upper
-bound on its average marginal gain, read from probes already made, and a
-visit whose bound is below its threshold is skipped.  The DR search's
-bound, f(e | y) = g(1), needs DR, which the search assumes anyway; the
-level rule's needs only lattice submodularity.  When
+The sweep is lazy (CELF-style, Minoux 1978): each visit leaves its element
+an upper bound on its average marginal gain, read from the probes its ray
+holds, and a later visit whose bound is below its threshold is skipped.
+The DR search's bound, f(e | y) = g(1), needs DR, which the search
+assumes anyway; the level rule's needs only lattice submodularity.  When
 ``f.meta["dr_submodular"]`` is true the lattice solver uses DR too: its
 rule finds the scan's step by the DR search's exponential search
 (:func:`_dr_level_rule`), so a visit that takes no step reads g(1) alone,
@@ -71,6 +70,9 @@ class SolverConfig:
 
     def __post_init__(self):
         effective_epsilon(self.epsilon)  # validates the range
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
     @property
     def effective(self) -> float:
@@ -338,43 +340,32 @@ class _Ray(dict):
         return self._values[point.tobytes()]
 
 
-# maps a threshold to the step (k, f(k e | y)) one (y, e) pair takes; k = 0 for none
-_Step = Callable[[float], tuple[int, float]]
-# makes a pair's _Step from its ray, the largest step allowed and eps
-_Rule = Callable[[Mapping[int, float], int, float], _Step]
+# maps (ray of (y, e), the largest step allowed, eps, threshold) to the step
+# (k, f(k e | y)) the pair takes; k = 0 for none
+_Rule = Callable[[Mapping[int, float], int, float, float], tuple[int, float]]
 
 
-def _bisection_rule(ray: Mapping[int, float], k_max: int, eps: float) -> _Step:
+def _bisection_rule(ray: Mapping[int, float], k_cap: int, eps: float,
+                    threshold: float) -> tuple[int, float]:
     """The DR and knapsack sweeps' rule: :func:`_max_step_with_gain` on ``ray``."""
-    return lambda threshold: _max_step_with_gain(ray, k_max, threshold)
+    return _max_step_with_gain(ray, k_cap, threshold)
 
 
-def _level_rule(ray: Mapping[int, float], k_max: int, eps: float) -> _Step:
+def _level_rule(ray: Mapping[int, float], k_cap: int, eps: float,
+                threshold: float) -> tuple[int, float]:
     """The lattice sweep's rule: the first level-set candidate that clears.
 
-    The rule returns the first candidate (k, gain) of
-    :func:`_level_candidates` on ``ray`` with gain >= (1 - eps) * k *
-    threshold, or (0, 0.0) when none does.  Candidates do not depend on the
-    threshold, so the scan runs once: the rule keeps the candidates it has
-    read and resumes the scan only past them.
+    Returns the first candidate (k, gain) of :func:`_level_candidates` on
+    ``ray`` with gain >= (1 - eps) * k * threshold, or (0, 0.0) when none
+    does.  Candidates do not depend on the threshold and ``ray`` caches its
+    probes, so a scan rerun on the same ray reads no k from f again.
     """
-    scan = _level_candidates(ray, k_max, eps)
-    seen: list[tuple[int, float]] = []
-
-    def step(threshold: float) -> tuple[int, float]:
-        for k, gain in seen:
-            if gain >= (1 - eps) * k * threshold:
-                return k, gain
-        for k, gain in scan:
-            seen.append((k, gain))
-            if gain >= (1 - eps) * k * threshold:
-                return k, gain
-        return 0, 0.0
-
-    return step
+    scan = _level_candidates(ray, k_cap, eps)
+    return next(((k, gain) for k, gain in scan if gain >= (1 - eps) * k * threshold), (0, 0.0))
 
 
-def _dr_level_rule(ray: Mapping[int, float], k_max: int, eps: float) -> _Step:
+def _dr_level_rule(ray: Mapping[int, float], k_cap: int, eps: float,
+                   threshold: float) -> tuple[int, float]:
     """The lattice sweep's rule for DR f: :func:`_level_rule`'s step, found without its scan.
 
     Under DR, g(k) = f(k e | y) is concave with g(0) = 0, so the k that
@@ -382,33 +373,22 @@ def _dr_level_rule(ray: Mapping[int, float], k_max: int, eps: float) -> _Step:
     candidates k_j = min{k : g(k) >= h_j} fall as its levels h_j fall: its
     step is k_j at the first level h_j <= g(K).  The rule finds K by
     :func:`_max_step_with_gain` at the bar (1 - eps) * threshold (K = 0:
-    no step), reads g(k_max) only then, walks the scan's own levels (kept
-    across thresholds) to that h_j, and bisects [1, K] for k_j.  A visit
-    that takes no step probes g(1) alone, and one that steps at most
-    2 * floor(log2(k_max)) + ceil(log2(k_max)) + 2 points.  Where rounding
+    no step), reads g(k_cap) only then, walks the scan's own levels to that
+    h_j, and bisects [1, K] for k_j.  A visit that takes no step probes g(1)
+    alone, and one that steps at most
+    2 * floor(log2(k_cap)) + ceil(log2(k_cap)) + 2 points.  Where rounding
     breaks DR and k_j fails the scan's own test, the step is k = 1, which
     passes it whenever K >= 1 (at k = 1 the two bars are the same float).
     """
-    levels: list[float] = []
-
-    def step(threshold: float) -> tuple[int, float]:
-        k_clear = _max_step_with_gain(ray, k_max, (1 - eps) * threshold)[0]
-        if not k_clear:
-            return 0, 0.0
-        if not levels:
-            levels.extend(threshold_schedule(ray[k_max], (1 - eps) * ray[1], eps))
-        top = ray[k_clear]
-        k = _least_reaching(ray, 1, k_clear, next((h for h in levels if h <= top), top))
-        if ray[k] < (1 - eps) * k * threshold:
-            k = 1
-        return k, ray[k]
-
-    return step
-
-
-# maps (ray of (y, e), the step e took from y or 0, eps) to a bound below
-# which no later visit of e can step, or None for no bound
-_Bound = Callable[[Mapping[int, float], int, float], float | None]
+    k_clear = _max_step_with_gain(ray, k_cap, (1 - eps) * threshold)[0]
+    if not k_clear:
+        return 0, 0.0
+    top = ray[k_clear]
+    levels = threshold_schedule(ray[k_cap], (1 - eps) * ray[1], eps)
+    k = _least_reaching(ray, 1, k_clear, next((h for h in levels if h <= top), top))
+    if ray[k] < (1 - eps) * k * threshold:
+        k = 1
+    return k, ray[k]
 
 
 def _bisection_bound(ray: Mapping[int, float], k: int, eps: float) -> float:
@@ -435,7 +415,8 @@ def _level_bound(ray: Mapping[int, float], k: int, eps: float) -> float | None:
     (k_{i-1}, k_i], so B >= max_k f(k e | y) / k.  Lattice submodularity
     alone (no DR) gives f(k e | y') <= f(k e | y) for y' >= y with
     y'_e = y_e, and k_cap only falls, so no candidate clears at y' while
-    B < (1 - eps) * threshold.  A step of e changes y_e, so it drops B.
+    B < (1 - eps) * threshold.  B only falls as the ray gains probes.  A
+    step of e changes y_e, so it drops B.
     """
     if k:
         return None
@@ -457,9 +438,9 @@ def _dr_level_bound(ray: Mapping[int, float], k: int, eps: float) -> float:
     return _bisection_bound(ray, k, eps) / (1.0 - eps)
 
 
-# the bound each step rule's visits are skipped by (see _sweep), folded in
-# just before a step drops the rays
-_BOUNDS: dict[Callable, _Bound] = {
+# each step rule's bound (see _sweep): (ray of (y, e), the step e took from y
+# or 0, eps) -> a bound below which no later visit of e can step, or None
+_BOUNDS: dict[Callable, Callable[[Mapping[int, float], int, float], float | None]] = {
     _bisection_rule: _bisection_bound,
     _level_rule: _level_bound,
     _dr_level_rule: _dr_level_bound,
@@ -493,7 +474,7 @@ def binary_search_lattice(
         raise ValueError("k_max must be non-negative")
     # g(k e) - 0.0 is g(k e), bit for bit, and g(0) is never read
     along = _Ray(_PointMemo(g), unit(g.n, e, 0), e, 0.0)
-    return _level_rule(along, k_max, epsilon)(theta)[0] or None
+    return _level_rule(along, k_max, epsilon, theta)[0] or None
 
 
 def _sweep(
@@ -504,38 +485,42 @@ def _sweep(
     """The threshold sweep of all four solvers; it steps y in place.
 
     At each level every e with k_cap >= 1 takes the step ``rule(ray, k_cap,
-    eps)`` picks at threshold scale_e * level on ``ray_of(y, e)``.  A step
-    of k costs k * scale_e against ``limit``, ``spent`` being the budget
-    used, and k_cap = min(room_e, floor((limit - spent) / scale_e)) caps it
-    at the budget left, so every step fits and is taken.  k_cap changes only
-    at a step, which changes y, so a (y, e) pair's ray and its search are
-    made together and live until the next step.  The sweep ends at the step
-    that spends the budget, drawing no further level, since every later
-    visit would have k_cap <= 0.  Under :func:`_bisection_rule` a visit that
-    takes no step probes one point, g(1), and one that steps at most
-    2 * floor(log2(k_cap)) + 1; the f(y) a greedy's ray reads is the start
-    point's (f(0) costs no call) or one a step has probed.
+    eps, scale_e * level)`` picks on the ray ``ray_of(y, e)``.  A step of k
+    costs k * scale_e against ``limit``, ``spent`` being the budget used,
+    and k_cap = min(room_e, floor((limit - spent) / scale_e)) caps it at the
+    budget left, so every step fits and is taken.  k_cap changes only at a
+    step, which changes y, so a (y, e) pair's ray, made at its first visit,
+    serves each visit until the next step.  The sweep ends at the step after
+    which no e has k_cap >= 1, drawing no further level.  Under
+    :func:`_bisection_rule` a visit that takes no step probes one point,
+    g(1), and one that steps at most 2 * floor(log2(k_cap)) + 1; the f(y) a
+    greedy's ray reads is the start point's (f(0) costs no call) or one a
+    step has probed.
 
-    Lazy bounds (CELF-style): just before a step drops the rays, each ray
-    gives e a bound from the probes it holds, :func:`_bisection_bound`
-    (needs DR, as the search does), :func:`_level_bound` (needs only
-    lattice submodularity) or, for :func:`_dr_level_rule`,
-    :func:`_dr_level_bound`, and e keeps the least bound it has been given.
-    A visit whose bound is below scale_e * level by the margin
-    :data:`SKIP_MARGIN` is skipped: the rule would take no step there, so
-    the skip changes no step and no trace entry, only ``trace.skipped``,
-    and probes and calls only fall.  The margin's f(y) is the stepped ray's
-    ``value(k)``, a value its probe read; no bound exists before the first
-    step.
+    Lazy bounds (CELF-style): every visit that runs the rule folds at once
+    the bound its ray's probes give e into e's least bound:
+    :func:`_bisection_bound` (needs DR, as the search does),
+    :func:`_level_bound` (needs only lattice submodularity; None drops it)
+    or :func:`_dr_level_bound`.  A visit whose bound is below scale_e * level
+    by the margin :data:`SKIP_MARGIN` is skipped: the rule would take no
+    step there, so only ``trace.skipped`` changes, and calls only fall.  The
+    margin's f(y) is the stepped ray's ``value(k)``, a value its probe read.
+    Before the first step it stays 0.0: every bound compared then was made
+    at the start point, from the very floats the rule would read there.
     """
     trace = GreedyTrace()
-    rays: dict[int, tuple[Mapping[int, float], _Step]] = {}  # e -> (ray, its search)
+    rays: dict[int, Mapping[int, float]] = {}  # e -> the ray of (y, e)
     bound_of = _BOUNDS[rule]
     bounds: dict[int, float] = {}
-    f_y = 0.0  # f(y), read at each step; bounds exist only after one
+    f_y = 0.0  # f(y), read at each step
+
+    def k_caps() -> list[int]:  # each e's k_cap, which changes only at a step
+        return [min(room_e, int((limit - spent) // s_e)) for room_e, s_e in zip(room, scale)]
+
+    caps = k_caps()
     for threshold in levels:
-        for e in range(len(room)):
-            k_cap = min(room[e], int((limit - spent) // scale[e]))
+        for e in range(len(caps)):
+            k_cap = caps[e]
             if k_cap <= 0:
                 continue
             bar = scale[e] * threshold
@@ -543,26 +528,24 @@ def _sweep(
             if bound is not None and bound < bar - SKIP_MARGIN * max(abs(f_y), bar):
                 trace.skipped += 1
                 continue
-            if e not in rays:
-                ray = ray_of(y, e)
-                rays[e] = ray, rule(ray, k_cap, eps)
-            ray, search = rays[e]
-            k, gain = search(bar)
+            ray = rays.get(e)
+            if ray is None:
+                ray = rays[e] = ray_of(y, e)
+            k, gain = rule(ray, k_cap, eps, bar)
+            bound = bound_of(ray, k, eps)
+            if bound is None:
+                bounds.pop(e, None)
+            else:
+                bounds[e] = min(bound, bounds.get(e, bound))
             if k < 1:
                 continue
-            for e_ray, (probed, _) in rays.items():
-                bound = bound_of(probed, k if e_ray == e else 0, eps)
-                if bound is None:
-                    bounds.pop(e_ray, None)
-                else:
-                    bounds[e_ray] = min(bound, bounds.get(e_ray, bound))
             f_y = ray.value(k)  # y + k e was probed by the step, so no call
             y[e] += k
             room[e] -= k
             spent += k * scale[e]
             trace.add(threshold, e, k, gain)
-            if spent >= limit:
-                return y, trace  # every later visit would have k_cap <= 0
+            if max(caps := k_caps()) <= 0:
+                return y, trace  # no element can step again
             rays.clear()
     return y, trace
 
@@ -577,22 +560,25 @@ def _cardinality_greedy(
     """The set-up of both cardinality solvers, then their :func:`_sweep`.
 
     d = max_e f(top(c_e, r) e) over e with c_e >= 1; the levels end at
-    (eps / r) * d, and steps are capped at r - y(E).
+    (eps / r) * d, and steps are capped at r - y(E).  An e with f(top e) <= 0
+    gets no room: while y_e = 0, lattice submodularity keeps f(k e | y) <= 0
+    for k up to that top, so e never steps (the DR search needs g(1) > 0).
     """
-    cap = constraint.cap_vector()
-    if cap.shape[0] != f.n:
+    cap = constraint.cap
+    if len(cap) != f.n:
         raise ValueError("constraint dimension does not match oracle")
-    if np.any(cap > f.box):
+    if np.any(constraint.cap_vector() > f.box):
         raise ValueError("constraint cap exceeds the oracle box")
     eps = config.effective
     r = constraint.budget
     if r == 0:
         return zeros(f.n), GreedyTrace()
     memo = _PointMemo(f)
-    tops = (memo(unit(f.n, e, top(int(cap[e]), r))) for e in range(f.n) if cap[e] >= 1)
+    tops = [memo(unit(f.n, e, top(c_e, r))) if c_e >= 1 else 0.0 for e, c_e in enumerate(cap)]
+    room = [c_e if t > 0 else 0 for c_e, t in zip(cap, tops)]
     d = max(tops, default=0.0)
     levels = threshold_schedule(d, (eps / r) * d, eps)
-    return _sweep(memo.ray, zeros(f.n), cap.tolist(), levels, rule, eps, [1] * f.n, 0, r)
+    return _sweep(memo.ray, zeros(f.n), room, levels, rule, eps, [1] * f.n, 0, r)
 
 
 def maximize_dr_cardinality(
@@ -623,13 +609,14 @@ def maximize_lattice_cardinality(
     feasible single-element point, so d <= OPT as the (1 - 1/e - eps)
     analysis requires.  Each step is the first level-set candidate k (see
     :func:`binary_search_lattice`) whose gain f(k e | y) clears
-    (1 - eps) * k * threshold.  A (y, e) pair's scan runs once and reads
-    each k at most once, so with s <= r steps taken and
-    m = min(max_e c_e, r) a solve makes at most n + (s + 1) * n * m
-    oracle calls (f(0) costs none).  A pair is not visited while the steps
-    its ray probed at an earlier y with the same y_e bound every
-    f(k e | y) / k below (1 - eps) * threshold; that needs only lattice
-    submodularity, and calls only fall.
+    (1 - eps) * k * threshold.  A (y, e) pair's scan reads each k from f at
+    most once, however often it runs on the pair's ray, so with s <= r
+    steps taken and m = min(max_e c_e, r) a solve makes at most
+    n + (s + 1) * n * m oracle calls (f(0) costs none).  A pair is not
+    visited while the steps its ray probed, at this y or an earlier one
+    with the same y_e, bound every f(k e | y) / k below
+    (1 - eps) * threshold; that needs only lattice submodularity, and
+    calls only fall.
 
     When ``f.meta["dr_submodular"]`` is true (the built-in families, a
     lattice table that passes its exhaustive DR check, and the harness's

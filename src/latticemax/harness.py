@@ -288,6 +288,13 @@ def _check(mapping: dict, table: dict, context: str) -> dict:
     return mapping
 
 
+def _seed(seed: int, what: str) -> int:
+    """``seed`` if it is non-negative, as numpy's generators need; else a ConfigError."""
+    if seed < 0:
+        raise ConfigError(f"{what} must be non-negative, got {seed}")
+    return seed
+
+
 def load_config(path: str) -> HarnessConfig:
     """Parse and validate a harness config into its instances, cells and assertions.
 
@@ -296,9 +303,9 @@ def load_config(path: str) -> HarnessConfig:
     give the same config.  ``_check`` walks each section against its schema
     table; the checks a table cannot state follow: duplicate instance ids,
     unknown instance references, an algorithm run on another constraint
-    kind, and an epsilon outside (0, 1).  Each failure, invalid YAML (with
-    its line and column) and a missing file raise ConfigError.  Oracles are
-    not built here.
+    kind, an epsilon outside (0, 1) and a negative seed.  Each failure,
+    invalid YAML (with its line and column) and a missing file raise
+    ConfigError.  Oracles are not built here.
     """
     try:
         with open(path) as handle:
@@ -321,6 +328,7 @@ def load_config(path: str) -> HarnessConfig:
         if instance_id in instances:
             raise ConfigError(f"duplicate instance id {instance_id!r}")
         oracle = _check(raw["oracle"], ORACLE, f"{where} oracle")
+        _seed(oracle.get("seed", 0), f"'seed' in {where} oracle")
         _check(oracle.get("params", {}), ORACLE_PARAMS[oracle["family"]], f"{where} oracle params")
         constraint, kind = raw["constraint"], raw["constraint"].get("kind")
         table = {"kind": (CONSTRAINTS, None, True), **CONSTRAINTS.get(str(kind), {})}
@@ -335,6 +343,8 @@ def load_config(path: str) -> HarnessConfig:
     cells: list[Cell] = []
     for raw in data.get("experiments", []):
         _check(raw, EXPERIMENT, "experiment entry")
+        seeds = [_seed(seed, "each item of 'seeds' in experiment entry")
+                 for seed in raw.get("seeds", [0])]
         for instance_id in list(instances) if raw["instances"] == "all" else raw["instances"]:
             if not isinstance(instance_id, str) or instance_id not in instances:
                 raise ConfigError(f"experiment references unknown instance {instance_id!r}")
@@ -349,7 +359,7 @@ def load_config(path: str) -> HarnessConfig:
                 for epsilon in map(float, raw["epsilons"]):
                     if not 0 < epsilon < 1:
                         raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
-                    for seed in raw.get("seeds", [0]):
+                    for seed in seeds:
                         cells.append(Cell(instance_id, algorithm, epsilon, seed))
 
     assertions = []
@@ -546,6 +556,7 @@ def apply_overrides(
             raise ConfigError(f"unknown algorithm {algo!r}")
         cells = [cell for cell in cells if cell.algorithm == algo]
     if seed is not None:
+        _seed(seed, "the seed override")
         # two cells that differ only in their seed become one
         cells = list(dict.fromkeys(replace(cell, seed=seed) for cell in cells))
     return HarnessConfig(instances=config.instances, cells=cells, assertions=config.assertions)

@@ -140,7 +140,8 @@ def greedy_knapsack(
     down to eps * d * w_min: e takes the largest k <= k_cap with
     f(k e | x) >= k w(e) theta, by exponential search from k = 1, where
     k_cap = min(c_e - x(e), floor((1 + BUDGET_TOL - w . x) / w(e))) is the
-    room that both the box and the budget leave, so every step fits.
+    room that both the box and the budget leave, so every step fits; the
+    sweep ends once no element has room.
     The single-start entry: it checks the instance against f and x0 against
     the instance before any call, then runs the set-up and sweep that
     :func:`maximize_knapsack` runs once per solve and once per start.
@@ -151,9 +152,9 @@ def greedy_knapsack(
     s <= L * n steps taken, a call makes at most
     1 + n + L * n + 2 * s * floor(log2(m)) oracle calls, the 1 for f(x0)
     (none when x0 = 0).  Like the DR cardinality sweep it skips e while
-    f(e | x), read at an earlier x and an upper bound on it as x grows for
-    DR f, is below w(e) theta; skips only save calls, so that bound still
-    holds.
+    f(e | x), read at this x or an earlier one and an upper bound on it as
+    x grows for DR f, is below w(e) theta; skips only save calls, so that
+    bound still holds.
     """
     _check(f, inst)
     x = as_lattice_point(x0, f.n)

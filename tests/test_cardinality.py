@@ -68,6 +68,14 @@ def test_effective_epsilon():
         effective_epsilon(1.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None, "0"])
+def test_solver_config_rejects_a_seed_that_is_not_a_non_negative_int(seed):
+    # numpy's generators reject a negative seed only once a solve draws
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        SolverConfig(0.1, seed)
+    assert SolverConfig(0.1, np.int64(3)).seed == 3
+
+
 def test_threshold_schedule():
     levels = list(threshold_schedule(2.0, 1 / 6, 0.25))
     assert levels[0] == 2.0
@@ -403,20 +411,20 @@ def test_dr_level_rule_returns_the_scans_step_on_exact_concave_gains():
     # integer gains with rational eps and thresholds compare exactly, so DR
     # holds exactly and the rule must return the scan's (k, gain) at every
     # threshold where the scan's step changes, (g(k) / k) / (1 - eps), and
-    # between them; a visit that takes no step probes g(1) alone.  One rule
+    # between them; a visit that takes no step probes g(1) alone.  One ray
     # asked at falling thresholds, as the sweep asks it, answers the same
     rng = np.random.default_rng(29)
     searches, reached = 0, set()
     for k_max in range(65):
         for eps in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)):
             gains = concave_integer_gains(rng, k_max)
-            kept = cardinality._dr_level_rule(CountingRay(gains), k_max, eps)
+            kept = CountingRay(gains)
             thresholds = sorted((t / (1 - eps) for t in every_threshold(gains)), reverse=True)
             for threshold in thresholds:
                 ray = CountingRay(gains)
-                got = cardinality._dr_level_rule(ray, k_max, eps)(threshold)
-                assert got == cardinality._level_rule(CountingRay(gains), k_max, eps)(threshold)
-                assert kept(threshold) == got
+                got = cardinality._dr_level_rule(ray, k_max, eps, threshold)
+                assert got == cardinality._level_rule(CountingRay(gains), k_max, eps, threshold)
+                assert cardinality._dr_level_rule(kept, k_max, eps, threshold) == got
                 if got[0] == 0:
                     assert len(ray) == min(k_max, 1)
                 else:
@@ -433,8 +441,8 @@ def test_dr_level_rule_steps_only_where_the_scans_test_passes_off_dr():
     # 10, the first level at or below g(4) = 40 is 22.5, and its k = 3 does
     # not clear 0.5 * 3 * 20, so the rule steps k = 1, which does
     gains = [0.0, 10.0, 20.0, 25.0, 40.0, 41.0, 42.0, 43.0, 45.0]
-    assert cardinality._dr_level_rule(CountingRay(gains), 8, 0.5)(20.0) == (1, 10.0)
-    assert cardinality._level_rule(CountingRay(gains), 8, 0.5)(20.0) == (2, 20.0)
+    assert cardinality._dr_level_rule(CountingRay(gains), 8, 0.5, 20.0) == (1, 10.0)
+    assert cardinality._level_rule(CountingRay(gains), 8, 0.5, 20.0) == (2, 20.0)
 
 
 def test_maximize_lattice_cardinality_top_threshold_is_feasible():
@@ -903,7 +911,8 @@ def test_greedy_knapsack_probes_the_reference_points_in_order():
 
 def test_cardinality_sweep_draws_no_level_after_the_budget_is_spent(monkeypatch):
     # once a step spends the budget every later visit has no room, so the
-    # sweep ends there; a solve that never fills it draws every level
+    # sweep ends there; a solve that never fills it draws every level,
+    # unless no element has room left, when it ends at its last step too
     schedules = []  # the levels drawn from each schedule, the sweep's first
 
     def recording_schedule(*args):
@@ -914,19 +923,27 @@ def test_cardinality_sweep_draws_no_level_after_the_budget_is_spent(monkeypatch)
             yield level
 
     monkeypatch.setattr(cardinality, "threshold_schedule", recording_schedule)
-    filled = 0
+    filled = roomless = 0
     for make, caps, r in equivalence_instances() + query_scale_instances():
         cst = CardinalityConstraint(caps, r)
         for solve in (maximize_dr_cardinality, maximize_lattice_cardinality):
             schedules.clear()
-            y, trace = solve(make(), cst, SolverConfig(0.1))
+            f = make()
+            y, trace = solve(f, cst, SolverConfig(0.1))
             drawn = schedules[0]
+            # an element has room left if it is below its cap and its top value is positive
+            top = 1 if solve is maximize_dr_cardinality else r
+            room_left = any(y[e] < c and f.eval(unit(len(caps), e, min(c, top))) > 0
+                            for e, c in enumerate(caps))
             if total(y) == r:
                 filled += 1
                 assert drawn[-1] == trace.steps[-1].threshold
-            else:
+            elif room_left:
                 assert drawn == list(threshold_schedule(drawn[0], 0.1 / r * drawn[0], 0.1))
-    assert filled > 0
+            else:
+                roomless += 1
+                assert drawn[-1] == trace.steps[-1].threshold
+    assert filled > 0 and roomless > 0
 
 
 def equivalence_knapsack(caps, r):
@@ -1062,10 +1079,10 @@ def test_ray_on_a_bad_y_raises_before_any_call(y):
 
 
 def test_lattice_sweep_scans_each_ray_once(monkeypatch):
-    # level-set candidates do not depend on the threshold, so a (y, e) pair
-    # runs its scan once however many levels visit it; no call count shows
-    # this, since the ray absorbs repeated probes.  On DR f no ray is
-    # scanned: the exponential search finds the scan's step
+    # level-set candidates do not depend on the threshold, so a scan rerun
+    # on a (y, e) pair's cached ray reads no point from f again: f reads no
+    # point twice.  On DR f no ray is scanned: the exponential search finds
+    # the scan's step
     counts = {"rays": 0, "scans": 0}
 
     def counted(name, wrapped):
@@ -1076,14 +1093,18 @@ def test_lattice_sweep_scans_each_ray_once(monkeypatch):
 
     monkeypatch.setattr(cardinality._PointMemo, "ray", counted("rays", cardinality._PointMemo.ray))
     monkeypatch.setattr(cardinality, "_level_candidates", counted("scans", cardinality._level_candidates))
+    scanned = 0
     for make, caps, r in equivalence_instances():
         counts.update(rays=0, scans=0)
-        f = make()
+        f, points = recording(make())
         maximize_lattice_cardinality(f, CardinalityConstraint(caps, r), SolverConfig(0.1))
         if f.meta["dr_submodular"]:
             assert counts["scans"] == 0 < counts["rays"]
         else:
-            assert counts["scans"] == counts["rays"] > 0
+            assert counts["scans"] >= counts["rays"] > 0
+            assert len(points) == len(set(points))
+            scanned += counts["scans"] > counts["rays"]
+    assert scanned > 0  # some scan is rerun on its cached ray
 
 
 def test_lattice_sweep_on_dr_meta_only_saves_calls():
@@ -1108,22 +1129,74 @@ def test_lattice_sweep_on_dr_meta_only_saves_calls():
     assert saved["query"] > 0
 
 
+def test_lattice_sweep_gives_an_element_with_no_top_value_no_room():
+    # source 1 has no edge, so f(k e_1) = 0 for every k: e_1 gets no room
+    # and is never visited, so the DR level rule no longer reads its g(1)
+    # on top of the g(4) the top threshold read; with DR meta or without,
+    # the solve makes 5 calls: the tops f(4 e_0) and f(4 e_1), then
+    # f(e_0), f(2 e_0) and f(3 e_0)
+    f = make_budget_allocation([(0, 0, 0.5), (0, 1, 0.3)], [8, 8])
+    bare = ValueOracle(f._fn, f.box)
+    assert f.meta["dr_submodular"] and not bare.meta
+    for g in (f, bare):
+        y, trace = maximize_lattice_cardinality(g, CardinalityConstraint((8, 8), 4), SolverConfig(0.1))
+        assert y.tolist() == [4, 0] and [(s.element, s.step) for s in trace.steps] == [(0, 1)] * 4
+        assert g.calls == 5
+
+
+def test_dr_sweeps_never_search_a_failed_pair_again_and_fail(monkeypatch):
+    # a visit whose search fails parks its element's bound at once, so under
+    # the DR search and the DR level rule a later visit of the same (y, e)
+    # either clears the threshold or is skipped: no search fails twice on
+    # one pair
+    sweep = cardinality._sweep
+    searches = failed_again = 0
+
+    def counted_sweep(ray_of, y, room, levels, rule, *args):
+        failed = set()
+
+        def counted_rule(on, k_cap, eps, threshold):
+            nonlocal searches, failed_again
+            k, gain = rule(on, k_cap, eps, threshold)
+            pair = (y.tobytes(), on._e)
+            searches += 1
+            if not k:
+                failed_again += pair in failed
+                failed.add(pair)
+            return k, gain
+
+        monkeypatch.setitem(cardinality._BOUNDS, counted_rule, cardinality._BOUNDS[rule])
+        return sweep(ray_of, y, room, levels, counted_rule, *args)
+
+    monkeypatch.setattr(cardinality, "_sweep", counted_sweep)
+    monkeypatch.setattr(knapsack, "_sweep", counted_sweep)
+    for make, caps, r in equivalence_instances() + query_scale_instances():
+        if not make().meta["dr_submodular"]:
+            continue
+        cst = CardinalityConstraint(caps, r)
+        maximize_dr_cardinality(make(), cst, SolverConfig(0.1))
+        maximize_lattice_cardinality(make(), cst, SolverConfig(0.1))
+        greedy_knapsack(make(), equivalence_knapsack(caps, r), zeros(len(caps)), SolverConfig(0.1))
+    assert searches > 1000 and failed_again == 0
+
+
 def test_every_greedy_makes_one_ray_per_point_and_element(monkeypatch):
     # the sweep keeps the ray of each (y, e) until a step changes y, and
-    # makes that pair's search once, with its ray; no call count shows
-    # this, since the memo absorbs repeated probes
-    rays, searches = [], []
+    # every search runs on the ray it holds for its (y, e); no call count
+    # shows this, since the memo absorbs repeated probes
+    rays, made, searched = [], {}, []
     ray = cardinality._PointMemo.ray
     sweep = cardinality._sweep
 
     def counted(memo, y, e):
         rays.append((y.tobytes(), e))
-        return ray(memo, y, e)
+        made[rays[-1]] = on = ray(memo, y, e)
+        return on
 
     def counted_sweep(ray_of, y, room, levels, rule, *args):
-        def counted_rule(on, k_cap, eps):
-            searches.append(on)
-            return rule(on, k_cap, eps)
+        def counted_rule(on, k_cap, eps, threshold):
+            searched.append(made[(y.tobytes(), on._e)] is on)
+            return rule(on, k_cap, eps, threshold)
 
         monkeypatch.setitem(cardinality._BOUNDS, counted_rule, cardinality._BOUNDS[rule])
         return sweep(ray_of, y, room, levels, counted_rule, *args)
@@ -1141,10 +1214,11 @@ def test_every_greedy_makes_one_ray_per_point_and_element(monkeypatch):
             lambda f: greedy_knapsack(f, inst, zeros(len(caps)), SolverConfig(0.1)),
         ):
             rays.clear()
-            searches.clear()
+            made.clear()
+            searched.clear()
             _, trace = solve(make())
             assert len(rays) == len(set(rays)) > 0
-            assert len(searches) == len(rays)
+            assert len(searched) >= len(rays) and all(searched)
         capped += budget_bound_steps(inst, zeros(len(caps)), trace)  # the knapsack solve's
     assert capped > 0  # the budget left caps some knapsack steps
 

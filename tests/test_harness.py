@@ -556,6 +556,42 @@ def test_apply_overrides_unknown_algo():
         apply_overrides(config, algo="gradient_descent", seed=None)
 
 
+POLYMATROID = "kind: polymatroid\n      family: uniform\n      params: {n: 2, per_element: 1, total: 2}"
+RANDOM_ORACLE = "family: random_separable_concave\n      params: {n: 2, cap_high: 2}"
+
+# (replacements in BASIC, the ConfigError message); each loaded, then gave
+# its rows numpy's "expected non-negative integer" error and exited 0
+NEGATIVE_SEEDS = [
+    ([(CARDINALITY, POLYMATROID), ("cardinality_dr", "polymatroid"), ("seeds: [0, 1]", "seeds: [-1]")],
+     "each item of 'seeds' in experiment entry must be non-negative, got -1"),
+    ([(CONCAVE_ORACLE, RANDOM_ORACLE + "\n      seed: -3")],
+     "'seed' in instance 'pack' oracle must be non-negative, got -3"),
+]
+
+
+@pytest.mark.parametrize("replacements, message", NEGATIVE_SEEDS, ids=["seeds", "oracle_seed"])
+def test_negative_seed_is_config_error(tmp_path, replacements, message):
+    text = BASIC
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(write(tmp_path, text))
+    # the same config with the seed at 0 loads
+    assert load_config(write(tmp_path, text.replace("-1", "0").replace("-3", "0"))).cells
+
+
+def test_negative_seed_override_is_config_error(tmp_path, capsys):
+    config = load_config(write(tmp_path, BASIC))
+    with pytest.raises(ConfigError, match=re.escape("the seed override must be non-negative, got -1")):
+        apply_overrides(config, seed=-1)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(DEMO), "--out", str(tmp_path / "out"), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "config error: the seed override must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 SOLVERS = {
     "cardinality_dr": maximize_dr_cardinality,
     "cardinality_lattice": maximize_lattice_cardinality,

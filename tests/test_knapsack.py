@@ -146,6 +146,28 @@ def test_greedy_knapsack_frozen_example():
         assert inst.fits(x)
 
 
+def test_greedy_knapsack_draws_no_level_once_nothing_fits(monkeypatch):
+    # the frozen example ends at x = (2, 0) with 1.0 of the budget 1 + 1e-9
+    # spent: no unit fits, so the sweep ends at its one step, at the top
+    # level, rather than drawing every level down to the floor
+    drawn = []
+    sweep = knapsack._sweep
+
+    def counted_sweep(ray_of, x, room, levels, *args):
+        def counted():
+            for level in levels:
+                drawn.append(level)
+                yield level
+
+        return sweep(ray_of, x, room, counted(), *args)
+
+    monkeypatch.setattr(knapsack, "_sweep", counted_sweep)
+    f = ValueOracle(modular([3.0, 1.0]), np.array([2, 2]))
+    x, trace = greedy_knapsack(f, KnapsackInstance((0.5, 0.5), (2, 2)), zeros(2), SolverConfig(0.05, 0))
+    assert x.tolist() == [2, 0] and [(s.element, s.step) for s in trace.steps] == [(0, 2)]
+    assert drawn == [trace.steps[0].threshold]
+
+
 def test_greedy_knapsack_caps_a_step_at_the_budget_left():
     # f(x) = x with c = 37 clears the top threshold up to the cap, which
     # overruns the budget; the step is capped at the 2 units that fit
