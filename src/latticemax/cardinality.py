@@ -249,25 +249,6 @@ def _max_step_with_gain(
     return lo, gain_at_lo
 
 
-def _first_positive(val: Mapping[int, float], k_max: int) -> int:
-    """The smallest k in 1..k_max with val[k] > 0, or 0 when val[k_max] <= 0 or k_max <= 0.
-
-    ``val`` is non-decreasing on 0..k_max with val[0] = 0, as in
-    :func:`_level_candidates`.  val[k_max] is read first, then k is found by
-    bisection.
-    """
-    if k_max <= 0 or val[k_max] <= 0:
-        return 0
-    lo, hi = 1, k_max
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if val[mid] > 0:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _least_reaching(val: Mapping[int, float], lo: int, hi: int, level: float) -> int:
     """The smallest k in lo..hi with val[k] >= level, by bisection, given val[hi] >= level."""
     while lo < hi:
@@ -279,24 +260,40 @@ def _least_reaching(val: Mapping[int, float], lo: int, hi: int, level: float) ->
     return lo
 
 
-def _level_candidates(val: Mapping[int, float], k_max: int, eps: float) -> Iterator[tuple[int, float]]:
-    """Yield (k, val[k]) lazily, one pair per geometric value level.
+def _level_candidates(
+    val: Mapping[int, float], k_max: int, eps: float, k_fit: int | None = None
+) -> Iterator[tuple[int, float]]:
+    """Yield (k, val[k]) lazily, one pair per geometric value level, for k <= k_fit.
 
     ``val`` maps k to a value non-decreasing on 0..k_max with val[0] = 0,
     such as a ray of :meth:`_PointMemo.ray`; it must cache, since the scan
-    reads some k more than once.  Levels h sweep from val[k_max] down by
-    factors of (1 - eps) to (1 - eps) * val[k_min], where k_min is the
-    smallest k with positive value (:func:`_first_positive`); for each
-    level the smallest k with val[k] >= h is yielded, unless the level
-    before found the same k.  Nothing is yielded when k_max <= 0 or
-    val[k_max] <= 0.  Only the k the caller's iteration reaches are read.
+    reads some k more than once.  Levels h sweep from the anchor val[k_max]
+    down by factors of (1 - eps) to (1 - eps) * val[k_min], where k_min is
+    the smallest k with positive value; for each level the smallest k with
+    val[k] >= h is yielded, unless the level before found the same k.  Only
+    the k the caller's iteration reaches are read.
+
+    The fit bound k_fit <= k_max (k_max by default) keeps the pairs with
+    k <= k_fit, in the scan's order, and reads no other k but the anchor:
+    val[k_fit] is read first, and nothing is yielded (and nothing more
+    read) when k_fit <= 0 or val[k_fit] <= 0.  Then the anchor is read,
+    k_min is found by bisection on [1, k_fit], and a level above val[k_fit]
+    is skipped, since its k lies beyond k_fit; every other level's k lies
+    in [k_min, k_fit], where its bisection runs.
     """
-    k_min = _first_positive(val, k_max)
-    if not k_min:
+    if k_fit is None:
+        k_fit = k_max
+    if k_fit <= 0 or val[k_fit] <= 0:
         return
+    fit_top = val[k_fit]
+    top = val[k_max]
+    # the least positive float, so val[k] >= it exactly when val[k] > 0
+    k_min = _least_reaching(val, 1, k_fit, math.ulp(0.0))
     found = None
-    for level in threshold_schedule(val[k_max], (1 - eps) * val[k_min], eps):
-        k = _least_reaching(val, k_min, k_max, level)
+    for level in threshold_schedule(top, (1 - eps) * val[k_min], eps):
+        if level > fit_top:
+            continue
+        k = _least_reaching(val, k_min, k_fit, level)
         if k != found:
             found = k
             yield k, val[k]

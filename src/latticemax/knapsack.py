@@ -11,6 +11,10 @@ left, so every step fits.
 Like the cardinality solvers, :func:`maximize_knapsack` returns (x, trace).
 One point memo serves the whole solve, so it makes at most prod_e (c_e + 1)
 oracle calls: each lattice point in the box is evaluated at most once.
+The enumeration extends a point along e only over the steps that fit the
+budget, so a solve reads f only at points that fit, but for at most one
+anchor y + (c_e - y_e) e per extended (y, e) pair, which fixes the scan's
+levels.
 """
 
 from __future__ import annotations
@@ -163,19 +167,49 @@ def greedy_knapsack(
     return _greedy(_memo_of(f), inst, config)(x)
 
 
+def _fit_room(inst: KnapsackInstance, y: np.ndarray, e: int, k_cap: int) -> int:
+    """The largest k in 0..k_cap with ``inst.fits(y + k e)``; no call.
+
+    The float weight of y + k e is non-decreasing in k, so the k that fit
+    form a prefix.  The arithmetic guess floor((1 + BUDGET_TOL - w . y) / w_e)
+    is corrected by :meth:`KnapsackInstance.fits` itself, so k_fit agrees
+    with the predicate to the last bit.
+    """
+    guess = (1.0 + BUDGET_TOL - float(inst.weight_vector() @ y)) // inst.weights[e]
+    k = int(min(k_cap, max(0.0, guess)))
+    point = y.copy()
+
+    def fits(k: int) -> bool:
+        point[e] = y[e] + k
+        return inst.fits(point)
+
+    while k > 0 and not fits(k):
+        k -= 1
+    while k < k_cap and fits(k + 1):
+        k += 1
+    return k
+
+
 def _extend(
     memo: _PointMemo, inst: KnapsackInstance, y: np.ndarray, e: int, epsilon: float
 ) -> list[np.ndarray]:
-    """y + k e for each candidate k of the level-set scan along e (see :func:`increase_support`).
+    """y + k e for each candidate k of the level-set scan along e that fits the budget.
 
-    Nothing when y_e = c_e; otherwise one memo read for f(y) plus one per
-    distinct k probed.  y must be an int64 point inside the box.
+    The candidates are those of :func:`increase_support`'s scan with
+    k <= k_fit, the largest k with y + k e inside the box and the budget
+    (:func:`_fit_room`), in the same order.  Nothing, and no ray and no
+    call, when k_fit = 0.  Otherwise one memo read for f(y) and one for
+    f(y + k_fit e); if that gain is not positive no fitting k has one, and
+    nothing more is read.  Else the anchor y + (c_e - y_e) e, the one point
+    read that may not fit (the scan's levels hang from it), plus the fitting
+    k the bisections probe.  y must be an int64 point inside the box.
     """
     k_cap = inst.cap[e] - int(y[e])
-    if k_cap <= 0:
+    k_fit = _fit_room(inst, y, e, k_cap)
+    if k_fit <= 0:
         return []
     points = []
-    for k, _ in _level_candidates(memo.ray(y, e), k_cap, epsilon):
+    for k, _ in _level_candidates(memo.ray(y, e), k_cap, epsilon, k_fit):
         point = y.copy()
         point[e] += k
         points.append(point)
@@ -200,7 +234,11 @@ def increase_support(
     probed, for each y with room along e (a fresh memo per y unless ``f``
     is a memo, in which a point already read costs none).  The instance is
     checked against f before any call.  Output is deduplicated,
-    box-feasible, and not filtered by the budget.
+    box-feasible, and not filtered by the budget: it is the paper's whole
+    extension step, over k in [1, c_e - y_e].  Chaining it along a tuple's
+    elements and dropping the over-budget points gives exactly the starts
+    of :func:`partial_enumeration`, which runs the same scan with a fit
+    bound (:func:`_extend`) and so probes no over-budget step but anchors.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -209,7 +247,13 @@ def increase_support(
     _check(f, inst)
     out: dict[bytes, np.ndarray] = {}
     for y in solutions:
-        for point in _extend(_memo_of(f), inst, as_lattice_point(y, inst.n), e, epsilon):
+        y = as_lattice_point(y, inst.n)
+        k_cap = inst.cap[e] - int(y[e])
+        if k_cap <= 0:
+            continue
+        for k, _ in _level_candidates(_memo_of(f).ray(y, e), k_cap, epsilon):
+            point = y.copy()
+            point[e] += k
             out.setdefault(point.tobytes(), point)
     return list(out.values())
 
@@ -224,16 +268,19 @@ def partial_enumeration(
     coordinate again), so supports have at most three elements.  Each
     prefix is extended once: the batch of (a, b, c) is the batch of (a, b)
     extended along c, deduplicated in first-seen order, and only batches
-    of tuples shorter than the longest are kept.  Only the points of a
-    batch that fit the budget are kept for extension: an extension adds
-    weight, so an over-budget point can never lead to a start.  Each
-    (point, e) pair is extended once per call, since batches overlap (those
-    of (a, b) and (b, a), say): its fitting extensions are kept for the
-    next batch that holds the point.  Budget-feasible results are collected
-    in tuple order (by length, then lexicographic) and deduplicated; the
-    zero vector is always included via the empty tuple.  The instance is
-    checked against f before any call, and points are read through one
-    fresh memo unless ``f`` already is one.
+    of tuples shorter than the longest are kept.  An extension keeps only
+    the steps that fit the budget (:func:`_extend`), and an over-budget
+    point can never lead to a start, since extending adds weight: the
+    batches, and so the starts, are those of :func:`increase_support`'s
+    whole scan with the over-budget points dropped, in the same order, but
+    no over-budget step is probed, except the one anchor per (point, e)
+    pair that the scan's levels hang from.  Each (point, e) pair is
+    extended once per call, since batches overlap (those of (a, b) and
+    (b, a), say): its extensions are kept for the next batch that holds the
+    point.  Results are collected in tuple order (by length, then
+    lexicographic) and deduplicated; the zero vector is always included via
+    the empty tuple.  The instance is checked against f before any call,
+    and points are read through one fresh memo unless ``f`` already is one.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -243,7 +290,7 @@ def partial_enumeration(
     collected: dict[bytes, np.ndarray] = {}
     max_len = min(3, n)
     batches: dict[tuple, list[np.ndarray]] = {}
-    fitting: dict[tuple[bytes, int], list[np.ndarray]] = {}  # (y bytes, e) -> y's extensions
+    extensions: dict[tuple[bytes, int], list[np.ndarray]] = {}  # (y bytes, e) -> _extend's points
     for length in range(max_len + 1):
         for combo in itertools.product(range(n), repeat=length):
             if not combo:
@@ -253,10 +300,9 @@ def partial_enumeration(
                 grown: dict[bytes, np.ndarray] = {}
                 for y in batches[combo[:-1]]:
                     key = (y.tobytes(), e)
-                    points = fitting.get(key)
+                    points = extensions.get(key)
                     if points is None:
-                        points = fitting[key] = [
-                            p for p in _extend(memo, inst, y, e, epsilon) if inst.fits(p)]
+                        points = extensions[key] = _extend(memo, inst, y, e, epsilon)
                     for point in points:
                         grown.setdefault(point.tobytes(), point)
                 batch = list(grown.values())
@@ -279,7 +325,11 @@ def maximize_knapsack(
     f before any call.  The greedy's set-up (d and its levels) runs once
     per solve, and each start is swept directly; the enumeration, every
     greedy completion and the comparison of completions share one
-    :class:`_PointMemo`, dropped on return: at most prod_e (c_e + 1) calls.
+    :class:`_PointMemo`, dropped on return.  Every point the solve reads
+    fits the budget, but for at most one anchor y + (c_e - y_e) e per pair
+    (y, e) the enumeration extends, and each is read once: at most
+    (points of the box that fit) + (extended pairs) calls, and never more
+    than prod_e (c_e + 1).
     """
     _check(f, inst)
     memo = _PointMemo(f)

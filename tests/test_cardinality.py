@@ -445,6 +445,29 @@ def test_dr_level_rule_steps_only_where_the_scans_test_passes_off_dr():
     assert cardinality._level_rule(CountingRay(gains), 8, 0.5, 20.0) == (2, 20.0)
 
 
+def test_level_candidates_with_a_fit_bound_yield_the_whole_scans_pairs_up_to_it():
+    # monotone gains with flat runs (no concavity): the fit bound keeps the
+    # whole scan's pairs with k <= k_fit, in order, and reads no k beyond
+    # k_fit but the anchor k_max, and only val[k_fit] when it is not positive
+    rng = np.random.default_rng(32)
+    scans = 0
+    for k_max in range(40):
+        for _ in range(4):
+            increments = rng.integers(0, 4, size=k_max) * rng.integers(0, 2, size=k_max)
+            gains = [0.0] + np.cumsum(increments, dtype=np.float64).tolist()
+            for eps in (0.5, 0.25, 0.1):
+                whole = list(cardinality._level_candidates(CountingRay(gains), k_max, eps))
+                for k_fit in range(k_max + 1):
+                    ray = CountingRay(gains)
+                    got = list(cardinality._level_candidates(ray, k_max, eps, k_fit))
+                    assert got == [(k, g) for k, g in whole if k <= k_fit]
+                    assert all(k <= k_fit or k == k_max for k in ray)
+                    if not k_fit or gains[k_fit] <= 0:
+                        assert list(ray) == [k_fit][:k_fit]
+                    scans += 1
+    assert scans > 5_000
+
+
 def test_maximize_lattice_cardinality_top_threshold_is_feasible():
     # cap far above the budget: probing f(c_e e) instead of f(min(c_e, r) e)
     # put every threshold above any gain a step of <= r units can reach

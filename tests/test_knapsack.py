@@ -384,14 +384,14 @@ def reference_maximize_knapsack(f, inst, config):
 # of the reference solve, which runs greedy_knapsack and increase_support
 # standalone and so pins their own counts)
 KNAPSACK_CASES = [
-    (lambda: ValueOracle(modular([3.0, 1.0]), np.array([2, 2])), (0.5, 0.5), 0.1, [2, 0], 8, 49),
+    (lambda: ValueOracle(modular([3.0, 1.0]), np.array([2, 2])), (0.5, 0.5), 0.1, [2, 0], 7, 49),
     (
         lambda: make_separable_concave([1.0, 1.4, 0.7], [0.5, 1.0, 0.3], [3, 3, 4]),
-        (0.35, 0.3, 0.15), 0.1, [0, 3, 0], 69, 1322,
+        (0.35, 0.3, 0.15), 0.1, [0, 3, 0], 46, 1322,
     ),
     (
         lambda: random_budget_allocation(3, 4, 3, 3),
-        (0.3, 0.25, 0.4, 0.2), 0.2, [0, 1, 1, 1], 28, 661,
+        (0.3, 0.25, 0.4, 0.2), 0.2, [0, 1, 1, 1], 25, 661,
     ),
 ]
 
@@ -523,18 +523,59 @@ def test_partial_enumeration_extends_each_point_along_each_element_once(monkeypa
 
 def test_maximize_knapsack_skips_over_budget_prefixes():
     # a budget-allocation knapsack whose enumeration used to extend 174
-    # over-budget points: 64 calls then, 37 now, with the same best point
+    # over-budget points (64 calls), then probed over-budget steps while
+    # extending fitting ones (37 calls): 11 now, with the same best point
     edges = [(0, 1, 0.1084), (0, 2, 0.182), (1, 2, 0.3736), (1, 1, 0.6472),
              (2, 1, 0.6021), (2, 0, 0.1576)]
     inst = KnapsackInstance.from_raw((1.6406, 2.4458, 1.1282), 3.4944, (3, 3, 3))
     for eps in (0.2, 0.1):
         f = make_budget_allocation(edges, [3, 3, 3])
         x, trace = maximize_knapsack(f, inst, SolverConfig(eps, 0))
-        assert f.calls == 37
+        assert f.calls == 11
         ref = make_budget_allocation(edges, [3, 3, 3])
         want_x, want_trace = reference_maximize_knapsack(ref, inst, SolverConfig(eps, 0))
         assert x.tolist() == want_x.tolist() == [0, 0, 3]
         assert trace == want_trace
+
+
+def test_maximize_knapsack_reads_only_fitting_points_but_one_anchor_per_extended_pair(monkeypatch):
+    # no over-budget step can become a start, so the enumeration probes
+    # none, but for the anchor y + (c_e - y_e) e that each extended (y, e)
+    # pair's levels hang from; the greedy's steps are capped at the budget
+    extended = recording_extensions(monkeypatch)
+    cases = list(random_knapsack_cases(64, 41))
+    for make, weights, eps, *_ in KNAPSACK_CASES:
+        cases.append((make, KnapsackInstance(weights, tuple(int(c) for c in make().box)), eps))
+    anchors_read = 0
+    for make, inst, eps in cases:
+        f = make()
+        fn, read = f._fn, []
+        f._fn = lambda x, fn=fn, read=read: read.append(tuple(x.tolist())) or fn(x)
+        extended.clear()
+        maximize_knapsack(f, inst, SolverConfig(eps, 0))
+        assert len(read) == f.calls
+        anchors = {y[:e] + (inst.cap[e],) + y[e + 1:] for y, e in extended}
+        over = [p for p in read if not inst.fits(np.array(p))]
+        assert len(set(over)) == len(over) <= len(extended)
+        assert set(over) <= anchors
+        anchors_read += len(over)
+    assert anchors_read
+
+
+def test_extend_makes_no_ray_and_no_call_when_no_step_fits(monkeypatch):
+    f = make_separable_concave([1.0, 2.0], [0.5, 1.0], [3, 3])
+    inst = KnapsackInstance((0.5, 0.3), (3, 3))
+    memo = knapsack._PointMemo(f)
+    rays = []
+    real = knapsack._PointMemo.ray
+    monkeypatch.setattr(knapsack._PointMemo, "ray", lambda self, y, e: rays.append(e) or real(self, y, e))
+    y = np.array([1, 1])  # weight 0.8: neither element fits once more
+    for e in range(2):
+        assert knapsack._extend(memo, inst, y, e, 0.25) == []
+    assert f.calls == 0 and rays == []
+    # one more unit of element 1 fits, so its scan runs
+    assert [p.tolist() for p in knapsack._extend(memo, inst, np.array([1, 0]), 1, 0.25)] == [[1, 1]]
+    assert rays == [1] and f.calls > 0
 
 
 def test_maximize_knapsack_calls_at_most_the_box_size():
