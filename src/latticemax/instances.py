@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MAX_ENUMERATION_N, ValueOracle, check_property_exhaustive, subset_masks
-from .polymatroid import PolymatroidOracle
+from .polymatroid import MEMBERSHIP_TOL, PolymatroidOracle
 
 
 def make_separable_concave(coeffs, powers, cap) -> ValueOracle:
@@ -164,7 +164,8 @@ def uniform_polymatroid(n: int, per_element: int, total: int) -> PolymatroidOrac
         raise ValueError("uniform polymatroid parameters must be non-negative")
 
     def member(x):
-        return bool(x.max(initial=0.0) <= per_element + 1e-9 and x.sum() <= total + 1e-9)
+        return bool(x.max(initial=0.0) <= per_element + MEMBERSHIP_TOL
+                    and x.sum() <= total + MEMBERSHIP_TOL)
 
     def rank(S):
         return min(per_element * len(S), total)
@@ -191,7 +192,7 @@ def partition_polymatroid(parts, caps, n: int | None = None) -> PolymatroidOracl
             cap_by_element[e] = c
 
     def member(x):
-        return bool(np.all(x <= cap_by_element + 1e-9))
+        return bool(np.all(x <= cap_by_element + MEMBERSHIP_TOL))
 
     def rank(S):
         return int(sum(cap_by_element[e] for e in S))
@@ -219,8 +220,12 @@ def table_polymatroid(n: int, rank_table) -> PolymatroidOracle:
     else:
         for key, value in rank_table.items():
             mask = 0
-            for e in key:
-                mask |= 1 << int(e)
+            for e in map(int, key):
+                if not 0 <= e < n:
+                    raise ValueError(
+                        f"rank table key {key!r}: element {e} is outside 0..{n - 1} (n = {n})"
+                    )
+                mask |= 1 << e
             rho[mask] = int(value)
     if rho[0] != 0:
         raise ValueError("rank of the empty set must be 0")
@@ -247,7 +252,7 @@ def table_polymatroid(n: int, rank_table) -> PolymatroidOracle:
     rho_f = rho.astype(np.float64)
 
     def member(x):
-        return bool(np.all(masks @ x <= rho_f + 1e-9))
+        return bool(np.all(masks @ x <= rho_f + MEMBERSHIP_TOL))
 
     def rank(S):
         mask = 0

@@ -290,65 +290,34 @@ def continuous_greedy(
     return x
 
 
-def _translated_rank_table(P: PolymatroidOracle, base: np.ndarray) -> dict[int, int]:
-    # Two-stage DP.  First the monotone closure of g = rho - base,
-    # ghat(Y) = min_{W >= Y} g(W), walking subsets in decreasing size; the
-    # closure is what the cube-restricted polytope actually enforces since
-    # g itself need not be monotone.  Then the induced matroid rank
-    # rho'(S) = min(ghat(S), min_{e in S} rho'(S - e) + 1).
-    n = P.n
-    full = 1 << n
-    ghat = [0] * full
-    for mask in range(full - 1, -1, -1):
-        elems = [i for i in range(n) if mask >> i & 1]
-        best = P.rank(elems) - int(base[elems].sum())
-        for i in range(n):
-            if not mask >> i & 1:
-                cand = ghat[mask | 1 << i]
-                if cand < best:
-                    best = cand
-        ghat[mask] = best
-    table: dict[int, int] = {0: 0}
-    for mask in range(1, full):
-        best = ghat[mask]
-        for i in range(n):
-            if mask >> i & 1:
-                cand = table[mask & ~(1 << i)] + 1
-                if cand < best:
-                    best = cand
-        table[mask] = best
+def _translated_rank_table(P: PolymatroidOracle, base: np.ndarray) -> list[int]:
+    # rho'(S) = min_{Y subset of S} (ghat(Y) + |S \ Y|), where ghat is the
+    # monotone closure of g = rho - base, ghat(Y) = min_{W superset of Y}
+    # g(W); the closure is what the cube-restricted polytope actually
+    # enforces since g itself need not be monotone.  Each minimization is
+    # one sweep per element over the table, exact as every value is an int.
+    n, base = P.n, base.tolist()
+    subsets = [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
+    table = [P.rank(S) - sum(base[i] for i in S) for S in subsets]
+    bits = [1 << i for i in range(n)]
+    for bit in bits:
+        for mask in range(1 << n):
+            if not mask & bit:
+                table[mask] = min(table[mask], table[mask | bit])
+    for bit in bits:
+        for mask in range(1 << n):
+            if mask & bit:
+                table[mask] = min(table[mask], table[mask ^ bit] + 1)
     return table
 
 
-def rounding_state(x, P: PolymatroidOracle) -> tuple[np.ndarray, np.ndarray, dict]:
-    """(base, frac) split of x and the rho' table (by subset bitmask) above base."""
+def rounding_state(x, P: PolymatroidOracle) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(base, frac) split of x in P, and rho' above base as a list indexed by subset bitmask."""
     x = as_fractional_point(x, P.n)
     snapped = _snap(x)
     base = np.floor(snapped).astype(np.int64)
     frac = snapped - base
     return base, frac, _translated_rank_table(P, base)
-
-
-def _mask_sums(z: np.ndarray) -> np.ndarray:
-    n = z.shape[0]
-    sums = np.zeros(1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + z[low.bit_length() - 1]
-    return sums
-
-
-def _min_slack(
-    rho: dict[int, int], sums: np.ndarray, n: int, include: int, exclude: int
-) -> float:
-    best = math.inf
-    for mask in range(1 << n):
-        if not mask >> include & 1 or mask >> exclude & 1:
-            continue
-        slack = rho[mask] - sums[mask]
-        if slack < best:
-            best = slack
-    return best
 
 
 def round_polymatroid(x, P: PolymatroidOracle, seed: int) -> np.ndarray:
@@ -374,6 +343,10 @@ def round_polymatroid(x, P: PolymatroidOracle, seed: int) -> np.ndarray:
     base, z, rho = rounding_state(x, P)
     n = P.n
     rng = np.random.default_rng(seed)
+    # nonempty subsets by size, ties by mask (the sort is stable): each
+    # subset comes after its subsets, and tight sets are met smallest first
+    by_size = sorted(range(1, 1 << n), key=int.bit_count)
+    sums = [0.0] * (1 << n)
 
     for _ in range(16 * n * n + 64):
         z = _snap(z)
@@ -386,23 +359,25 @@ def round_polymatroid(x, P: PolymatroidOracle, seed: int) -> np.ndarray:
             z[i] = 1.0 if rng.random() < z[i] else 0.0
             continue
 
-        sums = _mask_sums(z)
-        pair = None
+        # z(S), adding S's lowest element last
+        zs = z.tolist()
+        for mask in by_size:
+            low = mask & -mask
+            sums[mask] = sums[mask ^ low] + zs[low.bit_length() - 1]
         # minimal tight set holding at least two fractional coordinates
-        for mask in sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m)):
-            if sums[mask] < rho[mask] - MEMBERSHIP_TOL:
-                continue
-            inside = [i for i in frac_idx if mask >> i & 1]
-            if len(inside) >= 2:
-                pair = (inside[0], inside[1])
-                break
-        if pair is None:
-            pair = (frac_idx[0], frac_idx[1])
-        i, j = pair
-
-        d_plus = min(1.0 - z[i], z[j], _min_slack(rho, sums, n, i, j))
-        d_minus = min(1.0 - z[j], z[i], _min_slack(rho, sums, n, j, i))
-        d_plus, d_minus = max(d_plus, 0.0), max(d_minus, 0.0)
+        inside = frac_idx
+        for mask in by_size:
+            if not sums[mask] < rho[mask] - MEMBERSHIP_TOL:
+                tight = [i for i in frac_idx if mask >> i & 1]
+                if len(tight) >= 2:
+                    inside = tight
+                    break
+        i, j = inside[:2]
+        # least slack rho'(S) - z(S) over the S holding i but not j, then j but not i
+        slack = [min(rho[m] - sums[m] for m in by_size if m >> a & 1 and not m >> b & 1)
+                 for a, b in ((i, j), (j, i))]
+        d_plus = max(min(1.0 - z[i], z[j], slack[0]), 0.0)
+        d_minus = max(min(1.0 - z[j], z[i], slack[1]), 0.0)
         if d_plus + d_minus <= 1e-12:
             raise RuntimeError("pipage step stalled; inconsistent rank table")
         if rng.random() < d_minus / (d_plus + d_minus):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,12 @@ def test_table_polymatroid_validation():
         table_polymatroid(2, {frozenset(): 0,
                               frozenset({0}): 1, frozenset({1}): 1,
                               frozenset({0, 1}): 3})
+
+
+@pytest.mark.parametrize("key", [(0, 5), (-1,)])
+def test_table_polymatroid_rejects_a_key_outside_the_ground_set(key):
+    with pytest.raises(ValueError, match=rf"key {re.escape(repr(key))}: .* \(n = 2\)"):
+        table_polymatroid(2, {(0,): 1, key: 2})
 
 
 def test_make_polymatroid_dispatch():

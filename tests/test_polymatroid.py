@@ -15,6 +15,7 @@ from latticemax.extension import (
     _cell_corners,
     _fractional_coords,
     _marginal_estimate,
+    _snap,
     extension_exact,
     split_point,
 )
@@ -336,6 +337,145 @@ def test_translated_rank_is_matroid_rank():
                     continue
                 withg = mask | 1 << g
                 assert rho[withg | 1 << e] - rho[withg] <= rho[up] - rho[mask]
+
+
+# pipage rounding as the library once ran it: a dict rank table from a
+# superset scan and a subset scan, mask sums and minimum slacks from their
+# own helpers, and the subsets sorted afresh at every step; the reference
+# for the bits of the rounded point and the table
+def _old_translated_rank_table(P, base):
+    n = P.n
+    full = 1 << n
+    ghat = [0] * full
+    for mask in range(full - 1, -1, -1):
+        elems = [i for i in range(n) if mask >> i & 1]
+        best = P.rank(elems) - int(base[elems].sum())
+        for i in range(n):
+            if not mask >> i & 1:
+                cand = ghat[mask | 1 << i]
+                if cand < best:
+                    best = cand
+        ghat[mask] = best
+    table = {0: 0}
+    for mask in range(1, full):
+        best = ghat[mask]
+        for i in range(n):
+            if mask >> i & 1:
+                cand = table[mask & ~(1 << i)] + 1
+                if cand < best:
+                    best = cand
+        table[mask] = best
+    return table
+
+
+def _mask_sums(z):
+    n = z.shape[0]
+    sums = np.zeros(1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + z[low.bit_length() - 1]
+    return sums
+
+
+def _min_slack(rho, sums, n, include, exclude):
+    best = math.inf
+    for mask in range(1 << n):
+        if not mask >> include & 1 or mask >> exclude & 1:
+            continue
+        slack = rho[mask] - sums[mask]
+        if slack < best:
+            best = slack
+    return best
+
+
+def _old_round_polymatroid(x, P, seed):
+    snapped = _snap(np.asarray(x, dtype=np.float64))
+    base = np.floor(snapped).astype(np.int64)
+    z = snapped - base
+    rho = _old_translated_rank_table(P, base)
+    n = P.n
+    rng = np.random.default_rng(seed)
+    for _ in range(16 * n * n + 64):
+        z = _snap(z)
+        np.clip(z, 0.0, 1.0, out=z)
+        frac_idx = [i for i in range(n) if 0.0 < z[i] < 1.0]
+        if not frac_idx:
+            return base + np.round(z).astype(np.int64)
+        if len(frac_idx) == 1:
+            i = frac_idx[0]
+            z[i] = 1.0 if rng.random() < z[i] else 0.0
+            continue
+        sums = _mask_sums(z)
+        pair = None
+        for mask in sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m)):
+            if sums[mask] < rho[mask] - polymatroid.MEMBERSHIP_TOL:
+                continue
+            inside = [i for i in frac_idx if mask >> i & 1]
+            if len(inside) >= 2:
+                pair = (inside[0], inside[1])
+                break
+        if pair is None:
+            pair = (frac_idx[0], frac_idx[1])
+        i, j = pair
+        d_plus = min(1.0 - z[i], z[j], _min_slack(rho, sums, n, i, j))
+        d_minus = min(1.0 - z[j], z[i], _min_slack(rho, sums, n, j, i))
+        d_plus, d_minus = max(d_plus, 0.0), max(d_minus, 0.0)
+        if d_plus + d_minus <= 1e-12:
+            raise RuntimeError("pipage step stalled; inconsistent rank table")
+        if rng.random() < d_minus / (d_plus + d_minus):
+            z[i] += d_plus
+            z[j] -= d_plus
+        else:
+            z[i] -= d_minus
+            z[j] += d_minus
+    raise RuntimeError("pipage rounding did not terminate")
+
+
+def _fractional_points(rng, P, count):
+    """Means of 2 to 10 integral points of P, drawn from all of them or from its maximal ones."""
+    n = P.n
+    singles = [P.rank([e]) for e in range(n)]
+    points = [np.array(b, dtype=np.float64)
+              for b in itertools.product(*(range(c + 1) for c in singles))]
+    points = [y for y in points if P.member(y)]
+    tops = [y for y in points if not any(P.member(y + unit(n, e)) for e in range(n))]
+    for _ in range(count):
+        pool = tops if rng.random() < 0.5 else points
+        m = int(rng.choice([2, 3, 4, 7, 10]))
+        yield sum(pool[k] for k in rng.integers(0, len(pool), size=m)) / m
+
+
+def _two_part_polymatroid(rng, n):
+    # rho(S) = sum over the parts p of min(a |S & p|, a |p| - 1): a part binds
+    # only when nearly full, so each part is often a minimal tight set.  The
+    # small part holds element n - 1, so it comes before the large part by
+    # size and after it by mask
+    small = {int(rng.integers(0, n - 1)), n - 1}
+    parts = [small, set(range(n)) - small]
+    a = int(rng.integers(1, 3))
+    subsets = [{e for e in range(n) if m >> e & 1} for m in range(1 << n)]
+    return table_polymatroid(n, [sum(min(a * len(p & S), a * len(p) - 1) for p in parts)
+                                 for S in subsets])
+
+
+def test_round_polymatroid_matches_the_old_pipage_loop():
+    rng = np.random.default_rng(33)
+    polytopes = [P for _ in range(3) for P in _random_polymatroids(rng)]
+    polytopes += [uniform_polymatroid(n, a, t) for n in (5, 6) for a, t in ((1, 3), (2, n))]
+    polytopes += [_two_part_polymatroid(rng, n) for n in (4, 5, 6) for _ in range(4)]
+    rounded = paired = 0
+    for P in polytopes:
+        for x in _fractional_points(rng, P, 12):
+            assert P.member(x)
+            paired += int(np.count_nonzero(_snap(x) % 1) >= 2)  # pipage moves a pair
+            base = np.floor(_snap(x)).astype(np.int64)
+            table = _old_translated_rank_table(P, base)
+            assert rounding_state(x, P)[2] == [table[m] for m in range(1 << P.n)]
+            for seed in range(4):
+                got = round_polymatroid(x, P, seed)
+                assert got.tolist() == _old_round_polymatroid(x, P, seed).tolist()
+                rounded += 1
+    assert rounded > 2000 and paired > 300
 
 
 def test_round_polymatroid_integral_identity():
