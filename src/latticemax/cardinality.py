@@ -174,10 +174,10 @@ class _PointMemo:
     own memo and drops it on return; ``n``, ``box`` and ``eval`` let a memo
     stand in for f, so one knapsack solve shares it across its phases and
     one polymatroid solve across its directions.  Points must be int64
-    vectors, as all solver iterates are.  :meth:`ray` makes the rays the
-    greedies' sweeps and the polymatroid's extension rays read.  A memo
-    starts out holding f(0), the oracle's ``_f0``, which its constructor
-    read uncounted, so a solve never pays a call for f(0).
+    vectors, as all solver iterates are.  :meth:`rays` makes the rays the
+    greedies' sweeps and the polymatroid's extension rays read, one factory
+    per point.  A memo starts out holding f(0), the oracle's ``_f0``, which
+    its constructor read uncounted, so a solve never pays a call for f(0).
     """
 
     __slots__ = ("_f", "_values", "n", "box")
@@ -196,9 +196,12 @@ class _PointMemo:
 
     eval = __call__
 
-    def ray(self, y: np.ndarray, e: int) -> _Ray:
-        """The ray k -> f(y + k e) - f(y): a :class:`_Ray` on a copy of y, f(y) read now."""
-        return _Ray(self, y.copy(), e, self(y))
+    def rays(self, y: np.ndarray) -> Callable[[int], _Ray]:
+        """y's ray factory e -> :class:`_Ray`; y is copied, checked and read from f once, now."""
+        y = y.copy()
+        self._f._validate(y)
+        base = self(y)
+        return lambda e: _Ray(self, y, e, base)
 
 
 def _memo_of(f: ValueOracle | _PointMemo) -> _PointMemo:
@@ -211,7 +214,7 @@ def _max_step_with_gain(
 ) -> tuple[int, float]:
     """Exponential search for the largest k <= k_max with gain_at[k] >= k * threshold.
 
-    ``gain_at`` is a ray k -> f(k e | y) from :meth:`_PointMemo.ray`.  The
+    ``gain_at`` is a ray k -> f(k e | y) from :meth:`_PointMemo.rays`.  The
     search probes k = 1, 2, 4, ... while the gain clears, up to k_max, then
     bisects between the last probe that cleared and the first that failed
     (or k_max).  The acceptable k form a prefix interval whenever f is
@@ -222,7 +225,7 @@ def _max_step_with_gain(
     probe; with k_max >= 1 no search makes more than
     2 * floor(log2(k_max)) + 1.  Each probe the ray (or the memo under it)
     does not already hold costs one oracle call; f(y) costs one more when
-    the ray is made, unless the memo holds it.
+    y's ray factory is made, unless the memo holds it.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -266,7 +269,7 @@ def _level_candidates(
     """Yield (k, val[k]) lazily, one pair per geometric value level, for k <= k_fit.
 
     ``val`` maps k to a value non-decreasing on 0..k_max with val[0] = 0,
-    such as a ray of :meth:`_PointMemo.ray`; it must cache, since the scan
+    such as a ray of :meth:`_PointMemo.rays`; it must cache, since the scan
     reads some k more than once.  Levels h sweep from the anchor val[k_max]
     down by factors of (1 - eps) to (1 - eps) * val[k_min], where k_min is
     the smallest k with positive value; for each level the smallest k with
@@ -302,21 +305,20 @@ def _level_candidates(
 class _Ray(dict):
     """k -> f(y + k e) - base, read through a solve's memo on the first lookup of k only.
 
-    y is checked once, when the ray is made, by the oracle's own check
-    (shape, integer dtype, every entry in [0, box]); it must not change
-    while the ray lives.  A first lookup of k builds y + k e and looks it
-    up in the memo's values; a miss goes through ``f.eval_along``, which
-    checks only y_e + k against [0, c_e], so the probe is counted as one
-    call, or rejected at no cost with ``eval``'s ValueError.  A repeated
-    lookup is a dict hit: it builds no point and makes no call.  Each gain
-    is the float difference of two memo values.
+    y, checked by the :meth:`_PointMemo.rays` factory that made the ray (or
+    :func:`binary_search_lattice`'s y = 0), must not change while the ray
+    lives.  A first lookup of k builds y + k e and looks it up in the memo's
+    values; a miss goes through ``f.eval_along``, which checks only y_e + k
+    against [0, c_e], so the probe is counted as one call, or rejected at no
+    cost with ``eval``'s ValueError.  A repeated lookup is a dict hit: it
+    builds no point and makes no call.  Each gain is the float difference
+    of two memo values.
     """
 
     __slots__ = ("_values", "_f", "_y", "_e", "_y_e", "_base")
 
     def __init__(self, memo: _PointMemo, y: np.ndarray, e: int, base: float):
         super().__init__()
-        memo._f._validate(y)
         self._values, self._f = memo._values, memo._f
         self._y, self._e, self._y_e, self._base = y, e, int(y[e]), base
 
@@ -475,24 +477,24 @@ def binary_search_lattice(
 
 
 def _sweep(
-    ray_of: Callable[[np.ndarray, int], Mapping[int, float]], y: np.ndarray, room: list[int],
-    levels: Iterable[float], rule: _Rule, eps: float, scale: Sequence[float], spent: float,
-    limit: float,
+    rays_at: Callable[[np.ndarray], Callable[[int], Mapping[int, float]]], y: np.ndarray,
+    room: list[int], levels: Iterable[float], rule: _Rule, eps: float, scale: Sequence[float],
+    spent: float, limit: float,
 ) -> tuple[np.ndarray, GreedyTrace]:
     """The threshold sweep of all four solvers; it steps y in place.
 
     At each level every e with k_cap >= 1 takes the step ``rule(ray, k_cap,
-    eps, scale_e * level)`` picks on the ray ``ray_of(y, e)``.  A step of k
+    eps, scale_e * level)`` picks on the ray ``rays_at(y)(e)``.  A step of k
     costs k * scale_e against ``limit``, ``spent`` being the budget used,
     and k_cap = min(room_e, floor((limit - spent) / scale_e)) caps it at the
     budget left, so every step fits and is taken.  k_cap changes only at a
-    step, which changes y, so a (y, e) pair's ray, made at its first visit,
-    serves each visit until the next step.  The sweep ends at the step after
-    which no e has k_cap >= 1, drawing no further level.  Under
+    step, which changes y, so y's factory and a (y, e) pair's ray, each made
+    at its first use, serve until the next step.  The sweep ends at the step
+    after which no e has k_cap >= 1, drawing no further level.  Under
     :func:`_bisection_rule` a visit that takes no step probes one point,
     g(1), and one that steps at most 2 * floor(log2(k_cap)) + 1; the f(y) a
-    greedy's ray reads is the start point's (f(0) costs no call) or one a
-    step has probed.
+    greedy's factory reads is the start point's (f(0) costs no call) or one
+    a step has probed.
 
     Lazy bounds (CELF-style): every visit that runs the rule folds at once
     the bound its ray's probes give e into e's least bound:
@@ -501,49 +503,48 @@ def _sweep(
     or :func:`_dr_level_bound`.  A visit whose bound is below scale_e * level
     by the margin :data:`SKIP_MARGIN` is skipped: the rule would take no
     step there, so only ``trace.skipped`` changes, and calls only fall.  The
-    margin's f(y) is the stepped ray's ``value(k)``, a value its probe read.
-    Before the first step it stays 0.0: every bound compared then was made
-    at the start point, from the very floats the rule would read there.
+    margin's |f(y)| is read once per step, from the stepped ray's
+    ``value(k)``, a value its probe read.  Before the first step it is 0.0:
+    every bound compared then was made at the start point, from the very
+    floats the rule would read there.
     """
     trace = GreedyTrace()
-    rays: dict[int, Mapping[int, float]] = {}  # e -> the ray of (y, e)
+    n = len(room)
     bound_of = _BOUNDS[rule]
-    bounds: dict[int, float] = {}
-    f_y = 0.0  # f(y), read at each step
+    bounds = [math.inf] * n  # e's least bound; inf for none
+    rays, ray_of = [None] * n, None  # e -> the ray of (y, e); y's ray factory
+    f_abs = 0.0  # |f(y)|, read at each step; max(f_abs, bar) is written out below
 
     def k_caps() -> list[int]:  # each e's k_cap, which changes only at a step
         return [min(room_e, int((limit - spent) // s_e)) for room_e, s_e in zip(room, scale)]
 
     caps = k_caps()
     for threshold in levels:
-        for e in range(len(caps)):
+        for e in range(n):
             k_cap = caps[e]
             if k_cap <= 0:
                 continue
             bar = scale[e] * threshold
-            bound = bounds.get(e)
-            if bound is not None and bound < bar - SKIP_MARGIN * max(abs(f_y), bar):
+            if bounds[e] < bar - SKIP_MARGIN * (bar if bar > f_abs else f_abs):
                 trace.skipped += 1
                 continue
-            ray = rays.get(e)
+            ray = rays[e]
             if ray is None:
-                ray = rays[e] = ray_of(y, e)
+                ray_of = ray_of or rays_at(y)
+                ray = rays[e] = ray_of(e)
             k, gain = rule(ray, k_cap, eps, bar)
             bound = bound_of(ray, k, eps)
-            if bound is None:
-                bounds.pop(e, None)
-            else:
-                bounds[e] = min(bound, bounds.get(e, bound))
+            bounds[e] = math.inf if bound is None else min(bound, bounds[e])
             if k < 1:
                 continue
-            f_y = ray.value(k)  # y + k e was probed by the step, so no call
+            f_abs = abs(ray.value(k))  # y + k e was probed by the step, so no call
             y[e] += k
             room[e] -= k
             spent += k * scale[e]
             trace.add(threshold, e, k, gain)
             if max(caps := k_caps()) <= 0:
                 return y, trace  # no element can step again
-            rays.clear()
+            rays, ray_of = [None] * n, None
     return y, trace
 
 
@@ -575,7 +576,7 @@ def _cardinality_greedy(
     room = [c_e if t > 0 else 0 for c_e, t in zip(cap, tops)]
     d = max(tops, default=0.0)
     levels = threshold_schedule(d, (eps / r) * d, eps)
-    return _sweep(memo.ray, zeros(f.n), room, levels, rule, eps, [1] * f.n, 0, r)
+    return _sweep(memo.rays, zeros(f.n), room, levels, rule, eps, [1] * f.n, 0, r)
 
 
 def maximize_dr_cardinality(

@@ -204,7 +204,8 @@ def table_polymatroid(n: int, rank_table) -> PolymatroidOracle:
     """Arbitrary polymatroid from an explicit rank table.
 
     ``rank_table`` maps subsets (frozensets or sorted tuples) to integer
-    ranks, or is a list indexed by subset bitmask.  Rank axioms
+    ranks, or is a list indexed by subset bitmask.  A non-integer rank, or
+    two keys that name one subset, raise ValueError.  Rank axioms
     (normalization, monotonicity, submodularity) are validated exhaustively
     on construction; membership tests every subset constraint, so n is
     capped at MAX_ENUMERATION_N.
@@ -216,17 +217,23 @@ def table_polymatroid(n: int, rank_table) -> PolymatroidOracle:
     if isinstance(rank_table, (list, tuple, np.ndarray)):
         if len(rank_table) != size:
             raise ValueError(f"rank table must have {size} entries")
-        rho[:] = np.asarray(rank_table, dtype=np.int64)
-    else:
-        for key, value in rank_table.items():
-            mask = 0
-            for e in map(int, key):
-                if not 0 <= e < n:
-                    raise ValueError(
-                        f"rank table key {key!r}: element {e} is outside 0..{n - 1} (n = {n})"
-                    )
-                mask |= 1 << e
-            rho[mask] = int(value)
+        rank_table = {tuple(e for e in range(n) if mask >> e & 1): value
+                      for mask, value in enumerate(rank_table)}
+    keys: dict[int, object] = {}  # mask -> the key that named it
+    for key, value in rank_table.items():
+        mask = 0
+        for e in map(int, key):
+            if not 0 <= e < n:
+                raise ValueError(
+                    f"rank table key {key!r}: element {e} is outside 0..{n - 1} (n = {n})"
+                )
+            mask |= 1 << e
+        if mask in keys:
+            raise ValueError(f"rank table keys {keys[mask]!r} and {key!r} name one subset")
+        if not float(value).is_integer():
+            raise ValueError(f"rank table key {key!r}: rank {value!r} is not an integer")
+        keys[mask] = key
+        rho[mask] = int(value)
     if rho[0] != 0:
         raise ValueError("rank of the empty set must be 0")
     if np.any(rho < 0):

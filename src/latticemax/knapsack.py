@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -126,7 +126,7 @@ def _greedy(
 
     def complete(x: np.ndarray) -> tuple[np.ndarray, GreedyTrace]:
         room = [c - v for c, v in zip(inst.cap, x.tolist())]
-        return _sweep(memo.ray, x, room, levels, _bisection_rule, eps, w, float(w_vec @ x),
+        return _sweep(memo.rays, x, room, levels, _bisection_rule, eps, w, float(w_vec @ x),
                       1.0 + BUDGET_TOL)
 
     return complete
@@ -191,14 +191,16 @@ def _fit_room(inst: KnapsackInstance, y: np.ndarray, e: int, k_cap: int) -> int:
 
 
 def _extend(
-    memo: _PointMemo, inst: KnapsackInstance, y: np.ndarray, e: int, epsilon: float
+    memo: _PointMemo, factories: dict[bytes, Callable[[int], Mapping[int, float]]],
+    inst: KnapsackInstance, y: np.ndarray, e: int, epsilon: float,
 ) -> list[np.ndarray]:
     """y + k e for each candidate k of the level-set scan along e that fits the budget.
 
     The candidates are those of :func:`increase_support`'s scan with
     k <= k_fit, the largest k with y + k e inside the box and the budget
     (:func:`_fit_room`), in the same order.  Nothing, and no ray and no
-    call, when k_fit = 0.  Otherwise one memo read for f(y) and one for
+    call, when k_fit = 0.  Otherwise f(y), read when y's ray factory
+    (``factories[y bytes]``) is made, if it is not there yet, and
     f(y + k_fit e); if that gain is not positive no fitting k has one, and
     nothing more is read.  Else the anchor y + (c_e - y_e) e, the one point
     read that may not fit (the scan's levels hang from it), plus the fitting
@@ -208,8 +210,10 @@ def _extend(
     k_fit = _fit_room(inst, y, e, k_cap)
     if k_fit <= 0:
         return []
+    if (key := y.tobytes()) not in factories:
+        factories[key] = memo.rays(y)
     points = []
-    for k, _ in _level_candidates(memo.ray(y, e), k_cap, epsilon, k_fit):
+    for k, _ in _level_candidates(factories[key](e), k_cap, epsilon, k_fit):
         point = y.copy()
         point[e] += k
         points.append(point)
@@ -251,7 +255,7 @@ def increase_support(
         k_cap = inst.cap[e] - int(y[e])
         if k_cap <= 0:
             continue
-        for k, _ in _level_candidates(_memo_of(f).ray(y, e), k_cap, epsilon):
+        for k, _ in _level_candidates(_memo_of(f).rays(y)(e), k_cap, epsilon):
             point = y.copy()
             point[e] += k
             out.setdefault(point.tobytes(), point)
@@ -277,7 +281,8 @@ def partial_enumeration(
     pair that the scan's levels hang from.  Each (point, e) pair is
     extended once per call, since batches overlap (those of (a, b) and
     (b, a), say): its extensions are kept for the next batch that holds the
-    point.  Results are collected in tuple order (by length, then
+    point, and its ray factory for its other pairs, so a point is checked
+    once.  Results are collected in tuple order (by length, then
     lexicographic) and deduplicated; the zero vector is always included via
     the empty tuple.  The instance is checked against f before any call,
     and points are read through one fresh memo unless ``f`` already is one.
@@ -291,6 +296,7 @@ def partial_enumeration(
     max_len = min(3, n)
     batches: dict[tuple, list[np.ndarray]] = {}
     extensions: dict[tuple[bytes, int], list[np.ndarray]] = {}  # (y bytes, e) -> _extend's points
+    factories: dict[bytes, Callable[[int], Mapping[int, float]]] = {}  # y bytes -> memo.rays(y)
     for length in range(max_len + 1):
         for combo in itertools.product(range(n), repeat=length):
             if not combo:
@@ -302,7 +308,7 @@ def partial_enumeration(
                     key = (y.tobytes(), e)
                     points = extensions.get(key)
                     if points is None:
-                        points = extensions[key] = _extend(memo, inst, y, e, epsilon)
+                        points = extensions[key] = _extend(memo, factories, inst, y, e, epsilon)
                     for point in points:
                         grown.setdefault(point.tobytes(), point)
                 batch = list(grown.values())

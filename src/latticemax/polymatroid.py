@@ -28,6 +28,7 @@ value for DR-submodular objectives.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable
 
@@ -176,19 +177,20 @@ class _ExtensionRay(dict):
 
     Under D(b), F(b + k e) = sum_S w_S * f(z_S + k e) over the corners z_S
     of b's unit cell, so the ray is the D(b)-weighted mix of the greedies'
-    rays ``memo.ray(z_S, e)``, made on the first probe that fits P.  A first
-    lookup of k costs one membership call and, for a member, at most 2^m
-    new oracle calls (2 * 2^m on the first, which reads f(z_S)); an
-    out-of-box probe raises ``eval``'s ValueError at no cost.  As P is
+    rays ``memo.rays(z_S)(e)``.  The rays of b share ``cell``, filled with
+    the corners' factories and weights on the first probe that fits P.  A
+    first lookup of k costs one membership call and, for a member, at most
+    2^m new oracle calls (2 * 2^m when it fills the cell, reading f(z_S));
+    an out-of-box probe raises ``eval``'s ValueError at no cost.  As P is
     downward closed and clearing is a prefix in k for DR f, "fits and
     clears" is a prefix too.
     """
 
-    __slots__ = ("_memo", "_P", "_b", "_e", "_rays", "_weights")
+    __slots__ = ("_memo", "_P", "_b", "_cell", "_e", "_rays")
 
-    def __init__(self, memo: _PointMemo, P: PolymatroidOracle | None, b, e: int):
+    def __init__(self, memo: _PointMemo, P: PolymatroidOracle | None, b, cell: list, e: int):
         super().__init__()
-        self._memo, self._P, self._b, self._e = memo, P, b, e
+        self._memo, self._P, self._b, self._cell, self._e = memo, P, b, cell, e
         self._rays: list[_Ray] = []
 
     def __missing__(self, k: int) -> float:
@@ -198,9 +200,11 @@ class _ExtensionRay(dict):
             value = self[k] = -math.inf
             return value
         if not self._rays:
-            base, frac = split_point(self._memo, self._b)
-            corners, self._weights = _cell_corners(base, frac, _fractional_coords(frac))
-            self._rays = [self._memo.ray(z, self._e) for z in corners]
+            if not self._cell:
+                base, frac = split_point(self._memo, self._b)
+                corners, weights = _cell_corners(base, frac, _fractional_coords(frac))
+                self._cell[:] = [self._memo.rays(z) for z in corners], weights
+            self._rays = [rays(self._e) for rays in self._cell[0]]
         self._rays[-1][k]  # the top corner first: an out-of-box k raises before any call
         value = self[k] = self._mix([ray[k] for ray in self._rays])
         return value
@@ -210,7 +214,7 @@ class _ExtensionRay(dict):
         return self._mix([ray.value(k) for ray in self._rays])
 
     def _mix(self, values: list[float]) -> float:
-        return float(np.dot(np.array(values), self._weights))
+        return float(np.dot(np.array(values), self._cell[1]))
 
 
 def binary_search_polymatroid(f: ValueOracle, x, e: int, theta: float, k_max: int) -> int:
@@ -227,7 +231,7 @@ def binary_search_polymatroid(f: ValueOracle, x, e: int, theta: float, k_max: in
     x = as_fractional_point(x, f.n)
     if not 0 <= e < f.n:
         raise ValueError(f"element {e} out of range for ground set of size {f.n}")
-    return _max_step_with_gain(_ExtensionRay(_memo_of(f), None, x, e), k_max, theta)[0]
+    return _max_step_with_gain(_ExtensionRay(_memo_of(f), None, x, [], e), k_max, theta)[0]
 
 
 def direction_polymatroid(
@@ -242,12 +246,14 @@ def direction_polymatroid(
     x + y + k e in P and F(k e | x + y) >= k * threshold, on a ray that
     reads -inf off P; f(e) <= 0 leaves e no room (DR f cannot clear along
     it).  Each ray mixes the greedies' rays at the corners of x + y
-    (:class:`_ExtensionRay`), all read through one memo (``f`` if it is a
-    solve's memo, else a fresh one), so f at each point is read once.  P is
-    asked about each (x + y, e, k) once, and a probe costs at most 2 * 2^m
-    new oracle calls (m fractional coordinates in x).  The lazy skip holds,
-    as y is integral and D(x + y) = D(x) + y: for DR f,
-    F(e | x + y') <= F(e | x + y) for y' >= y.
+    (:class:`_ExtensionRay`); y's ray factory forms x + y once, and its rays
+    share one cell, split once.  All read through one memo (``f`` if it is a
+    solve's memo, else a fresh one), so f at each point is read once and
+    each corner is copied and checked once.  P is asked about each
+    (x + y, e, k) once, and a probe costs at most 2 * 2^m new oracle calls
+    (m fractional coordinates in x).  The lazy skip holds, as y is integral
+    and D(x + y) = D(x) + y: for DR f, F(e | x + y') <= F(e | x + y) for
+    y' >= y.
     """
     memo = _memo_of(f)
     x = as_fractional_point(x, f.n)
@@ -261,8 +267,8 @@ def direction_polymatroid(
             for e in range(f.n)]
     d = max(unit_values, default=0.0)
     levels = threshold_schedule(d, epsilon * d / num_updates, epsilon)
-    return _sweep(lambda y, e: _ExtensionRay(memo, P, x + y, e), zeros(f.n), room, levels,
-                  _bisection_rule, epsilon, [1] * f.n, 0, sum(room))[0]
+    return _sweep(lambda y: functools.partial(_ExtensionRay, memo, P, x + y, []), zeros(f.n),
+                  room, levels, _bisection_rule, epsilon, [1] * f.n, 0, sum(room))[0]
 
 
 def continuous_greedy(

@@ -111,11 +111,11 @@ def test_max_step_dr_examples():
     fn = capped_modular([2.0], [1])
     f = ValueOracle(fn, np.array([5]))
     y = np.zeros(1, dtype=np.int64)
-    assert _max_step_with_gain(_PointMemo(f).ray(y, 0), 0, 2.0)[0] == 0
-    assert _max_step_with_gain(_PointMemo(f).ray(y, 0), 5, 2.0)[0] == 1
-    assert _max_step_with_gain(_PointMemo(f).ray(y, 0), 5, 2.5)[0] == 0
+    assert _max_step_with_gain(_PointMemo(f).rays(y)(0), 0, 2.0)[0] == 0
+    assert _max_step_with_gain(_PointMemo(f).rays(y)(0), 5, 2.0)[0] == 1
+    assert _max_step_with_gain(_PointMemo(f).rays(y)(0), 5, 2.5)[0] == 0
     with pytest.raises(ValueError):
-        _max_step_with_gain(_PointMemo(f).ray(y, 0), -1, 2.0)
+        _max_step_with_gain(_PointMemo(f).rays(y)(0), -1, 2.0)
 
 
 def test_max_step_dr_matches_linear_scan():
@@ -132,7 +132,7 @@ def test_max_step_dr_matches_linear_scan():
         e = int(rng.integers(0, n))
         k_max = int(caps[e] - y[e])
         theta = float(rng.uniform(0.1, 2.5))
-        ray = _PointMemo(f).ray(np.array(y, dtype=np.int64), e)
+        ray = _PointMemo(f).rays(np.array(y, dtype=np.int64))(e)
         got = _max_step_with_gain(ray, k_max, theta)[0]
         want = scan_max_step(fn, np.array(y, dtype=np.int64), e, k_max, theta)
         assert got == want
@@ -316,7 +316,7 @@ def test_max_step_dr_prefix_property(cap, theta):
     fn = lambda x: float(math.sqrt(x[0]))
     f = ValueOracle(fn, np.array([max(cap, 1)]))
     y = np.zeros(1, dtype=np.int64)
-    got = _max_step_with_gain(_PointMemo(f).ray(y, 0), cap, theta)[0]
+    got = _max_step_with_gain(_PointMemo(f).rays(y)(0), cap, theta)[0]
     want = scan_max_step(lambda v: math.sqrt(v[0]), y, 0, cap, theta)
     assert got == want
 
@@ -396,7 +396,7 @@ def test_max_step_probes_at_most_twice_the_log_of_k_max_plus_one():
 def test_a_search_that_takes_no_step_costs_one_call():
     f = make_separable_concave([1.0, 2.0], [0.5, 1.0], [64, 64])
     memo = _PointMemo(f)
-    ray = memo.ray(np.array([3, 5], dtype=np.int64), 1)
+    ray = memo.rays(np.array([3, 5], dtype=np.int64))(1)
     calls = f.calls
     assert _max_step_with_gain(ray, 59, 2.5) == (0, 0.0)
     assert f.calls == calls + 1 and list(ray) == [1]
@@ -1039,7 +1039,7 @@ def test_ray_reads_f_of_y_once_and_each_step_at_most_once():
     base = make_separable_concave([1.0, 2.0, 0.5], [0.5, 1.0, 0.7], [8, 8, 8])
     f, points = recording(base)
     y = np.array([2, 1, 0], dtype=np.int64)
-    ray = _PointMemo(f).ray(y, 1)
+    ray = _PointMemo(f).rays(y)(1)
     assert points == [y.tobytes()] and f.calls == 1
     y[0] = 7  # the ray keeps its own copy of y
     for k in (3, 1, 3, 5, 1, 7, 5, 0):
@@ -1064,7 +1064,7 @@ def eval_error(f, x):
 def test_ray_probe_outside_the_box_raises_evals_error_at_no_cost():
     # fn itself accepts any point, so only the oracle's checks can reject one
     f = ValueOracle(lambda x: float(x.sum()), np.array([3, 3]))
-    ray = _PointMemo(f).ray(np.array([1, 2]), 1)
+    ray = _PointMemo(f).rays(np.array([1, 2]))(1)
     assert ray[1] == 1.0 and f.calls == 2
     for k, point in ((2, [1, 4]), (-3, [1, -1]), (50, [1, 52])):
         message = eval_error(f, np.array(point))
@@ -1085,20 +1085,45 @@ def test_ray_probe_outside_the_box_raises_evals_error_at_no_cost():
 
 @pytest.mark.parametrize(
     "y",
-    [np.array([1.0, 0.0]), np.array([1, 0, 0]), np.array([0, 4]), np.array([-1, 0])],
-    ids=["float_dtype", "wrong_shape", "above_the_box", "negative"],
+    [np.array([1.0, 0.0]), np.array([1, 0, 0]), np.array([0, 4]), np.array([-1, 0]),
+     np.array([0.0, 0.0])],
+    ids=["float_dtype", "wrong_shape", "above_the_box", "negative", "float_zeros"],
 )
 def test_ray_on_a_bad_y_raises_before_any_call(y):
-    # the probes of a ray on coordinate 1 check only that coordinate, so
-    # the ray must reject a y that is bad elsewhere when it is made
+    # the probes of a ray on coordinate 1 check only that coordinate, and a
+    # ray does not check its y, so y's ray factory must reject a y that is
+    # bad elsewhere when it is made, before it reads f(y); float zeros have
+    # the bytes of the int zeros, so the memo holds their f and only the
+    # factory's own check rejects them
     f, points = recording(ValueOracle(lambda x: float(x.sum()), np.array([3, 3])))
     message = eval_error(f, y)
     with pytest.raises(ValueError) as info:
-        cardinality._Ray(_PointMemo(f), y, 1, 0.0)
+        _PointMemo(f).rays(y)
     assert str(info.value) == message
-    with pytest.raises(ValueError, match=re.escape(message)):
-        _PointMemo(f).ray(y, 1)
     assert f.calls == 0 and points == []
+
+
+def logged_rays(monkeypatch) -> tuple[list, list]:
+    """Patch ``_PointMemo.rays`` to log each factory's y and each ray it makes.
+
+    Returns (factories, rays): y's bytes for each factory made, and
+    (y bytes, e, ray) for each ray a factory made.
+    """
+    factories, rays = [], []
+    real = cardinality._PointMemo.rays
+
+    def logged(memo, y):
+        key, factory = y.tobytes(), real(memo, y)
+        factories.append(key)
+
+        def ray_of(e):
+            rays.append((key, e, factory(e)))
+            return rays[-1][2]
+
+        return ray_of
+
+    monkeypatch.setattr(cardinality._PointMemo, "rays", logged)
+    return factories, rays
 
 
 def test_lattice_sweep_scans_each_ray_once(monkeypatch):
@@ -1106,27 +1131,28 @@ def test_lattice_sweep_scans_each_ray_once(monkeypatch):
     # on a (y, e) pair's cached ray reads no point from f again: f reads no
     # point twice.  On DR f no ray is scanned: the exponential search finds
     # the scan's step
-    counts = {"rays": 0, "scans": 0}
+    scans = 0
+    level_candidates = cardinality._level_candidates
 
-    def counted(name, wrapped):
-        def wrapper(*args):
-            counts[name] += 1
-            return wrapped(*args)
-        return wrapper
+    def counted(*args):
+        nonlocal scans
+        scans += 1
+        return level_candidates(*args)
 
-    monkeypatch.setattr(cardinality._PointMemo, "ray", counted("rays", cardinality._PointMemo.ray))
-    monkeypatch.setattr(cardinality, "_level_candidates", counted("scans", cardinality._level_candidates))
+    _, rays = logged_rays(monkeypatch)
+    monkeypatch.setattr(cardinality, "_level_candidates", counted)
     scanned = 0
     for make, caps, r in equivalence_instances():
-        counts.update(rays=0, scans=0)
+        scans = 0
+        rays.clear()
         f, points = recording(make())
         maximize_lattice_cardinality(f, CardinalityConstraint(caps, r), SolverConfig(0.1))
         if f.meta["dr_submodular"]:
-            assert counts["scans"] == 0 < counts["rays"]
+            assert scans == 0 < len(rays)
         else:
-            assert counts["scans"] >= counts["rays"] > 0
+            assert scans >= len(rays) > 0
             assert len(points) == len(set(points))
-            scanned += counts["scans"] > counts["rays"]
+            scanned += scans > len(rays)
     assert scanned > 0  # some scan is rerun on its cached ray
 
 
@@ -1207,24 +1233,18 @@ def test_every_greedy_makes_one_ray_per_point_and_element(monkeypatch):
     # the sweep keeps the ray of each (y, e) until a step changes y, and
     # every search runs on the ray it holds for its (y, e); no call count
     # shows this, since the memo absorbs repeated probes
-    rays, made, searched = [], {}, []
-    ray = cardinality._PointMemo.ray
+    searched = []
+    _, rays = logged_rays(monkeypatch)
     sweep = cardinality._sweep
 
-    def counted(memo, y, e):
-        rays.append((y.tobytes(), e))
-        made[rays[-1]] = on = ray(memo, y, e)
-        return on
-
-    def counted_sweep(ray_of, y, room, levels, rule, *args):
+    def counted_sweep(rays_at, y, room, levels, rule, *args):
         def counted_rule(on, k_cap, eps, threshold):
-            searched.append(made[(y.tobytes(), on._e)] is on)
+            searched.append((y.tobytes(), on._e, on))
             return rule(on, k_cap, eps, threshold)
 
         monkeypatch.setitem(cardinality._BOUNDS, counted_rule, cardinality._BOUNDS[rule])
-        return sweep(ray_of, y, room, levels, counted_rule, *args)
+        return sweep(rays_at, y, room, levels, counted_rule, *args)
 
-    monkeypatch.setattr(cardinality._PointMemo, "ray", counted)
     monkeypatch.setattr(cardinality, "_sweep", counted_sweep)
     monkeypatch.setattr(knapsack, "_sweep", counted_sweep)
     capped = 0
@@ -1237,13 +1257,59 @@ def test_every_greedy_makes_one_ray_per_point_and_element(monkeypatch):
             lambda f: greedy_knapsack(f, inst, zeros(len(caps)), SolverConfig(0.1)),
         ):
             rays.clear()
-            made.clear()
             searched.clear()
             _, trace = solve(make())
-            assert len(rays) == len(set(rays)) > 0
-            assert len(searched) >= len(rays) and all(searched)
+            pairs = [(key, e) for key, e, _ in rays]
+            assert len(pairs) == len(set(pairs)) > 0
+            made = {(key, e): ray for key, e, ray in rays}
+            assert len(searched) >= len(rays)
+            assert all(made[(key, e)] is on for key, e, on in searched)
         capped += budget_bound_steps(inst, zeros(len(caps)), trace)  # the knapsack solve's
     assert capped > 0  # the budget left caps some knapsack steps
+
+
+def test_every_greedy_makes_one_ray_factory_per_iterate(monkeypatch):
+    # y's factory copies, checks and reads y once for all the rays of y, and
+    # the sweep makes it at the first visit after a step: at most one per
+    # iterate, and none at an iterate whose visits are all skipped
+    factories, rays = logged_rays(monkeypatch)
+    shared = 0
+    for make, caps, r in equivalence_instances():
+        cst = CardinalityConstraint(caps, r)
+        inst = equivalence_knapsack(caps, r)
+        for solve in (
+            lambda f: maximize_dr_cardinality(f, cst, SolverConfig(0.1)),
+            lambda f: maximize_lattice_cardinality(f, cst, SolverConfig(0.1)),
+            lambda f: greedy_knapsack(f, inst, zeros(len(caps)), SolverConfig(0.1)),
+        ):
+            factories.clear()
+            rays.clear()
+            _, trace = solve(make())
+            y = zeros(len(caps))
+            iterates = [y.tobytes()]
+            for step in trace.steps:
+                y[step.element] += step.step
+                iterates.append(y.tobytes())
+            assert len(factories) == len(set(factories)) > 0
+            assert set(factories) <= set(iterates)
+            assert {key for key, _, _ in rays} == set(factories)
+            shared += len(rays) - len(factories)
+    assert shared > 0  # some factory makes more than one ray
+
+
+def test_lazy_skip_totals_over_the_cardinality_pins():
+    # which visits the sweep skips, and so its calls, summed over 256
+    # solves: both cardinality solvers at two epsilons on every
+    # equivalence and query-scale instance
+    solves = skipped = calls = 0
+    for make, caps, r in equivalence_instances() + query_scale_instances():
+        cst = CardinalityConstraint(caps, r)
+        for solve in (maximize_dr_cardinality, maximize_lattice_cardinality):
+            for eps in (0.1, 0.25):
+                f = make()
+                _, trace = solve(f, cst, SolverConfig(eps))
+                solves, skipped, calls = solves + 1, skipped + trace.skipped, calls + f.calls
+    assert (solves, skipped, calls) == (256, 19_568, 11_476)
 
 
 def test_binary_search_lattice_matches_reference():
@@ -1270,7 +1336,7 @@ def test_point_memo_answers_each_point_once_across_its_paths():
     assert f.calls == 1
     assert memo.eval(y) == 4.0
     assert f.calls == 2
-    ray = memo.ray(x, 0)  # f(x) is a hit
+    ray = memo.rays(x)(0)  # f(x) is a hit
     assert ray[1] == 1.0 and ray[2] == 2.0  # x + e_0 == y is a hit too
     assert f.calls == 3
     assert memo.eval(np.array([3, 2])) == 5.0  # x + 2 e_0, read by the ray

@@ -265,6 +265,25 @@ def test_table_polymatroid_rejects_a_key_outside_the_ground_set(key):
         table_polymatroid(2, {(0,): 1, key: 2})
 
 
+@pytest.mark.parametrize("table", [[0, 1.5, 1, 2], {(0,): 1.7, (1,): 1, (0, 1): 2}],
+                         ids=["list", "dict"])
+def test_table_polymatroid_rejects_a_non_integer_rank(table):
+    # truncating it would read rank 1 on {0}; the rounding relies on integral ranks
+    value = table[1] if isinstance(table, list) else table[(0,)]
+    with pytest.raises(ValueError, match=rf"key \(0,\): rank {value} is not an integer"):
+        table_polymatroid(2, table)
+
+
+def test_table_polymatroid_rejects_two_keys_naming_one_subset():
+    # neither key may silently win
+    table = {(0,): 1, frozenset({0}): 2, (1,): 1, (0, 1): 2}
+    with pytest.raises(ValueError, match=re.escape("keys (0,) and frozenset({0}) name one subset")):
+        table_polymatroid(2, table)
+    # integer-valued floats and repeated elements of one key are still read
+    assert table_polymatroid(2, [0, 1.0, 1, 2]).rank([0]) == 1
+    assert table_polymatroid(2, {(0, 0): 1, (1,): 1, (0, 1): 2}).rank([0]) == 1
+
+
 def test_make_polymatroid_dispatch():
     P = make_polymatroid("uniform", n=3, per_element=2, total=4)
     assert P.member(np.array([2, 2, 0]))

@@ -481,9 +481,9 @@ def recording_extensions(monkeypatch):
     real = knapsack._extend
     extended = []
 
-    def recording(memo, inst, y, e, epsilon):
+    def recording(memo, factories, inst, y, e, epsilon):
         extended.append((tuple(y.tolist()), e))
-        return real(memo, inst, y, e, epsilon)
+        return real(memo, factories, inst, y, e, epsilon)
 
     monkeypatch.setattr(knapsack, "_extend", recording)
     return extended
@@ -565,17 +565,48 @@ def test_maximize_knapsack_reads_only_fitting_points_but_one_anchor_per_extended
 def test_extend_makes_no_ray_and_no_call_when_no_step_fits(monkeypatch):
     f = make_separable_concave([1.0, 2.0], [0.5, 1.0], [3, 3])
     inst = KnapsackInstance((0.5, 0.3), (3, 3))
-    memo = knapsack._PointMemo(f)
+    memo, factories = knapsack._PointMemo(f), {}
     rays = []
-    real = knapsack._PointMemo.ray
-    monkeypatch.setattr(knapsack._PointMemo, "ray", lambda self, y, e: rays.append(e) or real(self, y, e))
+    real = knapsack._PointMemo.rays
+
+    def logged(self, y):
+        factory = real(self, y)
+        return lambda e: rays.append((y.tolist(), e)) or factory(e)
+
+    monkeypatch.setattr(knapsack._PointMemo, "rays", logged)
     y = np.array([1, 1])  # weight 0.8: neither element fits once more
     for e in range(2):
-        assert knapsack._extend(memo, inst, y, e, 0.25) == []
-    assert f.calls == 0 and rays == []
+        assert knapsack._extend(memo, factories, inst, y, e, 0.25) == []
+    assert f.calls == 0 and rays == [] and factories == {}
     # one more unit of element 1 fits, so its scan runs
-    assert [p.tolist() for p in knapsack._extend(memo, inst, np.array([1, 0]), 1, 0.25)] == [[1, 1]]
-    assert rays == [1] and f.calls > 0
+    y = np.array([1, 0])
+    assert [p.tolist() for p in knapsack._extend(memo, factories, inst, y, 1, 0.25)] == [[1, 1]]
+    assert rays == [([1, 0], 1)] and list(factories) == [y.tobytes()] and f.calls > 0
+
+
+def test_partial_enumeration_makes_one_ray_factory_per_point(monkeypatch):
+    # each extended point is copied, checked and read through one factory,
+    # which all its extended (point, e) pairs share
+    factories, rays, real = [], [], knapsack._PointMemo.rays
+
+    def logged(self, y):
+        key, factory = tuple(y.tolist()), real(self, y)
+        factories.append(key)
+        return lambda e: rays.append((key, e)) or factory(e)
+
+    monkeypatch.setattr(knapsack._PointMemo, "rays", logged)
+    extended = recording_extensions(monkeypatch)
+    shared = 0
+    for make, inst, eps in random_knapsack_cases(32, 47):
+        factories.clear()
+        rays.clear()
+        extended.clear()
+        starts = partial_enumeration(make(), inst, eps)
+        assert len(factories) == len(set(factories)) > 0
+        assert len(rays) == len(set(rays)) and set(rays) <= set(extended)
+        assert {y for y, _ in rays} == set(factories) <= {tuple(p.tolist()) for p in starts}
+        shared += len(rays) > len(factories)
+    assert shared > 0  # some factory makes rays along more than one element
 
 
 def test_maximize_knapsack_calls_at_most_the_box_size():

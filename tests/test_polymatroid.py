@@ -172,9 +172,9 @@ def test_extension_ray_matches_the_cell_sum_bit_for_bit():
             b = np.floor(rng.uniform(0, cap + 1)).clip(0, cap).astype(np.float64)
             idx = rng.choice(n, size=m, replace=False)
             b[idx] = rng.integers(0, cap[idx]) + rng.uniform(0.05, 0.95, size=m)
-            memo = cardinality._PointMemo(f)
+            memo, cell = cardinality._PointMemo(f), []  # one cell for all the rays of b
             for e in range(n):
-                ray = polymatroid._ExtensionRay(memo, None, b, e)
+                ray = polymatroid._ExtensionRay(memo, None, b, cell, e)
                 for k in range(1, int(cap[e] - np.ceil(b[e])) + 1):
                     gain, value = _cell_sum(ref, b, e, k)
                     assert ray[k].hex() == gain.hex()
@@ -190,7 +190,7 @@ def test_extension_ray_rejects_an_out_of_box_probe_at_no_cost():
     # at k = 2 the lower corners' shifted points are in the box and unread,
     # the upper corners' are outside it; the probe raises before reading any
     f = make_separable_concave([1.0, 1.0], [0.5, 0.5], [2, 1])
-    ray = polymatroid._ExtensionRay(cardinality._PointMemo(f), None, np.array([0.5, 0.5]), 0)
+    ray = polymatroid._ExtensionRay(cardinality._PointMemo(f), None, np.array([0.5, 0.5]), [], 0)
     with pytest.raises(ValueError, match="outside box"):
         ray[2]
     # the four corners, read when the ray first probes, but for 0, whose
@@ -925,3 +925,40 @@ def test_direction_search_reads_each_point_once_and_probes_each_step_once(monkey
                     probed.add(event)
                     probes += 1
     assert reads > 40 and probes > 40
+
+
+def test_each_direction_splits_each_point_once(monkeypatch):
+    # the rays of one x + y come from one factory, which splits x + y into
+    # its unit cell and makes the corners' ray factories once for them all
+    split, direction = polymatroid.split_point, polymatroid.direction_polymatroid
+    probe = polymatroid._ExtensionRay.__missing__
+    points, logged = [], []  # x + y per split; (x + y, e) per probe that fits P
+    splits = shared = 0
+
+    def logged_split(f, b):
+        points.append(b.tobytes())
+        return split(f, b)
+
+    def logged_direction(*args):
+        nonlocal splits, shared
+        points.clear()
+        probes = len(logged)
+        y = direction(*args)
+        assert len(points) == len(set(points))
+        splits += len(points)
+        shared += len(set(logged[probes:])) > len(points)
+        return y
+
+    def logged_probe(self, k):
+        value = probe(self, k)
+        if value > -math.inf:  # a probe that fits P
+            logged.append((self._b.tobytes(), self._e))
+        return value
+
+    monkeypatch.setattr(polymatroid, "split_point", logged_split)
+    monkeypatch.setattr(polymatroid, "direction_polymatroid", logged_direction)
+    monkeypatch.setattr(polymatroid._ExtensionRay, "__missing__", logged_probe)
+    rng = np.random.default_rng(11)
+    for make_f, make_P, config in _random_polymatroid_solves(rng, 20):
+        maximize_polymatroid(make_f(), make_P(), config)
+    assert splits > 20 and shared > 0  # some x + y has rays along two elements
