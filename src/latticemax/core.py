@@ -5,15 +5,20 @@ Solutions are non-negative integer vectors over a ground set of n elements
 boxes wrapped in :class:`ValueOracle`: an evaluation function on the box
 [0, c], normalized so f(0) = 0, with a thread-safe call counter.
 
-The checker tests every witness tuple on the box, so it is for small
+The checker decides every witness tuple on the box, so it is for small
 boxes only.  It decides whether an oracle is monotone, submodular on the
 lattice (f(x) + f(y) >= f(x v y) + f(x ^ y)), or diminishing-returns
 submodular (unit marginals non-increasing in the base point).
-DR-submodularity implies lattice submodularity.
+DR-submodularity implies lattice submodularity.  It reads f once, as a
+table over the box, decides each kind with whole-array passes over that
+table (prefix extrema; batched pairs for the lattice kind), and builds
+witness rows only at the points that hold a violation.  The table
+certifier ``instances.make_lattice_non_dr`` shares those passes.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
@@ -317,8 +322,8 @@ def _violations(kind: str, value, x, y, e) -> list[Witness]:
         rhs = value(bump(y)) - value(y)
     return [
         Witness(
-            tuple(x[i]),
-            tuple(y[i]),
+            tuple(x[i].tolist()),
+            tuple(y[i].tolist()),
             int(e[i]) if stepped else None,
             1 if stepped else None,
             float(lhs[i]),
@@ -328,13 +333,127 @@ def _violations(kind: str, value, x, y, e) -> list[Witness]:
     ]
 
 
-def _count_dominated_pairs(box: np.ndarray) -> int:
-    # number of pairs x <= y in the box: product of per-coordinate
-    # triangular counts (c+1)(c+2)/2
-    count = 1
-    for c in box:
-        count *= (int(c) + 1) * (int(c) + 2) // 2
-    return count
+# (x, y) pairs per batch of the lattice flags, whatever the box
+_PAIR_BATCH = 1 << 16
+
+
+def _trials(box, kind: str) -> int:
+    """The number of witness tuples ``kind`` has on the box (exact Python ints)."""
+    sizes = [int(c) + 1 for c in box]
+    if kind == "lattice_submodular":
+        return math.prod(sizes) ** 2
+    # pairs x_i <= y_i on a coordinate of s points: s(s + 1)/2, or s(s - 1)/2
+    # along the e of a dr step, which needs y_e < c_e
+    pairs = [s * (s + 1) // 2 for s in sizes]
+    if kind == "monotone":
+        return math.prod(pairs)
+    return sum(
+        math.prod(pairs[:e] + [s * (s - 1) // 2] + pairs[e + 1 :]) for e, s in enumerate(sizes)
+    )
+
+
+def _check_capacity(box, kind: str) -> None:
+    """Raise CapacityError when a check of ``kind`` would exceed ``MAX_WITNESSES``.
+
+    A dr_submodular check is charged n tuples per dominated pair x <= y.
+    """
+    if kind == "lattice_submodular":
+        if _trials(box, kind) > MAX_WITNESSES:
+            raise CapacityError("box too large for exhaustive lattice check")
+        return
+    tuples = _trials(box, "monotone") * (len(box) if kind == "dr_submodular" else 1)
+    if tuples > MAX_WITNESSES:
+        raise CapacityError("box too large for exhaustive check")
+
+
+def _box_points(shape) -> np.ndarray:
+    """The (N, n) int64 matrix of the points of a box of this shape, in ``lattice_points`` order."""
+    return np.array(
+        list(lattice_points([s - 1 for s in shape])), dtype=np.int64
+    ).reshape(math.prod(shape), len(shape))
+
+
+def _prefix(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc`` folded over the box [0, y] below every y of ``a``: one accumulate per axis."""
+    for axis in range(a.ndim):
+        a = ufunc.accumulate(a, axis=axis)
+    return a
+
+
+def _flags(table: np.ndarray, kind: str) -> np.ndarray:
+    """Flag the points of ``table`` at which some witness tuple of ``kind`` fails.
+
+    ``table`` holds f over the whole box (shape c + 1); the flags come back
+    flat, in row-major (``lattice_points``) order.  A monotone or
+    dr_submodular flag marks a y with a violating x <= y (for dr_submodular,
+    along some e with y_e < c_e); a lattice_submodular flag marks an x with a
+    violating y.  Each flag is exact in floats:
+
+    - monotone: y fails against some x <= y iff it fails against the prefix
+      maximum M(y) = max_{x <= y} f(x), since x -> f(x) - tol rounds
+      monotonically; ``np.maximum`` carries a NaN, as the tuple check fails it.
+    - dr_submodular: with D_e = ``np.diff(table, axis=e)`` (the float
+      f(x + e_e) - f(x) of every tuple), (y, e) fails iff the prefix minimum
+      of D_e at y fails against D_e(y).
+    - lattice_submodular: every pair, in batches of x rows that hold about
+      ``_PAIR_BATCH`` pairs each.
+    """
+    if kind == "monotone":
+        bad = ~(table >= _prefix(np.maximum, table) - CHECK_TOLERANCE)
+    elif kind == "dr_submodular":
+        bad = np.zeros(table.shape, dtype=bool)
+        for e in range(table.ndim):
+            gain = np.diff(table, axis=e)
+            bad[(slice(None),) * e + (slice(-1),)] |= ~(
+                _prefix(np.minimum, gain) >= gain - CHECK_TOLERANCE
+            )
+    else:
+        values = table.ravel()
+        points = _box_points(table.shape)
+        strides = [math.prod(table.shape[i + 1 :]) for i in range(table.ndim)]
+        step = max(1, _PAIR_BATCH // values.size)
+        bad = np.empty(values.size, dtype=bool)
+        for lo in range(0, values.size, step):
+            x = points[lo : lo + step]
+            join = meet = 0
+            for i, stride in enumerate(strides):
+                a, b = x[:, i, None], points[:, i]
+                join = join + np.maximum(a, b) * stride
+                meet = meet + np.minimum(a, b) * stride
+            lhs = values[lo : lo + step, None] + values
+            rhs = values[join] + values[meet]
+            bad[lo : lo + step] = ~(lhs >= rhs - CHECK_TOLERANCE).all(axis=1)
+    return bad.ravel()
+
+
+def _witnesses(table: np.ndarray, kind: str, at) -> list[Witness]:
+    """The witnesses of ``kind`` at the flagged points ``at`` (ascending flat indices).
+
+    Each point's tuples go through one batch of rows, in the order
+    ``check_property_exhaustive`` states: for a lattice x its row over every
+    y; for a y its x <= y, then (dr_submodular) each e with y_e below the cap.
+    """
+    if len(at) == 0:
+        return []
+    box = np.array(table.shape, dtype=np.int64) - 1
+    points = _box_points(table.shape)
+    strides = np.array([math.prod(table.shape[i + 1 :]) for i in range(table.ndim)], dtype=np.int64)
+    flat = table.ravel()
+    value = lambda p: flat[p @ strides]
+    found: list[Witness] = []
+    for p in points[at]:
+        if kind == "lattice_submodular":
+            found += _violations(kind, value, p[None].repeat(len(points), 0), points, None)
+            continue
+        below = points[(points <= p).all(axis=1)]
+        if kind == "monotone":
+            found += _violations(kind, value, below, p[None].repeat(len(below), 0), None)
+            continue
+        room = np.flatnonzero(p < box)
+        # one row per (x, e), x-major
+        x = below.repeat(len(room), 0)
+        found += _violations(kind, value, x, p[None].repeat(len(x), 0), np.tile(room, len(below)))
+    return found
 
 
 def check_property_exhaustive(f: ValueOracle, kind: str) -> PropertyReport:
@@ -342,51 +461,24 @@ def check_property_exhaustive(f: ValueOracle, kind: str) -> PropertyReport:
 
     Witnesses come in the order of nested loops: x then y over the box for
     the lattice check; otherwise y over the box, x over [0, y], then (for
-    dr_submodular) each e with y_e below the cap.
+    dr_submodular) each e with y_e below the cap.  ``trials`` counts the
+    tuples.
     Raises CapacityError, before any oracle call, when the tuple count
     exceeds ``MAX_WITNESSES``.  Otherwise f is read once, as a table over
-    the box with one ``eval_batch`` (one call per lattice point), and the
-    witnesses of each y are checked as one batch of rows.  A dr_submodular
-    check of an all-zero box has no witness and makes no call.
+    the box with one ``eval_batch`` (one call per lattice point); a
+    dr_submodular check of an all-zero box has no witness and makes no call.
+    Whole-array passes over the table (:func:`_flags`) then flag the points
+    that hold a violation, and only those go through a per-point batch that
+    builds their witness rows, so a check that passes builds none.  Memory
+    is a few copies of the table, plus one batch of pairs for the lattice
+    check.
     """
     if kind not in PROPERTY_KINDS:
         raise ValueError(f"unknown property kind {kind!r}")
-    box = f.box
-    n = f.n
-    n_points = int(np.prod(box + 1))
-    if kind == "lattice_submodular":
-        if n_points * n_points > MAX_WITNESSES:
-            raise CapacityError("box too large for exhaustive lattice check")
-    else:
-        pairs = _count_dominated_pairs(box)
-        scale = n if kind == "dr_submodular" else 1
-        if pairs * scale > MAX_WITNESSES:
-            raise CapacityError("box too large for exhaustive check")
-    if kind == "dr_submodular" and not box.any():
+    _check_capacity(f.box, kind)
+    if kind == "dr_submodular" and not f.box.any():
         return PropertyReport(kind, 0)  # no coordinate has room for a step
-
-    points = np.array(list(lattice_points(box)), dtype=np.int64).reshape(n_points, n)
-    table = f.eval_batch(points)
-    # row-major strides: a point's row in ``points`` is its dot with these
-    strides = np.array([np.prod(box[i + 1 :] + 1) for i in range(n)], dtype=np.int64)
-    value = lambda p: table[p @ strides]
-    report = PropertyReport(kind, 0)
-
-    def record(x, y, e=None):
-        report.trials += x.shape[0]
-        report.violations += _violations(kind, value, x, y, e)
-
-    if kind == "lattice_submodular":
-        for x in points:
-            record(x[None].repeat(n_points, 0), points)
-        return report
-    for y in points:
-        below = points[(points <= y).all(axis=1)]
-        if kind == "monotone":
-            record(below, y[None].repeat(len(below), 0))
-            continue
-        room = np.flatnonzero(y < box)
-        # one row per (x, e), x-major
-        x = below.repeat(len(room), 0)
-        record(x, y[None].repeat(len(x), 0), np.tile(room, len(below)))
-    return report
+    shape = tuple(c + 1 for c in f.box.tolist())
+    table = f.eval_batch(_box_points(shape)).reshape(shape)
+    at = np.flatnonzero(_flags(table, kind))
+    return PropertyReport(kind, _trials(f.box, kind), _witnesses(table, kind, at))

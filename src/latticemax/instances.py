@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_ENUMERATION_N, ValueOracle, check_property_exhaustive, subset_masks
+from .core import MAX_ENUMERATION_N, ValueOracle, _check_capacity, _flags, _witnesses, subset_masks
 from .polymatroid import MEMBERSHIP_TOL, PolymatroidOracle
 
 
@@ -102,36 +102,42 @@ def make_budget_allocation(edges, cap) -> ValueOracle:
 def make_lattice_non_dr(table) -> ValueOracle:
     """Table-lookup oracle certified monotone and lattice-submodular.
 
-    The table is an n-dimensional array over the full box (shape c + 1).
-    Construction fails with a witness if monotonicity or lattice
-    submodularity is violated.  Whether the table also fails the
-    diminishing-returns check is recorded in ``meta['strictly_non_dr']``;
-    DR tables are accepted but flagged.  Every call certifies the table
-    anew with three exhaustive checks (one ``eval_batch`` over the box
-    each) on an oracle of its own, so the returned oracle starts at 0
-    calls; the harness builds each instance once per run and shares it.
+    The table is an n-dimensional array over the full box (shape c + 1) of
+    finite non-negative values with f(0) = 0.  Construction fails with a
+    witness if monotonicity or lattice submodularity is violated.  Whether
+    the table also fails the diminishing-returns check is recorded in
+    ``meta['strictly_non_dr']``; DR tables are accepted but flagged.  Every
+    call certifies the table anew, reading the array itself: the three
+    kinds go through ``check_property_exhaustive``'s capacity guard and
+    whole-array flags (no oracle call, so the returned oracle starts at 0
+    calls), and a witness is built only for the message of a failed
+    monotone or lattice check.  The harness builds each instance once per
+    run and shares it.
     """
     arr = np.asarray(table, dtype=np.float64)
     if arr.ndim < 1:
         raise ValueError("table must have at least one dimension")
     if np.any(arr < 0):
         raise ValueError("table values must be non-negative")
+    if not np.isfinite(arr).all():
+        raise ValueError("table values must be finite")
     box = np.array(arr.shape, dtype=np.int64) - 1
 
     def fn(x):
         return float(arr[tuple(int(v) for v in x)])
 
-    checked = ValueOracle(fn, box)
-    for kind in ("monotone", "lattice_submodular"):
-        report = check_property_exhaustive(checked, kind)
-        if not report.passed:
-            w = report.violations[0]
+    f = ValueOracle(fn, box)  # checks f(0) = 0 before any property
+    for kind in ("monotone", "lattice_submodular", "dr_submodular"):
+        _check_capacity(box, kind)
+        flags = _flags(arr, kind)
+        if kind != "dr_submodular" and flags.any():
+            w = _witnesses(arr, kind, [flags.argmax()])[0]
             raise ValueError(
                 f"table violates {kind}: x={w.x}, y={w.y}, lhs={w.lhs}, rhs={w.rhs}"
             )
-    dr = check_property_exhaustive(checked, "dr_submodular").passed
-    meta = {"family": "lattice_table", "dr_submodular": dr, "strictly_non_dr": not dr}
-    return ValueOracle(fn, box, meta=meta)
+    dr = not flags.any()
+    f.meta = {"family": "lattice_table", "dr_submodular": dr, "strictly_non_dr": not dr}
+    return f
 
 
 def _separable_convex_table(g, n: int) -> np.ndarray:

@@ -1312,6 +1312,27 @@ def test_lazy_skip_totals_over_the_cardinality_pins():
     assert (solves, skipped, calls) == (256, 19_568, 11_476)
 
 
+def test_lazy_skip_margin_reads_the_larger_of_bar_and_abs_f():
+    # Separable and DR.  Element 2 steps at the levels 1, 0.5 and 0.25
+    # (eps = 1/2), so |f(y)| = 1.5 when elements 0 and 1 meet the 0.25 bar
+    # with their bounds f(e | 0) from level 1.  Element 0's lies 2^-30 below
+    # the bar: by more than 1e-9 * bar, by less than 1e-9 * |f(y)|.  Element
+    # 1's lies 2^-33 below: by less than 1e-9 * bar.  So neither is skipped
+    # there, and each probes its ray before element 2 steps again.  A margin
+    # read from the bar alone, or from min(bar, |f(y)|), skips element 0
+    # there (3 skips, 8 calls); no margin (a bound <= bar skips) moves the
+    # steps too (5 skips, 7 calls).
+    table = (np.array([0.0, 0.25 - 2.0**-30])[:, None, None]
+             + np.array([0.0, 0.25 - 2.0**-33])[None, :, None]
+             + np.array([0.0, 1.0, 1.5, 1.75])[None, None, :])
+    f = make_lattice_non_dr(table)
+    assert f.meta["dr_submodular"]
+    y, trace = maximize_dr_cardinality(f, CardinalityConstraint([1, 1, 3], 5), SolverConfig(0.5))
+    assert [(s.threshold, s.element, s.step) for s in trace.steps] == [
+        (1.0, 2, 1), (0.5, 2, 1), (0.25, 2, 1), (0.125, 0, 1), (0.125, 1, 1)]
+    assert (trace.skipped, f.calls) == (2, 9)
+
+
 def test_binary_search_lattice_matches_reference():
     rng = np.random.default_rng(5)
     for _ in range(200):

@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -429,3 +431,67 @@ def test_check_property_exhaustive_matches_reference(kind):
         assert f.calls == g.calls
         violated += not want.passed
     assert violated > 0  # the comparison covers violation lists
+
+
+def reference_certify(table):
+    """``make_lattice_non_dr``'s verdict by the reference checker: its meta, or its error text."""
+    make = table_oracle(table)
+    for kind in ("monotone", "lattice_submodular"):
+        report = reference_check_property_exhaustive(make(), kind)
+        if not report.passed:
+            w = report.violations[0]
+            x, y = tuple(int(v) for v in w.x), tuple(int(v) for v in w.y)
+            return f"table violates {kind}: x={x}, y={y}, lhs={w.lhs}, rhs={w.rhs}"
+    dr = reference_check_property_exhaustive(make(), "dr_submodular").passed
+    return {"family": "lattice_table", "dr_submodular": dr, "strictly_non_dr": not dr}
+
+
+def certify(table):
+    try:
+        return make_lattice_non_dr(table).meta
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_make_lattice_non_dr_matches_the_reference_checks():
+    rng = np.random.default_rng(83)
+    tables = list(NON_DR_TABLES.values())
+    for i in range(90):
+        if i % 3 == 0:
+            table = random_table(rng)
+            if i % 2:  # lower the top corner, keeping it non-negative
+                table.flat[-1] *= rng.uniform(0.0, 0.5)
+            tables.append(table)
+            continue
+        # separable, so monotone and lattice-submodular; DR unless some
+        # increment rises, by more than the tolerance or by less
+        shape = rng.integers(1, 5, size=int(rng.integers(1, 4)))
+        steps = [0.0, 0.5, 0.5 + 0.5 * CHECK_TOLERANCE, 0.5 + 2 * CHECK_TOLERANCE, 1.0]
+        parts = [np.concatenate([[0.0], np.cumsum(rng.choice(steps, size=s - 1))]) for s in shape]
+        tables.append(sum(np.meshgrid(*parts, indexing="ij")))
+    verdicts = [certify(t) for t in tables]
+    assert verdicts == [reference_certify(t) for t in tables]
+    kinds = [v if isinstance(v, str) else v["dr_submodular"] for v in verdicts]
+    assert True in kinds and False in kinds  # DR tables and non-DR ones
+    assert any(isinstance(v, str) and "monotone" in v for v in verdicts)
+    assert any(isinstance(v, str) and "lattice_submodular" in v for v in verdicts)
+
+
+@pytest.mark.parametrize("box, kind, trials", [
+    ([1] * 13, "monotone", 3**13),
+    ([1] * 10, "dr_submodular", 10 * 3**9),
+    ([36, 37], "lattice_submodular", (37 * 38) ** 2),
+], ids=["monotone", "dr_submodular", "lattice_submodular"])
+def test_large_checks_build_no_row_per_tuple(box, kind, trials):
+    # a check that passes builds no witness row: a (rows x n) point matrix
+    # per tuple would peak near 900 MB on the 13-element binary box
+    f = ValueOracle(lambda x: float(x.sum()), box)
+    tracemalloc.start()
+    try:
+        report = check_property_exhaustive(f, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.trials == trials
+    assert f.calls == math.prod(c + 1 for c in box)
+    assert peak <= 32 * 2**20

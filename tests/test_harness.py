@@ -500,6 +500,34 @@ def test_unknown_instance_reference_rejected(tmp_path):
         load_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("entry", [".inf", ".nan"])
+def test_a_non_finite_table_is_reported_per_row(tmp_path, entry):
+    # an inline .inf table used to be certified and then failed in the
+    # solver ("threshold schedule needs a finite top value, got inf"); a
+    # .nan one was reported as a monotone violation
+    text = textwrap.dedent(
+        f"""
+        instances:
+          - id: steep
+            oracle:
+              family: lattice_table
+              params: {{table: [[0.0, {entry}], [{entry}, {entry}]]}}
+            constraint: {{kind: cardinality, cap: [1, 1], budget: 2}}
+        experiments:
+          - instances: [steep]
+            algorithms: [cardinality_lattice]
+            epsilons: [0.1]
+        assertions:
+          - kind: min_value
+            value: 0.0
+        """
+    )
+    config = load_config(write(tmp_path, text))
+    assert run_harness(config, str(tmp_path / "out")) == 1
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "ERROR steep cardinality_lattice eps=0.1 seed=0: table values must be finite\n" in summary
+
+
 def test_zero_weight_errors_are_reported(tmp_path):
     text = textwrap.dedent(
         """
@@ -618,15 +646,15 @@ def test_row_counts_only_the_solver_calls(instance_id):
 
 
 def count_certifications(monkeypatch):
-    """Record the kind of every property check a table build makes."""
-    real = instances.check_property_exhaustive
+    """Record the kind of every property a table build flags over its table."""
+    real = instances._flags
     kinds = []
 
-    def counting(f, kind, *args, **kwargs):
+    def counting(table, kind, *args, **kwargs):
         kinds.append(kind)
-        return real(f, kind, *args, **kwargs)
+        return real(table, kind, *args, **kwargs)
 
-    monkeypatch.setattr(instances, "check_property_exhaustive", counting)
+    monkeypatch.setattr(instances, "_flags", counting)
     return kinds
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,25 @@ def test_make_lattice_non_dr_rejects_bad_tables():
         make_lattice_non_dr(np.array([[0.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         make_lattice_non_dr(np.array([[0.0, -1.0], [1.0, 2.0]]))
+
+
+def test_make_lattice_non_dr_names_its_witness_in_python_ints():
+    with pytest.raises(ValueError) as exc:
+        make_lattice_non_dr([[0.0, 1.0], [1.0, 0.5]])
+    assert str(exc.value) == "table violates monotone: x=(0, 1), y=(1, 1), lhs=0.5, rhs=1.0"
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0.0, np.inf], [np.inf, np.inf]], "table values must be finite"),  # was certified non-DR
+    ([[0.0, np.nan], [1.0, 2.0]], "table values must be finite"),  # was "violates monotone"
+    ([0.0, 1.0, np.inf], "table values must be finite"),  # was certified DR
+    ([[0.0, -np.inf], [1.0, 2.0]], "table values must be non-negative"),
+])
+def test_make_lattice_non_dr_rejects_non_finite_tables(table, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the DR check of inf - inf used to warn
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_lattice_non_dr(table)
 
 
 def test_oracles_are_pure():
