@@ -2,7 +2,8 @@
 
 For each epsilon, solves a batch of seeded instances per constraint type
 and reports worst/mean value ratios. Everything is desk scale, so the
-exact optimum comes from full enumeration.
+exact optimum comes from full enumeration. Exits 1, after printing the
+rows, when some row's worst ratio is below its guarantee.
 
     python3 scripts/ratio_sweep.py --trials 50 --epsilons 0.1 0.25 0.5
 """
@@ -105,7 +106,7 @@ def main(argv=None) -> int:
     parser.add_argument("--csv", default=None)
     args = parser.parse_args(argv)
 
-    rows = []
+    rows, below = [], []
     for solver in args.solvers:
         trials = args.trials if solver != "polymatroid" else min(args.trials, 10)
         for eps in args.epsilons:
@@ -126,13 +127,17 @@ def main(argv=None) -> int:
                 f" mean={rows[-1]['mean']:.4f} guarantee={rows[-1]['guarantee']:.4f}"
                 f" ({len(ratios)} trials)"
             )
+            if min(ratios) < guarantee:
+                below.append(rows[-1])
     if args.csv:
         with open(args.csv, "w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
         print(f"wrote {len(rows)} rows to {args.csv}")
-    return 0
+    for row in below:
+        print(f"below guarantee: {row}")
+    return 1 if below else 0
 
 
 if __name__ == "__main__":

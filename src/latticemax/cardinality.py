@@ -46,6 +46,14 @@ import numpy as np
 from .core import ValueOracle, as_lattice_point, total, unit, zeros
 
 
+def _ceil_with_tolerance(v: float) -> int:
+    """ceil(v), except that a v within 1e-9 of an integer rounds to it."""
+    r = round(v)
+    if abs(v - r) <= 1e-9:
+        return int(r)
+    return int(math.ceil(v))
+
+
 def effective_epsilon(epsilon: float) -> tuple[float, int]:
     """Round epsilon down to the nearest exact reciprocal 1/m.
 
@@ -54,11 +62,8 @@ def effective_epsilon(epsilon: float) -> tuple[float, int]:
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    inv = 1.0 / epsilon
-    m = round(inv)
-    if abs(inv - m) > 1e-9:
-        m = math.ceil(inv)
-    return 1.0 / m, int(m)
+    m = _ceil_with_tolerance(1.0 / epsilon)
+    return 1.0 / m, m
 
 
 @dataclass(frozen=True)

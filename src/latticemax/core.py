@@ -11,9 +11,10 @@ lattice (f(x) + f(y) >= f(x v y) + f(x ^ y)), or diminishing-returns
 submodular (unit marginals non-increasing in the base point).
 DR-submodularity implies lattice submodularity.  It reads f once, as a
 table over the box, decides each kind with whole-array passes over that
-table (prefix extrema; batched pairs for the lattice kind), and builds
-witness rows only at the points that hold a violation.  The table
-certifier ``instances.make_lattice_non_dr`` shares those passes.
+table (prefix extrema; batched pairs for the lattice kind), and reads the
+witness rows of only the points that hold a violation straight off the
+table.  The table certifier ``instances.make_lattice_non_dr`` shares
+those passes.
 """
 
 from __future__ import annotations
@@ -296,43 +297,6 @@ class PropertyReport:
         return not self.violations
 
 
-def _violations(kind: str, value, x, y, e) -> list[Witness]:
-    """The witness rows (x[i], y[i], e[i]) that violate ``kind``.
-
-    ``x`` and ``y`` are (m, n) point matrices; ``e`` is the element array
-    that only the dr_submodular kind reads (its step is always one unit).
-    ``value`` maps an (m, n) point matrix to its m values.  Each inequality
-    reads lhs >= rhs, up to CHECK_TOLERANCE.
-    """
-    stepped = kind == "dr_submodular"
-    if kind == "monotone":
-        lhs, rhs = value(y), value(x)
-    elif kind == "lattice_submodular":
-        lhs = value(x) + value(y)
-        rhs = value(np.maximum(x, y)) + value(np.minimum(x, y))
-    else:
-        rows = np.arange(x.shape[0])
-
-        def bump(p):  # p + e_e
-            out = p.copy()
-            out[rows, e] += 1
-            return out
-
-        lhs = value(bump(x)) - value(x)
-        rhs = value(bump(y)) - value(y)
-    return [
-        Witness(
-            tuple(x[i].tolist()),
-            tuple(y[i].tolist()),
-            int(e[i]) if stepped else None,
-            1 if stepped else None,
-            float(lhs[i]),
-            float(rhs[i]),
-        )
-        for i in np.flatnonzero(~(lhs >= rhs - CHECK_TOLERANCE))
-    ]
-
-
 # (x, y) pairs per batch of the lattice flags, whatever the box
 _PAIR_BATCH = 1 << 16
 
@@ -364,13 +328,6 @@ def _check_capacity(box, kind: str) -> None:
     tuples = _trials(box, "monotone") * (len(box) if kind == "dr_submodular" else 1)
     if tuples > MAX_WITNESSES:
         raise CapacityError("box too large for exhaustive check")
-
-
-def _box_points(shape) -> np.ndarray:
-    """The (N, n) int64 matrix of the points of a box of this shape, in ``lattice_points`` order."""
-    return np.array(
-        list(lattice_points([s - 1 for s in shape])), dtype=np.int64
-    ).reshape(math.prod(shape), len(shape))
 
 
 def _prefix(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
@@ -409,50 +366,61 @@ def _flags(table: np.ndarray, kind: str) -> np.ndarray:
             )
     else:
         values = table.ravel()
-        points = _box_points(table.shape)
+        points = np.indices(table.shape).reshape(table.ndim, values.size)
         strides = [math.prod(table.shape[i + 1 :]) for i in range(table.ndim)]
         step = max(1, _PAIR_BATCH // values.size)
         bad = np.empty(values.size, dtype=bool)
         for lo in range(0, values.size, step):
-            x = points[lo : lo + step]
             join = meet = 0
-            for i, stride in enumerate(strides):
-                a, b = x[:, i, None], points[:, i]
-                join = join + np.maximum(a, b) * stride
-                meet = meet + np.minimum(a, b) * stride
+            for axis, stride in zip(points, strides):
+                a = axis[lo : lo + step, None]
+                join = join + np.maximum(a, axis) * stride
+                meet = meet + np.minimum(a, axis) * stride
             lhs = values[lo : lo + step, None] + values
-            rhs = values[join] + values[meet]
-            bad[lo : lo + step] = ~(lhs >= rhs - CHECK_TOLERANCE).all(axis=1)
+            bad[lo : lo + step] = ~(lhs >= values[join] + values[meet] - CHECK_TOLERANCE).all(1)
     return bad.ravel()
 
 
 def _witnesses(table: np.ndarray, kind: str, at) -> list[Witness]:
     """The witnesses of ``kind`` at the flagged points ``at`` (ascending flat indices).
 
-    Each point's tuples go through one batch of rows, in the order
-    ``check_property_exhaustive`` states: for a lattice x its row over every
-    y; for a y its x <= y, then (dr_submodular) each e with y_e below the cap.
+    Each point's rows are read straight off ``table``, in the order
+    ``check_property_exhaustive`` states: for a lattice x, every y, with
+    f(x v y) and f(x ^ y) read through sparse index grids; for a monotone
+    y, the sub-box [0, y]; for a dr_submodular y, the unit gains
+    (``np.diff``) over [0, y] of each e with y_e below the cap, stacked last
+    so that rows run x-major, then e.  ``np.argwhere`` lists a point's
+    failing rows in row-major order, with Python-int coordinates.
     """
     if len(at) == 0:
         return []
-    box = np.array(table.shape, dtype=np.int64) - 1
-    points = _box_points(table.shape)
-    strides = np.array([math.prod(table.shape[i + 1 :]) for i in range(table.ndim)], dtype=np.int64)
-    flat = table.ravel()
-    value = lambda p: flat[p @ strides]
+    if kind == "dr_submodular":  # the only kind that subtracts table entries
+        gains = [np.diff(table, axis=e) for e in range(table.ndim)]
+    grid = np.indices(table.shape, sparse=True)  # one broadcastable index per axis
     found: list[Witness] = []
-    for p in points[at]:
+    for i in at:
+        p = tuple(int(v) for v in np.unravel_index(i, table.shape))
+        below = tuple(slice(v + 1) for v in p)
         if kind == "lattice_submodular":
-            found += _violations(kind, value, p[None].repeat(len(points), 0), points, None)
-            continue
-        below = points[(points <= p).all(axis=1)]
-        if kind == "monotone":
-            found += _violations(kind, value, below, p[None].repeat(len(below), 0), None)
-            continue
-        room = np.flatnonzero(p < box)
-        # one row per (x, e), x-major
-        x = below.repeat(len(room), 0)
-        found += _violations(kind, value, x, p[None].repeat(len(x), 0), np.tile(room, len(below)))
+            lhs = table[p] + table
+            join = tuple(np.maximum(g, v) for g, v in zip(grid, p))
+            meet = tuple(np.minimum(g, v) for g, v in zip(grid, p))
+            rhs = table[join] + table[meet]
+        elif kind == "monotone":
+            lhs, rhs = table[p], table[below]
+        else:
+            room = [e for e, v in enumerate(p) if v < table.shape[e] - 1]
+            lhs = np.stack([gains[e][below] for e in room], axis=-1)
+            rhs = np.array([gains[e][p] for e in room])
+        lhs, rhs = np.broadcast_arrays(lhs, rhs)
+        bad = ~(lhs >= rhs - CHECK_TOLERANCE)
+        rows = zip(np.argwhere(bad).tolist(), lhs[bad].tolist(), rhs[bad].tolist())
+        if kind == "lattice_submodular":
+            found += [Witness(p, tuple(y), None, None, l, r) for y, l, r in rows]
+        elif kind == "monotone":
+            found += [Witness(tuple(x), p, None, None, l, r) for x, l, r in rows]
+        else:
+            found += [Witness(tuple(x[:-1]), p, room[x[-1]], 1, l, r) for x, l, r in rows]
     return found
 
 
@@ -468,10 +436,9 @@ def check_property_exhaustive(f: ValueOracle, kind: str) -> PropertyReport:
     the box with one ``eval_batch`` (one call per lattice point); a
     dr_submodular check of an all-zero box has no witness and makes no call.
     Whole-array passes over the table (:func:`_flags`) then flag the points
-    that hold a violation, and only those go through a per-point batch that
-    builds their witness rows, so a check that passes builds none.  Memory
-    is a few copies of the table, plus one batch of pairs for the lattice
-    check.
+    that hold a violation, and :func:`_witnesses` reads only those points'
+    rows off the table, so a check that passes builds none.  Memory is a
+    few copies of the table, plus one batch of pairs for the lattice check.
     """
     if kind not in PROPERTY_KINDS:
         raise ValueError(f"unknown property kind {kind!r}")
@@ -479,6 +446,7 @@ def check_property_exhaustive(f: ValueOracle, kind: str) -> PropertyReport:
     if kind == "dr_submodular" and not f.box.any():
         return PropertyReport(kind, 0)  # no coordinate has room for a step
     shape = tuple(c + 1 for c in f.box.tolist())
-    table = f.eval_batch(_box_points(shape)).reshape(shape)
+    # one contiguous row per point, in row-major (``lattice_points``) order
+    table = f.eval_batch(np.indices(shape).reshape(f.n, math.prod(shape)).T.copy()).reshape(shape)
     at = np.flatnonzero(_flags(table, kind))
     return PropertyReport(kind, _trials(f.box, kind), _witnesses(table, kind, at))

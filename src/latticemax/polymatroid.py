@@ -37,6 +37,7 @@ import numpy as np
 from .cardinality import (
     SolverConfig,
     _bisection_rule,
+    _ceil_with_tolerance,
     _max_step_with_gain,
     _memo_of,
     _PointMemo,
@@ -150,13 +151,6 @@ def k_max_in_polymatroid(P: PolymatroidOracle, anchor, e: int, hard_cap: int) ->
         else:
             hi = mid - 1
     return lo
-
-
-def _ceil_with_tolerance(v: float) -> int:
-    r = round(v)
-    if abs(v - r) <= 1e-9:
-        return int(r)
-    return int(math.ceil(v))
 
 
 def update_budget_fixpoint(n: int, epsilon: float) -> int:

@@ -417,6 +417,9 @@ def exhaustive_cases():
     cases += [table_oracle(random_table(rng, monotone=i % 3 != 2)) for i in range(30)]
     cases.append(lambda: ValueOracle(lambda x: float(x[0] * x[1]), np.array([3, 2])))
     cases.append(table_oracle(np.zeros((1, 1))))  # a box with no room to step
+    cases.append(lambda: ValueOracle(lambda x: 0.0, np.zeros(0, dtype=np.int64)))  # n = 0
+    # a NaN fails every inequality it is in; -0.0 equals 0.0
+    cases.append(table_oracle([[0.0, 1.0, math.nan], [-0.0, 2.0, 3.0]]))
     return cases
 
 
