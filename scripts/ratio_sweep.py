@@ -38,57 +38,52 @@ def dr_instance(i: int):
     n = int(rng.integers(2, 5))
     targets = int(rng.integers(1, 4))
     if i % 2 == 0:
-        return lambda: random_separable_concave(i, n, 4)
-    return lambda: random_budget_allocation(i, n, targets, 4)
+        return partial(random_separable_concave, i, n, 4)
+    return partial(random_budget_allocation, i, n, targets, 4)
 
 
-def sweep_cardinality(eps: float, trials: int, solve=maximize_dr_cardinality) -> list[float]:
+def cardinality_trial(i: int):
+    make = dr_instance(i)
+    box = make().box
+    rng = np.random.default_rng(20_000 + i)
+    budget = int(rng.integers(1, min(8, int(box.sum())) + 1))
+    return make, CardinalityConstraint(tuple(int(b) for b in box), budget)
+
+
+def knapsack_trial(i: int):
+    make = dr_instance(i)
+    box = make().box
+    rng = np.random.default_rng(30_000 + i)
+    weights = tuple(float(rng.choice(GRID)) for _ in box)
+    return make, KnapsackInstance(weights, tuple(int(c) for c in box))
+
+
+def polymatroid_trial(i: int):
+    return partial(random_separable_concave, i, 3, 3), uniform_polymatroid(3, 2, 4)
+
+
+def sweep(trial, solve, eps: float, trials: int) -> list[float]:
+    """Ratios to the brute-force optimum over ``trials`` seeded instances.
+
+    ``trial(i)`` gives the i-th instance's oracle builder and constraint;
+    the solve, the brute force and the value of the solution each read a
+    fresh oracle.  Instances with no positive optimum are left out.
+    """
     ratios = []
     for i in range(trials):
-        make = dr_instance(i)
-        f = make()
-        rng = np.random.default_rng(20_000 + i)
-        budget = int(rng.integers(1, min(8, int(f.box.sum())) + 1))
-        cons = CardinalityConstraint(tuple(int(b) for b in f.box), budget)
-        y, _ = solve(f, cons, SolverConfig(eps, i))
-        exact = brute_force_opt(make(), cons)
-        if exact.opt_value > 1e-9:
-            ratios.append(make().eval(y) / exact.opt_value)
-    return ratios
-
-
-def sweep_knapsack(eps: float, trials: int) -> list[float]:
-    ratios = []
-    for i in range(trials):
-        make = dr_instance(i)
-        f = make()
-        rng = np.random.default_rng(30_000 + i)
-        weights = tuple(float(rng.choice(GRID)) for _ in range(f.n))
-        inst = KnapsackInstance(weights, tuple(int(c) for c in f.box))
-        x, _ = maximize_knapsack(f, inst, SolverConfig(eps, i))
-        exact = brute_force_opt(make(), inst)
-        if exact.opt_value > 1e-9:
-            ratios.append(f.eval(x) / exact.opt_value)
-    return ratios
-
-
-def sweep_polymatroid(eps: float, trials: int) -> list[float]:
-    ratios = []
-    for i in range(trials):
-        make = lambda: random_separable_concave(i, 3, 3)
-        P = uniform_polymatroid(3, 2, 4)
-        x, _ = maximize_polymatroid(make(), P, SolverConfig(eps, i))
-        exact = brute_force_opt(make(), P)
+        make, constraint = trial(i)
+        x, _ = solve(make(), constraint, SolverConfig(eps, i))
+        exact = brute_force_opt(make(), constraint)
         if exact.opt_value > 1e-9:
             ratios.append(make().eval(x) / exact.opt_value)
     return ratios
 
 
 SWEEPS = {
-    "cardinality_dr": sweep_cardinality,
-    "knapsack": sweep_knapsack,
-    "polymatroid": sweep_polymatroid,
-    "cardinality_lattice": partial(sweep_cardinality, solve=maximize_lattice_cardinality),
+    "cardinality_dr": partial(sweep, cardinality_trial, maximize_dr_cardinality),
+    "knapsack": partial(sweep, knapsack_trial, maximize_knapsack),
+    "polymatroid": partial(sweep, polymatroid_trial, maximize_polymatroid),
+    "cardinality_lattice": partial(sweep, cardinality_trial, maximize_lattice_cardinality),
 }
 
 # guarantee = 1 - 1/e - SLACK[solver] * eps: the lattice sweep loses one

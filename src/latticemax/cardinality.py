@@ -59,9 +59,12 @@ def effective_epsilon(epsilon: float) -> tuple[float, int]:
 
     Returns (1/m, m) where m = ceil(1/epsilon); a small tolerance absorbs
     float noise in the reciprocal so that e.g. 1/3 round-trips to m = 3.
+    Raises ValueError outside (0, 1), and where 1 - epsilon rounds to 1.
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if 1.0 - epsilon == 1.0:
+        raise ValueError(f"epsilon {epsilon} is too small: 1 - epsilon rounds to 1")
     m = _ceil_with_tolerance(1.0 / epsilon)
     return 1.0 / m, m
 
@@ -74,7 +77,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        effective_epsilon(self.epsilon)  # validates the range
+        effective_epsilon(self.epsilon)  # validates epsilon
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
@@ -472,8 +475,7 @@ def binary_search_lattice(
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
+    effective_epsilon(epsilon)  # validates epsilon
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     # g(k e) - 0.0 is g(k e), bit for bit, and g(0) is never read

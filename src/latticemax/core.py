@@ -337,6 +337,7 @@ def _prefix(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     return a
 
 
+@np.errstate(invalid="ignore")  # inf - inf is NaN, failing its test silently, as in Python
 def _flags(table: np.ndarray, kind: str) -> np.ndarray:
     """Flag the points of ``table`` at which some witness tuple of ``kind`` fails.
 
@@ -381,6 +382,7 @@ def _flags(table: np.ndarray, kind: str) -> np.ndarray:
     return bad.ravel()
 
 
+@np.errstate(invalid="ignore")  # as in _flags
 def _witnesses(table: np.ndarray, kind: str, at) -> list[Witness]:
     """The witnesses of ``kind`` at the flagged points ``at`` (ascending flat indices).
 

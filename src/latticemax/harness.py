@@ -15,6 +15,7 @@ unless timing collection is enabled.
 
 from __future__ import annotations
 
+import csv
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -25,6 +26,7 @@ from .bruteforce import ExactResult, brute_force_opt
 from .cardinality import (
     CardinalityConstraint,
     SolverConfig,
+    effective_epsilon,
     maximize_dr_cardinality,
     maximize_lattice_cardinality,
 )
@@ -357,8 +359,10 @@ def load_config(path: str) -> HarnessConfig:
                         f" but instance {instance_id!r} declares {actual!r}"
                     )
                 for epsilon in map(float, raw["epsilons"]):
-                    if not 0 < epsilon < 1:
-                        raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
+                    try:
+                        effective_epsilon(epsilon)
+                    except ValueError as exc:
+                        raise ConfigError(str(exc)) from None
                     for seed in seeds:
                         cells.append(Cell(instance_id, algorithm, epsilon, seed))
 
@@ -520,9 +524,9 @@ def run_harness(
 
     csv_path = os.path.join(out_dir, "report.csv")
     with open(csv_path, "w") as handle:
-        handle.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            handle.write(",".join(row.csv_row()) + "\n")
+        writer = csv.writer(handle, lineterminator="\n")  # quotes an id holding , or "
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(row.csv_row() for row in rows)
 
     results = [assertion.check(rows) for assertion in config.assertions]
     passed = sum(1 for ok, _ in results if ok)

@@ -211,10 +211,13 @@ def table_polymatroid(n: int, rank_table) -> PolymatroidOracle:
 
     ``rank_table`` maps subsets (frozensets or sorted tuples) to integer
     ranks, or is a list indexed by subset bitmask.  A non-integer rank, or
-    two keys that name one subset, raise ValueError.  Rank axioms
-    (normalization, monotonicity, submodularity) are validated exhaustively
-    on construction; membership tests every subset constraint, so n is
-    capped at MAX_ENUMERATION_N.
+    two keys that name one subset, raise ValueError, as does a rank that
+    fails rho(empty) = 0, monotonicity (so a negative rank) or
+    submodularity.  The lattice-table passes (:func:`core._flags`) decide
+    the last two on rho as a table on {0,1}^n, where DR is submodularity,
+    exactly in float64 for |rho| <= 2^53; the message holds their witness.
+    Membership tests every subset constraint, so n is capped at
+    MAX_ENUMERATION_N.
     """
     if n > MAX_ENUMERATION_N:
         raise ValueError(f"rank-table polymatroids support at most n={MAX_ENUMERATION_N}")
@@ -242,27 +245,15 @@ def table_polymatroid(n: int, rank_table) -> PolymatroidOracle:
         rho[mask] = int(value)
     if rho[0] != 0:
         raise ValueError("rank of the empty set must be 0")
-    if np.any(rho < 0):
-        raise ValueError("ranks must be non-negative")
-    for mask in range(size):
-        for e in range(n):
-            if mask >> e & 1:
-                continue
-            up = mask | 1 << e
-            if rho[up] < rho[mask]:
-                raise ValueError(f"rank not monotone at subset mask {mask}, element {e}")
-            # local submodularity: adding g cannot raise the marginal of e
-            for g in range(n):
-                if g == e or mask >> g & 1:
-                    continue
-                with_g = mask | 1 << g
-                if rho[with_g | 1 << e] - rho[with_g] > rho[up] - rho[mask] :
-                    raise ValueError(
-                        f"rank not submodular at subset mask {mask}, elements {e},{g}"
-                    )
+    rho_f = rho.astype(np.float64)
+    cube = rho_f.reshape((2,) * n).T  # rho on {0,1}^n, axis e being element e
+    for kind in ("monotone", "dr_submodular"):
+        flags = _flags(cube, kind)
+        if flags.any():
+            w = _witnesses(cube, kind, [flags.argmax()])[0]
+            raise ValueError(f"rank table violates {kind}: {w}")
 
     masks = subset_masks(n).astype(np.float64)
-    rho_f = rho.astype(np.float64)
 
     def member(x):
         return bool(np.all(masks @ x <= rho_f + MEMBERSHIP_TOL))

@@ -34,6 +34,7 @@ from .cardinality import (
     _memo_of,
     _PointMemo,
     _sweep,
+    effective_epsilon,
     threshold_schedule,
 )
 from .core import ValueOracle, as_lattice_point, unit, zeros
@@ -244,8 +245,7 @@ def increase_support(
     of :func:`partial_enumeration`, which runs the same scan with a fit
     bound (:func:`_extend`) and so probes no over-budget step but anchors.
     """
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
+    effective_epsilon(epsilon)  # validates epsilon
     if not 0 <= e < inst.n:
         raise ValueError(f"element {e} out of range")
     _check(f, inst)
@@ -287,8 +287,7 @@ def partial_enumeration(
     the empty tuple.  The instance is checked against f before any call,
     and points are read through one fresh memo unless ``f`` already is one.
     """
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
+    effective_epsilon(epsilon)  # validates epsilon
     _check(f, inst)
     memo = _memo_of(f)
     n = inst.n

@@ -249,6 +249,7 @@ def direction_polymatroid(
     and D(x + y) = D(x) + y: for DR f, F(e | x + y') <= F(e | x + y) for
     y' >= y.
     """
+    effective_epsilon(epsilon)  # validates epsilon
     memo = _memo_of(f)
     x = as_fractional_point(x, f.n)
     if P.n != f.n:

@@ -30,8 +30,15 @@ from latticemax.instances import (
     random_separable_concave,
     uniform_polymatroid,
 )
-from latticemax.knapsack import BUDGET_TOL, KnapsackInstance, greedy_knapsack, maximize_knapsack
-from latticemax.polymatroid import maximize_polymatroid
+from latticemax.knapsack import (
+    BUDGET_TOL,
+    KnapsackInstance,
+    greedy_knapsack,
+    increase_support,
+    maximize_knapsack,
+    partial_enumeration,
+)
+from latticemax.polymatroid import direction_polymatroid, maximize_polymatroid
 
 RATIO_DR = 1 - 1 / math.e - 0.1
 
@@ -66,6 +73,25 @@ def test_effective_epsilon():
         effective_epsilon(0.0)
     with pytest.raises(ValueError):
         effective_epsilon(1.0)
+
+
+@pytest.mark.parametrize("epsilon", [1e-17, 5e-324])
+def test_an_epsilon_whose_complement_rounds_to_one_is_rejected(epsilon):
+    # 1 - eps == 1.0: no threshold level would ever fall (and 1 / 5e-324 overflows)
+    f = make_separable_concave([1.0, 2.0], [0.5, 1.0], [2, 2])
+    inst = KnapsackInstance((0.3, 0.4), (2, 2))
+    P = uniform_polymatroid(2, 1, 2)
+    entries = [
+        lambda: SolverConfig(epsilon),
+        lambda: binary_search_lattice(f, 0, 0.5, 2, epsilon),
+        lambda: increase_support(f, inst, 0, [zeros(2)], epsilon),
+        lambda: partial_enumeration(f, inst, epsilon),
+        lambda: direction_polymatroid(f, zeros(2), P, epsilon, 4),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError, match="too small: 1 - epsilon rounds to 1"):
+            entry()
+    assert f.calls == 0 and P.member_calls == 0
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "0"])

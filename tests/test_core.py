@@ -420,6 +420,10 @@ def exhaustive_cases():
     cases.append(lambda: ValueOracle(lambda x: 0.0, np.zeros(0, dtype=np.int64)))  # n = 0
     # a NaN fails every inequality it is in; -0.0 equals 0.0
     cases.append(table_oracle([[0.0, 1.0, math.nan], [-0.0, 2.0, 3.0]]))
+    # inf - inf and inf + -inf are NaN, which fails a test without a numpy warning
+    cases.append(table_oracle([0.0, math.inf, math.inf]))
+    cases.append(table_oracle([[0.0, 1.0, math.inf], [2.0, math.inf, math.inf]]))
+    cases.append(table_oracle([[0.0, -math.inf], [math.inf, 1.0]]))
     return cases
 
 

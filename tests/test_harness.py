@@ -1,3 +1,4 @@
+import csv
 import itertools
 import re
 import textwrap
@@ -86,6 +87,17 @@ def test_report_columns_and_effective_epsilon(tmp_path):
     assert float(row["ratio"]) >= 0.53
     assert row["wall_time_ms"] == "0"
     assert ";" in row["solution"] or row["solution"].isdigit()
+
+
+@pytest.mark.parametrize("instance_id", ["pack, small", '"big" pack'])
+def test_report_quotes_an_instance_id_holding_a_comma_or_a_quote(tmp_path, instance_id):
+    quoted = instance_id.replace('"', '\\"')
+    text = BASIC.replace("id: pack", f'id: "{quoted}"').replace("[pack]", f'["{quoted}"]')
+    run_harness(load_config(write(tmp_path, text)), str(tmp_path / "out"))
+    with open(tmp_path / "out" / "report.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert [len(row) for row in rows] == [len(CSV_COLUMNS)] * 3
+    assert [row[0] for row in rows[1:]] == [instance_id] * 2
 
 
 def test_reports_are_byte_identical(tmp_path):
@@ -482,6 +494,18 @@ def test_bad_epsilon_rejected(tmp_path):
     text = BASIC.replace("epsilons: [0.1]", "epsilons: [1.5]")
     with pytest.raises(ConfigError, match="epsilon"):
         load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("epsilon", ["1.0e-17", "5.0e-324"])
+def test_cli_exits_2_on_an_epsilon_whose_complement_rounds_to_one(tmp_path, capsys, epsilon):
+    # the sweep would never end, and 1 / 5e-324 overflows
+    path = write(tmp_path, BASIC.replace("epsilons: [0.1]", f"epsilons: [{epsilon}]"))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", path, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    message = f"config error: epsilon {float(epsilon)} is too small: 1 - epsilon rounds to 1\n"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_duplicate_instance_id_rejected(tmp_path):

@@ -304,6 +304,87 @@ def test_table_polymatroid_rejects_two_keys_naming_one_subset():
     assert table_polymatroid(2, {(0, 0): 1, (1,): 1, (0, 1): 2}).rank([0]) == 1
 
 
+def _old_rank_axioms(n, rho):
+    """The kinds the former per-mask axiom loop of table_polymatroid rejects rho for.
+
+    The loop checked each single-element step for monotonicity and each
+    pair of added elements for local submodularity; here it runs to the
+    end instead of raising at the first failure, so the set holds every
+    kind that rho violates.
+    """
+    kinds = set()
+    for mask in range(1 << n):
+        for e in range(n):
+            if mask >> e & 1:
+                continue
+            up = mask | 1 << e
+            if rho[up] < rho[mask]:
+                kinds.add("monotone")
+            for g in range(n):
+                if g == e or mask >> g & 1:
+                    continue
+                with_g = mask | 1 << g
+                if rho[with_g | 1 << e] - rho[with_g] > rho[up] - rho[mask]:
+                    kinds.add("submodular")
+    return kinds
+
+
+def _random_coverage_rank(rng, n):
+    """A truncated weighted coverage rank by subset mask: monotone and submodular."""
+    weights = rng.integers(1, 4, size=5)
+    covers = [rng.random(5) < 0.4 for _ in range(n)]
+    cap = int(rng.integers(1, weights.sum() + 1))
+    rho = []
+    for mask in range(1 << n):
+        covered = np.zeros(5, dtype=bool)
+        for e in range(n):
+            if mask >> e & 1:
+                covered |= covers[e]
+        rho.append(min(int(weights[covered].sum()), cap))
+    return rho
+
+
+def test_table_polymatroid_accepts_exactly_what_the_axiom_loop_accepted():
+    rng = np.random.default_rng(2024)
+    tally = {"accepted": 0, "monotone": 0, "submodular": 0}
+    tables = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 7))
+        base = _random_coverage_rank(rng, n)
+        # the valid rank, and one entry of it raised and one lowered
+        for delta in (0, int(rng.integers(1, 4)), -int(rng.integers(1, 4))):
+            rho = list(base)
+            mask = int(rng.integers(1, 1 << n))
+            rho[mask] += delta  # a negative rank fails monotonicity
+            tables += 1
+            violated = _old_rank_axioms(n, rho)
+            if not violated:
+                assert table_polymatroid(n, rho).rank(range(n)) == rho[-1]
+                tally["accepted"] += 1
+                continue
+            with pytest.raises(ValueError, match="monotone|submodular") as exc:
+                table_polymatroid(n, rho)
+            named = "monotone" if "monotone" in str(exc.value) else "submodular"
+            assert named in violated, (rho, str(exc.value))
+            tally[named] += 1
+    assert tables >= 1000
+    assert min(tally.values()) >= 100, tally
+
+
+def test_table_polymatroid_names_the_witness():
+    # x and y are subsets as 0/1 vectors; the DR witness's element gains more on y
+    with pytest.raises(ValueError) as exc:
+        table_polymatroid(2, [0, 1, 1, 3])
+    assert str(exc.value) == ("rank table violates dr_submodular: Witness(x=(0, 0), y=(0, 1),"
+                              " element=0, step=1, lhs=1.0, rhs=2.0)")
+    with pytest.raises(ValueError) as exc:
+        table_polymatroid(2, [0, 2, 1, 1])
+    assert str(exc.value) == ("rank table violates monotone: Witness(x=(1, 0), y=(1, 1),"
+                              " element=None, step=None, lhs=1.0, rhs=2.0)")
+    with pytest.raises(ValueError, match="violates monotone"):  # a negative rank
+        table_polymatroid(1, [0, -1])
+
+
 def test_make_polymatroid_dispatch():
     P = make_polymatroid("uniform", n=3, per_element=2, total=4)
     assert P.member(np.array([2, 2, 0]))
