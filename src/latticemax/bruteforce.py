@@ -22,16 +22,22 @@ class ExactResult:
 
 
 def _cardinality_count(cap: np.ndarray, budget: int) -> int:
-    # exact number of points x <= cap with x(E) <= budget, by DP over coords
-    counts = np.zeros(budget + 1, dtype=np.float64)
-    counts[0] = 1.0
-    for c in cap:
-        window = np.cumsum(counts)
-        shifted = np.zeros_like(window)
-        k = int(c) + 1
-        shifted[k:] = window[:-k] if k <= budget else 0.0
-        counts = window - shifted
-    return int(counts.sum())
+    # the number of points x <= cap with x(E) <= budget, by DP over coords on
+    # the totals 0..b, b = min(budget, sum(cap)), each of them reachable.
+    # Counts only grow with each coordinate, so the first one past
+    # MAX_POINTS is returned as it stands (b + 1, with nothing allocated,
+    # when b alone reaches it); every count up to MAX_POINTS is exact
+    b = min(budget, sum(cap.tolist()))
+    if b >= MAX_POINTS:
+        return b + 1
+    counts = np.zeros(b + 1, dtype=np.float64)
+    counts[0] = count = 1
+    for c in cap.tolist():
+        counts = np.cumsum(counts)
+        counts[c + 1:] -= counts[: -c - 1]  # numpy buffers the overlapping read
+        if (count := int(counts.sum())) > MAX_POINTS:
+            break
+    return count
 
 
 def brute_force_opt(f: ValueOracle, constraint) -> ExactResult:

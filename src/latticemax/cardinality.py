@@ -22,17 +22,18 @@ through its own :class:`_PointMemo`, so ``f.calls`` grows by the number
 of distinct points probed other than 0.  Both cardinality solvers achieve
 a (1 - 1/e - O(eps)) fraction of the optimum for monotone objectives.
 
-The sweep is lazy (CELF-style, Minoux 1978): each visit leaves its element
-an upper bound on its average marginal gain, read from the probes its ray
-holds, and a later visit whose bound is below its threshold is skipped.
-The DR search's bound, f(e | y) = g(1), needs DR, which the search
-assumes anyway; the level rule's needs only lattice submodularity.  When
-``f.meta["dr_submodular"]`` is true the lattice solver uses DR too: its
-rule finds the scan's step by the DR search's exponential search
-(:func:`_dr_level_rule`), so a visit that takes no step reads g(1) alone,
-and it keeps the DR bound across steps.  A skipped visit is one where the
-rule would take no step, so solutions and traces are those of the eager
-sweep, and calls only fall: every call bound below still holds.
+The sweep is lazy (CELF-style, Minoux 1978): each step rule returns, with
+its step, an upper bound on the element's average marginal gain, read from
+the probes its ray holds, and a later visit whose bound is below its
+threshold is skipped.  The DR search's bound, f(e | y) = g(1), needs DR,
+which the search assumes anyway; the level rule's needs only lattice
+submodularity.  When ``f.meta["dr_submodular"]`` is true the lattice
+solver uses DR too: its rule finds the scan's step by the DR search's
+exponential search (:func:`_dr_level_rule`), so a visit that takes no
+step reads g(1) alone, and it keeps the DR bound across steps.  A skipped
+visit is one where the rule would take no step, so solutions and traces
+are those of the eager sweep, and calls only fall: every call bound below
+still holds.
 """
 
 from __future__ import annotations
@@ -348,31 +349,64 @@ class _Ray(dict):
 
 
 # maps (ray of (y, e), the largest step allowed, eps, threshold) to the step
-# (k, f(k e | y)) the pair takes; k = 0 for none
-_Rule = Callable[[Mapping[int, float], int, float, float], tuple[int, float]]
+# (k, f(k e | y)) the pair takes (k = 0 for none) and the bound the ray's
+# probes leave e: no later visit of e steps below it; None drops e's bound
+_Rule = Callable[[Mapping[int, float], int, float, float], tuple[int, float, float | None]]
+
+
+def _dr_bound(ray: Mapping[int, float], k: int) -> float:
+    """g(1) = f(e | y), or f(e | y + k e) if less and known; inf if g(1) is unread.
+
+    Needs f monotone and DR-submodular: then f(e | y') <= f(e | y) for
+    every y' >= y, and by concavity the search at y' returns 0 once
+    f(e | y') is below its threshold.  A search with k_cap >= 1 reads k = 1
+    first; after a step of k < k_cap, its failed probe at k + 1 gives
+    f(e | y + k e).  A polymatroid ray's -inf (off P, so off P for every
+    y' >= y) passes through.
+    """
+    bound = ray.get(1, math.inf)
+    if k and k + 1 in ray:
+        bound = min(bound, ray[k + 1] - ray[k])
+    return bound
 
 
 def _bisection_rule(ray: Mapping[int, float], k_cap: int, eps: float,
-                    threshold: float) -> tuple[int, float]:
-    """The DR and knapsack sweeps' rule: :func:`_max_step_with_gain` on ``ray``."""
-    return _max_step_with_gain(ray, k_cap, threshold)
+                    threshold: float) -> tuple[int, float, float]:
+    """The DR and knapsack sweeps' rule: :func:`_max_step_with_gain`, with :func:`_dr_bound`."""
+    k, gain = _max_step_with_gain(ray, k_cap, threshold)
+    return k, gain, _dr_bound(ray, k)
 
 
 def _level_rule(ray: Mapping[int, float], k_cap: int, eps: float,
-                threshold: float) -> tuple[int, float]:
+                threshold: float) -> tuple[int, float, float | None]:
     """The lattice sweep's rule: the first level-set candidate that clears.
 
     Returns the first candidate (k, gain) of :func:`_level_candidates` on
     ``ray`` with gain >= (1 - eps) * k * threshold, or (0, 0.0) when none
     does.  Candidates do not depend on the threshold and ``ray`` caches its
     probes, so a scan rerun on the same ray reads no k from f again.
+
+    The bound is None after a step, which changes y_e, and else B / (1 - eps),
+    B = max_i g(k_i) / (k_{i-1} + 1) over the probed 0 = k_0 < ... < k_m
+    (k_m = k_cap, read first).  Monotone f gives g(k) <= g(k_i) on
+    (k_{i-1}, k_i], so B >= max_k f(k e | y) / k; lattice submodularity
+    alone gives f(k e | y') <= f(k e | y) for y' >= y with y'_e = y_e, and
+    k_cap only falls, so no candidate clears at y' while
+    B < (1 - eps) * threshold.  B only falls as the ray gains probes.
     """
     scan = _level_candidates(ray, k_cap, eps)
-    return next(((k, gain) for k, gain in scan if gain >= (1 - eps) * k * threshold), (0, 0.0))
+    k, gain = next(((k, gain) for k, gain in scan if gain >= (1 - eps) * k * threshold), (0, 0.0))
+    if k:
+        return k, gain, None
+    bound, prev = 0.0, 0
+    for k_i in sorted(ray):
+        bound = max(bound, ray[k_i] / (prev + 1))
+        prev = k_i
+    return k, gain, bound / (1.0 - eps)
 
 
 def _dr_level_rule(ray: Mapping[int, float], k_cap: int, eps: float,
-                   threshold: float) -> tuple[int, float]:
+                   threshold: float) -> tuple[int, float, float]:
     """The lattice sweep's rule for DR f: :func:`_level_rule`'s step, found without its scan.
 
     Under DR, g(k) = f(k e | y) is concave with g(0) = 0, so the k that
@@ -386,72 +420,21 @@ def _dr_level_rule(ray: Mapping[int, float], k_cap: int, eps: float,
     2 * floor(log2(k_cap)) + ceil(log2(k_cap)) + 2 points.  Where rounding
     breaks DR and k_j fails the scan's own test, the step is k = 1, which
     passes it whenever K >= 1 (at k = 1 the two bars are the same float).
+
+    The bound is :func:`_dr_bound` / (1 - eps), kept across steps: under DR
+    every f(k' e | y') / k' with y' >= y is at most f(e | y), and the rule
+    steps only where f(k' e | y') / k' >= (1 - eps) * threshold;
+    f(e | y + k e) bounds the visits after e's own step.
     """
-    k_clear = _max_step_with_gain(ray, k_cap, (1 - eps) * threshold)[0]
-    if not k_clear:
-        return 0, 0.0
-    top = ray[k_clear]
-    levels = threshold_schedule(ray[k_cap], (1 - eps) * ray[1], eps)
-    k = _least_reaching(ray, 1, k_clear, next((h for h in levels if h <= top), top))
-    if ray[k] < (1 - eps) * k * threshold:
-        k = 1
-    return k, ray[k]
-
-
-def _bisection_bound(ray: Mapping[int, float], k: int, eps: float) -> float:
-    """g(1) = f(e | y), or f(e | y + k e) if less and known.
-
-    Needs f monotone and DR-submodular: then f(e | y') <= f(e | y) for
-    every y' >= y, and by concavity the search at y' returns 0 once
-    f(e | y') is below its threshold.  Every searched ray holds k = 1, the
-    search's first probe.  After a step of k < k_max, the failed probe at
-    k + 1 that ended the search gives f(e | y + k e) itself.  A polymatroid
-    ray's -inf (off P, so off P for every y' >= y) passes through.
-    """
-    bound = ray[1]
-    if k and k + 1 in ray:
-        bound = min(bound, ray[k + 1] - ray[k])
-    return bound
-
-
-def _level_bound(ray: Mapping[int, float], k: int, eps: float) -> float | None:
-    """B / (1 - eps), B = max_i g(k_i) / (k_{i-1} + 1) over the probed k_i; None after e steps.
-
-    With 0 = k_0 < k_1 < ... < k_m the probed steps (the level rule reads
-    k_cap first, so k_m is it), monotone f gives g(k) <= g(k_i) on
-    (k_{i-1}, k_i], so B >= max_k f(k e | y) / k.  Lattice submodularity
-    alone (no DR) gives f(k e | y') <= f(k e | y) for y' >= y with
-    y'_e = y_e, and k_cap only falls, so no candidate clears at y' while
-    B < (1 - eps) * threshold.  B only falls as the ray gains probes.  A
-    step of e changes y_e, so it drops B.
-    """
+    k = _max_step_with_gain(ray, k_cap, (1 - eps) * threshold)[0]
     if k:
-        return None
-    bound, prev = 0.0, 0
-    for k_i in sorted(ray):
-        bound = max(bound, ray[k_i] / (prev + 1))
-        prev = k_i
-    return bound / (1.0 - eps)
+        top = ray[k]
+        levels = threshold_schedule(ray[k_cap], (1 - eps) * ray[1], eps)
+        k = _least_reaching(ray, 1, k, next((h for h in levels if h <= top), top))
+        if ray[k] < (1 - eps) * k * threshold:
+            k = 1
+    return k, ray[k] if k else 0.0, _dr_bound(ray, k) / (1.0 - eps)
 
-
-def _dr_level_bound(ray: Mapping[int, float], k: int, eps: float) -> float:
-    """:func:`_bisection_bound` / (1 - eps): the DR level rule's bound across steps.
-
-    Under DR every f(k' e | y') / k' with y' >= y is at most f(e | y), so at
-    most the bisection's bound, and the level rule steps only where
-    f(k' e | y') / k' >= (1 - eps) * threshold.  f(e | y + k e) bounds the
-    visits after e's own step, so the bound is kept then too.
-    """
-    return _bisection_bound(ray, k, eps) / (1.0 - eps)
-
-
-# each step rule's bound (see _sweep): (ray of (y, e), the step e took from y
-# or 0, eps) -> a bound below which no later visit of e can step, or None
-_BOUNDS: dict[Callable, Callable[[Mapping[int, float], int, float], float | None]] = {
-    _bisection_rule: _bisection_bound,
-    _level_rule: _level_bound,
-    _dr_level_rule: _dr_level_bound,
-}
 
 # a visit is skipped only if its bound is below the threshold by this share
 # of max(|f(y)|, threshold), far above float rounding in the gains; the
@@ -503,21 +486,18 @@ def _sweep(
     greedy's factory reads is the start point's (f(0) costs no call) or one
     a step has probed.
 
-    Lazy bounds (CELF-style): every visit that runs the rule folds at once
-    the bound its ray's probes give e into e's least bound:
-    :func:`_bisection_bound` (needs DR, as the search does),
-    :func:`_level_bound` (needs only lattice submodularity; None drops it)
-    or :func:`_dr_level_bound`.  A visit whose bound is below scale_e * level
-    by the margin :data:`SKIP_MARGIN` is skipped: the rule would take no
-    step there, so only ``trace.skipped`` changes, and calls only fall.  The
-    margin's |f(y)| is read once per step, from the stepped ray's
-    ``value(k)``, a value its probe read.  Before the first step it is 0.0:
-    every bound compared then was made at the start point, from the very
-    floats the rule would read there.
+    Lazy bounds (CELF-style): each visit that runs the rule folds the bound
+    the rule returns with its step into e's least bound (None drops it).  A
+    visit whose bound is below scale_e * level by the margin
+    :data:`SKIP_MARGIN` is skipped: the rule would take no step there, so
+    only ``trace.skipped`` changes, and calls only fall.  The margin's
+    |f(y)| is read once per step, from the stepped ray's ``value(k)``, a
+    value its probe read.  Before the first step it is 0.0: every bound
+    compared then was made at the start point, from the very floats the
+    rule would read there.
     """
     trace = GreedyTrace()
     n = len(room)
-    bound_of = _BOUNDS[rule]
     bounds = [math.inf] * n  # e's least bound; inf for none
     rays, ray_of = [None] * n, None  # e -> the ray of (y, e); y's ray factory
     f_abs = 0.0  # |f(y)|, read at each step; max(f_abs, bar) is written out below
@@ -539,8 +519,7 @@ def _sweep(
             if ray is None:
                 ray_of = ray_of or rays_at(y)
                 ray = rays[e] = ray_of(e)
-            k, gain = rule(ray, k_cap, eps, bar)
-            bound = bound_of(ray, k, eps)
+            k, gain, bound = rule(ray, k_cap, eps, bar)
             bounds[e] = math.inf if bound is None else min(bound, bounds[e])
             if k < 1:
                 continue
@@ -630,10 +609,9 @@ def maximize_lattice_cardinality(
     (1 - eps) * k * threshold, then bisects below it to the scan's level,
     and runs no scan.  A visit then probes g(1) alone when it takes no
     step, and at most min(m, 2 * floor(log2(m)) + ceil(log2(m)) + 2)
-    points when it steps, so the bound above still holds.  The bound
-    f(e | y) / (1 - eps) is kept across steps, since under DR f(e | y)
-    bounds f(k e | y') / k for every y' >= y.  The steps, solution and
-    trace are the scan's.  ``meta`` is trusted, not checked.
+    points when it steps, so the bound above still holds, and its lazy
+    bound is kept across steps.  The steps, solution and trace are the
+    scan's.  ``meta`` is trusted, not checked.
     """
     rule = _dr_level_rule if f.meta.get("dr_submodular") else _level_rule
     return _cardinality_greedy(f, constraint, config, min, rule)

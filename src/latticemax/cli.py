@@ -43,6 +43,9 @@ def main(argv=None) -> None:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         sys.exit(2)
+    except OSError as exc:  # the output directory cannot be made or written
+        print(f"output error: {exc}", file=sys.stderr)
+        sys.exit(2)
     sys.exit(code)
 
 

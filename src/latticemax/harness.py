@@ -306,14 +306,18 @@ def load_config(path: str) -> HarnessConfig:
     table; the checks a table cannot state follow: duplicate instance ids,
     unknown instance references, an algorithm run on another constraint
     kind, an epsilon outside (0, 1) and a negative seed.  Each failure,
-    invalid YAML (with its line and column) and a missing file raise
-    ConfigError.  Oracles are not built here.
+    invalid YAML (with its line and column) and a missing or unreadable
+    file raise ConfigError.  Oracles are not built here.
     """
     try:
         with open(path) as handle:
             data = yaml.load(handle, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.reason}")
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -222,27 +222,33 @@ def table_polymatroid(n: int, rank_table) -> PolymatroidOracle:
     if n > MAX_ENUMERATION_N:
         raise ValueError(f"rank-table polymatroids support at most n={MAX_ENUMERATION_N}")
     size = 1 << n
-    rho = np.zeros(size, dtype=np.int64)
     if isinstance(rank_table, (list, tuple, np.ndarray)):
         if len(rank_table) != size:
             raise ValueError(f"rank table must have {size} entries")
-        rank_table = {tuple(e for e in range(n) if mask >> e & 1): value
-                      for mask, value in enumerate(rank_table)}
-    keys: dict[int, object] = {}  # mask -> the key that named it
-    for key, value in rank_table.items():
-        mask = 0
-        for e in map(int, key):
-            if not 0 <= e < n:
-                raise ValueError(
-                    f"rank table key {key!r}: element {e} is outside 0..{n - 1} (n = {n})"
-                )
-            mask |= 1 << e
-        if mask in keys:
-            raise ValueError(f"rank table keys {keys[mask]!r} and {key!r} name one subset")
-        if not float(value).is_integer():
-            raise ValueError(f"rank table key {key!r}: rank {value!r} is not an integer")
-        keys[mask] = key
-        rho[mask] = int(value)
+        ranks = np.asarray(rank_table, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(ranks) | (ranks != np.trunc(ranks)))
+        if bad.size:
+            mask = int(bad[0])
+            key = tuple(e for e in range(n) if mask >> e & 1)
+            raise ValueError(f"rank table key {key!r}: rank {rank_table[mask]!r} is not an integer")
+        rho = np.array(rank_table, dtype=np.int64)
+    else:
+        rho = np.zeros(size, dtype=np.int64)
+        keys: dict[int, object] = {}  # mask -> the key that named it
+        for key, value in rank_table.items():
+            mask = 0
+            for e in map(int, key):
+                if not 0 <= e < n:
+                    raise ValueError(
+                        f"rank table key {key!r}: element {e} is outside 0..{n - 1} (n = {n})"
+                    )
+                mask |= 1 << e
+            if mask in keys:
+                raise ValueError(f"rank table keys {keys[mask]!r} and {key!r} name one subset")
+            if not float(value).is_integer():
+                raise ValueError(f"rank table key {key!r}: rank {value!r} is not an integer")
+            keys[mask] = key
+            rho[mask] = int(value)
     if rho[0] != 0:
         raise ValueError("rank of the empty set must be 0")
     rho_f = rho.astype(np.float64)

@@ -143,6 +143,48 @@ def test_capacity_guard_reads_max_points(monkeypatch):
     assert f.calls == calls
 
 
+def test_a_budget_past_the_caps_counts_only_the_box():
+    # the count runs over the totals up to min(budget, sum(cap)), so a huge
+    # budget on the 16-point (3, 3) box allocates 7 counts, not budget + 1
+    f = ValueOracle(lambda x: float(x[0] + 2 * x[1]), np.array([3, 3]))
+    for budget in (10**8, 10**13):
+        res = brute_force_opt(f, CardinalityConstraint((3, 3), budget))
+        assert (res.opt_value, res.argmax, res.points_enumerated) == (9.0, (3, 3), 16)
+
+
+def test_a_reachable_total_past_max_points_is_refused_unallocated():
+    # every total 0..min(budget, sum(cap)) is reachable, so 2 * 10^9 of them
+    # exceed the cap before any count is allocated
+    f = ValueOracle(lambda x: 0.0, np.array([10**9, 10**9]))
+    with pytest.raises(CapacityError, match="2000000001 points exceeds cap"):
+        brute_force_opt(f, CardinalityConstraint((10**9, 10**9), 10**12))
+    assert f.calls == 0
+
+
+def test_the_count_stops_once_it_passes_max_points():
+    # 200 coordinates of cap 1000 under budget 20,000: the float counts
+    # would overflow, but the count stops (with no warning) at its first
+    # running value past MAX_POINTS
+    f = ValueOracle(lambda x: 0.0, np.full(200, 1000))
+    with pytest.raises(CapacityError):
+        brute_force_opt(f, CardinalityConstraint((1000,) * 200, 20_000))
+    assert MAX_POINTS < _cardinality_count(np.full(200, 1000), 20_000) <= 1001**3
+
+
+def test_cardinality_count_is_exact_up_to_max_points(monkeypatch):
+    # against a plain count: equal wherever it is at most MAX_POINTS, and
+    # past MAX_POINTS exactly when the true count is
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        cap = rng.integers(0, 5, size=int(rng.integers(0, 5)))
+        budget = int(rng.integers(0, 3 * int(cap.sum()) + 2))
+        exact = sum(sum(x) <= budget for x in itertools.product(*(range(c + 1) for c in cap)))
+        for max_points in (0, 3, 20, 100, MAX_POINTS):
+            monkeypatch.setattr(bruteforce, "MAX_POINTS", max_points)
+            got = _cardinality_count(cap, budget)
+            assert got == exact if exact <= max_points else got > max_points
+
+
 def test_unsupported_constraint_type():
     f = ValueOracle(lambda x: 0.0, np.array([1]))
     with pytest.raises(TypeError):

@@ -448,9 +448,9 @@ def test_dr_level_rule_returns_the_scans_step_on_exact_concave_gains():
             thresholds = sorted((t / (1 - eps) for t in every_threshold(gains)), reverse=True)
             for threshold in thresholds:
                 ray = CountingRay(gains)
-                got = cardinality._dr_level_rule(ray, k_max, eps, threshold)
-                assert got == cardinality._level_rule(CountingRay(gains), k_max, eps, threshold)
-                assert cardinality._dr_level_rule(kept, k_max, eps, threshold) == got
+                got = cardinality._dr_level_rule(ray, k_max, eps, threshold)[:2]
+                assert got == cardinality._level_rule(CountingRay(gains), k_max, eps, threshold)[:2]
+                assert cardinality._dr_level_rule(kept, k_max, eps, threshold)[:2] == got
                 if got[0] == 0:
                     assert len(ray) == min(k_max, 1)
                 else:
@@ -467,8 +467,8 @@ def test_dr_level_rule_steps_only_where_the_scans_test_passes_off_dr():
     # 10, the first level at or below g(4) = 40 is 22.5, and its k = 3 does
     # not clear 0.5 * 3 * 20, so the rule steps k = 1, which does
     gains = [0.0, 10.0, 20.0, 25.0, 40.0, 41.0, 42.0, 43.0, 45.0]
-    assert cardinality._dr_level_rule(CountingRay(gains), 8, 0.5, 20.0) == (1, 10.0)
-    assert cardinality._level_rule(CountingRay(gains), 8, 0.5, 20.0) == (2, 20.0)
+    assert cardinality._dr_level_rule(CountingRay(gains), 8, 0.5, 20.0)[:2] == (1, 10.0)
+    assert cardinality._level_rule(CountingRay(gains), 8, 0.5, 20.0)[:2] == (2, 20.0)
 
 
 def test_level_candidates_with_a_fit_bound_yield_the_whole_scans_pairs_up_to_it():
@@ -1018,16 +1018,22 @@ def test_every_greedy_skips_visits_at_query_scale():
 
 def test_lazy_bounds_on_a_hand_ray():
     ray = {1: 2.0, 2: 2.5, 4: 3.0, 5: 3.2}
-    # DR: the gain at the smallest probe; after a step of 2 along e, also
-    # f(e | y + 2e) = g(3) - g(2), here unprobed, and after a step of 4,
-    # g(5) - g(4)
-    assert cardinality._bisection_bound(ray, 0, 0.1) == 2.0
-    assert cardinality._bisection_bound(ray, 2, 0.1) == 2.0
-    assert cardinality._bisection_bound(ray, 4, 0.1) == 3.2 - 3.0
-    # lattice: max(2/1, 2.5/2, 3/3, 3.2/5) over 1 - eps, and no bound once
-    # e itself has stepped
-    assert cardinality._level_bound(ray, 0, 0.5) == 4.0
-    assert cardinality._level_bound(ray, 1, 0.5) is None
+    # each rule's bound, read off the rule on a ray that holds every k it
+    # probes.  DR: the gain at the smallest probe; after a step of 2 along
+    # e, also f(e | y + 2e) = g(3) - g(2), here unprobed, and after a step
+    # of 4, g(5) - g(4); the DR level rule's is over 1 - eps
+    assert cardinality._bisection_rule(dict(ray), 5, 0.1, 2.5) == (0, 0.0, 2.0)
+    assert cardinality._bisection_rule(dict(ray), 2, 0.1, 1.0) == (2, 2.5, 2.0)
+    assert cardinality._bisection_rule(dict(ray), 5, 0.1, 0.7) == (4, 3.0, 3.2 - 3.0)
+    assert cardinality._dr_level_rule(dict(ray), 5, 0.5, 5.0) == (0, 0.0, 4.0)
+    # lattice: max(2/1, 2.5/2, 3/3, 3.2/5) over 1 - eps (at k_cap = 0 the
+    # scan reads nothing), and no bound once e itself has stepped
+    assert cardinality._level_rule(dict(ray), 0, 0.5, 1.0) == (0, 0.0, 4.0)
+    assert cardinality._level_rule(dict(ray), 1, 0.5, 1.0) == (1, 2.0, None)
+    # k_cap = 0: no probe, and the DR bound is inf
+    for rule in (cardinality._bisection_rule, cardinality._dr_level_rule):
+        empty = CountingRay([0.0, 1.0])
+        assert rule(empty, 0, 0.5, 1.0) == (0, 0.0, math.inf) and len(empty) == 0
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.25, 0.5])
@@ -1232,15 +1238,14 @@ def test_dr_sweeps_never_search_a_failed_pair_again_and_fail(monkeypatch):
 
         def counted_rule(on, k_cap, eps, threshold):
             nonlocal searches, failed_again
-            k, gain = rule(on, k_cap, eps, threshold)
+            k, gain, bound = rule(on, k_cap, eps, threshold)
             pair = (y.tobytes(), on._e)
             searches += 1
             if not k:
                 failed_again += pair in failed
                 failed.add(pair)
-            return k, gain
+            return k, gain, bound
 
-        monkeypatch.setitem(cardinality._BOUNDS, counted_rule, cardinality._BOUNDS[rule])
         return sweep(ray_of, y, room, levels, counted_rule, *args)
 
     monkeypatch.setattr(cardinality, "_sweep", counted_sweep)
@@ -1268,7 +1273,6 @@ def test_every_greedy_makes_one_ray_per_point_and_element(monkeypatch):
             searched.append((y.tobytes(), on._e, on))
             return rule(on, k_cap, eps, threshold)
 
-        monkeypatch.setitem(cardinality._BOUNDS, counted_rule, cardinality._BOUNDS[rule])
         return sweep(rays_at, y, room, levels, counted_rule, *args)
 
     monkeypatch.setattr(cardinality, "_sweep", counted_sweep)

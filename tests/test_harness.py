@@ -633,6 +633,28 @@ def test_negative_seed_is_config_error(tmp_path, replacements, message):
     assert load_config(write(tmp_path, text.replace("-1", "0").replace("-3", "0"))).cells
 
 
+def test_cli_exits_2_on_a_config_it_cannot_read(tmp_path, capsys):
+    binary = tmp_path / "binary.yaml"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path, reason in ((tmp_path, "Is a directory"), (binary, "invalid start byte")):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"config error: cannot read config file {path}: {reason}\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_cli_exits_2_on_an_out_path_that_is_a_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", write(tmp_path, BASIC), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and str(out) in err and err.count("\n") == 1
+    assert out.read_text() == "kept\n"
+
+
 def test_negative_seed_override_is_config_error(tmp_path, capsys):
     config = load_config(write(tmp_path, BASIC))
     with pytest.raises(ConfigError, match=re.escape("the seed override must be non-negative, got -1")):

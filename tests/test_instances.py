@@ -371,6 +371,24 @@ def test_table_polymatroid_accepts_exactly_what_the_axiom_loop_accepted():
     assert min(tally.values()) >= 100, tally
 
 
+def test_table_polymatroid_reads_a_list_as_its_dict_of_subsets():
+    # the list is read straight into rho by mask; the dict names each
+    # subset, as a tuple or a frozenset, in shuffled order
+    rng = np.random.default_rng(38)
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        rho = _random_coverage_rank(rng, n)
+        subsets = [tuple(e for e in range(n) if mask >> e & 1) for mask in range(1 << n)]
+        order = rng.permutation(1 << n).tolist()
+        table = {(frozenset(subsets[m]) if m % 2 else subsets[m]): rho[m] for m in order}
+        by_list, by_dict = table_polymatroid(n, rho), table_polymatroid(n, table)
+        for mask, s in enumerate(subsets):
+            assert by_list.rank(s) == by_dict.rank(s) == rho[mask]
+        grid = itertools.product(range(min(rho[-1], 3) + 2), repeat=n)
+        for x in [*map(np.array, grid), *rng.uniform(0, rho[-1] + 1, size=(20, n))]:
+            assert by_list.member(x) == by_dict.member(x)
+
+
 def test_table_polymatroid_names_the_witness():
     # x and y are subsets as 0/1 vectors; the DR witness's element gains more on y
     with pytest.raises(ValueError) as exc:

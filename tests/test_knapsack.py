@@ -562,6 +562,22 @@ def test_maximize_knapsack_reads_only_fitting_points_but_one_anchor_per_extended
     assert anchors_read
 
 
+@pytest.mark.parametrize("weights, cap, y, e, fit", [
+    # float rounding puts the guess one below the predicate: fits admits 3
+    ((0.33333333366666673,), (8,), (0,), 0, 3),
+    # and one above it: only 1 fits
+    ((0.1333605952537114, 0.26393371436989843, 0.07205078649906906), (30,) * 3, (3, 0, 1), 1, 1),
+], ids=["guess_too_low", "guess_too_high"])
+def test_fit_room_corrects_its_arithmetic_guess(weights, cap, y, e, fit):
+    inst = KnapsackInstance(weights, cap)
+    y = np.array(y, dtype=np.int64)
+    guess = (1.0 + knapsack.BUDGET_TOL - float(inst.weight_vector() @ y)) // inst.weights[e]
+    assert guess == 2
+    k_cap = cap[e] - int(y[e])
+    assert knapsack._fit_room(inst, y, e, k_cap) == fit
+    assert inst.fits(y + fit * unit(len(cap), e)) and not inst.fits(y + (fit + 1) * unit(len(cap), e))
+
+
 def test_extend_makes_no_ray_and_no_call_when_no_step_fits(monkeypatch):
     f = make_separable_concave([1.0, 2.0], [0.5, 1.0], [3, 3])
     inst = KnapsackInstance((0.5, 0.3), (3, 3))
