@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,8 @@ def brute_force_opt(f: ValueOracle, constraint) -> ExactResult:
     downward closure.  Each feasible point costs one scalar ``f.eval``.
     Ties keep the lexicographically smallest maximizer.  Raises
     CapacityError, before any call, when the estimated feasible-region
-    size exceeds ``MAX_POINTS``.
+    size exceeds ``MAX_POINTS``: the cardinality count, or else the box
+    size prod(c_e + 1), an exact product of Python ints.
     """
     if isinstance(constraint, CardinalityConstraint):
         cap = np.minimum(constraint.cap_vector(), f.box)
@@ -59,7 +61,7 @@ def brute_force_opt(f: ValueOracle, constraint) -> ExactResult:
         admits = lambda x, e: sum(x.tolist()) <= constraint.budget
     elif isinstance(constraint, KnapsackInstance):
         cap = np.minimum(constraint.cap_vector(), f.box)
-        estimate = int(np.prod(cap + 1.0))
+        estimate = math.prod(c + 1 for c in cap.tolist())
         w = constraint.weight_vector().tolist()
 
         def admits(x, e):
@@ -70,7 +72,7 @@ def brute_force_opt(f: ValueOracle, constraint) -> ExactResult:
 
     elif isinstance(constraint, PolymatroidOracle):
         cap = np.minimum(f.box, constraint.rank_total)
-        estimate = int(np.prod(cap + 1.0))
+        estimate = math.prod(c + 1 for c in cap.tolist())
         admits = lambda x, e: constraint.member(x.astype(np.float64))
     else:
         raise TypeError(f"unsupported constraint type {type(constraint).__name__}")

@@ -70,15 +70,21 @@ def as_lattice_point(x, n: int | None = None) -> np.ndarray:
 
 
 def as_fractional_point(x, n: int | None = None) -> np.ndarray:
-    """Validate and return ``x`` as a non-negative float64 vector."""
-    arr = np.asarray(x, dtype=np.float64).copy()
+    """Validate ``x`` and return a copy of it as a non-negative float64 vector.
+
+    The copy's least and greatest entries (each taken with 0.0) decide
+    both checks: a NaN or an infinite entry makes one of them non-finite,
+    and a negative entry makes the least one negative.
+    """
+    arr = np.array(x, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"point must be 1-dimensional, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"expected dimension {n}, got {arr.shape[0]}")
-    if not np.isfinite(arr).all():
+    lo = arr.min(initial=0.0)
+    if not (math.isfinite(lo) and math.isfinite(arr.max(initial=0.0))):
         raise ValueError("point entries must be finite")
-    if np.any(arr < 0):
+    if lo < 0:
         raise ValueError("point entries must be non-negative")
     return arr
 

@@ -19,55 +19,68 @@ capped at ``MAX_ENUMERATION_N``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import MAX_ENUMERATION_N, CapacityError, ValueOracle, as_fractional_point, subset_masks
+from .core import MAX_ENUMERATION_N, CapacityError, ValueOracle, as_fractional_point
 
 # Coordinates within this distance of an integer are treated as integral,
 # guarding against drift from repeated fractional updates.
 SNAP_TOLERANCE = 1e-9
 
 
-def _snap(x: np.ndarray) -> np.ndarray:
-    """x with every coordinate within SNAP_TOLERANCE of an integer rounded to it."""
-    return np.where(np.abs(x - np.round(x)) <= SNAP_TOLERANCE, np.round(x), x)
+def _snap(v: float) -> float:
+    """v, or the integer nearest it (as a float) if within SNAP_TOLERANCE."""
+    r = round(v)
+    return float(r) if abs(v - r) <= SNAP_TOLERANCE else v
 
 
 def split_point(f: ValueOracle, x) -> tuple[np.ndarray, np.ndarray]:
-    """Split x into (floor, fractional) parts, snapping near-integers."""
+    """Split x into (floor, fractional) parts, snapping near-integers.
+
+    Entry by entry on Python floats: a snapped entry above its box entry
+    by more than SNAP_TOLERANCE raises ValueError, and one within it is cut
+    to the box.  The parts come back as an int64 and a float64 vector.
+    """
     x = as_fractional_point(x, f.n)
-    snapped = _snap(x)
-    if np.any(snapped < 0) or np.any(snapped > f.box + SNAP_TOLERANCE):
-        raise ValueError(f"point {x.tolist()} outside box {f.box.tolist()}")
-    snapped = np.minimum(snapped, f.box.astype(np.float64))
-    base = np.floor(snapped).astype(np.int64)
-    frac = snapped - base
-    return base, frac
+    base, frac = [], []
+    for v, c in zip(x.tolist(), f.box.tolist()):
+        v = _snap(v)
+        if v > c:
+            if v > c + SNAP_TOLERANCE:
+                raise ValueError(f"point {x.tolist()} outside box {f.box.tolist()}")
+            v = float(c)
+        b = math.floor(v)
+        base.append(b)
+        frac.append(v - b)
+    return np.array(base, dtype=np.int64), np.array(frac, dtype=np.float64)
 
 
-def _cell_corners(
-    base: np.ndarray, frac: np.ndarray, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _cell_corners(base: np.ndarray, frac: np.ndarray, idx) -> tuple[np.ndarray, np.ndarray]:
     """Corners of the unit cell above ``base`` spanned by coordinates ``idx``.
 
     Returns (points, weights): points is a (2^m, n) integer matrix holding
-    base + e_S for every subset S of idx (m = len(idx)), weights the D(x)
-    probabilities prod_{i in S} frac(i) * prod_{i in idx - S} (1 - frac(i)).
+    base + e_S for every subset S of idx (m = len(idx)), idx[j] in the S of
+    row r when bit j of r is set; weights the D(x) probabilities
+    prod_{i in S} frac(i) * prod_{i in idx - S} (1 - frac(i)), multiplied
+    left to right along idx.  Both lists double once per element of idx.
     """
-    masks = subset_masks(idx.size)
-    p = frac[idx]
-    weights = np.prod(np.where(masks == 1, p, 1.0 - p), axis=1)
-    points = np.repeat(base[None, :], masks.shape[0], axis=0)
-    points[:, idx] += masks
-    return points, weights
+    p = frac.tolist()
+    rows, weights = [base.tolist()], [1.0]
+    for i in idx:
+        q = p[i]
+        weights = [w * (1.0 - q) for w in weights] + [w * q for w in weights]
+        rows += [row[:i] + [row[i] + 1] + row[i + 1:] for row in rows]
+    return np.array(rows, dtype=np.int64), np.array(weights, dtype=np.float64)
 
 
-def _fractional_coords(frac: np.ndarray) -> np.ndarray:
+def _fractional_coords(frac: np.ndarray) -> list[int]:
     """Indices of the fractional coordinates; CapacityError past the cap."""
-    idx = np.flatnonzero(frac > 0)
-    if idx.size > MAX_ENUMERATION_N:
+    idx = [i for i, v in enumerate(frac.tolist()) if v > 0]
+    if len(idx) > MAX_ENUMERATION_N:
         raise CapacityError(
-            f"{idx.size} fractional coordinates exceed the exact-expansion cap "
+            f"{len(idx)} fractional coordinates exceed the exact-expansion cap "
             f"({MAX_ENUMERATION_N})"
         )
     return idx
@@ -83,7 +96,7 @@ def extension_exact(f: ValueOracle, x) -> float:
     """
     base, frac = split_point(f, x)
     idx = _fractional_coords(frac)
-    if idx.size == 0:
+    if not idx:
         return f.eval(base)
     points, weights = _cell_corners(base, frac, idx)
     values = f.eval_batch(points)

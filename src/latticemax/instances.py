@@ -169,9 +169,10 @@ def uniform_polymatroid(n: int, per_element: int, total: int) -> PolymatroidOrac
     if per_element < 0 or total < 0:
         raise ValueError("uniform polymatroid parameters must be non-negative")
 
+    element_cap, total_cap = per_element + MEMBERSHIP_TOL, total + MEMBERSHIP_TOL
+
     def member(x):
-        return bool(x.max(initial=0.0) <= per_element + MEMBERSHIP_TOL
-                    and x.sum() <= total + MEMBERSHIP_TOL)
+        return bool(x.max(initial=0.0) <= element_cap and x.sum() <= total_cap)
 
     def rank(S):
         return min(per_element * len(S), total)
@@ -197,8 +198,10 @@ def partition_polymatroid(parts, caps, n: int | None = None) -> PolymatroidOracl
         for e in part:
             cap_by_element[e] = c
 
+    caps_tol = cap_by_element + MEMBERSHIP_TOL
+
     def member(x):
-        return bool(np.all(x <= cap_by_element + MEMBERSHIP_TOL))
+        return bool((x <= caps_tol).all())
 
     def rank(S):
         return int(sum(cap_by_element[e] for e in S))
@@ -260,9 +263,10 @@ def table_polymatroid(n: int, rank_table) -> PolymatroidOracle:
             raise ValueError(f"rank table violates {kind}: {w}")
 
     masks = subset_masks(n).astype(np.float64)
+    rho_tol = rho_f + MEMBERSHIP_TOL
 
     def member(x):
-        return bool(np.all(masks @ x <= rho_f + MEMBERSHIP_TOL))
+        return bool((masks @ x <= rho_tol).all())
 
     def rank(S):
         mask = 0

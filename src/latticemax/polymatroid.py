@@ -66,7 +66,8 @@ class PolymatroidOracle:
     Args:
         n: ground-set size.
         member_fn: accepts a non-negative float vector, returns membership.
-            Implementations should allow ~1e-9 slack for float drift.
+            Implementations should allow ~1e-9 slack for float drift.  It
+            must not write to its argument, which may be the caller's.
         rank_fn: optional rho on subsets (iterables of element indices).
         rank_total: rho(E); derived from rank_fn when absent.
     """
@@ -99,13 +100,21 @@ class PolymatroidOracle:
         return self._member_counter.count
 
     def member(self, x) -> bool:
+        """Whether x is in P; one counted call unless x has the wrong shape.
+
+        x's least entry decides what ``member_fn`` sees: below
+        -MEMBERSHIP_TOL (or NaN), x is outside P and ``member_fn`` is not
+        called; in [-MEMBERSHIP_TOL, 0), x is clipped at 0; else x itself
+        is passed, as a float64 vector.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"expected shape ({self.n},), got {x.shape}")
         self._member_counter.add(1)
-        if np.any(x < -MEMBERSHIP_TOL):
+        lo = x.min()
+        if not lo >= -MEMBERSHIP_TOL:
             return False
-        return bool(self._member_fn(np.maximum(x, 0.0)))
+        return bool(self._member_fn(np.maximum(x, 0.0) if lo < 0 else x))
 
     def rank(self, subset: Iterable[int]) -> int:
         subset = frozenset(int(e) for e in subset)
@@ -257,9 +266,10 @@ def direction_polymatroid(
     if not P.member(x):
         raise ValueError("x is not in the polymatroid")
     # f(e), or 0 where the box leaves no room along e
-    unit_values = [memo.eval(unit(f.n, e)) if f.box[e] >= 1 else 0.0 for e in range(f.n)]
-    room = [int(math.floor(f.box[e] - x[e] + SNAP_TOLERANCE)) if unit_values[e] > 0 else 0
-            for e in range(f.n)]
+    box = f.box.tolist()
+    unit_values = [memo.eval(unit(f.n, e)) if c >= 1 else 0.0 for e, c in enumerate(box)]
+    room = [math.floor(c - v + SNAP_TOLERANCE) if u > 0 else 0
+            for c, v, u in zip(box, x.tolist(), unit_values)]
     d = max(unit_values, default=0.0)
     levels = threshold_schedule(d, epsilon * d / num_updates, epsilon)
     return _sweep(lambda y: functools.partial(_ExtensionRay, memo, P, x + y, []), zeros(f.n),
@@ -291,13 +301,13 @@ def continuous_greedy(
     return x
 
 
-def _translated_rank_table(P: PolymatroidOracle, base: np.ndarray) -> list[int]:
+def _translated_rank_table(P: PolymatroidOracle, base: list[int]) -> list[int]:
     # rho'(S) = min_{Y subset of S} (ghat(Y) + |S \ Y|), where ghat is the
     # monotone closure of g = rho - base, ghat(Y) = min_{W superset of Y}
     # g(W); the closure is what the cube-restricted polytope actually
     # enforces since g itself need not be monotone.  Each minimization is
     # one sweep per element over the table, exact as every value is an int.
-    n, base = P.n, base.tolist()
+    n = P.n
     subsets = [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
     table = [P.rank(S) - sum(base[i] for i in S) for S in subsets]
     bits = [1 << i for i in range(n)]
@@ -314,11 +324,11 @@ def _translated_rank_table(P: PolymatroidOracle, base: np.ndarray) -> list[int]:
 
 def rounding_state(x, P: PolymatroidOracle) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """(base, frac) split of x in P, and rho' above base as a list indexed by subset bitmask."""
-    x = as_fractional_point(x, P.n)
-    snapped = _snap(x)
-    base = np.floor(snapped).astype(np.int64)
-    frac = snapped - base
-    return base, frac, _translated_rank_table(P, base)
+    snapped = [_snap(v) for v in as_fractional_point(x, P.n).tolist()]
+    base = [math.floor(v) for v in snapped]
+    frac = [v - b for v, b in zip(snapped, base)]
+    return (np.array(base, dtype=np.int64), np.array(frac, dtype=np.float64),
+            _translated_rank_table(P, base))
 
 
 def round_polymatroid(x, P: PolymatroidOracle, seed: int) -> np.ndarray:
@@ -341,8 +351,8 @@ def round_polymatroid(x, P: PolymatroidOracle, seed: int) -> np.ndarray:
     x = as_fractional_point(x, P.n)
     if not P.member(x):
         raise ValueError("x is not in the polymatroid")
-    base, z, rho = rounding_state(x, P)
-    n = P.n
+    base, frac, rho = rounding_state(x, P)
+    z, n = frac.tolist(), P.n
     rng = np.random.default_rng(seed)
     # nonempty subsets by size, ties by mask (the sort is stable): each
     # subset comes after its subsets, and tight sets are met smallest first
@@ -350,21 +360,19 @@ def round_polymatroid(x, P: PolymatroidOracle, seed: int) -> np.ndarray:
     sums = [0.0] * (1 << n)
 
     for _ in range(16 * n * n + 64):
-        z = _snap(z)
-        np.clip(z, 0.0, 1.0, out=z)
-        frac_idx = [i for i in range(n) if 0.0 < z[i] < 1.0]
+        z = [min(max(_snap(v), 0.0), 1.0) for v in z]
+        frac_idx = [i for i, v in enumerate(z) if 0.0 < v < 1.0]
         if not frac_idx:
-            return base + np.round(z).astype(np.int64)
+            return base + np.array(z, dtype=np.int64)  # each entry 0.0 or 1.0
         if len(frac_idx) == 1:
             i = frac_idx[0]
             z[i] = 1.0 if rng.random() < z[i] else 0.0
             continue
 
         # z(S), adding S's lowest element last
-        zs = z.tolist()
         for mask in by_size:
             low = mask & -mask
-            sums[mask] = sums[mask ^ low] + zs[low.bit_length() - 1]
+            sums[mask] = sums[mask ^ low] + z[low.bit_length() - 1]
         # minimal tight set holding at least two fractional coordinates
         inside = frac_idx
         for mask in by_size:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,25 @@ def test_cardinality_count_is_exact_up_to_max_points(monkeypatch):
             monkeypatch.setattr(bruteforce, "MAX_POINTS", max_points)
             got = _cardinality_count(cap, budget)
             assert got == exact if exact <= max_points else got > max_points
+
+
+def test_a_box_past_float_range_is_refused_exactly():
+    # (10^9 + 1)^40 and (10^18 + 1)^17 overflow a float product; the box
+    # size is an exact int, so each is refused with CapacityError, with no
+    # warning and before any call
+    knapsack = KnapsackInstance((0.5,) * 40, (10**9,) * 40)
+    P = uniform_polymatroid(17, 10**18, 10**18)
+    for box, constraint, size in (
+        (np.full(40, 10**9), knapsack, (10**9 + 1) ** 40),
+        (np.full(17, 10**18), P, (10**18 + 1) ** 17),
+    ):
+        f = ValueOracle(lambda x: 0.0, box)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapacityError, match=f"region of {size} points exceeds cap"):
+                brute_force_opt(f, constraint)
+        assert f.calls == 0
+    assert P.member_calls == 0
 
 
 def test_unsupported_constraint_type():

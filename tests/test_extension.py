@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from latticemax.core import MAX_ENUMERATION_N, CapacityError, ValueOracle
+from latticemax.core import MAX_ENUMERATION_N, CapacityError, ValueOracle, subset_masks
 from latticemax.extension import (
+    SNAP_TOLERANCE,
     _cell_corners,
+    _fractional_coords,
     _marginal_estimate,
+    _snap,
     extension_exact,
     sample_rounding,
     split_point,
@@ -252,6 +255,94 @@ def test_cell_corners_match_the_doubling_loop_bit_for_bit():
         old_points[:, idx] += masks
         assert points.dtype == old_points.dtype and np.array_equal(points, old_points)
         assert weights.tobytes() == old_weights.tobytes()
+
+
+def _old_as_fractional_point(x, n):
+    arr = np.asarray(x, dtype=np.float64).copy()
+    if arr.ndim != 1:
+        raise ValueError(f"point must be 1-dimensional, got shape {arr.shape}")
+    if n is not None and arr.shape[0] != n:
+        raise ValueError(f"expected dimension {n}, got {arr.shape[0]}")
+    if not np.isfinite(arr).all():
+        raise ValueError("point entries must be finite")
+    if np.any(arr < 0):
+        raise ValueError("point entries must be non-negative")
+    return arr
+
+
+def _old_snap(x):
+    return np.where(np.abs(x - np.round(x)) <= SNAP_TOLERANCE, np.round(x), x)
+
+
+def _old_split_point(f, x):
+    x = _old_as_fractional_point(x, f.n)
+    snapped = _old_snap(x)
+    if np.any(snapped < 0) or np.any(snapped > f.box + SNAP_TOLERANCE):
+        raise ValueError(f"point {x.tolist()} outside box {f.box.tolist()}")
+    snapped = np.minimum(snapped, f.box.astype(np.float64))
+    base = np.floor(snapped).astype(np.int64)
+    return base, snapped - base
+
+
+def _old_cell_corners(base, frac, idx):
+    masks = subset_masks(idx.size)
+    p = frac[idx]
+    weights = np.prod(np.where(masks == 1, p, 1.0 - p), axis=1)
+    points = np.repeat(base[None, :], masks.shape[0], axis=0)
+    points[:, idx] += masks
+    return points, weights
+
+
+def _edge_entry(rng, c):
+    """An entry for a box entry c: fractional, at or near an integer, at or past c, or a signed zero."""
+    kind = int(rng.integers(0, 6))
+    if kind == 0:
+        return float(rng.uniform(0, c)) if c else 0.0
+    if kind == 1:  # within, at or just outside SNAP_TOLERANCE of an integer
+        d = float(rng.choice([1e-12, 5e-10, 0.999e-9, 1e-9, 1.001e-9, 2e-9, 1e-6]))
+        return int(rng.integers(0, c + 1)) + (d if rng.random() < 0.5 else -d)
+    if kind == 2:
+        return float(c)
+    if kind == 3:
+        return c + (1e-10 if rng.random() < 0.8 else 2e-9)
+    if kind == 4:
+        return float(rng.choice([0.0, -0.0]))
+    return int(rng.integers(0, c + 1)) + float(rng.choice([1 / 3, 0.33333333333333326, 0.5, 1e-9]))
+
+
+def test_the_cell_split_matches_the_numpy_reference():
+    # split_point, _snap, _fractional_coords and _cell_corners run on
+    # Python floats; the numpy bodies they replaced are the reference
+    rng = np.random.default_rng(41)
+    split = raised = 0
+    for _ in range(4000):
+        n = int(rng.integers(1, 7))
+        box = rng.integers(0, 4, size=n)
+        f = ValueOracle(lambda x: float(sum(x)), box)
+        x = [_edge_entry(rng, c) for c in box.tolist()]
+        if rng.random() < 0.5:  # a fractional point: up to n (so 6) fractional entries
+            x = [float(rng.uniform(0, c)) if c and rng.random() < 0.7 else v
+                 for v, c in zip(x, box.tolist())]
+        assert [_snap(v) for v in x] == _old_snap(np.array(x)).tolist()
+        try:
+            want = _old_split_point(f, x)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                split_point(f, x)
+            assert str(got.value) == str(exc)
+            raised += 1
+            continue
+        base, frac = split_point(f, x)
+        assert base.dtype == want[0].dtype and base.tolist() == want[0].tolist()
+        assert frac.dtype == want[1].dtype and frac.tolist() == want[1].tolist()
+        idx = _fractional_coords(frac)
+        assert idx == np.flatnonzero(want[1] > 0).tolist()
+        points, weights = _cell_corners(base, frac, idx)
+        old_points, old_weights = _old_cell_corners(want[0], want[1], np.array(idx, dtype=np.int64))
+        assert points.dtype == old_points.dtype and points.tolist() == old_points.tolist()
+        assert [repr(w) for w in weights.tolist()] == [repr(w) for w in old_weights.tolist()]
+        split += 1
+    assert split > 2000 and raised > 500
 
 
 def test_sample_rounding_matches_marginals():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from latticemax import harness, instances
+from latticemax import bruteforce, harness, instances
 from latticemax.cardinality import (
     SolverConfig,
     maximize_dr_cardinality,
@@ -213,6 +213,40 @@ def test_each_instance_is_built_and_enumerated_once_per_run(tmp_path, monkeypatc
     run_harness(config, str(tmp_path / "again"))
     report = (tmp_path / "out" / "report.csv").read_bytes()
     assert report == (tmp_path / "again" / "report.csv").read_bytes()
+
+
+def test_a_box_past_float_range_gives_a_capacity_row(tmp_path):
+    # brute force sizes a knapsack or polymatroid region as the box size, an
+    # exact int: one too large for a float product is a capacity row, not an
+    # OverflowError that would end the run.  f = 0 keeps the 17-element
+    # polymatroid solve short
+    wide = {
+        "id": "wide_pack",
+        "oracle": {"family": "separable_concave",
+                   "params": {"coeffs": [1.0] * 40, "powers": [0.5] * 40, "cap": [10**9] * 40}},
+        "constraint": {"kind": "knapsack", "weights": [0.5] * 40, "budget": 1.0,
+                       "cap": [10**9] * 40},
+    }
+    poly = {
+        "id": "wide_poly",
+        "oracle": {"family": "separable_concave",
+                   "params": {"coeffs": [0.0] * 17, "powers": [0.5] * 17, "cap": [10**18] * 17}},
+        "constraint": {"kind": "polymatroid", "family": "uniform",
+                       "params": {"n": 17, "per_element": 10**18, "total": 10**18}},
+    }
+    config = load_config(write(tmp_path, yaml.safe_dump({
+        "instances": [wide, poly],
+        "experiments": [
+            {"instances": ["wide_pack"], "algorithms": ["knapsack"], "epsilons": [0.5], "seeds": [0]},
+            {"instances": ["wide_poly"], "algorithms": ["polymatroid"], "epsilons": [0.5],
+             "seeds": [0]},
+        ],
+    })))
+    sizes = {"wide_pack": (10**9 + 1) ** 40, "wide_poly": (10**18 + 1) ** 17}
+    for cell in config.cells:
+        row = run_cell(config.instances[cell.instance_id], cell)
+        assert row.error == (f"capacity: estimated feasible region of {sizes[cell.instance_id]} "
+                             f"points exceeds cap {bruteforce.MAX_POINTS}")
 
 
 def test_brute_force_capacity_error_is_reported_per_cell(tmp_path, monkeypatch):

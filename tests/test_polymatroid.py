@@ -10,15 +10,7 @@ from latticemax import cardinality, polymatroid
 from latticemax.bruteforce import brute_force_opt
 from latticemax.cardinality import SolverConfig, threshold_schedule
 from latticemax.core import CapacityError, ValueOracle, unit, zeros
-from latticemax.extension import (
-    SNAP_TOLERANCE,
-    _cell_corners,
-    _fractional_coords,
-    _marginal_estimate,
-    _snap,
-    extension_exact,
-    split_point,
-)
+from latticemax.extension import SNAP_TOLERANCE, _marginal_estimate, extension_exact
 from latticemax.instances import (
     InstanceSpec,
     make_budget_allocation,
@@ -38,6 +30,7 @@ from latticemax.polymatroid import (
     rounding_state,
     update_budget_fixpoint,
 )
+from test_extension import _old_cell_corners, _old_snap, _old_split_point
 
 
 def test_k_max_in_polymatroid_examples():
@@ -145,8 +138,8 @@ def test_binary_search_polymatroid_costs_at_most_the_cell_per_probe():
 def _cell_sum(f, b, e, k):
     # (F(k e | b), F(b + k e)) as one cell sum, a batch read per matrix of
     # corners and one np.dot each: the reference for the ray's bits
-    base, frac = split_point(f, b)
-    corners, weights = _cell_corners(base, frac, _fractional_coords(frac))
+    base, frac = _old_split_point(f, b)
+    corners, weights = _old_cell_corners(base, frac, np.flatnonzero(frac > 0))
     shifted = corners.copy()
     shifted[:, e] += k
     moved = f.eval_batch(shifted)
@@ -389,14 +382,14 @@ def _min_slack(rho, sums, n, include, exclude):
 
 
 def _old_round_polymatroid(x, P, seed):
-    snapped = _snap(np.asarray(x, dtype=np.float64))
+    snapped = _old_snap(np.asarray(x, dtype=np.float64))
     base = np.floor(snapped).astype(np.int64)
     z = snapped - base
     rho = _old_translated_rank_table(P, base)
     n = P.n
     rng = np.random.default_rng(seed)
     for _ in range(16 * n * n + 64):
-        z = _snap(z)
+        z = _old_snap(z)
         np.clip(z, 0.0, 1.0, out=z)
         frac_idx = [i for i in range(n) if 0.0 < z[i] < 1.0]
         if not frac_idx:
@@ -467,8 +460,8 @@ def test_round_polymatroid_matches_the_old_pipage_loop():
     for P in polytopes:
         for x in _fractional_points(rng, P, 12):
             assert P.member(x)
-            paired += int(np.count_nonzero(_snap(x) % 1) >= 2)  # pipage moves a pair
-            base = np.floor(_snap(x)).astype(np.int64)
+            paired += int(np.count_nonzero(_old_snap(x) % 1) >= 2)  # pipage moves a pair
+            base = np.floor(_old_snap(x)).astype(np.int64)
             table = _old_translated_rank_table(P, base)
             assert rounding_state(x, P)[2] == [table[m] for m in range(1 << P.n)]
             for seed in range(4):
@@ -552,6 +545,37 @@ def test_polymatroid_oracle_guards():
     before = P.member_calls
     P.member(np.array([1.0, 1.0]))
     assert P.member_calls == before + 1
+
+
+def test_member_hands_member_fn_only_non_negative_points():
+    # x's least entry decides: in [-MEMBERSHIP_TOL, 0) the entry reaches
+    # member_fn as 0.0; below it (or NaN) x is out, counted, and member_fn
+    # is not called; a wrong shape raises and is not counted
+    tol = polymatroid.MEMBERSHIP_TOL
+    seen = []
+
+    def member_fn(x):
+        seen.append(x.tolist())
+        return True
+
+    P = polymatroid.PolymatroidOracle(3, member_fn, rank_total=2)
+    for v in (-tol, -5e-10, -1e-300, -0.0):
+        assert P.member([0.5, v, 1.0]) is True
+        assert seen[-1] == [0.5, 0.0, 1.0]
+    assert len(seen) == P.member_calls == 4
+    for v in (-1.0000001e-9, -2e-9, -1.0, -math.inf, math.nan):
+        assert P.member(np.array([1.0, 0.5, v])) is False
+    assert len(seen) == 4 and P.member_calls == 9
+    for bad in ([0.0, 0.0], [[0.0, 0.0, 0.0]], 0.0, np.zeros(4)):
+        with pytest.raises(ValueError, match="expected shape"):
+            P.member(bad)
+    assert P.member_calls == 9
+    rng = np.random.default_rng(13)
+    for _ in range(2000):
+        x = rng.choice([-2 * tol, -tol, -tol / 2, -0.0, 0.0, 0.25, 1.0], size=3)
+        assert P.member(x) is bool(x.min() >= -tol)
+    assert len(seen) > 400
+    assert all(v >= 0 for point in seen for v in point)
 
 
 def test_member_calls_are_exact_across_threads():
