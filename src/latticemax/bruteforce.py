@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,18 @@ def _cardinality_count(cap: np.ndarray, budget: int) -> int:
     return count
 
 
+def _box_count(cap: np.ndarray) -> int:
+    # the box size prod(c_e + 1) as an exact int, stopped like the count
+    # above at its first running value past MAX_POINTS: every factor is at
+    # least 1, so the product stays past it
+    count = 1
+    for c in cap.tolist():
+        count *= c + 1
+        if count > MAX_POINTS:
+            break
+    return count
+
+
 def brute_force_opt(f: ValueOracle, constraint) -> ExactResult:
     """Enumerate every feasible lattice point and return the maximizer.
 
@@ -53,7 +64,9 @@ def brute_force_opt(f: ValueOracle, constraint) -> ExactResult:
     Ties keep the lexicographically smallest maximizer.  Raises
     CapacityError, before any call, when the estimated feasible-region
     size exceeds ``MAX_POINTS``: the cardinality count, or else the box
-    size prod(c_e + 1), an exact product of Python ints.
+    size prod(c_e + 1), an exact product of Python ints.  Each stops at its
+    first running value past ``MAX_POINTS``, which the message reports as
+    "at least" that many points.
     """
     if isinstance(constraint, CardinalityConstraint):
         cap = np.minimum(constraint.cap_vector(), f.box)
@@ -61,7 +74,7 @@ def brute_force_opt(f: ValueOracle, constraint) -> ExactResult:
         admits = lambda x, e: sum(x.tolist()) <= constraint.budget
     elif isinstance(constraint, KnapsackInstance):
         cap = np.minimum(constraint.cap_vector(), f.box)
-        estimate = math.prod(c + 1 for c in cap.tolist())
+        estimate = _box_count(cap)
         w = constraint.weight_vector().tolist()
 
         def admits(x, e):
@@ -72,13 +85,13 @@ def brute_force_opt(f: ValueOracle, constraint) -> ExactResult:
 
     elif isinstance(constraint, PolymatroidOracle):
         cap = np.minimum(f.box, constraint.rank_total)
-        estimate = math.prod(c + 1 for c in cap.tolist())
+        estimate = _box_count(cap)
         admits = lambda x, e: constraint.member(x.astype(np.float64))
     else:
         raise TypeError(f"unsupported constraint type {type(constraint).__name__}")
     if estimate > MAX_POINTS:
         raise CapacityError(
-            f"estimated feasible region of {estimate} points exceeds cap {MAX_POINTS}"
+            f"estimated feasible region of at least {estimate} points exceeds cap {MAX_POINTS}"
         )
 
     best_value = -np.inf

@@ -38,6 +38,7 @@ still holds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -209,8 +210,7 @@ class _PointMemo:
         """y's ray factory e -> :class:`_Ray`; y is copied, checked and read from f once, now."""
         y = y.copy()
         self._f._validate(y)
-        base = self(y)
-        return lambda e: _Ray(self, y, e, base)
+        return functools.partial(_Ray, self._values, self._f, y, y.tolist(), self(y))
 
 
 def _memo_of(f: ValueOracle | _PointMemo) -> _PointMemo:
@@ -316,20 +316,23 @@ class _Ray(dict):
 
     y, checked by the :meth:`_PointMemo.rays` factory that made the ray (or
     :func:`binary_search_lattice`'s y = 0), must not change while the ray
-    lives.  A first lookup of k builds y + k e and looks it up in the memo's
-    values; a miss goes through ``f.eval_along``, which checks only y_e + k
-    against [0, c_e], so the probe is counted as one call, or rejected at no
-    cost with ``eval``'s ValueError.  A repeated lookup is a dict hit: it
-    builds no point and makes no call.  Each gain is the float difference
-    of two memo values.
+    lives.  The factory, a ``functools.partial``, hands each ray the memo's
+    values, f, y, y as a list of ints and base = f(y), so making a ray
+    copies nothing.  A first lookup of k builds y + k e (one copy of y)
+    and looks it up in the memo's values; a miss goes through
+    ``f.eval_along``, which checks only y_e + k against [0, c_e], so the
+    probe is counted as one call, or rejected at no cost with ``eval``'s
+    ValueError.  A repeated lookup is a dict hit: it builds no point and
+    makes no call.  Each gain is the float difference of two memo values.
     """
 
     __slots__ = ("_values", "_f", "_y", "_e", "_y_e", "_base")
 
-    def __init__(self, memo: _PointMemo, y: np.ndarray, e: int, base: float):
-        super().__init__()
-        self._values, self._f = memo._values, memo._f
-        self._y, self._e, self._y_e, self._base = y, e, int(y[e]), base
+    def __init__(self, values: dict[bytes, float], f: ValueOracle, y: np.ndarray,
+                 y_list: list[int], base: float, e: int):
+        # a ray starts empty, so dict's own __init__ has nothing to do
+        self._values, self._f, self._y, self._e, self._y_e, self._base = (
+            values, f, y, e, y_list[e], base)
 
     def __missing__(self, k: int) -> float:
         point = self._y.copy()
@@ -462,14 +465,14 @@ def binary_search_lattice(
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     # g(k e) - 0.0 is g(k e), bit for bit, and g(0) is never read
-    along = _Ray(_PointMemo(g), unit(g.n, e, 0), e, 0.0)
+    along = _Ray(_PointMemo(g)._values, g, unit(g.n, e, 0), [0] * g.n, 0.0, e)
     return _level_rule(along, k_max, epsilon, theta)[0] or None
 
 
 def _sweep(
     rays_at: Callable[[np.ndarray], Callable[[int], Mapping[int, float]]], y: np.ndarray,
     room: list[int], levels: Iterable[float], rule: _Rule, eps: float, scale: Sequence[float],
-    spent: float, limit: float,
+    spent: float, limit: float, start: list[Mapping[int, float] | None] | None = None,
 ) -> tuple[np.ndarray, GreedyTrace]:
     """The threshold sweep of all four solvers; it steps y in place.
 
@@ -479,12 +482,24 @@ def _sweep(
     and k_cap = min(room_e, floor((limit - spent) / scale_e)) caps it at the
     budget left, so every step fits and is taken.  k_cap changes only at a
     step, which changes y, so y's factory and a (y, e) pair's ray, each made
-    at its first use, serve until the next step.  The sweep ends at the step
-    after which no e has k_cap >= 1, drawing no further level.  Under
+    at its first use, serve until the next step.  ``start``, if given, holds
+    rays of the start point made by ``rays_at(y)``, e -> ray or None: the
+    sweep uses e's ray there until the first step, and makes y's factory
+    only for an e whose entry is None.  The sweep ends at the step after
+    which no e has k_cap >= 1, drawing no further level.  Under
     :func:`_bisection_rule` a visit that takes no step probes one point,
     g(1), and one that steps at most 2 * floor(log2(k_cap)) + 1; the f(y) a
     greedy's factory reads is the start point's (f(0) costs no call) or one
     a step has probed.
+
+    What a visit costs, calls aside: a skipped one reads e's k_cap, bar and
+    bound and adds 1 to a local count, written to ``trace.skipped`` once, on
+    return.  One that runs the rule also makes e's ray at its first use,
+    one call of y's factory that copies nothing; each probe the ray does
+    not hold builds one point (a copy of y) and reads the memo, and a
+    repeated probe is a dict hit.  A step reads f(y + k e) back from the
+    memo, moves y, logs a :class:`TraceStep` and recomputes every k_cap
+    from one read of the budget left.
 
     Lazy bounds (CELF-style): each visit that runs the rule folds the bound
     the rule returns with its step into e's least bound (None drops it).  A
@@ -499,21 +514,24 @@ def _sweep(
     trace = GreedyTrace()
     n = len(room)
     bounds = [math.inf] * n  # e's least bound; inf for none
-    rays, ray_of = [None] * n, None  # e -> the ray of (y, e); y's ray factory
+    rays, ray_of = start or [None] * n, None  # e -> the ray of (y, e); y's ray factory
     f_abs = 0.0  # |f(y)|, read at each step; max(f_abs, bar) is written out below
+    skipped = 0  # written to trace.skipped on return
+    margin = SKIP_MARGIN
 
-    def k_caps() -> list[int]:  # each e's k_cap, which changes only at a step
-        return [min(room_e, int((limit - spent) // s_e)) for room_e, s_e in zip(room, scale)]
+    def k_caps(left: float) -> list[int]:  # each e's k_cap, which changes only at a step
+        return [room_e if room_e < (fit := int(left // s_e)) else fit
+                for room_e, s_e in zip(room, scale)]
 
-    caps = k_caps()
+    caps = k_caps(limit - spent)
     for threshold in levels:
         for e in range(n):
             k_cap = caps[e]
             if k_cap <= 0:
                 continue
             bar = scale[e] * threshold
-            if bounds[e] < bar - SKIP_MARGIN * (bar if bar > f_abs else f_abs):
-                trace.skipped += 1
+            if bounds[e] < bar - margin * (bar if bar > f_abs else f_abs):
+                skipped += 1
                 continue
             ray = rays[e]
             if ray is None:
@@ -528,9 +546,11 @@ def _sweep(
             room[e] -= k
             spent += k * scale[e]
             trace.add(threshold, e, k, gain)
-            if max(caps := k_caps()) <= 0:
+            if max(caps := k_caps(limit - spent)) <= 0:
+                trace.skipped = skipped
                 return y, trace  # no element can step again
             rays, ray_of = [None] * n, None
+    trace.skipped = skipped
     return y, trace
 
 
@@ -547,22 +567,33 @@ def _cardinality_greedy(
     (eps / r) * d, and steps are capped at r - y(E).  An e with f(top e) <= 0
     gets no room: while y_e = 0, lattice submodularity keeps f(k e | y) <= 0
     for k up to that top, so e never steps (the DR search needs g(1) > 0).
+    Each f(top e) is read by scalar evaluation and written into the start
+    point's ray of e as f(top e) - f(0), the float the ray's own probe
+    would hold; the sweep then uses these rays (its ``start``), so e's
+    first visit finds that probe in its ray: the DR search's g(1), or the
+    level scan's anchor.
     """
     cap = constraint.cap
     if len(cap) != f.n:
         raise ValueError("constraint dimension does not match oracle")
-    if np.any(constraint.cap_vector() > f.box):
+    if any(c_e > box_e for c_e, box_e in zip(cap, f.box.tolist())):
         raise ValueError("constraint cap exceeds the oracle box")
     eps = config.effective
     r = constraint.budget
+    y = zeros(f.n)
     if r == 0:
-        return zeros(f.n), GreedyTrace()
+        return y, GreedyTrace()
     memo = _PointMemo(f)
     tops = [memo(unit(f.n, e, top(c_e, r))) if c_e >= 1 else 0.0 for e, c_e in enumerate(cap)]
     room = [c_e if t > 0 else 0 for c_e, t in zip(cap, tops)]
+    ray_of, start = memo.rays(y), [None] * f.n
+    for e, t in enumerate(tops):
+        if room[e]:  # an e with no room is never visited
+            ray = start[e] = ray_of(e)
+            ray[top(cap[e], r)] = t - ray._base
     d = max(tops, default=0.0)
     levels = threshold_schedule(d, (eps / r) * d, eps)
-    return _sweep(memo.rays, zeros(f.n), room, levels, rule, eps, [1] * f.n, 0, r)
+    return _sweep(memo.rays, y, room, levels, rule, eps, [1] * f.n, 0, r, start)
 
 
 def maximize_dr_cardinality(

@@ -324,11 +324,16 @@ def _translated_rank_table(P: PolymatroidOracle, base: list[int]) -> list[int]:
 
 def rounding_state(x, P: PolymatroidOracle) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """(base, frac) split of x in P, and rho' above base as a list indexed by subset bitmask."""
-    snapped = [_snap(v) for v in as_fractional_point(x, P.n).tolist()]
-    base = [math.floor(v) for v in snapped]
-    frac = [v - b for v, b in zip(snapped, base)]
+    base, frac = _split(as_fractional_point(x, P.n))
     return (np.array(base, dtype=np.int64), np.array(frac, dtype=np.float64),
             _translated_rank_table(P, base))
+
+
+def _split(x: np.ndarray) -> tuple[list[int], list[float]]:
+    """x's snapped entries as (floor, fractional part) lists."""
+    snapped = [_snap(v) for v in x.tolist()]
+    base = [math.floor(v) for v in snapped]
+    return base, [v - b for v, b in zip(snapped, base)]
 
 
 def round_polymatroid(x, P: PolymatroidOracle, seed: int) -> np.ndarray:
@@ -344,14 +349,19 @@ def round_polymatroid(x, P: PolymatroidOracle, seed: int) -> np.ndarray:
     coordinates round independently.
 
     Enumerates subsets of the ground set, so n is capped at
-    MAX_ENUMERATION_N.
+    MAX_ENUMERATION_N.  A point whose snapped entries are all integers is
+    returned as it stands, after the membership check, with no draw and no
+    rank call: the 2^n rank table is built only for a fractional point.
     """
     if P.n > MAX_ENUMERATION_N:
         raise CapacityError("pipage rounding enumerates subsets; ground set too large")
     x = as_fractional_point(x, P.n)
     if not P.member(x):
         raise ValueError("x is not in the polymatroid")
-    base, frac, rho = rounding_state(x, P)
+    base, frac = _split(x)
+    if not any(frac):
+        return np.array(base, dtype=np.int64)
+    base, frac, rho = rounding_state(x, P)  # splits x again: O(n) beside the 2^n table
     z, n = frac.tolist(), P.n
     rng = np.random.default_rng(seed)
     # nonempty subsets by size, ties by mask (the sort is stable): each

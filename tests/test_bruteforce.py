@@ -139,7 +139,8 @@ def test_capacity_guard_reads_max_points(monkeypatch):
     assert brute_force_opt(f, constraint).opt_value == 9.0
     monkeypatch.setattr(bruteforce, "MAX_POINTS", 63)
     calls = f.calls
-    with pytest.raises(CapacityError, match="64 points exceeds cap 63"):
+    message = "^estimated feasible region of at least 64 points exceeds cap 63$"
+    with pytest.raises(CapacityError, match=message):
         brute_force_opt(f, constraint)
     assert f.calls == calls
 
@@ -157,7 +158,8 @@ def test_a_reachable_total_past_max_points_is_refused_unallocated():
     # every total 0..min(budget, sum(cap)) is reachable, so 2 * 10^9 of them
     # exceed the cap before any count is allocated
     f = ValueOracle(lambda x: 0.0, np.array([10**9, 10**9]))
-    with pytest.raises(CapacityError, match="2000000001 points exceeds cap"):
+    message = "^estimated feasible region of at least 2000000001 points exceeds cap 10000000$"
+    with pytest.raises(CapacityError, match=message):
         brute_force_opt(f, CardinalityConstraint((10**9, 10**9), 10**12))
     assert f.calls == 0
 
@@ -188,18 +190,22 @@ def test_cardinality_count_is_exact_up_to_max_points(monkeypatch):
 
 def test_a_box_past_float_range_is_refused_exactly():
     # (10^9 + 1)^40 and (10^18 + 1)^17 overflow a float product; the box
-    # size is an exact int, so each is refused with CapacityError, with no
-    # warning and before any call
+    # size is an exact int product, stopped at its first running value
+    # past MAX_POINTS (after one coordinate here, after eight for the 10^12
+    # points of a 12-coordinate box of cap 9), so each is refused with
+    # CapacityError and a short message, with no warning and before any call
     knapsack = KnapsackInstance((0.5,) * 40, (10**9,) * 40)
     P = uniform_polymatroid(17, 10**18, 10**18)
     for box, constraint, size in (
-        (np.full(40, 10**9), knapsack, (10**9 + 1) ** 40),
-        (np.full(17, 10**18), P, (10**18 + 1) ** 17),
+        (np.full(40, 10**9), knapsack, 10**9 + 1),
+        (np.full(17, 10**18), P, 10**18 + 1),
+        (np.full(12, 9), KnapsackInstance((0.01,) * 12, (9,) * 12), 10**8),
     ):
         f = ValueOracle(lambda x: 0.0, box)
+        message = f"^estimated feasible region of at least {size} points exceeds cap 10000000$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(CapacityError, match=f"region of {size} points exceeds cap"):
+            with pytest.raises(CapacityError, match=message):
                 brute_force_opt(f, constraint)
         assert f.calls == 0
     assert P.member_calls == 0

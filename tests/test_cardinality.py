@@ -1161,31 +1161,36 @@ def logged_rays(monkeypatch) -> tuple[list, list]:
 def test_lattice_sweep_scans_each_ray_once(monkeypatch):
     # level-set candidates do not depend on the threshold, so a scan rerun
     # on a (y, e) pair's cached ray reads no point from f again: f reads no
-    # point twice.  On DR f no ray is scanned: the exponential search finds
-    # the scan's step
-    scans = 0
+    # point twice.  Every ray a step's factory makes is scanned; a start
+    # ray, which holds f(min(c_e, r) e) from the top threshold, is scanned
+    # or holds that top k alone.  On DR f no ray is scanned: the
+    # exponential search finds the scan's step
+    scanned_rays = []
     level_candidates = cardinality._level_candidates
 
-    def counted(*args):
-        nonlocal scans
-        scans += 1
-        return level_candidates(*args)
+    def counted(val, *args):
+        scanned_rays.append(val)
+        return level_candidates(val, *args)
 
     _, rays = logged_rays(monkeypatch)
     monkeypatch.setattr(cardinality, "_level_candidates", counted)
-    scanned = 0
+    rerun = 0
     for make, caps, r in equivalence_instances():
-        scans = 0
+        scanned_rays.clear()
         rays.clear()
         f, points = recording(make())
         maximize_lattice_cardinality(f, CardinalityConstraint(caps, r), SolverConfig(0.1))
+        start = zeros(len(caps)).tobytes()
         if f.meta["dr_submodular"]:
-            assert scans == 0 < len(rays)
-        else:
-            assert scans >= len(rays) > 0
-            assert len(points) == len(set(points))
-            scanned += scans > len(rays)
-    assert scanned > 0  # some scan is rerun on its cached ray
+            assert not scanned_rays and rays
+            continue
+        assert rays
+        scanned = {id(val) for val in scanned_rays}
+        for key, e, ray in rays:
+            assert id(ray) in scanned or key == start and list(ray) == [min(caps[e], r)]
+        assert len(points) == len(set(points))
+        rerun += len(scanned_rays) > len(scanned) > 0
+    assert rerun > 0  # some scan is rerun on its cached ray
 
 
 def test_lattice_sweep_on_dr_meta_only_saves_calls():
@@ -1263,7 +1268,10 @@ def test_dr_sweeps_never_search_a_failed_pair_again_and_fail(monkeypatch):
 def test_every_greedy_makes_one_ray_per_point_and_element(monkeypatch):
     # the sweep keeps the ray of each (y, e) until a step changes y, and
     # every search runs on the ray it holds for its (y, e); no call count
-    # shows this, since the memo absorbs repeated probes
+    # shows this, since the memo absorbs repeated probes.  Every ray a
+    # step's factory makes is searched.  A cardinality solve's start rays
+    # hold f(top e), read for the top threshold, so a start ray whose element
+    # got no visit at y = 0 holds that top k alone
     searched = []
     _, rays = logged_rays(monkeypatch)
     sweep = cardinality._sweep
@@ -1277,14 +1285,16 @@ def test_every_greedy_makes_one_ray_per_point_and_element(monkeypatch):
 
     monkeypatch.setattr(cardinality, "_sweep", counted_sweep)
     monkeypatch.setattr(knapsack, "_sweep", counted_sweep)
-    capped = 0
+    capped = unsearched = 0
     for make, caps, r in equivalence_instances():
         cst = CardinalityConstraint(caps, r)
         inst = equivalence_knapsack(caps, r)
-        for solve in (
-            lambda f: maximize_dr_cardinality(f, cst, SolverConfig(0.1)),
-            lambda f: maximize_lattice_cardinality(f, cst, SolverConfig(0.1)),
-            lambda f: greedy_knapsack(f, inst, zeros(len(caps)), SolverConfig(0.1)),
+        start = zeros(len(caps)).tobytes()
+        for solve, top in (
+            (lambda f: maximize_dr_cardinality(f, cst, SolverConfig(0.1)), lambda e: 1),
+            (lambda f: maximize_lattice_cardinality(f, cst, SolverConfig(0.1)),
+             lambda e: min(caps[e], r)),
+            (lambda f: greedy_knapsack(f, inst, zeros(len(caps)), SolverConfig(0.1)), None),
         ):
             rays.clear()
             searched.clear()
@@ -1292,10 +1302,15 @@ def test_every_greedy_makes_one_ray_per_point_and_element(monkeypatch):
             pairs = [(key, e) for key, e, _ in rays]
             assert len(pairs) == len(set(pairs)) > 0
             made = {(key, e): ray for key, e, ray in rays}
-            assert len(searched) >= len(rays)
             assert all(made[(key, e)] is on for key, e, on in searched)
+            ids = {id(on) for _, _, on in searched}
+            for key, e, ray in rays:
+                if id(ray) not in ids:
+                    assert top is not None and key == start and list(ray) == [top(e)]
+                    unsearched += 1
         capped += budget_bound_steps(inst, zeros(len(caps)), trace)  # the knapsack solve's
     assert capped > 0  # the budget left caps some knapsack steps
+    assert unsearched > 0  # some start ray is read at its top only
 
 
 def test_every_greedy_makes_one_ray_factory_per_iterate(monkeypatch):
@@ -1392,3 +1407,158 @@ def test_point_memo_answers_each_point_once_across_its_paths():
     assert f.calls == 3
     assert memo.eval(np.array([3, 2])) == 5.0  # x + 2 e_0, read by the ray
     assert f.calls == 3
+
+
+# -- the sweep before its per-visit bookkeeping was cut --------------------------
+# Literal copies of the sweep, its rays, its two DR rules and the
+# cardinality set-up as they were before visits, rays, probes and set-ups
+# were made cheaper: a lambda ray factory, a ray that calls dict.__init__
+# and int(y[e]), a skip count kept on the trace, and no start rays: the
+# tops are read by scalar evaluation alone.  The test below holds the
+# solvers to them bit for bit.
+
+
+class _old_Ray(dict):
+    __slots__ = ("_values", "_f", "_y", "_e", "_y_e", "_base")
+
+    def __init__(self, memo, y, e, base):
+        super().__init__()
+        self._values, self._f = memo._values, memo._f
+        self._y, self._e, self._y_e, self._base = y, e, int(y[e]), base
+
+    def __missing__(self, k):
+        point = self._y.copy()
+        point[self._e] = self._y_e + k
+        key = point.tobytes()
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = self._f.eval_along(point, self._e)
+        value = self[k] = value - self._base
+        return value
+
+    def value(self, k):
+        point = self._y.copy()
+        point[self._e] = self._y_e + k
+        return self._values[point.tobytes()]
+
+
+def _old_rays(memo, y):
+    y = y.copy()
+    memo._f._validate(y)
+    base = memo(y)
+    return lambda e: _old_Ray(memo, y, e, base)
+
+
+def _old_sweep(rays_at, y, room, levels, rule, eps, scale, spent, limit):
+    trace = cardinality.GreedyTrace()
+    n = len(room)
+    bounds = [math.inf] * n
+    rays, ray_of = [None] * n, None
+    f_abs = 0.0
+
+    def k_caps():
+        return [min(room_e, int((limit - spent) // s_e)) for room_e, s_e in zip(room, scale)]
+
+    caps = k_caps()
+    for threshold in levels:
+        for e in range(n):
+            k_cap = caps[e]
+            if k_cap <= 0:
+                continue
+            bar = scale[e] * threshold
+            if bounds[e] < bar - cardinality.SKIP_MARGIN * (bar if bar > f_abs else f_abs):
+                trace.skipped += 1
+                continue
+            ray = rays[e]
+            if ray is None:
+                ray_of = ray_of or rays_at(y)
+                ray = rays[e] = ray_of(e)
+            k, gain, bound = rule(ray, k_cap, eps, bar)
+            bounds[e] = math.inf if bound is None else min(bound, bounds[e])
+            if k < 1:
+                continue
+            f_abs = abs(ray.value(k))
+            y[e] += k
+            room[e] -= k
+            spent += k * scale[e]
+            trace.add(threshold, e, k, gain)
+            if max(caps := k_caps()) <= 0:
+                return y, trace
+            rays, ray_of = [None] * n, None
+    return y, trace
+
+
+def _old_cardinality_greedy(f, constraint, config, top, rule):
+    cap = constraint.cap
+    if len(cap) != f.n:
+        raise ValueError("constraint dimension does not match oracle")
+    if np.any(constraint.cap_vector() > f.box):
+        raise ValueError("constraint cap exceeds the oracle box")
+    eps = config.effective
+    r = constraint.budget
+    if r == 0:
+        return zeros(f.n), cardinality.GreedyTrace()
+    memo = _PointMemo(f)
+    tops = [memo(unit(f.n, e, top(c_e, r))) if c_e >= 1 else 0.0 for e, c_e in enumerate(cap)]
+    room = [c_e if t > 0 else 0 for c_e, t in zip(cap, tops)]
+    d = max(tops, default=0.0)
+    levels = threshold_schedule(d, (eps / r) * d, eps)
+    return _old_sweep(lambda y: _old_rays(memo, y), zeros(f.n), room, levels, rule, eps,
+                      [1] * f.n, 0, r)
+
+
+def _old_binary_search_lattice(g, e, theta, k_max, epsilon):
+    along = _old_Ray(_PointMemo(g), unit(g.n, e, 0), e, 0.0)
+    return cardinality._level_rule(along, k_max, epsilon, theta)[0] or None
+
+
+def test_sweeps_match_the_sweep_before_its_bookkeeping_was_cut():
+    # each solver asks f the same points in the same order as the old code,
+    # and returns the same y and trace, every float compared by repr (so
+    # bit for bit), with the same skip count and calls; the lattice solver
+    # runs with and without its DR meta, and both run on f raised off
+    # f(0) = 0.0.  binary_search_lattice runs on each element of each
+    # instance at two thresholds
+    def run(solve, base):
+        f, points = recording(base)
+        y, trace = solve(f)
+        return points, repr(trace), f.calls, y.tolist()
+
+    dr, lattice = (lambda c_e, r: 1, cardinality._bisection_rule), (min, None)
+    bare = lambda f: ValueOracle(f._fn, f.box)  # no meta
+    # f(0) = 2^-40, within the oracle's tolerance: every gain is a difference
+    raised = lambda f: ValueOracle(lambda x: f._fn(x) + 2.0**-40, f.box, meta=f.meta)
+    solves = skipped = searches = 0
+    for make, caps, r in equivalence_instances() + query_scale_instances():
+        cst = CardinalityConstraint(caps, r)
+        for eps in (0.1, 0.25, 0.5):
+            config = SolverConfig(eps)
+            for (top, rule), solve, view in (
+                (dr, maximize_dr_cardinality, lambda f: f),
+                (lattice, maximize_lattice_cardinality, lambda f: f),
+                (lattice, maximize_lattice_cardinality, bare),
+                (dr, maximize_dr_cardinality, raised),
+                (lattice, maximize_lattice_cardinality, raised),
+            ):
+                f = view(make())
+                if rule is None:
+                    dr_meta = f.meta.get("dr_submodular")
+                    rule = cardinality._dr_level_rule if dr_meta else cardinality._level_rule
+                new = run(lambda g: solve(g, cst, config), f)
+                old = run(lambda g: _old_cardinality_greedy(g, cst, config, top, rule), f)
+                assert new == old
+                solves += 1
+                skipped += "skipped=0)" not in new[1]
+            f = make()
+            for e, c_e in enumerate(caps):
+                if c_e < 1:
+                    continue
+                top = f.eval(unit(f.n, e, c_e))
+                for theta in (top / c_e if top > 0 else 1.0, 2.0 * top if top > 0 else 0.5):
+                    got = []
+                    for search in (binary_search_lattice, _old_binary_search_lattice):
+                        g, points = recording(f)
+                        got.append((search(g, e, theta, c_e, eps), points, g.calls))
+                    assert got[0] == got[1]
+                    searches += 1
+    assert solves > 500 and skipped > 100 and searches > 1000

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from latticemax.instances import (
     uniform_polymatroid,
 )
 from latticemax.polymatroid import (
+    PolymatroidOracle,
     binary_search_polymatroid,
     continuous_greedy,
     direction_polymatroid,
@@ -476,6 +478,33 @@ def test_round_polymatroid_integral_identity():
     x = np.array([1.0, 2.0])
     out = round_polymatroid(x, P, seed=0)
     assert list(out) == [1, 2]
+
+
+def test_round_polymatroid_reads_no_rank_for_an_integral_point():
+    # an integral point (within the snap tolerance) is returned after the
+    # membership check, with no rank call and no draw; a fractional one
+    # still builds the table, and both round as the old pipage loop does
+    class CountingRank(PolymatroidOracle):
+        rank_calls = 0
+
+        def rank(self, subset):
+            CountingRank.rank_calls += 1
+            return super().rank(subset)
+
+    P = CountingRank(3, lambda x: x.sum() <= 4 + 1e-9 and (x <= 2 + 1e-9).all(),
+                     lambda S: min(4, 2 * len(S)))
+    for x, table_calls in (([0.0, 0.0, 0.0], 0), ([2.0, 1.0, 1.0], 0),
+                           ([1.0 + 1e-12, 2.0 - 1e-12, 0.0], 0), ([1.5, 0.5, 1.0], 1 << 3)):
+        x = np.array(x)
+        want = _old_round_polymatroid(x, P, 5).tolist()
+        CountingRank.rank_calls = 0
+        assert round_polymatroid(x, P, 5).tolist() == want
+        assert CountingRank.rank_calls == table_calls
+    # the 17-element table would take a second; an integral point needs none
+    P = uniform_polymatroid(17, 10**18, 10**18)
+    start = time.perf_counter()
+    assert round_polymatroid(np.zeros(17), P, 0).tolist() == [0] * 17
+    assert time.perf_counter() - start < 0.1
 
 
 def test_round_polymatroid_single_fractional_marginals():
